@@ -66,7 +66,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import statistics
 import sys
 import time
 
@@ -121,17 +123,23 @@ def measure_contention(rounds: int = 5) -> dict:
     }
 
 
-def _bands_per_s(cfg, rounds: int) -> float:
+def _bands_per_s(cfg, rounds: int) -> tuple[float, float]:
+    """``(best, iqr_frac)`` of ``rounds`` timed runs: the ratcheted
+    best-of-N band throughput and the rounds' dispersion (interquartile
+    range over the median) recorded next to it."""
     from repro.core.driver import run_fft_phase
 
     run_fft_phase(cfg)  # warm geometry/plan caches and the buffer arenas
-    best = 0.0
+    samples = []
     for _ in range(rounds):
         t0 = time.perf_counter()
         run_fft_phase(cfg)
-        wall = time.perf_counter() - t0
-        best = max(best, cfg.n_complex_bands / wall)
-    return best
+        samples.append(cfg.n_complex_bands / (time.perf_counter() - t0))
+    iqr_frac = 0.0
+    if len(samples) > 1:
+        q1, _q2, q3 = statistics.quantiles(samples, n=4)
+        iqr_frac = (q3 - q1) / statistics.median(samples)
+    return max(samples), iqr_frac
 
 
 def measure_dataplane(rounds: int = 5) -> dict:
@@ -148,21 +156,20 @@ def measure_dataplane(rounds: int = 5) -> dict:
     numbers keeps that distinction honest.
     """
     import dataclasses
-    import os
 
     from repro.fft.backends.pool import close_shared_pools
 
     cfg = dataplane_config()
-    best = _bands_per_s(cfg, rounds)
+    best, iqr_frac = _bands_per_s(cfg, rounds)
     cfg2 = dataclasses.replace(cfg, kernel_workers=2)
-    best_workers2 = _bands_per_s(cfg2, rounds)
+    best_workers2, _ = _bands_per_s(cfg2, rounds)
     close_shared_pools()
     return {
         "kind": "repro.bench_dataplane",
         "config": cfg.label(),
         "bands_per_s": best,
+        "bands_per_s_iqr_frac": iqr_frac,
         "bands_per_s_workers2": best_workers2,
-        "host_cpus": os.cpu_count(),
         "n_complex_bands": cfg.n_complex_bands,
         "pre_arena_bands_per_s": PRE_ARENA_BANDS_PER_S,
         "speedup_vs_pre_arena": best / PRE_ARENA_BANDS_PER_S,
@@ -197,7 +204,7 @@ def measure_multinode(rounds: int = 5) -> dict:
     cells (nodes 1 and 4, slab and pencil decompositions, all on the
     pack-free data plane) — the guard only holds when every corner of the
     multi-node data plane stays fast.  Per-cell numbers ride along for
-    triage.
+    triage, as does the dispersion of the worst cell's rounds.
     """
     cfgs = multinode_configs()
     per = {key: _bands_per_s(cfg, rounds) for key, cfg in cfgs.items()}
@@ -206,9 +213,10 @@ def measure_multinode(rounds: int = 5) -> dict:
         "kind": "repro.bench_multinode",
         "config": "4x2 data mode (ecut 30, alat 10, 32 bands), "
         "nodes {1,4} x {slab,pencil}",
-        "bands_per_s": per[worst],
+        "bands_per_s": per[worst][0],
+        "bands_per_s_iqr_frac": per[worst][1],
         "worst_cell": worst,
-        **{f"bands_per_s_{key}": value for key, value in per.items()},
+        **{f"bands_per_s_{key}": best for key, (best, _iqr) in per.items()},
         "rounds": rounds,
     }
 
@@ -387,16 +395,20 @@ def baseline_provenance(path: pathlib.Path, baseline: dict) -> str:
     parts.append(f"commit {commit}" if commit else "commit not recorded")
     if baseline.get("recorded_at"):
         parts.append(f"recorded {baseline['recorded_at']}")
+    if baseline.get("host_cpus"):
+        parts.append(f"{baseline['host_cpus']} cpus")
     return f"{path} ({', '.join(parts)})"
 
 
 def _current_commit() -> str | None:
-    """Best-effort git HEAD of the working tree (None outside a checkout)."""
+    """Best-effort git HEAD of the working tree, ``-dirty`` when it has
+    uncommitted changes (None outside a checkout)."""
     import subprocess
 
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            # The pattern matches no tag, so this is always the short hash.
+            ["git", "describe", "--always", "--dirty", "--match=NeVeRmAtCh"],
             cwd=_HERE,
             capture_output=True,
             text=True,
@@ -469,6 +481,7 @@ def update_target(name: str, path: pathlib.Path, rounds: int, force: bool) -> in
     if commit is not None:
         current["commit"] = commit
     current["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    current["host_cpus"] = os.cpu_count()
     path.write_text(json.dumps(current, indent=2) + "\n")
     print(f"[{name}] wrote {path}: {current[metric]:,.1f} {metric}")
     return 0

@@ -69,7 +69,10 @@ def submit_unit_tasks(
     Every stage reads its predecessor's ``state`` slot and writes its own —
     never mutating in place — so a task execution that fault injection
     discards can re-run and produce the identical value (idempotent bodies
-    are what makes bounded re-execution safe).  Arena-backed intermediates
+    are what makes bounded re-execution safe).  That rules out the in-place
+    ``step_fft_*`` stages of the linear chain, and the communication-free
+    VOFR bodies pass a fresh ``out`` (a replayed in-place multiply would
+    apply V twice).  Arena-backed intermediates
     are popped and released in the MPI-bearing stage bodies (which the
     fault layer never replays) once every reader of the block is finalized;
     the remaining fresh intermediates stay alive until the program ends.
@@ -150,13 +153,16 @@ def submit_unit_tasks(
             if planes is None or not ctx.data_mode:
                 state[dst] = planes
             else:
-                state[dst] = ctx.kernels.cft_2xy(planes, sign)
+                state[dst] = ctx.kernels.cft_2xy(
+                    planes, sign, support=ctx.layout.desc.sticks.xy_support
+                )
 
         return run
 
     def vofr_body(worker):
+        planes = state.get("planes_xyfw")
         state["planes_v"] = yield from step_vofr(
-            ctx, state.get("planes_xyfw"), thread=worker.thread_index
+            ctx, planes, thread=worker.thread_index, out=_fresh_like(planes)
         )
 
     def scatter_bw_body(worker):
@@ -198,8 +204,9 @@ def submit_unit_tasks(
         ctx.release(state.pop("ybrick_fw", None))
 
     def pencil_vofr_body(worker):
+        brick = state.get("xbrick_xfw")
         state["xbrick_v"] = yield from step_pencil_vofr(
-            ctx, state.get("xbrick_xfw"), thread=worker.thread_index
+            ctx, brick, thread=worker.thread_index, out=_fresh_like(brick)
         )
 
     def tyx_bw_body(worker):
@@ -216,7 +223,7 @@ def submit_unit_tasks(
         )
         ctx.release(state.pop("ybrick_bw", None))
 
-    def fft_brick_transform(src, dst, sign):
+    def fft_brick_transform(src, dst, sign, axis):
         def run():
             brick = state.get(src)
             if brick is None or not ctx.data_mode:
@@ -224,8 +231,9 @@ def submit_unit_tasks(
             else:
                 n = brick.shape[-1]
                 out = np.empty(brick.shape, dtype=np.complex128)
+                support = ctx.layout.ybrick_row_runs(ctx.r) if axis == "y" else None
                 ctx.kernels.cft_1z(
-                    brick.reshape(-1, n), sign, out=out.reshape(-1, n)
+                    brick.reshape(-1, n), sign, out=out.reshape(-1, n), support=support
                 )
                 state[dst] = out
 
@@ -243,13 +251,13 @@ def submit_unit_tasks(
         y_rows = grid.nx(i) * grid.nz(j)
         x_rows = grid.ny(i) * grid.nz(j)
         single("transpose_zy", tzy_fw_body)
-        chunked("fft_y_fw", "fft_z", ctx.cost.fft_y(ctx.r), y_rows, grainsize_z, fft_brick_transform("ybrick_fw", "ybrick_yfw", +1))
+        chunked("fft_y_fw", "fft_z", ctx.cost.fft_y(ctx.r), y_rows, grainsize_z, fft_brick_transform("ybrick_fw", "ybrick_yfw", +1, "y"))
         single("transpose_yx", tyx_fw_body)
-        chunked("fft_x_fw", "fft_z", ctx.cost.fft_x(ctx.r), x_rows, grainsize_z, fft_brick_transform("xbrick_fw", "xbrick_xfw", +1))
+        chunked("fft_x_fw", "fft_z", ctx.cost.fft_x(ctx.r), x_rows, grainsize_z, fft_brick_transform("xbrick_fw", "xbrick_xfw", +1, "x"))
         single("vofr", pencil_vofr_body)
-        chunked("fft_x_bw", "fft_z", ctx.cost.fft_x(ctx.r), x_rows, grainsize_z, fft_brick_transform("xbrick_v", "xbrick_xbw", -1))
+        chunked("fft_x_bw", "fft_z", ctx.cost.fft_x(ctx.r), x_rows, grainsize_z, fft_brick_transform("xbrick_v", "xbrick_xbw", -1, "x"))
         single("transpose_xy", tyx_bw_body)
-        chunked("fft_y_bw", "fft_z", ctx.cost.fft_y(ctx.r), y_rows, grainsize_z, fft_brick_transform("ybrick_bw", "ybrick_ybw", -1))
+        chunked("fft_y_bw", "fft_z", ctx.cost.fft_y(ctx.r), y_rows, grainsize_z, fft_brick_transform("ybrick_bw", "ybrick_ybw", -1, "y"))
         single("transpose_yz", tzy_bw_body)
     else:
         single("scatter_fw", scatter_fw_body)
@@ -264,6 +272,11 @@ def submit_unit_tasks(
             ctx.completed.update(_bands) if ev.exception is None else None
         )
     )
+
+
+def _fresh_like(block):
+    """A fresh output buffer for a replayable stage (``None`` in meta mode)."""
+    return None if block is None else np.empty_like(block)
 
 
 def _strip_compute(step_gen):

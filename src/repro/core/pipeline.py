@@ -89,7 +89,7 @@ class CostModel:
         self._log_n1 = np.log2(max(desc.nr1, 2))
         self._log_n2 = np.log2(max(desc.nr2, 2))
         # QE's cft_2xy transforms along x only the y-lines that carry sticks.
-        self._nonempty_y_lines = len(np.unique(desc.sticks.coords[:, 1]))
+        self._nonempty_y_lines = desc.sticks.nonempty_y_lines
 
     # -- per-step budgets -----------------------------------------------------
 
@@ -407,18 +407,16 @@ def step_pack(ctx: FftPhaseContext, band_coeffs: list | None, key: object, threa
 
 
 def step_fft_z(ctx: FftPhaseContext, group_block, sign: int, thread: int = 0):
-    """Batched 1D transforms along z of the group sticks.
+    """Batched 1D transforms along z of the group sticks, in place.
 
-    The transform writes into an arena block and releases the consumed
-    input (a no-op for fresh/foreign inputs).
+    The linear chain's consumed block is dead, so the transform overwrites
+    it (replayable task stages must not use this step — see
+    :mod:`repro.core.exec_steps`).
     """
     yield ctx.rank.compute("fft_z", ctx.cost.fft_z(ctx.r), thread=thread)
     if group_block is None:
         return None
-    out = ctx.acquire("stick_block", group_block.shape)
-    result = ctx.kernels.cft_1z(group_block, sign, out=out)
-    ctx.release(group_block)
-    return result
+    return ctx.kernels.cft_1z(group_block, sign, out=group_block)
 
 
 def step_scatter_fw(ctx: FftPhaseContext, group_block, key: object, thread: int = 0):
@@ -453,21 +451,23 @@ def step_scatter_fw(ctx: FftPhaseContext, group_block, key: object, thread: int 
 
 
 def step_fft_xy(ctx: FftPhaseContext, planes, sign: int, thread: int = 0):
-    """Batched 2D transforms of this rank's planes."""
+    """Batched 2D transforms of this rank's planes, in place, restricted to
+    the stick support (the lines :meth:`CostModel.fft_xy` charges)."""
     yield ctx.rank.compute("fft_xy", ctx.cost.fft_xy(ctx.r), thread=thread)
     if planes is None:
         return None
-    result = ctx.kernels.cft_2xy(planes, sign)
-    ctx.release(planes)
-    return result
+    return ctx.kernels.cft_2xy(
+        planes, sign, out=planes, support=ctx.layout.desc.sticks.xy_support
+    )
 
 
-def step_vofr(ctx: FftPhaseContext, planes, thread: int = 0):
-    """Apply the real-space potential on this rank's planes."""
+def step_vofr(ctx: FftPhaseContext, planes, thread: int = 0, out=None):
+    """Apply the real-space potential on this rank's planes — in place, or
+    into ``out`` (what a replayable task stage passes)."""
     yield ctx.rank.compute("vofr", ctx.cost.vofr(ctx.r), thread=thread)
     if planes is None:
         return None
-    return apply_potential(planes, ctx.v_slab)
+    return apply_potential(planes, ctx.v_slab, out=out)
 
 
 def step_scatter_bw(ctx: FftPhaseContext, planes, key: object, thread: int = 0):
@@ -627,33 +627,33 @@ def step_transpose_yx(
 def step_fft_pencil(
     ctx: FftPhaseContext, brick, sign: int, axis: str, thread: int = 0
 ):
-    """Batched 1D transforms along a pencil brick's last axis (y or x).
+    """Batched 1D transforms along a pencil brick's last axis (y or x), in
+    place.
 
     Bricks keep the transform axis contiguous and last, so the whole brick
     is one ``(rows, n)`` batched 1D call — the same kernel the z stage uses.
+    The y stage skips the brick's stick-free x rows: zero before the G->R
+    pass, never read back after the R->G one.
     Charged to the ``fft_z`` phase (same contention profile: batched 1D).
     """
     cost = ctx.cost.fft_y(ctx.r) if axis == "y" else ctx.cost.fft_x(ctx.r)
     yield ctx.rank.compute("fft_z", cost, thread=thread)
     if brick is None:
         return None
-    kind = "ybrick" if axis == "y" else "xbrick"
-    out = ctx.acquire(kind, brick.shape)
-    if out is None:
-        out = np.empty(brick.shape, dtype=np.complex128)
-    n = brick.shape[-1]
-    ctx.kernels.cft_1z(brick.reshape(-1, n), sign, out=out.reshape(-1, n))
-    ctx.release(brick)
-    return out
+    rows = brick.reshape(-1, brick.shape[-1])
+    support = ctx.layout.ybrick_row_runs(ctx.r) if axis == "y" else None
+    ctx.kernels.cft_1z(rows, sign, out=rows, support=support)
+    return brick
 
 
-def step_pencil_vofr(ctx: FftPhaseContext, brick, thread: int = 0):
+def step_pencil_vofr(ctx: FftPhaseContext, brick, thread: int = 0, out=None):
     """Apply the potential on this rank's x-brick (``v_slab`` holds the
-    matching x-brick potential block in pencil mode)."""
+    matching x-brick potential block in pencil mode) — in place, or into
+    ``out``."""
     yield ctx.rank.compute("vofr", ctx.cost.pencil_vofr(ctx.r), thread=thread)
     if brick is None:
         return None
-    return apply_potential(brick, ctx.v_slab)
+    return apply_potential(brick, ctx.v_slab, out=out)
 
 
 def pencil_middle_steps(

@@ -21,11 +21,16 @@ transposes (plus inverses) cover the data plane:
   (T members): contiguous coefficient rows <-> scattered (stick, z) slots
   of the group stick block via the layout's cached flat index maps.
 * ``scatter_fw`` / ``scatter_bw`` — the slab scatter (R members): z-ranges
-  of stick columns (strided) <-> stick positions inside xy planes
-  (indexed).
+  of stick columns (strided) <-> stick positions inside xy planes, once
+  per plane (outer: irregular positions x regular z step).
 * ``pencil_zy`` / ``pencil_yx`` and inverses — the two pencil transposes
-  (row-internal over Pc ranks, column-internal over Pr ranks); an inverse
-  plan is its forward plan with send/recv roles swapped.
+  (row-internal over Pc ranks, column-internal over Pr ranks): zy is
+  strided <-> outer like the scatter, yx is a subarray on both sides; an
+  inverse plan is its forward plan with send/recv roles swapped.
+
+Only the pack blocks carry an explicit index array (the layout's cached
+flat index map); every other block moves as a strided view or a fancy
+index over its stick positions alone.
 
 Plans are built once per (layout, endpoint, mode) and cached on the layout
 (like the workspace arenas), so descriptor construction never rides the
@@ -35,8 +40,6 @@ steady-state path.
 from __future__ import annotations
 
 import threading
-
-import numpy as np
 
 from repro.grids.descriptor import DistributedLayout
 from repro.mpisim.datatypes import BlockType
@@ -189,13 +192,18 @@ def _build_scatter(layout: DistributedLayout, r: int, data_mode: bool) -> Exchan
         BlockType.strided(layout.z_offset(j), layout.nst_group(r), layout.npp(j), desc.nr3)
         for j in range(R)
     ]
+    # Peer j's sticks land at their (ix, iy) plane position, once per owned
+    # plane: an irregular base (the positions) times a regular z step.
     offsets = layout.scatter_stick_offsets()
     plane_pos = layout.scatter_plane_index()
-    z_steps = np.arange(npp_r, dtype=np.intp) * (desc.nr1 * desc.nr2)
-    recv = []
-    for j in range(R):
-        pos = plane_pos[int(offsets[j]) : int(offsets[j + 1])].astype(np.intp)
-        recv.append(BlockType.indexed((pos[:, None] + z_steps[None, :]).reshape(-1)))
+    recv = [
+        BlockType.outer(
+            plane_pos[int(offsets[j]) : int(offsets[j + 1])],
+            (npp_r,),
+            (desc.nr1 * desc.nr2,),
+        )
+        for j in range(R)
+    ]
     return ExchangePlan(send, recv, recv_shape, zero_fill=True)
 
 
@@ -278,12 +286,11 @@ def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
         for jj in range(grid.Pc)
     ]
     xlo, _xhi = grid.x_span(i)
-    z_steps = np.arange(nzj, dtype=np.intp) * desc.nr2
     recv = []
     for jj in range(grid.Pc):
         coords = layout.stick_coords(layout.group_sticks(grid.rank_of(i, jj)))
-        base = ((coords[:, 0] - xlo) * (nzj * desc.nr2) + coords[:, 1]).astype(np.intp)
-        recv.append(BlockType.indexed((base[:, None] + z_steps[None, :]).reshape(-1)))
+        base = (coords[:, 0] - xlo) * (nzj * desc.nr2) + coords[:, 1]
+        recv.append(BlockType.outer(base, (nzj,), (desc.nr2,)))
     return ExchangePlan(send, recv, recv_shape, zero_fill=True)
 
 
@@ -297,19 +304,19 @@ def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
         send = [BlockType.meta(nxi * nzj * grid.ny(ii)) for ii in range(grid.Pr)]
         recv = [BlockType.meta(grid.nx(ii) * nzj * nyi) for ii in range(grid.Pr)]
         return ExchangePlan(send, recv, recv_shape, zero_fill=False)
+    # Both sides are (x, z, y) subarrays: peer ii's y-range of this
+    # (nxi, nzj, nr2) y-brick, and peer ii's x-range of this (nyi, nzj, nr1)
+    # x-brick viewed x-major — the transpose is one strided copy.
     send = [
-        BlockType.strided(grid.y_span(ii)[0], nxi * nzj, grid.ny(ii), desc.nr2)
+        BlockType.subarray(
+            grid.y_span(ii)[0], (nxi, nzj, grid.ny(ii)), (nzj * desc.nr2, desc.nr2, 1)
+        )
         for ii in range(grid.Pr)
     ]
-    # Receive order matches the sender's (x, z, y) item order: peer ii's
-    # global x-columns land at x-brick flat slots ((yy * nzj) + zz) * nr1 + x.
-    yz = (
-        np.arange(nyi, dtype=np.intp)[None, None, :] * nzj
-        + np.arange(nzj, dtype=np.intp)[None, :, None]
-    ) * desc.nr1
-    recv = []
-    for ii in range(grid.Pr):
-        xlo_p, xhi_p = grid.x_span(ii)
-        idx = yz + np.arange(xlo_p, xhi_p, dtype=np.intp)[:, None, None]
-        recv.append(BlockType.indexed(idx.reshape(-1)))
+    recv = [
+        BlockType.subarray(
+            grid.x_span(ii)[0], (grid.nx(ii), nzj, nyi), (1, desc.nr1, nzj * desc.nr1)
+        )
+        for ii in range(grid.Pr)
+    ]
     return ExchangePlan(send, recv, recv_shape, zero_fill=False)

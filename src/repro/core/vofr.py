@@ -13,8 +13,13 @@ import numpy as np
 __all__ = ["apply_potential"]
 
 
-def apply_potential(planes: np.ndarray | None, v_slab: np.ndarray | None) -> np.ndarray | None:
-    """Multiply plane data by the potential slab, in place; returns the planes.
+def apply_potential(
+    planes: np.ndarray | None,
+    v_slab: np.ndarray | None,
+    out: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Multiply plane data by the potential slab and return the product —
+    written over ``planes`` itself unless ``out`` is given.
 
     Both arguments are ``None`` in meta mode (cost-only runs).
     """
@@ -26,5 +31,4 @@ def apply_potential(planes: np.ndarray | None, v_slab: np.ndarray | None) -> np.
         raise ValueError(
             f"planes shape {planes.shape} does not match potential slab {v_slab.shape}"
         )
-    planes *= v_slab
-    return planes
+    return np.multiply(planes, v_slab, out=planes if out is None else out)

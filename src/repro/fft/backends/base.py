@@ -18,6 +18,18 @@ Quantum ESPRESSO's conventions (the same conventions as
     returning the ``n//2 + 1`` non-redundant coefficients
     (``numpy.fft.rfft`` convention).  Only ``sign=-1`` is meaningful.
 
+The c2c executables of a backend with ``honours_support`` also take a
+``support=`` hint — the stick support of the block, as half-open index
+runs (:data:`repro.grids.sticks.Runs`): for ``c2c_1d`` the runs of batch
+rows that carry data, for ``c2c_2d`` the pair ``(x_runs, y_runs)`` of
+non-empty x rows / y columns of a plane.  By passing it the caller
+promises that lines outside the support are zero on input when
+``sign=+1`` and are never read from the output when ``sign=-1``; the
+executable then transforms only supported lines (``sign=+1`` leaves zeros
+outside them, ``sign=-1`` leaves those output lines unspecified).  A
+backend without the flag never sees the hint — its dense result is a
+superset.
+
 Two memory layouts are supported.  ``aos`` (array-of-structures) is the
 ordinary interleaved complex ndarray.  ``soa`` (structure-of-arrays) keeps
 real and imaginary parts in separate planes — a float array of shape
@@ -159,8 +171,9 @@ def deliver(res: np.ndarray, out: np.ndarray | None, dtype: np.dtype) -> np.ndar
     """Finish one executable call: cast to the spec dtype, honour ``out``.
 
     The result is always *computed* first and then copied — so the values a
-    caller receives are bit-identical whether or not it supplied ``out``
-    (the contract the data plane's arena identity tests rely on).
+    caller receives are bit-identical whether or not it supplied ``out``,
+    and ``out`` may alias the input.  (The default numpy backend's c2c
+    kinds write into ``out`` directly instead; same bits, one pass less.)
     """
     res = np.asarray(res)
     if res.dtype != dtype:
@@ -180,6 +193,9 @@ class FftBackend(abc.ABC):
     #: that runs the batch on N threads *inside* the library.  When false,
     #: the engine's multicore mode uses the shared-memory process pool.
     supports_workers: bool = False
+    #: Whether the c2c executables accept the ``support=`` hint (see the
+    #: module docstring) and skip lines outside the stick support.
+    honours_support: bool = False
 
     @abc.abstractmethod
     def availability(self) -> tuple[bool, str]:
@@ -190,7 +206,8 @@ class FftBackend(abc.ABC):
         """Build the AoS executable for a (validated, available) spec."""
 
     def plan(self, kind: str, shape: tuple, dtype=np.complex128, layout: str = "aos"):
-        """An executable ``exe(x, sign, out=None, workers=None)`` for the spec.
+        """An executable ``exe(x, sign, out=None, workers=None)`` for the spec
+        (``out`` may be ``x`` itself).
 
         Raises :class:`BackendUnavailableError` when the backing library is
         not importable here, and ``ValueError`` for malformed specs.

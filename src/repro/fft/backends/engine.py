@@ -17,6 +17,11 @@ and decides how a call goes multicore:
   row-independent for pocketfft, so the result is byte-identical to
   ``workers=1`` (pinned by ``tests/core/test_kernel_workers.py``).
 
+``cft_1z`` / ``cft_2xy`` take the block's stick *support* (see
+:mod:`repro.fft.backends.base`) and forward it to backends that honour it,
+so a run-restricted stage is still one engine call; ``out`` may alias the
+input, which is how the linear band chain transforms in place.
+
 Call and row counters feed the ``dataplane.*`` telemetry gauges through
 :meth:`stats`.
 """
@@ -62,7 +67,7 @@ class KernelEngine:
 
     # -- execution ----------------------------------------------------------
 
-    def _run_c2c(self, kind: str, x: np.ndarray, sign: int, out):
+    def _run_c2c(self, kind: str, x: np.ndarray, sign: int, out, support=None):
         self.kernel_calls += 1
         self.kernel_rows += x.shape[0]
         if self.workers > 1:
@@ -78,25 +83,34 @@ class KernelEngine:
                 self.pool_rows += x.shape[0]
                 return res
         exe = self.plan(kind, x.shape, dtype=x.dtype)
+        if support is not None and self.backend.honours_support:
+            return exe(x, sign, out=out, support=support)
         return exe(x, sign, out=out)
 
-    def cft_1z(self, sticks: np.ndarray, sign: int, out=None) -> np.ndarray:
-        """Batched 1D transforms along z: ``(nsticks, nz)``, QE conventions."""
+    def cft_1z(self, sticks: np.ndarray, sign: int, out=None, support=None) -> np.ndarray:
+        """Batched 1D transforms along z: ``(nsticks, nz)``, QE conventions.
+
+        ``support`` is the runs of rows that carry data (``None`` = all).
+        """
         sticks = np.asarray(sticks)
         if sticks.ndim != 2:
             raise ValueError(f"cft_1z expects (nsticks, nz), got shape {sticks.shape}")
         if not np.issubdtype(sticks.dtype, np.complexfloating):
             sticks = sticks.astype(np.complex128)
-        return self._run_c2c("c2c_1d", sticks, sign, out)
+        return self._run_c2c("c2c_1d", sticks, sign, out, support)
 
-    def cft_2xy(self, planes: np.ndarray, sign: int, out=None) -> np.ndarray:
-        """Batched 2D transforms: ``(nplanes, nx, ny)``, QE conventions."""
+    def cft_2xy(self, planes: np.ndarray, sign: int, out=None, support=None) -> np.ndarray:
+        """Batched 2D transforms: ``(nplanes, nx, ny)``, QE conventions.
+
+        ``support`` is the ``(x_runs, y_runs)`` stick support of a plane
+        (``StickMap.xy_support``; ``None`` = dense).
+        """
         planes = np.asarray(planes)
         if planes.ndim != 3:
             raise ValueError(f"cft_2xy expects (nplanes, nx, ny), got shape {planes.shape}")
         if not np.issubdtype(planes.dtype, np.complexfloating):
             planes = planes.astype(np.complex128)
-        return self._run_c2c("c2c_2d", planes, sign, out)
+        return self._run_c2c("c2c_2d", planes, sign, out, support)
 
     def rfft(self, x: np.ndarray, out=None) -> np.ndarray:
         """Batched real-input forward DFT along the last axis."""

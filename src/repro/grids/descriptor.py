@@ -28,7 +28,7 @@ import numpy as np
 from repro.grids.gvectors import GSphere, build_sphere, grid_dimensions
 from repro.grids.lattice import Cell
 from repro.grids.pencil import PencilGrid
-from repro.grids.sticks import StickMap, distribute_sticks
+from repro.grids.sticks import Runs, StickMap, clip_runs, distribute_sticks
 
 __all__ = ["FftDescriptor", "DistributedLayout"]
 
@@ -373,6 +373,20 @@ class DistributedLayout:
             ]
             self._scatter_plane_flat = coords[:, 0] * self.desc.nr2 + coords[:, 1]
         return self._scatter_plane_flat
+
+    def ybrick_row_runs(self, r: int) -> Runs:
+        """Stick support of pencil rank ``r``'s y-brick, as runs of rows of
+        its flattened ``(nx_i * nz_j, nr2)`` form.
+
+        Row ``i`` of the pencil grid owns every stick with ``ix`` in its
+        x-range, so the brick's non-empty x rows are the stick map's
+        ``x_runs`` clipped to that range; each x row is ``nz_j`` y-lines.
+        """
+        if self.pencil is None:
+            raise ValueError("y-brick support needs a pencil-decomposed layout")
+        i, j = self.pencil.coords(r)
+        lo, hi = self.pencil.x_span(i)
+        return clip_runs(self.desc.sticks.x_runs, lo, hi, scale=self.pencil.nz(j))
 
     def stick_coords(self, stick_indices: np.ndarray) -> np.ndarray:
         """(ix, iy) grid coordinates of the given global sticks."""

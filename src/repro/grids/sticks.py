@@ -13,7 +13,31 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StickMap", "distribute_sticks"]
+__all__ = ["StickMap", "distribute_sticks", "index_runs", "clip_runs"]
+
+#: Half-open ``(lo, hi)`` index ranges, ascending and non-adjacent.
+Runs = tuple[tuple[int, int], ...]
+
+
+def index_runs(indices: np.ndarray) -> Runs:
+    """The maximal contiguous runs covering a set of integer indices."""
+    values = np.unique(indices)
+    if not len(values):
+        return ()
+    breaks = np.flatnonzero(np.diff(values) > 1)
+    starts = np.concatenate(([values[0]], values[breaks + 1]))
+    stops = np.concatenate((values[breaks], [values[-1]])) + 1
+    return tuple((int(lo), int(hi)) for lo, hi in zip(starts, stops))
+
+
+def clip_runs(runs: Runs, lo: int, hi: int, scale: int = 1) -> Runs:
+    """``runs`` restricted to ``[lo, hi)``, re-based at ``lo`` and scaled.
+
+    ``scale`` turns runs of rows into runs of the flattened ``(row, k)``
+    index when every row carries ``scale`` consecutive lines.
+    """
+    clipped = ((max(a, lo), min(b, hi)) for a, b in runs)
+    return tuple(((a - lo) * scale, (b - lo) * scale) for a, b in clipped if a < b)
 
 
 class StickMap:
@@ -34,11 +58,28 @@ class StickMap:
         self.coords = coords
         self.counts = counts
         self.stick_of_g = stick_of_g
+        #: The stick *support*: runs of x rows / y columns of an xy plane
+        #: that carry at least one stick.  Everything outside is zero in G
+        #: space, which is what lets the xy stage skip those lines (QE's
+        #: empty-line skipping) — the cost models charge exactly these
+        #: lines and the host kernels transform exactly these lines.
+        self.x_runs: Runs = index_runs(coords[:, 0])
+        self.y_runs: Runs = index_runs(coords[:, 1])
 
     @property
     def nsticks(self) -> int:
         """Number of sticks."""
         return len(self.coords)
+
+    @property
+    def xy_support(self) -> tuple[Runs, Runs]:
+        """``(x_runs, y_runs)`` — the ``support=`` hint of ``cft_2xy``."""
+        return (self.x_runs, self.y_runs)
+
+    @property
+    def nonempty_y_lines(self) -> int:
+        """y columns carrying sticks — the x-lines ``cft_2xy`` transforms."""
+        return sum(hi - lo for lo, hi in self.y_runs)
 
     @property
     def total_g(self) -> int:

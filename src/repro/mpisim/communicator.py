@@ -368,8 +368,10 @@ class Communicator:
                         f"sends {sb.n_items} elements to rank "
                         f"{self.world_rank(dst)}, which expects {rb.n_items}"
                     )
-        # Direct data movement: one fancy-indexed move per pair, source view
-        # to destination slots — the pack-free path (no staging buffer).
+        # Direct data movement, one move per pair from the source block to
+        # the destination block — the pack-free path (no staging buffer): a
+        # strided-view copy or a single-axis fancy index wherever the block
+        # shapes allow, flat indices only for explicitly indexed blocks.
         for src in range(size):
             sendbuf = pending.args[src]["sendbuf"]
             if sendbuf is None:
@@ -384,7 +386,7 @@ class Communicator:
                 if recvbuf is None:
                     continue
                 rb = pending.args[dst]["recv_blocks"][src]
-                recvbuf.reshape(-1)[rb.indices()] = flat_src[sb.indices()]
+                rb.put(recvbuf.reshape(-1), sb.take(flat_src))
         # Cost accounting mirrors _exec_alltoall exactly (same per-sender
         # pair list, same transfer submissions, same latency term), so a
         # plan whose block volumes equal the old concatenated parts prices

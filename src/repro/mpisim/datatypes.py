@@ -65,79 +65,116 @@ class BlockType:
     values directly between the two buffers with no intermediate packed
     staging copy.  Three shapes cover every plan in the data plane:
 
-    * **strided** — ``count`` blocks of ``blocklen`` contiguous elements,
-      block *k* starting at ``offset + k * stride`` (an
-      ``MPI_Type_vector``).  This is the regular side of every transpose:
-      z-ranges of stick columns, y-ranges of brick rows.
+    * **subarray** — an N-d strided window: ``shape`` elements per axis,
+      ``strides`` (in elements) apart, starting at ``offset`` (an
+      ``MPI_Type_create_subarray``; ``strided`` is its 2-d
+      ``MPI_Type_vector`` special case).  The regular side of every
+      transpose — z-ranges of stick columns, y-ranges of brick rows — and
+      both sides of the dense pencil y<->x transpose.  Moved as a strided
+      *view*: no index array exists unless someone asks for one.
+    * **outer** — an irregular ``base`` offset per item group times a
+      regular subarray step (``MPI_Type_create_hindexed`` of a subarray):
+      stick positions inside a plane or brick, each repeated along z.
+      Moved with one fancy index over ``base`` alone.
     * **indexed** — an explicit flat-index array (``MPI_Type_indexed``
-      with unit blocks).  The irregular side: scattered stick positions
-      inside a plane or pencil brick.  The index array may be supplied
+      with unit blocks) for the genuinely irregular blocks: sphere
+      coefficients inside a stick block.  The index array may be supplied
       lazily (a zero-argument callable) so plans built for meta-mode
       sweeps never materialize it.
-    * **meta** — only the element count is known.  Enough for the cost
-      model; using it to move data raises.
+
+    plus **meta** — only the element count is known.  Enough for the cost
+    model; using it to move data raises.
+
+    Items are ordered base-major, then C order over ``shape``.
+    :meth:`take` / :meth:`put` move the items through views and the base
+    offsets alone; :meth:`indices` derives (and caches) the flat index of
+    every item in the same order, for the tests and tools that want it.
 
     ``itemsize`` prices the block for the network model (complex128 by
     default, matching the pipeline's payloads).
     """
 
-    __slots__ = ("offset", "count", "blocklen", "stride", "itemsize", "_indices")
+    __slots__ = ("offset", "shape", "strides", "itemsize", "_base", "_count", "_indices")
 
-    def __init__(
-        self,
-        offset: int = 0,
-        count: int = 0,
-        blocklen: int = 1,
-        stride: int = 1,
-        itemsize: int = 16,
-        _indices=None,
-    ):
-        if count < 0 or blocklen < 0:
-            raise ValueError(
-                f"negative block geometry: count={count}, blocklen={blocklen}"
-            )
+    def __init__(self, offset, shape, strides, itemsize=16, _base=None, _count=None):
         self.offset = int(offset)
-        self.count = int(count)
-        self.blocklen = int(blocklen)
-        self.stride = int(stride)
+        self.shape = tuple(int(n) for n in shape)
+        self.strides = tuple(int(n) for n in strides)
+        if len(self.shape) != len(self.strides):
+            raise ValueError(
+                f"block shape {self.shape} and strides {self.strides} differ in rank"
+            )
+        if any(n < 0 for n in self.shape) or (_count is not None and _count < 0):
+            raise ValueError(
+                f"negative block geometry: shape={self.shape}, count={_count}"
+            )
         self.itemsize = int(itemsize)
-        self._indices = _indices
+        #: Outer blocks: the flat offsets the step repeats at (an array, or
+        #: a callable returning one); ``None`` for a plain subarray.
+        self._base = _base
+        #: Meta blocks: the element count (``None`` otherwise).
+        self._count = _count
+        self._indices: np.ndarray | None = None
+
+    @classmethod
+    def subarray(cls, offset: int, shape, strides, itemsize: int = 16) -> "BlockType":
+        """An N-d window: ``shape`` elements, ``strides`` apart (in elements)."""
+        return cls(offset, shape, strides, itemsize)
 
     @classmethod
     def strided(
         cls, offset: int, count: int, blocklen: int, stride: int, itemsize: int = 16
     ) -> "BlockType":
         """``count`` blocks of ``blocklen`` elements, ``stride`` apart."""
-        return cls(offset, count, blocklen, stride, itemsize)
+        return cls(offset, (count, blocklen), (stride, 1), itemsize)
+
+    @classmethod
+    def outer(cls, base, shape, strides, itemsize: int = 16) -> "BlockType":
+        """The subarray step ``shape``/``strides`` repeated at every flat
+        offset in ``base`` (an array, or a callable returning one)."""
+        if not callable(base):
+            base = np.asarray(base).reshape(-1)
+        return cls(0, shape, strides, itemsize, _base=base)
 
     @classmethod
     def indexed(cls, indices, itemsize: int = 16) -> "BlockType":
-        """Explicit flat indices (array, or a callable returning one)."""
-        if callable(indices):
-            return cls(0, 0, 1, 1, itemsize, _indices=indices)
-        idx = np.asarray(indices)
-        return cls(0, int(idx.size), 1, 1, itemsize, _indices=idx.reshape(-1))
+        """Explicit flat indices (array, or a callable returning one) — an
+        outer block with an empty step."""
+        return cls.outer(indices, (), (), itemsize)
 
     @classmethod
     def meta(cls, n_items: int, itemsize: int = 16) -> "BlockType":
         """Size-only descriptor for meta-mode (cost accounting) runs."""
-        return cls(0, int(n_items), 1, 0, itemsize)
+        return cls(0, (), (), itemsize, _count=int(n_items))
 
     @property
     def is_meta(self) -> bool:
-        return self._indices is None and self.stride == 0 and self.blocklen == 1
+        return self._count is not None
+
+    @property
+    def base(self) -> np.ndarray | None:
+        """An outer block's flat offsets (resolving a lazy supplier)."""
+        if callable(self._base):
+            self._base = np.asarray(self._base()).reshape(-1)
+        return self._base
+
+    @property
+    def materialized(self) -> bool:
+        """Whether a full per-item index array exists in memory right now
+        (an indexed block's own array counts once its supplier has run)."""
+        if self._indices is not None:
+            return True
+        return not self.shape and self._base is not None and not callable(self._base)
 
     @property
     def n_items(self) -> int:
         """Number of elements the block covers."""
-        if self._indices is not None:
-            if callable(self._indices):
-                self._indices = np.asarray(self._indices()).reshape(-1)
-            self.count = int(self._indices.size)
-            return self.count
         if self.is_meta:
-            return self.count
-        return self.count * self.blocklen
+            return self._count
+        n = 1 if self._base is None else int(self.base.size)
+        for dim in self.shape:
+            n *= dim
+        return n
 
     @property
     def nbytes(self) -> float:
@@ -145,29 +182,55 @@ class BlockType:
         return float(self.n_items * self.itemsize)
 
     def indices(self) -> np.ndarray:
-        """The (cached) flat element indices the block describes."""
-        if self._indices is not None:
-            if callable(self._indices):
-                self._indices = np.asarray(self._indices()).reshape(-1)
-            return self._indices
-        if self.is_meta:
-            raise ValueError("meta BlockType carries no element indices")
-        base = self.offset + np.arange(self.count, dtype=np.intp) * self.stride
-        self._indices = (
-            base[:, None] + np.arange(self.blocklen, dtype=np.intp)[None, :]
-        ).reshape(-1)
+        """The (cached) flat index of every item, in item order."""
+        if self._indices is None:
+            if self.is_meta:
+                raise ValueError("meta BlockType carries no element indices")
+            base = self.base
+            idx = np.array([self.offset], dtype=np.intp) if base is None else base
+            for n, stride in zip(self.shape, self.strides):
+                idx = idx[..., None] + np.arange(n, dtype=np.intp) * stride
+            self._indices = idx.reshape(-1)
         return self._indices
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        if self._indices is not None:
-            n = "lazy" if callable(self._indices) else str(self._indices.size)
-            return f"BlockType(indexed, n={n})"
+    def _window(self, flat: np.ndarray) -> np.ndarray:
+        """The block as a strided view of ``flat``: the subarray itself, or
+        for an outer block the step laid out at every admissible base
+        offset (axis 0, overlapping) so ``window[base]`` addresses the items."""
         if self.is_meta:
-            return f"BlockType(meta, n={self.count})"
-        return (
-            f"BlockType(offset={self.offset}, count={self.count}, "
-            f"blocklen={self.blocklen}, stride={self.stride})"
+            raise ValueError("meta BlockType carries no element indices")
+        item = flat.itemsize
+        shape, strides = self.shape, self.strides
+        if self._base is not None:
+            reach = sum((n - 1) * s for n, s in zip(shape, strides))
+            shape, strides = (flat.size - reach, *shape), (1, *strides)
+        return np.ndarray(
+            shape, flat.dtype, flat, self.offset * item, tuple(s * item for s in strides)
         )
+
+    def take(self, flat: np.ndarray) -> np.ndarray:
+        """The block's items out of a flat buffer, in item order — a view
+        for a subarray, one gathered copy otherwise."""
+        window = self._window(flat)
+        return window if self._base is None else window[self.base]
+
+    def put(self, flat: np.ndarray, items: np.ndarray) -> None:
+        """Write ``items`` (in item order, any congruent shape) into the
+        block's slots of a flat buffer."""
+        window = self._window(flat)
+        if self._base is None:
+            np.copyto(window, items.reshape(self.shape))
+        else:
+            window[self.base] = items.reshape(-1, *self.shape)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        if self.is_meta:
+            return f"BlockType(meta, n={self._count})"
+        if self._base is None:
+            head = f"offset={self.offset}"
+        else:
+            head = "outer, nbase=" + ("lazy" if callable(self._base) else str(len(self._base)))
+        return f"BlockType({head}, shape={self.shape}, strides={self.strides})"
 
 
 Payload = _t.Union[np.ndarray, MetaPayload]

@@ -67,8 +67,6 @@ class WorkloadModel:
         # One descriptor per workload; deliberately NOT via build_geometry —
         # that cache is keyed per (scatter, groups, decomposition) and a
         # candidate scan must not flush it with layouts it never runs.
-        import numpy as np
-
         from repro.grids import Cell, FftDescriptor
 
         desc = FftDescriptor(Cell(alat=config.alat), ecutwfc=config.ecutwfc,
@@ -85,7 +83,7 @@ class WorkloadModel:
             nr1=desc.nr1,
             nr2=desc.nr2,
             nr3=desc.nr3,
-            nonempty_y_lines=int(len(np.unique(desc.sticks.coords[:, 1]))),
+            nonempty_y_lines=desc.sticks.nonempty_y_lines,
         )
 
 

@@ -38,6 +38,57 @@ GRID_CASES = [
 ]
 
 
+class TestHostDoesTheChargedWork:
+    """``CostModel.fft_xy`` charges QE's empty-line skipping; the host xy
+    stage must transform exactly the lines it charges, no more."""
+
+    def test_lines_transformed_per_plane_equal_lines_charged(self, monkeypatch):
+        from repro.core.pipeline import CostConstants, CostModel
+        from repro.fft.backends import KernelEngine
+
+        desc = FftDescriptor(Cell(alat=6.0), ecutwfc=30.0)
+        layout = DistributedLayout(desc, 2, 1)
+        sticks = desc.sticks
+        lines: dict[tuple[int, int], int] = {}
+
+        def spy(fn):
+            def counted(a, n=None, axis=-1, norm=None, out=None):
+                key = (axis, a.shape[axis])
+                lines[key] = lines.get(key, 0) + a.size // a.shape[axis]
+                return fn(a, n=n, axis=axis, norm=norm, out=out)
+
+            return counted
+
+        monkeypatch.setattr(np.fft, "fft", spy(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", spy(np.fft.ifft))
+        npp = layout.npp(0)
+        planes = np.zeros((npp, desc.nr1, desc.nr2), dtype=np.complex128)
+        support = sticks.xy_support
+        x_rows = sum(hi - lo for lo, hi in sticks.x_runs)
+        engine = KernelEngine("numpy")
+
+        engine.cft_2xy(planes, -1, out=planes, support=support)
+        assert lines == {
+            (-1, desc.nr2): npp * desc.nr1,                    # dense y pass
+            (-2, desc.nr1): npp * sticks.nonempty_y_lines,     # stick columns only
+        }
+        cost = CostModel(layout)
+        charged = CostConstants().fft_instr_per_flop * 5.0 * sum(
+            count * n * np.log2(n) for (_axis, n), count in lines.items()
+        )
+        assert charged == pytest.approx(cost.fft_xy(0), rel=1e-12)
+
+        lines.clear()
+        engine.cft_2xy(planes, +1, out=planes, support=support)
+        assert lines == {
+            (-1, desc.nr2): npp * x_rows,                      # stick rows only
+            (-2, desc.nr1): npp * desc.nr2,                    # dense x pass
+        }
+        # The sphere is symmetric under x <-> y on this cubic cell, so the
+        # G->R direction does the same number of lines.
+        assert x_rows == sticks.nonempty_y_lines and desc.nr1 == desc.nr2
+
+
 class TestArenaIdentity:
     @pytest.mark.parametrize("version,taskgroups,ranks", GRID_CASES)
     def test_arena_matches_fresh_allocation(self, version, taskgroups, ranks):
@@ -170,6 +221,19 @@ class TestNoCopyMarshalling:
 
 
 class TestDataplaneStats:
+    @pytest.mark.parametrize("decomposition,exchanges", [("slab", 3), ("pencil", 5)])
+    def test_linear_chain_checks_out_one_block_per_exchange(self, decomposition, exchanges):
+        """The FFT stages of the linear chain transform in place: the only
+        arena checkouts are the exchanges' receive buffers (pack, then the
+        scatter pair or the four transposes; unpack receives into fresh
+        result rows)."""
+        cfg = small_config(
+            ranks=4, taskgroups=2, data_mode=True, decomposition=decomposition
+        )
+        res = run_fft_phase(cfg, use_workspace=True)
+        chains = (cfg.n_complex_bands // cfg.taskgroups) * cfg.ranks * cfg.taskgroups
+        assert res.dataplane["acquires"] == exchanges * chains
+
     def test_data_mode_run_reports_dataplane(self):
         cfg = small_config(ranks=2, taskgroups=2, data_mode=True)
         res = run_fft_phase(cfg, use_workspace=True)

@@ -198,6 +198,16 @@ class TestVofr:
         np.testing.assert_allclose(out, 3.0)
         assert out is planes  # in place
 
+    def test_out_leaves_the_input_untouched(self):
+        """What a replayable task stage relies on: same product, written
+        elsewhere, so a second execution starts from unmodified input."""
+        planes = np.full((2, 3, 3), 2.0 + 1j)
+        v = np.full((2, 3, 3), 1.5)
+        out = np.empty_like(planes)
+        assert apply_potential(planes, v, out=out) is out
+        np.testing.assert_array_equal(planes, 2.0 + 1j)
+        np.testing.assert_array_equal(out, apply_potential(planes.copy(), v))
+
     def test_meta_mode(self):
         assert apply_potential(None, None) is None
 

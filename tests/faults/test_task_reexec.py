@@ -36,6 +36,24 @@ class TestReExecution:
         assert run(version, scenario).phase_time > base
 
 
+@pytest.mark.parametrize("decomposition", ["slab", "pencil"])
+@pytest.mark.parametrize("version", ["ompss_steps", "ompss_combined"])
+def test_replayed_vofr_applies_the_potential_once(version, decomposition):
+    """Regression: the communication-free VOFR task multiplied its
+    predecessor's block in place, so a replay applied V twice and the run
+    came back ``failed=False`` with O(0.1) error.  At this failure rate
+    some VOFR execution is discarded and replayed in every cell."""
+    scenario = FaultScenario(task_failure_rate=0.3, task_max_retries=50)
+    cfg = RunConfig(
+        **SMALL, ranks=4, taskgroups=2, version=version, data_mode=True,
+        decomposition=decomposition,
+    )
+    res = run_fft_phase(cfg, faults=scenario)
+    assert not res.failed
+    assert res.fault_report["counters"]["task_recovered"] > 10
+    assert res.validate() < 1e-10
+
+
 class TestAbort:
     def test_retry_budget_exhaustion_aborts_structurally(self):
         # Every completion fails and only 1 retry is allowed: the second

@@ -12,6 +12,10 @@ backends (pyFFTW in this container) **skip with their probe reason** —
 never a silent pass — so a CI log always shows which backends were
 actually verified.
 
+The stick-support hint of the c2c kinds (``TestSupportRestricted``) is
+held to the same bar on every supported line, for random shapes and
+supports, including ``out is x``.
+
 Beyond values, this file pins the interface contracts the engine and the
 data plane rely on: ``out=`` buffers are filled with bit-identical values
 to the no-out path, output dtypes match the spec, malformed specs and
@@ -20,6 +24,8 @@ calls raise, and unknown/unavailable backends fail with clean errors.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fft.backends import (
     CONFORMANCE_ATOL,
@@ -27,12 +33,15 @@ from repro.fft.backends import (
     KINDS,
     LAYOUTS,
     BackendUnavailableError,
+    KernelEngine,
     PlanSpec,
+    available_backends,
     get_backend,
     known_backends,
 )
 from repro.fft.backends.base import result_shape
 from repro.fft.backends.soa import from_soa, to_soa
+from repro.grids.sticks import index_runs
 
 #: Batched shapes per kind: deliberately non-square, non-power-of-two
 #: friendly (every axis is a 2/3/5 product — the grid family QE admits).
@@ -220,3 +229,113 @@ class TestInterfaceContracts:
             assert row["note"], "every availability probe must carry a note"
         # The default must always be available — it is numpy itself.
         assert rows["numpy"]["available"]
+
+
+# -- stick-support hint --------------------------------------------------------
+
+def _mask(n: int, runs) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    for lo, hi in runs:
+        mask[lo:hi] = True
+    return mask
+
+
+@st.composite
+def _supported_block(draw, ndim: int):
+    """A random batched block plus a random support per restricted axis."""
+    shape = tuple(draw(st.integers(1, 5 if k == 0 else 9)) for k in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    runs = [
+        index_runs(np.flatnonzero(rng.random(n) < draw(st.sampled_from((0.0, 0.4, 1.0)))))
+        for n in shape
+    ]
+    return x, runs
+
+
+def _close(got, want, dtype="complex128"):
+    np.testing.assert_allclose(
+        got, want, rtol=CONFORMANCE_RTOL[dtype], atol=CONFORMANCE_ATOL[dtype]
+    )
+
+
+class TestSupportRestricted:
+    """The ``support=`` hint: only lines inside the stick support are
+    transformed, and on every supported line the result is the dense one —
+    bit-equal for the numpy backend (same 1-D passes in ``fftn``'s order),
+    within the conformance tolerance for every backend (one that ignores
+    the hint returns the dense superset).  ``out`` may be the input."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=_supported_block(3), alias=st.sampled_from(("none", "fresh", "inplace")))
+    def test_cft_2xy(self, block, alias):
+        x, (_, x_runs, y_runs) = block
+        support = (x_runs, y_runs)
+        # G->R promises zero rows outside the x support; then every output
+        # line is defined.  R->G defines the supported y columns only.
+        x_fw = x * _mask(x.shape[1], x_runs)[None, :, None]
+        cols = _mask(x.shape[2], y_runs)
+        for name in available_backends():
+            engine = KernelEngine(name)
+            for sign, src, keep in ((1, x_fw, np.ones_like(cols)), (-1, x, cols)):
+                want = _reference("c2c_2d", src, sign)[:, :, keep]
+                work = src.copy()
+                out = {"none": None, "fresh": np.full_like(src, np.nan), "inplace": work}[alias]
+                got = engine.cft_2xy(work, sign, out=out, support=support)
+                if out is not None:
+                    assert got is out
+                if name == "numpy":
+                    assert np.array_equal(got[:, :, keep], want)
+                else:
+                    _close(got[:, :, keep], want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=_supported_block(2), alias=st.sampled_from(("none", "fresh", "inplace")))
+    def test_cft_1z(self, block, alias):
+        x, (row_runs, _) = block
+        rows = _mask(x.shape[0], row_runs)
+        x_fw = x * rows[:, None]
+        for name in available_backends():
+            engine = KernelEngine(name)
+            for sign, src, keep in ((1, x_fw, np.ones_like(rows)), (-1, x, rows)):
+                want = _reference("c2c_1d", src, sign)[keep]
+                work = src.copy()
+                out = {"none": None, "fresh": np.full_like(src, np.nan), "inplace": work}[alias]
+                got = engine.cft_1z(work, sign, out=out, support=row_runs)
+                if out is not None:
+                    assert got is out
+                if name == "numpy":
+                    assert np.array_equal(got[keep], want)
+                else:
+                    _close(got[keep], want)
+
+    def test_restricted_call_is_one_engine_call(self):
+        engine = KernelEngine("numpy")
+        x = _input_for("c2c_2d", "complex128")
+        engine.cft_2xy(x, -1, support=(((0, 3), (7, 12)), ((1, 2), (4, 9))))
+        assert engine.stats()["kernel_calls"] == 1
+        assert engine.stats()["kernel_rows"] == x.shape[0]
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_kernel_workers_2_byte_identical_on_supported_lines(self, sign):
+        x2 = _input_for("c2c_2d", "complex128")
+        x_runs, y_runs = ((0, 3), (7, 12)), ((1, 2), (4, 9))
+        if sign == 1:
+            x2 = x2 * _mask(x2.shape[1], x_runs)[None, :, None]
+        cols = _mask(x2.shape[2], y_runs) if sign == -1 else slice(None)
+        x1 = _input_for("c2c_1d", "complex128")
+        row_runs = ((1, 4),)
+        if sign == 1:
+            x1 = x1 * _mask(x1.shape[0], row_runs)[:, None]
+        rows = _mask(x1.shape[0], row_runs) if sign == -1 else slice(None)
+        serial, pooled = KernelEngine("numpy", workers=1), KernelEngine("numpy", workers=2)
+        got = [
+            (
+                e.cft_2xy(x2.copy(), sign, support=(x_runs, y_runs))[:, :, cols],
+                e.cft_1z(x1.copy(), sign, support=row_runs)[rows],
+            )
+            for e in (serial, pooled)
+        ]
+        assert pooled.stats()["kernel_pool_batches"] == 2
+        assert got[0][0].tobytes() == got[1][0].tobytes()
+        assert got[0][1].tobytes() == got[1][1].tobytes()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grids import Cell, DistributedLayout, FftDescriptor, distribute_sticks
-from repro.grids.sticks import StickMap
+from repro.grids.sticks import StickMap, clip_runs, index_runs
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,60 @@ class TestStickMap:
         radius = np.sqrt(desc.gkcut)
         expected = np.pi * radius**2
         assert desc.sticks.nsticks == pytest.approx(expected, rel=0.15)
+
+
+class TestStickSupport:
+    """The support runs: the one source both cost models and the host
+    kernels read for QE's empty-line skipping."""
+
+    def test_runs_cover_exactly_the_stick_rows_and_columns(self, desc):
+        for axis, runs in ((0, desc.sticks.x_runs), (1, desc.sticks.y_runs)):
+            covered = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+            np.testing.assert_array_equal(covered, np.unique(desc.sticks.coords[:, axis]))
+            # Maximal: consecutive runs are separated by a real gap.
+            assert all(b[0] > a[1] for a, b in zip(runs, runs[1:]))
+
+    def test_sphere_wraps_into_two_runs(self, desc):
+        # Negative Miller indices wrap to the top of the grid.
+        assert len(desc.sticks.y_runs) == 2
+        assert desc.sticks.y_runs[0][0] == 0 and desc.sticks.y_runs[-1][1] == desc.nr2
+
+    def test_nonempty_y_lines_is_the_distinct_column_count(self, desc):
+        assert desc.sticks.nonempty_y_lines == len(np.unique(desc.sticks.coords[:, 1]))
+
+    @given(
+        members=st.sets(st.integers(0, 40)),
+        lo=st.integers(0, 40),
+        width=st.integers(0, 40),
+        scale=st.integers(1, 3),
+    )
+    def test_clip_runs_matches_set_arithmetic(self, members, lo, width, scale):
+        runs = index_runs(np.array(sorted(members), dtype=np.int64))
+        got = clip_runs(runs, lo, lo + width, scale=scale)
+        want = index_runs(
+            np.array(
+                [
+                    (m - lo) * scale + k
+                    for m in members
+                    if lo <= m < lo + width
+                    for k in range(scale)
+                ],
+                dtype=np.int64,
+            )
+        )
+        assert got == want
+
+    def test_ybrick_rows_carry_every_stick_of_the_pencil_row(self, desc):
+        layout = DistributedLayout(desc, 4, 1, decomposition="pencil")
+        grid = layout.pencil
+        for r in range(layout.R):
+            i, j = grid.coords(r)
+            lo, hi = grid.x_span(i)
+            ix = np.unique(desc.sticks.coords[:, 0])
+            rows = (ix[(ix >= lo) & (ix < hi)] - lo)[:, None] * grid.nz(j) + np.arange(grid.nz(j))
+            assert layout.ybrick_row_runs(r) == index_runs(rows.reshape(-1))
+        with pytest.raises(ValueError, match="pencil"):
+            DistributedLayout(desc, 4, 1).ybrick_row_runs(0)
 
 
 class TestDistribution:

@@ -287,3 +287,138 @@ class TestRoundTrip:
         world.run()
         for i in range(n_ranks):
             np.testing.assert_array_equal(recovered[i], originals[i])
+
+
+# -- block shapes: subarray / outer / indexed ---------------------------------
+
+
+def _block_of(kind, rng, k, n):
+    """A random block of ``k * n`` distinct slots and the size of the flat
+    buffer it indexes, in the three data-plane shapes."""
+    if kind == "subarray":
+        # A (k, n) window of a padded 2-d parent, optionally axis-swapped.
+        rows, cols = k + int(rng.integers(0, 3)), n + int(rng.integers(0, 3))
+        r0, c0 = int(rng.integers(0, rows - k + 1)), int(rng.integers(0, cols - n + 1))
+        if rng.random() < 0.5:
+            return BlockType.subarray(r0 * cols + c0, (k, n), (cols, 1)), rows * cols
+        return BlockType.subarray(c0 * rows + r0, (k, n), (1, rows)), rows * cols
+    if kind == "outer":
+        # k irregular positions inside a plane of S slots, repeated n times.
+        S = k + int(rng.integers(0, 6))
+        base = rng.permutation(S)[:k]
+        return BlockType.outer(base, (n,), (S,)), n * S
+    size = k * n + int(rng.integers(0, 6))
+    return BlockType.indexed(rng.permutation(size)[: k * n]), size
+
+
+KINDS3 = ("subarray", "outer", "indexed")
+
+
+class TestBlockShapes:
+    def test_strided_indices_equal_explicit_vector(self):
+        block = BlockType.strided(3, 4, 2, 7)
+        explicit = (3 + np.arange(4)[:, None] * 7 + np.arange(2)[None, :]).reshape(-1)
+        np.testing.assert_array_equal(block.indices(), explicit)
+        assert block.n_items == 8 and block.nbytes == 128.0
+
+    def test_subarray_indices_equal_explicit_transpose_map(self):
+        """The pencil y->x receive map the subarray replaces: peer x-columns
+        ``[xlo, xhi)`` at x-brick slots ``((yy * nz) + zz) * nr1 + x``."""
+        nyi, nzj, nr1, xlo, xhi = 3, 4, 10, 2, 7
+        yz = (np.arange(nyi)[None, None, :] * nzj + np.arange(nzj)[None, :, None]) * nr1
+        explicit = (yz + np.arange(xlo, xhi)[:, None, None]).reshape(-1)
+        block = BlockType.subarray(xlo, (xhi - xlo, nzj, nyi), (1, nr1, nzj * nr1))
+        assert not block.materialized
+        np.testing.assert_array_equal(block.indices(), explicit)
+        assert block.materialized
+
+    def test_outer_indices_equal_explicit_scatter_map(self):
+        """The slab scatter receive map the outer block replaces: stick
+        plane positions, once per owned plane."""
+        pos = np.array([5, 0, 17, 9])
+        npp, plane = 3, 20
+        explicit = (pos[:, None] + np.arange(npp)[None, :] * plane).reshape(-1)
+        block = BlockType.outer(pos, (npp,), (plane,))
+        assert block.n_items == 12 and not block.materialized
+        np.testing.assert_array_equal(block.indices(), explicit)
+
+    def test_lazy_indexed_resolves_once(self):
+        calls = []
+        block = BlockType.indexed(lambda: calls.append(1) or np.array([4, 1, 2]))
+        assert not block.materialized
+        assert block.n_items == 3
+        np.testing.assert_array_equal(block.indices(), [4, 1, 2])
+        block.indices()
+        assert calls == [1] and block.materialized
+
+    def test_meta_blocks_refuse_to_move(self):
+        block = BlockType.meta(4)
+        for call in (block.indices, lambda: block.take(np.zeros(4)),
+                     lambda: block.put(np.zeros(4), np.zeros(4))):
+            with pytest.raises(ValueError, match="meta"):
+                call()
+
+    def test_block_outside_buffer_raises(self):
+        with pytest.raises(ValueError):
+            BlockType.subarray(0, (3, 3), (4, 1)).take(np.zeros(8))
+        with pytest.raises(IndexError):
+            BlockType.outer([0, 7], (2,), (5,)).take(np.zeros(10))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        send_kind=st.sampled_from(KINDS3),
+        recv_kind=st.sampled_from(KINDS3),
+        k=st.integers(1, 5),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+    )
+    def test_view_move_equals_flat_index_move(self, send_kind, recv_kind, k, n, seed):
+        rng = np.random.default_rng(seed)
+        sb, src_size = _block_of(send_kind, rng, k, n)
+        rb, dst_size = _block_of(recv_kind, rng, k, n)
+        src = rng.standard_normal(src_size) + 1j * rng.standard_normal(src_size)
+        moved = np.full(dst_size, np.nan, dtype=np.complex128)
+        rb.put(moved, sb.take(src))
+        explicit = np.full(dst_size, np.nan, dtype=np.complex128)
+        explicit[rb.indices()] = src[sb.indices()]
+        np.testing.assert_array_equal(moved, explicit)
+
+    def test_mismatched_volumes_still_raise(self):
+        """Conservation is checked on the descriptors, whatever their shape."""
+        world = build_world(2)
+
+        def program(rank):
+            sendbuf = np.zeros(12, dtype=np.complex128)
+            recvbuf = np.zeros(12, dtype=np.complex128)
+            # Every member sends each peer a 6-element window, but reserves
+            # only 4 slots (2 positions x 2 planes) for what arrives.
+            send_blocks = [BlockType.subarray(0, (2, 3), (6, 1))] * 2
+            recv_blocks = [BlockType.outer([1, 3], (2,), (6,))] * 2
+            yield rank.alltoallw(
+                world.comm_world, sendbuf, recvbuf, send_blocks, recv_blocks
+            )
+
+        world.launch(program)
+        with pytest.raises(MpiSimError, match="expects"):
+            world.run()
+
+    def test_pencil_run_materializes_no_transpose_index_array(self):
+        """After a data-mode pencil run the y<->x blocks (subarray both
+        sides) and the z<->y blocks (strided <-> outer) have moved every
+        element without ever building a per-element index array."""
+        from repro.core import RunConfig, run_fft_phase
+        from repro.core import redistribute
+
+        result = run_fft_phase(
+            RunConfig(
+                ranks=4, taskgroups=2, version="original", data_mode=True,
+                decomposition="pencil", ecutwfc=12.0, alat=5.0, nbnd=8,
+            )
+        )
+        assert result.validate() < 1e-10
+        layout = result.layout
+        for r in range(layout.R):
+            for builder in (redistribute.pencil_yx_plan, redistribute.pencil_zy_plan):
+                plan = builder(layout, r, True)  # the cached plan the run used
+                blocks = plan.send_blocks + plan.recv_blocks
+                assert blocks and not any(b.materialized for b in blocks)
