@@ -225,10 +225,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         help="grid decomposition for every point (default slab)",
     )
     p_sweep.add_argument(
-        "--redistribution", default="packfree", choices=["packed", "packfree"],
-        help="data-plane redistribution strategy (default packfree)",
-    )
-    p_sweep.add_argument(
         "--tuning", default="off", choices=["off", "consult", "search"],
         help="autotuner mode for every point (default off; see 'tune')",
     )
@@ -298,11 +294,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     p_run.add_argument(
         "--decomposition", default="slab", choices=["slab", "pencil"],
         help="grid decomposition: z-slabs (default) or a 2D pencil grid",
-    )
-    p_run.add_argument(
-        "--redistribution", default="packfree", choices=["packed", "packfree"],
-        help="data-plane redistribution: staged pack/unpack copies or "
-        "pack-free Alltoallw datatypes (default packfree)",
     )
     p_run.add_argument(
         "--tuning", default="off", choices=["off", "consult", "search"],
@@ -637,7 +628,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                 fft_backend=args.fft_backend,
                 kernel_workers=args.kernel_workers,
                 decomposition=args.decomposition,
-                redistribution=args.redistribution,
                 tuning=args.tuning,
                 wisdom_path=args.wisdom,
                 link_capacity=args.link_capacity,
@@ -775,7 +765,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         base["fft_backend"] = args.fft_backend
         base["kernel_workers"] = args.kernel_workers
         base["decomposition"] = args.decomposition
-        base["redistribution"] = args.redistribution
         base["tuning"] = args.tuning
         if args.wisdom is not None:
             base["wisdom_path"] = args.wisdom

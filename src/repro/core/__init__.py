@@ -3,17 +3,21 @@
 The kernel applies an operator diagonal in real space to a set of bands:
 forward transform (G -> R), multiply by the potential (VOFR), backward
 transform (R -> G), over the two-layer MPI distribution described in
-DESIGN.md.  Three executors share the same step library and produce
-*identical numerics* (asserted by the integration tests):
+DESIGN.md.  The kernel is declared once — the stage chains of
+:mod:`~repro.core.pipeline` — and the five versions are three scheduling
+policies over it (:mod:`~repro.core.schedule`), producing *identical
+numerics* (asserted by the integration tests):
 
-* :mod:`~repro.core.exec_original` — the baseline FFTXlib: a synchronous
-  loop over band groups with FFT task groups (paper Fig. 1);
-* :mod:`~repro.core.exec_steps` — Opt 1: every step a task with flow
-  dependencies, nested taskloops in the FFT kernels (paper Fig. 4);
-* :mod:`~repro.core.exec_perfft` — Opt 2: each FFT (loop iteration) one
-  independent task, dynamically scheduled (paper Fig. 5);
-* :mod:`~repro.core.exec_combined` — the paper's future-work combination
-  (overlap + de-synchronization).
+* ``original`` — the baseline FFTXlib: a synchronous loop over band groups
+  with FFT task groups (paper Fig. 1); linear policy;
+* ``ompss_steps`` — Opt 1: every stage a task with flow dependencies, the
+  FFT stages chunked like taskloops (paper Fig. 4); staged-task policy;
+* ``ompss_perfft`` — Opt 2: each FFT (loop iteration) one independent task,
+  dynamically scheduled (paper Fig. 5); linear policy inside a task;
+* ``ompss_combined`` — the paper's future-work combination (overlap +
+  de-synchronization); staged-task policy per band;
+* ``pipelined`` — the MPI-only overlap baseline: depth-2 issue/wait over
+  non-blocking collectives.
 
 :mod:`~repro.core.driver` wires a :class:`~repro.core.config.RunConfig`
 into a full simulated run and optionally validates the distributed result

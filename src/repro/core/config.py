@@ -33,19 +33,45 @@ import typing as _t
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultScenario
 
-__all__ = ["RunConfig", "Version", "VERSIONS"]
+__all__ = ["RunConfig", "Version", "VersionSpec", "VERSIONS", "VERSION_TABLE"]
 
 Version = _t.Literal[
     "original", "pipelined", "ompss_perfft", "ompss_steps", "ompss_combined"
 ]
 
-VERSIONS: tuple[str, ...] = (
-    "original",
-    "pipelined",
-    "ompss_perfft",
-    "ompss_steps",
-    "ompss_combined",
-)
+
+@dataclasses.dataclass(frozen=True)
+class VersionSpec:
+    """How one ``version`` maps the workload onto processes, threads and a
+    scheduling policy — the only place the five versions differ."""
+
+    #: Process grid.  ``True``: ``ranks * taskgroups`` MPI processes with the
+    #: two-layer (pack + scatter) communication, T = ``taskgroups`` bands per
+    #: outer-loop iteration — the checkpoint unit is an *iteration*.
+    #: ``False``: ``ranks`` processes, task groups off (T = 1) — the unit is
+    #: a *band*.
+    task_groups: bool
+    #: Hardware threads per process: ``"one"`` (no task runtime),
+    #: ``"hyperthreads"`` (``steps_workers`` OmpSs workers on the process's
+    #: own core, grouped placement) or ``"taskgroups"`` (``taskgroups``
+    #: workers replacing the task groups).
+    threads: str
+    #: How :mod:`repro.core.schedule` drives the step chain: ``"linear"``,
+    #: ``"staged"`` or ``"pipelined"``.
+    policy: str
+
+
+#: version -> (process grid, threads, policy); T and the checkpoint unit
+#: follow from the process grid.
+VERSION_TABLE: dict[str, VersionSpec] = {
+    "original": VersionSpec(task_groups=True, threads="one", policy="linear"),
+    "pipelined": VersionSpec(task_groups=True, threads="one", policy="pipelined"),
+    "ompss_perfft": VersionSpec(task_groups=False, threads="taskgroups", policy="linear"),
+    "ompss_steps": VersionSpec(task_groups=True, threads="hyperthreads", policy="staged"),
+    "ompss_combined": VersionSpec(task_groups=False, threads="taskgroups", policy="staged"),
+}
+
+VERSIONS: tuple[str, ...] = tuple(VERSION_TABLE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,12 +139,6 @@ class RunConfig:
     #: ``nr3``) or ``"pencil"`` (a Pr x Pc processor grid with two
     #: row/column-internal transposes — see :mod:`repro.grids.pencil`).
     decomposition: str = "slab"
-    #: How redistribution payloads move: ``"packfree"`` (default; Alltoallw
-    #: block descriptors move strided source views straight into destination
-    #: slots, zero intermediate pack/unpack buffers) or ``"packed"`` (the
-    #: legacy staged Alltoall marshalling).  Simulated timings are identical;
-    #: the pack-free path saves host copies.
-    redistribution: str = "packfree"
     #: Autotuner mode (:mod:`repro.tuning`): ``"off"`` (default; zero
     #: overhead — the driver never imports the tuner), ``"consult"`` (look
     #: the workload digest up in the wisdom DB and apply the stored knob
@@ -136,7 +156,7 @@ class RunConfig:
     link_capacity: float | None = None
 
     def __post_init__(self) -> None:
-        if self.version not in VERSIONS:
+        if self.version not in VERSION_TABLE:
             raise ValueError(f"unknown version {self.version!r}; choose from {VERSIONS}")
         if self.nbnd < 2 or self.nbnd % 2:
             raise ValueError(f"nbnd must be even and >= 2, got {self.nbnd}")
@@ -165,11 +185,6 @@ class RunConfig:
         if self.decomposition not in ("slab", "pencil"):
             raise ValueError(
                 f"decomposition must be 'slab' or 'pencil', got {self.decomposition!r}"
-            )
-        if self.redistribution not in ("packed", "packfree"):
-            raise ValueError(
-                "redistribution must be 'packed' or 'packfree', "
-                f"got {self.redistribution!r}"
             )
         if self.tuning not in ("off", "consult", "search"):
             raise ValueError(
@@ -200,46 +215,47 @@ class RunConfig:
         return self.nbnd // 2
 
     @property
+    def spec(self) -> VersionSpec:
+        """This version's row of :data:`VERSION_TABLE`."""
+        return VERSION_TABLE[self.version]
+
+    @property
     def is_task_version(self) -> bool:
-        """Whether an OmpSs executor runs this config."""
-        return self.version not in ("original", "pipelined")
+        """Whether an OmpSs task runtime executes this config."""
+        return self.spec.threads != "one"
 
     @property
     def n_mpi_ranks(self) -> int:
         """MPI processes launched."""
-        if self.version in ("original", "pipelined", "ompss_steps"):
-            return self.ranks * self.taskgroups
-        return self.ranks
+        return self.ranks * self.layout_groups
 
     @property
     def threads_per_rank(self) -> int:
         """Hardware threads each MPI process owns."""
-        if self.version in ("original", "pipelined"):
-            return 1
-        if self.version == "ompss_steps":
-            return self.steps_workers
-        return self.taskgroups
+        return {
+            "one": 1,
+            "hyperthreads": self.steps_workers,
+            "taskgroups": self.taskgroups,
+        }[self.spec.threads]
 
     @property
     def layout_scatter(self) -> int:
         """R of the R x T data layout (scatter-group width)."""
-        if self.version in ("original", "pipelined", "ompss_steps"):
-            return self.ranks
-        return self.ranks  # task versions: ntg = 1, all ranks in one scatter group
+        return self.ranks
 
     @property
     def layout_groups(self) -> int:
-        """T of the R x T data layout (1 for the task versions: ntg off)."""
-        if self.version in ("original", "pipelined", "ompss_steps"):
-            return self.taskgroups
-        return 1
+        """T of the R x T data layout (1 with task groups off)."""
+        return self.taskgroups if self.spec.task_groups else 1
 
     @property
     def effective_task_switching(self) -> bool:
-        """The MPI-task-switching setting after version defaults."""
+        """The MPI-task-switching setting after version defaults: on for
+        the staged policy (one task per exchange — without it blocking
+        collectives can strand every worker), off otherwise."""
         if self.task_switching is not None:
             return self.task_switching
-        return self.version in ("ompss_steps", "ompss_combined")
+        return self.spec.policy == "staged"
 
     @property
     def bands_in_flight(self) -> int:

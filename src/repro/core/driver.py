@@ -10,7 +10,8 @@
    phase — as FFTXlib builds its communicators during initialization);
 4. deterministic wavefunction/potential data (data mode) or size-only
    bookkeeping (meta mode);
-5. the version's executor program on every rank.
+5. the version's scheduling policy over the step chain on every rank
+   (:func:`repro.core.schedule.make_program`).
 
 The returned :class:`RunResult` carries the phase runtime, the machine
 counters, and (in data mode) the distributed outputs plus a
@@ -40,12 +41,8 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.core.config import RunConfig
-from repro.core.exec_combined import make_combined_program
-from repro.core.exec_original import make_original_program
-from repro.core.exec_perfft import make_perfft_program
-from repro.core.exec_pipelined import make_pipelined_program
-from repro.core.exec_steps import make_steps_program
 from repro.core.pipeline import CostConstants, CostModel, FftPhaseContext
+from repro.core.schedule import make_program
 from repro.core.validate import dense_reference, gather_results, max_relative_error
 from repro.core.wave import (
     distribute_coefficients,
@@ -132,7 +129,7 @@ class RunResult:
     #: Driver attempts simulated (1 = no resume was needed).
     n_attempts: int = 1
     #: Data-plane arena statistics for this run (acquire/release deltas plus
-    #: resident-byte gauges), or ``None`` for meta mode / arena disabled.
+    #: resident-byte gauges), or ``None`` for meta mode.
     dataplane: dict | None = None
     #: Autotuner resolution record (mode, digest, hit, applied knobs,
     #: predicted vs. measured score), or ``None`` with ``tuning="off"``.
@@ -172,16 +169,10 @@ def run_fft_phase(
     potential: np.ndarray | None = None,
     telemetry: _telemetry.Telemetry | None = None,
     faults: FaultScenario | None = None,
-    use_workspace: bool = True,
     cancel: _t.Callable[[], bool] | None = None,
     deadline: float | None = None,
 ) -> RunResult:
     """Run one configuration to completion on a fresh simulated node.
-
-    ``use_workspace=False`` disables the data-plane buffer arena: every
-    marshalling buffer is allocated fresh, exactly as before the arena
-    existed.  Results are bit-identical either way (the identity tests rely
-    on this switch); the arena only changes allocation behaviour.
 
     ``input_coeffs`` (``(n_complex_bands, ngw)``) and ``potential``
     (``V[iz, ix, iy]``) override the generated data — this is how a caller
@@ -290,30 +281,22 @@ def run_fft_phase(
     # Data-plane arenas: per-(layout, process) pools shared across runs of
     # one workload.  Snapshot before the attempts loop so the run's manifest
     # reports this run's deltas, not the layout-lifetime totals.
-    use_arena = config.data_mode and use_workspace
     dataplane_before: dict[str, int] | None = None
-    if use_arena:
+    if config.data_mode:
         existing = layout_workspaces(layout)
         for ws in existing.values():
             ws.begin_run()
         dataplane_before = aggregate_stats(existing.values())
 
-    # Checkpoint bookkeeping.  A "unit" is the executor's outer-loop step:
-    # one iteration (original / pipelined / per-step) or one band (per-FFT /
-    # combined).  After a failed attempt the driver keeps the units whose
-    # full chain finished on every rank and resumes at the first other one.
+    # Checkpoint bookkeeping.  A "unit" is the outer-loop step: T bands —
+    # one iteration with task groups on, one band with them off.  After a
+    # failed attempt the driver keeps the units whose full chain finished on
+    # every rank and resumes at the first other one.
     T = config.layout_groups
-    if config.version in ("original", "pipelined", "ompss_steps"):
-        n_units = config.n_iterations
+    n_units = config.n_iterations
 
-        def unit_bands(u: int) -> list[int]:
-            return [u * T + t for t in range(T)]
-
-    else:
-        n_units = config.n_complex_bands
-
-        def unit_bands(u: int) -> list[int]:
-            return [u]
+    def unit_bands(u: int) -> range:
+        return range(u * T, (u + 1) * T)
 
     completed_bands: set[int] = set()
     saved_results: dict[int, dict[int, np.ndarray]] = {}
@@ -345,7 +328,7 @@ def run_fft_phase(
             bandwidth_rampup_max=knl.mem_bw_rampup_max,
             bandwidth_rampup_half=knl.mem_bw_rampup_half,
         )
-        if config.version == "ompss_steps":
+        if config.spec.threads == "hyperthreads":
             placement = topo.place_grouped(config.total_streams, config.threads_per_rank)
         else:
             placement = topo.place(config.total_streams)
@@ -458,11 +441,10 @@ def run_fft_phase(
                     scatter_comm=_scatter_comms[t],
                     packed=per_proc_packed[p] if per_proc_packed is not None else None,
                     v_slab=v_slabs[r] if v_slabs is not None else None,
-                    workspace=workspace_for(layout, p) if use_arena else None,
+                    workspace=workspace_for(layout, p) if config.data_mode else None,
                     kernels=kernel_engine,
                     row_comm=row_comm,
                     col_comm=col_comm,
-                    redistribution=config.redistribution,
                 )
                 if completed_bands:
                     # Resumed attempt: restore the checkpointed state.
@@ -471,52 +453,9 @@ def run_fft_phase(
                 _contexts[p] = ctx
             return _contexts[p]
 
-        # 5. The version's executor, starting past the checkpointed units.
-        if config.version == "original":
-            program = make_original_program(
-                ctx_of, config.n_iterations, start_iteration=units_done
-            )
-        elif config.version == "pipelined":
-            program = make_pipelined_program(
-                ctx_of, config.n_iterations, start_iteration=units_done
-            )
-        elif config.version == "ompss_perfft":
-            program = make_perfft_program(
-                ctx_of,
-                config.n_complex_bands,
-                n_workers=config.threads_per_rank,
-                policy=config.scheduler,
-                task_overhead=config.task_overhead,
-                task_observer=task_observer,
-                mpi_task_switching=config.effective_task_switching,
-                start_band=units_done,
-            )
-        elif config.version == "ompss_steps":
-            program = make_steps_program(
-                ctx_of,
-                config.n_iterations,
-                n_workers=config.threads_per_rank,
-                policy=config.scheduler,
-                task_overhead=config.task_overhead,
-                grainsize_xy=config.grainsize_xy,
-                grainsize_z=config.grainsize_z,
-                task_observer=task_observer,
-                mpi_task_switching=config.effective_task_switching,
-                start_iteration=units_done,
-            )
-        else:  # ompss_combined
-            program = make_combined_program(
-                ctx_of,
-                config.n_complex_bands,
-                n_workers=config.threads_per_rank,
-                policy=config.scheduler,
-                task_overhead=config.task_overhead,
-                grainsize_xy=config.grainsize_xy,
-                grainsize_z=config.grainsize_z,
-                task_observer=task_observer,
-                mpi_task_switching=config.effective_task_switching,
-                start_band=units_done,
-            )
+        # 5. The version's program, starting past the checkpointed units.
+        program = make_program(ctx_of, config, units_done, task_observer)
+        n_spans_before = len(tel.spans) if tel is not None else 0
 
         previous = _telemetry.install(tel) if tel is not None else None
         try:
@@ -526,6 +465,13 @@ def run_fft_phase(
             assert injector is not None  # only injection raises FaultError
             attempt_time = sim.now
             total_time += attempt_time
+            if tel is not None:
+                # The killed rank/task generators never leave their span
+                # blocks: end what this attempt left open where it died, so
+                # analysis and exports see a complete tree.
+                for span in tel.spans.all()[n_spans_before:]:
+                    if span.t_end is None:
+                        tel.spans.end(span, attempt_time)
             units_done = _completed_units(contexts, n_units, unit_bands)
             for u in range(units_done):
                 completed_bands.update(unit_bands(u))
@@ -560,16 +506,12 @@ def run_fft_phase(
         fault_report = injector.report.to_dict()
 
     dataplane: dict | None = None
-    if use_arena:
+    if config.data_mode:
         dataplane = _dataplane_summary(
             dataplane_before or {},
             aggregate_stats(layout_workspaces(layout).values()),
         )
         dataplane["decomposition"] = layout.decomposition
-        dataplane["redistribution"] = config.redistribution
-        dataplane["pack_copies"] = sum(
-            ctx.pack_copies for ctx in contexts.values()
-        )
         if dataplane["workspace_leaks"] > 0:
             warnings.warn(
                 f"run leaked {dataplane['workspace_leaks']} workspace "
@@ -645,7 +587,7 @@ def _dataplane_summary(before: dict, after: dict) -> dict:
 def _completed_units(
     contexts: dict[int, FftPhaseContext],
     n_units: int,
-    unit_bands: _t.Callable[[int], list[int]],
+    unit_bands: _t.Callable[[int], _t.Iterable[int]],
 ) -> int:
     """Units whose every band completed on every rank (checkpoint frontier)."""
     if not contexts:

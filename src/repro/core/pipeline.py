@@ -1,25 +1,29 @@
-"""The FFT-phase step library and its instruction cost model.
+"""The FFT-phase step chain, its instruction cost model and its stage bodies.
 
-Every executor (original, per-step tasks, per-FFT tasks, combined) composes
-the *same* nine steps of the paper's Fig. 1 kernel, implemented here as
-generator functions over a per-rank :class:`FftPhaseContext`:
+The paper's three versions (Fig. 1 original, Fig. 4 per-step tasks, Fig. 5
+per-FFT tasks) are *one* kernel under three schedules.  This module declares
+that kernel once, as a table of :class:`Stage` rows — :data:`SLAB_CHAIN`
+(the paper's ten steps) and :data:`PENCIL_CHAIN` (the same ends around a
+two-transpose middle) — and implements what each kind of stage does on one
+rank; :mod:`repro.core.schedule` decides *when* the stages run:
 
     prepare -> pack -> fft_z(+1) -> scatter_fw -> fft_xy(+1)
             -> vofr -> fft_xy(-1) -> scatter_bw -> fft_z(-1) -> unpack
 
-Each step charges its compute phase on the machine model (the phase name
+Each stage charges its compute phase on the machine model (the phase name
 selects the contention profile of :mod:`repro.machine.knl`) and, where the
-paper's kernel communicates, performs the simulated MPI collective — with
-real payloads in data mode, sizes only in meta mode.  Data transformations
-are delegated to :mod:`~repro.core.wave`, :mod:`~repro.core.pack`,
-:mod:`~repro.core.scatter` and :mod:`~repro.core.vofr`, so the numerics are
-identical no matter which executor (or scheduler order) drives the steps.
+kernel communicates, joins a simulated ``MPI_Alltoallw`` over the block
+plans of :mod:`~repro.core.redistribute` — real payloads moved straight
+between flat buffers in data mode, sizes only in meta mode.  The data
+transformations are :mod:`~repro.core.wave`, :mod:`~repro.core.vofr` and the
+run's :class:`~repro.fft.backends.engine.KernelEngine`, so the numerics are
+identical no matter which policy (or scheduler order) drives the stages.
 
-Instruction budgets come from :class:`CostModel`: FFT steps use the standard
+Instruction budgets come from :class:`CostModel`: FFT stages use the standard
 ``5 n log2 n`` flop count (times a flops-to-instructions factor), with the
 xy stage reduced to the lines that actually contain data — QE's
 empty-line-skipping — computed from the stick geometry; marshalling and
-pointwise steps are linear in the points touched.
+pointwise stages are linear in the points touched.
 """
 
 from __future__ import annotations
@@ -29,15 +33,11 @@ import typing as _t
 
 import numpy as np
 
-from repro.core import pack as pack_mod
 from repro.core import redistribute as redist_mod
-from repro.core import scatter as scatter_mod
 from repro.core import wave as wave_mod
 from repro.core.vofr import apply_potential
-from repro.core.wave import extract_from_sticks
 from repro.fft.backends.engine import default_engine
 from repro.grids.descriptor import DistributedLayout
-from repro.mpisim.datatypes import MetaPayload
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.communicator import Communicator
@@ -47,8 +47,14 @@ __all__ = [
     "CostConstants",
     "CostModel",
     "FftPhaseContext",
-    "band_chain_steps",
-    "pencil_middle_steps",
+    "Stage",
+    "SLAB_CHAIN",
+    "PENCIL_CHAIN",
+    "Unit",
+    "run_stages",
+    "issue_exchange",
+    "finish_exchange",
+    "apply_local",
 ]
 
 
@@ -199,8 +205,91 @@ class CostModel:
         )
 
 
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """One row of the step chain.
+
+    ``kind`` selects the stage body: ``prepare`` / ``pack`` / ``unpack`` are
+    the chain's fixed ends, ``local`` is a rank-local transform (a batched
+    FFT or VOFR) and ``exchange`` an Alltoallw redistribution.
+    """
+
+    #: Stage name — also the task name under the staged-task policy.
+    name: str
+    kind: str
+    #: Machine phase the stage's compute is charged to.
+    phase: str
+    #: The :class:`CostModel` method pricing one band of this stage.
+    budget: str
+    #: local: what runs — an FFT along ``z`` / ``xy`` / ``y`` / ``x``
+    #: (direction ``sign``, +1 = G->R) or ``vofr``.
+    op: str = ""
+    sign: int = 0
+    #: local FFT: which layout quantity counts its independent rows, and the
+    #: ``RunConfig`` grainsize class (``z`` / ``xy``) that chunks them under
+    #: the staged-task policy.  Empty for the unchunked VOFR.
+    rows: str = ""
+    grain: str = ""
+    #: exchange: the :mod:`~repro.core.redistribute` plan builder (called
+    #: with ``inverse=True`` for the way back), the context attribute
+    #: holding its communicator, its collective-key tag and the arena kind
+    #: of its receive buffer.
+    plan: str = ""
+    inverse: bool = False
+    comm: str = ""
+    tag: str = ""
+    recv: str = ""
+
+
+def _fft(name: str, phase: str, budget: str, op: str, sign: int, rows: str, grain: str) -> Stage:
+    return Stage(name, "local", phase, budget, op=op, sign=sign, rows=rows, grain=grain)
+
+
+def _exchange(name: str, budget: str, plan: str, comm: str, tag: str, recv: str, inverse: bool = False) -> Stage:
+    return Stage(
+        name, "exchange", "scatter_reorder", budget,
+        plan=plan, inverse=inverse, comm=comm, tag=tag, recv=recv,
+    )
+
+
+_HEAD = (
+    Stage("prepare", "prepare", "prepare_psis", "prepare"),
+    Stage("pack", "pack", "pack_sticks", "pack_expand"),
+    _fft("fft_z_fw", "fft_z", "fft_z", "z", +1, "sticks", "z"),
+)
+_TAIL = (
+    _fft("fft_z_bw", "fft_z", "fft_z", "z", -1, "sticks", "z"),
+    Stage("unpack", "unpack", "unpack_sticks", "unpack"),
+)
+
+#: The paper's Fig. 1 kernel: sticks -> planes -> sticks over one scatter.
+SLAB_CHAIN: tuple[Stage, ...] = _HEAD + (
+    _exchange("scatter_fw", "scatter_marshal", "scatter_fw_plan", "scatter_comm", "sfw", "planes"),
+    _fft("fft_xy_fw", "fft_xy", "fft_xy", "xy", +1, "planes", "xy"),
+    Stage("vofr", "local", "vofr", "vofr", op="vofr"),
+    _fft("fft_xy_bw", "fft_xy", "fft_xy", "xy", -1, "planes", "xy"),
+    _exchange("scatter_bw", "scatter_marshal", "scatter_bw_plan", "scatter_comm", "sbw", "stick_block"),
+) + _TAIL
+
+#: The pencil middle: row-internal z<->y and column-internal y<->x
+#: transposes around batched 1D stages (charged to the ``fft_z`` phase —
+#: same contention profile).  z+y+x equals the slab z+xy transform to
+#: roundoff.
+PENCIL_CHAIN: tuple[Stage, ...] = _HEAD + (
+    _exchange("transpose_zy", "pencil_zy_marshal", "pencil_zy_plan", "row_comm", "tzy", "ybrick"),
+    _fft("fft_y_fw", "fft_z", "fft_y", "y", +1, "y_lines", "z"),
+    _exchange("transpose_yx", "pencil_yx_marshal", "pencil_yx_plan", "col_comm", "tyx", "xbrick"),
+    _fft("fft_x_fw", "fft_z", "fft_x", "x", +1, "x_lines", "z"),
+    Stage("vofr", "local", "vofr", "pencil_vofr", op="vofr"),
+    _fft("fft_x_bw", "fft_z", "fft_x", "x", -1, "x_lines", "z"),
+    _exchange("transpose_xy", "pencil_yx_marshal", "pencil_yx_plan", "col_comm", "txy", "ybrick", inverse=True),
+    _fft("fft_y_bw", "fft_z", "fft_y", "y", -1, "y_lines", "z"),
+    _exchange("transpose_yz", "pencil_zy_marshal", "pencil_zy_plan", "row_comm", "tyz", "stick_block", inverse=True),
+) + _TAIL
+
+
 class FftPhaseContext:
-    """Everything one rank's executor needs to run pipeline steps.
+    """Everything one rank needs to run chain stages.
 
     Attributes
     ----------
@@ -218,17 +307,17 @@ class FftPhaseContext:
         ``(n_complex_bands, ngw_of(p))`` input coefficients, or ``None`` in
         meta mode.
     results:
-        Output coefficients per band (filled by the unpack step).
+        Output coefficients per band (filled by the unpack stage).
     v_slab:
         This scatter rank's potential planes (``None`` in meta mode).
     workspace:
         This rank's data-plane buffer arena
-        (:class:`~repro.core.workspace.Workspace`), or ``None`` to allocate
-        every marshalling buffer fresh.  Results are bit-identical either
-        way; the arena only recycles storage.
+        (:class:`~repro.core.workspace.Workspace`); every exchange receives
+        into one of its pooled blocks.  ``None`` in meta mode, where no
+        buffer is ever touched.
     kernels:
         The run's :class:`~repro.fft.backends.engine.KernelEngine` — every
-        batched FFT the steps execute goes through it, which is what makes
+        batched FFT the stages execute goes through it, which is what makes
         ``RunConfig.fft_backend`` / ``kernel_workers`` take effect.  When
         ``None`` the process-wide single-threaded default-backend engine is
         used.
@@ -237,11 +326,11 @@ class FftPhaseContext:
         ranks, column-internal y<->x over Pr ranks); ``None`` for the slab
         decomposition.  In pencil mode ``v_slab`` holds the x-brick
         potential block instead of the plane slab.
-    redistribution:
-        ``"packfree"`` routes every exchange through the Alltoallw block
-        plans of :mod:`~repro.core.redistribute` (zero staging copies);
-        ``"packed"`` keeps the legacy staged marshalling.  Identical
-        results and identical simulated timings either way.
+    chain / budgets / plans:
+        The layout's stage table with, per stage name, this rank's
+        instruction budget for one band and (exchanges) its
+        :class:`~repro.core.redistribute.ExchangePlan` — resolved once here,
+        not per stage execution.
     """
 
     def __init__(
@@ -257,7 +346,6 @@ class FftPhaseContext:
         kernels=None,
         row_comm: "Communicator | None" = None,
         col_comm: "Communicator | None" = None,
-        redistribution: str = "packfree",
     ):
         self.rank = rank
         self.layout = layout
@@ -272,100 +360,216 @@ class FftPhaseContext:
         self.kernels = kernels
         self.row_comm = row_comm
         self.col_comm = col_comm
-        if redistribution not in ("packed", "packfree"):
-            raise ValueError(f"unknown redistribution {redistribution!r}")
-        self.redistribution = redistribution
-        #: Staging (pack/unpack) buffer passes performed by this rank's
-        #: exchanges, data mode only — pinned to zero on the pack-free path.
-        self.pack_copies = 0
         self.results: dict[int, np.ndarray] = {}
-        #: Bands whose full chain finished on this rank (filled by the
-        #: unpack step, both modes) — the driver's checkpoint granularity.
+        #: Bands whose full chain finished on this rank (both modes) — the
+        #: driver's checkpoint granularity.
         self.completed: set[int] = set()
         self.r, self.t = layout.rt_of(rank.rank)
         self.data_mode = packed is not None
+
+        self.chain = PENCIL_CHAIN if layout.decomposition == "pencil" else SLAB_CHAIN
+        p, r = self.p, self.r
+        self.budgets: dict[str, float] = {
+            stage.name: getattr(cost, stage.budget)(
+                p if stage.kind in ("prepare", "unpack") else r
+            )
+            for stage in self.chain
+        }
+        self.plans: dict[str, redist_mod.ExchangePlan] = {
+            stage.name: getattr(redist_mod, stage.plan)(
+                layout, r, self.data_mode, **({"inverse": True} if stage.inverse else {})
+            )
+            for stage in self.chain
+            if stage.kind == "exchange"
+        }
+        if pack_comm is not None:
+            self.budgets["unpack_extract"] = cost.unpack_extract(r)
+            self.plans["pack"] = redist_mod.pack_fw_plan(layout, p, self.data_mode)
+            self.plans["unpack"] = redist_mod.pack_bw_plan(layout, p, self.data_mode)
 
     @property
     def p(self) -> int:
         """This rank's layout process index."""
         return self.rank.rank
 
-    def band_coefficients(self, band: int) -> np.ndarray | None:
-        """Input packed coefficients of one band (``None`` in meta mode)."""
-        if self.packed is None:
-            return None
-        return self.packed[band]
-
-    # -- arena helpers --------------------------------------------------------
-    #
-    # Buffer-release discipline (why releasing mid-chain is safe):
-    #
-    # * The simulated collective *copies* every ndarray payload when the
-    #   last member joins (``payload_like``), so once a rank's ``yield
-    #   alltoall`` resumes its send buffers are free to recycle.
-    # * Fault-injected task re-execution replays only communication-free
-    #   tasks (``Task.did_mpi`` exemption), immediately and from their
-    #   original (still checked-out or non-arena) inputs, so a replay never
-    #   reads a buffer its own discarded execution released downstream.
-    # * A generator killed mid-chain (attempt abort) leaks its checkouts;
-    #   the arena tracks them weakly and tolerates the loss.
-
-    def acquire(self, kind: str, shape: tuple) -> np.ndarray | None:
-        """An arena buffer of the given kind/shape, or ``None`` without an
-        arena (callees then allocate fresh — identical results)."""
-        if self.workspace is None:
-            return None
-        return self.workspace.acquire(kind, shape)
-
-    def release(self, *buffers) -> None:
-        """Return arena buffers; ``None``/foreign/double releases are ignored."""
-        if self.workspace is not None:
-            self.workspace.release(*buffers)
+    def stage_rows(self, stage: Stage) -> int:
+        """Independent rows of a local FFT stage on this rank (what the
+        staged-task policy splits into grainsize chunks)."""
+        if stage.rows == "sticks":
+            return self.layout.nst_group(self.r)
+        if stage.rows == "planes":
+            return self.layout.npp(self.r)
+        grid = self.layout.pencil
+        i, j = grid.coords(self.r)
+        return (grid.nx(i) if stage.rows == "y_lines" else grid.ny(i)) * grid.nz(j)
 
     def recv_buffer(self, kind: str, plan) -> np.ndarray | None:
-        """The receive buffer of a pack-free exchange plan (``None`` in meta
+        """The arena receive buffer of an exchange plan (``None`` in meta
         mode).  Zero-filled when the plan's incoming blocks cover the buffer
         only sparsely; otherwise left uninitialized (fully overwritten)."""
         if not self.data_mode:
             return None
-        buf = self.acquire(kind, plan.recv_shape)
-        if buf is None:
-            return (
-                np.zeros(plan.recv_shape, dtype=np.complex128)
-                if plan.zero_fill
-                else np.empty(plan.recv_shape, dtype=np.complex128)
-            )
+        buf = self.workspace.acquire(kind, plan.recv_shape)
         if plan.zero_fill:
             buf.fill(0)
         return buf
 
 
-# ---------------------------------------------------------------------------
-# Step generators.  Each yields compute/MPI events on the given hardware
-# thread and returns the transformed data (None in meta mode).
-# ---------------------------------------------------------------------------
+class Unit:
+    """One band group's trip down the chain on one rank.
 
+    ``bands`` are the complex bands of outer-loop unit ``index`` in
+    task-group order (``bands[t]`` is handled by pack-group member ``t``;
+    this rank carries ``my_band`` through the middle section); ``key``
+    prefixes every collective key and task name of the unit.
 
-def step_prepare(ctx: FftPhaseContext, bands: _t.Sequence[int], thread: int = 0):
-    """Gather/reorder the group's packed coefficients (the low-IPC Psi prep).
+    ``held`` is the arena block the last exchange delivered.  The next
+    exchange releases it once it has executed — by then every reader is
+    done: the in-place linear chain transformed that very block, and under
+    the staged-task policy the (out-of-place) tasks in between are
+    finalized predecessors.  Why releasing mid-chain is safe:
 
-    Band groups are consecutive bands (``it*T + t``), so the usual result is
-    one ``(T, ngw_of(p))`` row-block view of the packed input — the batched
-    multi-band form; non-contiguous band lists fall back to per-band row
-    views.  Either way no copy is made: rows of ``ctx.packed`` are already
-    C-contiguous and the collective copies payloads at delivery.
+    * the simulated collective moves every payload when the last member
+      joins, so once a rank's ``yield`` on it resumes its send buffer is
+      free to recycle;
+    * fault-injected task re-execution replays only communication-free
+      tasks (``Task.did_mpi`` exemption), from inputs no stage has
+      overwritten, so a replay never reads a released buffer;
+    * a generator killed mid-chain (attempt abort) leaks its checkout; the
+      arena tracks checkouts weakly and tolerates the loss.
     """
-    instructions = ctx.cost.prepare(ctx.p) * len(bands)
-    yield ctx.rank.compute("prepare_psis", instructions, thread=thread)
-    if not ctx.data_mode:
-        return None
-    first = bands[0]
-    if list(bands) == list(range(first, first + len(bands))):
-        return ctx.packed[first : first + len(bands)]
-    return [ctx.packed[band] for band in bands]
+
+    __slots__ = ("index", "key", "bands", "my_band", "held")
+
+    def __init__(self, ctx: FftPhaseContext, label: str, index: int):
+        T = ctx.layout.T
+        self.index = index
+        self.key = (label, index)
+        self.bands = list(range(index * T, (index + 1) * T))
+        self.my_band = self.bands[ctx.t]
+        self.held: np.ndarray | None = None
 
 
-def step_pack(ctx: FftPhaseContext, band_coeffs: list | None, key: object, thread: int = 0):
+def apply_local(ctx: FftPhaseContext, stage: Stage, block: np.ndarray, in_place: bool):
+    """The data half of a ``local`` stage: transform ``block``.
+
+    In place (the linear chain: the consumed block is dead) or into a fresh
+    array that leaves ``block`` intact — what a replayable task needs, since
+    a re-run of an in-place body would transform (or apply V) twice.  FFTs
+    are restricted to the stick support the cost model charges.
+    """
+    op = stage.op
+    if op == "vofr":
+        return apply_potential(
+            block, ctx.v_slab, out=None if in_place else np.empty_like(block)
+        )
+    if op == "z":
+        return ctx.kernels.cft_1z(block, stage.sign, out=block if in_place else None)
+    if op == "xy":
+        return ctx.kernels.cft_2xy(
+            block, stage.sign, out=block if in_place else None,
+            support=ctx.layout.desc.sticks.xy_support,
+        )
+    # Pencil bricks keep the transform axis contiguous and last, so a brick
+    # is one (rows, n) batched 1D call.  The y stage skips the brick's
+    # stick-free x rows: zero before the G->R pass, never read back after
+    # the R->G one.
+    out = block if in_place else np.empty(block.shape, dtype=np.complex128)
+    rows = block.reshape(-1, block.shape[-1])
+    support = ctx.layout.ybrick_row_runs(ctx.r) if op == "y" else None
+    ctx.kernels.cft_1z(
+        rows, stage.sign,
+        out=rows if in_place else out.reshape(rows.shape), support=support,
+    )
+    return out
+
+
+def _alltoallw(ctx: FftPhaseContext, plan, comm, block, recvbuf, key: object, thread: int):
+    """Join the plan's Alltoallw; the returned event resolves once every
+    member joined and the elements moved."""
+    # No-op for the common contiguous case; backends whose transform hands
+    # back a strided view get one normalizing copy here.
+    sendbuf = None if block is None else np.ascontiguousarray(block)
+    return ctx.rank.alltoallw(
+        comm, sendbuf, recvbuf, plan.send_blocks, plan.recv_blocks,
+        key=key, thread=thread,
+    )
+
+
+def issue_exchange(ctx: FftPhaseContext, unit: Unit, stage: Stage, block, thread: int = 0):
+    """Join an ``exchange`` stage's Alltoallw without waiting; returns
+    ``(event, recvbuf)``.
+
+    The receive buffer is acquired (and zero-filled where the plan covers it
+    sparsely) *before* joining — the strided/indexed moves land in it when
+    the last member joins.  The caller keeps ``block`` checked out until the
+    event resolves, then calls :func:`finish_exchange`.
+    """
+    plan = ctx.plans[stage.name]
+    recvbuf = ctx.recv_buffer(stage.recv, plan)
+    event = _alltoallw(
+        ctx, plan, getattr(ctx, stage.comm), block, recvbuf,
+        (unit.key, stage.tag, unit.my_band), thread,
+    )
+    return event, recvbuf
+
+
+def finish_exchange(ctx: FftPhaseContext, unit: Unit, recvbuf) -> None:
+    """After an exchange resolved: recycle the block the previous exchange
+    delivered (see :class:`Unit`) and hold the new one.  Pop-then-release,
+    so a hypothetical second call releases nothing."""
+    held, unit.held = unit.held, recvbuf
+    if held is not None:
+        ctx.workspace.release(held)
+
+
+def run_stages(
+    ctx: FftPhaseContext,
+    unit: Unit,
+    stages: _t.Sequence[Stage],
+    block=None,
+    thread: int = 0,
+    mark_completed: bool = True,
+):
+    """Run consecutive chain stages for one unit, in place and in program
+    order, on hardware thread ``thread``; returns the last stage's block
+    (``None`` in meta mode).
+
+    ``mark_completed=False`` leaves ``ctx.completed`` untouched — the task
+    policies defer the marking to task *success*, so an execution that
+    fault injection later discards never advances the checkpoint frontier.
+    """
+    rank = ctx.rank
+    budgets = ctx.budgets
+    for stage in stages:
+        kind = stage.kind
+        if kind == "local":
+            yield rank.compute(stage.phase, budgets[stage.name], thread=thread)
+            if block is not None:
+                block = apply_local(ctx, stage, block, in_place=True)
+        elif kind == "exchange":
+            yield rank.compute(stage.phase, budgets[stage.name], thread=thread)
+            event, block = issue_exchange(ctx, unit, stage, block, thread)
+            yield event
+            finish_exchange(ctx, unit, block)
+        elif kind == "prepare":
+            # Gather/reorder the group's packed coefficients (the low-IPC
+            # Psi prep).  Band groups are consecutive, so the result is one
+            # (T, ngw_of(p)) row-block view of the packed input — no copy:
+            # the collective moves payloads at delivery.
+            yield rank.compute(
+                stage.phase, budgets[stage.name] * len(unit.bands), thread=thread
+            )
+            if ctx.data_mode:
+                block = ctx.packed[unit.bands[0] : unit.bands[-1] + 1]
+        elif kind == "pack":
+            block = yield from _pack(ctx, unit, stage, block, thread)
+        else:
+            block = yield from _unpack(ctx, unit, stage, block, thread, mark_completed)
+    return block
+
+
+def _pack(ctx: FftPhaseContext, unit: Unit, stage: Stage, rows, thread: int):
     """Pack Alltoallv + expansion: this rank ends up with band ``t`` on its
     group sticks.
 
@@ -373,346 +577,55 @@ def step_pack(ctx: FftPhaseContext, band_coeffs: list | None, key: object, threa
     rank's own coefficients is charged to the ``prepare_psis`` phase (it is
     the same scatter-write, just without the communication around it).
     """
-    layout = ctx.layout
+    budget = ctx.budgets[stage.name]
     if ctx.pack_comm is None:
-        yield ctx.rank.compute("prepare_psis", ctx.cost.pack_expand(ctx.r), thread=thread)
-        if band_coeffs is None:
-            return None
-        out = ctx.acquire(
-            "stick_block", (len(layout.sticks_of(ctx.p)), layout.desc.nr3)
-        )
-        return wave_mod.expand_to_sticks(layout, ctx.p, band_coeffs[0], out=out)
-    if ctx.redistribution == "packfree":
-        plan = redist_mod.pack_fw_plan(layout, ctx.p, ctx.data_mode)
-        sendbuf = None
-        if band_coeffs is not None:
-            sendbuf = np.ascontiguousarray(band_coeffs)
-        recvbuf = ctx.recv_buffer("stick_block", plan)
-        yield ctx.rank.alltoallw(
-            ctx.pack_comm, sendbuf, recvbuf,
-            plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-        )
-        yield ctx.rank.compute("pack_sticks", ctx.cost.pack_expand(ctx.r), thread=thread)
-        return recvbuf
-    parts = pack_mod.pack_parts(layout, ctx.p, band_coeffs)
-    received = yield ctx.rank.alltoall(ctx.pack_comm, parts, key=key, thread=thread)
-    yield ctx.rank.compute("pack_sticks", ctx.cost.pack_expand(ctx.r), thread=thread)
-    if any(isinstance(b, MetaPayload) for b in received):
-        return None
-    ctx.pack_copies += 1
-    out = ctx.acquire("stick_block", (layout.nst_group(ctx.r), layout.desc.nr3))
-    return wave_mod.expand_group_block(
-        layout, ctx.r, received, out=out, workspace=ctx.workspace
-    )
+        yield ctx.rank.compute("prepare_psis", budget, thread=thread)
+        block = None
+        if rows is not None:
+            layout = ctx.layout
+            out = ctx.workspace.acquire(
+                "stick_block", (len(layout.sticks_of(ctx.p)), layout.desc.nr3)
+            )
+            block = wave_mod.expand_to_sticks(layout, ctx.p, rows[0], out=out)
+    else:
+        plan = ctx.plans[stage.name]
+        block = ctx.recv_buffer("stick_block", plan)
+        yield _alltoallw(ctx, plan, ctx.pack_comm, rows, block, (unit.key, "pack"), thread)
+        yield ctx.rank.compute(stage.phase, budget, thread=thread)
+    unit.held = block
+    return block
 
 
-def step_fft_z(ctx: FftPhaseContext, group_block, sign: int, thread: int = 0):
-    """Batched 1D transforms along z of the group sticks, in place.
-
-    The linear chain's consumed block is dead, so the transform overwrites
-    it (replayable task stages must not use this step — see
-    :mod:`repro.core.exec_steps`).
-    """
-    yield ctx.rank.compute("fft_z", ctx.cost.fft_z(ctx.r), thread=thread)
-    if group_block is None:
-        return None
-    return ctx.kernels.cft_1z(group_block, sign, out=group_block)
-
-
-def step_scatter_fw(ctx: FftPhaseContext, group_block, key: object, thread: int = 0):
-    """Forward scatter: sticks -> planes within the scatter group."""
-    yield ctx.rank.compute("scatter_reorder", ctx.cost.scatter_marshal(ctx.r), thread=thread)
-    if ctx.redistribution == "packfree":
-        plan = redist_mod.scatter_fw_plan(ctx.layout, ctx.r, ctx.data_mode)
-        recvbuf = ctx.recv_buffer("planes", plan)
-        sendbuf = None if group_block is None else np.ascontiguousarray(group_block)
-        yield ctx.rank.alltoallw(
-            ctx.scatter_comm, sendbuf, recvbuf,
-            plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-        )
-        # The resumed yield means the exchange executed (elements moved
-        # straight from the stick block into every peer's planes), so the
-        # block is free to recycle.
-        ctx.release(group_block)
-        return recvbuf
-    parts = scatter_mod.scatter_fw_parts(ctx.layout, ctx.r, group_block)
-    received = yield ctx.rank.alltoall(ctx.scatter_comm, parts, key=key, thread=thread)
-    # The resumed yield means the collective executed and copied the send
-    # views, so the stick block is free to recycle.
-    ctx.release(group_block)
-    desc = ctx.layout.desc
-    out = None
-    if group_block is not None:
-        ctx.pack_copies += 1
-        out = ctx.acquire("planes", (ctx.layout.npp(ctx.r), desc.nr1, desc.nr2))
-    return scatter_mod.assemble_planes(
-        ctx.layout, ctx.r, received, out=out, workspace=ctx.workspace
-    )
-
-
-def step_fft_xy(ctx: FftPhaseContext, planes, sign: int, thread: int = 0):
-    """Batched 2D transforms of this rank's planes, in place, restricted to
-    the stick support (the lines :meth:`CostModel.fft_xy` charges)."""
-    yield ctx.rank.compute("fft_xy", ctx.cost.fft_xy(ctx.r), thread=thread)
-    if planes is None:
-        return None
-    return ctx.kernels.cft_2xy(
-        planes, sign, out=planes, support=ctx.layout.desc.sticks.xy_support
-    )
-
-
-def step_vofr(ctx: FftPhaseContext, planes, thread: int = 0, out=None):
-    """Apply the real-space potential on this rank's planes — in place, or
-    into ``out`` (what a replayable task stage passes)."""
-    yield ctx.rank.compute("vofr", ctx.cost.vofr(ctx.r), thread=thread)
-    if planes is None:
-        return None
-    return apply_potential(planes, ctx.v_slab, out=out)
-
-
-def step_scatter_bw(ctx: FftPhaseContext, planes, key: object, thread: int = 0):
-    """Backward scatter: planes -> sticks within the scatter group."""
-    yield ctx.rank.compute("scatter_reorder", ctx.cost.scatter_marshal(ctx.r), thread=thread)
-    layout = ctx.layout
-    if ctx.redistribution == "packfree":
-        plan = redist_mod.scatter_bw_plan(layout, ctx.r, ctx.data_mode)
-        recvbuf = ctx.recv_buffer("stick_block", plan)
-        # No-op for the common contiguous case; backends whose xy transform
-        # hands back a strided view get one normalizing copy here.
-        sendbuf = None if planes is None else np.ascontiguousarray(planes)
-        yield ctx.rank.alltoallw(
-            ctx.scatter_comm, sendbuf, recvbuf,
-            plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-        )
-        ctx.release(planes)
-        return recvbuf
-    gather = None
-    if planes is not None:
-        ctx.pack_copies += 1
-        nsticks = int(layout.scatter_stick_offsets()[-1])
-        gather = ctx.acquire("sbw_gather", (nsticks, layout.npp(ctx.r)))
-    parts = scatter_mod.scatter_bw_parts(layout, ctx.r, planes, out=gather)
-    received = yield ctx.rank.alltoall(ctx.scatter_comm, parts, key=key, thread=thread)
-    ctx.release(planes, gather)
-    out = (
-        ctx.acquire("stick_block", (layout.nst_group(ctx.r), layout.desc.nr3))
-        if planes is not None
-        else None
-    )
-    return scatter_mod.assemble_group_block_from_planes(
-        layout, ctx.r, received, out=out
-    )
-
-
-def step_unpack(
-    ctx: FftPhaseContext,
-    group_block,
-    bands: _t.Sequence[int],
-    key: object,
-    thread: int = 0,
-    mark_completed: bool = True,
+def _unpack(
+    ctx: FftPhaseContext, unit: Unit, stage: Stage, block, thread: int,
+    mark_completed: bool,
 ):
     """Extraction + unpack Alltoallv; stores per-band results.
 
-    With task groups on, this rank extracts band ``t``'s coefficients from
-    its group block (one share per member) and the Alltoallv returns every
-    member its own-sticks share of every band; with task groups off the
-    extraction is purely local.
-
-    ``mark_completed=False`` leaves ``ctx.completed`` untouched — the task
-    executors defer the marking to task *success*, so an execution that
-    fault injection later discards never advances the checkpoint frontier.
+    With task groups on, this rank's group block holds band ``t`` (one share
+    per member) and the Alltoallv returns every member its own-sticks share
+    of every band; with task groups off the extraction is purely local.
     """
-    if ctx.pack_comm is not None:
-        yield ctx.rank.compute("unpack_sticks", ctx.cost.unpack_extract(ctx.r), thread=thread)
-        if ctx.redistribution == "packfree":
-            plan = redist_mod.pack_bw_plan(ctx.layout, ctx.p, ctx.data_mode)
-            # Fresh (non-arena) receive rows: the per-band results outlive
-            # the run, so they must not return to the buffer pool.
-            recvbuf = (
-                np.empty(plan.recv_shape, dtype=np.complex128)
-                if group_block is not None
-                else None
-            )
-            sendbuf = (
-                None if group_block is None else np.ascontiguousarray(group_block)
-            )
-            yield ctx.rank.alltoallw(
-                ctx.pack_comm, sendbuf, recvbuf,
-                plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-            )
-            ctx.release(group_block)
-            yield ctx.rank.compute("unpack_sticks", ctx.cost.unpack(ctx.p) * len(bands), thread=thread)
-            if mark_completed:
-                ctx.completed.update(bands)
-            if recvbuf is not None:
-                for t, band in enumerate(bands):
-                    ctx.results[band] = recvbuf[t]
-            return None
-        gather = None
-        member_coeffs = None
-        if group_block is not None:
-            ctx.pack_copies += 1
-            ngw_group = int(ctx.layout.group_coeff_offsets(ctx.r)[-1])
-            gather = ctx.acquire("coeff_gather", (ngw_group,))
-            member_coeffs = wave_mod.extract_group_coefficients(
-                ctx.layout, ctx.r, group_block, out=gather
-            )
-        parts = pack_mod.unpack_parts(ctx.layout, ctx.r, member_coeffs)
-        received = yield ctx.rank.alltoall(ctx.pack_comm, parts, key=key, thread=thread)
-        ctx.release(group_block, gather)
-        yield ctx.rank.compute("unpack_sticks", ctx.cost.unpack(ctx.p) * len(bands), thread=thread)
-        if mark_completed:
-            ctx.completed.update(bands)
-        if any(isinstance(b, MetaPayload) for b in received):
-            return None
-        for band, coeffs in zip(bands, received):
-            ctx.results[band] = coeffs
-        return None
-
-    yield ctx.rank.compute("unpack_sticks", ctx.cost.unpack(ctx.p) * len(bands), thread=thread)
+    rank = ctx.rank
+    bands = unit.bands
+    budget = ctx.budgets[stage.name] * len(bands)
+    if ctx.pack_comm is None:
+        yield rank.compute(stage.phase, budget, thread=thread)
+        if block is not None:
+            # The gather owns fresh storage, so the block can be recycled.
+            ctx.results[bands[0]] = wave_mod.extract_from_sticks(ctx.layout, ctx.p, block)
+        finish_exchange(ctx, unit, None)
+    else:
+        yield rank.compute(stage.phase, ctx.budgets["unpack_extract"], thread=thread)
+        plan = ctx.plans[stage.name]
+        # Fresh (non-arena) receive rows: the per-band results outlive the
+        # run, so they must not return to the buffer pool.
+        rows = None if block is None else np.empty(plan.recv_shape, dtype=np.complex128)
+        yield _alltoallw(ctx, plan, ctx.pack_comm, block, rows, (unit.key, "unpack"), thread)
+        finish_exchange(ctx, unit, None)
+        yield rank.compute(stage.phase, budget, thread=thread)
+        if rows is not None:
+            for t, band in enumerate(bands):
+                ctx.results[band] = rows[t]
     if mark_completed:
         ctx.completed.update(bands)
-    if group_block is None:
-        return None
-    # The gather owns fresh storage, so the consumed block can be recycled.
-    # (In the task executors this path's input is a fresh array — the arena
-    # block release matters for the linear executors and per-band chains.)
-    ctx.results[bands[0]] = extract_from_sticks(ctx.layout, ctx.p, group_block)
-    ctx.release(group_block)
-    return None
-
-
-def step_transpose_zy(
-    ctx: FftPhaseContext, block, key: object, thread: int = 0, inverse: bool = False
-):
-    """Row-internal pencil transpose: z-stick block <-> y-brick (Pc ranks).
-
-    Forward consumes the stick block and yields the zero-filled
-    ``(nx_i, nz_j, nr2)`` y-brick; ``inverse=True`` swaps roles (the stick
-    block comes back fully covered).  Always pack-free (Alltoallw).
-    """
-    yield ctx.rank.compute(
-        "scatter_reorder", ctx.cost.pencil_zy_marshal(ctx.r), thread=thread
-    )
-    plan = redist_mod.pencil_zy_plan(ctx.layout, ctx.r, ctx.data_mode, inverse=inverse)
-    recvbuf = ctx.recv_buffer("stick_block" if inverse else "ybrick", plan)
-    sendbuf = None if block is None else np.ascontiguousarray(block)
-    yield ctx.rank.alltoallw(
-        ctx.row_comm, sendbuf, recvbuf,
-        plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-    )
-    ctx.release(block)
-    return recvbuf
-
-
-def step_transpose_yx(
-    ctx: FftPhaseContext, block, key: object, thread: int = 0, inverse: bool = False
-):
-    """Column-internal pencil transpose: y-brick <-> x-brick (Pr ranks)."""
-    yield ctx.rank.compute(
-        "scatter_reorder", ctx.cost.pencil_yx_marshal(ctx.r), thread=thread
-    )
-    plan = redist_mod.pencil_yx_plan(ctx.layout, ctx.r, ctx.data_mode, inverse=inverse)
-    recvbuf = ctx.recv_buffer("ybrick" if inverse else "xbrick", plan)
-    sendbuf = None if block is None else np.ascontiguousarray(block)
-    yield ctx.rank.alltoallw(
-        ctx.col_comm, sendbuf, recvbuf,
-        plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-    )
-    ctx.release(block)
-    return recvbuf
-
-
-def step_fft_pencil(
-    ctx: FftPhaseContext, brick, sign: int, axis: str, thread: int = 0
-):
-    """Batched 1D transforms along a pencil brick's last axis (y or x), in
-    place.
-
-    Bricks keep the transform axis contiguous and last, so the whole brick
-    is one ``(rows, n)`` batched 1D call — the same kernel the z stage uses.
-    The y stage skips the brick's stick-free x rows: zero before the G->R
-    pass, never read back after the R->G one.
-    Charged to the ``fft_z`` phase (same contention profile: batched 1D).
-    """
-    cost = ctx.cost.fft_y(ctx.r) if axis == "y" else ctx.cost.fft_x(ctx.r)
-    yield ctx.rank.compute("fft_z", cost, thread=thread)
-    if brick is None:
-        return None
-    rows = brick.reshape(-1, brick.shape[-1])
-    support = ctx.layout.ybrick_row_runs(ctx.r) if axis == "y" else None
-    ctx.kernels.cft_1z(rows, sign, out=rows, support=support)
-    return brick
-
-
-def step_pencil_vofr(ctx: FftPhaseContext, brick, thread: int = 0, out=None):
-    """Apply the potential on this rank's x-brick (``v_slab`` holds the
-    matching x-brick potential block in pencil mode) — in place, or into
-    ``out``."""
-    yield ctx.rank.compute("vofr", ctx.cost.pencil_vofr(ctx.r), thread=thread)
-    if brick is None:
-        return None
-    return apply_potential(brick, ctx.v_slab, out=out)
-
-
-def pencil_middle_steps(
-    ctx: FftPhaseContext, group, my_band: int, key_prefix: object, thread: int = 0
-):
-    """The pencil replacement for the slab scatter/xy middle section.
-
-    Takes the z-transformed stick block, runs the two forward transposes
-    with the y/x 1D stages and VOFR, then the inverse transposes; returns
-    the stick block ready for the inverse z transform.  The z+y+x 1D chain
-    equals the slab z+xy 3D transform to roundoff.
-    """
-    brick = yield from step_transpose_zy(ctx, group, key=(key_prefix, "tzy", my_band), thread=thread)
-    brick = yield from step_fft_pencil(ctx, brick, +1, "y", thread)
-    xbrick = yield from step_transpose_yx(ctx, brick, key=(key_prefix, "tyx", my_band), thread=thread)
-    xbrick = yield from step_fft_pencil(ctx, xbrick, +1, "x", thread)
-    xbrick = yield from step_pencil_vofr(ctx, xbrick, thread)
-    xbrick = yield from step_fft_pencil(ctx, xbrick, -1, "x", thread)
-    brick = yield from step_transpose_yx(ctx, xbrick, key=(key_prefix, "txy", my_band), thread=thread, inverse=True)
-    brick = yield from step_fft_pencil(ctx, brick, -1, "y", thread)
-    group = yield from step_transpose_zy(ctx, brick, key=(key_prefix, "tyz", my_band), thread=thread, inverse=True)
-    return group
-
-
-def band_chain_steps(
-    ctx: FftPhaseContext,
-    bands: _t.Sequence[int],
-    key_prefix: object,
-    thread: int = 0,
-    mark_completed: bool = True,
-):
-    """The full nine-step chain for one band group (Fig. 1's loop body).
-
-    ``bands`` are the complex bands of this iteration in task-group order
-    (``bands[t]`` is handled by pack-group member ``t``); this rank carries
-    ``bands[ctx.t]`` through the z/scatter/xy middle section — or, in
-    pencil mode, through the transpose_zy/fft_y/transpose_yx/fft_x middle
-    (:func:`pencil_middle_steps`).
-    """
-    if len(bands) != ctx.layout.T:
-        raise ValueError(f"band group must have T={ctx.layout.T} entries, got {len(bands)}")
-    my_band = bands[ctx.t]
-    blocks = yield from step_prepare(ctx, bands, thread)
-    group = yield from step_pack(ctx, blocks, key=(key_prefix, "pack"), thread=thread)
-    group = yield from step_fft_z(ctx, group, +1, thread)
-    if ctx.layout.decomposition == "pencil":
-        group = yield from pencil_middle_steps(ctx, group, my_band, key_prefix, thread)
-    else:
-        planes = yield from step_scatter_fw(ctx, group, key=(key_prefix, "sfw", my_band), thread=thread)
-        planes = yield from step_fft_xy(ctx, planes, +1, thread)
-        planes = yield from step_vofr(ctx, planes, thread)
-        planes = yield from step_fft_xy(ctx, planes, -1, thread)
-        group = yield from step_scatter_bw(ctx, planes, key=(key_prefix, "sbw", my_band), thread=thread)
-    group = yield from step_fft_z(ctx, group, -1, thread)
-    yield from step_unpack(
-        ctx,
-        group,
-        bands,
-        key=(key_prefix, "unpack"),
-        thread=thread,
-        mark_completed=mark_completed,
-    )

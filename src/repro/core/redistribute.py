@@ -1,18 +1,17 @@
-"""Pack-free redistribution plans: Alltoallw block descriptors per layout.
+"""Redistribution plans: Alltoallw block descriptors per layout.
 
-The legacy data plane marshals every exchange through staging buffers —
-per-peer slab extraction, a packed Alltoall, then an assembly pass on the
-receive side.  The plans here describe the *same* exchanges as per-peer
+Every exchange of the step chain is described as per-peer
 :class:`~repro.mpisim.datatypes.BlockType` descriptors into the flat source
 and destination buffers, so the simulated ``MPI_Alltoallw`` moves each
 element exactly once, straight from its source view into its destination
-slot.  Steady-state slab traffic then performs **zero** pack/unpack copies
-(the ``dataplane.pack_copies`` counter pins this).
+slot — no per-peer slab extraction, no concatenated staging buffer, no
+assembly pass on the receive side (the derived-datatype scheme of
+Dalcin/Mortensen/Keyes, PAPERS.md).
 
-Descriptor volumes are arranged to equal the legacy packed part sizes
-byte-for-byte, and the simulated collective prices per-peer bytes the same
-way for both ops — so switching a run between ``redistribution="packed"``
-and ``"packfree"`` changes *host* work only, never the simulated timeline.
+The simulated collective prices per-peer bytes from the descriptor volumes
+(``n_items * 16``), which equal what a packed Alltoall of the same exchange
+would carry — so meta-mode descriptors of the same counts reproduce the
+data-mode timeline exactly.
 
 Four slab plans (forward/backward of each MPI layer) and two pencil
 transposes (plus inverses) cover the data plane:

@@ -34,15 +34,13 @@ VARIANTS: tuple[tuple[str, str, bool | None], ...] = (
     ("combined (ts)", "ompss_perfft", True),
 )
 
-#: Data-plane comparison: decomposition x redistribution on the original
-#: executor.  "slab packfree" is the executor variants' default above; the
-#: packed twin isolates the staging-copy cost (identical simulated network
-#: traffic by construction) and the pencil rows probe the Pr x Pc grid whose
-#: row/col transposes keep more traffic intra-node at scale.
+#: Data-plane comparison: decomposition on the original executor.  "slab"
+#: is the executor variants' default above; the pencil row probes the
+#: Pr x Pc grid whose row/col transposes keep more traffic intra-node at
+#: scale.
 DATAPLANE_VARIANTS: tuple[tuple[str, dict], ...] = (
-    ("slab packed", {"redistribution": "packed"}),
-    ("slab packfree", {"redistribution": "packfree"}),
-    ("pencil packfree", {"decomposition": "pencil"}),
+    ("slab", {"decomposition": "slab"}),
+    ("pencil", {"decomposition": "pencil"}),
 )
 
 
@@ -149,7 +147,7 @@ def run_multinode(
         "paper §IV: Opt 1 (overlap) targets communication-dominated scales;",
         "Opt 2 (de-sync) targets compute-dominated ones — watch the crossover.",
         "",
-        "data plane (original executor, decomposition x redistribution):",
+        "data plane (original executor, by decomposition):",
     ]
     for label, per_node in dp_runtimes.items():
         cells = []

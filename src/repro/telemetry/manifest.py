@@ -221,7 +221,6 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
     ("config.fft_backend", (str,), False),
     ("config.kernel_workers", (int,), False),
     ("config.decomposition", (str,), False),
-    ("config.redistribution", (str,), False),
     ("calibration", (dict,), True),
     ("timing", (dict,), True),
     ("timing.phase_time_s", (int, float), True),
@@ -240,8 +239,6 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
     ("dataplane.kernel_backend", (str,), False),
     ("dataplane.kernel_workers", (int,), False),
     ("dataplane.decomposition", (str,), False),
-    ("dataplane.redistribution", (str,), False),
-    ("dataplane.pack_copies", (int,), False),
     ("internode", (dict,), False),
     ("internode.inter_bytes", (int, float), False),
     ("internode.inter_messages", (int,), False),

@@ -106,12 +106,17 @@ class SpanLog:
         clock: _t.Callable[[], float],
         **args: _t.Any,
     ) -> _t.Iterator[Span | None]:
-        """Context manager sampling ``clock()`` at entry and exit."""
+        """Context manager sampling ``clock()`` at entry and exit.
+
+        A span someone already ended (the driver closes what an aborted
+        attempt left open) is left as it is when its abandoned generator
+        frame is finally collected.
+        """
         handle = self.begin(track, name, category, clock(), **args)
         try:
             yield handle
         finally:
-            if handle is not None:
+            if handle is not None and handle.t_end is None:
                 self.end(handle, clock())
 
     # -- queries -------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Self-tuning runtime: workload digests, wisdom DB, cost model, search.
 
 The FFTW "wisdom" idea applied to the runtime knobs this codebase has
-accumulated (NTG, scheduler, grainsizes, decomposition, redistribution,
-FFT backend, kernel workers): search the space once per workload digest,
+accumulated (NTG, scheduler, grainsizes, decomposition, FFT backend,
+kernel workers): search the space once per workload digest,
 persist the winner, and let every later run — driver, sweep, service —
 consult the database for free.
 

@@ -5,9 +5,7 @@ The search pipeline for one workload digest:
 1. **Enumerate** every valid knob vector (taskgroup counts that divide the
    band batch, scheduler policies only where an OmpSs runtime reads them,
    grainsizes only for the per-step/combined executors, both
-   decompositions; redistribution stays ``packfree`` — simulated timings
-   are pinned identical to ``packed``, so searching it would only burn
-   budget).  Validity is decided by the one authority that knows:
+   decompositions).  Validity is decided by the one authority that knows:
    :class:`RunConfig` construction.
 2. **Rank** the candidates with the analytic cost model
    (:mod:`repro.tuning.costmodel`) and keep the top-k — the search
@@ -67,10 +65,9 @@ def _try_config(config: RunConfig, knobs: dict, **overrides) -> RunConfig | None
 def candidate_knobs(config: RunConfig) -> list[dict]:
     """Every valid knob vector for this workload, deterministically ordered.
 
-    ``fft_backend`` / ``kernel_workers`` / ``redistribution`` ride along
-    pinned at the config's own values: the first two never move simulated
-    time (only real payload math), the last is simulated-identical by
-    construction — all three stay in the stored vector for provenance.
+    ``fft_backend`` / ``kernel_workers`` ride along pinned at the config's
+    own values: they never move simulated time (only real payload math) and
+    stay in the stored vector for provenance.
     """
     schedulers: tuple[str, ...] = (
         _SCHEDULER_CHOICES if config.is_task_version else (config.scheduler,)
@@ -93,7 +90,6 @@ def candidate_knobs(config: RunConfig) -> list[dict]:
                             "grainsize_xy": gx,
                             "grainsize_z": gz,
                             "decomposition": decomposition,
-                            "redistribution": config.redistribution,
                             "fft_backend": config.fft_backend,
                             "kernel_workers": config.kernel_workers,
                         }

@@ -1,17 +1,18 @@
 """The arena is an optimization, never a semantic layer.
 
-Every test here pins the data-plane contract: runs with the workspace arena
-enabled are *byte-identical* (outputs and simulated timing) to runs with
-fresh allocations, across executors, process grids, and warm reruns; the
-cached index maps equal a from-scratch recompute; and the no-copy marshal
-paths really do avoid copies.
+Every test here pins the data-plane contract: runs on warm arena pools are
+*byte-identical* (outputs and simulated timing) to runs on a freshly built
+layout whose pools are empty — every buffer a fresh allocation — across
+executors, process grids, and warm reruns, and both match the dense
+reference; the cached index maps equal a from-scratch recompute; and the
+no-copy marshal paths really do avoid copies.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import RunConfig, run_fft_phase
-from repro.core.pack import pack_parts
+from repro.core.driver import build_geometry
 from repro.core.wave import distribute_coefficients, make_band_coefficients
 from repro.core.workspace import aggregate_stats, layout_workspaces
 from repro.grids.descriptor import Cell, DistributedLayout, FftDescriptor
@@ -26,6 +27,15 @@ def small_config(**kwargs):
 
 def as_bytes(x):
     return np.ascontiguousarray(x).view(np.float64)
+
+
+def run_cold(cfg):
+    """Run on a freshly built layout: no arena exists yet, so the pools
+    start empty and the first checkout of every buffer allocates."""
+    build_geometry.cache_clear()
+    res = run_fft_phase(cfg)
+    assert res.dataplane["alloc_misses"] > 0
+    return res
 
 
 GRID_CASES = [
@@ -95,21 +105,24 @@ class TestArenaIdentity:
         cfg = small_config(
             ranks=ranks, taskgroups=taskgroups, version=version, data_mode=True
         )
-        fresh = run_fft_phase(cfg, use_workspace=False)
-        arena = run_fft_phase(cfg, use_workspace=True)
+        fresh = run_cold(cfg)
+        arena = run_fft_phase(cfg)
+        assert arena.layout is fresh.layout
+        assert arena.dataplane["alloc_misses"] == 0
         np.testing.assert_array_equal(
             as_bytes(arena.output_coefficients()),
             as_bytes(fresh.output_coefficients()),
         )
         assert arena.phase_time == fresh.phase_time
+        assert fresh.validate() < 1e-12
 
     @pytest.mark.parametrize("version", ["original", "pipelined", "ompss_steps"])
     def test_warm_rerun_identical(self, version):
         """A second run reuses pooled buffers; stale contents must not leak
         into any band (full-overwrite discipline)."""
         cfg = small_config(ranks=2, taskgroups=4, version=version, data_mode=True)
-        first = run_fft_phase(cfg, use_workspace=True)
-        second = run_fft_phase(cfg, use_workspace=True)
+        first = run_fft_phase(cfg)
+        second = run_fft_phase(cfg)
         np.testing.assert_array_equal(
             as_bytes(first.output_coefficients()),
             as_bytes(second.output_coefficients()),
@@ -121,9 +134,9 @@ class TestArenaIdentity:
         """Pooled buffers from seed A must not contaminate a seed-B run."""
         cfg_a = small_config(ranks=2, taskgroups=2, data_mode=True, seed=1)
         cfg_b = small_config(ranks=2, taskgroups=2, data_mode=True, seed=2)
-        run_fft_phase(cfg_a, use_workspace=True)  # warm the pools
-        warm_b = run_fft_phase(cfg_b, use_workspace=True)
-        cold_b = run_fft_phase(cfg_b, use_workspace=False)
+        run_fft_phase(cfg_a)  # warm the pools
+        warm_b = run_fft_phase(cfg_b)
+        cold_b = run_cold(cfg_b)
         np.testing.assert_array_equal(
             as_bytes(warm_b.output_coefficients()),
             as_bytes(cold_b.output_coefficients()),
@@ -136,7 +149,7 @@ class TestArenaIdentity:
     def test_dense_reference_roundtrip(self, version):
         """Batched marshalling + arena still matches the dense cfft3d chain."""
         cfg = small_config(ranks=2, taskgroups=2, version=version, data_mode=True)
-        res = run_fft_phase(cfg, use_workspace=True)
+        res = run_fft_phase(cfg)
         assert res.validate() < 1e-12
 
 
@@ -199,16 +212,6 @@ class TestNoCopyMarshalling:
         desc = FftDescriptor(Cell(alat=5.0), ecutwfc=12.0)
         return DistributedLayout(desc, n_scatter=2, n_groups=2)
 
-    def test_pack_parts_passes_arrays_through_uncopied(self, layout):
-        p = 0
-        ngw = layout.ngw_of(p)
-        bands = [
-            np.arange(ngw, dtype=np.complex128) * (t + 1) for t in range(layout.T)
-        ]
-        parts = pack_parts(layout, p, bands)
-        for t in range(layout.T):
-            assert parts[t] is bands[t]
-
     def test_distribute_coefficients_rows_fresh_and_contiguous(self, layout):
         coeffs = make_band_coefficients(layout.desc.ngw, 4, seed=0)
         per_proc = distribute_coefficients(layout, coeffs)
@@ -230,13 +233,13 @@ class TestDataplaneStats:
         cfg = small_config(
             ranks=4, taskgroups=2, data_mode=True, decomposition=decomposition
         )
-        res = run_fft_phase(cfg, use_workspace=True)
+        res = run_fft_phase(cfg)
         chains = (cfg.n_complex_bands // cfg.taskgroups) * cfg.ranks * cfg.taskgroups
         assert res.dataplane["acquires"] == exchanges * chains
 
     def test_data_mode_run_reports_dataplane(self):
         cfg = small_config(ranks=2, taskgroups=2, data_mode=True)
-        res = run_fft_phase(cfg, use_workspace=True)
+        res = run_fft_phase(cfg)
         dp = res.dataplane
         assert dp is not None
         assert dp["acquires"] > 0
@@ -248,17 +251,20 @@ class TestDataplaneStats:
         assert dp["live_peak"] > 0
 
     def test_meta_mode_and_disabled_have_no_dataplane(self):
+        """Meta mode touches no buffer, so it has no arena and no dataplane
+        section; a data-mode run cannot disable the arena any more."""
         meta = run_fft_phase(small_config(ranks=2, taskgroups=2, data_mode=False))
         assert meta.dataplane is None
-        off = run_fft_phase(
-            small_config(ranks=2, taskgroups=2, data_mode=True),
-            use_workspace=False,
-        )
-        assert off.dataplane is None
+        assert all(ctx.workspace is None for ctx in meta.contexts)
+        with pytest.raises(TypeError, match="use_workspace"):
+            run_fft_phase(
+                small_config(ranks=2, taskgroups=2, data_mode=True),
+                use_workspace=False,
+            )
 
     def test_arenas_attach_to_layout_and_balance(self):
         cfg = small_config(ranks=2, taskgroups=2, data_mode=True)
-        res = run_fft_phase(cfg, use_workspace=True)
+        res = run_fft_phase(cfg)
         arenas = layout_workspaces(res.layout)
         assert set(arenas) == set(range(res.layout.P))
         total = aggregate_stats(arenas.values())
@@ -267,7 +273,7 @@ class TestDataplaneStats:
 
     def test_dataplane_gauges_exported_to_telemetry(self):
         cfg = small_config(ranks=2, taskgroups=2, data_mode=True, telemetry=True)
-        res = run_fft_phase(cfg, use_workspace=True)
+        res = run_fft_phase(cfg)
         snapshot = res.telemetry.metrics.snapshot()
         for name in ("dataplane.acquires", "dataplane.reuse_hits", "dataplane.live"):
             assert name in snapshot, name
@@ -275,14 +281,14 @@ class TestDataplaneStats:
 
     def test_manifest_carries_dataplane_section(self):
         cfg = small_config(ranks=2, taskgroups=2, data_mode=True, telemetry=True)
-        res = run_fft_phase(cfg, use_workspace=True)
+        res = run_fft_phase(cfg)
         manifest = build_manifest(res, wall_time_s=0.1)
         assert validate_manifest(manifest) == []
         assert manifest["dataplane"] == res.dataplane
 
     def test_manifest_omits_dataplane_when_disabled(self):
-        cfg = small_config(ranks=2, taskgroups=2, data_mode=True, telemetry=True)
-        res = run_fft_phase(cfg, use_workspace=False)
+        cfg = small_config(ranks=2, taskgroups=2, data_mode=False, telemetry=True)
+        res = run_fft_phase(cfg)
         manifest = build_manifest(res, wall_time_s=0.1)
         assert validate_manifest(manifest) == []
         assert "dataplane" not in manifest

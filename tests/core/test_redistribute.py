@@ -1,90 +1,32 @@
-"""Packed vs pack-free redistribution: identical results, identical cost.
+"""The Alltoallw redistribution: size-only payloads drive the same timeline.
 
-The pack-free path (Alltoallw block descriptors straight between flat
-buffers) is a host-side optimization only — by construction its block
-volumes equal the old concatenated parts, so the simulated timeline must
-not move at all.  These tests pin that contract per executor, plus the
-acceptance criterion that the steady-state exchange performs *zero*
-staging copies (``dataplane.pack_copies == 0``) while the packed twin
-keeps paying them.
+Every exchange moves through the block plans of
+:mod:`repro.core.redistribute`; there is no second, staged path and no knob
+selecting one.  Meta mode replaces the payloads with size-only descriptors
+of the same volumes, so the simulated timeline must not move at all — the
+sweep harness and the autotuner's search rungs depend on it.  (Plan-level
+data movement is pinned in ``test_wave_marshalling.py``; the per-executor
+timelines and outputs in ``test_executor_timelines.py``.)
 """
 
-import numpy as np
+import copy
+import json
+
 import pytest
 
+from repro.analysis import analyze_pair
 from repro.core import RunConfig, run_fft_phase
+from repro.telemetry.manifest import build_manifest, validate_manifest
+from repro.tuning import workload_digest
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
-
-EXECUTORS = ["original", "pipelined", "ompss_steps", "ompss_perfft", "ompss_combined"]
-
-
-def run_pair(version):
-    out = {}
-    for redist in ("packed", "packfree"):
-        cfg = RunConfig(
-            ranks=2,
-            taskgroups=2,
-            version=version,
-            data_mode=True,
-            redistribution=redist,
-            **SMALL,
-        )
-        out[redist] = run_fft_phase(cfg)
-    return out
-
-
-class TestPackedPackfreeIdentity:
-    @pytest.fixture(scope="class")
-    def pairs(self):
-        return {version: run_pair(version) for version in EXECUTORS}
-
-    @pytest.mark.parametrize("version", EXECUTORS)
-    def test_outputs_bit_identical(self, pairs, version):
-        pair = pairs[version]
-        np.testing.assert_array_equal(
-            pair["packed"].output_coefficients(),
-            pair["packfree"].output_coefficients(),
-            err_msg=version,
-        )
-
-    @pytest.mark.parametrize("version", EXECUTORS)
-    def test_simulated_time_unchanged(self, pairs, version):
-        """Cost parity: pack-free must not perturb the network model."""
-        pair = pairs[version]
-        assert pair["packed"].phase_time == pytest.approx(
-            pair["packfree"].phase_time, rel=1e-12
-        ), version
-
-    @pytest.mark.parametrize("version", EXECUTORS)
-    def test_both_validate_against_dense_reference(self, pairs, version):
-        for res in pairs[version].values():
-            assert res.validate() < 1e-12
-
-    @pytest.mark.parametrize("version", EXECUTORS)
-    def test_packfree_performs_zero_staging_copies(self, pairs, version):
-        """The acceptance criterion: steady-state exchange copies nothing."""
-        dp = pairs[version]["packfree"].dataplane
-        assert dp is not None
-        assert dp["pack_copies"] == 0, version
-
-    @pytest.mark.parametrize("version", EXECUTORS)
-    def test_packed_twin_still_pays_for_staging(self, pairs, version):
-        """Guards the counter itself: if packed ever reads 0 too, the
-        ``pack_copies`` accounting has silently broken."""
-        dp = pairs[version]["packed"].dataplane
-        assert dp is not None
-        assert dp["pack_copies"] > 0, version
 
 
 class TestMetaModeParity:
     @pytest.mark.parametrize(
-        "decomposition,redistribution",
-        [("slab", "packfree"), ("slab", "packed"), ("pencil", "packfree")],
+        "decomposition", ["slab", "pencil"], ids=["slab-packfree", "pencil-packfree"]
     )
-    def test_meta_mode_reproduces_data_mode_timeline(
-        self, decomposition, redistribution
-    ):
+    def test_meta_mode_reproduces_data_mode_timeline(self, decomposition):
         """Size-only payloads must drive the cost model identically to real
         arrays — the sweep harness depends on it."""
         times, instrs = [], []
@@ -95,7 +37,6 @@ class TestMetaModeParity:
                 version="original",
                 data_mode=data_mode,
                 decomposition=decomposition,
-                redistribution=redistribution,
                 **SMALL,
             )
             res = run_fft_phase(cfg)
@@ -104,8 +45,48 @@ class TestMetaModeParity:
         assert times[0] == pytest.approx(times[1], rel=1e-14)
         assert instrs[0] == pytest.approx(instrs[1], rel=1e-9)
 
-    def test_redistribution_recorded_in_config(self):
-        cfg = RunConfig(ranks=2, taskgroups=2, **SMALL)
-        assert cfg.redistribution == "packfree"
-        with pytest.raises(ValueError, match="redistribution"):
-            RunConfig(ranks=2, taskgroups=2, redistribution="zerocopy", **SMALL)
+    def test_redistribution_knob_is_gone(self):
+        """The packed twin was retired with its selector: naming it is an
+        unknown field at construction, not a silently ignored option."""
+        with pytest.raises(TypeError, match="redistribution"):
+            RunConfig(ranks=2, taskgroups=2, redistribution="packed", **SMALL)
+        assert not hasattr(RunConfig(ranks=2, taskgroups=2, **SMALL), "redistribution")
+
+
+def test_artifacts_written_before_the_retirement_still_read(tmp_path):
+    """A wisdom record and a run manifest written while ``redistribution``
+    / ``pack_copies`` still existed keep working: the stored knob vector
+    applies (the retired key is ignored, the live ones take effect), the
+    manifest validates, and an old-vs-new ``perf diff`` blames nothing."""
+    wisdom = tmp_path / "wisdom.jsonl"
+    cfg = RunConfig(
+        ranks=2, taskgroups=2, data_mode=True, telemetry=True,
+        tuning="consult", wisdom_path=str(wisdom), **SMALL,
+    )
+    old_record = {
+        "schema": 1, "digest": workload_digest(cfg), "score": 1.0e-4,
+        "predicted_s": None, "source": "search", "provenance": {},
+        "knobs": {
+            "taskgroups": 2, "scheduler": "fifo", "grainsize_xy": 10,
+            "grainsize_z": 200, "decomposition": "pencil",
+            "redistribution": "packfree", "fft_backend": "numpy",
+            "kernel_workers": 1,
+        },
+    }
+    wisdom.write_text(json.dumps(old_record) + "\n")
+    res = run_fft_phase(cfg)
+    assert res.tuning["hit"] and res.tuning["applied"]
+    assert res.config.decomposition == "pencil"
+
+    new = build_manifest(res, created="(test)")
+    old = copy.deepcopy(new)
+    old["config"]["redistribution"] = "packfree"
+    old["dataplane"].update(redistribution="packfree", pack_copies=0)
+    old["metrics"]["dataplane.pack_copies"] = copy.deepcopy(
+        new["metrics"]["dataplane.live"]
+    )
+    assert validate_manifest(old) == []
+    assert validate_manifest(new) == []
+    report = analyze_pair(old, new)
+    assert report.verdict == "neutral"
+    assert [(f.kind, f.delta) for f in report.findings] == [("runtime", 0.0)]

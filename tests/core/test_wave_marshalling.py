@@ -1,15 +1,13 @@
-"""Tests for wave data helpers and the pack/scatter marshalling."""
+"""Tests for wave data helpers and the pack/scatter exchange plans."""
 
 import numpy as np
 import pytest
 
-from repro.core.pack import pack_part_bytes, pack_parts, unpack_parts
-from repro.core.scatter import (
-    assemble_group_block_from_planes,
-    assemble_planes,
-    scatter_bw_parts,
-    scatter_fw_parts,
-    scatter_part_bytes,
+from repro.core.redistribute import (
+    pack_bw_plan,
+    pack_fw_plan,
+    scatter_bw_plan,
+    scatter_fw_plan,
 )
 from repro.core.vofr import apply_potential
 from repro.core.wave import (
@@ -23,7 +21,7 @@ from repro.core.wave import (
     potential_slab,
 )
 from repro.grids import Cell, DistributedLayout, FftDescriptor
-from repro.mpisim import MetaPayload
+from tests.core.exchange import alltoallw
 
 RNG = np.random.default_rng(99)
 
@@ -112,82 +110,96 @@ class TestWaveData:
 
 
 class TestPackMarshalling:
+    """The task-group pack/unpack Alltoallv, as ``pack_fw_plan`` /
+    ``pack_bw_plan`` describe it."""
+
     def test_part_bytes_are_coefficient_sized(self, layout):
         for p in range(layout.P):
-            assert pack_part_bytes(layout, p) == layout.ngw_of(p) * 16
+            for block in pack_fw_plan(layout, p, True).send_blocks:
+                assert block.nbytes == layout.ngw_of(p) * 16
 
     def test_meta_parts(self, layout):
-        parts = pack_parts(layout, 0, None)
-        assert len(parts) == layout.T
-        assert all(isinstance(x, MetaPayload) for x in parts)
-        assert parts[0].nbytes == pack_part_bytes(layout, 0)
+        plan = pack_fw_plan(layout, 0, False)
+        assert len(plan.send_blocks) == layout.T
+        assert all(block.is_meta for block in plan.send_blocks)
+        assert plan.send_blocks[0].nbytes == layout.ngw_of(0) * 16
 
-    def test_data_parts_validated(self, layout):
-        ngw = layout.ngw_of(0)
-        good = [np.zeros(ngw, dtype=np.complex128)] * layout.T
-        assert len(pack_parts(layout, 0, good)) == layout.T
-        with pytest.raises(ValueError, match="band"):
-            pack_parts(layout, 0, [np.zeros(ngw + 1, dtype=np.complex128)] * layout.T)
-        with pytest.raises(ValueError, match="arrays"):
-            pack_parts(layout, 0, [np.zeros(ngw, dtype=np.complex128)])
+    def test_data_parts_validated(self, desc, layout):
+        """The pack exchange fills each member's group stick block exactly
+        as the serial reference marshalling does, and unpack inverts it."""
+        coeffs = make_band_coefficients(desc.ngw, layout.T, seed=11)
+        per_proc = distribute_coefficients(layout, coeffs)
+        for r in range(layout.R):
+            members = [layout.proc_of(r, t) for t in range(layout.T)]
+            fw = [pack_fw_plan(layout, p, True) for p in members]
+            blocks = alltoallw(fw, [per_proc[p] for p in members])
+            for t, block in enumerate(blocks):
+                # Member t assembles band t from every member's share.
+                want = expand_group_block(
+                    layout, r, [per_proc[p][t] for p in members]
+                )
+                np.testing.assert_array_equal(block, want)
+            bw = [pack_bw_plan(layout, p, True) for p in members]
+            for p, rows in zip(members, alltoallw(bw, blocks)):
+                np.testing.assert_array_equal(rows, per_proc[p])
 
     def test_unpack_meta_parts_sized_per_member(self, layout):
-        parts = unpack_parts(layout, 0, None)
-        for t, part in enumerate(parts):
-            assert part.nbytes == pack_part_bytes(layout, layout.proc_of(0, t))
+        plan = pack_bw_plan(layout, layout.proc_of(0, 0), False)
+        for t, block in enumerate(plan.send_blocks):
+            assert block.nbytes == layout.ngw_of(layout.proc_of(0, t)) * 16
 
 
 class TestScatterMarshalling:
+    """The slab scatter Alltoall, as ``scatter_fw_plan`` / ``scatter_bw_plan``
+    describe it."""
+
     def test_part_bytes(self, layout):
-        assert scatter_part_bytes(layout, 0, 1) == (
+        assert scatter_fw_plan(layout, 0, True).send_blocks[1].nbytes == (
             layout.nst_group(0) * layout.npp(1) * 16
         )
 
     def test_fw_roundtrip_through_planes(self, desc, layout):
-        """fw parts -> planes -> bw parts -> group block reproduces the input."""
-        blocks = {
-            r: (
-                RNG.standard_normal((layout.nst_group(r), desc.nr3))
-                + 1j * RNG.standard_normal((layout.nst_group(r), desc.nr3))
-            )
+        """stick blocks -> planes -> stick blocks reproduces the input."""
+        blocks = [
+            RNG.standard_normal((layout.nst_group(r), desc.nr3))
+            + 1j * RNG.standard_normal((layout.nst_group(r), desc.nr3))
             for r in range(layout.R)
-        }
-        # Simulate the alltoall exchange by hand.
-        fw_parts = {r: scatter_fw_parts(layout, r, blocks[r]) for r in range(layout.R)}
-        planes = {
-            r: assemble_planes(
-                layout, r, [fw_parts[src][r] for src in range(layout.R)]
-            )
-            for r in range(layout.R)
-        }
-        bw_parts = {r: scatter_bw_parts(layout, r, planes[r]) for r in range(layout.R)}
+        ]
+        fw = [scatter_fw_plan(layout, r, True) for r in range(layout.R)]
+        planes = alltoallw(fw, blocks)
         for r in range(layout.R):
-            back = assemble_group_block_from_planes(
-                layout, r, [bw_parts[src][r] for src in range(layout.R)]
-            )
-            np.testing.assert_allclose(back, blocks[r])
+            assert planes[r].shape == (layout.npp(r), desc.nr1, desc.nr2)
+        bw = [scatter_bw_plan(layout, r, True) for r in range(layout.R)]
+        for back, block in zip(alltoallw(bw, planes), blocks):
+            np.testing.assert_array_equal(back, block)
 
     def test_planes_zero_off_sticks(self, desc, layout):
-        blocks = {
-            r: np.ones((layout.nst_group(r), desc.nr3), dtype=np.complex128)
+        blocks = [
+            np.ones((layout.nst_group(r), desc.nr3), dtype=np.complex128)
             for r in range(layout.R)
-        }
-        fw_parts = {r: scatter_fw_parts(layout, r, blocks[r]) for r in range(layout.R)}
-        planes = assemble_planes(layout, 0, [fw_parts[src][0] for src in range(layout.R)])
-        assert int(np.count_nonzero(planes[0])) == desc.sticks.nsticks
+        ]
+        fw = [scatter_fw_plan(layout, r, True) for r in range(layout.R)]
+        planes = alltoallw(fw, blocks)
+        assert fw[0].zero_fill
+        assert int(np.count_nonzero(planes[0][0])) == desc.sticks.nsticks
 
     def test_meta_mode_passthrough(self, layout):
-        parts = scatter_fw_parts(layout, 0, None)
-        assert all(isinstance(x, MetaPayload) for x in parts)
-        assert assemble_planes(layout, 0, parts) is None
-        assert assemble_group_block_from_planes(layout, 0, parts) is None
+        """Size-only plans carry the data plans' volumes and no indices."""
+        for build in (scatter_fw_plan, scatter_bw_plan):
+            meta, data = build(layout, 0, False), build(layout, 0, True)
+            assert meta.recv_shape == data.recv_shape
+            for side in ("send_blocks", "recv_blocks"):
+                for m, d in zip(getattr(meta, side), getattr(data, side)):
+                    assert m.is_meta and m.nbytes == d.nbytes
 
-    def test_shape_validation(self, desc, layout):
-        bad = [np.zeros((1, 1), dtype=np.complex128) for _ in range(layout.R)]
-        with pytest.raises(ValueError, match="expected"):
-            assemble_planes(layout, 0, bad)
-        with pytest.raises(ValueError, match="expected"):
-            assemble_group_block_from_planes(layout, 0, bad)
+    def test_shape_validation(self, layout):
+        """The conservation law the collective enforces: what ``src``
+        describes toward ``dst`` exactly fills the slots ``dst`` reserved."""
+        for build in (scatter_fw_plan, scatter_bw_plan):
+            plans = [build(layout, r, True) for r in range(layout.R)]
+            for src, plan in enumerate(plans):
+                for dst, peer in enumerate(plans):
+                    assert plan.send_blocks[dst].n_items == peer.recv_blocks[src].n_items
 
 
 class TestVofr:

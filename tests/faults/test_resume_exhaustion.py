@@ -8,6 +8,10 @@ manifest still schema-valid.  Pinned across all five executors, since
 each wires fault injection into a different pipeline shape.
 """
 
+import gc
+import sys
+import warnings
+
 import pytest
 
 from repro.core import RunConfig, run_fft_phase
@@ -57,6 +61,29 @@ class TestResumeExhaustion:
         assert manifest["failed"] is True
         assert manifest["timing"]["n_attempts"] == 3
         assert manifest["fault_report"]["recovered"] is False
+
+    def test_killed_attempts_leave_no_open_span(self, version, monkeypatch):
+        """The rank and task generators an aborted attempt kills never leave
+        their span blocks; the driver ends those spans where the attempt
+        died, so finalization sees a complete tree (no truncated-tree
+        ``RuntimeWarning``) — and collecting the dead generators later does
+        not try to end them a second time."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run(version, telemetry=True)
+        assert res.failed
+        spans = res.telemetry.spans.all()
+        assert spans and all(s.t_end is not None for s in spans)
+        assert all(s.t_begin <= s.t_end for s in spans)
+        manifest = build_manifest(res, created="(test)")
+        assert validate_manifest(manifest) == []
+        assert manifest["failed"] is True
+        assert manifest["analysis"]["unclosed_spans"] == 0
+        del res
+        gc.collect()
+        assert unraisable == []
 
 
 def test_exhaustion_is_deterministic():

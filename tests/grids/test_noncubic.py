@@ -19,54 +19,45 @@ SHEARED = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.2]])
 
 
 def run_distributed(desc, coeffs, potential, R, T):
-    """Drive the marshalling layers by hand (no simulator: numerics only)."""
+    """Drive the shipping exchange plans by hand (no simulator: numerics
+    only).  The pack layer uses the serial reference marshalling."""
+    from repro.core.redistribute import scatter_bw_plan, scatter_fw_plan
     from repro.core.wave import (
         distribute_coefficients,
         expand_group_block,
         extract_group_coefficients,
         potential_slab,
     )
-    from repro.core.scatter import (
-        assemble_group_block_from_planes,
-        assemble_planes,
-        scatter_bw_parts,
-        scatter_fw_parts,
-    )
     from repro.fft import cft_1z, cft_2xy
+    from tests.core.exchange import alltoallw
 
     layout = DistributedLayout(desc, R, T)
     per_proc = distribute_coefficients(layout, coeffs)
+    fw = [scatter_fw_plan(layout, r, True) for r in range(R)]
+    bw = [scatter_bw_plan(layout, r, True) for r in range(R)]
     out = np.zeros_like(coeffs)
-    for band_group in range(coeffs.shape[0] // T):
-        bands = [band_group * T + t for t in range(T)]
-        # Pack semantics: process (r, t) assembles band bands[t] from the
-        # *same* band's shares of every pack-group member.
-        for t in range(T):
-            groups = {}
-            for r in range(R):
-                members = [
-                    per_proc[layout.proc_of(r, tp)][bands[t]] for tp in range(T)
-                ]
-                block = expand_group_block(layout, r, members)
-                groups[r] = cft_1z(block, +1)
-            fw = {r: scatter_fw_parts(layout, r, groups[r]) for r in range(R)}
-            planes = {
-                r: assemble_planes(layout, r, [fw[src][r] for src in range(R)])
-                for r in range(R)
-            }
-            for r in range(R):
-                p = cft_2xy(planes[r], +1)
-                p *= potential_slab(layout, r, potential)
-                planes[r] = cft_2xy(p, -1)
-            bw = {r: scatter_bw_parts(layout, r, planes[r]) for r in range(R)}
-            for r in range(R):
-                block = assemble_group_block_from_planes(
-                    layout, r, [bw[src][r] for src in range(R)]
-                )
-                block = cft_1z(block, -1)
-                for tp, coeff in enumerate(extract_group_coefficients(layout, r, block)):
-                    g_idx, _sl, _iz = layout.local_g_table(layout.proc_of(r, tp))
-                    out[bands[t], g_idx] = coeff
+    for band in range(coeffs.shape[0]):
+        # Pack semantics: scatter rank r assembles the band from the shares
+        # of every pack-group member.
+        groups = [
+            cft_1z(
+                expand_group_block(
+                    layout, r, [per_proc[layout.proc_of(r, t)][band] for t in range(T)]
+                ),
+                +1,
+            )
+            for r in range(R)
+        ]
+        planes = alltoallw(fw, groups)
+        for r in range(R):
+            p = cft_2xy(planes[r], +1)
+            p *= potential_slab(layout, r, potential)
+            planes[r] = cft_2xy(p, -1)
+        for r, block in enumerate(alltoallw(bw, planes)):
+            block = cft_1z(block, -1)
+            for t, coeff in enumerate(extract_group_coefficients(layout, r, block)):
+                g_idx, _sl, _iz = layout.local_g_table(layout.proc_of(r, t))
+                out[band, g_idx] = coeff
     return out
 
 

@@ -66,7 +66,6 @@ class TestDigestSensitivity:
             "grainsize_xy": 20,
             "grainsize_z": 400,
             "decomposition": "pencil",
-            "redistribution": "packed",
         }
         for field, value in moved.items():
             variant = dataclasses.replace(base, **{field: value})
