@@ -147,7 +147,8 @@ class RunConfig:
     #: then run with it).
     tuning: str = "off"
     #: Path of the wisdom database (append-only JSONL).  ``None`` uses
-    #: :data:`repro.tuning.DEFAULT_WISDOM_PATH`.
+    #: :func:`repro.tuning.default_wisdom_path` (``$REPRO_WISDOM``, else
+    #: ``./wisdom.jsonl``).
     wisdom_path: str | None = None
     #: Per-link capacity of the inter-node fabric contention model (B/s per
     #: directed node pair), or ``None`` (default) for the aggregate-capacity
@@ -194,11 +195,12 @@ class RunConfig:
             raise ValueError(
                 f"link_capacity must be positive, got {self.link_capacity}"
             )
-        # Validate the backend name against the registry (lazy import keeps
-        # config importable without the fft package in degraded contexts).
-        # Availability is checked at engine construction, not here, so a
-        # config naming an uninstalled optional backend can still be built,
-        # serialized, and rejected with a clear error when actually run.
+        # Validate the backend name against the registry — names only: no
+        # backend module and no optional library (scipy, pyFFTW) is imported
+        # to build a config.  Availability is checked at engine
+        # construction, not here, so a config naming an uninstalled optional
+        # backend can still be built, serialized, and rejected with a clear
+        # error when actually run.
         from repro.fft.backends.registry import known_backends
 
         if self.fft_backend not in known_backends():

@@ -23,10 +23,21 @@ hypothesis property tests (linearity, Parseval, round trips); numpy's FFT is
 used nowhere in the library itself.
 """
 
+from repro._lazy import lazy_exports
 from repro.fft.goodfft import allowed_fft_order, good_fft_order
-from repro.fft.plan import Plan, get_plan
-from repro.fft.batched import cfft3d, cft_1z, cft_2xy, fft, fft2, ifft, ifft2, fwfft, invfft
-from repro.fft.realfft import irfft, rfft
+
+# The kernels load on first access: grid sizing (``goodfft``) and the
+# backend plane import this package without ever running a native kernel.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.fft.plan": ("Plan", "get_plan"),
+        "repro.fft.batched": (
+            "cfft3d", "cft_1z", "cft_2xy", "fft", "fft2", "ifft", "ifft2", "fwfft", "invfft",
+        ),
+        "repro.fft.realfft": ("irfft", "rfft"),
+    },
+)
 
 __all__ = [
     "allowed_fft_order",

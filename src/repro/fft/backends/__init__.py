@@ -7,11 +7,13 @@ Public surface:
   × AoS/SoA × complex64/complex128, QE sign/scaling conventions).
 * :func:`~repro.fft.backends.registry.get_backend` /
   ``available_backends`` / ``backend_info`` — discovery (numpy default,
-  scipy/pyFFTW auto-detected, native mixed-radix).
+  scipy/pyFFTW probed by ``find_spec`` and imported on first plan, native
+  mixed-radix).
 * :class:`~repro.fft.backends.engine.KernelEngine` — the per-run facade
   the executors call, with plan caching and multicore fan-out.
 * :class:`~repro.fft.backends.pool.KernelPool` — shared-memory process
-  pool behind ``kernel_workers>1`` for backends without internal threads.
+  pool behind ``kernel_workers>1`` for backends without internal threads
+  (``multiprocessing``/``mmap``: loaded on first access).
 
 Every backend is held numerically equivalent to the pocketfft reference by
 ``tests/fft/test_backend_conformance.py``.
@@ -26,8 +28,8 @@ from repro.fft.backends.base import (
     FftBackend,
     PlanSpec,
 )
+from repro._lazy import lazy_exports
 from repro.fft.backends.engine import KernelEngine, default_engine
-from repro.fft.backends.pool import KernelPool, KernelPoolError, shared_pool
 from repro.fft.backends.registry import (
     DEFAULT_BACKEND,
     available_backends,
@@ -36,6 +38,10 @@ from repro.fft.backends.registry import (
     known_backends,
 )
 from repro.fft.backends.soa import from_soa, to_soa
+
+__getattr__ = lazy_exports(
+    __name__, {"repro.fft.backends.pool": ("KernelPool", "KernelPoolError", "shared_pool")}
+)
 
 __all__ = [
     "KINDS",

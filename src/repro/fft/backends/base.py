@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import importlib.util
 
 import numpy as np
 
@@ -60,6 +61,7 @@ __all__ = [
     "BackendUnavailableError",
     "PlanSpec",
     "FftBackend",
+    "LibraryBackend",
     "complex_dtype_of",
     "real_dtype_of",
     "result_shape",
@@ -236,3 +238,69 @@ class FftBackend(abc.ABC):
             "layouts": list(LAYOUTS),
             "supports_workers": self.supports_workers,
         }
+
+
+class LibraryBackend(FftBackend):
+    """A backend over an optional third-party library.
+
+    Naming the backend — config validation, ``--fft-backend``, building a
+    :class:`~repro.fft.backends.engine.KernelEngine` — never imports the
+    library: :meth:`availability` probes with ``importlib.util.find_spec``.
+    The import happens in :meth:`load`, on the first ``plan()``.  A library
+    that is found but fails to import is reported there as a
+    :class:`BackendUnavailableError` naming the import error, and by
+    :meth:`availability` from then on.
+    """
+
+    #: Top-level import name of the library.
+    library: str = "?"
+
+    def __init__(self) -> None:
+        self._loaded: tuple | None = None  # (what _import returned, version note)
+        self._import_error: str | None = None
+
+    @abc.abstractmethod
+    def _import(self) -> tuple:
+        """Import the library; return ``(handle, version note)`` — the
+        handle is whatever :meth:`_plan_aos` needs from it."""
+
+    def availability(self) -> tuple[bool, str]:
+        if self._loaded is not None:
+            return True, self._loaded[1]
+        if self._import_error is not None:
+            return False, self._import_error
+        try:
+            found = importlib.util.find_spec(self.library) is not None
+        except (ImportError, ValueError) as exc:
+            return False, f"{self.library} cannot be imported: {exc}"
+        if not found:
+            return False, f"{self.library} is not installed"
+        return True, f"{self.library} (found; imported on first plan)"
+
+    def load(self):
+        """Import the library (once) and return its handle."""
+        if self._loaded is None:
+            available, note = self.availability()
+            if not available:
+                raise BackendUnavailableError(
+                    f"fft backend {self.name!r} is not available: {note}"
+                )
+            try:
+                self._loaded = self._import()
+            except Exception as exc:  # a broken install can raise anything
+                self._import_error = (
+                    f"{self.library} failed to import: {type(exc).__name__}: {exc}"
+                )
+                raise BackendUnavailableError(
+                    f"fft backend {self.name!r} is not available: {self._import_error}"
+                ) from exc
+        return self._loaded[0]
+
+    def describe(self) -> dict:
+        """The row with the library really imported: its version, or the
+        reason it cannot be used."""
+        try:
+            self.load()
+        except BackendUnavailableError:
+            pass
+        return super().describe()

@@ -1,4 +1,4 @@
-"""Optional pyFFTW backend (FFTW3 bindings), auto-detected at import.
+"""Optional pyFFTW backend (FFTW3 bindings), imported on the first plan.
 
 FFTW is the performance reference of the source paper's era and the
 backend the RISC-V FFTW study (PAPERS.md) identifies as the dominant
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fft.backends.base import (
-    FftBackend,
+    LibraryBackend,
     PlanSpec,
     check_input,
     complex_dtype_of,
@@ -26,27 +26,23 @@ from repro.fft.backends.base import (
     real_dtype_of,
 )
 
-try:  # gated optional dependency — absent in this container
-    import pyfftw
-    from pyfftw.interfaces import numpy_fft as _wfft
-
-    pyfftw.interfaces.cache.enable()
-    _PYFFTW_NOTE = f"pyfftw {pyfftw.__version__} (FFTW3)"
-except ImportError:
-    _wfft = None
-    _PYFFTW_NOTE = "pyfftw is not installed"
-
 __all__ = ["PyfftwBackend"]
 
 
-class PyfftwBackend(FftBackend):
+class PyfftwBackend(LibraryBackend):
     name = "pyfftw"
+    library = "pyfftw"
     supports_workers = True
 
-    def availability(self) -> tuple[bool, str]:
-        return _wfft is not None, _PYFFTW_NOTE
+    def _import(self) -> tuple:  # pragma: no cover - needs pyfftw
+        import pyfftw
+        from pyfftw.interfaces import numpy_fft
+
+        pyfftw.interfaces.cache.enable()
+        return numpy_fft, f"pyfftw {pyfftw.__version__} (FFTW3)"
 
     def _plan_aos(self, spec: PlanSpec):  # pragma: no cover - needs pyfftw
+        _wfft = self.load()
         cplx = complex_dtype_of(spec)
 
         if spec.kind == "rfft":

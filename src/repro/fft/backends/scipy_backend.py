@@ -7,8 +7,10 @@ crosses a process boundary.  Batch rows are computed independently, so
 ``workers=N`` output is byte-identical to single-threaded output (pinned
 by ``tests/core/test_kernel_workers.py``).
 
-The module import is gated: when scipy is missing the backend reports
-unavailable with a reason and the conformance suite skips it cleanly.
+scipy is imported on the first ``plan()``
+(:class:`~repro.fft.backends.base.LibraryBackend`): when it is missing or
+broken the backend reports unavailable with the reason and the conformance
+suite skips it cleanly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fft.backends.base import (
-    FftBackend,
+    LibraryBackend,
     PlanSpec,
     check_input,
     complex_dtype_of,
@@ -24,26 +26,22 @@ from repro.fft.backends.base import (
     real_dtype_of,
 )
 
-try:  # gated optional dependency — never a hard import error
-    import scipy
-    import scipy.fft as _sfft
-
-    _SCIPY_NOTE = f"scipy {scipy.__version__} (pocketfft, workers=)"
-except ImportError:  # pragma: no cover - exercised in the numpy-only CI env
-    _sfft = None
-    _SCIPY_NOTE = "scipy is not installed"
-
 __all__ = ["ScipyBackend"]
 
 
-class ScipyBackend(FftBackend):
+class ScipyBackend(LibraryBackend):
     name = "scipy"
+    library = "scipy"
     supports_workers = True
 
-    def availability(self) -> tuple[bool, str]:
-        return _sfft is not None, _SCIPY_NOTE
+    def _import(self) -> tuple:
+        import scipy
+        import scipy.fft
+
+        return scipy.fft, f"scipy {scipy.__version__} (pocketfft, workers=)"
 
     def _plan_aos(self, spec: PlanSpec):
+        _sfft = self.load()
         cplx = complex_dtype_of(spec)
 
         if spec.kind == "rfft":

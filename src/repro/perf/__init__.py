@@ -21,31 +21,42 @@ This package reproduces that workflow against the simulator:
   series the experiments print.
 """
 
-from repro.perf.tracer import Trace, Tracer, trace_run
-from repro.perf.popmodel import (
-    BaseMetrics,
-    FactorSet,
-    RunAggregates,
-    factors_from_aggregates,
-    factors_from_run,
-    ideal_network,
-)
-from repro.perf.timeline import (
-    communicator_structure,
-    ipc_histogram,
-    mpi_intervals,
-    phase_intervals,
-    phase_summary,
-)
-from repro.perf.paraver import read_prv, write_prv
-from repro.perf.report import format_factor_table, format_series
-from repro.perf.whatif import runtime_attribution, whatif_sweep
-from repro.perf.compare import (
-    compare_runs,
-    diff_manifests,
-    format_manifest_diff,
-    format_run_comparison,
-    manifest_regressions,
+from repro._lazy import lazy_exports
+
+# Submodules load on first access: ``compare``/``timeline``/``paraver`` read
+# recorded data only, while ``tracer``/``popmodel``/``whatif`` run the
+# simulator (``repro.core``, numpy) — ``analyze`` and ``perf diff|check``
+# must not pay for those.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.perf.tracer": ("Trace", "Tracer", "trace_run"),
+        "repro.perf.popmodel": (
+            "BaseMetrics",
+            "FactorSet",
+            "RunAggregates",
+            "factors_from_aggregates",
+            "factors_from_run",
+            "ideal_network",
+        ),
+        "repro.perf.timeline": (
+            "communicator_structure",
+            "ipc_histogram",
+            "mpi_intervals",
+            "phase_intervals",
+            "phase_summary",
+        ),
+        "repro.perf.paraver": ("read_prv", "write_prv"),
+        "repro.perf.report": ("format_factor_table", "format_series"),
+        "repro.perf.whatif": ("runtime_attribution", "whatif_sweep"),
+        "repro.perf.compare": (
+            "compare_runs",
+            "diff_manifests",
+            "format_manifest_diff",
+            "format_run_comparison",
+            "manifest_regressions",
+        ),
+    },
 )
 
 __all__ = [

@@ -23,8 +23,8 @@ import dataclasses
 import typing as _t
 
 from repro.perf.timeline import phase_summary
-from repro.perf.tracer import Trace
 from repro.telemetry.layers import comm_layer
+from repro.telemetry.trace import Trace
 
 __all__ = [
     "PhaseDelta",

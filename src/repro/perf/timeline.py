@@ -1,6 +1,6 @@
 """Timeline and histogram extraction (the Paraver views of Figs. 3 and 7).
 
-These functions turn a :class:`~repro.perf.tracer.Trace` into the data
+These functions turn a :class:`~repro.telemetry.trace.Trace` into the data
 behind the paper's figures:
 
 * :func:`phase_intervals` — the compute-phase timeline (stream, phase,
@@ -21,9 +21,10 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-import numpy as np
+from repro.telemetry.trace import Trace
 
-from repro.perf.tracer import Trace
+if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "PhaseInterval",
@@ -130,6 +131,10 @@ def ipc_histogram(
     stream ``streams[i]`` spent in phases whose average IPC falls in bin
     ``j``.  ``phases`` restricts to a subset (e.g. the main compute phase).
     """
+    # The only numpy user here; manifest diffing imports this module for
+    # ``phase_summary`` and must stay numpy-free.
+    import numpy as np
+
     streams = trace.streams
     index = {s: i for i, s in enumerate(streams)}
     edges = np.linspace(ipc_range[0], ipc_range[1], bins + 1)

@@ -113,7 +113,7 @@ class Histogram:
 class _Family:
     """All series of one metric name (shared kind and help text)."""
 
-    __slots__ = ("name", "kind", "help", "series", "buckets")
+    __slots__ = ("name", "kind", "help", "series", "buckets", "memo")
 
     def __init__(self, name: str, kind: str, help: str, buckets: _t.Sequence[float]):
         self.name = name
@@ -121,6 +121,30 @@ class _Family:
         self.help = help
         self.series: dict[LabelKey, _t.Any] = {}
         self.buckets = tuple(buckets)
+        #: ``tuple(labels.items())`` as a call site passed them -> series, so
+        #: the sort + ``str()`` of :func:`_label_key` runs once per series
+        #: and call-site spelling, not once per update.
+        self.memo: dict[tuple, _t.Any] = {}
+
+    def resolve(self, labels: dict[str, _t.Any]) -> _t.Any:
+        """Get or create the series for ``labels``."""
+        raw = tuple(labels.items())
+        try:
+            series = self.memo.get(raw)
+        except TypeError:  # unhashable label value: resolved every time
+            raw = series = None
+        if series is None:
+            key = _label_key(labels)
+            series = self.series.get(key)
+            if series is None:
+                series = self.series[key] = (
+                    Histogram(self.buckets)
+                    if self.kind == "histogram"
+                    else (Counter() if self.kind == "counter" else Gauge())
+                )
+            if raw is not None:
+                self.memo[raw] = series
+        return series
 
 
 class MetricsRegistry:
@@ -149,21 +173,11 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "", /, **labels: _t.Any) -> Counter:
         """Get or create the counter series for ``name{labels}``."""
-        fam = self._family(name, "counter", help, ())
-        key = _label_key(labels)
-        series = fam.series.get(key)
-        if series is None:
-            series = fam.series[key] = Counter()
-        return series
+        return self._family(name, "counter", help, ()).resolve(labels)
 
     def gauge(self, name: str, help: str = "", /, **labels: _t.Any) -> Gauge:
         """Get or create the gauge series for ``name{labels}``."""
-        fam = self._family(name, "gauge", help, ())
-        key = _label_key(labels)
-        series = fam.series.get(key)
-        if series is None:
-            series = fam.series[key] = Gauge()
-        return series
+        return self._family(name, "gauge", help, ()).resolve(labels)
 
     def histogram(
         self,
@@ -174,12 +188,7 @@ class MetricsRegistry:
         **labels: _t.Any,
     ) -> Histogram:
         """Get or create the histogram series for ``name{labels}``."""
-        fam = self._family(name, "histogram", help, buckets)
-        key = _label_key(labels)
-        series = fam.series.get(key)
-        if series is None:
-            series = fam.series[key] = Histogram(fam.buckets)
-        return series
+        return self._family(name, "histogram", help, buckets).resolve(labels)
 
     # -- one-shot conveniences (the instrumented call sites use these) -------
 

@@ -70,6 +70,24 @@ class TestRegistry:
         assert reg.value("mpi.calls", call="barrier", comm="world") == 1.0
         assert reg.total("mpi.calls") == 3.0
 
+    def test_series_identity_ignores_label_spelling(self):
+        """The per-family memo is keyed by the labels as passed; every
+        spelling of one label set (kwarg order, int vs its string) must
+        still land on the one series the sorted/stringified key names."""
+        reg = MetricsRegistry()
+        reg.count("mpi.calls", 1, call="alltoall", rank=3)
+        reg.count("mpi.calls", 1, rank=3, call="alltoall")
+        reg.count("mpi.calls", 1, rank="3", call="alltoall")
+        reg.count("mpi.calls", 1, call="alltoall", rank=3)  # memo hit
+        assert reg.value("mpi.calls", call="alltoall", rank=3) == 4.0
+        assert len(reg.snapshot()["mpi.calls"]["series"]) == 1
+
+    def test_unhashable_label_value_still_resolves(self):
+        reg = MetricsRegistry()
+        reg.count("x", 1, where=["a", "b"])
+        reg.count("x", 1, where=["a", "b"])
+        assert reg.value("x", where="['a', 'b']") == 2.0
+
     def test_label_named_name_is_legal(self):
         # The one-shot methods take their own parameters positionally, so a
         # label called "name" (the OmpSs task-kind label) must not collide.

@@ -1,0 +1,256 @@
+"""Cold start pays only for what the command uses — pinned per subcommand.
+
+Every check runs in a fresh interpreter (``sys.modules`` of the test
+process says nothing about a cold start) and asserts on the module set a
+command leaves behind:
+
+* ``run`` never loads scipy, ``multiprocessing``, ``asyncio`` or the
+  experiment / sweep / service / tuning / qe packages;
+* ``analyze`` and ``perf validate`` read JSON: no numpy, no simulator;
+* ``--help`` loads the parser and nothing else;
+* naming an optional FFT backend (config validation, ``get_backend``)
+  imports no library; a blocked or broken library surfaces as a reason,
+  never as a traceback.
+
+``python tests/test_import_budget.py`` prints the module counts as a
+markdown table (the CI ``cold-start`` job's summary).
+"""
+
+import importlib
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
+REPO = str(pathlib.Path(__file__).resolve().parents[1])
+
+QUICK_RUN = ["run", "--quick", "--ranks", "2", "--taskgroups", "2"]
+
+#: Budgets on ``repro.*`` modules (measured: run --help 4, analyze 19; the
+#: parent commit loaded 102 and 108).
+HELP_BUDGET = 15
+OFFLINE_BUDGET = 25
+
+_PROBE = """
+import io, json, sys
+from repro.cli import main
+out, err = io.StringIO(), io.StringIO()
+real = sys.stdout, sys.stderr
+sys.stdout, sys.stderr = out, err
+try:
+    try:
+        rc = main({argv!r})
+    except SystemExit as exc:
+        rc = exc.code
+finally:
+    sys.stdout, sys.stderr = real
+print(json.dumps({{"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                  "modules": sorted(sys.modules)}}))
+"""
+
+
+def fresh(code: str, extra_path: str | None = None) -> str:
+    """Run ``code`` in a fresh interpreter (cwd = repo root); its stdout."""
+    paths = [p for p in (extra_path, SRC, REPO) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def probe(argv: list[str], extra_path: str | None = None) -> dict:
+    """``main(argv)`` in a fresh interpreter: rc, captured output, modules."""
+    out = fresh(_PROBE.format(argv=argv), extra_path)
+    return json.loads(out.splitlines()[-1])
+
+
+def loaded(modules: list[str], *roots: str) -> list[str]:
+    """The members of ``modules`` at or below any of ``roots``."""
+    return [m for m in modules if any(m == r or m.startswith(r + ".") for r in roots)]
+
+
+@pytest.fixture(scope="module")
+def run_probe(tmp_path_factory) -> tuple[dict, str]:
+    manifest = str(tmp_path_factory.mktemp("budget") / "run.json")
+    return probe(QUICK_RUN + ["--manifest", manifest]), manifest
+
+
+class TestCommandBudgets:
+    def test_run_loads_only_the_simulator(self, run_probe):
+        result, _manifest = run_probe
+        assert result["rc"] == 0, result["stderr"]
+        unwanted = loaded(
+            result["modules"], "scipy", "multiprocessing", "asyncio",
+            "repro.experiments", "repro.sweep", "repro.service", "repro.qe",
+            "repro.tuning",
+        )
+        assert unwanted == []
+
+    @pytest.mark.parametrize("command", [["analyze"], ["perf", "validate"]])
+    def test_offline_commands_load_no_numpy_and_no_simulator(self, run_probe, command):
+        _result, manifest = run_probe
+        result = probe(command + [manifest])
+        assert result["rc"] == 0, result["stderr"]
+        unwanted = loaded(
+            result["modules"], "numpy", "repro.core", "repro.mpisim",
+            "repro.machine", "repro.fft", "repro.grids",
+        )
+        assert unwanted == []
+        assert len(loaded(result["modules"], "repro")) <= OFFLINE_BUDGET
+
+    def test_help_loads_the_parser_and_nothing_else(self):
+        result = probe(["run", "--help"])
+        assert result["rc"] == 0
+        assert result["stdout"].startswith("usage: fftxlib-repro run")
+        assert loaded(result["modules"], "numpy") == []
+        assert len(loaded(result["modules"], "repro")) <= HELP_BUDGET
+
+    def test_both_entry_points_run(self):
+        """``python -m repro`` and the ``fftxlib-repro`` script target."""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        for cmd in (
+            [sys.executable, "-m", "repro", "list"],
+            [sys.executable, "-c", "import sys; from repro.cli import main; sys.exit(main())", "list"],
+        ):
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.startswith("fig2 ")
+
+    def test_parser_versions_match_the_config(self):
+        from repro.cli.parser import VERSIONS
+        from repro.core.config import VERSIONS as CONFIG_VERSIONS
+
+        assert VERSIONS == CONFIG_VERSIONS
+
+
+class TestLazyBackends:
+    def test_naming_a_backend_imports_no_library(self):
+        out = fresh(
+            "import sys\n"
+            "from repro.core import RunConfig\n"
+            "from repro.fft.backends import get_backend, known_backends\n"
+            "RunConfig(); RunConfig(fft_backend='scipy')\n"
+            "assert 'scipy' in known_backends()\n"
+            "backend = get_backend('scipy', require_available=False)\n"
+            "print(sorted(m for m in ('scipy', 'pyfftw', 'multiprocessing', 'repro.fft.batched')\n"
+            "             if m in sys.modules))\n"
+        )
+        assert out.strip() == "[]"
+
+    def test_plan_imports_the_library(self):
+        pytest.importorskip("scipy")
+        out = fresh(
+            "import sys\n"
+            "from repro.fft.backends import get_backend\n"
+            "backend = get_backend('scipy')\n"
+            "before = 'scipy' in sys.modules\n"
+            "backend.plan('c2c_1d', (4, 8))\n"
+            "print(before, 'scipy.fft' in sys.modules, backend.availability()[1])\n"
+        )
+        assert out.startswith("False True scipy ")
+
+    def test_blocked_library_is_unavailable_with_a_reason(self):
+        """A meta-path finder refusing ``scipy``: the probe reports the
+        reason and the conformance suite's gate turns it into a skip."""
+        out = fresh(
+            "import sys\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError('scipy blocked for this test')\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "import pytest\n"
+            "from repro.fft.backends import available_backends, get_backend\n"
+            "from tests.fft.test_backend_conformance import _require\n"
+            "print(get_backend('scipy', require_available=False).availability())\n"
+            "print('scipy' in available_backends())\n"
+            "try:\n"
+            "    _require('scipy')\n"
+            "except pytest.skip.Exception as exc:\n"
+            "    print('SKIP', exc)\n"
+        )
+        probe_line, listed, skip = out.strip().splitlines()
+        assert probe_line == "(False, 'scipy cannot be imported: scipy blocked for this test')"
+        assert listed == "False"
+        assert skip.startswith("SKIP") and "scipy blocked for this test" in skip
+
+    def test_broken_install_is_an_error_line_never_a_traceback(self, tmp_path):
+        """``find_spec`` finds the package, importing it fails: reported at
+        the first ``plan()``, as a row of ``backends``, and by ``run``."""
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text(
+            "raise OSError('libfoo.so: cannot open shared object file')\n"
+        )
+        reason = "scipy failed to import: OSError: libfoo.so: cannot open shared object file"
+
+        out = fresh(
+            "from repro.fft.backends import BackendUnavailableError, get_backend\n"
+            "backend = get_backend('scipy')\n"  # probe only: still looks installed
+            "try:\n"
+            "    backend.plan('c2c_1d', (4, 8))\n"
+            "except BackendUnavailableError as exc:\n"
+            "    print(exc)\n"
+            "print(backend.availability())\n",
+            extra_path=str(tmp_path),
+        )
+        first, second = out.strip().splitlines()
+        assert first == f"fft backend 'scipy' is not available: {reason}"
+        assert second == repr((False, reason))
+
+        listing = probe(["backends"], extra_path=str(tmp_path))
+        assert listing["rc"] == 0 and listing["stderr"] == ""
+        assert f"scipy    unavailable  {reason}" in listing["stdout"]
+        assert "numpy    available" in listing["stdout"]
+
+        run = probe(
+            QUICK_RUN + ["--validate", "--fft-backend", "scipy"], extra_path=str(tmp_path)
+        )
+        assert run["rc"] == 2
+        assert run["stderr"] == f"error: fft backend 'scipy' is not available: {reason}\n"
+
+
+def test_ledger_targets_are_plain_module_attributes():
+    """``benchmarks/e2e/ledger.py`` patches ``vars(owner)[attr]`` after a
+    plain import, so no target may hide behind a lazy ``__getattr__``."""
+    spec = importlib.util.spec_from_file_location(
+        "_e2e_ledger", os.path.join(REPO, "benchmarks", "e2e", "ledger.py")
+    )
+    ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ledger)
+    for _name, path, _layer in ledger.TARGETS:
+        module, attr_path = path.split(":")
+        owner = importlib.import_module(module)
+        *parents, attr = attr_path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), path
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = os.path.join(tmp, "run.json")
+        rows = [
+            ("run --help", probe(["run", "--help"])),
+            ("run --quick 2x2 --manifest", probe(QUICK_RUN + ["--manifest", manifest])),
+            ("analyze", probe(["analyze", manifest])),
+        ]
+    print("| command | repro.* modules | all modules | numpy | scipy |")
+    print("| --- | ---: | ---: | --- | --- |")
+    for label, result in rows:
+        mods = result["modules"]
+        print(
+            f"| `{label}` | {len(loaded(mods, 'repro'))} | {len(mods)} "
+            f"| {'yes' if 'numpy' in mods else 'no'} | {'yes' if 'scipy' in mods else 'no'} |"
+        )
