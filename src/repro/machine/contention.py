@@ -30,28 +30,39 @@ Hot-path engine
 ---------------
 The allocator implements the fluid engine's batch protocol (``prepare`` /
 ``allocate_batch``).  ``prepare`` interns each task's contention-relevant
-statics — ``(ipc0, bytes_per_instr, core, node)`` — into a small integer
-*signature id* once, at submit time.  ``allocate_batch`` then works purely on
-the active set's signature-id array:
+statics — ``(ipc0, bytes_per_instr, core, node)`` — into small integer ids
+once, at submit time, and mirrors the physics of each id (issue ceiling,
+bandwidth demand, traffic intensity) in plain lists.  The base rates
+(everything except the per-execution ``speed`` factor, a pure
+post-multiplier) depend only on the *composition* of the active set: core
+identity is irrelevant — a task's rate is determined by its phase profile,
+the number of active hyper-threads *on its own core*, its node, and the
+demand multiset of everyone else.  That is what makes the steady-state
+64-thread phase mix recur thousands of times per run even as tasks hop
+between cores, and it is what the memo is keyed on:
 
-* the base rates (everything except the per-execution ``speed`` factor, a
-  pure post-multiplier) depend only on the *composition* of the active set.
-  Core identity is irrelevant — a task's rate is determined by its phase
-  profile, the number of active hyper-threads *on its own core*, its node,
-  and the demand multiset of everyone else — so the memo key is the sorted
-  array of packed ``(profile, core-occupancy, node)`` codes.  That is what
-  makes the steady-state 64-thread phase mix recur thousands of times per
-  run even as tasks hop between cores;
-* a cache miss computes the rates per *unique* code with the numpy
-  sort+cumsum water filling of :func:`waterfill_vec` (tasks sharing a code
-  provably receive equal grants under max-min fairness, so the per-code
-  result scatters back to tasks by one ``searchsorted``).
+* while no core runs two hyper-threads (tracked by the engine's
+  attach/detach hooks) the composition is the count vector over interned
+  ids, maintained incrementally by the same hooks — the memo key is that
+  tuple, and a rebalance that hits touches no task metadata at all.  A miss
+  prices at most :data:`_SCALAR_MAX_GROUPS` present ids in three short
+  scalar passes per node over the per-id lists, walking two *static*
+  orders (by packed code, and stably by demand) instead of sorting per
+  miss;
+* with shared cores the key is the sorted array of packed
+  ``(profile, core-occupancy, node)`` codes, and a miss runs per *unique*
+  code through :func:`waterfill_vec` or its scalar twin (tasks sharing a
+  code provably receive equal grants under max-min fairness).
+
+Every path sums in packed-code order and cumulates in stable demand order,
+so all of them agree to the last bit and the memo is path-independent.
 
 Cache hits/misses are exported via :meth:`cache_info` into run manifests.
 """
 
 from __future__ import annotations
 
+import math
 import typing as _t
 
 import numpy as np
@@ -60,7 +71,12 @@ from repro.machine.phases import PhaseProfile
 from repro.machine.topology import HwThread
 from repro.simkit.fluid import FluidTask
 
-__all__ = ["BandwidthContentionAllocator", "waterfill", "waterfill_vec"]
+__all__ = [
+    "BandwidthContentionAllocator",
+    "waterfill",
+    "waterfill_scalar",
+    "waterfill_vec",
+]
 
 #: Numerical slack for the water-filling fixpoint.
 _EPS = 1e-12
@@ -165,14 +181,17 @@ def waterfill_vec(
 _SCALAR_MAX_GROUPS = 7
 
 
-def _waterfill_scalar(
+def waterfill_scalar(
     demands: list[float], capacity: float, weights: list[int]
 ) -> list[float]:
-    """Scalar transcription of :func:`waterfill_vec` for tiny inputs.
+    """Scalar transcription of :func:`waterfill_vec` over weighted groups.
 
     Bit-identical to the vectorized version for fewer than 8 demand groups
     (see :data:`_SCALAR_MAX_GROUPS`); every sum runs in the same sequential
     order and the sort is stable, mirroring ``argsort(kind="stable")``.
+    Beyond that only the over-subscription test's total can differ in its
+    last bits (numpy sums 8+ elements pairwise); the water level is
+    cumulated sequentially by both.
     """
     m = len(demands)
     total = 0.0
@@ -262,23 +281,31 @@ class BandwidthContentionAllocator:
         # contiguous id, with the decoded physics (issue ceiling, bandwidth
         # demand, traffic intensity, node) mirrored per id.  On the
         # no-hyper-threading fast path a composition is then just the count
-        # vector over dense ids — one bincount — and a cache miss prices the
-        # present groups without re-decoding any code.
+        # vector over dense ids, and a cache miss prices the present groups
+        # without re-decoding any code.
         self._dense_ids: dict[int, int] = {}
         self._dense_code_l: list[int] = []
         self._dense_ceiling_l: list[float] = []
         self._dense_demand_l: list[float] = []
         self._dense_bpi_l: list[float] = []
         self._dense_node_l: list[int] = []
-        # Count-vector memo of the dense fast path: counts bytes -> base
+        # The two static walks of a dense miss, per node (nodes are
+        # independent contention domains), rebuilt when an id is interned (a
+        # handful of times per run): the node's dense ids by packed code —
+        # the summation order of every pricing path — and stably by demand
+        # on top of that, which is the order a per-miss stable sort of the
+        # present groups would produce.
+        self._dense_walks: dict[int, tuple[list[int], list[int]]] = {}
+        # Count-vector memo of the dense fast path: counts tuple -> base
         # rate per dense id.  Kept separate from the sorted-code memo (the
         # entry formats differ); both report into the same hit/miss counters.
-        self._dense_cache: dict[bytes, np.ndarray] = {}
-        # Incremental core occupancy, fed by the fluid engine's attach/detach
-        # notifications: active-task count per core id, plus the number of
-        # cores currently running more than one hyper-thread.  While that
-        # number is zero every occupancy is 1 and the rebalance hot path can
-        # skip the per-batch bincount entirely.
+        self._dense_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # Incremental composition, fed by the fluid engine's attach/detach
+        # notifications: active-task count per dense id and per core id, plus
+        # the number of cores currently running more than one hyper-thread.
+        # While that number is zero every occupancy is 1 and the count vector
+        # *is* the composition.
+        self._dense_counts: list[int] = []
         self._core_occ: dict[int, int] = {}
         self._multi_cores = 0
         # Composition memo: sorted packed-code bytes ->
@@ -312,10 +339,11 @@ class BandwidthContentionAllocator:
     #: occupancy slot (bits 12..23) is pre-filled with the single-occupancy
     #: value; rebalances that do see shared cores add the occupancy *excess*
     #: per task and fall back to the sorted-code memo.  The fourth field is
-    #: the dense intern of the packed code, which the no-hyper-threading
-    #: fast path bincounts straight into its composition key.  The fluid
-    #: resource stores records as rows of one float array and hands
-    #: :meth:`allocate_batch` an ``(n, 4)`` view — no per-task iteration.
+    #: the dense intern of the packed code: the attach/detach hooks count
+    #: it into the composition key, and the no-hyper-threading fast path
+    #: indexes the memoized rates with it.  The fluid resource stores
+    #: records as rows of one float array and hands :meth:`allocate_batch`
+    #: an ``(n, 4)`` view — no per-task iteration.
     static_width = 4
 
     def prepare(self, task: FluidTask) -> tuple[int, int, float, int]:
@@ -355,10 +383,18 @@ class BandwidthContentionAllocator:
             self._dense_demand_l.append(ceiling * profile.bytes_per_instr)
             self._dense_bpi_l.append(profile.bytes_per_instr)
             self._dense_node_l.append(thread.node)
+            self._dense_counts.append(0)
+            by_code = sorted(
+                (d for d, node in enumerate(self._dense_node_l) if node == thread.node),
+                key=self._dense_code_l.__getitem__,
+            )
+            by_demand = sorted(by_code, key=self._dense_demand_l.__getitem__)
+            self._dense_walks[thread.node] = (by_code, by_demand)
         return (code, core_id, meta.get("speed", 1.0), did)
 
     def notify_attach(self, static: "np.ndarray | tuple") -> None:
         """Track a task entering the active set (fluid-engine hook)."""
+        self._dense_counts[int(static[3])] += 1
         core = int(static[1])
         occ = self._core_occ
         c = occ.get(core, 0) + 1
@@ -368,6 +404,7 @@ class BandwidthContentionAllocator:
 
     def notify_detach(self, static: "np.ndarray | tuple") -> None:
         """Track a task leaving the active set (fluid-engine hook)."""
+        self._dense_counts[int(static[3])] -= 1
         core = int(static[1])
         occ = self._core_occ
         c = occ[core] - 1
@@ -381,11 +418,11 @@ class BandwidthContentionAllocator:
     def allocate_batch(self, statics: "np.ndarray | _t.Sequence") -> np.ndarray:
         """Instruction rates for the active set's static records (in order).
 
-        ``statics`` is the resource's ``(n, 3)`` record array (or any
+        ``statics`` is the resource's ``(n, 4)`` record array (or any
         sequence of ``prepare`` tuples — the scalar path delegates here).
         Callers other than the fluid engine must route attach/detach
-        notifications (or use :meth:`allocate`, which does): the occupancy
-        fast path below trusts the incremental per-core counts.
+        notifications (or use :meth:`allocate`, which does): the fast path
+        below trusts the incremental composition to describe ``statics``.
         """
         n = len(statics)
         if n == 0:
@@ -423,10 +460,9 @@ class BandwidthContentionAllocator:
         # No core runs more than one active task (tracked incrementally by
         # the attach/detach hooks): every occupancy is 1, already baked into
         # the static codes, and the composition is just the count vector
-        # over dense code ids — no sort, and rate lookup is direct indexing.
-        dense = arr[:, 3].astype(np.intp)
-        counts = np.bincount(dense, minlength=len(self._dense_code_l))
-        key = counts.tobytes()
+        # over dense code ids the same hooks maintain — no sort, no pass
+        # over the tasks, and rate lookup is direct indexing.
+        key = tuple(self._dense_counts)
         cache = self._dense_cache
         base = cache.get(key)
         if base is None:
@@ -434,11 +470,11 @@ class BandwidthContentionAllocator:
             if len(cache) >= _CACHE_LIMIT:
                 cache.clear()
                 self.cache_evictions += 1
-            base = self._base_rates_dense(counts)
+            base = self._base_rates_dense(key)
             cache[key] = base
         else:
             self.cache_hits += 1
-        return base[dense] * arr[:, 2]
+        return base[arr[:, 3].astype(np.intp)] * arr[:, 2]
 
     def _base_rates(self, sorted_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Speed-independent rate per packed code for one composition.
@@ -517,74 +553,84 @@ class BandwidthContentionAllocator:
         )
         return uniq, rates
 
-    def _base_rates_dense(self, counts: np.ndarray) -> np.ndarray:
+    def _base_rates_dense(self, counts: tuple[int, ...]) -> np.ndarray:
         """Base rate per dense code id for one single-occupancy composition.
 
         ``counts`` is the count vector over dense ids (zeros for absent
-        codes).  The physics per id was precomputed at intern time, so a
-        miss only selects the present groups — in *code order*, matching
-        the sorted-code paths' summation sequence bit for bit — and runs
-        the water filling.  Returns a rate array indexed by dense id.
+        codes).  The physics per id was precomputed at intern time and the
+        walks are static, so a miss is three scalar passes over the present
+        ids of each node: totals in *code order* (the summation sequence of
+        every pricing path), the water level in *stable demand order* (the
+        sequence :func:`waterfill_scalar` sorts its groups into), then the
+        rates — operation for operation the arithmetic of
+        :func:`waterfill_scalar` behind :meth:`_base_rates_scalar`, hence
+        bit-identical to it.  Compositions beyond the scalar group limit
+        price through :meth:`_base_rates_groups`.  Returns a rate array
+        indexed by dense id.
         """
-        active = counts.nonzero()[0].tolist()
-        code_l = self._dense_code_l
-        active.sort(key=code_l.__getitem__)
-        m = len(active)
-        counts_l = counts.tolist()
-        base = np.zeros(len(counts_l))
-        if m > _SCALAR_MAX_GROUPS:
+        if len(counts) - counts.count(0) > _SCALAR_MAX_GROUPS:
+            code_l = self._dense_code_l
+            active = sorted(
+                (d for d, w in enumerate(counts) if w), key=code_l.__getitem__
+            )
             uniq = np.array([code_l[d] for d in active], dtype=np.int64)
-            weights = np.array([counts_l[d] for d in active], dtype=np.int64)
-            _, rates = self._base_rates_groups(uniq, weights)
-            base[active] = rates
+            weights = np.array([counts[d] for d in active], dtype=np.int64)
+            base = np.zeros(len(counts))
+            base[active] = self._base_rates_groups(uniq, weights)[1]
             return base
-        ceiling_l = self._dense_ceiling_l
         demand_l = self._dense_demand_l
+        ceiling_l = self._dense_ceiling_l
         bpi_l = self._dense_bpi_l
-        node_l = self._dense_node_l
-        demands = [demand_l[d] for d in active]
-        weights = [counts_l[d] for d in active]
-        nodes = [node_l[d] for d in active]
-        node_set = set(nodes)
-        if len(node_set) == 1:
-            n_demanding = 0
-            for j in range(m):
-                if demands[j] > 0.0:
-                    n_demanding += weights[j]
-            grants = _waterfill_scalar(
-                demands, self.effective_capacity(n_demanding), weights
-            )
-            for j, d in enumerate(active):
-                bpi_j = bpi_l[d]
-                if bpi_j <= 0.0:
-                    base[d] = ceiling_l[d]
-                else:
-                    base[d] = min(ceiling_l[d], grants[j] / bpi_j)
-            return base
-        for nd in sorted(node_set):
-            idx = [j for j in range(m) if nodes[j] == nd]
-            n_demanding = 0
-            for j in idx:
-                if demands[j] > 0.0:
-                    n_demanding += weights[j]
-            grants = _waterfill_scalar(
-                [demands[j] for j in idx],
-                self.effective_capacity(n_demanding),
-                [weights[j] for j in idx],
-            )
-            for g, j in zip(grants, idx):
-                d = active[j]
-                bpi_j = bpi_l[d]
-                if bpi_j <= 0.0:
-                    base[d] = ceiling_l[d]
-                else:
-                    base[d] = min(ceiling_l[d], g / bpi_j)
-        return base
+        base = [0.0] * len(counts)
+        for by_code, by_demand in self._dense_walks.values():
+            n_tasks = n_demanding = 0
+            total = 0.0
+            for d in by_code:
+                w = counts[d]
+                if w:
+                    n_tasks += w
+                    demand = demand_l[d]
+                    total += w * demand
+                    if demand > 0.0:
+                        n_demanding += w
+            if not n_tasks:
+                continue
+            capacity = self.effective_capacity(n_demanding)
+            level = math.inf  # under-subscribed: every demand is granted in full
+            if not total <= capacity * (1.0 + _EPS):
+                w_total = float(n_tasks)
+                prev_w = 0.0
+                prev_wd = 0.0
+                for d in by_demand:
+                    w = counts[d]
+                    if w:
+                        level = (capacity - prev_wd) / (w_total - prev_w)
+                        if level <= demand_l[d] * (1.0 + _EPS):
+                            break
+                        prev_w += w
+                        prev_wd += w * demand_l[d]
+                if level < 0.0:
+                    level = 0.0
+            for d in by_code:
+                if counts[d]:
+                    rate = ceiling_l[d]
+                    bpi = bpi_l[d]
+                    if bpi > 0.0:
+                        # min(ceiling, min(demand, level) / bpi), spelled out.
+                        grant = demand_l[d]
+                        if level < grant:
+                            grant = level
+                        granted = grant / bpi
+                        if granted < rate:
+                            rate = granted
+                    base[d] = rate
+        return np.array(base)
 
     def _base_rates_scalar(
         self, uniq_arr: np.ndarray, counts: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Scalar twin of the vectorized miss path for small compositions.
+        """Scalar twin of the vectorized miss path for small single-node
+        compositions.
 
         With at most :data:`_SCALAR_MAX_GROUPS` unique codes, plain Python
         floats beat numpy's per-call overhead by ~4x.  Every arithmetic step
@@ -610,42 +656,21 @@ class BandwidthContentionAllocator:
             ceilings[j] = ceil_j
             demands[j] = ceil_j * bpi_j
             bpis[j] = bpi_j
+        if nodes.count(nodes[0]) != m:
+            # Several contention domains: the vectorized path splits them.
+            return self._base_rates_groups(uniq_arr, np.array(counts, dtype=np.int64))
+        n_demanding = 0
+        for j in range(m):
+            if demands[j] > 0.0:
+                n_demanding += counts[j]
+        grants = waterfill_scalar(demands, self.effective_capacity(n_demanding), counts)
         rates = [0.0] * m
-        node_set = set(nodes)
-        if len(node_set) == 1:
-            # Single contention domain (the paper's testbed): feed the group
-            # arrays straight through, no per-node index lists.
-            n_demanding = 0
-            for j in range(m):
-                if demands[j] > 0.0:
-                    n_demanding += counts[j]
-            grants = _waterfill_scalar(
-                demands, self.effective_capacity(n_demanding), counts
-            )
-            for j in range(m):
-                bpi_j = bpis[j]
-                if bpi_j <= 0.0:
-                    rates[j] = ceilings[j]
-                else:
-                    rates[j] = min(ceilings[j], grants[j] / bpi_j)
-            return uniq_arr, np.array(rates)
-        for nd in sorted(node_set):
-            idx = [j for j in range(m) if nodes[j] == nd]
-            n_demanding = 0
-            for j in idx:
-                if demands[j] > 0.0:
-                    n_demanding += counts[j]
-            grants = _waterfill_scalar(
-                [demands[j] for j in idx],
-                self.effective_capacity(n_demanding),
-                [counts[j] for j in idx],
-            )
-            for g, j in zip(grants, idx):
-                bpi_j = bpis[j]
-                if bpi_j <= 0.0:
-                    rates[j] = ceilings[j]
-                else:
-                    rates[j] = min(ceilings[j], g / bpi_j)
+        for j in range(m):
+            bpi_j = bpis[j]
+            if bpi_j <= 0.0:
+                rates[j] = ceilings[j]
+            else:
+                rates[j] = min(ceilings[j], grants[j] / bpi_j)
         return uniq_arr, np.array(rates)
 
     # -- sequence interface (tests, diagnostics, non-engine callers) ----------

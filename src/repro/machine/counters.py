@@ -52,12 +52,10 @@ class CounterSet:
 
     def record(self, stream: _t.Hashable, phase: str, instructions: float, compute_time: float) -> None:
         """Accumulate one completed compute phase."""
-        per_phase = self._data.get(stream)
-        if per_phase is None:
-            per_phase = self._data[stream] = {}
-        counters = per_phase.get(phase)
-        if counters is None:
-            counters = per_phase[phase] = PhaseCounters()
+        try:
+            counters = self._data[stream][phase]
+        except KeyError:
+            counters = self._data.setdefault(stream, {})[phase] = PhaseCounters()
         counters.add(instructions, compute_time)
 
     # -- queries ----------------------------------------------------------------

@@ -33,9 +33,14 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ComputeRecord", "CpuModel"]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class ComputeRecord:
-    """One completed compute phase, as reported to observers."""
+    """One completed compute phase, as reported to observers.
+
+    Built once per phase on the simulator's hot path, hence slotted and not
+    frozen (a frozen dataclass pays ``object.__setattr__`` per field);
+    observers treat records as read-only.
+    """
 
     stream: _t.Hashable
     thread: HwThread
@@ -135,7 +140,6 @@ class CpuModel:
         profile = self.phase_table[phase]
         if instructions < 0:
             raise ValueError(f"negative instruction count {instructions!r}")
-        start = self.sim.now
         speed = 1.0
         if self.jitter > 0.0:
             speed = 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
@@ -149,15 +153,9 @@ class CpuModel:
         def _finish(event: Event) -> None:
             if event._exception is not None:
                 return  # cancelled/failed: no completion bookkeeping
-            end = self.sim.now
-            record = ComputeRecord(
-                stream=stream,
-                thread=thread,
-                phase=phase,
-                instructions=instructions,
-                start=start,
-                end=end,
-            )
+            start = task.start_time
+            end = task.finish_time
+            record = ComputeRecord(stream, thread, phase, instructions, start, end)
             self.counters.record(stream, phase, instructions, end - start)
             for observer in self._observers:
                 observer(record)
@@ -171,7 +169,7 @@ class CpuModel:
             # expect — one event per phase instead of a done/notify pair.
             event._value = record
 
-        task.done.add_callback(_finish)
+        task.done.callbacks.append(_finish)  # fresh event: nobody beat us to it
         return task.done
 
     def engine_stats(self) -> dict[str, int]:

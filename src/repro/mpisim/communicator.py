@@ -49,11 +49,23 @@ from repro.simkit.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.world import MpiWorld
 
-__all__ = ["Communicator", "MpiSimError", "CollectiveResult"]
+__all__ = ["Communicator", "MpiEvent", "MpiSimError", "CollectiveResult"]
 
 
 class MpiSimError(RuntimeError):
     """Semantic misuse of the simulated MPI (mismatched collectives, bad args)."""
+
+
+class MpiEvent(Event):
+    """Completion of one blocking MPI call of one rank (named ``mpi:<call>``).
+
+    The type, not the name, is the contract: a task runtime that suspends
+    tasks blocked in MPI asks ``event.blocks_in_mpi``.
+    """
+
+    __slots__ = ()
+
+    blocks_in_mpi = True
 
 
 class CollectiveResult:
@@ -104,17 +116,19 @@ class Communicator:
         self.world = world
         self.id = comm_id
         self.ranks = tuple(ranks)
+        #: Number of member ranks.
+        self.size = len(self.ranks)
         self.name = name
         self._local_of = {wr: lr for lr, wr in enumerate(self.ranks)}
         self._seq: dict[int, int] = {wr: 0 for wr in self.ranks}
         self._pending: dict[object, _Pending] = {}
+        #: Verified Alltoallw descriptor sets -> per-sender ``(pairs, sent)``
+        #: (see :meth:`_alltoallw_costs`).  The key is the members' block
+        #: tuples themselves, so it keeps every descriptor alive and
+        #: identity-hashed lookups can never alias a recycled object.
+        self._alltoallw_verified: dict[tuple, list[tuple[list, float]]] = {}
 
     # -- group introspection -------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        """Number of member ranks."""
-        return len(self.ranks)
 
     def local_rank(self, world_rank: int) -> int:
         """Local rank of a world rank (raises if not a member)."""
@@ -179,8 +193,8 @@ class Communicator:
             {
                 "sendbuf": sendbuf,
                 "recvbuf": recvbuf,
-                "send_blocks": list(send_blocks),
-                "recv_blocks": list(recv_blocks),
+                "send_blocks": tuple(send_blocks),
+                "recv_blocks": tuple(recv_blocks),
             },
         )
 
@@ -262,7 +276,7 @@ class Communicator:
             )
 
         sim = self.world.sim
-        event = Event(sim, name=f"{op}:{self.name}")
+        event = MpiEvent(sim, name=f"mpi:{op}")
         pending.args[local] = args
         pending.events[local] = event
         pending.arrive_times[local] = sim.now
@@ -288,14 +302,20 @@ class Communicator:
     ) -> None:
         """Complete every member's event after ``upstream`` (+ latency).
 
-        A failed upstream (a lost/timed-out transfer under fault injection)
-        fails *every* member's event with the same exception — all
-        participants of a collective observe the fault, exactly as a real
-        MPI job would see the operation error out everywhere.
+        Each member's event is scheduled once, directly at its completion
+        time: the latency term is the delay of its own heap entry.  A failed
+        upstream (a lost/timed-out transfer under fault injection) fails
+        *every* member's event with the same exception — all participants of
+        a collective observe the fault, exactly as a real MPI job would see
+        the operation error out everywhere.
         """
-        net = self.world.network
-        sim = self.world.sim
-        t_all = sim.now
+        t_all = self.world.sim.now
+        per_message = self.world.network.message_latency(self.ranks)
+        delay = (
+            latency_messages * per_message
+            if latency_messages > 0 and per_message > 0
+            else 0.0
+        )
 
         def _complete(_ev: Event | None = None) -> None:
             if _ev is not None and _ev.exception is not None:
@@ -303,18 +323,16 @@ class Communicator:
                 for event in pending.events.values():
                     event.fail(_ev.exception)
                 return
+            arrive_times = pending.arrive_times
             for local, event in pending.events.items():
-                result = CollectiveResult(
-                    value=values.get(local),
-                    bytes_sent=bytes_sent.get(local, 0.0),
-                    sync_time=t_all - pending.arrive_times[local],
+                event.succeed(
+                    CollectiveResult(
+                        values.get(local),
+                        bytes_sent.get(local, 0.0),
+                        t_all - arrive_times[local],
+                    ),
+                    delay,
                 )
-                per_message = net.message_latency(self.ranks)
-                if latency_messages > 0 and per_message > 0:
-                    delayed = sim.timeout(latency_messages * per_message)
-                    delayed.add_callback(lambda _e, ev=event, r=result: ev.succeed(r))
-                else:
-                    event.succeed(result)
 
         if upstream is None:
             _complete()
@@ -351,62 +369,85 @@ class Communicator:
         upstream = self.world.sim.all_of(transfers) if transfers else None
         self._finish(pending, values, bytes_sent, upstream, net.alltoall_messages(size))
 
-    def _exec_alltoallw(self, pending: _Pending) -> None:
-        net = self.world.network
+    def _alltoallw_costs(self, args: dict[int, dict]) -> list[tuple[list, float]]:
+        """Per-sender ``(pairs, bytes sent)`` of one Alltoallw descriptor set.
+
+        Verified and derived once per distinct set of block descriptors on
+        this communicator — an exchange plan's derived datatypes are
+        committed once and reused for every transform, so the steady state
+        is one dictionary lookup per collective.
+        """
         size = self.size
+        key = tuple(
+            args[local]["send_blocks"] + args[local]["recv_blocks"]
+            for local in range(size)
+        )
+        costs = self._alltoallw_verified.get(key)
+        if costs is not None:
+            return costs
         # Conservation law, checked for every (src, dst) pair including the
         # diagonal: the elements src describes toward dst must exactly fill
         # the slots dst reserved for src.
         for src in range(size):
-            send_blocks = pending.args[src]["send_blocks"]
+            send_blocks = args[src]["send_blocks"]
             for dst in range(size):
                 sb = send_blocks[dst]
-                rb = pending.args[dst]["recv_blocks"][src]
+                rb = args[dst]["recv_blocks"][src]
                 if sb.n_items != rb.n_items:
                     raise MpiSimError(
                         f"alltoallw on {self.name!r}: rank {self.world_rank(src)} "
                         f"sends {sb.n_items} elements to rank "
                         f"{self.world_rank(dst)}, which expects {rb.n_items}"
                     )
-        # Direct data movement, one move per pair from the source block to
-        # the destination block — the pack-free path (no staging buffer): a
-        # strided-view copy or a single-axis fancy index wherever the block
-        # shapes allow, flat indices only for explicitly indexed blocks.
-        for src in range(size):
-            sendbuf = pending.args[src]["sendbuf"]
-            if sendbuf is None:
-                continue
-            flat_src = sendbuf.reshape(-1)
-            send_blocks = pending.args[src]["send_blocks"]
-            for dst in range(size):
-                sb = send_blocks[dst]
-                if sb.n_items == 0:
-                    continue
-                recvbuf = pending.args[dst]["recvbuf"]
-                if recvbuf is None:
-                    continue
-                rb = pending.args[dst]["recv_blocks"][src]
-                rb.put(recvbuf.reshape(-1), sb.take(flat_src))
         # Cost accounting mirrors _exec_alltoall exactly (same per-sender
-        # pair list, same transfer submissions, same latency term), so a
-        # plan whose block volumes equal the old concatenated parts prices
-        # identically — byte-for-byte in the simulated timeline.
-        values: dict[int, object] = {}
-        bytes_sent: dict[int, float] = {}
-        transfers = []
+        # pair list, same latency term), so a plan whose block volumes equal
+        # the old concatenated parts prices identically — byte-for-byte in
+        # the simulated timeline.
+        costs = []
         for local in range(size):
-            send_blocks = pending.args[local]["send_blocks"]
+            send_blocks = args[local]["send_blocks"]
             pairs = [
                 (self.world_rank(j), send_blocks[j].nbytes)
                 for j in range(size)
                 if j != local and send_blocks[j].nbytes > 0
             ]
-            sent = sum(nbytes for _dst, nbytes in pairs)
+            costs.append((pairs, sum(nbytes for _dst, nbytes in pairs)))
+        self._alltoallw_verified[key] = costs
+        return costs
+
+    def _exec_alltoallw(self, pending: _Pending) -> None:
+        net = self.world.network
+        size = self.size
+        args = pending.args
+        costs = self._alltoallw_costs(args)
+        # Direct data movement, one move per pair from the source block to
+        # the destination block — the pack-free path (no staging buffer): a
+        # strided-view copy or a single-axis fancy index wherever the block
+        # shapes allow, flat indices only for explicitly indexed blocks.
+        for src in range(size):
+            sendbuf = args[src]["sendbuf"]
+            if sendbuf is None:
+                continue
+            flat_src = sendbuf.reshape(-1)
+            send_blocks = args[src]["send_blocks"]
+            for dst in range(size):
+                sb = send_blocks[dst]
+                if sb.n_items == 0:
+                    continue
+                recvbuf = args[dst]["recvbuf"]
+                if recvbuf is None:
+                    continue
+                rb = args[dst]["recv_blocks"][src]
+                rb.put(recvbuf.reshape(-1), sb.take(flat_src))
+        values: dict[int, object] = {}
+        bytes_sent: dict[int, float] = {}
+        transfers = []
+        for local in range(size):
+            pairs, sent = costs[local]
             bytes_sent[local] = sent
             if sent > 0:
                 transfers.append(net.transfer_parts(self.world_rank(local), pairs))
-        for local in range(size):
-            values[local] = pending.args[local]["recvbuf"]
+            values[local] = args[local]["recvbuf"]
         upstream = self.world.sim.all_of(transfers) if transfers else None
         self._finish(pending, values, bytes_sent, upstream, net.alltoall_messages(size))
 

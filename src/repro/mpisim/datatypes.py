@@ -94,7 +94,9 @@ class BlockType:
     default, matching the pipeline's payloads).
     """
 
-    __slots__ = ("offset", "shape", "strides", "itemsize", "_base", "_count", "_indices")
+    __slots__ = (
+        "offset", "shape", "strides", "itemsize", "_base", "_count", "_indices", "_n_items",
+    )
 
     def __init__(self, offset, shape, strides, itemsize=16, _base=None, _count=None):
         self.offset = int(offset)
@@ -115,6 +117,9 @@ class BlockType:
         #: Meta blocks: the element count (``None`` otherwise).
         self._count = _count
         self._indices: np.ndarray | None = None
+        #: The element count, computed on first use (an outer block's needs
+        #: its lazy base resolved) — a block is immutable once built.
+        self._n_items: int | None = _count
 
     @classmethod
     def subarray(cls, offset: int, shape, strides, itemsize: int = 16) -> "BlockType":
@@ -169,11 +174,12 @@ class BlockType:
     @property
     def n_items(self) -> int:
         """Number of elements the block covers."""
-        if self.is_meta:
-            return self._count
-        n = 1 if self._base is None else int(self.base.size)
-        for dim in self.shape:
-            n *= dim
+        n = self._n_items
+        if n is None:
+            n = 1 if self._base is None else int(self.base.size)
+            for dim in self.shape:
+                n *= dim
+            self._n_items = n
         return n
 
     @property

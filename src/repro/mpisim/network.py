@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 import typing as _t
+from collections import Counter
 
 import numpy as np
 
 from repro.faults.injector import MpiLinkError, MpiTimeoutError
-from repro.machine.contention import waterfill, waterfill_vec
+from repro.machine.contention import waterfill, waterfill_scalar
 from repro.simkit.events import Event
 from repro.simkit.fluid import FluidResource, FluidTask
 
@@ -37,6 +38,23 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.simkit.simulator import Simulator
 
 __all__ = ["NetworkModel", "ClusterNetworkModel", "RankAwareAllocator"]
+
+
+def _resolving_to(event: Event, value: object) -> Event:
+    """``event`` itself, resolving to ``value`` when it succeeds.
+
+    The transfer *is* its completion event (a fluid task's ``done``, or the
+    condition over several): registered first, this callback swaps the
+    payload before any waiter sees it — no second event per transfer.  A
+    failed or cancelled event passes through untouched.
+    """
+
+    def _swap(ev: Event) -> None:
+        if ev._exception is None:
+            ev._value = value
+
+    event.add_callback(_swap)
+    return event
 
 
 def _detail(rank: object) -> object:
@@ -54,19 +72,21 @@ class RankAwareAllocator:
     demands.  Transfers without a known sender (``rank=None``) are treated as
     separate one-transfer processes.
 
-    Implements the fluid engine's batch protocol: sender ranks are interned
-    to small integer ids at submit time and the rate computation is memoized
-    on the active-set composition (the same handful of concurrent-transfer
-    mixes — one rank alone, the all-ranks alltoall burst — recurs for the
-    whole run).  Anonymous transfers are the pseudo-id ``-1``: each is its
-    own single-transfer process, demanding the full injection bandwidth.
+    Implements the fluid engine's batch protocol: the static record of a
+    transfer is its sender, and the rate computation is memoized on what the
+    rates actually depend on — the multiset of per-sender transfer counts
+    plus the number of anonymous transfers, not on *which* ranks are sending
+    (the same handful of concurrent-transfer mixes — one rank alone, the
+    all-ranks alltoall burst — recurs for the whole run, under ever-changing
+    sender identities).
     """
 
     def __init__(self, capacity: float, injection_bw: float):
         self.capacity = capacity
         self.injection_bw = injection_bw
-        self._rank_ids: dict[object, int] = {}
-        self._cache: dict[bytes, np.ndarray] = {}
+        #: ``(n anonymous, per-sender counts descending)`` -> rate of one
+        #: transfer by its sender's count (anonymous transfers under 0).
+        self._cache: dict[tuple, dict[int, float]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -77,54 +97,40 @@ class RankAwareAllocator:
             "alloc_cache_size": len(self._cache),
         }
 
-    def prepare(self, task: FluidTask) -> int:
-        rank = task.meta.get("rank")
-        if rank is None:
-            return -1
-        sid = self._rank_ids.get(rank)
-        if sid is None:
-            sid = len(self._rank_ids)
-            self._rank_ids[rank] = sid
-            self._cache.clear()  # luts are sized to the known-rank space
-        return sid
+    def prepare(self, task: FluidTask) -> object:
+        return task.meta.get("rank")
 
-    def allocate_batch(self, statics: _t.Sequence[int]) -> np.ndarray:
-        n = len(statics)
-        if n == 0:
+    def allocate_batch(self, statics: _t.Sequence[object]) -> np.ndarray:
+        if not statics:
             return np.empty(0)
-        sids = np.fromiter(statics, dtype=np.intp, count=n)
-        sorted_sids = np.sort(sids)
-        key = sorted_sids.tobytes()
-        lut = self._cache.get(key)
-        if lut is None:
+        per_sender = Counter(statics)
+        n_anon = per_sender.pop(None, 0)
+        counts = sorted(per_sender.values(), reverse=True)
+        key = (n_anon, *counts)
+        rate_of = self._cache.get(key)
+        if rate_of is None:
             self.cache_misses += 1
-            lut = self._rate_lut(sorted_sids)
-            self._cache[key] = lut
+            rate_of = self._cache[key] = self._rates_by_count(n_anon, counts)
         else:
             self.cache_hits += 1
-        # ``lut[-1]`` (numpy wrap-around) is deliberately the anonymous-rank
-        # rate, so one fancy index serves interned and anonymous senders.
-        return lut[sids]
+        # Anonymous senders were popped: a Counter reads them back as 0.
+        return np.array([rate_of[per_sender[rank]] for rank in statics])
 
-    def _rate_lut(self, sorted_sids: np.ndarray) -> np.ndarray:
-        """Per-sender-id rate table for one concurrent-transfer composition.
+    def _rates_by_count(self, n_anon: int, counts: list[int]) -> dict[int, float]:
+        """Rate of one transfer, by its sender's concurrent-transfer count.
 
         Transfers of the same sender have identical injection demands and so
-        receive identical max-min grants; the water filling runs per unique
-        sender with the transfer count as weight.  The table's last slot
-        holds the anonymous-transfer rate (or 0 when none are present).
+        receive identical max-min grants; the water filling runs per sender
+        with the transfer count as weight, senders in descending-count (so
+        ascending-demand) order.  Anonymous senders are one-transfer
+        processes, each demanding the full injection bandwidth: one group
+        weighted by their number, listed under count 0 and ahead of the
+        known one-transfer senders it ties with.
         """
-        uniq, counts = np.unique(sorted_sids, return_counts=True)
-        # Demand per transfer: the sender's injection bandwidth split over
-        # its concurrent transfers; anonymous senders (-1) are one-transfer
-        # processes, so each demands the full injection bandwidth.
-        demands = self.injection_bw / counts
-        anon = uniq == -1
-        demands[anon] = self.injection_bw
-        grants = waterfill_vec(demands, self.capacity, counts)
-        lut = np.zeros(len(self._rank_ids) + 1)
-        lut[uniq] = grants  # uniq may include -1 -> wraps to the last slot
-        return lut
+        groups, weights = ([0, *counts], [n_anon, *counts]) if n_anon else (counts, counts)
+        demands = [self.injection_bw / max(c, 1) for c in groups]
+        grants = waterfill_scalar(demands, self.capacity, weights)
+        return dict(zip(groups, grants))
 
     def allocate(self, tasks: _t.Sequence[FluidTask]) -> list[float]:
         if not tasks:
@@ -187,8 +193,7 @@ class NetworkModel:
         The single-fabric model ignores destinations and moves the total;
         :class:`ClusterNetworkModel` splits intra- from inter-node traffic.
         """
-        total = sum(nbytes for _dst, nbytes in parts)
-        return self.transfer(total, rank=src_rank)
+        return self.transfer(sum([nbytes for _dst, nbytes in parts]), rank=src_rank)
 
     def message_latency(self, ranks: _t.Sequence[int]) -> float:
         """Per-message latency for a communicator spanning ``ranks``."""
@@ -220,10 +225,9 @@ class NetworkModel:
         work = nbytes
         if self.faults is not None:
             work *= self.faults.transfer_work_factor(rank)
-        done = Event(self.sim, name="net-transfer")
-        task = self.resource.submit(work, meta={"rank": rank})
-        task.done.add_callback(lambda ev: done.succeed(nbytes))
-        return done
+        return _resolving_to(
+            self.resource.submit(work, meta={"rank": rank}).done, nbytes
+        )
 
     def _guarded(self, rank: object, attempt: _t.Callable[[], Event]) -> Event:
         """Drop/retry/timeout envelope around one-shot transfer attempts.
@@ -305,20 +309,6 @@ class NetworkModel:
 
         start()
         return done
-
-    def after_latency(self, n_messages: float, event: Event | None = None) -> Event:
-        """Event firing ``n_messages * latency`` after now (or after ``event``)."""
-        delay = n_messages * self.latency
-        if event is None:
-            return self.sim.timeout(delay, name="net-latency")
-        out = Event(self.sim, name="net-latency")
-
-        def _chain(ev: Event) -> None:
-            t = self.sim.timeout(delay)
-            t.add_callback(lambda _: out.succeed(ev._value))
-
-        event.add_callback(_chain)
-        return out
 
     def engine_stats(self) -> dict[str, int]:
         """Summed fluid-engine counters over this model's transport resources."""
@@ -490,12 +480,10 @@ class ClusterNetworkModel(NetworkModel):
                         nbytes * work_factor, meta={"rank": ("node", src_node)}
                     )
                     pieces.append(task.done)
-        done = Event(self.sim, name="cluster-transfer")
         if not pieces:
-            done.succeed(0.0)
-        else:
-            self.sim.all_of(pieces).add_callback(lambda ev: done.succeed(intra + inter))
-        return done
+            return Event(self.sim, name="cluster-transfer").succeed(0.0)
+        moved = pieces[0] if len(pieces) == 1 else self.sim.all_of(pieces)
+        return _resolving_to(moved, intra + inter)
 
     def _attempt(self, nbytes: float, rank: object) -> Event:
         """Destination-less transfers stay on the sender's node."""
@@ -505,12 +493,8 @@ class ClusterNetworkModel(NetworkModel):
         work = nbytes
         if self.faults is not None:
             work *= self.faults.transfer_work_factor(rank)
-        done = Event(self.sim, name="net-transfer")
-        task = self._node_resource(self.node_of(rank)).submit(
-            work, meta={"rank": rank}
-        )
-        task.done.add_callback(lambda ev: done.succeed(nbytes))
-        return done
+        resource = self._node_resource(self.node_of(rank))
+        return _resolving_to(resource.submit(work, meta={"rank": rank}).done, nbytes)
 
     def message_latency(self, ranks: _t.Sequence[int]) -> float:
         nodes = {self.node_of(r) for r in ranks}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import typing as _t
 from collections import deque
 
+from repro.mpisim.communicator import MpiEvent, MpiSimError
 from repro.mpisim.datatypes import nbytes_of, payload_like
 from repro.simkit.events import Event
 
@@ -40,11 +41,9 @@ class P2PEngine:
         """Post a send; the returned event fires when the message is delivered."""
         src_local = comm.local_rank(caller)
         if not 0 <= dst_local < comm.size:
-            from repro.mpisim.communicator import MpiSimError
-
             raise MpiSimError(f"send destination {dst_local} out of range on {comm.name!r}")
         sig = (comm.id, src_local, dst_local, tag)
-        event = Event(self.world.sim, name=f"send:{comm.name}:{tag}")
+        event = MpiEvent(self.world.sim, name="mpi:send")
         waiting = self._recvs.get(sig)
         if waiting:
             recv_event, _t0 = waiting.popleft()
@@ -57,11 +56,9 @@ class P2PEngine:
         """Post a receive; the returned event fires with the received payload."""
         dst_local = comm.local_rank(caller)
         if not 0 <= src_local < comm.size:
-            from repro.mpisim.communicator import MpiSimError
-
             raise MpiSimError(f"recv source {src_local} out of range on {comm.name!r}")
         sig = (comm.id, src_local, dst_local, tag)
-        event = Event(self.world.sim, name=f"recv:{comm.name}:{tag}")
+        event = MpiEvent(self.world.sim, name="mpi:recv")
         pending = self._sends.get(sig)
         if pending:
             payload, send_event, _t0 = pending.popleft()
@@ -83,32 +80,19 @@ class P2PEngine:
         net = self.world.network
         nbytes = nbytes_of(payload)
         latency = net.message_latency([sender_rank, dest_rank])
-        if nbytes > 0:
-            moved = net.transfer_parts(sender_rank, [(dest_rank, nbytes)])
-            done = Event(self.world.sim, name="p2p-done")
 
-            def _after_move(ev: Event) -> None:
-                if ev.exception is not None:
-                    ev.defuse()
-                    done.fail(ev.exception)
-                    return
-                self.world.sim.timeout(latency).add_callback(
-                    lambda _t: done.succeed(None)
-                )
-
-            moved.add_callback(_after_move)
-        else:
-            done = self.world.sim.timeout(latency)
-
-        def _complete(_ev: Event) -> None:
-            if _ev.exception is not None:
+        def _complete(moved: Event | None = None) -> None:
+            if moved is not None and moved.exception is not None:
                 # A lost message fails both endpoints (the matched pair is
-                # one logical operation); each side's wrapper defuses.
-                _ev.defuse()
-                send_event.fail(_ev.exception)
-                recv_event.fail(_ev.exception)
+                # one logical operation); each side's waiter defuses.
+                moved.defuse()
+                send_event.fail(moved.exception)
+                recv_event.fail(moved.exception)
                 return
-            send_event.succeed(nbytes)
-            recv_event.succeed(payload_like(payload))
+            send_event.succeed(nbytes, latency)
+            recv_event.succeed(payload_like(payload), latency)
 
-        done.add_callback(_complete)
+        if nbytes > 0:
+            net.transfer_parts(sender_rank, [(dest_rank, nbytes)]).add_callback(_complete)
+        else:
+            _complete()

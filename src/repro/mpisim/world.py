@@ -36,9 +36,13 @@ from repro.simkit.simulator import Simulator
 __all__ = ["MpiWorld", "RankContext", "MpiRecord"]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class MpiRecord:
-    """One completed MPI call, as reported to observers."""
+    """One completed MPI call, as reported to observers.
+
+    Built once per call on the simulator's hot path, hence slotted and not
+    frozen; observers treat records as read-only.
+    """
 
     stream: tuple
     call: str
@@ -188,11 +192,13 @@ class RankContext:
     def __init__(self, world: MpiWorld, rank: int):
         self.world = world
         self.rank = rank
-
-    @property
-    def sim(self) -> Simulator:
-        """The shared simulator (for timeouts and bookkeeping)."""
-        return self.world.sim
+        #: The shared simulator (for timeouts and bookkeeping).
+        self.sim: Simulator = world.sim
+        first = rank * world.threads_per_rank
+        self._threads = tuple(
+            world.placement[first + t] for t in range(world.threads_per_rank)
+        )
+        self._streams = tuple((rank, t) for t in range(world.threads_per_rank))
 
     @property
     def n_threads(self) -> int:
@@ -201,11 +207,11 @@ class RankContext:
 
     def thread(self, t: int = 0) -> HwThread:
         """The ``t``-th hardware thread of this rank."""
-        if not 0 <= t < self.world.threads_per_rank:
+        if not 0 <= t < len(self._threads):
             raise ValueError(
-                f"thread {t} out of range [0, {self.world.threads_per_rank}) on rank {self.rank}"
+                f"thread {t} out of range [0, {len(self._threads)}) on rank {self.rank}"
             )
-        return self.world.placement[self.rank * self.world.threads_per_rank + t]
+        return self._threads[t]
 
     def stream(self, t: int = 0) -> tuple:
         """Analysis stream id of (this rank, thread ``t``)."""
@@ -215,8 +221,9 @@ class RankContext:
 
     def compute(self, phase: str, instructions: float, thread: int = 0) -> Event:
         """Execute a compute phase on one of this rank's hardware threads."""
+        hw_thread = self.thread(thread)  # validates the index
         return self.world.cpu.compute(
-            self.stream(thread), self.thread(thread), phase, instructions
+            self._streams[thread], hw_thread, phase, instructions
         )
 
     # -- collectives -------------------------------------------------------------
@@ -298,32 +305,31 @@ class RankContext:
     # -- internal: trace wrapping -----------------------------------------------
 
     def _traced(self, call: str, comm: Communicator, inner: Event, thread: int) -> Event:
+        """Report the call to the MPI observers when ``inner`` completes.
+
+        The caller waits on the member event itself: registered first, the
+        callback records the :class:`MpiRecord` and swaps the
+        :class:`CollectiveResult` for the value the caller expects — one
+        event per call, as :meth:`CpuModel.compute` does per phase.  A
+        failed event passes through untouched (the waiter defuses it).
+        """
         t0 = self.sim.now
-        outer = Event(self.sim, name=f"mpi:{call}")
         stream = self.stream(thread)
 
-        def _complete(ev: Event) -> None:
-            if ev.exception is not None:
-                ev.defuse()
-                outer.fail(ev.exception)
+        def _record(ev: Event) -> None:
+            if ev._exception is not None:
                 return
-            result: CollectiveResult = ev.value  # type: ignore[assignment]
+            result: CollectiveResult = ev._value  # type: ignore[assignment]
             self.world._notify(
                 MpiRecord(
-                    stream=stream,
-                    call=call,
-                    comm_id=comm.id,
-                    comm_name=comm.name,
-                    t_begin=t0,
-                    t_end=self.sim.now,
-                    bytes_sent=result.bytes_sent,
-                    sync_time=result.sync_time,
+                    stream, call, comm.id, comm.name, t0, self.sim.now,
+                    result.bytes_sent, result.sync_time,
                 )
             )
-            outer.succeed(result.value)
+            ev._value = result.value
 
-        inner.add_callback(_complete)
-        return outer
+        inner.add_callback(_record)
+        return inner
 
     def _wrap_p2p(
         self,
@@ -336,31 +342,18 @@ class RankContext:
         dst: int | None,
         tag: int,
     ) -> Event:
-        outer = Event(self.sim, name=f"mpi:{call}")
         stream = self.stream(thread)
 
-        def _complete(ev: Event) -> None:
-            if ev.exception is not None:
-                ev.defuse()
-                outer.fail(ev.exception)
+        def _record(ev: Event) -> None:
+            if ev._exception is not None:
                 return
-            nbytes = ev.value if call == "send" else 0.0
+            nbytes = ev._value if call == "send" else 0.0
             self.world._notify(
                 MpiRecord(
-                    stream=stream,
-                    call=call,
-                    comm_id=comm.id,
-                    comm_name=comm.name,
-                    t_begin=t0,
-                    t_end=self.sim.now,
-                    bytes_sent=float(nbytes),  # type: ignore[arg-type]
-                    sync_time=0.0,
-                    src=src,
-                    dst=dst,
-                    tag=tag,
+                    stream, call, comm.id, comm.name, t0, self.sim.now,
+                    float(nbytes), 0.0, src, dst, tag,  # type: ignore[arg-type]
                 )
             )
-            outer.succeed(ev.value)
 
-        inner.add_callback(_complete)
-        return outer
+        inner.add_callback(_record)
+        return inner

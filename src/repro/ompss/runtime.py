@@ -329,11 +329,7 @@ class TaskRuntime:
                 self._complete_task(task, stop.value)
                 return
             throw = None
-            is_mpi = (
-                isinstance(event, Event)
-                and event.name is not None
-                and event.name.startswith("mpi:")
-            )
+            is_mpi = isinstance(event, Event) and event.blocks_in_mpi
             if is_mpi:
                 task.did_mpi = True
             if self.mpi_task_switching and is_mpi:

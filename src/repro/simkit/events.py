@@ -20,7 +20,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.simkit.simulator import Simulator
 
 __all__ = [
-    "CallbackEvent",
     "Event",
     "Timeout",
     "EventCancelled",
@@ -54,33 +53,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class CallbackEvent:
-    """Minimal pre-triggered heap entry: calls ``fn`` when dispatched.
-
-    A lightweight alternative to a full :class:`Event` for engine-internal
-    wakeups (deferred rebalances, fluid completion timers): no callback
-    list, no state machine, no value, no cancellation.  The simulator's run
-    loop only touches ``_process``, ``_exception`` and ``_defused``, so the
-    class satisfies that contract with class attributes and a single slot.
-    Exceptions raised by ``fn`` propagate directly out of the run loop.
-    """
-
-    __slots__ = ("_fn",)
-
-    _exception: BaseException | None = None
-    exception: BaseException | None = None
-    _defused = False
-
-    def __init__(self, fn: _t.Callable[[], None]):
-        self._fn = fn
-
-    def _process(self) -> None:
-        self._fn()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<CallbackEvent {self._fn!r}>"
-
-
 class Event:
     """A one-shot occurrence in simulated time.
 
@@ -93,6 +65,11 @@ class Event:
     """
 
     __slots__ = ("sim", "name", "callbacks", "_value", "_exception", "_state", "_defused")
+
+    #: ``True`` on the event types that complete a blocking MPI call (see
+    #: :class:`repro.mpisim.communicator.MpiEvent`) — what a task runtime
+    #: may park a task on.  A class attribute: the marker costs no slot.
+    blocks_in_mpi = False
 
     def __init__(self, sim: "Simulator", name: str | None = None):
         self.sim = sim
@@ -144,14 +121,34 @@ class Event:
 
     # -- triggering ---------------------------------------------------------
 
-    def succeed(self, value: object = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+    def succeed(self, value: object = None, delay: float = 0.0) -> "Event":
+        """Trigger the event successfully with ``value``.
+
+        With ``delay`` the outcome is decided now and the callbacks run
+        ``delay`` time units from now — one heap entry, where a
+        :class:`Timeout` whose callback calls ``succeed`` would be two.
+        """
+        if self._state != PENDING:
+            raise RuntimeError(f"{self!r} already triggered")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        self._value = value
+        self._state = TRIGGERED
+        self.sim._schedule_event(self, delay)
+        return self
+
+    def succeed_now(self, value: object = None) -> None:
+        """Succeed and run the callbacks in place, with no heap entry.
+
+        For engine code that is itself running as a dispatched heap entry
+        (no process is being resumed): the callbacks run exactly where a
+        ``succeed`` would have queued them behind this timestamp's other
+        pending entries.  See DESIGN.md, *Event contract*.
+        """
         if self._state != PENDING:
             raise RuntimeError(f"{self!r} already triggered")
         self._value = value
-        self._state = TRIGGERED
-        self.sim._schedule_event(self)
-        return self
+        self._process()
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception."""

@@ -66,10 +66,12 @@ _INITIAL_CAPACITY = 16
 
 
 class _TimerEvent:
-    """Completion-timer heap entry: one slot cheaper than a lambda closure.
+    """Completion-timer heap entry.
 
-    Satisfies the same minimal run-loop contract as
-    :class:`~repro.simkit.events.CallbackEvent`.
+    Not an :class:`Event`: the run loop only touches ``_process``,
+    ``_exception`` and ``_defused``, so class attributes and two slots
+    satisfy its contract — no callback list, no state machine, no value.
+    Exceptions raised by the handler propagate directly out of the run loop.
     """
 
     __slots__ = ("_res", "_version")
@@ -122,8 +124,7 @@ class FluidTask:
     def __init__(self, sim: "Simulator", work: float, meta: dict | None = None):
         if work < 0:
             raise ValueError(f"negative work {work!r}")
-        self.work = float(work)
-        self._remaining = float(work)
+        self.work = self._remaining = float(work)
         self.meta: dict = meta or {}
         self.done: Event = Event(sim, name="fluid-done")
         self._rate = 0.0
@@ -280,27 +281,6 @@ class FluidResource:
         self.observer = observer
         self._active: list[FluidTask] = []
         self._n = 0
-        # One (5, capacity) matrix holds all per-task progress state; the
-        # named attributes are row views, so element access stays readable
-        # while compaction on task exit is a single two-dimensional memmove.
-        # ``_zero_time`` is time spent at zero rate — active time is derived
-        # as elapsed-minus-zero-time, so the common all-rates-positive case
-        # never touches the row in :meth:`_advance`.
-        self._state = np.zeros((5, _INITIAL_CAPACITY))
-        (
-            self._remaining,
-            self._rates,
-            self._work,
-            self._zero_time,
-            #: Static part of the completion threshold (see :meth:`_settle`).
-            self._threshold,
-        ) = self._state
-        self._rates_have_zero = True
-        self._last_update = sim.now
-        self._last_settled = -math.inf
-        self._timer_version = 0
-        self._armed_deadline: float | None = None
-        self._dirty = False
         prepare = getattr(allocator, "prepare", None)
         batch = getattr(allocator, "allocate_batch", None)
         self._prepare = prepare if (prepare is not None and batch is not None) else None
@@ -317,12 +297,39 @@ class FluidResource:
         self._notify_detach = (
             getattr(allocator, "notify_detach", None) if self._batch is not None else None
         )
+        # One (5 + static_width, capacity) matrix holds all per-task state,
+        # one column per active task: five progress rows, then the
+        # allocator's fixed-width static record.  The named attributes are
+        # row views, so element access stays readable while compaction on
+        # task exit is a single two-dimensional move and the allocator's
+        # ``(n, static_width)`` batch is a transposed view.  ``_zero_time``
+        # is time spent at zero rate — active time is derived as
+        # elapsed-minus-zero-time, so the common all-rates-positive case
+        # never touches the row in :meth:`_advance`.
+        self._bind_state(np.zeros((5 + (self._static_width or 0), _INITIAL_CAPACITY)))
+        #: Opaque static records (allocators without ``static_width``).
         self._statics: list = []
-        if self._static_width is not None:
-            self._statics_arr = np.zeros((_INITIAL_CAPACITY, self._static_width))
+        self._rates_have_zero = True
+        self._last_update = sim.now
+        self._last_settled = -math.inf
+        self._timer_version = 0
+        self._armed_deadline: float | None = None
+        self._dirty = False
         self.n_rebalances = 0
         self.n_coalesced = 0
         self.n_timer_skips = 0
+
+    def _bind_state(self, state: np.ndarray) -> None:
+        self._state = state
+        (
+            self._remaining,
+            self._rates,
+            self._work,
+            self._zero_time,
+            #: Static part of the completion threshold (see :meth:`_settle`).
+            self._threshold,
+        ) = state[:5]
+        self._static_rows = state[5:]
 
     # -- public API -----------------------------------------------------------
 
@@ -359,23 +366,21 @@ class FluidResource:
             self._advance()
         i = self._n
         if i == len(self._remaining):
-            self._grow()
-        self._remaining[i] = work
-        self._rates[i] = 0.0
-        self._work[i] = work
-        self._zero_time[i] = 0.0
-        self._threshold[i] = max(work * _REL_EPS, _ABS_EPS)
-        self._active.append(task)
-        if prepare is not None:
-            width = self._static_width
-            if width is not None:
-                if width:
-                    self._statics_arr[i] = static
-            else:
+            grown = np.zeros((len(self._state), 2 * i))
+            grown[:, :i] = self._state
+            self._bind_state(grown)
+        threshold = work * _REL_EPS
+        if threshold < _ABS_EPS:
+            threshold = _ABS_EPS
+        if prepare is None or self._static_width is None:
+            self._state[:, i] = (work, 0.0, work, 0.0, threshold)
+            if prepare is not None:
                 self._statics.append(static)
-            notify = self._notify_attach
-            if notify is not None:
-                notify(static)
+        else:
+            self._state[:, i] = (work, 0.0, work, 0.0, threshold, *static)
+        self._active.append(task)
+        if self._notify_attach is not None:
+            self._notify_attach(static)
         task._res = self
         self._n = i + 1
         self._mark_dirty()
@@ -389,7 +394,6 @@ class FluidResource:
             self._advance()
         i = self._active.index(task)
         self._detach(task, i)
-        self._notify_gone(i)
         self._remove_indices([i])
         task.done.cancel()
         self._mark_dirty()
@@ -419,72 +423,37 @@ class FluidResource:
     def _index_of(self, task: FluidTask) -> int:
         return self._active.index(task)
 
-    def _notify_gone(self, i: int) -> None:
-        """Hand a departing task's static record to the allocator hook."""
-        notify = self._notify_detach
-        if notify is not None:
-            if self._static_width is not None:
-                notify(self._statics_arr[i])
-            else:
-                notify(self._statics[i])
-
-    def _grow(self) -> None:
-        cap = 2 * len(self._remaining)
-        new = np.zeros((5, cap))
-        new[:, : self._state.shape[1]] = self._state
-        self._state = new
-        (
-            self._remaining,
-            self._rates,
-            self._work,
-            self._zero_time,
-            self._threshold,
-        ) = new
-        if self._static_width is not None:
-            new_statics = np.zeros((cap, self._static_width))
-            new_statics[: self._statics_arr.shape[0]] = self._statics_arr
-            self._statics_arr = new_statics
-
     def _detach(self, task: FluidTask, i: int) -> None:
-        """Write a task's array state back onto the object and release it."""
+        """Write a task's array state back onto the object, release it and
+        hand its static record to the allocator's detach hook."""
         task._remaining = float(self._remaining[i])
         task._rate = float(self._rates[i])
         task._active_time = (self._last_update - task.start_time) - float(
             self._zero_time[i]
         )
         task._res = None
+        notify = self._notify_detach
+        if notify is not None:
+            if self._static_width is not None:
+                notify(self._static_rows[:, i])
+            else:
+                notify(self._statics[i])
 
-    def _remove_indices(self, gone: _t.Sequence[int]) -> None:
-        """Compact the arrays and the active/static lists, dropping ``gone``."""
+    def _remove_indices(self, gone: list[int]) -> None:
+        """Compact the state matrix and the active/static lists, dropping the
+        positions in ``gone`` (a cancel, or several same-timestamp finishers;
+        the steady-state single finisher is handled inline by :meth:`_settle`)."""
         n = self._n
         m = n - len(gone)
-        if m == 0:
-            # Everything finished at once (a barrier): no compaction needed,
-            # the live prefix is simply empty.
-            self._active.clear()
-            self._statics.clear()
-            self._n = 0
-            return
-        if len(gone) == 1:
-            # Single finisher (the steady-state case): one strided memmove
-            # over the state matrix beats building a boolean mask.
-            i = gone[0]
-            self._state[:, i:m] = self._state[:, i + 1 : n]
-            del self._active[i]
-            if self._static_width is not None:
-                self._statics_arr[i:m] = self._statics_arr[i + 1 : n]
-            elif self._prepare is not None:
-                del self._statics[i]
-            self._n = m
-            return
-        keep = np.ones(n, dtype=bool)
-        keep[list(gone)] = False
-        self._state[:, :m] = self._state[:, :n][:, keep]
+        if m:
+            keep = np.ones(n, dtype=bool)
+            keep[gone] = False
+            self._state[:, :m] = self._state[:, :n][:, keep]
+        # (m == 0: everything finished at once — a barrier — and the live
+        # prefix is simply empty.)
         gone_set = set(gone)
         self._active = [t for i, t in enumerate(self._active) if i not in gone_set]
-        if self._static_width is not None:
-            self._statics_arr[:m] = self._statics_arr[:n][keep]
-        elif self._prepare is not None:
+        if self._statics:
             self._statics = [
                 s for i, s in enumerate(self._statics) if i not in gone_set
             ]
@@ -525,8 +494,12 @@ class FluidResource:
                     self._zero_time[:n] += dt * (rates == 0.0)
         self._last_update = now
 
-    def _settle(self) -> None:
-        """Detach and complete every task whose residual work is exhausted.
+    def _settle(self) -> _t.Sequence[FluidTask]:
+        """Detach every task whose residual work is exhausted.
+
+        Returns the finished tasks in active-set order; the caller completes
+        their ``done`` events (see :meth:`_on_timer` for why that is a
+        separate step).
 
         A task is done when its residual work is below numerical noise.  The
         rate*ulp term matters at non-dyadic clock values: integration over a
@@ -538,32 +511,47 @@ class FluidResource:
         self._last_settled = now
         n = self._n
         if not n:
-            return
+            return ()
         threshold = self._rates[:n] * (math.ulp(now) * 8.0)
         np.maximum(threshold, self._threshold[:n], out=threshold)
         gone = (self._remaining[:n] <= threshold).nonzero()[0]
-        if gone.size == 0:
-            return
         if gone.size == 1:
-            # Single finisher — the steady-state case of a pipelined drain.
+            # Single finisher — the steady-state case of a pipelined drain,
+            # so detach, notify and compaction are spelled out here: one
+            # strided move over the state matrix instead of a boolean mask,
+            # and none at all (it would overlap itself) when the finisher is
+            # the last column.
             i = int(gone[0])
             task = self._active[i]
-            self._remaining[i] = 0.0
-            self._detach(task, i)
+            task._remaining = 0.0
+            task._rate = float(self._rates[i])
+            task._active_time = (self._last_update - task.start_time) - float(
+                self._zero_time[i]
+            )
+            task._res = None
             task.finish_time = now
-            self._notify_gone(i)
-            self._remove_indices((i,))
-            task.done.succeed(task)
-            return
+            if self._notify_detach is not None:
+                if self._static_width is not None:
+                    self._notify_detach(self._static_rows[:, i])
+                else:
+                    self._notify_detach(self._statics[i])
+            m = n - 1
+            if i != m:
+                self._state[:, i:m] = self._state[:, i + 1 : n]
+            del self._active[i]
+            if self._statics:
+                del self._statics[i]
+            self._n = m
+            return (task,)
+        if gone.size == 0:
+            return ()
         finished = [self._active[i] for i in gone]
         for i, task in zip(gone, finished):
             self._remaining[i] = 0.0
             self._detach(task, i)
             task.finish_time = now
-            self._notify_gone(i)
         self._remove_indices(gone.tolist())
-        for task in finished:
-            task.done.succeed(task)
+        return finished
 
     def _flush(self) -> None:
         """Recompute rates for the active set and re-arm the completion timer."""
@@ -574,13 +562,18 @@ class FluidResource:
         if deadline is not None and now >= deadline and self._last_settled != now:
             # Tasks can only exhaust their work at or after the armed
             # completion deadline (rates are constant between flushes), so a
-            # flush strictly before it skips the finished-task scan.
-            self._settle()
+            # flush strictly before it skips the finished-task scan.  This
+            # flush beat the timer to its own timestamp (a reader forced it),
+            # possibly from inside a process: the completions go through the
+            # heap, never inline.
+            for task in self._settle():
+                task.done.succeed(task)
         n = self._n
+        eta = math.inf
         if n:
             if self._batch is not None:
                 if self._static_width is not None:
-                    statics = self._statics_arr[:n]
+                    statics = self._static_rows[:, :n].T
                 else:
                     statics = self._statics
                 rates = self._batch(statics)
@@ -592,11 +585,14 @@ class FluidResource:
                 raise RuntimeError(
                     f"allocator returned {rates.size} rates for {n} tasks"
                 )
-            rmin = rates.min()
+            # x[x.argmin()] is x.min() (NaN included) without the Python
+            # round trip through numpy's _amin wrapper.
+            rmin = rates[rates.argmin()]
             self._rates[:n] = rates
             if rmin > 0.0:
                 self._rates_have_zero = False
-                eta = float((self._remaining[:n] / rates).min())
+                etas = self._remaining[:n] / rates
+                eta = float(etas[etas.argmin()])
             elif rmin < 0.0:
                 raise RuntimeError(f"allocator produced a negative rate {float(rmin)!r}")
             else:
@@ -604,34 +600,28 @@ class FluidResource:
                 positive = rates > 0.0
                 if positive.any():
                     eta = float((self._remaining[:n][positive] / rates[positive]).min())
-                else:
-                    eta = float("inf")
-            self._arm_timer(eta)
-        else:
+
+        if eta == math.inf:
             self._timer_version += 1  # disarm any outstanding timer
             self._armed_deadline = None
+        else:
+            # Never arm a timer that cannot advance the float clock.
+            tick = math.ulp(now)
+            if tick > eta:
+                eta = tick
+            deadline = now + eta
+            if deadline == self._armed_deadline:
+                # The earliest finisher did not move (e.g. a rebalance that
+                # left rates unchanged): the already-armed timer stays valid,
+                # no fresh heap entry, no version churn.
+                self.n_timer_skips += 1
+            else:
+                self._timer_version += 1
+                self._armed_deadline = deadline
+                self.sim._schedule_event(_TimerEvent(self, self._timer_version), eta)
 
         if self.observer is not None:
             self.observer(self, now)
-
-    def _arm_timer(self, eta: float) -> None:
-        if eta == float("inf"):
-            self._timer_version += 1
-            self._armed_deadline = None
-            return
-        # Never arm a timer that cannot advance the float clock.
-        now = self.sim._now
-        eta = max(eta, math.ulp(now))
-        deadline = now + eta
-        if self._armed_deadline is not None and self._armed_deadline == deadline:
-            # The earliest finisher did not move (e.g. a rebalance that left
-            # rates unchanged): the already-armed timer stays valid, no fresh
-            # Timeout allocation, no version churn.
-            self.n_timer_skips += 1
-            return
-        self._timer_version += 1
-        self._armed_deadline = deadline
-        self.sim._schedule_event(_TimerEvent(self, self._timer_version), eta)
 
     def _on_timer(self, version: int) -> None:
         if version != self._timer_version:
@@ -639,16 +629,23 @@ class FluidResource:
         self._armed_deadline = None  # this timer is consumed
         if self._last_update != self.sim._now:
             self._advance()
-        # Complete the finishers now (their callbacks run at NORMAL priority)
-        # but *defer* the reallocation: completion callbacks routinely submit
-        # successor work at this very timestamp, and the deferred LAZY flush
-        # absorbs the finish and the resubmits into one allocator call — the
-        # intermediate composition is never priced at all.
-        self._settle()
+        # Detach the finishers but *defer* the reallocation: completion
+        # callbacks routinely submit successor work at this very timestamp,
+        # and the end-of-timestep flush absorbs the finish and the resubmits
+        # into one allocator call — the intermediate composition is never
+        # priced at all.
+        finished = self._settle()
         if self._n == 0 and not self._dirty:
             # Nothing left to price: disarm and notify observers now rather
-            # than via a deferred event a caller's `run(until=...)` may never
+            # than via a deferred flush a caller's `run(until=...)` may never
             # drain.
             self._flush()
         else:
             self._mark_dirty()
+        # The timer is a dispatched heap entry — no process is running — so
+        # the completions run in place, in active-set order, instead of
+        # taking one heap round trip each.  Last, because their callbacks
+        # re-enter submit()/cancel(): the engine state is consistent and the
+        # flush-or-defer decision above is the one the heap order produced.
+        for task in finished:
+            task.done.succeed_now(task)

@@ -115,10 +115,11 @@ class Process(Event):
                 )
                 self.fail(err)
                 return
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # Event still pending or not yet processed: wait for it.
                 self._target = next_event
-                next_event.add_callback(self._resume)
+                callbacks.append(self._resume)
                 break
             # Event already processed: loop and feed its value straight in.
             event = next_event

@@ -16,9 +16,10 @@ Determinism rules
 from __future__ import annotations
 
 import typing as _t
+from collections import deque
 from heapq import heappop, heappush
 
-from repro.simkit.events import CallbackEvent, Event, Timeout
+from repro.simkit.events import Event, Timeout
 from repro.simkit.process import AllOf, AnyOf, Process, ProcessGenerator
 
 __all__ = ["Simulator", "SimulationError", "DeadlockError"]
@@ -36,17 +37,12 @@ class DeadlockError(SimulationError):
     """
 
 
-#: Event priority: urgent events (resource bookkeeping) before normal ones.
-URGENT = 0
-NORMAL = 1
-#: Runs after every URGENT/NORMAL event of the same timestamp — the slot used
-#: by the fluid engine to coalesce a burst of same-time submits/cancels into a
-#: single end-of-timestep rebalance.
-LAZY = 2
-
 #: Dispatches between two calls of :attr:`Simulator.interrupt` (power of two
-#: so the hot loop's stride test is one mask).
-INTERRUPT_STRIDE = 2048
+#: so the hot loop's stride test is one mask).  One dispatched entry carries a
+#: whole completion — a fluid timer runs its finishers' callbacks in place —
+#: so the stride is sized in those: ~512 x 30 us keeps the polling cadence
+#: near 15 ms of host time.
+INTERRUPT_STRIDE = 512
 
 
 class Simulator:
@@ -60,8 +56,10 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
+        #: End-of-timestep callbacks (see :meth:`defer`), in call order.
+        self._deferred: deque[_t.Callable[[], None]] = deque()
         self._active_process: Process | None = None
         self._alive_processes: set[Process] = set()
         #: Events processed so far — a plain int so the hot loop pays one
@@ -115,32 +113,42 @@ class Simulator:
 
     # -- scheduling (engine internal) ------------------------------------------
 
-    def _schedule_event(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         self._seq += 1
-        heappush(self._heap, (self._now + delay, priority, self._seq, event))
+        heappush(self._heap, (self._now + delay, self._seq, event))
 
-    def defer(self, fn: _t.Callable[[], None], priority: int = LAZY) -> None:
-        """Run ``fn()`` at the current time, after already-scheduled events.
+    def defer(self, fn: _t.Callable[[], None]) -> None:
+        """Run ``fn()`` at the end of the current timestep.
 
-        With the default :data:`LAZY` priority the callback runs once every
-        URGENT/NORMAL event of the current timestamp has been processed —
-        including those scheduled *after* this call.  This is the coalescing
-        primitive of the fluid engine: k same-time changes of a resource fold
-        into one deferred rebalance instead of k immediate ones.
+        The callback runs once every event of the current timestamp has been
+        processed — including those scheduled *after* this call — and before
+        the clock advances.  This is the coalescing primitive of the fluid
+        engine: k same-time changes of a resource fold into one deferred
+        rebalance instead of k immediate ones.  Deferred callbacks are a hook
+        of the run loop, not heap entries: they run in call order, one at a
+        time (events a callback schedules for the current time run before
+        the next callback), and do not count as dispatched events.
         """
-        self._schedule_event(CallbackEvent(fn), 0.0, priority)
+        self._deferred.append(fn)
 
     # -- execution --------------------------------------------------------------
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``float('inf')`` if none."""
+        """Time of the next scheduled event or deferred callback
+        (``float('inf')`` if there is none)."""
+        if self._deferred:
+            return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
+        """Process exactly one event (advancing the clock to it), or one
+        end-of-timestep callback when the current timestamp has no event left."""
+        if self._deferred and (not self._heap or self._heap[0][0] > self._now):
+            self._deferred.popleft()()
+            return
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
-        when, _prio, _seq, event = heappop(self._heap)
+        when, _seq, event = heappop(self._heap)
         self._now = when
         self.n_dispatched += 1
         event._process()
@@ -180,17 +188,23 @@ class Simulator:
         # wall-clock, and the extra attribute traffic of delegating to
         # step() costs ~8% of end-to-end simulation throughput.
         heap = self._heap
+        deferred = self._deferred
         interrupt = self.interrupt
         stride_mask = INTERRUPT_STRIDE - 1
         dispatched = 0
         try:
-            while heap:
+            while True:
                 if stop_event is not None and stop_event.processed:
                     return stop_event.value
+                if deferred and (not heap or heap[0][0] > self._now):
+                    deferred.popleft()()
+                    continue
+                if not heap:
+                    break
                 if heap[0][0] > stop_time:
                     self._now = stop_time
                     return None
-                when, _prio, _seq, event = heappop(heap)
+                when, _seq, event = heappop(heap)
                 self._now = when
                 dispatched += 1
                 if interrupt is not None and not (dispatched & stride_mask):

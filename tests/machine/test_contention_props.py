@@ -3,7 +3,7 @@
 The contention engine has three implementations of the same max-min fair
 allocation — the reference Python fixpoint (:func:`waterfill`), the
 vectorized sort+cumsum version (:func:`waterfill_vec`) and its scalar twin
-for tiny compositions (``_waterfill_scalar``) — plus a composition-keyed
+for tiny compositions (``waterfill_scalar``) — plus a composition-keyed
 memo on top.  These tests pin the invariants that let them substitute for
 each other: feasibility, demand-boundedness, max-min fairness, bit-level
 agreement of the twin paths, and order/cache independence of the memoized
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.machine.contention import (
     BandwidthContentionAllocator,
     _SCALAR_MAX_GROUPS,
-    _waterfill_scalar,
+    waterfill_scalar,
     waterfill,
     waterfill_vec,
 )
@@ -104,7 +104,7 @@ class TestScalarTwinBitExactness:
         vec = waterfill_vec(
             np.asarray(demands), capacity, np.asarray(weights, dtype=np.int64)
         )
-        scalar = _waterfill_scalar(demands, capacity, weights)
+        scalar = waterfill_scalar(demands, capacity, weights)
         # Bit-identical, not approximately equal: the memo must not depend
         # on which path priced a composition first.
         assert [float(v) for v in vec] == scalar

@@ -10,6 +10,15 @@ class TestTaskSwitching:
     def test_blocked_task_releases_worker(self, sim, world):
         """With one worker, a task blocked in MPI must not stop an
         independent compute task from running."""
+        self._assert_blocked_task_releases_worker(world, rename=None)
+
+    def test_renamed_mpi_event_still_parks_the_task(self, sim, world):
+        """The runtime recognises the blocking call by the event's type, not
+        by its ``mpi:<call>`` name: a relabelled event parks the task too."""
+        self._assert_blocked_task_releases_worker(world, rename="exchange #3")
+
+    @staticmethod
+    def _assert_blocked_task_releases_worker(world, rename):
         order = []
 
         def make_program(peer_delay):
@@ -19,12 +28,16 @@ class TestTaskSwitching:
 
                 def comm_task(worker):
                     order.append((rank.rank, "comm-start", rank.sim.now))
-                    yield rank.alltoall(
+                    event = rank.alltoall(
                         world.comm_world,
                         [MetaPayload(8.0)] * world.comm_world.size,
                         key="x",
                         thread=worker.thread_index,
                     )
+                    assert event.name == "mpi:alltoall"  # what traces show
+                    if rename is not None:
+                        event.name = rename
+                    yield event
                     order.append((rank.rank, "comm-end", rank.sim.now))
 
                 def compute_task(worker):
@@ -163,3 +176,29 @@ class TestTaskSwitching:
         except Exception:
             pass
         assert caught == ["MpiSimError"] or caught == []
+
+    def test_mpi_lookalike_name_does_not_park(self, sim, world):
+        """A plain event that merely *looks* like an MPI call by name is an
+        ordinary wait: the worker stays on the task."""
+        order = []
+
+        def program(rank):
+            rt = TaskRuntime(rank, n_workers=1, task_overhead=0.0, mpi_task_switching=True)
+            rt.start()
+
+            def waiting_task(worker):
+                yield rank.sim.timeout(1.0, name="mpi:alltoall")
+                order.append("wait-end")
+
+            def compute_task(worker):
+                yield rank.compute("work", 1.0e8, thread=worker.thread_index)
+                order.append("compute-end")
+
+            rt.submit("wait", waiting_task, inouts=["a"])
+            rt.submit("compute", compute_task, inouts=["b"])
+            yield rt.taskwait()
+            yield rt.shutdown()
+
+        world.launch(program, ranks=[0])
+        world.run()
+        assert order == ["wait-end", "compute-end"]
