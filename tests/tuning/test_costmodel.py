@@ -8,9 +8,12 @@ search leans on: more nodes cost fabric time, a tighter per-link capacity
 never helps, oversubscription dilates compute.
 """
 
+import json
+import pathlib
+
 import pytest
 
-from repro.core.config import RunConfig
+from repro.core.config import VERSIONS, RunConfig
 from repro.core.driver import build_geometry
 from repro.machine.knl import KnlParameters
 from repro.tuning.costmodel import (
@@ -102,6 +105,26 @@ class TestPredict:
             predict(w, knobs, knl=starved)["compute_s"]
             > predict(w, knobs, knl=slim)["compute_s"]
         )
+
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_bit_identical_to_pinned_prices(self, version):
+        """Every component of every cell equals the value recorded before
+        the layout/overhead terms moved onto ``VERSION_TABLE`` (float hex:
+        bit identity, not a tolerance)."""
+        pins = json.loads(
+            (pathlib.Path(__file__).parent / "fixtures/predict_pins.json").read_text()
+        )
+        w = WorkloadModel.from_config(
+            RunConfig(ecutwfc=12.0, alat=5.0, nbnd=32, ranks=2, taskgroups=1, version=version)
+        )
+        for decomposition in ("slab", "pencil"):
+            for tg in (1, 2, 8):
+                out = predict(w, {
+                    "taskgroups": tg, "decomposition": decomposition,
+                    "grainsize_xy": 10, "grainsize_z": 200,
+                })
+                got = [out[k].hex() for k in ("compute_s", "comm_s", "overhead_s", "total_s")]
+                assert got == pins[f"{version}/{decomposition}/tg{tg}"]
 
 
 class TestScoreCandidates:
