@@ -147,33 +147,14 @@ def _bands_per_s(cfg, rounds: int) -> tuple[float, float]:
 
 
 def measure_dataplane(rounds: int = 5) -> dict:
-    """Best-of-``rounds`` data-mode band throughput (complex bands/s).
-
-    The ratcheted metric, ``bands_per_s``, is the default configuration
-    (``fft_backend="numpy"``, ``kernel_workers=1``).  Alongside it the
-    baseline records ``bands_per_s_workers2`` — the same workload fanned
-    over the 2-worker kernel process pool — and the host core count, for
-    context rather than ratcheting: on a multicore host the pool buys real
-    parallelism, while on a single-core runner (CI containers are often
-    exactly that) the fan-out is pure IPC overhead and the workers-2 number
-    lands *below* the serial one.  Recording ``host_cpus`` next to both
-    numbers keeps that distinction honest.
-    """
-    import dataclasses
-
-    from repro.fft.backends.pool import close_shared_pools
-
+    """Best-of-``rounds`` data-mode band throughput (complex bands/s)."""
     cfg = dataplane_config()
     best, iqr_frac = _bands_per_s(cfg, rounds)
-    cfg2 = dataclasses.replace(cfg, kernel_workers=2)
-    best_workers2, _ = _bands_per_s(cfg2, rounds)
-    close_shared_pools()
     return {
         "kind": "repro.bench_dataplane",
         "config": cfg.label(),
         "bands_per_s": best,
         "bands_per_s_iqr_frac": iqr_frac,
-        "bands_per_s_workers2": best_workers2,
         "n_complex_bands": cfg.n_complex_bands,
         "pre_arena_bands_per_s": PRE_ARENA_BANDS_PER_S,
         "speedup_vs_pre_arena": best / PRE_ARENA_BANDS_PER_S,

@@ -3,8 +3,7 @@
 Two forms of one idea — name the code now, import it when it is needed:
 
 * :func:`resolve` turns a ``"module:attr"`` string into the object.  The
-  CLI names its subcommand handlers and experiments this way, the FFT
-  backend registry its backend classes.
+  CLI names its subcommand handlers and experiments this way.
 * :func:`lazy_exports` builds a package ``__getattr__`` (PEP 562).  A
   package ``__init__`` that re-exports its submodules' names eagerly makes
   ``import package.light_submodule`` pay for every heavy sibling; with

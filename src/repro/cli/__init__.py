@@ -63,7 +63,7 @@ Layout: :mod:`repro.cli.parser` declares every flag and names each
 subcommand's handler as a ``"module:function"`` string; :func:`main` parses
 and imports that one module — ``run`` (``run``, ``compare``),
 ``experiments`` (the paper's figures/tables, ``all``), ``catalogue``
-(``list``, ``backends``), ``sweep``, ``tune``, ``faults``, ``perf``
+(``list``), ``sweep``, ``tune``, ``faults``, ``perf``
 (``perf ...``, ``analyze``) or ``service`` (``serve``, ``loadgen``) — so a
 fresh process pays only for the command it runs (the import rules are
 stated as invariants in DESIGN.md and pinned by

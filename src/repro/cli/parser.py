@@ -131,14 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-identical manifests",
     )
     p_sweep.add_argument(
-        "--fft-backend", default="numpy", metavar="NAME",
-        help="FFT kernel backend for every point (see 'backends'; default numpy)",
-    )
-    p_sweep.add_argument(
-        "--kernel-workers", type=int, default=1, metavar="N",
-        help="real cores per batched kernel call (default 1)",
-    )
-    p_sweep.add_argument(
         "--decomposition", default="slab", choices=["slab", "pencil"],
         help="grid decomposition for every point (default slab)",
     )
@@ -200,17 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         "runs produce byte-identical files",
     )
     p_run.add_argument(
-        "--fft-backend", default="numpy", metavar="NAME",
-        help="FFT kernel backend for data-mode runs (see 'backends'; "
-        "default numpy)",
-    )
-    p_run.add_argument(
-        "--kernel-workers", type=int, default=1, metavar="N",
-        help="real cores per batched kernel call: scipy/pyFFTW thread "
-        "in-library, numpy/native fan out over the shared-memory process "
-        "pool (default 1)",
-    )
-    p_run.add_argument(
         "--decomposition", default="slab", choices=["slab", "pencil"],
         help="grid decomposition: z-slabs (default) or a 2D pencil grid",
     )
@@ -228,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-link fabric capacity (B/s) for multi-node runs "
         "(default: aggregate-capacity model)",
     )
-
-    p_backends = sub.add_parser(
-        "backends",
-        help="list FFT kernel backends and their availability on this host",
-    )
-    p_backends.set_defaults(handler="repro.cli.catalogue:cmd_backends")
 
     p_tune = sub.add_parser(
         "tune", help="autotuner wisdom DB: search / show / export / import"

@@ -10,7 +10,6 @@ import time
 from repro.cli.faults import load_scenario_arg
 from repro.cli.parser import QUICK_WORKLOAD
 from repro.core import RunConfig, run_fft_phase
-from repro.fft.backends.base import BackendUnavailableError
 
 
 def cmd_run(args) -> int:
@@ -36,8 +35,6 @@ def cmd_run(args) -> int:
             n_nodes=args.nodes,
             telemetry=want_telemetry,
             faults=scenario,
-            fft_backend=args.fft_backend,
-            kernel_workers=args.kernel_workers,
             decomposition=args.decomposition,
             tuning=args.tuning,
             wisdom_path=args.wisdom,
@@ -48,13 +45,7 @@ def cmd_run(args) -> int:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    try:
-        result = run_fft_phase(config)
-    except BackendUnavailableError as exc:
-        # The optional library is probed at validation and imported on the
-        # first plan; a missing or broken one ends here, not in a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_fft_phase(config)
     wall = time.perf_counter() - t0
     print(f"{result.config.label()}: FFT phase {result.phase_time * 1e3:.2f} ms "
           f"(simulated), avg IPC {result.average_ipc:.3f}")

@@ -50,8 +50,6 @@ def cmd_sweep(args) -> int:
 
     base: dict[str, _t.Any] = dict(QUICK_WORKLOAD) if args.quick else {}
     base["telemetry"] = True
-    base["fft_backend"] = args.fft_backend
-    base["kernel_workers"] = args.kernel_workers
     base["decomposition"] = args.decomposition
     base["tuning"] = args.tuning
     if args.wisdom is not None:

@@ -123,17 +123,6 @@ class RunConfig:
     #: or ``None`` for a fault-free run.  With ``None`` every injection
     #: hook reduces to one attribute check, so baselines are untouched.
     faults: "FaultScenario | None" = None
-    #: FFT kernel backend for data-mode runs (``repro.fft.backends``):
-    #: ``"numpy"`` (pocketfft, default), ``"scipy"``, ``"pyfftw"`` when
-    #: importable, or ``"native"`` (the repo's own mixed-radix kernels).
-    #: Simulated timings never depend on this — only real payload math.
-    fft_backend: str = "numpy"
-    #: Real cores driving each batched kernel call: 1 = single-threaded
-    #: (default).  ``N>1`` threads inside the library for backends that
-    #: support it (scipy/pyFFTW) or fans row chunks across the
-    #: shared-memory process pool (numpy/native); output is byte-identical
-    #: to ``kernel_workers=1`` for the pocketfft backends.
-    kernel_workers: int = 1
     #: Real-space decomposition over the R scatter ranks of each task
     #: group: ``"slab"`` (the paper's z-plane scheme, scaling-limited by
     #: ``nr3``) or ``"pencil"`` (a Pr x Pc processor grid with two
@@ -181,8 +170,6 @@ class RunConfig:
                 f"{self.n_mpi_ranks} MPI ranks do not distribute evenly over "
                 f"{self.n_nodes} nodes"
             )
-        if self.kernel_workers < 1:
-            raise ValueError(f"kernel_workers must be >= 1, got {self.kernel_workers}")
         if self.decomposition not in ("slab", "pencil"):
             raise ValueError(
                 f"decomposition must be 'slab' or 'pencil', got {self.decomposition!r}"
@@ -194,19 +181,6 @@ class RunConfig:
         if self.link_capacity is not None and self.link_capacity <= 0:
             raise ValueError(
                 f"link_capacity must be positive, got {self.link_capacity}"
-            )
-        # Validate the backend name against the registry — names only: no
-        # backend module and no optional library (scipy, pyFFTW) is imported
-        # to build a config.  Availability is checked at engine
-        # construction, not here, so a config naming an uninstalled optional
-        # backend can still be built, serialized, and rejected with a clear
-        # error when actually run.
-        from repro.fft.backends.registry import known_backends
-
-        if self.fft_backend not in known_backends():
-            raise ValueError(
-                f"unknown fft_backend {self.fft_backend!r}; "
-                f"known backends: {', '.join(sorted(known_backends()))}"
             )
 
     # -- derived quantities ----------------------------------------------------

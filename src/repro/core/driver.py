@@ -54,7 +54,6 @@ from repro.core.wave import (
 from repro.core.workspace import aggregate_stats, layout_workspaces, workspace_for
 from repro.faults.injector import FaultError, FaultInjector
 from repro.faults.plan import FaultScenario
-from repro.fft.backends.engine import KernelEngine
 from repro.grids import Cell, DistributedLayout, FftDescriptor
 from repro.machine import CpuModel, KnlParameters, knl_phase_table, knl_topology
 from repro.machine.cluster import ClusterTopology
@@ -270,13 +269,14 @@ def run_fft_phase(
         else:
             task_observer = _fanout_task_observer(tel.tracer.on_task, task_observer)
 
-    # The kernel engine: one per run, shared by every rank context, so the
-    # whole data plane runs on config.fft_backend with config.kernel_workers
-    # and plan caches warm across bands.  Meta-mode runs execute no kernels,
-    # so a config naming an uninstalled backend still simulates fine there.
-    kernel_engine: KernelEngine | None = None
+    # The kernel engine: one per run, shared by every rank context, so its
+    # executable cache stays warm across bands.  Meta-mode runs execute no
+    # kernels, build none and never import the module.
+    kernel_engine = None
     if config.data_mode:
-        kernel_engine = KernelEngine(config.fft_backend, workers=config.kernel_workers)
+        from repro.fft.backends.engine import KernelEngine
+
+        kernel_engine = KernelEngine()
 
     # Data-plane arenas: per-(layout, process) pools shared across runs of
     # one workload.  Snapshot before the attempts loop so the run's manifest
@@ -522,8 +522,8 @@ def run_fft_phase(
                 stacklevel=2,
             )
         if kernel_engine is not None:
-            # Kernel-plane counters ride the dataplane section (and thus the
-            # dataplane.* gauges): backend, workers, calls, rows, pool fan-outs.
+            # Kernel counters ride the dataplane section (and thus the
+            # dataplane.* gauges): calls and rows.
             dataplane.update(kernel_engine.stats())
 
     if tuning_info is not None:
@@ -645,7 +645,7 @@ def _record_run_summary(
             tel.metrics.set_gauge(f"engine.{name}", float(value), resource=resource)
     if dataplane is not None:
         for name, value in dataplane.items():
-            # kernel_backend is a string label; only numeric entries gauge.
+            # decomposition is a string label; only numeric entries gauge.
             if isinstance(value, (int, float)):
                 tel.metrics.set_gauge(f"dataplane.{name}", float(value))
     if tuning is not None:

@@ -36,7 +36,6 @@ import numpy as np
 from repro.core import redistribute as redist_mod
 from repro.core import wave as wave_mod
 from repro.core.vofr import apply_potential
-from repro.fft.backends.engine import default_engine
 from repro.grids.descriptor import DistributedLayout
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -317,10 +316,8 @@ class FftPhaseContext:
         buffer is ever touched.
     kernels:
         The run's :class:`~repro.fft.backends.engine.KernelEngine` — every
-        batched FFT the stages execute goes through it, which is what makes
-        ``RunConfig.fft_backend`` / ``kernel_workers`` take effect.  When
-        ``None`` the process-wide single-threaded default-backend engine is
-        used.
+        batched FFT the stages execute goes through it.  ``None`` in meta
+        mode, where no kernel runs.
     row_comm / col_comm:
         The pencil transpose communicators (row-internal z<->y over Pc
         ranks, column-internal y<->x over Pr ranks); ``None`` for the slab
@@ -355,8 +352,6 @@ class FftPhaseContext:
         self.packed = packed
         self.v_slab = v_slab
         self.workspace = workspace
-        if kernels is None:
-            kernels = default_engine()
         self.kernels = kernels
         self.row_comm = row_comm
         self.col_comm = col_comm
@@ -487,8 +482,8 @@ def apply_local(ctx: FftPhaseContext, stage: Stage, block: np.ndarray, in_place:
 def _alltoallw(ctx: FftPhaseContext, plan, comm, block, recvbuf, key: object, thread: int):
     """Join the plan's Alltoallw; the returned event resolves once every
     member joined and the elements moved."""
-    # No-op for the common contiguous case; backends whose transform hands
-    # back a strided view get one normalizing copy here.
+    # No-op for the common contiguous case; a strided view gets one
+    # normalizing copy here.
     sendbuf = None if block is None else np.ascontiguousarray(block)
     return ctx.rank.alltoallw(
         comm, sendbuf, recvbuf, plan.send_blocks, plan.recv_blocks,

@@ -4,7 +4,7 @@ Data-mode runs used to allocate every marshalling buffer fresh: each band's
 group stick block (``np.zeros`` per pack), each plane block (per scatter),
 each gather staging array.  A :class:`Workspace` replaces those with a
 pooled acquire/release protocol: buffers are keyed by ``(kind, shape,
-dtype, layout)`` and recycled across bands, directions, iterations and — because
+dtype)`` and recycled across bands, directions, iterations and — because
 arenas attach to the (process-cached) :class:`~repro.grids.descriptor.
 DistributedLayout` — across runs and sweep points of the same workload.
 
@@ -54,7 +54,7 @@ _PRUNE_THRESHOLD = 256
 
 
 def _key_bytes(key: tuple) -> int:
-    _kind, shape, dtypestr, _layout = key
+    _kind, shape, dtypestr = key
     n = 1
     for dim in shape:
         n *= int(dim)
@@ -65,7 +65,7 @@ class Workspace:
     """One process's pooled data-plane buffers.
 
     ``acquire(kind, shape)`` returns a recycled buffer when one of the exact
-    ``(kind, shape, dtype, layout)`` key is free, else allocates.  Contents are
+    ``(kind, shape, dtype)`` key is free, else allocates.  Contents are
     *unspecified* — callers must fully overwrite (or zero-fill) what they
     acquire.  ``release`` returns buffers to the pool; only the exact array
     object previously acquired is accepted (views are not, by design — the
@@ -97,18 +97,9 @@ class Workspace:
         kind: str,
         shape: tuple,
         dtype: np.dtype | type = np.complex128,
-        layout: str = "aos",
     ) -> np.ndarray:
-        """Check out a C-contiguous buffer of the given kind/shape/dtype.
-
-        ``layout`` is part of the pool key: an SoA staging buffer (planar
-        real/imag, ``layout="soa"``) must never be recycled as an AoS
-        (interleaved complex) buffer of coincidentally equal shape and
-        dtype — the two carry different value conventions, and sharing a
-        pool would hand callers buffers whose stale contents alias the
-        other layout's.
-        """
-        key = (kind, tuple(int(s) for s in shape), np.dtype(dtype).str, str(layout))
+        """Check out a C-contiguous buffer of the given kind/shape/dtype."""
+        key = (kind, tuple(int(s) for s in shape), np.dtype(dtype).str)
         with self._lock:
             if len(self._out) > _PRUNE_THRESHOLD:
                 self._prune_locked()

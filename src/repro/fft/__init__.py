@@ -1,8 +1,11 @@
-"""From-scratch batched complex FFTs (the ``fft_scalar`` substrate).
+"""Batched complex FFTs: the kernel engine and its independent reference.
 
-FFTXlib delegates its 1D/2D transforms to vendor libraries (FFTW, DFTI);
-this package is the reproduction's own implementation, so that the compute
-substrate of the pipeline is real code rather than a stub:
+FFTXlib delegates its 1D/2D transforms to vendor libraries (FFTW, DFTI),
+and so does a data-mode run here: :mod:`repro.fft.backends` is numpy's
+pocketfft restricted to the stick support.  The rest of this package is
+the reproduction's own from-scratch implementation — the *independent
+reference* behind ``--validate``, :mod:`repro.qe.dense` and
+:mod:`repro.core.observables`, which the engine is checked against:
 
 * :mod:`~repro.fft.goodfft` — QE-style ``good_fft_order``: grid sizes are
   rounded up to products of small radices (2, 3, 5, with at most one factor
@@ -18,16 +21,16 @@ substrate of the pipeline is real code rather than a stub:
   ESPRESSO's normalisation convention (backward/G→R unscaled, forward/R→G
   scaled by 1/N).
 
-Everything is validated against ``numpy.fft`` in the test suite, including
-hypothesis property tests (linearity, Parseval, round trips); numpy's FFT is
-used nowhere in the library itself.
+The reference is validated against ``numpy.fft`` in the test suite,
+including hypothesis property tests (linearity, Parseval, round trips), and
+calls numpy's FFT nowhere itself.
 """
 
 from repro._lazy import lazy_exports
 from repro.fft.goodfft import allowed_fft_order, good_fft_order
 
 # The kernels load on first access: grid sizing (``goodfft``) and the
-# backend plane import this package without ever running a native kernel.
+# kernel engine import this package without ever running a reference kernel.
 __getattr__ = lazy_exports(
     __name__,
     {
@@ -35,7 +38,6 @@ __getattr__ = lazy_exports(
         "repro.fft.batched": (
             "cfft3d", "cft_1z", "cft_2xy", "fft", "fft2", "ifft", "ifft2", "fwfft", "invfft",
         ),
-        "repro.fft.realfft": ("irfft", "rfft"),
     },
 )
 
@@ -53,6 +55,4 @@ __all__ = [
     "cft_1z",
     "cft_2xy",
     "cfft3d",
-    "rfft",
-    "irfft",
 ]

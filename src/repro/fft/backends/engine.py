@@ -1,102 +1,157 @@
 """The kernel engine: what the data plane actually calls.
 
-One :class:`KernelEngine` is built per run from ``RunConfig.fft_backend``
-and ``RunConfig.kernel_workers``; the pipeline's FFT steps call its
-:meth:`cft_1z` / :meth:`cft_2xy` / :meth:`rfft` instead of importing the
-kernels directly.  The engine caches backend executables per
-``(kind, shape, dtype, layout)`` — band after band hits a ready plan —
-and decides how a call goes multicore:
+One :class:`KernelEngine` is built per data-mode run; the pipeline's FFT
+stages call its :meth:`~KernelEngine.cft_1z` / :meth:`~KernelEngine.cft_2xy`.
+The transforms are numpy's bundled pocketfft, in complex128, in Quantum
+ESPRESSO's conventions (the same as :func:`repro.fft.batched.cft_1z` /
+:func:`~repro.fft.batched.cft_2xy`, the independent reference the engine is
+tested against), mapped onto numpy's ``norm="forward"`` mode:
 
-* ``workers == 1``: plain single-threaded executable (the default; output
-  byte-identical to the pre-backend-plane data plane with
-  ``fft_backend="native"``, and to plain ``np.fft`` with ``"numpy"``).
-* ``workers > 1`` and the backend threads internally (scipy, pyFFTW):
-  pass ``workers=`` straight into the executable — zero-copy multicore.
-* ``workers > 1`` otherwise (numpy, native): fan row chunks across the
-  shared-memory process pool for the c2c kinds.  Sub-batch transforms are
-  row-independent for pocketfft, so the result is byte-identical to
-  ``workers=1`` (pinned by ``tests/core/test_kernel_workers.py``).
+* ``sign=+1`` (G→R, exponent ``+i``, unscaled) is ``np.fft.ifft(..,
+  norm="forward")`` — forward-norm puts the ``1/n`` on the *forward*
+  transform, leaving the inverse unscaled.
+* ``sign=-1`` (R→G, exponent ``-i``, scaled ``1/n``) is ``np.fft.fft(..,
+  norm="forward")``.
 
-``cft_1z`` / ``cft_2xy`` take the block's stick *support* (see
-:mod:`repro.fft.backends.base`) and forward it to backends that honour it,
-so a run-restricted stage is still one engine call; ``out`` may alias the
-input, which is how the linear band chain transforms in place.
+Every pass writes straight into ``out`` through ``np.fft``'s own ``out=``
+(numpy >= 2.0) — ``out`` may be the input itself, which is how the linear
+band chain transforms in place — and the 2-D kind runs as two 1-D passes in
+``fftn``'s order (last axis first), so a dense call's bits equal ``fftn``'s.
+
+Both kinds take the block's stick *support*, as half-open index runs
+(:data:`repro.grids.sticks.Runs`): for ``cft_1z`` the runs of batch rows
+that carry data, for ``cft_2xy`` the pair ``(x_runs, y_runs)`` of non-empty
+x rows / y columns of a plane (``StickMap.xy_support``).  By passing it the
+caller promises that lines outside the support are zero on input when
+``sign=+1`` and are never read from the output when ``sign=-1``; only
+supported lines are transformed (``sign=+1`` leaves zeros outside them,
+``sign=-1`` leaves those output lines unspecified), and a run-restricted
+stage is still one engine call.
 
 Call and row counters feed the ``dataplane.*`` telemetry gauges through
-:meth:`stats`.
+:meth:`KernelEngine.stats`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fft.backends.base import FftBackend
-from repro.fft.backends.registry import DEFAULT_BACKEND, get_backend
+__all__ = ["KernelEngine"]
 
-__all__ = ["KernelEngine", "default_engine"]
+#: Batched array rank per transform kind.
+_NDIM = {"c2c_1d": 2, "c2c_2d": 3}
 
-#: Don't fan a batch to processes below this many rows — the pipe/copy
-#: overhead swamps the kernel for tiny batches.
-_MIN_POOL_ROWS = 2
+
+def _transform(x, sign, axis, out):
+    fn = np.fft.ifft if sign == 1 else np.fft.fft
+    return fn(x, axis=axis, norm="forward", out=out)
+
+
+def _zero_outside(out, runs, axis):
+    """Zero ``out`` along ``axis`` everywhere outside the ``runs``."""
+    index = [slice(None)] * out.ndim
+    edge = 0
+    for lo, hi in (*runs, (out.shape[axis], out.shape[axis])):
+        if lo > edge:
+            index[axis] = slice(edge, lo)
+            out[tuple(index)] = 0
+        edge = hi
+
+
+def _transform_runs(x, sign, axis, out, runs, run_axis):
+    """One 1-D pass over the ``runs`` of ``run_axis`` only; rows outside
+    them are left as they are in ``out``."""
+    index = [slice(None)] * x.ndim
+    for lo, hi in runs:
+        index[run_axis] = slice(lo, hi)
+        window = tuple(index)
+        _transform(x[window], sign, axis, out[window])
+
+
+def _check(kind, shape, x, sign):
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign}")
+    if x.shape != shape:
+        raise ValueError(f"{kind} executable planned for shape {shape}, got {x.shape}")
+
+
+def _executable(kind: str, shape: tuple):
+    """``exe(x, sign, out=None, support=None)`` for one batched shape."""
+    if kind == "c2c_1d":
+
+        def exe(x, sign, out=None, support=None):
+            _check(kind, shape, x, sign)
+            if support is None:
+                return _transform(x, sign, -1, out)
+            if out is None:
+                out = np.empty(shape, dtype=np.complex128)
+            _transform_runs(x, sign, -1, out, support, 0)
+            if sign == 1 and out is not x:
+                _zero_outside(out, support, 0)
+            return out
+
+    else:  # c2c_2d
+
+        def exe(x, sign, out=None, support=None):
+            _check(kind, shape, x, sign)
+            if support is None:
+                out = _transform(x, sign, -1, out)
+                return _transform(out, sign, -2, out)
+            x_runs, y_runs = support
+            if sign == 1:
+                # G->R: x rows without sticks are zero and stay zero
+                # through the y pass.
+                if out is None:
+                    out = np.empty(shape, dtype=np.complex128)
+                _transform_runs(x, sign, -1, out, x_runs, 1)
+                if out is not x:
+                    _zero_outside(out, x_runs, 1)
+                return _transform(out, sign, -2, out)
+            # R->G: only the y columns carrying sticks are read back.
+            out = _transform(x, sign, -1, out)
+            _transform_runs(out, sign, -2, out, y_runs, 2)
+            return out
+
+    return exe
 
 
 class KernelEngine:
-    """Per-run facade over one backend + one multicore strategy."""
+    """One run's batched FFT kernels, with a per-shape executable cache."""
 
-    def __init__(self, backend: str = DEFAULT_BACKEND, workers: int = 1):
-        if workers < 1:
-            raise ValueError(f"kernel_workers must be >= 1, got {workers}")
-        self.backend: FftBackend = get_backend(backend)
-        self.workers = int(workers)
+    def __init__(self) -> None:
         self._plans: dict = {}
         self.kernel_calls = 0
         self.kernel_rows = 0
-        self.pool_batches = 0
-        self.pool_rows = 0
 
-    # -- planning -----------------------------------------------------------
-
-    def plan(self, kind: str, shape, dtype=np.complex128, layout: str = "aos"):
-        """Cached backend executable for the spec (also the public API)."""
-        key = (kind, tuple(shape), np.dtype(dtype).name, layout)
+    def plan(self, kind: str, shape):
+        """Cached executable ``exe(x, sign, out=None, support=None)`` for a
+        batched shape — ``(nbatch, n)`` for ``c2c_1d``, ``(nbatch, nx, ny)``
+        for ``c2c_2d`` (also the public API)."""
+        key = (kind, tuple(shape))
         exe = self._plans.get(key)
         if exe is None:
-            exe = self.backend.plan(kind, tuple(shape), dtype=dtype, layout=layout)
-            self._plans[key] = exe
+            if kind not in _NDIM:
+                raise ValueError(f"unknown transform kind {kind!r}; choose from {tuple(_NDIM)}")
+            if len(key[1]) != _NDIM[kind] or any(s < 1 for s in key[1]):
+                raise ValueError(
+                    f"{kind} expects a batched shape of {_NDIM[kind]} positive axes, got {key[1]}"
+                )
+            exe = self._plans[key] = _executable(*key)
         return exe
 
-    # -- execution ----------------------------------------------------------
-
-    def _run_c2c(self, kind: str, x: np.ndarray, sign: int, out, support=None):
+    def _run_c2c(self, kind: str, x: np.ndarray, sign: int, out, support):
         self.kernel_calls += 1
         self.kernel_rows += x.shape[0]
-        if self.workers > 1:
-            if self.backend.supports_workers:
-                exe = self.plan(kind, x.shape, dtype=x.dtype)
-                return exe(x, sign, out=out, workers=self.workers)
-            if x.shape[0] >= _MIN_POOL_ROWS:
-                from repro.fft.backends.pool import shared_pool
-
-                pool = shared_pool(self.workers)
-                res = pool.run(self.backend.name, kind, x, sign, out=out)
-                self.pool_batches += 1
-                self.pool_rows += x.shape[0]
-                return res
-        exe = self.plan(kind, x.shape, dtype=x.dtype)
-        if support is not None and self.backend.honours_support:
-            return exe(x, sign, out=out, support=support)
-        return exe(x, sign, out=out)
+        return self.plan(kind, x.shape)(x, sign, out=out, support=support)
 
     def cft_1z(self, sticks: np.ndarray, sign: int, out=None, support=None) -> np.ndarray:
         """Batched 1D transforms along z: ``(nsticks, nz)``, QE conventions.
 
         ``support`` is the runs of rows that carry data (``None`` = all).
         """
-        sticks = np.asarray(sticks)
+        sticks = np.asarray(sticks, dtype=np.complex128)
         if sticks.ndim != 2:
             raise ValueError(f"cft_1z expects (nsticks, nz), got shape {sticks.shape}")
-        if not np.issubdtype(sticks.dtype, np.complexfloating):
-            sticks = sticks.astype(np.complex128)
         return self._run_c2c("c2c_1d", sticks, sign, out, support)
 
     def cft_2xy(self, planes: np.ndarray, sign: int, out=None, support=None) -> np.ndarray:
@@ -105,50 +160,20 @@ class KernelEngine:
         ``support`` is the ``(x_runs, y_runs)`` stick support of a plane
         (``StickMap.xy_support``; ``None`` = dense).
         """
-        planes = np.asarray(planes)
+        planes = np.asarray(planes, dtype=np.complex128)
         if planes.ndim != 3:
             raise ValueError(f"cft_2xy expects (nplanes, nx, ny), got shape {planes.shape}")
-        if not np.issubdtype(planes.dtype, np.complexfloating):
-            planes = planes.astype(np.complex128)
         return self._run_c2c("c2c_2d", planes, sign, out, support)
 
     def rfft(self, x: np.ndarray, out=None) -> np.ndarray:
         """Batched real-input forward DFT along the last axis."""
+        # No run calls this: ``benchmarks/e2e/ledger.py`` resolves the name
+        # from this class and is its only reader.
         x = np.asarray(x)
-        if x.ndim != 2:
-            raise ValueError(f"rfft expects (nbatch, n), got shape {x.shape}")
-        if not np.issubdtype(x.dtype, np.floating):
-            x = x.astype(np.float64)
         self.kernel_calls += 1
         self.kernel_rows += x.shape[0]
-        exe = self.plan("rfft", x.shape, dtype=x.dtype)
-        workers = self.workers if self.backend.supports_workers and self.workers > 1 else None
-        return exe(x, -1, out=out, workers=workers)
-
-    # -- telemetry ----------------------------------------------------------
+        return np.fft.rfft(x, axis=-1, out=out)
 
     def stats(self) -> dict:
         """Counters merged into the run's ``dataplane`` manifest section."""
-        return {
-            "kernel_backend": self.backend.name,
-            "kernel_workers": self.workers,
-            "kernel_calls": self.kernel_calls,
-            "kernel_rows": self.kernel_rows,
-            "kernel_pool_batches": self.pool_batches,
-            "kernel_pool_rows": self.pool_rows,
-        }
-
-
-_DEFAULT: KernelEngine | None = None
-
-
-def default_engine() -> KernelEngine:
-    """Process-wide single-threaded default-backend engine.
-
-    Used by contexts constructed without an explicit engine (unit tests,
-    ad-hoc pipeline steps) so kernel routing never needs a None check.
-    """
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = KernelEngine(DEFAULT_BACKEND, workers=1)
-    return _DEFAULT
+        return {"kernel_calls": self.kernel_calls, "kernel_rows": self.kernel_rows}

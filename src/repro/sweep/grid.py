@@ -50,6 +50,9 @@ class GridSpec:
         that axis takes.  Declaration order is the expansion order.
     base:
         Keyword arguments shared by every point (workload, seed, faults...).
+
+    An axis or base name that is not a :class:`RunConfig` field is a
+    ``ValueError`` here, naming the field — not a ``TypeError`` at expansion.
     """
 
     axes: dict[str, tuple[AxisValue, ...]]
@@ -66,6 +69,14 @@ class GridSpec:
         for name, values in normalized.items():
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        for what, names in (("axis", normalized), ("base parameter", base or {})):
+            for name in names:
+                if name not in fields:
+                    raise ValueError(
+                        f"{what} {name!r} is not a RunConfig field; "
+                        f"valid fields: {', '.join(fields)}"
+                    )
         overlap = set(normalized) & set(base or {})
         if overlap:
             raise ValueError(f"axes shadow base parameters: {sorted(overlap)}")

@@ -218,8 +218,6 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
     ("config.taskgroups", (int,), True),
     ("config.nbnd", (int,), True),
     ("config.label", (str,), True),
-    ("config.fft_backend", (str,), False),
-    ("config.kernel_workers", (int,), False),
     ("config.decomposition", (str,), False),
     ("calibration", (dict,), True),
     ("timing", (dict,), True),
@@ -236,8 +234,6 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
     ("fault_report.scenario", (dict,), False),
     ("failed", (bool,), False),
     ("dataplane", (dict,), False),
-    ("dataplane.kernel_backend", (str,), False),
-    ("dataplane.kernel_workers", (int,), False),
     ("dataplane.decomposition", (str,), False),
     ("internode", (dict,), False),
     ("internode.inter_bytes", (int, float), False),

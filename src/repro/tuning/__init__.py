@@ -1,10 +1,9 @@
 """Self-tuning runtime: workload digests, wisdom DB, cost model, search.
 
 The FFTW "wisdom" idea applied to the runtime knobs this codebase has
-accumulated (NTG, scheduler, grainsizes, decomposition, FFT backend,
-kernel workers): search the space once per workload digest,
-persist the winner, and let every later run — driver, sweep, service —
-consult the database for free.
+accumulated (NTG, scheduler, grainsizes, decomposition): search the space
+once per workload digest, persist the winner, and let every later run —
+driver, sweep, service — consult the database for free.
 
 Entry points:
 
@@ -67,21 +66,17 @@ def apply_knobs(config: RunConfig, knobs: dict) -> RunConfig | None:
     """The config with a stored knob vector applied, or ``None`` if invalid.
 
     A wisdom entry can postdate the environment it was recorded in (e.g. a
-    backend that is no longer importable, a taskgroup count invalid for a
-    different band total).  Strategy: try the full vector; if that fails,
-    retry without the backend knobs; if even the scheduling knobs do not
-    fit, apply nothing — a stale entry must never break a run.
+    taskgroup count invalid for a different band total, or keys that are no
+    longer knobs — those are ignored).  If the vector does not fit, apply
+    nothing — a stale entry must never break a run.
     """
     vector = {k: knobs[k] for k in KNOB_FIELDS if k in knobs}
-    for drop in ((), ("fft_backend", "kernel_workers")):
-        trial = {k: v for k, v in vector.items() if k not in drop}
-        if not trial:
-            continue
-        try:
-            return dataclasses.replace(config, **trial)
-        except ValueError:
-            continue
-    return None
+    if not vector:
+        return None
+    try:
+        return dataclasses.replace(config, **vector)
+    except ValueError:
+        return None
 
 
 def resolve_tuning(

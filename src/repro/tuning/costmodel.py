@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.core.config import RunConfig
+from repro.core.config import VERSION_TABLE, RunConfig
 from repro.core.pipeline import CostConstants
 from repro.machine.knl import KnlParameters
 
@@ -88,11 +88,12 @@ class WorkloadModel:
 
 
 def _layout_of(version: str, ranks: int, taskgroups: int) -> tuple[int, int, int]:
-    """(R, T, threads_per_rank) of the R x T layout a candidate runs."""
-    if version in ("original", "pipelined", "ompss_steps"):
-        threads = 1 if version in ("original", "pipelined") else 2
-        return ranks, taskgroups, threads
-    return ranks, 1, taskgroups
+    """(R, T, threads_per_rank) of the R x T layout a candidate runs —
+    :attr:`RunConfig.layout_groups` / ``threads_per_rank`` for a candidate
+    that is never built, with ``steps_workers`` at its default of 2."""
+    spec = VERSION_TABLE[version]
+    threads = {"one": 1, "hyperthreads": 2, "taskgroups": taskgroups}[spec.threads]
+    return ranks, taskgroups if spec.task_groups else 1, threads
 
 
 def estimated_scatter_bytes(w: WorkloadModel, R: int) -> float:
@@ -203,9 +204,10 @@ def predict(
 
     # -- runtime overhead --------------------------------------------------
     overhead_s = 0.0
-    if w.version not in ("original", "pipelined"):
-        if w.version == "ompss_perfft":
-            n_tasks = float(n_complex)
+    spec = VERSION_TABLE[w.version]
+    if spec.threads != "one":
+        if spec.policy != "staged":
+            n_tasks = float(n_complex)  # one task per FFT
         else:
             gx = max(int(knobs.get("grainsize_xy", 10)), 1)
             gz = max(int(knobs.get("grainsize_z", 200)), 1)

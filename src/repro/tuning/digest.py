@@ -3,8 +3,7 @@
 A digest identifies *what* is being computed and *where* — the workload
 shape (grid cutoffs, bands), the executor family, the node count and the
 machine profile — while deliberately excluding every knob the autotuner is
-allowed to move (NTG, scheduler, grainsizes, decomposition, FFT backend,
-kernel workers).  Two runs with the same digest are the same
+allowed to move (NTG, scheduler, grainsizes, decomposition).  Two runs with the same digest are the same
 tuning problem; the DB stores one best-known knob vector per digest.
 
 The serialization reuses the sweep engine's canonical-JSON convention
@@ -43,8 +42,6 @@ KNOB_FIELDS: tuple[str, ...] = (
     "grainsize_xy",
     "grainsize_z",
     "decomposition",
-    "fft_backend",
-    "kernel_workers",
 )
 
 

@@ -63,12 +63,7 @@ def _try_config(config: RunConfig, knobs: dict, **overrides) -> RunConfig | None
 
 
 def candidate_knobs(config: RunConfig) -> list[dict]:
-    """Every valid knob vector for this workload, deterministically ordered.
-
-    ``fft_backend`` / ``kernel_workers`` ride along pinned at the config's
-    own values: they never move simulated time (only real payload math) and
-    stay in the stored vector for provenance.
-    """
+    """Every valid knob vector for this workload, deterministically ordered."""
     schedulers: tuple[str, ...] = (
         _SCHEDULER_CHOICES if config.is_task_version else (config.scheduler,)
     )
@@ -90,8 +85,6 @@ def candidate_knobs(config: RunConfig) -> list[dict]:
                             "grainsize_xy": gx,
                             "grainsize_z": gz,
                             "decomposition": decomposition,
-                            "fft_backend": config.fft_backend,
-                            "kernel_workers": config.kernel_workers,
                         }
                         if _try_config(config, knobs) is not None:
                             out.append(knobs)

@@ -75,7 +75,7 @@ class TestHostDoesTheChargedWork:
         planes = np.zeros((npp, desc.nr1, desc.nr2), dtype=np.complex128)
         support = sticks.xy_support
         x_rows = sum(hi - lo for lo, hi in sticks.x_runs)
-        engine = KernelEngine("numpy")
+        engine = KernelEngine()
 
         engine.cft_2xy(planes, -1, out=planes, support=support)
         assert lines == {

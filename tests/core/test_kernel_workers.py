@@ -1,205 +1,40 @@
-"""Multicore kernel execution: determinism, crash surfacing, telemetry.
+"""The kernel engine's run-level telemetry.
 
-``kernel_workers=N`` must be a pure speed knob.  For the pocketfft
-backends (numpy via the shared-memory process pool, scipy via in-library
-threads) sub-batch rows are computed independently, so fanning a batch
-over N cores is **byte-identical** to single-threaded execution — pinned
-here at the engine level and end-to-end across every executor.  Simulated
-timings must not move either: the cost model never sees the knob.
-
-A pool worker dying mid-run (the real-process analogue of the
-``repro.faults`` task-kill machinery — same failure class, actual SIGKILL
-instead of a simulated kill event) must surface a clean
-:class:`~repro.fft.backends.pool.KernelPoolError`, never a hang, and the
-process-wide shared pool must replace the broken pool on next use.
+A data-mode run builds one :class:`~repro.fft.backends.KernelEngine` and
+reports its call and row counters in the ``dataplane`` section and the
+``dataplane.kernel_*`` gauges; a meta-mode run executes no kernels and
+builds no engine.
 """
 
-import os
-import signal
-import time
-
-import numpy as np
-import pytest
-
 from repro.core import RunConfig, run_fft_phase
-from repro.fft.backends import KernelEngine, KernelPoolError
-from repro.fft.backends.pool import close_shared_pools, shared_pool
+from repro.fft.backends import engine as engine_mod
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
-
-ALL_VERSIONS = ["original", "pipelined", "ompss_perfft", "ompss_steps", "ompss_combined"]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_pools():
-    # Each test starts and ends without leftover worker processes, so a
-    # crash staged in one test can never bleed into another.
-    close_shared_pools()
-    yield
-    close_shared_pools()
-
-
-def _batch(shape, seed=7):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestEngineDeterminism:
-    @pytest.mark.parametrize("kind,shape", [("1z", (13, 30)), ("2xy", (9, 12, 10))])
-    def test_pool_fanout_byte_identical_numpy(self, kind, shape):
-        x = _batch(shape)
-        serial = KernelEngine("numpy", workers=1)
-        fanned = KernelEngine("numpy", workers=3)
-        run_s = getattr(serial, f"cft_{kind}")
-        run_f = getattr(fanned, f"cft_{kind}")
-        for sign in (1, -1):
-            np.testing.assert_array_equal(run_f(x, sign), run_s(x, sign))
-        stats = fanned.stats()
-        assert stats["kernel_pool_batches"] == 2
-        assert stats["kernel_pool_rows"] == 2 * shape[0]
-
-    def test_inlibrary_workers_byte_identical_scipy(self):
-        backend = pytest.importorskip("scipy", reason="scipy backend not installed")
-        del backend
-        x = _batch((13, 30))
-        serial = KernelEngine("scipy", workers=1)
-        threaded = KernelEngine("scipy", workers=4)
-        for sign in (1, -1):
-            np.testing.assert_array_equal(threaded.cft_1z(x, sign), serial.cft_1z(x, sign))
-        # In-library threading never touches the process pool.
-        assert threaded.stats()["kernel_pool_batches"] == 0
-
-    def test_out_buffer_path_matches_fresh_path_under_pool(self):
-        x = _batch((8, 24))
-        engine = KernelEngine("numpy", workers=2)
-        fresh = engine.cft_1z(x, 1)
-        out = np.empty_like(fresh)
-        res = engine.cft_1z(x, 1, out=out)
-        assert res is out
-        np.testing.assert_array_equal(out, fresh)
-
-    def test_single_row_batches_stay_inline(self):
-        engine = KernelEngine("numpy", workers=4)
-        x = _batch((1, 24))
-        engine.cft_1z(x, 1)
-        assert engine.stats()["kernel_pool_batches"] == 0
-
-
-class TestExecutorDeterminism:
-    @pytest.mark.parametrize("version", ALL_VERSIONS)
-    def test_workers_byte_identical_across_executors(self, version):
-        results = {}
-        for workers in (1, 2):
-            cfg = RunConfig(
-                **SMALL, ranks=2, taskgroups=2, version=version,
-                data_mode=True, kernel_workers=workers,
-            )
-            results[workers] = run_fft_phase(cfg)
-        np.testing.assert_array_equal(
-            results[2].output_coefficients(), results[1].output_coefficients()
-        )
-        # The cost model never sees kernel_workers: simulated time is fixed.
-        assert results[2].phase_time == results[1].phase_time
-
-    def test_backend_choice_does_not_move_simulated_time(self):
-        times = set()
-        for backend in ("numpy", "native"):
-            cfg = RunConfig(
-                **SMALL, ranks=2, taskgroups=2, data_mode=True, fft_backend=backend
-            )
-            times.add(run_fft_phase(cfg).phase_time)
-        assert len(times) == 1
-
-
-class TestPoolCrash:
-    def test_killed_worker_raises_clean_error_not_hang(self):
-        engine = KernelEngine("numpy", workers=2)
-        x = _batch((8, 24))
-        engine.cft_1z(x, 1)  # warm: workers forked, segments mapped
-        pool = shared_pool(2)
-        os.kill(pool.worker_pids()[0], signal.SIGKILL)
-        t0 = time.monotonic()
-        with pytest.raises(KernelPoolError, match="died|pipe"):
-            # One call may land before the kill is delivered; the next
-            # must trip the liveness check.  Bounded, never a hang.
-            for _ in range(10):
-                engine.cft_1z(x, 1)
-        assert time.monotonic() - t0 < 30.0
-        assert pool.broken
-
-    def test_broken_pool_is_replaced_on_next_use(self):
-        engine = KernelEngine("numpy", workers=2)
-        x = _batch((8, 24))
-        expected = KernelEngine("numpy", workers=1).cft_1z(x, 1)
-        engine.cft_1z(x, 1)
-        first = shared_pool(2)
-        for pid in first.worker_pids():
-            os.kill(pid, signal.SIGKILL)
-        with pytest.raises(KernelPoolError):
-            for _ in range(10):
-                engine.cft_1z(x, 1)
-        # The shared-pool cache evicts the broken pool; service traffic
-        # continues on a fresh one with correct numerics.
-        np.testing.assert_array_equal(engine.cft_1z(x, 1), expected)
-        second = shared_pool(2)
-        assert second is not first and not second.broken
-
-    def test_worker_exception_reports_traceback_without_breaking_pool(self):
-        pool = shared_pool(2)
-        with pytest.raises(KernelPoolError, match="failed"):
-            # Odd-length native rfft raises inside the worker; the error
-            # comes back carrying the worker's traceback.
-            pool.run("native", "rfft", np.zeros((4, 9)), -1)
-        # A bad task is the caller's error: the workers are alive, the
-        # reply protocol is drained, and the pool keeps serving.
-        assert not pool.broken
-        x = _batch((6, 12))
-        np.testing.assert_array_equal(
-            pool.run("numpy", "c2c_1d", x, 1),
-            KernelEngine("numpy", workers=1).cft_1z(x, 1),
-        )
 
 
 class TestKernelTelemetry:
     def test_dataplane_carries_kernel_gauges(self):
-        cfg = RunConfig(
-            **SMALL, ranks=2, taskgroups=2, data_mode=True,
-            kernel_workers=2, telemetry=True,
-        )
+        cfg = RunConfig(**SMALL, ranks=2, taskgroups=2, data_mode=True, telemetry=True)
         result = run_fft_phase(cfg)
         dp = result.dataplane
         assert dp is not None
-        assert dp["kernel_backend"] == "numpy"
-        assert dp["kernel_workers"] == 2
-        assert dp["kernel_calls"] > 0
-        assert dp["kernel_rows"] >= dp["kernel_pool_rows"] > 0
+        assert dp["kernel_rows"] > dp["kernel_calls"] > 0
         snap = result.telemetry.metrics.snapshot()
         gauges = {
             name: fam["series"][0]["value"]
             for name, fam in snap.items()
             if name.startswith("dataplane.kernel")
         }
-        assert gauges["dataplane.kernel_workers"] == 2.0
-        assert gauges["dataplane.kernel_pool_batches"] > 0
-        # The backend name is a string label, not a gauge.
-        assert "dataplane.kernel_backend" not in snap
+        assert gauges == {
+            "dataplane.kernel_calls": float(dp["kernel_calls"]),
+            "dataplane.kernel_rows": float(dp["kernel_rows"]),
+        }
 
-    def test_manifest_config_records_the_knobs(self):
-        from repro.telemetry.manifest import build_manifest
+    def test_meta_mode_never_builds_an_engine(self, monkeypatch):
+        def no_engine():
+            raise AssertionError("meta mode built a kernel engine")
 
-        cfg = RunConfig(
-            **SMALL, ranks=2, taskgroups=2, data_mode=True,
-            fft_backend="native", telemetry=True,
-        )
-        manifest = build_manifest(run_fft_phase(cfg))
-        assert manifest["config"]["fft_backend"] == "native"
-        assert manifest["config"]["kernel_workers"] == 1
-        assert manifest["dataplane"]["kernel_backend"] == "native"
-
-    def test_meta_mode_never_builds_an_engine(self):
-        # A meta-mode run executes no kernels, so even a config naming an
-        # uninstalled optional backend simulates fine.
-        cfg = RunConfig(**SMALL, ranks=2, taskgroups=2, fft_backend="pyfftw")
-        result = run_fft_phase(cfg)
+        monkeypatch.setattr(engine_mod, "KernelEngine", no_engine)
+        result = run_fft_phase(RunConfig(**SMALL, ranks=2, taskgroups=2))
         assert result.phase_time > 0
         assert result.dataplane is None

@@ -55,9 +55,10 @@ class TestMetaModeParity:
 
 def test_artifacts_written_before_the_retirement_still_read(tmp_path):
     """A wisdom record and a run manifest written while ``redistribution``
-    / ``pack_copies`` still existed keep working: the stored knob vector
-    applies (the retired key is ignored, the live ones take effect), the
-    manifest validates, and an old-vs-new ``perf diff`` blames nothing."""
+    / ``pack_copies`` and ``fft_backend`` / ``kernel_workers`` still existed
+    keep working: the stored knob vector applies (the retired keys are
+    ignored, the live ones take effect), the manifest validates, and an
+    old-vs-new ``perf diff`` blames nothing."""
     wisdom = tmp_path / "wisdom.jsonl"
     cfg = RunConfig(
         ranks=2, taskgroups=2, data_mode=True, telemetry=True,
@@ -80,8 +81,12 @@ def test_artifacts_written_before_the_retirement_still_read(tmp_path):
 
     new = build_manifest(res, created="(test)")
     old = copy.deepcopy(new)
-    old["config"]["redistribution"] = "packfree"
-    old["dataplane"].update(redistribution="packfree", pack_copies=0)
+    old["config"].update(redistribution="packfree", fft_backend="numpy", kernel_workers=1)
+    old["dataplane"].update(
+        redistribution="packfree", pack_copies=0,
+        kernel_backend="numpy", kernel_workers=1,
+        kernel_pool_batches=0, kernel_pool_rows=0,
+    )
     old["metrics"]["dataplane.pack_copies"] = copy.deepcopy(
         new["metrics"]["dataplane.live"]
     )

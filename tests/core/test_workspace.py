@@ -52,23 +52,6 @@ class TestAcquireRelease:
         assert ws.acquire("a", (4, 4), dtype=np.complex64) is not a
         assert ws.acquire("a", (4, 4)) is a
 
-    def test_pool_keys_separate_layout(self):
-        # Regression (PR 8): pools were keyed (kind, shape, dtype) only, so
-        # an SoA staging buffer could be recycled as an AoS buffer of the
-        # same shape and dtype — planar real/imag planes aliasing an
-        # interleaved complex block.  Layout is now part of the key.
-        ws = Workspace()
-        aos = ws.acquire("stage", (2, 8, 8))
-        ws.release(aos)
-        soa = ws.acquire("stage", (2, 8, 8), layout="soa")
-        assert soa is not aos
-        ws.release(soa)
-        # Each layout reuses only its own pool.
-        assert ws.acquire("stage", (2, 8, 8), layout="soa") is soa
-        assert ws.acquire("stage", (2, 8, 8)) is aos
-        # Byte accounting understands the widened key.
-        assert ws.stats()["bytes_resident"] > 0
-
     def test_two_checkouts_are_distinct(self):
         ws = Workspace()
         a = ws.acquire("blk", (4,))

@@ -1,33 +1,26 @@
-"""Hypothesis property tests run per backend, through the backend plane.
+"""Hypothesis property tests of the kernel engine.
 
-The PR 3 suite (:mod:`tests.fft.test_property_kernels`) pins these DFT
-identities for the pure-python kernels; this file runs them through the
-*backend interface* instead, for every available backend, so a backend
-whose convention mapping is subtly wrong (a missing ``1/N``, a conjugated
-exponent, a dropped Nyquist term) fails on mathematics, not just on the
-differential diff:
+:mod:`tests.fft.test_property_kernels` pins these DFT identities for the
+pure-python reference kernels; this file runs them through
+:class:`~repro.fft.backends.KernelEngine`, so a convention mapping that is
+subtly wrong (a missing ``1/N``, a conjugated exponent) fails on
+mathematics, not just on the differential diff:
 
 * **linearity** — ``F(a·x + b·y) == a·F(x) + b·F(y)``;
 * **Parseval** — for the unscaled ``sign=+1`` transform,
   ``‖F(x)‖² == N·‖x‖²``;
 * **inverse round-trip** — ``sign=-1`` then ``sign=+1`` is the identity
   (the QE scaling puts ``1/N`` on the R→G direction, so the pair composes
-  to 1 with no extra factor);
-* **rfft Hermitian symmetry** — the full spectrum reconstructed from the
-  packed half obeys ``X[k] == conj(X[n-k])``.
-
-Backends that cannot import skip with their probe reason (never silently).
+  to 1 with no extra factor).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fft.backends import get_backend, known_backends
+from repro.fft.backends import KernelEngine
 
-#: (nbatch, n) grid for the 1D properties; n is a QE-admissible 2/3/5 size
-#: and even (so the native packed rfft applies too).
+#: (nbatch, n) grid for the 1D properties; n is a QE-admissible 2/3/5 size.
 N_BATCH = 4
 SIZES = (12, 20, 24, 36)
 
@@ -35,72 +28,44 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.sampled_from(SIZES)
 
 
-def _require(name: str):
-    backend = get_backend(name, require_available=False)
-    available, note = backend.availability()
-    if not available:
-        pytest.skip(f"backend {name!r} unavailable: {note}")
-    return backend
-
-
 def _batch(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((N_BATCH, n)) + 1j * rng.standard_normal((N_BATCH, n))
 
 
-@pytest.mark.parametrize("name", known_backends())
-class TestBackendProperties:
+class TestEngineProperties:
     @settings(max_examples=25, deadline=None)
     @given(seed=seeds, n=sizes)
-    def test_linearity(self, name, seed, n):
-        exe = _require(name).plan("c2c_1d", (N_BATCH, n))
+    def test_linearity(self, seed, n):
+        cft = KernelEngine().cft_1z
         x = _batch(seed, n)
         y = _batch(seed + 1, n)
         a, b = 1.25, -0.5 + 2.0j
-        combined = exe(a * x + b * y, 1)
-        separate = a * exe(x, 1) + b * exe(y, 1)
+        combined = cft(a * x + b * y, 1)
+        separate = a * cft(x, 1) + b * cft(y, 1)
         np.testing.assert_allclose(combined, separate, rtol=1e-10, atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=seeds, n=sizes)
-    def test_parseval_unscaled_forward(self, name, seed, n):
-        exe = _require(name).plan("c2c_1d", (N_BATCH, n))
+    def test_parseval_unscaled_forward(self, seed, n):
         x = _batch(seed, n)
-        spectrum = exe(x, 1)
+        spectrum = KernelEngine().cft_1z(x, 1)
         energy_x = np.sum(np.abs(x) ** 2, axis=-1)
         energy_f = np.sum(np.abs(spectrum) ** 2, axis=-1)
         np.testing.assert_allclose(energy_f, n * energy_x, rtol=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=seeds, n=sizes)
-    def test_roundtrip_is_identity(self, name, seed, n):
-        exe = _require(name).plan("c2c_1d", (N_BATCH, n))
+    def test_roundtrip_is_identity(self, seed, n):
+        cft = KernelEngine().cft_1z
         x = _batch(seed, n)
-        np.testing.assert_allclose(exe(exe(x, -1), 1), x, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(cft(cft(x, -1), 1), x, rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=seeds, n=sizes)
-    def test_roundtrip_2d_is_identity(self, name, seed, n):
+    def test_roundtrip_2d_is_identity(self, seed, n):
+        cft = KernelEngine().cft_2xy
+        rng = np.random.default_rng(seed)
         shape = (3, n, 10)
-        exe = _require(name).plan("c2c_2d", shape)
-        rng = np.random.default_rng(seed)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        np.testing.assert_allclose(exe(exe(x, -1), 1), x, rtol=1e-10, atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=seeds, n=sizes)
-    def test_rfft_hermitian_symmetry(self, name, seed, n):
-        exe = _require(name).plan("rfft", (N_BATCH, n), dtype="float64")
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((N_BATCH, n))
-        half = exe(x, -1)
-        # Rebuild the full spectrum from the packed half and check the
-        # defining symmetry of a real signal's DFT, X[k] == conj(X[n-k]).
-        full = np.concatenate([half, np.conj(half[..., -2:0:-1])], axis=-1)
-        assert full.shape[-1] == n
-        np.testing.assert_allclose(
-            full, np.conj(full[..., (-np.arange(n)) % n]), rtol=1e-10, atol=1e-10
-        )
-        # DC and Nyquist bins of a real signal are real.
-        np.testing.assert_allclose(half[..., 0].imag, 0.0, atol=1e-10)
-        np.testing.assert_allclose(half[..., -1].imag, 0.0, atol=1e-10)
+        np.testing.assert_allclose(cft(cft(x, -1), 1), x, rtol=1e-10, atol=1e-12)

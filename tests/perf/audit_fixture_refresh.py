@@ -32,6 +32,8 @@ ALLOWED: dict[str, tuple[str, ...]] = {
         r"^\.engine\.network\.alloc_cache_(hits|misses|size)$",
         r"^\.metrics\.sim\.events_dispatched\.series\{\}\.value$",
         r"^\.metrics\.engine\.alloc_cache_(hits|misses|size)\.series\{resource=network\}\.value$",
+        # RunConfig fields retired with the backend plane (deleted leaves).
+        r"^\.config\.(fft_backend|kernel_workers)$",
     ),
     "tests/core/fixtures/executor_timelines.json": (
         r"^\.(cells|fault_replay)\.[^.]+\.n_dispatched$",

@@ -198,20 +198,17 @@ class TestLiveManifest:
 
     def test_live_manifest_exports_plan_cache_counters(self, drained_service):
         # Satellite pin: live service manifests export the FFT plan LRU's
-        # process-wide hit/miss counters as warmth diagnostics.  Only
-        # data-mode runs on the native backend build mixed-radix plans, so
-        # warm the cache and check the manifest reflects the live counters.
-        from repro.core import RunConfig, run_fft_phase
+        # process-wide hit/miss counters as warmth diagnostics.  Only the
+        # reference kernels build mixed-radix plans, so run one and check
+        # the manifest reflects the live counters.
+        import numpy as np
+
+        from repro.fft import cfft3d
         from repro.fft.plan import plan_cache_stats
 
         service, report = drained_service
         before = plan_cache_stats()
-        run_fft_phase(
-            RunConfig(
-                ecutwfc=12.0, alat=5.0, nbnd=8, ranks=2, taskgroups=2,
-                data_mode=True, fft_backend="native",
-            )
-        )
+        cfft3d(np.ones((6, 6, 6), dtype=np.complex128), 1)
         manifest = build_service_manifest(
             service.core, load={}, stable=False, slo=report
         )

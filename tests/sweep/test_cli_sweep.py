@@ -58,6 +58,19 @@ class TestSweepCommand:
         assert main(["sweep", "--versions", "bogus"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_config_field_is_an_input_error(self, capsys, monkeypatch):
+        # A base dict still naming a field RunConfig no longer has ends in
+        # the one-line error, not a TypeError traceback.
+        from repro.cli import sweep as sweep_cli
+
+        monkeypatch.setattr(
+            sweep_cli, "QUICK_WORKLOAD", dict(sweep_cli.QUICK_WORKLOAD, kernel_workers=1)
+        )
+        assert main(["sweep", "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: base parameter 'kernel_workers'")
+        assert "Traceback" not in err
+
     def test_bad_axis_literal_is_an_input_error(self, capsys):
         assert main(["sweep", "--ranks", "2,x"]) == 2
         assert "comma-separated integers" in capsys.readouterr().err

@@ -37,7 +37,7 @@ class TestGridSpec:
         assert point.assignment == {"ranks": 2}
 
     def test_n_points(self):
-        grid = GridSpec(axes={"a": (1, 2, 3), "b": (1, 2)})
+        grid = GridSpec(axes={"ranks": (1, 2, 3), "taskgroups": (1, 2)})
         assert grid.n_points == 6
 
     def test_empty_axes_rejected(self):
@@ -51,6 +51,18 @@ class TestGridSpec:
     def test_axis_shadowing_base_rejected(self):
         with pytest.raises(ValueError, match="shadow"):
             GridSpec(axes={"ranks": (1,)}, base={"ranks": 2})
+
+    @pytest.mark.parametrize(
+        "axes,base,named",
+        [
+            ({"rank": (1, 2)}, {}, "axis 'rank'"),
+            ({"ranks": (1,)}, {"fft_backend": "numpy"}, "base parameter 'fft_backend'"),
+        ],
+    )
+    def test_unknown_field_rejected_at_construction(self, axes, base, named):
+        with pytest.raises(ValueError, match=named) as exc:
+            GridSpec(axes=axes, base=base)
+        assert "valid fields: ecutwfc, alat, nbnd" in str(exc.value)
 
     def test_invalid_config_surfaces_at_expansion(self):
         grid = GridSpec(axes={"ranks": (1,)}, base={"version": "bogus"})

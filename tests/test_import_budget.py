@@ -5,12 +5,12 @@ process says nothing about a cold start) and asserts on the module set a
 command leaves behind:
 
 * ``run`` never loads scipy, ``multiprocessing``, ``asyncio`` or the
-  experiment / sweep / service / tuning / qe packages;
+  experiment / sweep / service / tuning / qe packages — in data mode
+  (``--validate``) neither, nor ``mmap``: the kernels are ``numpy.fft`` and
+  nothing optional; in meta mode not even the kernel engine;
 * ``analyze`` and ``perf validate`` read JSON: no numpy, no simulator;
 * ``--help`` loads the parser and nothing else;
-* naming an optional FFT backend (config validation, ``get_backend``)
-  imports no library; a blocked or broken library surfaces as a reason,
-  never as a traceback.
+* building a ``RunConfig`` imports no ``repro.fft.backends.*``.
 
 ``python tests/test_import_budget.py`` prints the module counts as a
 markdown table (the CI ``cold-start`` job's summary).
@@ -92,7 +92,7 @@ class TestCommandBudgets:
         unwanted = loaded(
             result["modules"], "scipy", "multiprocessing", "asyncio",
             "repro.experiments", "repro.sweep", "repro.service", "repro.qe",
-            "repro.tuning",
+            "repro.tuning", "repro.fft.backends",
         )
         assert unwanted == []
 
@@ -133,90 +133,21 @@ class TestCommandBudgets:
         assert VERSIONS == CONFIG_VERSIONS
 
 
-class TestLazyBackends:
-    def test_naming_a_backend_imports_no_library(self):
+class TestKernelImports:
+    def test_building_a_config_imports_no_kernel_module(self):
         out = fresh(
             "import sys\n"
             "from repro.core import RunConfig\n"
-            "from repro.fft.backends import get_backend, known_backends\n"
-            "RunConfig(); RunConfig(fft_backend='scipy')\n"
-            "assert 'scipy' in known_backends()\n"
-            "backend = get_backend('scipy', require_available=False)\n"
-            "print(sorted(m for m in ('scipy', 'pyfftw', 'multiprocessing', 'repro.fft.batched')\n"
-            "             if m in sys.modules))\n"
+            "RunConfig(); RunConfig(data_mode=True)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.fft.backends')))\n"
         )
         assert out.strip() == "[]"
 
-    def test_plan_imports_the_library(self):
-        pytest.importorskip("scipy")
-        out = fresh(
-            "import sys\n"
-            "from repro.fft.backends import get_backend\n"
-            "backend = get_backend('scipy')\n"
-            "before = 'scipy' in sys.modules\n"
-            "backend.plan('c2c_1d', (4, 8))\n"
-            "print(before, 'scipy.fft' in sys.modules, backend.availability()[1])\n"
-        )
-        assert out.startswith("False True scipy ")
-
-    def test_blocked_library_is_unavailable_with_a_reason(self):
-        """A meta-path finder refusing ``scipy``: the probe reports the
-        reason and the conformance suite's gate turns it into a skip."""
-        out = fresh(
-            "import sys\n"
-            "class Block:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name.partition('.')[0] == 'scipy':\n"
-            "            raise ImportError('scipy blocked for this test')\n"
-            "sys.meta_path.insert(0, Block())\n"
-            "import pytest\n"
-            "from repro.fft.backends import available_backends, get_backend\n"
-            "from tests.fft.test_backend_conformance import _require\n"
-            "print(get_backend('scipy', require_available=False).availability())\n"
-            "print('scipy' in available_backends())\n"
-            "try:\n"
-            "    _require('scipy')\n"
-            "except pytest.skip.Exception as exc:\n"
-            "    print('SKIP', exc)\n"
-        )
-        probe_line, listed, skip = out.strip().splitlines()
-        assert probe_line == "(False, 'scipy cannot be imported: scipy blocked for this test')"
-        assert listed == "False"
-        assert skip.startswith("SKIP") and "scipy blocked for this test" in skip
-
-    def test_broken_install_is_an_error_line_never_a_traceback(self, tmp_path):
-        """``find_spec`` finds the package, importing it fails: reported at
-        the first ``plan()``, as a row of ``backends``, and by ``run``."""
-        (tmp_path / "scipy").mkdir()
-        (tmp_path / "scipy" / "__init__.py").write_text(
-            "raise OSError('libfoo.so: cannot open shared object file')\n"
-        )
-        reason = "scipy failed to import: OSError: libfoo.so: cannot open shared object file"
-
-        out = fresh(
-            "from repro.fft.backends import BackendUnavailableError, get_backend\n"
-            "backend = get_backend('scipy')\n"  # probe only: still looks installed
-            "try:\n"
-            "    backend.plan('c2c_1d', (4, 8))\n"
-            "except BackendUnavailableError as exc:\n"
-            "    print(exc)\n"
-            "print(backend.availability())\n",
-            extra_path=str(tmp_path),
-        )
-        first, second = out.strip().splitlines()
-        assert first == f"fft backend 'scipy' is not available: {reason}"
-        assert second == repr((False, reason))
-
-        listing = probe(["backends"], extra_path=str(tmp_path))
-        assert listing["rc"] == 0 and listing["stderr"] == ""
-        assert f"scipy    unavailable  {reason}" in listing["stdout"]
-        assert "numpy    available" in listing["stdout"]
-
-        run = probe(
-            QUICK_RUN + ["--validate", "--fft-backend", "scipy"], extra_path=str(tmp_path)
-        )
-        assert run["rc"] == 2
-        assert run["stderr"] == f"error: fft backend 'scipy' is not available: {reason}\n"
+    def test_data_mode_run_imports_numpy_fft_and_nothing_optional(self):
+        result = probe(QUICK_RUN + ["--validate"])
+        assert result["rc"] == 0, result["stderr"]
+        assert "repro.fft.backends.engine" in result["modules"]
+        assert loaded(result["modules"], "scipy", "multiprocessing", "mmap") == []
 
 
 def test_ledger_targets_are_plain_module_attributes():

@@ -18,7 +18,6 @@ from repro.telemetry.manifest import build_manifest, validate_manifest
 from repro.tuning import (
     WisdomDB,
     WisdomEntry,
-    apply_knobs,
     consult,
     resolve_tuning,
     workload_digest,
@@ -113,14 +112,6 @@ class TestResolveTuning:
         assert info["hit"] is True
         assert info["applied"] is False
         assert resolved == config
-
-    def test_apply_knobs_drops_backend_knobs_before_giving_up(self):
-        config = RunConfig(ranks=2, taskgroups=2, **SMALL)
-        knobs = {"taskgroups": 4, "fft_backend": "no-such-backend"}
-        resolved = apply_knobs(config, knobs)
-        assert resolved is not None
-        assert resolved.taskgroups == 4
-        assert resolved.fft_backend == config.fft_backend
 
     def test_warm_consult_under_one_percent_of_reference_run(self, warm_db):
         """Admission-path budget: a memoized consult on a warm DB costs
