@@ -521,10 +521,9 @@ def run_fft_phase(
                 ResourceWarning,
                 stacklevel=2,
             )
-        if kernel_engine is not None:
-            # Kernel counters ride the dataplane section (and thus the
-            # dataplane.* gauges): calls and rows.
-            dataplane.update(kernel_engine.stats())
+        # Kernel counters ride the dataplane section (and thus the
+        # dataplane.* gauges): calls and rows.
+        dataplane.update(kernel_engine.stats())
 
     if tuning_info is not None:
         tuning_info["measured_s"] = total_time

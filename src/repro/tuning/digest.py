@@ -3,8 +3,9 @@
 A digest identifies *what* is being computed and *where* — the workload
 shape (grid cutoffs, bands), the executor family, the node count and the
 machine profile — while deliberately excluding every knob the autotuner is
-allowed to move (NTG, scheduler, grainsizes, decomposition).  Two runs with the same digest are the same
-tuning problem; the DB stores one best-known knob vector per digest.
+allowed to move (NTG, scheduler, grainsizes, decomposition).  Two runs
+with the same digest are the same tuning problem; the DB stores one
+best-known knob vector per digest.
 
 The serialization reuses the sweep engine's canonical-JSON convention
 (:func:`repro.sweep.engine.canonical_json`), so digests are byte-stable
