@@ -1,6 +1,7 @@
 """Benchmark: what-if runtime attribution (the Dimemas-style replays)."""
 
 from repro.experiments import run_ablation_whatif
+from repro.machine import WHATIF_MACHINES
 
 
 def test_bench_ablation_whatif(run_once):
@@ -9,6 +10,7 @@ def test_bench_ablation_whatif(run_once):
 
     orig = report.data["original"]
     ompss = report.data["ompss_perfft"]
+    assert list(orig) == ["measured", *WHATIF_MACHINES]
 
     # On a single node, communication transfer is not the dominant cost for
     # either version at full occupancy.

@@ -12,14 +12,13 @@ Run:  python examples/trace_analysis.py [--ranks 8] [--version original]
 import argparse
 import pathlib
 
+from repro.analysis import analyze_run, compute_totals, factor_rows
 from repro.core.driver import run_fft_phase
 from repro.experiments.common import paper_config
-from repro.machine import knl_parameters
+from repro.machine import knl_parameters, whatif_machine
 from repro.perf import (
     communicator_structure,
-    factors_from_run,
     format_factor_table,
-    ideal_network,
     phase_summary,
     trace_run,
     write_prv,
@@ -64,9 +63,10 @@ def main() -> None:
               f"{info['calls']} calls, {info['bytes'] / 1e6:.1f} MB")
 
     print("\nPOP efficiency factors (with ideal-network replay):")
-    ideal = run_fft_phase(cfg, knl=ideal_network())
-    factors = factors_from_run(result, ideal_time=ideal.phase_time)
-    print(format_factor_table([(cfg.label(), factors)]))
+    ideal = run_fft_phase(cfg, knl=whatif_machine("ideal_network"))
+    pop = analyze_run(result, ideal_time_s=ideal.phase_time).pop
+    rows = factor_rows(pop, compute_totals(result.cpu.counters))
+    print(format_factor_table([(cfg.label(), rows)]))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ Run:  python examples/whatif_study.py [--quick]
 import argparse
 
 from repro.experiments.common import paper_config
+from repro.machine import WHATIF_MACHINES
 from repro.perf.whatif import runtime_attribution, whatif_sweep
 
 
@@ -41,7 +42,7 @@ def main() -> None:
     attr = runtime_attribution(cfg)
     measured = attr["measured"]
     print(f"  measured               {measured * 1e3:8.2f} ms")
-    for name in ("ideal_network", "infinite_bandwidth", "no_jitter"):
+    for name in WHATIF_MACHINES:
         gain = (1 - attr[name] / measured) * 100
         print(f"  {name:<22} {attr[name] * 1e3:8.2f} ms  ({gain:+5.1f}% if lifted)")
 

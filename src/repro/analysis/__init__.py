@@ -41,7 +41,9 @@ from repro.analysis.pop import (
     PhaseEfficiency,
     PopDecomposition,
     StreamTimeline,
+    compute_totals,
     decompose,
+    factor_rows,
     timelines_from_counters,
     timelines_from_trace,
 )
@@ -51,6 +53,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.driver import RunResult
     from repro.machine.counters import CounterSet
     from repro.telemetry import Telemetry
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.trace import Trace
 
 __all__ = [
     "ANALYSIS_SCHEMA_VERSION",
@@ -67,6 +71,8 @@ __all__ = [
     "CommLayerSplit",
     "StreamTimeline",
     "decompose",
+    "factor_rows",
+    "compute_totals",
     "timelines_from_trace",
     "timelines_from_counters",
     "CriticalPath",
@@ -80,6 +86,15 @@ __all__ = [
 ]
 
 ANALYSIS_SCHEMA_VERSION = 1
+
+#: The four headline factors (sweep series columns, ``analysis.*`` gauges),
+#: in report order.
+FACTOR_KEYS = (
+    "parallel_efficiency",
+    "load_balance",
+    "serialization_efficiency",
+    "transfer_efficiency",
+)
 
 
 @dataclasses.dataclass
@@ -103,6 +118,35 @@ class RunAnalysis:
                 self.task_graph.to_dict() if self.task_graph is not None else None
             ),
         }
+
+    def publish(self, metrics: "MetricsRegistry") -> None:
+        """Summarize as ``analysis.*`` gauges for metric-level consumers."""
+        metrics.set_gauge("analysis.unclosed_spans", float(self.unclosed_spans))
+        if self.pop is not None:
+            for key in FACTOR_KEYS:
+                metrics.set_gauge(f"analysis.{key}", getattr(self.pop, key))
+        if self.critical_path is not None:
+            crit = self.critical_path
+            metrics.set_gauge("analysis.critical_path_seconds", crit.length_s)
+            for kind, seconds in crit.by_kind.items():
+                metrics.set_gauge("analysis.critical_path_share", seconds, kind=kind)
+        if self.task_graph is not None:
+            metrics.set_gauge("analysis.task_chain_seconds", self.task_graph.length_s)
+
+
+def _pop_of(
+    trace: "Trace | None",
+    counters: "CounterSet | None",
+    makespan_s: float,
+    ideal_time_s: float | None,
+) -> PopDecomposition | None:
+    """Decompose from the trace records, else from the hardware counters."""
+    timelines = timelines_from_trace(trace) if trace is not None else []
+    if not timelines and counters is not None:
+        timelines = timelines_from_counters(counters)
+    if not timelines or makespan_s <= 0:
+        return None
+    return decompose(timelines, makespan_s, ideal_time_s=ideal_time_s)
 
 
 def analyze_session(
@@ -128,14 +172,7 @@ def analyze_session(
             stacklevel=2,
         )
 
-    timelines = timelines_from_trace(tel.trace)
-    if not timelines and counters is not None:
-        timelines = timelines_from_counters(counters)
-    pop = (
-        decompose(timelines, makespan_s, ideal_time_s=ideal_time_s)
-        if timelines and makespan_s > 0
-        else None
-    )
+    pop = _pop_of(tel.trace, counters, makespan_s, ideal_time_s)
 
     critical = None
     if tel.trace.compute or tel.trace.mpi:
@@ -173,22 +210,30 @@ def _task_graph_analysis(tel: "Telemetry") -> GraphCriticalPath | None:
 def analyze_run(
     result: "RunResult", ideal_time_s: float | None = None
 ) -> RunAnalysis:
-    """Analyze a completed :class:`~repro.core.driver.RunResult`."""
+    """Analyze a completed :class:`~repro.core.driver.RunResult`.
+
+    ``ideal_time_s`` is the runtime of the same configuration on the ideal
+    network (``run --pop``, ``SweepTask(ideal_replay=True)``): it re-splits
+    serialization/transfer with ``split_source == "replay"``.  On a
+    telemetry-enabled run that is a re-split only — the critical path and
+    task graph stashed at finalization are kept.
+    """
     tel = result.telemetry
-    if tel is not None and tel.enabled:
-        stashed = getattr(tel, "analysis", None)
-        if stashed is not None and ideal_time_s is None:
-            return stashed
-        return analyze_session(
-            tel, result.phase_time, result.cpu.counters, ideal_time_s
+    counters = result.cpu.counters
+    if tel is None or not tel.enabled:
+        pop = _pop_of(None, counters, result.phase_time, ideal_time_s)
+        return RunAnalysis(
+            pop=pop, critical_path=None, task_graph=None, unclosed_spans=0
         )
-    timelines = timelines_from_counters(result.cpu.counters)
-    pop = (
-        decompose(timelines, result.phase_time, ideal_time_s=ideal_time_s)
-        if timelines and result.phase_time > 0
-        else None
+    if tel.analysis is None:
+        # A session that bypassed the driver's finalization summary.
+        return analyze_session(tel, result.phase_time, counters, ideal_time_s)
+    if ideal_time_s is None:
+        return tel.analysis
+    return dataclasses.replace(
+        tel.analysis,
+        pop=_pop_of(tel.trace, counters, result.phase_time, ideal_time_s),
     )
-    return RunAnalysis(pop=pop, critical_path=None, task_graph=None, unclosed_spans=0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +284,9 @@ def analyze_sweep(manifest: dict) -> list[dict]:
             "failed": bool(entry.get("failed", False)),
         }
         section = summary.get("analysis") if isinstance(summary, dict) else None
-        pop = (section or {}).get("pop")
-        if pop:
-            row.update(efficiency_summary(pop))
-        else:
-            row.update(
-                {
-                    "parallel_efficiency": None,
-                    "load_balance": None,
-                    "serialization_efficiency": None,
-                    "transfer_efficiency": None,
-                }
-            )
+        row.update(efficiency_summary((section or {}).get("pop") or {}))
         rows.append(row)
     return rows
-
-
-#: The four headline factors, in report order.
-FACTOR_KEYS = (
-    "parallel_efficiency",
-    "load_balance",
-    "serialization_efficiency",
-    "transfer_efficiency",
-)
 
 
 def efficiency_summary(pop: dict) -> dict:

@@ -1,10 +1,16 @@
-"""Per-phase POP efficiency decomposition from stream timelines.
+"""The POP efficiency model (Rosas/Giménez/Labarta, the paper's ref. [10]).
 
-The run-level POP model (:mod:`repro.perf.popmodel`) condenses a whole run
-into one factor column; this module computes the same multiplicative
-decomposition *per phase* and *per communicator layer*, directly from the
-per-stream record timelines the telemetry layer stores — the step the
-paper performs in Paraver before quoting a table.
+The one factor model of the repository: :func:`decompose` condenses a run
+into the multiplicative decomposition of Tables I/II — and the same
+decomposition *per phase* and *per communicator layer* — from per-stream
+timelines (the telemetry trace, or the hardware counters of an untraced
+run); :func:`factor_rows` adds the scalability factors against a base run
+and lays the nine rows out in the paper's table order.
+
+A *stream* is what the analysis treats as a process: an MPI rank in the
+original version, an (MPI rank, thread) pair in the task versions — exactly
+how the tables compare "1-16 ranks with 8 FFT task groups / 8 OmpSs tasks
+each".
 
 Definitions (per stream ``s`` over the measured horizon ``T``):
 
@@ -23,6 +29,11 @@ Definitions (per stream ``s`` over the measured horizon ``T``):
 Per phase only the load-balance factor is identified (a phase has no
 private network); per communicator layer the sync/transfer split of the
 MPI time is reported instead.
+
+Against a base run (the smallest of a sweep): **computation scalability**
+= total useful compute time of the base / this run, split into **IPC** and
+**instruction scalability**; **global efficiency** = parallel efficiency x
+computation scalability.
 """
 
 from __future__ import annotations
@@ -42,13 +53,30 @@ __all__ = [
     "PopDecomposition",
     "timelines_from_trace",
     "timelines_from_counters",
+    "compute_totals",
     "decompose",
+    "factor_rows",
+    "FACTOR_KEYS",
 ]
 
+#: The factors of one run (``PopDecomposition`` attributes and
+#: ``analysis.pop`` keys), in table order.
+FACTOR_KEYS = (
+    "parallel_efficiency",
+    "load_balance",
+    "communication_efficiency",
+    "serialization_efficiency",
+    "transfer_efficiency",
+)
 
-def _layer_of(comm_name: str) -> str:
-    """Low-cardinality communicator layer (``pack3`` -> ``pack``)."""
-    return comm_layer(comm_name)
+#: Row labels of the paper's Tables I/II over :data:`FACTOR_KEYS`.
+_ROW_LABELS = (
+    "Parallel efficiency",
+    "-> Load Balance",
+    "-> Communication Efficiency",
+    "   -> Synchronization",
+    "   -> Transfer",
+)
 
 
 @dataclasses.dataclass
@@ -90,7 +118,7 @@ def timelines_from_trace(trace: "Trace") -> list[StreamTimeline]:
         )
     for r in trace.mpi:
         tl = of(r.stream)
-        layer = _layer_of(r.comm_name)
+        layer = comm_layer(r.comm_name)  # pack3 -> pack
         tl.mpi_sync_by_layer[layer] = (
             tl.mpi_sync_by_layer.get(layer, 0.0) + r.sync_time
         )
@@ -114,6 +142,15 @@ def timelines_from_counters(counters: "CounterSet") -> list[StreamTimeline]:
             tl.compute_by_phase[phase] = c.compute_time
         out.append(tl)
     return out
+
+
+def compute_totals(counters: "CounterSet") -> dict[str, float]:
+    """The run-wide compute aggregates the scalability factors compare."""
+    return {
+        "total_compute_time": counters.total_compute_time(),
+        "total_instructions": counters.total_instructions(),
+        "average_ipc": counters.average_ipc(),
+    }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,6 +206,12 @@ class PopDecomposition:
     split_source: str
     phases: list[PhaseEfficiency] = dataclasses.field(default_factory=list)
     comm_layers: list[CommLayerSplit] = dataclasses.field(default_factory=list)
+
+    def factors(self) -> dict:
+        """The run-level factors plus the provenance of their split."""
+        out = {key: getattr(self, key) for key in FACTOR_KEYS}
+        out["split_source"] = self.split_source
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -307,3 +350,33 @@ def decompose(
         phases=phases,
         comm_layers=layers,
     )
+
+
+def factor_rows(
+    pop: PopDecomposition,
+    totals: _t.Mapping[str, float],
+    base: _t.Mapping[str, float] | None = None,
+) -> dict[str, float]:
+    """One column of Table I/II: paper row label -> fraction, in row order.
+
+    ``totals`` / ``base`` are the :func:`compute_totals` of this run and of
+    the smallest run of the sweep; ``base`` defaults to the run itself (the
+    base column, every scalability 1).
+    """
+    if base is None:
+        base = totals
+    total_compute = totals["total_compute_time"]
+    total_instr = totals["total_instructions"]
+    comp_scal = base["total_compute_time"] / total_compute if total_compute > 0 else 1.0
+    ipc_scal = (
+        totals["average_ipc"] / base["average_ipc"] if base["average_ipc"] > 0 else 1.0
+    )
+    instr_scal = base["total_instructions"] / total_instr if total_instr > 0 else 1.0
+    rows = {
+        label: getattr(pop, key) for label, key in zip(_ROW_LABELS, FACTOR_KEYS)
+    }
+    rows["Computation Scalability"] = comp_scal
+    rows["-> IPC Scalability"] = ipc_scal
+    rows["-> Instructions Scalability"] = instr_scal
+    rows["Global Efficiency"] = pop.parallel_efficiency * comp_scal
+    return rows

@@ -111,15 +111,6 @@ def _relative(a: float, b: float) -> float:
     return (b - a) / a
 
 
-def _pop_of(manifest: dict) -> dict:
-    """The factor dict to triage: analysis.pop preferred, legacy pop fallback."""
-    section = manifest.get("analysis") or {}
-    pop = section.get("pop")
-    if isinstance(pop, dict):
-        return pop
-    return manifest.get("pop") or {}
-
-
 #: The factor keys triage tracks, mapped to report names.
 _FACTORS = (
     "load_balance",
@@ -210,9 +201,8 @@ def triage_pair(
         )
 
     # Efficiency factors: severity scales the factor drop into runtime terms.
-    pop_a, pop_b = _pop_of(baseline), _pop_of(candidate)
     for name in _FACTORS:
-        a, b = pop_a.get(name), pop_b.get(name)
+        a, b = diff.pop_a.get(name), diff.pop_b.get(name)
         if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
             continue
         delta = float(b) - float(a)

@@ -9,63 +9,62 @@ import pathlib
 import sys
 
 from repro import analysis as _analysis
+from repro._lazy import resolve
 from repro.analysis import render as _render
 from repro.perf import diff_manifests, format_manifest_diff, manifest_regressions
-from repro.telemetry.manifest import ManifestError, load_manifest
+from repro.telemetry.manifest import validate_manifest
+
+
+def _bad_input(message: str) -> SystemExit:
+    """One-line ``error:`` on stderr, exit 2 — never a traceback."""
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
+def _load_doc(path: str):
+    """The parsed JSON of a manifest file of any kind."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise _bad_input(f"no such manifest: {path}")
+    except json.JSONDecodeError as exc:
+        raise _bad_input(f"{path} is not JSON: {exc}")
+
+
+def _load_run(path: str, doc: object = None) -> dict:
+    """A valid run manifest (``doc`` when the caller already parsed ``path``)."""
+    doc = _load_doc(path) if doc is None else doc
+    errors = validate_manifest(doc)
+    if errors:
+        raise _bad_input(f"{path}: " + "; ".join(errors))
+    return doc
+
+
+#: ``perf validate`` dispatch: manifest kind -> (validator, what it is called).
+_VALIDATORS = {
+    "repro.run_manifest": ("repro.telemetry.manifest:validate_manifest", "run"),
+    "repro.sweep_manifest": ("repro.sweep.manifest:validate_sweep_manifest", "sweep"),
+    "repro.service_manifest": (
+        "repro.service.manifest:validate_service_manifest",
+        "service",
+    ),
+}
 
 
 def cmd_perf(args) -> int:
-    def _load(path):
-        try:
-            return load_manifest(path)
-        except FileNotFoundError:
-            raise SystemExit(f"error: no such manifest: {path}")
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"error: {path} is not JSON: {exc}")
-
     if args.perf_command == "validate":
-        try:
-            with open(args.manifest, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            kind = doc.get("kind") if isinstance(doc, dict) else None
-        except FileNotFoundError:
-            print(f"error: no such manifest: {args.manifest}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.manifest} is not JSON: {exc}", file=sys.stderr)
-            return 2
-        if kind == "repro.sweep_manifest":
-            from repro.sweep import SweepManifestError, load_sweep_manifest
-
-            try:
-                load_sweep_manifest(args.manifest)
-            except SweepManifestError as exc:
-                print(f"INVALID: {exc}", file=sys.stderr)
-                return 1
-            print(f"{args.manifest}: valid sweep manifest")
-            return 0
-        if kind == "repro.service_manifest":
-            from repro.service.manifest import (
-                ServiceManifestError,
-                load_service_manifest,
-            )
-
-            try:
-                load_service_manifest(args.manifest)
-            except ServiceManifestError as exc:
-                print(f"INVALID: {exc}", file=sys.stderr)
-                return 1
-            print(f"{args.manifest}: valid service manifest")
-            return 0
-        try:
-            _load(args.manifest)
-        except ManifestError as exc:
-            print(f"INVALID: {exc}", file=sys.stderr)
+        doc = _load_doc(args.manifest)
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        validator, noun = _VALIDATORS.get(kind, _VALIDATORS["repro.run_manifest"])
+        errors = resolve(validator)(doc)
+        if errors:
+            print(f"INVALID: {args.manifest}: " + "; ".join(errors), file=sys.stderr)
             return 1
-        print(f"{args.manifest}: valid run manifest")
+        print(f"{args.manifest}: valid {noun} manifest")
         return 0
     if args.perf_command == "diff":
-        doc_a, doc_b = _load(args.manifest_a), _load(args.manifest_b)
+        doc_a, doc_b = _load_run(args.manifest_a), _load_run(args.manifest_b)
         print(format_manifest_diff(diff_manifests(doc_a, doc_b)))
         report = _analysis.analyze_pair(doc_a, doc_b)
         dom = report.dominant
@@ -77,8 +76,8 @@ def cmd_perf(args) -> int:
             print(f"triage: dominant efficiency factor: {report.dominant_factor}")
         return 0
     # perf check
-    baseline_doc = _load(args.baseline)
-    candidate_doc = _load(args.candidate)
+    baseline_doc = _load_run(args.baseline)
+    candidate_doc = _load_run(args.candidate)
     violations = manifest_regressions(
         baseline_doc,
         candidate_doc,
@@ -116,28 +115,6 @@ def cmd_analyze(args) -> int:
         print("error: --check needs two manifests (A/B mode)", file=sys.stderr)
         return 2
 
-    def _load_doc(path: str) -> dict:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise SystemExit(f"error: no such manifest: {path}")
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"error: {path} is not JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise SystemExit(f"error: {path} is not a manifest object")
-        return doc
-
-    def _load_run(path: str) -> dict:
-        try:
-            return load_manifest(path)
-        except FileNotFoundError:
-            raise SystemExit(f"error: no such manifest: {path}")
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"error: {path} is not JSON: {exc}")
-        except ManifestError as exc:
-            raise SystemExit(f"error: {exc}")
-
     exit_code = 0
     if len(args.manifests) == 2:
         report = _analysis.analyze_pair(
@@ -155,7 +132,7 @@ def cmd_analyze(args) -> int:
             exit_code = 1
     else:
         doc = _load_doc(args.manifests[0])
-        if doc.get("kind") == "repro.sweep_manifest":
+        if isinstance(doc, dict) and doc.get("kind") == "repro.sweep_manifest":
             rows = _analysis.analyze_sweep(doc)
             if args.fmt == "json":
                 output = json.dumps(rows, indent=2) + "\n"
@@ -164,7 +141,7 @@ def cmd_analyze(args) -> int:
             else:
                 output = _render.render_sweep_text(rows) + "\n"
         else:
-            run_doc = _load_run(args.manifests[0])
+            run_doc = _load_run(args.manifests[0], doc)
             try:
                 info = _analysis.analyze_manifest(run_doc)
             except ValueError as exc:

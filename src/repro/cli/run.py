@@ -10,6 +10,7 @@ import time
 from repro.cli.faults import load_scenario_arg
 from repro.cli.parser import QUICK_WORKLOAD
 from repro.core import RunConfig, run_fft_phase
+from repro.machine.knl import whatif_machine
 
 
 def cmd_run(args) -> int:
@@ -69,17 +70,12 @@ def cmd_run(args) -> int:
             f"{result.n_attempts} attempt(s)"
         )
 
-    factors = None
     ideal_time = None
     if args.pop:
-        from repro.perf import factors_from_run, ideal_network
-
-        ideal = run_fft_phase(
+        ideal_time = run_fft_phase(
             dataclasses.replace(config, telemetry=False),
-            knl=ideal_network(),
-        )
-        ideal_time = ideal.phase_time
-        factors = factors_from_run(result, ideal_time=ideal_time)
+            knl=whatif_machine("ideal_network"),
+        ).phase_time
     if args.manifest:
         from repro.telemetry.manifest import build_manifest, write_manifest
 
@@ -88,7 +84,6 @@ def cmd_run(args) -> int:
             build_manifest(
                 result,
                 wall_time_s=None if args.stable_manifest else wall,
-                factors=factors,
                 ideal_time_s=ideal_time,
                 created="(stable)" if args.stable_manifest else None,
             ),

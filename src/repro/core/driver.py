@@ -686,31 +686,5 @@ def _record_run_summary(
     # summarized as analysis.* gauges for metric-level consumers.
     from repro import analysis as _analysis
 
-    tel.analysis = _analysis.analyze_session(
-        tel, phase_time, counters=counters
-    )
-    run_analysis = tel.analysis
-    tel.metrics.set_gauge(
-        "analysis.unclosed_spans", float(run_analysis.unclosed_spans)
-    )
-    if run_analysis.pop is not None:
-        pop = run_analysis.pop
-        tel.metrics.set_gauge("analysis.parallel_efficiency", pop.parallel_efficiency)
-        tel.metrics.set_gauge("analysis.load_balance", pop.load_balance)
-        tel.metrics.set_gauge(
-            "analysis.serialization_efficiency", pop.serialization_efficiency
-        )
-        tel.metrics.set_gauge(
-            "analysis.transfer_efficiency", pop.transfer_efficiency
-        )
-    if run_analysis.critical_path is not None:
-        crit = run_analysis.critical_path
-        tel.metrics.set_gauge("analysis.critical_path_seconds", crit.length_s)
-        for kind, seconds in crit.by_kind.items():
-            tel.metrics.set_gauge(
-                "analysis.critical_path_share", seconds, kind=kind
-            )
-    if run_analysis.task_graph is not None:
-        tel.metrics.set_gauge(
-            "analysis.task_chain_seconds", run_analysis.task_graph.length_s
-        )
+    tel.analysis = _analysis.analyze_session(tel, phase_time, counters=counters)
+    tel.analysis.publish(tel.metrics)

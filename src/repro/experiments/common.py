@@ -84,19 +84,7 @@ def reduce_efficiency(
     analysis = analyze_run(
         result, ideal_time_s=ideal.phase_time if ideal is not None else None
     )
-    pop = analysis.pop
-    out["efficiency"] = (
-        {
-            "parallel_efficiency": pop.parallel_efficiency,
-            "load_balance": pop.load_balance,
-            "serialization_efficiency": pop.serialization_efficiency,
-            "transfer_efficiency": pop.transfer_efficiency,
-            "communication_efficiency": pop.communication_efficiency,
-            "split_source": pop.split_source,
-        }
-        if pop is not None
-        else None
-    )
+    out["efficiency"] = analysis.pop.factors() if analysis.pop is not None else None
     return out
 
 

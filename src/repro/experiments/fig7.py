@@ -64,29 +64,22 @@ def reduce_fig7(task, result, ideal, trace) -> dict:
     total = weights.sum()
     mean = float((weights * centers).sum() / total) if total > 0 else 0.0
     var = float((weights * (centers - mean) ** 2).sum() / total) if total > 0 else 0.0
-    out = {
-        "mean_ipc": mean,
-        "ipc_std": float(np.sqrt(var)),
-        "synchrony": synchrony_index(trace, MAIN_PHASES),
-        "efficiency": None,
-    }
     # The traced records carry the full sync/transfer split, so the POP
     # factors here are the trace-estimated decomposition, not the neutral
     # counters-only one.
     from repro.analysis import decompose, timelines_from_trace
 
     timelines = timelines_from_trace(trace) if trace is not None else []
-    if timelines and result.phase_time > 0:
-        pop = decompose(timelines, result.phase_time)
-        out["efficiency"] = {
-            "parallel_efficiency": pop.parallel_efficiency,
-            "load_balance": pop.load_balance,
-            "serialization_efficiency": pop.serialization_efficiency,
-            "transfer_efficiency": pop.transfer_efficiency,
-            "communication_efficiency": pop.communication_efficiency,
-            "split_source": pop.split_source,
-        }
-    return out
+    return {
+        "mean_ipc": mean,
+        "ipc_std": float(np.sqrt(var)),
+        "synchrony": synchrony_index(trace, MAIN_PHASES),
+        "efficiency": (
+            decompose(timelines, result.phase_time).factors()
+            if timelines and result.phase_time > 0
+            else None
+        ),
+    }
 
 
 def run_fig7(ranks: int = 8, jobs: int = 1, **overrides: _t.Any) -> ExperimentReport:

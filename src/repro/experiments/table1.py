@@ -6,19 +6,19 @@ over 16x8").  Each column needs two runs: the measured one and the
 ideal-network replay identifying the sync/transfer split.
 
 The rank sweep runs through :mod:`repro.sweep`: each point executes the
-measured + ideal pair in a worker and reduces to
-:class:`~repro.perf.popmodel.RunAggregates`; the factor columns are then
-computed here in the parent, because every column's scalability factors are
-relative to the *first* point's aggregates (the base run).
+measured + ideal pair in a worker and reduces to its
+:class:`~repro.analysis.pop.PopDecomposition` plus compute totals; the factor
+columns are then laid out here in the parent, because every column's
+scalability factors are relative to the *first* point's totals (the base run).
 """
 
 from __future__ import annotations
 
 import typing as _t
 
+from repro.analysis import PopDecomposition, analyze_run, compute_totals, factor_rows
 from repro.experiments.common import ExperimentReport, paper_config, sweep_summaries
 from repro.experiments.paperdata import PAPER
-from repro.perf.popmodel import BaseMetrics, RunAggregates, factors_from_aggregates
 from repro.perf.report import format_factor_table
 from repro.sweep import SweepTask
 
@@ -26,17 +26,18 @@ __all__ = ["run_table1", "factor_columns", "reduce_pop"]
 
 
 def reduce_pop(task, result, ideal, trace) -> dict:
-    """Sweep reduction for a POP column: aggregates + the ideal replay time."""
-    return {
-        "aggregates": RunAggregates.from_run(result).to_dict(),
-        "ideal_time_s": ideal.phase_time if ideal is not None else None,
-    }
+    """Sweep reduction for a POP column: the replay-split decomposition + totals."""
+    pop = analyze_run(
+        result, ideal_time_s=ideal.phase_time if ideal is not None else None
+    ).pop
+    if pop is None:
+        raise ValueError("run has no computation to analyse")
+    return {"pop": pop.to_dict(), "totals": compute_totals(result.cpu.counters)}
 
 
 def factor_columns(
     version: str,
     ranks: _t.Sequence[int],
-    with_reference: bool = True,
     jobs: int = 1,
     **overrides: _t.Any,
 ) -> tuple[list, dict]:
@@ -53,17 +54,14 @@ def factor_columns(
     summaries = sweep_summaries(tasks, jobs=jobs)
 
     columns = []
-    base: BaseMetrics | None = None
+    base = summaries[f"ranks={ranks[0]}"]["totals"]
     runtimes = {}
     for n in ranks:
         summary = summaries[f"ranks={n}"]
-        agg = RunAggregates.from_dict(summary["aggregates"])
-        if base is None:
-            base = agg.base_metrics()
-        fs = factors_from_aggregates(agg, ideal_time=summary["ideal_time_s"], base=base)
+        pop = PopDecomposition.from_dict(summary["pop"])
         label = f"{n}x8"
-        columns.append((label, fs))
-        runtimes[label] = agg.runtime
+        columns.append((label, factor_rows(pop, summary["totals"], base)))
+        runtimes[label] = pop.makespan_s
     return columns, runtimes
 
 
@@ -81,7 +79,7 @@ def run_table1(
     return ExperimentReport(
         name="table1",
         data={
-            "columns": {label: dict(fs.as_rows()) for label, fs in columns},
+            "columns": dict(columns),
             "runtime_s": runtimes,
         },
         text=text,

@@ -30,7 +30,7 @@ def run_table2(
     return ExperimentReport(
         name="table2",
         data={
-            "columns": {label: dict(fs.as_rows()) for label, fs in columns},
+            "columns": dict(columns),
             "runtime_s": runtimes,
         },
         text=text,

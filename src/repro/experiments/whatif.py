@@ -13,39 +13,18 @@ variant, so with ``jobs=N`` the whole attribution matrix runs concurrently.
 
 from __future__ import annotations
 
-import dataclasses
 import typing as _t
 
 from repro.experiments.common import ExperimentReport, paper_config, sweep_summaries
-from repro.machine.knl import KnlParameters
+from repro.machine.knl import WHATIF_MACHINES, KnlParameters, whatif_machine
 from repro.sweep import SweepTask
 
 __all__ = ["run_ablation_whatif"]
 
 TIMING_REDUCER = "repro.experiments.common:reduce_timing"
 
-#: The attribution's machine variants, in report order (see
-#: :func:`repro.perf.whatif.runtime_attribution`, whose variants these mirror).
-ATTRIBUTION_MACHINES: tuple[str, ...] = (
-    "measured",
-    "ideal_network",
-    "infinite_bandwidth",
-    "no_jitter",
-)
-
-
-def _machine_variant(name: str, base: KnlParameters) -> KnlParameters:
-    if name == "measured":
-        return base
-    if name == "ideal_network":
-        return dataclasses.replace(
-            base, net_latency=0.0, net_injection_bw=1e18, net_capacity=1e18
-        )
-    if name == "infinite_bandwidth":
-        return dataclasses.replace(base, mem_bandwidth=1e18, mem_bw_rampup_max=None)
-    if name == "no_jitter":
-        return dataclasses.replace(base, compute_jitter=0.0)
-    raise ValueError(f"unknown machine variant {name!r}")
+#: The attribution's machine variants, in report order.
+ATTRIBUTION_MACHINES: tuple[str, ...] = ("measured", *WHATIF_MACHINES)
 
 
 def run_ablation_whatif(
@@ -58,7 +37,7 @@ def run_ablation_whatif(
         SweepTask(
             key=f"version={version},machine={machine}",
             config=paper_config(ranks, version, **overrides),
-            knl=_machine_variant(machine, base),
+            knl=base if machine == "measured" else whatif_machine(machine, base),
             reducer=TIMING_REDUCER,
         )
         for version in versions
@@ -76,7 +55,7 @@ def run_ablation_whatif(
         data[version] = attr
         measured = attr["measured"]
         lines.append(f"\n{version}: measured {measured * 1e3:.2f} ms")
-        for name in ("ideal_network", "infinite_bandwidth", "no_jitter"):
+        for name in WHATIF_MACHINES:
             gain = 1.0 - attr[name] / measured
             lines.append(
                 f"  {name:<20} {attr[name] * 1e3:9.2f} ms   ({gain * 100:+5.1f}% if lifted)"

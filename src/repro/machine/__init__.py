@@ -29,7 +29,14 @@ from repro.machine.phases import PhaseProfile, PhaseTable
 from repro.machine.contention import BandwidthContentionAllocator
 from repro.machine.counters import CounterSet, PhaseCounters
 from repro.machine.cpu import ComputeRecord, CpuModel
-from repro.machine.knl import KnlParameters, knl_parameters, knl_phase_table, knl_topology
+from repro.machine.knl import (
+    WHATIF_MACHINES,
+    KnlParameters,
+    knl_parameters,
+    knl_phase_table,
+    knl_topology,
+    whatif_machine,
+)
 
 __all__ = [
     "HwThread",
@@ -43,6 +50,8 @@ __all__ = [
     "CpuModel",
     "ComputeRecord",
     "KnlParameters",
+    "WHATIF_MACHINES",
+    "whatif_machine",
     "knl_parameters",
     "knl_phase_table",
     "knl_topology",

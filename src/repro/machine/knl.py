@@ -30,7 +30,14 @@ import dataclasses
 from repro.machine.phases import PhaseProfile, PhaseTable
 from repro.machine.topology import NodeTopology
 
-__all__ = ["KnlParameters", "knl_topology", "knl_phase_table", "knl_parameters"]
+__all__ = [
+    "KnlParameters",
+    "WHATIF_MACHINES",
+    "whatif_machine",
+    "knl_topology",
+    "knl_phase_table",
+    "knl_parameters",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,6 +93,21 @@ class KnlParameters:
 def knl_parameters() -> KnlParameters:
     """The default calibrated parameter set used by all experiments."""
     return KnlParameters()
+
+
+#: The Dimemas-style what-if machines, each lifting one modelled bottleneck:
+#: instantaneous MPI transport (the POP transfer-factor replay), no memory
+#: contention (hyper-thread sharing and nominal IPCs remain), no noise.
+WHATIF_MACHINES: dict[str, dict] = {
+    "ideal_network": dict(net_latency=0.0, net_injection_bw=1e18, net_capacity=1e18),
+    "infinite_bandwidth": dict(mem_bandwidth=1e18, mem_bw_rampup_max=None),
+    "no_jitter": dict(compute_jitter=0.0),
+}
+
+
+def whatif_machine(name: str, base: KnlParameters | None = None) -> KnlParameters:
+    """``base`` (default: the calibrated node) with one bottleneck lifted."""
+    return dataclasses.replace(base or KnlParameters(), **WHATIF_MACHINES[name])
 
 
 def knl_topology(params: KnlParameters | None = None) -> NodeTopology:

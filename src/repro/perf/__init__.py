@@ -3,16 +3,12 @@
 The paper's methodology is as much a contribution as its optimization: trace
 the run (Extrae), inspect timelines and histograms (Paraver), and condense
 everything into the multiplicative POP efficiency model (Tables I/II).
-This package reproduces that workflow against the simulator:
+This package reproduces the tracing and inspection half of that workflow
+against the simulator (the factor model is :mod:`repro.analysis.pop`):
 
 * :mod:`~repro.perf.tracer` — :class:`Tracer` collects compute-phase, MPI
   and task records through the driver's observer hooks; ``trace_run`` is
   the one-call "run with tracing" entry point;
-* :mod:`~repro.perf.popmodel` — the efficiency/scalability factor
-  decomposition: parallel efficiency = load balance x communication
-  efficiency; communication efficiency = serialization x transfer (transfer
-  measured by an *ideal-network replay*, trivially exact in a simulator);
-  computation scalability = IPC x instruction scalability; global = PE x CS;
 * :mod:`~repro.perf.timeline` — Fig. 3/7 artifacts: per-stream phase
   timelines, MPI call maps, communicator structure, IPC histograms;
 * :mod:`~repro.perf.paraver` — a Paraver-like trace format (.prv state /
@@ -24,21 +20,13 @@ This package reproduces that workflow against the simulator:
 from repro._lazy import lazy_exports
 
 # Submodules load on first access: ``compare``/``timeline``/``paraver`` read
-# recorded data only, while ``tracer``/``popmodel``/``whatif`` run the
-# simulator (``repro.core``, numpy) — ``analyze`` and ``perf diff|check``
-# must not pay for those.
+# recorded data only, while ``tracer``/``whatif`` run the simulator
+# (``repro.core``, numpy) — ``analyze`` and ``perf diff|check`` must not pay
+# for those.
 __getattr__ = lazy_exports(
     __name__,
     {
         "repro.perf.tracer": ("Trace", "Tracer", "trace_run"),
-        "repro.perf.popmodel": (
-            "BaseMetrics",
-            "FactorSet",
-            "RunAggregates",
-            "factors_from_aggregates",
-            "factors_from_run",
-            "ideal_network",
-        ),
         "repro.perf.timeline": (
             "communicator_structure",
             "ipc_histogram",
@@ -63,12 +51,6 @@ __all__ = [
     "Trace",
     "Tracer",
     "trace_run",
-    "BaseMetrics",
-    "FactorSet",
-    "RunAggregates",
-    "factors_from_run",
-    "factors_from_aggregates",
-    "ideal_network",
     "phase_intervals",
     "mpi_intervals",
     "phase_summary",

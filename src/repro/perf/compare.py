@@ -176,6 +176,15 @@ class ManifestDiff:
         return self.phase_time_b / self.phase_time_a - 1.0
 
 
+def _manifest_pop(manifest: dict) -> dict:
+    """The factor dict of a manifest: ``analysis.pop``; the top-level ``pop``
+    only as the reader of manifests written before that section went."""
+    pop = (manifest.get("analysis") or {}).get("pop")
+    if isinstance(pop, dict):
+        return pop
+    return manifest.get("pop") or {}
+
+
 def _manifest_phases(manifest: dict) -> dict[str, dict]:
     return {
         name: entry
@@ -217,13 +226,16 @@ def diff_manifests(manifest_a: dict, manifest_b: dict) -> ManifestDiff:
             layer: float(entry.get("time_s", 0.0))
             for layer, entry in manifest_b.get("mpi", {}).items()
         },
-        pop_a=dict(manifest_a.get("pop", {})),
-        pop_b=dict(manifest_b.get("pop", {})),
+        pop_a=_manifest_pop(manifest_a),
+        pop_b=_manifest_pop(manifest_b),
     )
 
 
 def format_manifest_diff(diff: ManifestDiff) -> str:
     """Render a manifest diff: runtime, per-phase time/IPC, MPI, POP."""
+    # Deferred: repro.analysis (triage) imports this module.
+    from repro.analysis.pop import FACTOR_KEYS
+
     la, lb = diff.label_a[:16], diff.label_b[:16]
     rel = diff.runtime_relative
     rel_str = f"{rel * 100:+.1f}%" if rel != float("inf") else "new"
@@ -249,12 +261,7 @@ def format_manifest_diff(diff: ManifestDiff) -> str:
         a = diff.mpi_a.get(layer, 0.0)
         b = diff.mpi_b.get(layer, 0.0)
         lines.append(f"{'MPI ' + layer:<18}{a * 1e3:>10.2f}ms{b * 1e3:>10.2f}ms")
-    pop_keys = sorted(
-        k
-        for k in set(diff.pop_a) | set(diff.pop_b)
-        if isinstance(diff.pop_a.get(k, diff.pop_b.get(k)), (int, float))
-        and k != "ideal_time_s"
-    )
+    pop_keys = [k for k in FACTOR_KEYS if k in diff.pop_a or k in diff.pop_b]
     if pop_keys:
         lines.append("")
         lines.append(f"{'POP factor':<28}{'A':>8}{'B':>8}")

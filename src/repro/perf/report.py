@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.perf.popmodel import FactorSet
-
 __all__ = [
     "format_factor_table",
     "format_series",
@@ -33,19 +31,20 @@ TIMELINE_GLYPHS = {
 
 
 def format_factor_table(
-    columns: _t.Sequence[tuple[str, FactorSet]],
+    columns: _t.Sequence[tuple[str, _t.Mapping[str, float]]],
     title: str = "",
     reference: _t.Mapping[str, _t.Sequence[float]] | None = None,
 ) -> str:
     """Render factor columns like the paper's Table I/II.
 
-    ``columns`` is a sequence of ``(label, FactorSet)``.  If ``reference``
-    maps row labels to the paper's published percentages, a second line per
-    row shows them for side-by-side comparison.
+    ``columns`` is a sequence of ``(label, rows)`` with ``rows`` as returned
+    by :func:`repro.analysis.pop.factor_rows`.  If ``reference`` maps row
+    labels to the paper's published percentages, a second line per row shows
+    them for side-by-side comparison.
     """
     labels = [lbl for lbl, _ in columns]
-    rows = columns[0][1].as_rows()
-    name_width = max(len(r[0]) for r in rows) + 2
+    rows = list(columns[0][1])
+    name_width = max(len(r) for r in rows) + 2
     col_width = max(9, max(len(l) for l in labels) + 2)
 
     lines = []
@@ -54,8 +53,8 @@ def format_factor_table(
     header = " " * name_width + "".join(f"{l:>{col_width}}" for l in labels)
     lines.append(header)
     lines.append("-" * len(header))
-    for i, (row_label, _) in enumerate(rows):
-        vals = [fs.as_rows()[i][1] for _, fs in columns]
+    for row_label in rows:
+        vals = [col[row_label] for _, col in columns]
         line = f"{row_label:<{name_width}}" + "".join(
             f"{v * 100:>{col_width - 2}.2f} %" for v in vals
         )

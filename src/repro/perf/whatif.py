@@ -20,7 +20,7 @@ import typing as _t
 
 from repro.core.config import RunConfig
 from repro.core.driver import run_fft_phase
-from repro.machine.knl import KnlParameters
+from repro.machine.knl import WHATIF_MACHINES, KnlParameters, whatif_machine
 
 __all__ = ["whatif_sweep", "runtime_attribution", "SWEEPABLE_PARAMETERS"]
 
@@ -71,19 +71,7 @@ def runtime_attribution(
     shares of runtime each mechanism is responsible for.
     """
     base = knl or KnlParameters()
-    measured = run_fft_phase(config, knl=base).phase_time
-
-    ideal_net = dataclasses.replace(
-        base, net_latency=0.0, net_injection_bw=1e18, net_capacity=1e18
-    )
-    no_contention = dataclasses.replace(
-        base, mem_bandwidth=1e18, mem_bw_rampup_max=None
-    )
-    no_jitter = dataclasses.replace(base, compute_jitter=0.0)
-
-    return {
-        "measured": measured,
-        "ideal_network": run_fft_phase(config, knl=ideal_net).phase_time,
-        "infinite_bandwidth": run_fft_phase(config, knl=no_contention).phase_time,
-        "no_jitter": run_fft_phase(config, knl=no_jitter).phase_time,
-    }
+    out = {"measured": run_fft_phase(config, knl=base).phase_time}
+    for name in WHATIF_MACHINES:
+        out[name] = run_fft_phase(config, knl=whatif_machine(name, base)).phase_time
+    return out

@@ -15,7 +15,7 @@ Two modes:
   (the FFT plan-cache hit/miss counters), which vary run to run and are
   therefore excluded from stable manifests.
 
-Validation is hand-rolled like the run-manifest schema (no jsonschema
+Validation runs on the run manifest's rules engine (no jsonschema
 dependency); the conservation law ``submitted == sum(verdicts)`` and
 ``accepted == ok + batched + expired + failed (+ memoized)`` are checked
 structurally, so an engine that loses an accepted request cannot produce
@@ -30,6 +30,13 @@ import typing as _t
 
 from repro.service.request import SHED_REASONS, VERDICTS
 from repro.service.server import ServiceCore, latency_percentiles
+from repro.telemetry.manifest import (
+    ManifestError,
+    Rules,
+    check_rules,
+    load_checked,
+    write_checked,
+)
 
 __all__ = [
     "SERVICE_MANIFEST_KIND",
@@ -45,7 +52,7 @@ SERVICE_MANIFEST_KIND = "repro.service_manifest"
 SERVICE_SCHEMA_VERSION = 1
 
 
-class ServiceManifestError(ValueError):
+class ServiceManifestError(ManifestError):
     """A service manifest failed validation or could not be parsed."""
 
 
@@ -90,7 +97,7 @@ def build_service_manifest(
     return doc
 
 
-_RULES: list[tuple[str, tuple[type, ...], bool]] = [
+_RULES: Rules = [
     ("kind", (str,), True),
     ("schema_version", (int,), True),
     ("stable", (bool,), True),
@@ -112,40 +119,15 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
 ]
 
 
-def _lookup(doc: dict, dotted: str):
-    node: _t.Any = doc
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None, False
-        node = node[part]
-    return node, True
-
-
 def validate_service_manifest(manifest: object) -> list[str]:
     """Return schema violations (empty list = valid)."""
     if not isinstance(manifest, dict):
         return ["service manifest must be a JSON object"]
-    errors: list[str] = []
-    for dotted, types, required in _RULES:
-        value, present = _lookup(manifest, dotted)
-        if not present:
-            if required:
-                errors.append(f"missing required field {dotted!r}")
-            continue
-        if not isinstance(value, types):
-            names = "/".join(t.__name__ for t in types)
-            errors.append(f"{dotted!r} must be {names}, got {type(value).__name__}")
+    errors = check_rules(
+        manifest, _RULES, SERVICE_MANIFEST_KIND, SERVICE_SCHEMA_VERSION
+    )
     if errors:
         return errors
-    if manifest["kind"] != SERVICE_MANIFEST_KIND:
-        errors.append(
-            f"kind must be {SERVICE_MANIFEST_KIND!r}, got {manifest['kind']!r}"
-        )
-    if manifest["schema_version"] > SERVICE_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version {manifest['schema_version']} is newer than "
-            f"supported {SERVICE_SCHEMA_VERSION}"
-        )
     counts = manifest["counts"]
     for name in ("submitted", "accepted", *VERDICTS):
         if not isinstance(counts.get(name), int):
@@ -196,22 +178,19 @@ def validate_service_manifest(manifest: object) -> list[str]:
 
 def write_service_manifest(path: str | pathlib.Path, manifest: dict) -> pathlib.Path:
     """Validate and write (sorted keys, so stable manifests are byte-stable)."""
-    errors = validate_service_manifest(manifest)
-    if errors:
-        raise ServiceManifestError("; ".join(errors))
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_checked(
+        path,
+        manifest,
+        validate_service_manifest,
+        ServiceManifestError,
+        sort_keys=True,
+        default_suffix="",
+    )
 
 
 def load_service_manifest(path: str | pathlib.Path) -> dict:
     """Read and validate a service manifest."""
-    path = pathlib.Path(path)
     try:
-        doc = json.loads(path.read_text())
+        return load_checked(path, validate_service_manifest, ServiceManifestError)
     except json.JSONDecodeError as exc:
         raise ServiceManifestError(f"{path} is not valid JSON: {exc}") from None
-    errors = validate_service_manifest(doc)
-    if errors:
-        raise ServiceManifestError(f"{path}: " + "; ".join(errors))
-    return doc

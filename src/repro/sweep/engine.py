@@ -36,7 +36,7 @@ import typing as _t
 
 from repro.core.config import RunConfig
 from repro.core.driver import RunResult, run_fft_phase
-from repro.machine.knl import KnlParameters
+from repro.machine.knl import KnlParameters, whatif_machine
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.perf.tracer import Trace
@@ -81,19 +81,12 @@ def reduce_summary(
     CLI's ``--stable-manifest`` — two executions of the same seeded point
     produce byte-identical summaries regardless of host or worker count.
     """
-    from repro.perf.popmodel import factors_from_run
     from repro.telemetry.manifest import build_manifest
 
-    factors = None
-    ideal_time = None
-    if ideal is not None:
-        ideal_time = ideal.phase_time
-        factors = factors_from_run(result, ideal_time=ideal_time)
     return build_manifest(
         result,
         wall_time_s=None,
-        factors=factors,
-        ideal_time_s=ideal_time,
+        ideal_time_s=ideal.phase_time if ideal is not None else None,
         created="(stable)",
     )
 
@@ -237,14 +230,14 @@ def _execute_task(task: SweepTask) -> dict:
         result = run_fft_phase(task.config, knl=task.knl)
     ideal = None
     if task.ideal_replay:
-        from repro.perf.popmodel import ideal_network
-
         ideal_config = (
             dataclasses.replace(task.config, telemetry=False)
             if task.config.telemetry
             else task.config
         )
-        ideal = run_fft_phase(ideal_config, knl=ideal_network(task.knl))
+        ideal = run_fft_phase(
+            ideal_config, knl=whatif_machine("ideal_network", task.knl)
+        )
     summary = _jsonify(reducer(task, result, ideal, trace))
     return {
         "key": task.key,

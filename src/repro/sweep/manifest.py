@@ -11,16 +11,24 @@ Extends the run-manifest family (:mod:`repro.telemetry.manifest`) with a
   reduced summary, the simulated phase time, the failure flag, and the
   summary itself.
 
-Validation is hand-rolled in the run-manifest style (no jsonschema
-dependency); ``docs/sweep_manifest.schema.json`` mirrors the rules.
+Validation runs on the run manifest's rules engine (no jsonschema
+dependency) plus the cross-field laws below;
+``docs/sweep_manifest.schema.json`` mirrors the rules.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
 import typing as _t
+
+from repro.telemetry.manifest import (
+    ManifestError,
+    Rules,
+    check_rules,
+    load_checked,
+    write_checked,
+)
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.engine import PointRecord
@@ -40,7 +48,7 @@ SWEEP_MANIFEST_KIND = "repro.sweep_manifest"
 SWEEP_MANIFEST_SCHEMA_VERSION = 1
 
 
-class SweepManifestError(ValueError):
+class SweepManifestError(ManifestError):
     """A sweep manifest failed schema validation."""
 
 
@@ -80,27 +88,15 @@ def build_sweep_manifest(
 
 def write_sweep_manifest(path: str | pathlib.Path, manifest: dict) -> pathlib.Path:
     """Validate and write a sweep manifest; returns the written path."""
-    errors = validate_sweep_manifest(manifest)
-    if errors:
-        raise SweepManifestError("; ".join(errors))
-    path = pathlib.Path(path)
-    if not path.suffix:
-        path = path.with_suffix(".json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=False) + "\n")
-    return path
+    return write_checked(path, manifest, validate_sweep_manifest, SweepManifestError)
 
 
 def load_sweep_manifest(path: str | pathlib.Path) -> dict:
     """Read and validate a sweep manifest file."""
-    manifest = json.loads(pathlib.Path(path).read_text())
-    errors = validate_sweep_manifest(manifest)
-    if errors:
-        raise SweepManifestError(f"{path}: " + "; ".join(errors))
-    return manifest
+    return load_checked(path, validate_sweep_manifest, SweepManifestError)
 
 
-#: (dotted path, expected type(s), required) — mirrors the run-manifest rules.
-_RULES: list[tuple[str, tuple[type, ...], bool]] = [
+_RULES: Rules = [
     ("kind", (str,), True),
     ("schema_version", (int,), True),
     ("created", (str,), True),
@@ -114,40 +110,15 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
 ]
 
 
-def _lookup(doc: dict, dotted: str):
-    node: _t.Any = doc
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None, False
-        node = node[part]
-    return node, True
-
-
 def validate_sweep_manifest(manifest: object) -> list[str]:
     """Return schema violations (empty list = valid)."""
     if not isinstance(manifest, dict):
         return ["sweep manifest must be a JSON object"]
-    errors = []
-    for dotted, types, required in _RULES:
-        value, present = _lookup(manifest, dotted)
-        if not present:
-            if required:
-                errors.append(f"missing required field {dotted!r}")
-            continue
-        if not isinstance(value, types):
-            names = "/".join(t.__name__ for t in types)
-            errors.append(f"{dotted!r} must be {names}, got {type(value).__name__}")
+    errors = check_rules(
+        manifest, _RULES, SWEEP_MANIFEST_KIND, SWEEP_MANIFEST_SCHEMA_VERSION
+    )
     if errors:
         return errors
-    if manifest["kind"] != SWEEP_MANIFEST_KIND:
-        errors.append(
-            f"kind must be {SWEEP_MANIFEST_KIND!r}, got {manifest['kind']!r}"
-        )
-    if manifest["schema_version"] > SWEEP_MANIFEST_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version {manifest['schema_version']} is newer than "
-            f"supported {SWEEP_MANIFEST_SCHEMA_VERSION}"
-        )
     sweep = manifest["sweep"]
     if sweep["jobs"] < 1:
         errors.append("sweep.jobs must be >= 1")

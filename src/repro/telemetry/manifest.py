@@ -15,16 +15,23 @@ compares against.  It captures:
   updates, skipped timer re-arms, allocation-cache hits/misses) under
   ``engine.cpu`` / ``engine.network`` — the observability hooks of the
   vectorized contention engine,
-* the POP efficiency factors when the caller ran the ideal-network replay,
+* the run's derived analytics under ``analysis`` (POP factors, critical
+  path, task graph); when the caller ran the ideal-network replay its
+  runtime re-splits serialization/transfer there
+  (``analysis.pop.split_source == "replay"``),
 * the fault-injection report (scenario, injected/recovered counts, per-
   attempt outcomes) when the run carried a fault scenario,
 * the data-plane arena statistics (buffer acquires/reuse-hits/releases,
   allocations avoided, bytes resident) under ``dataplane`` when the run
-  executed in data mode with the workspace arena enabled.
+  executed in data mode.
 
 Validation is hand-rolled (:func:`validate_manifest`) so the repository
 needs no jsonschema dependency; ``docs/run_manifest.schema.json`` mirrors
-the same rules as a standard JSON Schema for external tooling.
+the same rules as a standard JSON Schema for external tooling.  The rules
+engine (:func:`check_rules`) and the validate-then-write / read-then-validate
+pair (:func:`write_checked`, :func:`load_checked`) are shared with the sweep
+and service manifests, which add only their own ``_RULES`` and cross-field
+laws.
 """
 
 from __future__ import annotations
@@ -39,12 +46,15 @@ from repro.telemetry.layers import comm_layer
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.driver import RunResult
-    from repro.perf.popmodel import FactorSet
 
 __all__ = [
     "MANIFEST_KIND",
     "MANIFEST_SCHEMA_VERSION",
     "ManifestError",
+    "Rules",
+    "check_rules",
+    "write_checked",
+    "load_checked",
     "build_manifest",
     "write_manifest",
     "load_manifest",
@@ -101,11 +111,16 @@ def _mpi_aggregates(result: "RunResult") -> dict:
 def build_manifest(
     result: "RunResult",
     wall_time_s: float | None = None,
-    factors: "FactorSet | None" = None,
     ideal_time_s: float | None = None,
     created: str | None = None,
 ) -> dict:
-    """Assemble the manifest dict for one completed run."""
+    """Assemble the manifest dict for one completed run.
+
+    ``ideal_time_s`` — runtime of the ideal-network replay of the same
+    configuration, handed to the run's analysis (which the metrics gauges
+    follow, so it is resolved before they are snapshotted).
+    """
+    analysis = _run_analysis(result, ideal_time_s)
     config = dataclasses.asdict(result.config)
     config["label"] = result.config.label()
     config["n_mpi_ranks"] = result.config.n_mpi_ranks
@@ -137,11 +152,6 @@ def build_manifest(
             result.telemetry.metrics.snapshot() if result.telemetry is not None else {}
         ),
     }
-    if factors is not None:
-        manifest["pop"] = {
-            label: value for label, value in _factor_items(factors)
-        }
-        manifest["pop"]["ideal_time_s"] = ideal_time_s
     if result.fault_report is not None:
         manifest["fault_report"] = result.fault_report
         manifest["timing"]["n_attempts"] = result.n_attempts
@@ -153,62 +163,80 @@ def build_manifest(
         manifest["internode"] = internode()
     if result.tuning is not None:
         manifest["tuning"] = result.tuning
-    analysis = _run_analysis(result, ideal_time_s)
     if analysis is not None:
         manifest["analysis"] = analysis
     return manifest
 
 
 def _run_analysis(result: "RunResult", ideal_time_s: float | None) -> dict | None:
-    """The ``analysis`` section: the session's stashed analytics, or a fresh
-    computation for telemetry-enabled runs that bypassed the driver summary.
+    """The ``analysis`` section: what :func:`repro.analysis.analyze_run` says
+    of a telemetry-enabled or replayed run (an untraced, unreplayed run has
+    nothing beyond its ``phases`` to report).
 
     Import is deferred — the analysis package consumes telemetry, not the
     other way round, and the manifest module must stay importable first.
     """
     tel = result.telemetry
-    if tel is None or not tel.enabled:
+    if (tel is None or not tel.enabled) and ideal_time_s is None:
         return None
-    from repro import analysis as _analysis
+    from repro.analysis import analyze_run
 
-    stashed = getattr(tel, "analysis", None)
-    if stashed is None:
-        stashed = _analysis.analyze_session(
-            tel, result.phase_time, counters=result.cpu.counters,
-            ideal_time_s=ideal_time_s,
-        )
-    return stashed.to_dict()
+    analysis = analyze_run(result, ideal_time_s)
+    if ideal_time_s is not None and tel is not None and tel.enabled:
+        # The replay split is now the session's: its stash and analysis.*
+        # gauges follow, so no export of this run quotes two values.
+        tel.analysis = analysis
+        analysis.publish(tel.metrics)
+    return analysis.to_dict()
 
 
-def _factor_items(factors: "FactorSet") -> list[tuple[str, float]]:
-    return [
-        (f.name, getattr(factors, f.name)) for f in dataclasses.fields(factors)
-    ]
+def write_checked(
+    path: str | pathlib.Path,
+    manifest: dict,
+    validate: _t.Callable[[object], list[str]],
+    error: type[ManifestError],
+    sort_keys: bool = False,
+    default_suffix: str = ".json",
+) -> pathlib.Path:
+    """Validate and write any manifest kind; returns the written path."""
+    errors = validate(manifest)
+    if errors:
+        raise error("; ".join(errors))
+    path = pathlib.Path(path)
+    if not path.suffix:
+        path = path.with_suffix(default_suffix)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=sort_keys) + "\n")
+    return path
+
+
+def load_checked(
+    path: str | pathlib.Path,
+    validate: _t.Callable[[object], list[str]],
+    error: type[ManifestError],
+) -> dict:
+    """Read and validate any manifest kind (``JSONDecodeError`` passes through)."""
+    manifest = json.loads(pathlib.Path(path).read_text())
+    errors = validate(manifest)
+    if errors:
+        raise error(f"{path}: " + "; ".join(errors))
+    return manifest
 
 
 def write_manifest(path: str | pathlib.Path, manifest: dict) -> pathlib.Path:
     """Validate and write a manifest; returns the written path."""
-    errors = validate_manifest(manifest)
-    if errors:
-        raise ManifestError("; ".join(errors))
-    path = pathlib.Path(path)
-    if not path.suffix:
-        path = path.with_suffix(".json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=False) + "\n")
-    return path
+    return write_checked(path, manifest, validate_manifest, ManifestError)
 
 
 def load_manifest(path: str | pathlib.Path) -> dict:
     """Read and validate a manifest file."""
-    manifest = json.loads(pathlib.Path(path).read_text())
-    errors = validate_manifest(manifest)
-    if errors:
-        raise ManifestError(f"{path}: " + "; ".join(errors))
-    return manifest
+    return load_checked(path, validate_manifest, ManifestError)
 
+
+#: (dotted path, expected type(s), required) rows of one manifest kind.
+Rules = list[tuple[str, tuple[type, ...], bool]]
 
 #: (dotted path, expected type(s), required) — the schema's load-bearing core.
-_RULES: list[tuple[str, tuple[type, ...], bool]] = [
+_RULES: Rules = [
     ("kind", (str,), True),
     ("schema_version", (int,), True),
     ("created", (str,), True),
@@ -229,7 +257,6 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
     ("engine.network", (dict,), False),
     ("average_ipc", (int, float), True),
     ("metrics", (dict,), True),
-    ("pop", (dict,), False),
     ("fault_report", (dict,), False),
     ("fault_report.scenario", (dict,), False),
     ("failed", (bool,), False),
@@ -267,13 +294,13 @@ def _lookup(doc: dict, dotted: str):
     return node, True
 
 
-def validate_manifest(manifest: object) -> list[str]:
-    """Return schema violations (empty list = valid)."""
-    if not isinstance(manifest, dict):
-        return ["manifest must be a JSON object"]
+def check_rules(doc: dict, rules: Rules, kind: str, max_version: int) -> list[str]:
+    """Violations of the typed ``rules``; when those hold, of the document's
+    ``kind`` and ``schema_version``.  An empty list means the document is
+    well-formed enough for its kind's cross-field laws to be evaluated."""
     errors = []
-    for dotted, types, required in _RULES:
-        value, present = _lookup(manifest, dotted)
+    for dotted, types, required in rules:
+        value, present = _lookup(doc, dotted)
         if not present:
             if required:
                 errors.append(f"missing required field {dotted!r}")
@@ -281,44 +308,55 @@ def validate_manifest(manifest: object) -> list[str]:
         if not isinstance(value, types):
             names = "/".join(t.__name__ for t in types)
             errors.append(f"{dotted!r} must be {names}, got {type(value).__name__}")
-    if not errors:
-        if manifest["kind"] != MANIFEST_KIND:
-            errors.append(f"kind must be {MANIFEST_KIND!r}, got {manifest['kind']!r}")
-        if manifest["schema_version"] > MANIFEST_SCHEMA_VERSION:
-            errors.append(
-                f"schema_version {manifest['schema_version']} is newer than "
-                f"supported {MANIFEST_SCHEMA_VERSION}"
-            )
-        if manifest["timing"]["phase_time_s"] < 0:
-            errors.append("timing.phase_time_s must be >= 0")
-        for phase, entry in manifest["phases"].items():
-            if not isinstance(entry, dict) or "time_s" not in entry:
-                errors.append(f"phases.{phase} must be an object with 'time_s'")
-        report = manifest.get("fault_report")
-        if report is not None and isinstance(report, dict):
-            for field in ("scenario", "injected", "recovered_events", "attempts"):
-                if field not in report:
-                    errors.append(f"fault_report missing field {field!r}")
-        analysis = manifest.get("analysis")
-        if analysis is not None and isinstance(analysis, dict):
+    if errors:
+        return errors
+    if doc["kind"] != kind:
+        errors.append(f"kind must be {kind!r}, got {doc['kind']!r}")
+    if doc["schema_version"] > max_version:
+        errors.append(
+            f"schema_version {doc['schema_version']} is newer than "
+            f"supported {max_version}"
+        )
+    return errors
+
+
+def validate_manifest(manifest: object) -> list[str]:
+    """Return schema violations (empty list = valid)."""
+    if not isinstance(manifest, dict):
+        return ["manifest must be a JSON object"]
+    errors = check_rules(manifest, _RULES, MANIFEST_KIND, MANIFEST_SCHEMA_VERSION)
+    if errors:
+        return errors
+    if manifest["timing"]["phase_time_s"] < 0:
+        errors.append("timing.phase_time_s must be >= 0")
+    for phase, entry in manifest["phases"].items():
+        if not isinstance(entry, dict) or "time_s" not in entry:
+            errors.append(f"phases.{phase} must be an object with 'time_s'")
+    report = manifest.get("fault_report")
+    if report is not None:
+        for field in ("scenario", "injected", "recovered_events", "attempts"):
+            if field not in report:
+                errors.append(f"fault_report missing field {field!r}")
+    analysis = manifest.get("analysis")
+    if analysis is not None:
+        for field in (
+            "schema_version",
+            "unclosed_spans",
+            "pop",
+            "critical_path",
+            "task_graph",
+        ):
+            if field not in analysis:
+                errors.append(f"analysis missing field {field!r}")
+        pop = analysis.get("pop")
+        if isinstance(pop, dict):
             for field in (
-                "schema_version",
-                "unclosed_spans",
-                "pop",
-                "critical_path",
-                "task_graph",
+                "parallel_efficiency",
+                "load_balance",
+                "serialization_efficiency",
+                "transfer_efficiency",
+                "phases",
             ):
-                if field not in analysis:
-                    errors.append(f"analysis missing field {field!r}")
-            pop = analysis.get("pop")
-            if isinstance(pop, dict):
-                for field in (
-                    "parallel_efficiency",
-                    "load_balance",
-                    "serialization_efficiency",
-                    "transfer_efficiency",
-                    "phases",
-                ):
-                    if field not in pop:
-                        errors.append(f"analysis.pop missing field {field!r}")
+                if field not in pop:
+                    errors.append(f"analysis.pop missing field {field!r}")
     return errors

@@ -76,8 +76,10 @@ class TestAnalyzeSingle:
         assert "analysis" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["analyze", "/nonexistent/run.json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: no such manifest")
 
 
 class TestAnalyzePair:
@@ -168,3 +170,46 @@ class TestPerfTriageTail:
         doc = json.loads(triage_path.read_text())
         assert doc["verdict"] == "regression"
         assert doc["dominant_phase"] == "fft_xy"
+
+
+class TestOneLoader:
+    """``perf diff``, ``perf check`` and ``analyze`` read run manifests through
+    one loader: JSON that is not a valid run manifest is a one-line
+    ``error:`` on stderr and exit 2 (``perf diff|check`` used to print a
+    ``ManifestError`` traceback)."""
+
+    @pytest.fixture(scope="class")
+    def bad_files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("loader")
+        nope = tmp / "nope.json"
+        nope.write_text(json.dumps({"kind": "nope"}))
+        sweep = tmp / "sweep.json"
+        assert main(["sweep", "--quick", "--ranks", "1", "--versions", "original",
+                     "--taskgroups", "2", "--stable", "--out", str(sweep)]) == 0
+        return {"nope": nope, "sweep": sweep}
+
+    @pytest.mark.parametrize("bad", ["nope", "sweep"])
+    @pytest.mark.parametrize(
+        "command",
+        [["perf", "diff"], ["perf", "check", "--baseline"], ["analyze"]],
+        ids=["perf-diff", "perf-check", "analyze"],
+    )
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_invalid_run_manifest_is_a_one_line_error(
+        self, command, bad, position, bad_files, run_manifest, capsys
+    ):
+        files = [str(run_manifest), str(run_manifest)]
+        files[position] = str(bad_files[bad])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(command + files)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_files[bad]}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_analyze_single_rejects_an_unknown_kind(self, bad_files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(bad_files["nope"])])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,14 +1,23 @@
-"""POP efficiency decomposition on hand-computable synthetic timelines."""
+"""The POP factor model: hand-computable synthetic timelines, then the
+Table I/II columns of live runs (every executor, replay split, base run)."""
+
+import dataclasses
 
 import pytest
 
+from repro.analysis import analyze_run
 from repro.analysis.pop import (
+    FACTOR_KEYS,
     PopDecomposition,
     StreamTimeline,
+    compute_totals,
     decompose,
+    factor_rows,
     timelines_from_trace,
 )
+from repro.core import CostConstants, RunConfig, run_fft_phase
 from repro.machine.cpu import ComputeRecord
+from repro.machine.knl import whatif_machine
 from repro.mpisim.world import MpiRecord
 from repro.telemetry.trace import Trace
 
@@ -56,6 +65,17 @@ class TestDecompose:
         assert pop.split_source == "replay"
         assert pop.transfer_efficiency == pytest.approx(0.9)
         assert pop.serialization_efficiency == pytest.approx(8.0 / 9.0)
+
+    def test_replay_split_is_clipped_to_one(self):
+        # A replay slower than the run (jitter reordering) cannot push
+        # transfer above 1; one faster than the busiest stream's compute
+        # cannot push serialization above 1.
+        slow = decompose(two_rank_timelines(), makespan_s=10.0, ideal_time_s=11.0)
+        assert slow.transfer_efficiency == 1.0
+        assert slow.ideal_runtime_s == 11.0
+        fast = decompose(two_rank_timelines(), makespan_s=10.0, ideal_time_s=7.0)
+        assert fast.serialization_efficiency == 1.0
+        assert fast.transfer_efficiency == pytest.approx(0.7)
 
     def test_neutral_split_without_mpi(self):
         a = StreamTimeline(stream="A", compute_by_phase={"fft": 8.0})
@@ -122,3 +142,149 @@ class TestTimelinesFromTrace:
         assert tl.mpi_sync_by_layer == {"pack": 0.25}
         assert tl.mpi_transfer_by_layer == {"pack": 0.75}
         assert tl.compute_time == pytest.approx(3.0)
+
+
+SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
+ROWS = [
+    "Parallel efficiency",
+    "-> Load Balance",
+    "-> Communication Efficiency",
+    "   -> Synchronization",
+    "   -> Transfer",
+    "Computation Scalability",
+    "-> IPC Scalability",
+    "-> Instructions Scalability",
+    "Global Efficiency",
+]
+
+
+def run_with_replay(**config):
+    """(result, ideal-network replay time) of one small configuration."""
+    cfg = RunConfig(**SMALL, **config)
+    ideal = run_fft_phase(cfg, knl=whatif_machine("ideal_network"))
+    return run_fft_phase(cfg), ideal.phase_time
+
+
+def column(result, ideal_time=None, base=None):
+    """The Table I/II column of a live run (what ``factor_columns`` lays out)."""
+    pop = analyze_run(result, ideal_time_s=ideal_time).pop
+    return factor_rows(pop, compute_totals(result.cpu.counters), base)
+
+
+@pytest.fixture(scope="module")
+def original():
+    return run_with_replay(ranks=2, taskgroups=2, version="original")
+
+
+class TestFactorRows:
+    def test_nine_rows_in_paper_order(self, original):
+        result, _ideal = original
+        assert list(column(result)) == ROWS
+
+    def test_upper_rows_are_the_decomposition(self):
+        pop = decompose(two_rank_timelines(), makespan_s=10.0, ideal_time_s=9.0)
+        totals = dict(total_compute_time=12.0, total_instructions=6e9, average_ipc=1.0)
+        rows = factor_rows(pop, totals)
+        assert [rows[label] for label in ROWS[:5]] == [
+            getattr(pop, key) for key in FACTOR_KEYS
+        ]
+        assert pop.factors() == {
+            **{key: getattr(pop, key) for key in FACTOR_KEYS},
+            "split_source": "replay",
+        }
+
+    def test_scalability_against_a_base_run(self):
+        pop = decompose(two_rank_timelines(), makespan_s=10.0)
+        base = dict(total_compute_time=6.0, total_instructions=3e9, average_ipc=1.0)
+        totals = dict(total_compute_time=12.0, total_instructions=4e9, average_ipc=0.8)
+        rows = factor_rows(pop, totals, base)
+        assert rows["Computation Scalability"] == 0.5
+        assert rows["-> IPC Scalability"] == 0.8
+        assert rows["-> Instructions Scalability"] == 0.75
+        assert rows["Global Efficiency"] == pop.parallel_efficiency * 0.5
+
+    def test_base_column_is_unity_scalability(self, original):
+        result, _ideal = original
+        rows = column(result)
+        assert rows["Computation Scalability"] == 1.0
+        assert rows["-> IPC Scalability"] == 1.0
+        assert rows["-> Instructions Scalability"] == 1.0
+
+    def test_factor_identities(self, original):
+        result, ideal = original
+        rows = column(result, ideal_time=ideal)
+        assert rows["Parallel efficiency"] == pytest.approx(
+            rows["-> Load Balance"] * rows["-> Communication Efficiency"], rel=1e-9
+        )
+        assert rows["Global Efficiency"] == pytest.approx(
+            rows["Parallel efficiency"] * rows["Computation Scalability"], rel=1e-9
+        )
+        # Sync x transfer ~ comm eff (small slack from the replay's jitter
+        # reordering).
+        assert rows["   -> Synchronization"] * rows["   -> Transfer"] == pytest.approx(
+            rows["-> Communication Efficiency"], rel=0.05
+        )
+
+    def test_factors_in_unit_range(self, original):
+        result, ideal = original
+        for label, value in column(result, ideal_time=ideal).items():
+            assert 0.0 < value <= 1.01, label
+
+    def test_ideal_network_is_faster(self, original):
+        result, ideal = original
+        assert ideal < result.phase_time
+
+    def test_scalability_drops_with_more_streams(self):
+        # Per-message MPI-stack instructions off: on the toy workload they
+        # would dominate the instruction balance this test checks.
+        cc = CostConstants(instr_per_message=0.0)
+        base_res = run_fft_phase(
+            RunConfig(**SMALL, ranks=1, taskgroups=2), cost_constants=cc
+        )
+        big = run_fft_phase(RunConfig(**SMALL, ranks=4, taskgroups=2), cost_constants=cc)
+        rows = column(big, base=compute_totals(base_res.cpu.counters))
+        assert rows["-> Instructions Scalability"] == pytest.approx(1.0, abs=0.02)
+        assert rows["-> IPC Scalability"] <= 1.01
+
+    def test_empty_run_has_no_decomposition(self, original):
+        result, _ideal = original
+        broken = dataclasses.replace(result, phase_time=0.0)
+        assert analyze_run(broken).pop is None
+        from repro.experiments.table1 import reduce_pop
+
+        with pytest.raises(ValueError, match="no computation"):
+            reduce_pop(None, broken, None, None)
+
+
+class TestHybridFactors:
+    """POP factors for the hybrid (multi-threaded) executors."""
+
+    @pytest.mark.parametrize(
+        "version", ["ompss_perfft", "ompss_steps", "ompss_combined", "pipelined"]
+    )
+    def test_factors_well_formed_for_every_executor(self, version):
+        result, ideal = run_with_replay(ranks=2, taskgroups=2, version=version)
+        rows = column(result, ideal_time=ideal)
+        for label, value in rows.items():
+            assert 0.0 < value <= 1.05, (version, label)
+        assert rows["Parallel efficiency"] == pytest.approx(
+            rows["-> Load Balance"] * rows["-> Communication Efficiency"], rel=1e-9
+        )
+
+    def test_streams_are_threads_for_task_versions(self):
+        """Table II's columns treat each (rank, thread) as a process."""
+        cfg = RunConfig(**SMALL, ranks=2, taskgroups=4, version="ompss_perfft")
+        result = run_fft_phase(cfg)
+        assert len(result.cpu.counters.streams) == 2 * 4
+        assert analyze_run(result).pop.n_streams == 2 * 4
+
+    def test_cross_version_base_comparison(self):
+        """Using the original's 1-rank run as the base for a task version's
+        scalability is meaningful: identical workload, same instruction
+        accounting up to the per-message MPI-stack terms."""
+        base_res = run_fft_phase(RunConfig(**SMALL, ranks=1, taskgroups=2))
+        task_res = run_fft_phase(
+            RunConfig(**SMALL, ranks=2, taskgroups=2, version="ompss_perfft")
+        )
+        rows = column(task_res, base=compute_totals(base_res.cpu.counters))
+        assert 0.5 < rows["-> Instructions Scalability"] <= 1.1

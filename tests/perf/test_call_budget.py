@@ -11,11 +11,17 @@ static tables; the budget below is what that work bought, with headroom for
 interpreter versions, and a change that spends it fails here long before it
 shows in a wall-clock ratchet.
 
+The telemetry-on twin runs the same pair with ``telemetry=True`` — records,
+spans, metrics and the finalization path (analysis, ``analysis.*`` gauges)
+on top of the core: 1 759 789 calls when recorded, budgeted with the same
+headroom ratio (1 350 000 / 1 050 737).
+
 ``python tests/perf/test_call_budget.py`` prints the per-module split as a
 markdown table (the CI ``perf-guard`` job's summary).
 """
 
 import collections
+import dataclasses
 import sys
 
 from repro.core import RunConfig, run_fft_phase
@@ -31,15 +37,18 @@ PAIR = tuple(
 COMPUTE_PHASES = 10_752
 #: ``call`` + ``c_call`` events of one warm op: 126 per compute phase.
 CALL_BUDGET = 1_350_000
+#: The same with ``telemetry=True``: 1 759 789 recorded x the same headroom.
+CALL_BUDGET_TELEMETRY = 2_260_000
 
 
-def count_calls() -> tuple[collections.Counter, int]:
+def count_calls(telemetry: bool = False) -> tuple[collections.Counter, int]:
     """``(calls per repro subpackage, compute phases)`` of one warm op.
 
     A Python call is charged to the module that defines the callee, a C
     call to the module making it.
     """
-    for config in PAIR:  # warm: geometry, exchange plans, phase tables
+    pair = [dataclasses.replace(config, telemetry=telemetry) for config in PAIR]
+    for config in pair:  # warm: geometry, exchange plans, phase tables
         run_fft_phase(config)
     per_module: collections.Counter = collections.Counter()
 
@@ -51,7 +60,7 @@ def count_calls() -> tuple[collections.Counter, int]:
 
     sys.setprofile(on_event)
     try:
-        results = [run_fft_phase(config) for config in PAIR]
+        results = [run_fft_phase(config) for config in pair]
     finally:
         sys.setprofile(None)
     phases = sum(
@@ -74,11 +83,23 @@ def test_desync_meta_pair_stays_within_the_call_budget():
     )
 
 
+def test_telemetry_on_pair_stays_within_the_call_budget():
+    per_module, phases = count_calls(telemetry=True)
+    total = sum(per_module.values())
+    assert phases == COMPUTE_PHASES
+    assert total <= CALL_BUDGET_TELEMETRY, (
+        f"{total} interpreter calls for one telemetry-on desync_meta op "
+        f"(budget {CALL_BUDGET_TELEMETRY}): {dict(per_module.most_common())}"
+    )
+
+
 if __name__ == "__main__":
-    split, n_phases = count_calls()
-    grand = sum(split.values())
-    print("| module | calls | per compute phase |")
-    print("|---|---:|---:|")
-    for module, n in split.most_common():
-        print(f"| `{module}` | {n} | {n / n_phases:.1f} |")
-    print(f"| **total** (budget {CALL_BUDGET}) | **{grand}** | **{grand / n_phases:.1f}** |")
+    for telemetry, budget in ((False, CALL_BUDGET), (True, CALL_BUDGET_TELEMETRY)):
+        split, n_phases = count_calls(telemetry)
+        grand = sum(split.values())
+        print(f"\ntelemetry={telemetry}\n")
+        print("| module | calls | per compute phase |")
+        print("|---|---:|---:|")
+        for module, n in split.most_common():
+            print(f"| `{module}` | {n} | {n / n_phases:.1f} |")
+        print(f"| **total** (budget {budget}) | **{grand}** | **{grand / n_phases:.1f}** |")

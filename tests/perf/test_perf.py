@@ -1,4 +1,5 @@
-"""Tests for the tracing, POP model, timeline and Paraver modules."""
+"""Tests for the tracing, timeline, Paraver and report modules (the POP
+factor model is tested in ``tests/analysis/test_pop.py``)."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,8 @@ from repro.core import RunConfig
 from repro.machine import knl_parameters
 from repro.perf import (
     communicator_structure,
-    factors_from_run,
     format_factor_table,
     format_series,
-    ideal_network,
     ipc_histogram,
     mpi_intervals,
     phase_intervals,
@@ -19,8 +18,7 @@ from repro.perf import (
     trace_run,
     write_prv,
 )
-from repro.perf.popmodel import BaseMetrics
-from repro.core.driver import run_fft_phase
+from repro.analysis import analyze_run, compute_totals, factor_rows
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
 FREQ = knl_parameters().frequency_hz
@@ -72,64 +70,6 @@ class TestTracer:
     def test_mpi_records_present(self, traced):
         _res, trace = traced
         assert any(r.call in ("alltoall", "alltoallw") for r in trace.mpi)
-
-
-class TestPopModel:
-    def test_base_column_is_unity_scalability(self, traced):
-        res, _trace = traced
-        fs = factors_from_run(res)
-        assert fs.computation_scalability == pytest.approx(1.0)
-        assert fs.ipc_scalability == pytest.approx(1.0)
-        assert fs.instruction_scalability == pytest.approx(1.0)
-
-    def test_factor_identities(self, traced):
-        res, _trace = traced
-        ideal = run_fft_phase(res.config, knl=ideal_network())
-        fs = factors_from_run(res, ideal_time=ideal.phase_time)
-        assert fs.parallel_efficiency == pytest.approx(
-            fs.load_balance * fs.communication_efficiency, rel=1e-9
-        )
-        assert fs.global_efficiency == pytest.approx(
-            fs.parallel_efficiency * fs.computation_scalability, rel=1e-9
-        )
-        # Sync x transfer ~ comm eff (small slack from the replay's jitter
-        # reordering).
-        assert fs.synchronization_efficiency * fs.transfer_efficiency == pytest.approx(
-            fs.communication_efficiency, rel=0.05
-        )
-
-    def test_factors_in_unit_range(self, traced):
-        res, _trace = traced
-        ideal = run_fft_phase(res.config, knl=ideal_network())
-        fs = factors_from_run(res, ideal_time=ideal.phase_time)
-        for label, value in fs.as_rows():
-            assert 0.0 < value <= 1.01, label
-
-    def test_ideal_network_is_faster(self, traced):
-        res, _trace = traced
-        ideal = run_fft_phase(res.config, knl=ideal_network())
-        assert ideal.phase_time < res.phase_time
-
-    def test_scalability_drops_with_more_streams(self):
-        # Per-message MPI-stack instructions off: on the toy workload they
-        # would dominate the instruction balance this test checks.
-        from repro.core import CostConstants
-
-        cc = CostConstants(instr_per_message=0.0)
-        base_res = run_fft_phase(RunConfig(**SMALL, ranks=1, taskgroups=2), cost_constants=cc)
-        base = BaseMetrics.from_run(base_res)
-        big = run_fft_phase(RunConfig(**SMALL, ranks=4, taskgroups=2), cost_constants=cc)
-        fs = factors_from_run(big, base=base)
-        assert fs.instruction_scalability == pytest.approx(1.0, abs=0.02)
-        assert fs.ipc_scalability <= 1.01
-
-    def test_empty_run_rejected(self, traced):
-        res, _ = traced
-        import dataclasses
-
-        broken = dataclasses.replace(res, phase_time=0.0)
-        with pytest.raises(ValueError):
-            factors_from_run(broken)
 
 
 class TestTimeline:
@@ -211,7 +151,7 @@ class TestParaver:
 class TestReport:
     def test_factor_table_renders_all_rows(self, traced):
         res, _ = traced
-        fs = factors_from_run(res)
+        fs = factor_rows(analyze_run(res).pop, compute_totals(res.cpu.counters))
         text = format_factor_table([("1x2", fs), ("also", fs)], title="Table I")
         assert "Table I" in text
         assert "Load Balance" in text
@@ -219,7 +159,7 @@ class TestReport:
 
     def test_factor_table_with_reference(self, traced):
         res, _ = traced
-        fs = factors_from_run(res)
+        fs = factor_rows(analyze_run(res).pop, compute_totals(res.cpu.counters))
         text = format_factor_table(
             [("1x2", fs)], reference={"Parallel efficiency": [95.75]}
         )

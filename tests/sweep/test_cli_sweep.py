@@ -81,7 +81,8 @@ class TestSweepCommand:
         )
         assert code == 0
         for entry in manifest["points"].values():
-            assert "pop" in entry["summary"]
+            assert "pop" not in entry["summary"]
+            assert entry["summary"]["analysis"]["pop"]["split_source"] == "replay"
 
     def test_perf_validate_accepts_sweep_manifest(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"

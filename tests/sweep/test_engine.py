@@ -6,10 +6,14 @@ point for point, to the same sweep executed serially — with and without
 an injected fault scenario.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import RunConfig
+from repro.core.driver import run_fft_phase
 from repro.faults import FaultScenario, Straggler
+from repro.machine.knl import whatif_machine
 from repro.sweep import (
     GridSpec,
     SweepError,
@@ -193,8 +197,23 @@ class TestReducersAndErrors:
         task = SweepTask(key="ranks=2", config=config, ideal_replay=True)
         result = run_sweep([task])
         summary = result.records[0].summary
-        assert "pop" in summary
-        assert summary["pop"]["ideal_time_s"] > 0
+        assert "pop" not in summary  # one POP section, and it is the replay's
+        pop = summary["analysis"]["pop"]
+        assert pop["split_source"] == "replay"
+        ideal = run_fft_phase(
+            dataclasses.replace(config, telemetry=False),
+            knl=whatif_machine("ideal_network"),
+        )
+        assert pop["ideal_runtime_s"] == ideal.phase_time
+        (series,) = summary["metrics"]["analysis.transfer_efficiency"]["series"]
+        assert series["value"] == pop["transfer_efficiency"]
+
+    def test_ideal_replay_without_telemetry_prices_from_the_counters(self):
+        config = RunConfig(ranks=2, taskgroups=2, **WORKLOAD)
+        task = SweepTask(key="ranks=2", config=config, ideal_replay=True)
+        section = run_sweep([task]).records[0].summary["analysis"]
+        assert section["pop"]["split_source"] == "replay"
+        assert section["critical_path"] is None and section["task_graph"] is None
 
 
 class TestSweepResult:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pathlib
 
 import pytest
 
@@ -138,20 +139,82 @@ class TestWriteLoad:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
-    def test_schema_mirror_stays_in_sync(self, manifest):
-        # docs/run_manifest.schema.json documents the same rules the code
-        # enforces: every required field the code checks is required there.
-        import pathlib
+    def test_schema_mirror_stays_in_sync(self):
+        """Each ``docs/*_manifest.schema.json`` documents the rules the code
+        enforces, nested ones included: every ``_RULES`` path resolves to a
+        schema property whose ``type`` admits the rule's Python types, and
+        every required rule is ``required`` at its level there."""
+        import importlib
 
-        schema = json.loads(
-            (pathlib.Path(__file__).parents[2] / "docs/run_manifest.schema.json")
-            .read_text()
-        )
-        from repro.telemetry.manifest import _RULES
-
-        required_in_code = {
-            dotted for dotted, _types, required in _RULES
-            if required and "." not in dotted
+        json_names = {
+            dict: "object", list: "array", str: "string", bool: "boolean",
+            int: "integer", float: "number", type(None): "null",
         }
-        assert required_in_code <= set(schema["required"])
-        assert schema["properties"]["kind"]["const"] == MANIFEST_KIND
+        docs = pathlib.Path(__file__).parents[2] / "docs"
+        for name, module_name in (
+            ("run", "repro.telemetry.manifest"),
+            ("sweep", "repro.sweep.manifest"),
+            ("service", "repro.service.manifest"),
+        ):
+            module = importlib.import_module(module_name)
+            schema = json.loads((docs / f"{name}_manifest.schema.json").read_text())
+            (kind,) = (
+                v for k, v in vars(module).items() if k.endswith("MANIFEST_KIND")
+            )
+            assert schema["properties"]["kind"]["const"] == kind
+            for dotted, types, required in module._RULES:
+                node = schema
+                *parents, leaf = dotted.split(".")
+                for part in parents:
+                    node = node["properties"][part]
+                assert leaf in node["properties"], f"{name}: {dotted} undocumented"
+                if required:
+                    assert leaf in node["required"], f"{name}: {dotted} not required"
+                declared = node["properties"][leaf].get("type")
+                if declared is None:  # const / enum leaves
+                    continue
+                declared = {declared} if isinstance(declared, str) else set(declared)
+                if "number" in declared:
+                    declared.add("integer")
+                assert {json_names[t] for t in types} <= declared, f"{name}: {dotted}"
+
+
+#: Written by the tree before the top-level ``pop`` section went (PR 22,
+#: ``build_manifest(factors=...)`` on the SMALL 2x2 ``original`` run).
+LEGACY = pathlib.Path(__file__).parent / "fixtures/manifest_pr22_with_pop.json"
+
+
+class TestManifestsWrittenBeforeTheMerge:
+    def test_fixture_is_the_two_section_kind(self):
+        legacy = json.loads(LEGACY.read_text())
+        assert legacy["pop"]["ideal_time_s"] > 0
+        assert legacy["analysis"]["pop"]["split_source"] == "estimate"
+
+    def test_still_validates_diffs_and_triages(self, manifest, tmp_path, capsys):
+        from repro.cli import main
+
+        new = write_manifest(tmp_path / "new.json", manifest)
+        assert main(["perf", "validate", str(LEGACY)]) == 0
+        assert main(["perf", "diff", str(LEGACY), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert "POP factor" in out and "transfer_efficiency" in out
+        assert "triage: NEUTRAL" in out  # same seeded run, same simulated time
+        assert main(["perf", "check", "--baseline", str(LEGACY), str(new)]) == 0
+        assert main(["analyze", str(LEGACY), str(new)]) == 0
+
+    def test_top_level_pop_is_read_only_as_the_fallback(self, manifest):
+        from repro.analysis import analyze_pair
+        from repro.perf import diff_manifests
+
+        legacy = load_manifest(LEGACY)
+        # analysis.pop wins where a manifest carries both ...
+        assert diff_manifests(legacy, manifest).pop_a == legacy["analysis"]["pop"]
+        # ... and a summary reduced to the old section alone still triages.
+        old = {k: v for k, v in legacy.items() if k != "analysis"}
+        assert validate_manifest(old) == []
+        assert diff_manifests(old, manifest).pop_a == legacy["pop"]
+        factors = {
+            f.subject for f in analyze_pair(old, manifest).findings
+            if f.kind == "efficiency_factor"
+        }
+        assert "transfer_efficiency" in factors

@@ -74,8 +74,12 @@ class TestCliTelemetry:
         manifest = tmp_path / "run.json"
         assert main(self.RUN + ["--manifest", str(manifest), "--pop"]) == 0
         doc = json.loads(manifest.read_text())
-        assert "pop" in doc
-        assert 0 < doc["pop"]["parallel_efficiency"] <= 1.001
+        assert "pop" not in doc  # one POP section, and it is the replay's
+        pop = doc["analysis"]["pop"]
+        assert pop["split_source"] == "replay"
+        assert 0 < pop["parallel_efficiency"] <= 1.001
+        (series,) = doc["metrics"]["analysis.transfer_efficiency"]["series"]
+        assert series["value"] == pop["transfer_efficiency"]
 
     def test_perf_validate_and_diff_and_check(self, tmp_path, capsys):
         a = tmp_path / "a.json"
