@@ -134,7 +134,7 @@ class RunAnalysis:
             metrics.set_gauge("analysis.task_chain_seconds", self.task_graph.length_s)
 
 
-def _pop_of(
+def _decompose_run(
     trace: "Trace | None",
     counters: "CounterSet | None",
     makespan_s: float,
@@ -172,7 +172,7 @@ def analyze_session(
             stacklevel=2,
         )
 
-    pop = _pop_of(tel.trace, counters, makespan_s, ideal_time_s)
+    pop = _decompose_run(tel.trace, counters, makespan_s, ideal_time_s)
 
     critical = None
     if tel.trace.compute or tel.trace.mpi:
@@ -221,7 +221,7 @@ def analyze_run(
     tel = result.telemetry
     counters = result.cpu.counters
     if tel is None or not tel.enabled:
-        pop = _pop_of(None, counters, result.phase_time, ideal_time_s)
+        pop = _decompose_run(None, counters, result.phase_time, ideal_time_s)
         return RunAnalysis(
             pop=pop, critical_path=None, task_graph=None, unclosed_spans=0
         )
@@ -232,7 +232,7 @@ def analyze_run(
         return tel.analysis
     return dataclasses.replace(
         tel.analysis,
-        pop=_pop_of(tel.trace, counters, result.phase_time, ideal_time_s),
+        pop=_decompose_run(tel.trace, counters, result.phase_time, ideal_time_s),
     )
 
 
