@@ -14,8 +14,9 @@ tested against), mapped onto numpy's ``norm="forward"`` mode:
   norm="forward")``.
 
 Every pass writes straight into ``out`` through ``np.fft``'s own ``out=``
-(numpy >= 2.0) — ``out`` may be the input itself, which is how the linear
-band chain transforms in place — and the 2-D kind runs as two 1-D passes in
+(numpy >= 2.0) — ``out`` is the input itself (how the linear band chain
+transforms in place) or an array disjoint from it, and always a complex128
+array of the planned shape — and the 2-D kind runs as two 1-D passes in
 ``fftn``'s order (last axis first), so a dense call's bits equal ``fftn``'s.
 
 Both kinds take the block's stick *support*, as half-open index runs
@@ -28,11 +29,31 @@ supported lines are transformed (``sign=+1`` leaves zeros outside them,
 ``sign=-1`` leaves those output lines unspecified), and a run-restricted
 stage is still one engine call.
 
+**Fan-out (the paper's Opt 1 on the host).**  Every call splits batch axis 0
+into ``k`` contiguous slices — one per CPU this process may run on
+(``os.sched_getaffinity``, so ``taskset`` and cgroup limits count), none
+holding fewer than :data:`MIN_POINTS` transformed points — and runs the same
+pass body on each: slice 0 on the calling thread, the others on a
+process-wide thread pool built on the first fanned call (and again in a
+forked child).  pocketfft releases the GIL; the transform axis is never
+axis 0, so the slices are disjoint, and a row's bits do not depend on the
+slice that carried it: every ``k`` gives the ``k = 1`` result bit for bit.
+``cft_1z``'s row runs are clipped to each slice, with the cuts placed so
+each slice gets an equal share of the *supported* rows.  numpy's pocketfft
+plans a length on its first use, in a cache that takes no lock, so an
+executable runs unfanned until one call has used each of its transform
+lengths on the calling thread.  Pool threads call only the pass helpers
+below, never a :class:`KernelEngine` method.
+
 Call and row counters feed the ``dataplane.*`` telemetry gauges through
-:meth:`KernelEngine.stats`.
+:meth:`KernelEngine.stats`; they tick once per engine call, however it fans.
 """
 
 from __future__ import annotations
+
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -40,6 +61,38 @@ __all__ = ["KernelEngine"]
 
 #: Batched array rank per transform kind.
 _NDIM = {"c2c_1d": 2, "c2c_2d": 3}
+
+#: Fewest transformed points worth a slice of their own.  Handing a slice
+#: to a pool thread costs ~50 us on a shared 2-vCPU x86-64 host, what
+#: pocketfft spends on ~15 000 points at n = 120: there a (256, 120) stick
+#: batch runs slower in two slices (107 -> 146 us), a (640, 120) one faster
+#: (275 -> 230 us).
+MIN_POINTS = 1 << 15
+
+#: ``pid -> pool``: the fan-out threads of this process, built on its first
+#: fanned call.  Keyed by pid so a forked child, which inherits the parent's
+#: pool object but none of its threads, builds its own.
+_pools: dict[int, ThreadPoolExecutor] = {}
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    pid = os.getpid()
+    pool = _pools.get(pid)
+    if pool is None:
+        # ``setdefault`` is atomic: racing first callers share one pool (a
+        # losing executor was never submitted to, so it started no thread).
+        pool = _pools.setdefault(
+            pid, ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="kernel-fan")
+        )
+    return pool
 
 
 def _transform(x, sign, axis, out):
@@ -68,49 +121,117 @@ def _transform_runs(x, sign, axis, out, runs, run_axis):
         _transform(x[window], sign, axis, out[window])
 
 
-def _check(kind, shape, x, sign):
+def _pass_1z(x, sign, out, runs, zero):
+    """``cft_1z`` on a batch (or one slice of it); ``zero`` clears the
+    rows outside ``runs`` after a G->R pass into a separate ``out``."""
+    if runs is None:
+        _transform(x, sign, -1, out)
+        return
+    _transform_runs(x, sign, -1, out, runs, 0)
+    if zero:
+        _zero_outside(out, runs, 0)
+
+
+def _pass_2xy(x, sign, out, support, zero):
+    """``cft_2xy`` on a batch of planes (or one slice of it)."""
+    if support is None:
+        _transform(x, sign, -1, out)
+        _transform(out, sign, -2, out)
+        return
+    x_runs, y_runs = support
+    if sign == 1:
+        # G->R: x rows without sticks are zero and stay zero through the
+        # y pass.
+        _transform_runs(x, sign, -1, out, x_runs, 1)
+        if zero:
+            _zero_outside(out, x_runs, 1)
+        _transform(out, sign, -2, out)
+        return
+    # R->G: only the y columns carrying sticks are read back.
+    _transform(x, sign, -1, out)
+    _transform_runs(out, sign, -2, out, y_runs, 2)
+
+
+def _clip(runs, lo, hi):
+    """``runs`` restricted to rows ``[lo, hi)``, relative to ``lo``."""
+    return tuple((max(a, lo) - lo, min(b, hi) - lo) for a, b in runs if a < hi and b > lo)
+
+
+def _cuts(rows, runs, k):
+    """``k + 1`` ascending row cuts giving each slice an equal share (to a
+    row) of the rows in ``runs``; ``k`` is at most that many rows."""
+    total = sum(hi - lo for lo, hi in runs)
+    cuts, done = [0], 0
+    for lo, hi in runs:
+        while len(cuts) < k and total * len(cuts) // k < done + hi - lo:
+            cuts.append(lo + total * len(cuts) // k - done)
+        done += hi - lo
+    return cuts + [rows]
+
+
+def _fan(body, shape, runs, fan):
+    """``body(lo, hi)`` over contiguous slices of batch axis 0 that together
+    cover it, returning once every slice is done; one slice unless ``fan``.
+    ``runs`` (``None``: every row) are the rows that carry work."""
+    if runs is None:
+        runs = ((0, shape[0]),)
+    rows = sum(hi - lo for lo, hi in runs)
+    k = min(_cpus(), rows, rows * math.prod(shape[1:]) // MIN_POINTS) if fan else 1
+    if k <= 1:
+        body(0, shape[0])
+        return
+    cuts = _cuts(shape[0], runs, k)
+    pool = _executor()
+    futures = [pool.submit(body, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        body(cuts[0], cuts[1])
+    finally:
+        # Never return (or raise) while a pool thread still writes ``out``.
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _check(kind, shape, x, sign, out):
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     if x.shape != shape:
         raise ValueError(f"{kind} executable planned for shape {shape}, got {x.shape}")
+    if out is not None and (out.shape != shape or out.dtype != np.complex128):
+        raise ValueError(
+            f"{kind} out= must be complex128 of shape {shape}, got {out.dtype} {out.shape}"
+        )
 
 
 def _executable(kind: str, shape: tuple):
     """``exe(x, sign, out=None, support=None)`` for one batched shape."""
-    if kind == "c2c_1d":
+    # pocketfft plans (and caches) a length on its first use, so calls run
+    # on the calling thread alone until one has used every transform length.
+    planned = False
 
-        def exe(x, sign, out=None, support=None):
-            _check(kind, shape, x, sign)
-            if support is None:
-                return _transform(x, sign, -1, out)
-            if out is None:
-                out = np.empty(shape, dtype=np.complex128)
-            _transform_runs(x, sign, -1, out, support, 0)
-            if sign == 1 and out is not x:
-                _zero_outside(out, support, 0)
-            return out
+    def exe(x, sign, out=None, support=None):
+        nonlocal planned
+        _check(kind, shape, x, sign, out)
+        zero = sign == 1 and out is not x
+        if out is None:
+            out = np.empty(shape, dtype=np.complex128)
+        if kind == "c2c_1d":
 
-    else:  # c2c_2d
+            def body(lo, hi):
+                runs = None if support is None else _clip(support, lo, hi)
+                _pass_1z(x[lo:hi], sign, out[lo:hi], runs, zero)
 
-        def exe(x, sign, out=None, support=None):
-            _check(kind, shape, x, sign)
-            if support is None:
-                out = _transform(x, sign, -1, out)
-                return _transform(out, sign, -2, out)
-            x_runs, y_runs = support
-            if sign == 1:
-                # G->R: x rows without sticks are zero and stay zero
-                # through the y pass.
-                if out is None:
-                    out = np.empty(shape, dtype=np.complex128)
-                _transform_runs(x, sign, -1, out, x_runs, 1)
-                if out is not x:
-                    _zero_outside(out, x_runs, 1)
-                return _transform(out, sign, -2, out)
-            # R->G: only the y columns carrying sticks are read back.
-            out = _transform(x, sign, -1, out)
-            _transform_runs(out, sign, -2, out, y_runs, 2)
-            return out
+            _fan(body, shape, support, planned)
+            restricted = (support,)
+        else:
+            _fan(
+                lambda lo, hi: _pass_2xy(x[lo:hi], sign, out[lo:hi], support, zero),
+                shape, None, planned,
+            )
+            restricted = support
+        # An empty run list transforms, and so plans, nothing on its axis.
+        planned = planned or support is None or all(restricted)
+        return out
 
     return exe
 

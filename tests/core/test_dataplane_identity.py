@@ -8,6 +8,8 @@ reference; the cached index maps equal a from-scratch recompute; and the
 no-copy marshal paths really do avoid copies.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -55,27 +57,36 @@ class TestHostDoesTheChargedWork:
     def test_lines_transformed_per_plane_equal_lines_charged(self, monkeypatch):
         from repro.core.pipeline import CostConstants, CostModel
         from repro.fft.backends import KernelEngine
+        from repro.fft.backends import engine as engine_mod
 
         desc = FftDescriptor(Cell(alat=6.0), ecutwfc=30.0)
         layout = DistributedLayout(desc, 2, 1)
         sticks = desc.sticks
         lines: dict[tuple[int, int], int] = {}
+        # The passes run on the engine's fan-out threads: count under a lock.
+        lock = threading.Lock()
 
         def spy(fn):
             def counted(a, n=None, axis=-1, norm=None, out=None):
                 key = (axis, a.shape[axis])
-                lines[key] = lines.get(key, 0) + a.size // a.shape[axis]
+                with lock:
+                    lines[key] = lines.get(key, 0) + a.size // a.shape[axis]
                 return fn(a, n=n, axis=axis, norm=norm, out=out)
 
             return counted
 
-        monkeypatch.setattr(np.fft, "fft", spy(np.fft.fft))
-        monkeypatch.setattr(np.fft, "ifft", spy(np.fft.ifft))
         npp = layout.npp(0)
         planes = np.zeros((npp, desc.nr1, desc.nr2), dtype=np.complex128)
         support = sticks.xy_support
         x_rows = sum(hi - lo for lo, hi in sticks.x_runs)
         engine = KernelEngine()
+        # Three slices per call from the second call of the shape on (the
+        # first plans pocketfft's lengths unfanned).
+        monkeypatch.setattr(engine_mod, "_cpus", lambda: 3)
+        monkeypatch.setattr(engine_mod, "MIN_POINTS", 1)
+        engine.cft_2xy(planes, -1, out=planes, support=support)
+        monkeypatch.setattr(np.fft, "fft", spy(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", spy(np.fft.ifft))
 
         engine.cft_2xy(planes, -1, out=planes, support=support)
         assert lines == {

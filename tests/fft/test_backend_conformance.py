@@ -9,9 +9,12 @@ signs, with ``out`` absent, fresh, or the input itself.
 
 Beyond values this file pins what the data plane relies on: ``sign=+1``
 leaves zeros outside the support, a dense call's bits equal
-``np.fft.fftn``'s, a restricted stage is one ``kernel_calls`` tick, and
-malformed calls raise.
+``np.fft.fftn``'s, a restricted stage is one ``kernel_calls`` tick, every
+fan-out width gives the one-slice bits, and malformed calls raise.
 """
+
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.fft import batched as reference
 from repro.fft.backends import KernelEngine
+from repro.fft.backends import engine as engine_mod
 
 #: Double precision agrees to a few ulps across FFT implementations.
 RTOL, ATOL = 1e-12, 1e-13
@@ -59,6 +63,13 @@ def _supported_block(draw, ndim: int):
     shape = tuple(draw(st.integers(1, 5 if k == 0 else 9)) for k in range(ndim))
     x = _block(shape, draw(st.integers(0, 2**16)))
     return x, [draw(_runs(n)) for n in shape]
+
+
+def force_width(monkeypatch, width: int) -> None:
+    """Fan every call over ``width`` slices (as many as it has rows): the
+    engine sees ``width`` CPUs and no minimum slice size."""
+    monkeypatch.setattr(engine_mod, "_cpus", lambda: width)
+    monkeypatch.setattr(engine_mod, "MIN_POINTS", 1)
 
 
 def _call(kernel, src, sign, alias, support):
@@ -119,6 +130,98 @@ class TestSupportRestricted:
         assert engine.stats() == {"kernel_calls": 1, "kernel_rows": 5}
         engine.cft_1z(_block((6, 30)), 1, support=((1, 4),))
         assert engine.stats() == {"kernel_calls": 2, "kernel_rows": 11}
+
+
+class TestFanWidths:
+    """Slicing batch axis 0 over threads changes no bit: every width equals
+    width 1, whatever the support, the ``out`` aliasing or the sign."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ndim=st.sampled_from((2, 3)),
+        data=st.data(),
+        alias=st.sampled_from(ALIASES),
+        sign=st.sampled_from((1, -1)),
+        dense=st.booleans(),
+    )
+    def test_every_width_bit_equals_width_one(self, ndim, data, alias, sign, dense):
+        # Up to 6 rows against widths up to 4: fewer rows than slices, and
+        # runs drawn per row straddle the slice edges.
+        shape = tuple(data.draw(st.integers(1, 6)) for _ in range(ndim))
+        x = _block(shape, data.draw(st.integers(0, 2**16)))
+        runs = [data.draw(_runs(n)) for n in shape]
+        if dense:
+            support = None
+        else:
+            support = runs[0] if ndim == 2 else (runs[1], runs[2])
+        outputs = []
+        for width in (1, 2, 3, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                force_width(mp, width)
+                engine = KernelEngine()
+                kernel = engine.cft_1z if ndim == 2 else engine.cft_2xy
+                # The first call of a shape plans its lengths unfanned.
+                kernel(x.copy(), sign, support=support)
+                outputs.append(_call(kernel, x, sign, alias, support))
+                assert engine.stats() == {"kernel_calls": 2, "kernel_rows": 2 * shape[0]}
+        if ndim == 2 and sign == -1 and alias == "none" and support is not None:
+            # Unsupported rows of a fresh R->G output are unspecified.
+            outputs = [got[_mask(shape[0], support)] for got in outputs]
+        assert all(got.tobytes() == outputs[0].tobytes() for got in outputs[1:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cuts_share_the_supported_rows_evenly(self, data):
+        rows = data.draw(st.integers(1, 40))
+        runs = data.draw(_runs(rows))
+        total = sum(hi - lo for lo, hi in runs)
+        if total == 0:
+            return
+        k = data.draw(st.integers(1, total))
+        cuts = engine_mod._cuts(rows, runs, k)
+        assert len(cuts) == k + 1 and cuts[0] == 0 and cuts[-1] == rows
+        assert cuts == sorted(cuts)
+        mask = _mask(rows, runs)
+        shares = [int(mask[lo:hi].sum()) for lo, hi in zip(cuts, cuts[1:])]
+        assert sum(shares) == total and max(shares) - min(shares) <= 1
+
+    def test_slices_run_on_the_pool_after_the_first_call(self, monkeypatch):
+        force_width(monkeypatch, 2)
+        slices = []
+        lock = threading.Lock()
+        real = engine_mod._pass_1z
+
+        def spy(x, *args):
+            with lock:
+                slices.append((threading.current_thread().name, x.shape[0]))
+            real(x, *args)
+
+        monkeypatch.setattr(engine_mod, "_pass_1z", spy)
+        engine = KernelEngine()
+        x = _block((6, 8))
+        # Rows 1 and 3-5 carry data: two supported rows per slice.
+        support = ((1, 2), (3, 6))
+        engine.cft_1z(x, -1, support=support)
+        assert slices == [(threading.current_thread().name, 6)]
+        slices.clear()
+        engine.cft_1z(x, -1, support=support)
+        caller = threading.current_thread().name
+        assert sorted(rows for _name, rows in slices) == [2, 4]
+        assert (caller, 4) in slices
+        assert [name for name, _rows in slices if name != caller][0].startswith("kernel-fan")
+        assert engine.stats() == {"kernel_calls": 2, "kernel_rows": 12}
+
+    def test_one_cpu_never_builds_the_pool(self, monkeypatch):
+        force_width(monkeypatch, 1)
+
+        def no_pool():
+            raise AssertionError("a one-CPU call asked for the thread pool")
+
+        monkeypatch.setattr(engine_mod, "_executor", no_pool)
+        engine = KernelEngine()
+        for _ in range(2):
+            engine.cft_2xy(_block((4, 6, 6)), 1)
+            engine.cft_1z(_block((8, 6)), -1, support=((0, 3), (5, 8)))
 
 
 class TestDenseCalls:
@@ -187,6 +290,28 @@ class TestInterfaceContracts:
         exe = KernelEngine().plan("c2c_1d", (4, 8))
         with pytest.raises(ValueError, match="planned for shape"):
             exe(np.zeros((4, 16), dtype=np.complex128), 1)
+
+    @pytest.mark.parametrize("width", (1, 2))
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("shape", ((6, 8), (4, 6, 5)), ids=("cft_1z", "cft_2xy"))
+    @pytest.mark.parametrize(
+        "bad_out",
+        (
+            lambda shape: np.zeros(shape, dtype=np.complex64),
+            lambda shape: np.zeros((shape[0] + 1, *shape[1:]), dtype=np.complex128),
+        ),
+        ids=("complex64", "long_axis0"),
+    )
+    def test_out_must_be_complex128_of_the_shape(self, monkeypatch, width, sign, shape, bad_out):
+        force_width(monkeypatch, width)
+        engine = KernelEngine()
+        kernel = engine.cft_1z if len(shape) == 2 else engine.cft_2xy
+        x = _block(shape)
+        kernel(x, sign)  # plan the shape, so the bad call would fan
+        out = bad_out(shape)
+        with pytest.raises(ValueError, match=re.escape(f"complex128 of shape {shape}")):
+            kernel(x, sign, out=out)
+        assert not out.any()
 
     def test_plans_are_cached_per_shape(self):
         engine = KernelEngine()
