@@ -50,6 +50,10 @@ __all__ = [
     "SLAB_CHAIN",
     "PENCIL_CHAIN",
     "Unit",
+    "chain_of",
+    "chain_plans",
+    "stage_rows",
+    "unit_budgets",
     "run_stages",
     "issue_exchange",
     "finish_exchange",
@@ -287,6 +291,69 @@ PENCIL_CHAIN: tuple[Stage, ...] = _HEAD + (
 ) + _TAIL
 
 
+def chain_of(layout: DistributedLayout) -> tuple[Stage, ...]:
+    """The stage table a layout's decomposition runs."""
+    return PENCIL_CHAIN if layout.decomposition == "pencil" else SLAB_CHAIN
+
+
+def unit_budgets(cost: CostModel, chain: _t.Sequence[Stage], p: int) -> dict[str, float]:
+    """Per stage name, process ``p``'s instructions for one unit (T bands).
+
+    Each stage's :class:`CostModel` method prices one band on the scatter
+    rank — or, for the chain's prepare/unpack ends, on the process, once
+    per band of the unit.  With task groups on (T > 1) the unpack stage
+    also extracts the group block before its Alltoallv
+    (``"unpack_extract"``).  The stage bodies charge exactly these numbers;
+    the autotuner sums them.
+    """
+    layout = cost.layout
+    r, _t_own = layout.rt_of(p)
+    budgets = {
+        stage.name: (
+            getattr(cost, stage.budget)(p) * layout.T
+            if stage.kind in ("prepare", "unpack")
+            else getattr(cost, stage.budget)(r)
+        )
+        for stage in chain
+    }
+    if layout.T > 1:
+        budgets["unpack_extract"] = cost.unpack_extract(r)
+    return budgets
+
+
+def chain_plans(
+    layout: DistributedLayout, chain: _t.Sequence[Stage], p: int, data_mode: bool
+) -> dict[str, redist_mod.ExchangePlan]:
+    """Per stage name, the :class:`~repro.core.redistribute.ExchangePlan`
+    process ``p`` joins: every ``exchange`` stage's plan builder on the
+    process's scatter rank and, with task groups on (T > 1), the pack and
+    unpack Alltoallv."""
+    r, _t_own = layout.rt_of(p)
+    plans = {
+        stage.name: getattr(redist_mod, stage.plan)(
+            layout, r, data_mode, **({"inverse": True} if stage.inverse else {})
+        )
+        for stage in chain
+        if stage.kind == "exchange"
+    }
+    if layout.T > 1:
+        plans["pack"] = redist_mod.pack_fw_plan(layout, p, data_mode)
+        plans["unpack"] = redist_mod.pack_bw_plan(layout, p, data_mode)
+    return plans
+
+
+def stage_rows(layout: DistributedLayout, stage: Stage, r: int) -> int:
+    """Independent rows of a local FFT stage on scatter rank ``r`` (what the
+    staged-task policy splits into grainsize chunks)."""
+    if stage.rows == "sticks":
+        return layout.nst_group(r)
+    if stage.rows == "planes":
+        return layout.npp(r)
+    grid = layout.pencil
+    i, j = grid.coords(r)
+    return (grid.nx(i) if stage.rows == "y_lines" else grid.ny(i)) * grid.nz(j)
+
+
 class FftPhaseContext:
     """Everything one rank needs to run chain stages.
 
@@ -325,9 +392,9 @@ class FftPhaseContext:
         potential block instead of the plane slab.
     chain / budgets / plans:
         The layout's stage table with, per stage name, this rank's
-        instruction budget for one band and (exchanges) its
-        :class:`~repro.core.redistribute.ExchangePlan` — resolved once here,
-        not per stage execution.
+        instruction budget for one unit (:func:`unit_budgets`) and
+        (exchanges) its :class:`~repro.core.redistribute.ExchangePlan`
+        (:func:`chain_plans`) — resolved once here, not per stage execution.
     """
 
     def __init__(
@@ -362,41 +429,14 @@ class FftPhaseContext:
         self.r, self.t = layout.rt_of(rank.rank)
         self.data_mode = packed is not None
 
-        self.chain = PENCIL_CHAIN if layout.decomposition == "pencil" else SLAB_CHAIN
-        p, r = self.p, self.r
-        self.budgets: dict[str, float] = {
-            stage.name: getattr(cost, stage.budget)(
-                p if stage.kind in ("prepare", "unpack") else r
-            )
-            for stage in self.chain
-        }
-        self.plans: dict[str, redist_mod.ExchangePlan] = {
-            stage.name: getattr(redist_mod, stage.plan)(
-                layout, r, self.data_mode, **({"inverse": True} if stage.inverse else {})
-            )
-            for stage in self.chain
-            if stage.kind == "exchange"
-        }
-        if pack_comm is not None:
-            self.budgets["unpack_extract"] = cost.unpack_extract(r)
-            self.plans["pack"] = redist_mod.pack_fw_plan(layout, p, self.data_mode)
-            self.plans["unpack"] = redist_mod.pack_bw_plan(layout, p, self.data_mode)
+        self.chain = chain_of(layout)
+        self.budgets = unit_budgets(cost, self.chain, self.p)
+        self.plans = chain_plans(layout, self.chain, self.p, self.data_mode)
 
     @property
     def p(self) -> int:
         """This rank's layout process index."""
         return self.rank.rank
-
-    def stage_rows(self, stage: Stage) -> int:
-        """Independent rows of a local FFT stage on this rank (what the
-        staged-task policy splits into grainsize chunks)."""
-        if stage.rows == "sticks":
-            return self.layout.nst_group(self.r)
-        if stage.rows == "planes":
-            return self.layout.npp(self.r)
-        grid = self.layout.pencil
-        i, j = grid.coords(self.r)
-        return (grid.nx(i) if stage.rows == "y_lines" else grid.ny(i)) * grid.nz(j)
 
     def recv_buffer(self, kind: str, plan) -> np.ndarray | None:
         """The arena receive buffer of an exchange plan (``None`` in meta
@@ -552,9 +592,7 @@ def run_stages(
             # Psi prep).  Band groups are consecutive, so the result is one
             # (T, ngw_of(p)) row-block view of the packed input — no copy:
             # the collective moves payloads at delivery.
-            yield rank.compute(
-                stage.phase, budgets[stage.name] * len(unit.bands), thread=thread
-            )
+            yield rank.compute(stage.phase, budgets[stage.name], thread=thread)
             if ctx.data_mode:
                 block = ctx.packed[unit.bands[0] : unit.bands[-1] + 1]
         elif kind == "pack":
@@ -603,7 +641,7 @@ def _unpack(
     """
     rank = ctx.rank
     bands = unit.bands
-    budget = ctx.budgets[stage.name] * len(bands)
+    budget = ctx.budgets[stage.name]
     if ctx.pack_comm is None:
         yield rank.compute(stage.phase, budget, thread=thread)
         if block is not None:

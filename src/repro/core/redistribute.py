@@ -61,23 +61,34 @@ class ExchangePlan:
     """One endpoint's half of an Alltoallw exchange.
 
     ``send_blocks[j]`` / ``recv_blocks[j]`` index this endpoint's flat send
-    and receive buffers for communicator-local peer ``j``.  ``recv_shape``
-    is the receive buffer to allocate; ``zero_fill`` says whether its
-    untouched slots are semantically zero (sparse stick coverage) or the
-    incoming blocks cover it completely.
+    and receive buffers for communicator-local peer ``j``; peer ``local``
+    is the endpoint itself.  ``recv_shape`` is the receive buffer to
+    allocate; ``zero_fill`` says whether its untouched slots are
+    semantically zero (sparse stick coverage) or the incoming blocks cover
+    it completely.
     """
 
-    __slots__ = ("send_blocks", "recv_blocks", "recv_shape", "zero_fill")
+    __slots__ = ("send_blocks", "recv_blocks", "recv_shape", "zero_fill", "local")
 
-    def __init__(self, send_blocks, recv_blocks, recv_shape, zero_fill):
+    def __init__(self, send_blocks, recv_blocks, recv_shape, zero_fill, local):
         self.send_blocks = list(send_blocks)
         self.recv_blocks = list(recv_blocks)
         self.recv_shape = tuple(int(n) for n in recv_shape)
         self.zero_fill = bool(zero_fill)
+        self.local = int(local)
 
     def swapped(self, recv_shape, zero_fill) -> "ExchangePlan":
         """The inverse exchange: send what was received, receive what was sent."""
-        return ExchangePlan(self.recv_blocks, self.send_blocks, recv_shape, zero_fill)
+        return ExchangePlan(
+            self.recv_blocks, self.send_blocks, recv_shape, zero_fill, self.local
+        )
+
+    def sent_bytes(self) -> float:
+        """Bytes this endpoint puts on the wire: every send block but its
+        own — what the simulated Alltoallw charges it."""
+        return sum(
+            block.nbytes for j, block in enumerate(self.send_blocks) if j != self.local
+        )
 
 
 def _cache(layout: DistributedLayout) -> dict:
@@ -126,7 +137,7 @@ def pack_bw_plan(layout: DistributedLayout, p: int, data_mode: bool) -> Exchange
 
 
 def _build_pack(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangePlan:
-    r, _t_own = layout.rt_of(p)
+    r, t_own = layout.rt_of(p)
     T = layout.T
     ngw_p = layout.ngw_of(p)
     recv_shape = (layout.nst_group(r), layout.desc.nr3)
@@ -135,7 +146,7 @@ def _build_pack(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangeP
         recv = [
             BlockType.meta(layout.ngw_of(layout.proc_of(r, t))) for t in range(T)
         ]
-        return ExchangePlan(send, recv, recv_shape, zero_fill=True)
+        return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=t_own)
     send = [BlockType.strided(t * ngw_p, 1, ngw_p, max(ngw_p, 1)) for t in range(T)]
     offsets = layout.group_coeff_offsets(r)
     flat = layout.group_flat_index(r)
@@ -143,7 +154,7 @@ def _build_pack(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangeP
         BlockType.indexed(flat[int(offsets[t]) : int(offsets[t + 1])])
         for t in range(T)
     ]
-    return ExchangePlan(send, recv, recv_shape, zero_fill=True)
+    return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=t_own)
 
 
 # -- slab scatter layer (R members; peers are scatter ranks) ------------------
@@ -186,7 +197,7 @@ def _build_scatter(layout: DistributedLayout, r: int, data_mode: bool) -> Exchan
         recv = [
             BlockType.meta(layout.nst_group(j) * npp_r) for j in range(R)
         ]
-        return ExchangePlan(send, recv, recv_shape, zero_fill=True)
+        return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=r)
     send = [
         BlockType.strided(layout.z_offset(j), layout.nst_group(r), layout.npp(j), desc.nr3)
         for j in range(R)
@@ -203,7 +214,7 @@ def _build_scatter(layout: DistributedLayout, r: int, data_mode: bool) -> Exchan
         )
         for j in range(R)
     ]
-    return ExchangePlan(send, recv, recv_shape, zero_fill=True)
+    return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=r)
 
 
 # -- pencil transposes (row / column internal) --------------------------------
@@ -279,7 +290,7 @@ def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
             BlockType.meta(layout.nst_group(grid.rank_of(i, jj)) * nzj)
             for jj in range(grid.Pc)
         ]
-        return ExchangePlan(send, recv, recv_shape, zero_fill=True)
+        return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=j)
     send = [
         BlockType.strided(grid.z_span(jj)[0], nst_r, grid.nz(jj), desc.nr3)
         for jj in range(grid.Pc)
@@ -290,7 +301,7 @@ def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
         coords = layout.stick_coords(layout.group_sticks(grid.rank_of(i, jj)))
         base = (coords[:, 0] - xlo) * (nzj * desc.nr2) + coords[:, 1]
         recv.append(BlockType.outer(base, (nzj,), (desc.nr2,)))
-    return ExchangePlan(send, recv, recv_shape, zero_fill=True)
+    return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=j)
 
 
 def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> ExchangePlan:
@@ -302,7 +313,7 @@ def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
     if not data_mode:
         send = [BlockType.meta(nxi * nzj * grid.ny(ii)) for ii in range(grid.Pr)]
         recv = [BlockType.meta(grid.nx(ii) * nzj * nyi) for ii in range(grid.Pr)]
-        return ExchangePlan(send, recv, recv_shape, zero_fill=False)
+        return ExchangePlan(send, recv, recv_shape, zero_fill=False, local=i)
     # Both sides are (x, z, y) subarrays: peer ii's y-range of this
     # (nxi, nzj, nr2) y-brick, and peer ii's x-range of this (nyi, nzj, nr1)
     # x-brick viewed x-major — the transpose is one strided copy.
@@ -318,4 +329,4 @@ def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
         )
         for ii in range(grid.Pr)
     ]
-    return ExchangePlan(send, recv, recv_shape, zero_fill=False)
+    return ExchangePlan(send, recv, recv_shape, zero_fill=False, local=i)

@@ -41,15 +41,44 @@ from repro import telemetry as _telemetry
 from repro.core.config import RunConfig
 from repro.core.pipeline import (
     FftPhaseContext,
+    Stage,
     Unit,
     apply_local,
+    chain_of,
     finish_exchange,
     issue_exchange,
     run_stages,
+    stage_rows,
 )
+from repro.grids.descriptor import DistributedLayout
 from repro.ompss import TaskRuntime
 
-__all__ = ["make_program"]
+__all__ = ["make_program", "unit_tasks"]
+
+
+def _grains(config: RunConfig) -> dict[str, int]:
+    """Taskloop grainsize per :attr:`Stage.grain` class."""
+    return {"z": config.grainsize_z, "xy": config.grainsize_xy}
+
+
+def _stage_chunks(layout: DistributedLayout, stage: Stage, r: int, grains: dict) -> int:
+    """Tasks one unit's ``stage`` becomes under the staged policy: a local
+    FFT splits its rows into grainsize chunks, every other stage is one."""
+    if stage.kind != "local" or not stage.grain:
+        return 1
+    return math.ceil(max(stage_rows(layout, stage, r), 1) / grains[stage.grain])
+
+
+def unit_tasks(config: RunConfig, layout: DistributedLayout, r: int) -> int:
+    """Tasks :func:`make_program` submits per unit on a process of scatter
+    rank ``r``: none without a task runtime, the whole chain as one task
+    under the linear policy, one per stage chunk under the staged policy."""
+    if not config.is_task_version:
+        return 0
+    if config.spec.policy != "staged":
+        return 1
+    grains = _grains(config)
+    return sum(_stage_chunks(layout, stage, r, grains) for stage in chain_of(layout))
 
 
 def make_program(
@@ -68,7 +97,7 @@ def make_program(
     spec = config.spec
     label = "it" if spec.task_groups else "band"
     executor = "exec_" + config.version.removeprefix("ompss_")
-    grains = {"z": config.grainsize_z, "xy": config.grainsize_xy}
+    grains = _grains(config)
 
     def program(rank):
         ctx = ctx_of(rank)
@@ -170,9 +199,7 @@ def _submit_stage_tasks(ctx: FftPhaseContext, rt: TaskRuntime, unit: Unit, grain
     task = None
     for i, stage in enumerate(ctx.chain):
         if stage.kind == "local":
-            n_chunks = 1
-            if stage.grain:
-                n_chunks = math.ceil(max(ctx.stage_rows(stage), 1) / grains[stage.grain])
+            n_chunks = _stage_chunks(ctx.layout, stage, ctx.r, grains)
             share = ctx.budgets[stage.name] / n_chunks
             bodies = [
                 (
