@@ -7,8 +7,9 @@ The search pipeline for one workload digest:
    grainsizes only for the per-step/combined executors, both
    decompositions).  Validity is decided by the one authority that knows:
    :class:`RunConfig` construction.
-2. **Rank** the candidates with the analytic cost model
-   (:mod:`repro.tuning.costmodel`) and keep the top-k — the search
+2. **Rank** the candidates with the cost model, which sums the stage
+   table's budgets and plan bytes (:mod:`repro.tuning.costmodel`), and
+   keep the top-k — the search
    evaluates a handful of simulations instead of the cross product.
 3. **Successive halving**: rung 0 simulates the top-k at a reduced band
    count (the cheap budget), the best ``survivors`` advance to rung 1 at
@@ -171,9 +172,7 @@ def search(
     incumbent = knobs_of(config)
     candidates = candidate_knobs(config)
     workload = WorkloadModel.from_config(config)
-    ranked = score_candidates(
-        workload, candidates, knl=knl, link_capacity=config.link_capacity
-    )
+    ranked = score_candidates(workload, candidates, knl=knl)
     predicted = {canonical_json(k): s for s, k in ranked}
     shortlist = [knobs for _score, knobs in ranked[:top_k]]
 

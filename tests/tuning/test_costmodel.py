@@ -1,28 +1,23 @@
 """Cost-model conformance and monotonicity.
 
-The model's job is *ranking*, but its byte formulas must match what the
-data plane actually moves — the conformance test prices the forward slab
-scatter analytically and against the real :class:`ExchangePlan` block
-descriptors.  The monotonicity tests pin the qualitative physics the
-search leans on: more nodes cost fabric time, a tighter per-link capacity
-never helps, oversubscription dilates compute.
+The model's job is *ranking*, but what it sums must be what the simulator
+charges: the conformance pins price every version x decomposition x
+task-group cell and compare the instruction, byte and task totals against a
+meta-mode run of the same config.  The monotonicity tests pin the
+qualitative physics the search leans on: more nodes cost fabric time, a
+tighter per-link capacity never helps, oversubscription dilates compute.
 """
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
 from repro.core.config import VERSIONS, RunConfig
-from repro.core.driver import build_geometry
+from repro.core.driver import run_fft_phase
 from repro.machine.knl import KnlParameters
-from repro.tuning.costmodel import (
-    WorkloadModel,
-    estimated_scatter_bytes,
-    planned_scatter_bytes,
-    predict,
-    score_candidates,
-)
+from repro.tuning.costmodel import WorkloadModel, predict, score_candidates
 from repro.tuning.digest import knobs_of
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
@@ -33,22 +28,46 @@ def workload():
     return WorkloadModel.from_config(RunConfig(ranks=4, taskgroups=2, **SMALL))
 
 
-class TestScatterConformance:
-    @pytest.mark.parametrize("scatter,groups", [(4, 1), (2, 2), (8, 1)])
-    def test_estimate_matches_planned_blocks(self, workload, scatter, groups):
-        """The analytic scatter volume equals the summed send-block bytes
-        of the real forward exchange plans, for any R x T split."""
-        _cell, _desc, layout = build_geometry(
-            SMALL["alat"], SMALL["ecutwfc"], 4.0, scatter, groups
-        )
-        assert estimated_scatter_bytes(workload, scatter) == pytest.approx(
-            planned_scatter_bytes(layout)
+@pytest.fixture(
+    scope="module",
+    params=[
+        (version, decomposition, tg)
+        for version in VERSIONS
+        for decomposition in ("slab", "pencil")
+        for tg in (1, 2)
+    ],
+    ids=lambda cell: "{}-{}-tg{}".format(*cell),
+)
+def priced_run(request):
+    """One cell priced by the model and simulated in meta mode, with every
+    MPI record and completed task of the run."""
+    version, decomposition, tg = request.param
+    config = RunConfig(
+        ranks=4, taskgroups=tg, version=version, decomposition=decomposition, **SMALL
+    )
+    records, tasks = [], []
+    result = run_fft_phase(
+        config, mpi_observer=records.append, task_observer=lambda *rec: tasks.append(rec)
+    )
+    priced = predict(WorkloadModel.from_config(config), knobs_of(config))
+    return priced, result, records, tasks
+
+
+class TestSimulatorConformance:
+    def test_instructions_equal_the_runs_counters(self, priced_run):
+        priced, result, _records, _tasks = priced_run
+        assert priced["instructions"] == pytest.approx(
+            result.cpu.counters.total_instructions(), rel=1e-12
         )
 
-    def test_volume_is_rank_invariant(self, workload):
-        assert estimated_scatter_bytes(workload, 2) == estimated_scatter_bytes(
-            workload, 8
-        )
+    def test_bytes_equal_the_runs_mpi_records(self, priced_run):
+        priced, _result, records, _tasks = priced_run
+        assert records
+        assert priced["bytes"] == sum(rec.bytes_sent for rec in records)
+
+    def test_tasks_equal_the_runs_task_count(self, priced_run):
+        priced, _result, _records, tasks = priced_run
+        assert priced["tasks"] == len(tasks)
 
 
 class TestPredict:
@@ -80,19 +99,25 @@ class TestPredict:
 
     def test_tighter_link_capacity_never_helps(self):
         config = RunConfig(ranks=4, taskgroups=2, n_nodes=2, **SMALL)
-        w = WorkloadModel.from_config(config)
         knobs = knobs_of(config)
-        free = predict(w, knobs, link_capacity=None)["comm_s"]
-        wide = predict(w, knobs, link_capacity=1e12)["comm_s"]
-        tight = predict(w, knobs, link_capacity=1e4)["comm_s"]
+
+        def comm_s(capacity):
+            w = WorkloadModel.from_config(
+                dataclasses.replace(config, link_capacity=capacity)
+            )
+            return predict(w, knobs)["comm_s"]
+
+        free, wide, tight = comm_s(None), comm_s(1e12), comm_s(1e4)
         assert wide >= free or wide == pytest.approx(free)
         assert tight > 10 * free
 
     def test_link_capacity_ignored_on_one_node(self):
         config = RunConfig(ranks=4, taskgroups=2, **SMALL)
-        w = WorkloadModel.from_config(config)
+        capped = dataclasses.replace(config, link_capacity=1e3)
         knobs = knobs_of(config)
-        assert predict(w, knobs, link_capacity=1e3) == predict(w, knobs)
+        assert predict(WorkloadModel.from_config(capped), knobs) == predict(
+            WorkloadModel.from_config(config), knobs
+        )
 
     def test_oversubscription_dilates_compute(self):
         """Past one stream per core the issue-rate share kicks in."""
@@ -108,9 +133,8 @@ class TestPredict:
 
     @pytest.mark.parametrize("version", VERSIONS)
     def test_bit_identical_to_pinned_prices(self, version):
-        """Every component of every cell equals the value recorded before
-        the layout/overhead terms moved onto ``VERSION_TABLE`` (float hex:
-        bit identity, not a tolerance)."""
+        """Every component of every cell equals the recorded price (float
+        hex: bit identity, not a tolerance)."""
         pins = json.loads(
             (pathlib.Path(__file__).parent / "fixtures/predict_pins.json").read_text()
         )
