@@ -3,10 +3,9 @@
 The search pipeline for one workload digest:
 
 1. **Enumerate** every valid knob vector (taskgroup counts that divide the
-   band batch, scheduler policies only where an OmpSs runtime reads them,
-   grainsizes only for the per-step/combined executors, both
-   decompositions).  Validity is decided by the one authority that knows:
-   :class:`RunConfig` construction.
+   band batch, scheduler policies and grainsizes only under the staged
+   policy of ``VERSION_TABLE``, both decompositions).  Validity is decided
+   by the one authority that knows: :class:`RunConfig` construction.
 2. **Rank** the candidates with the cost model, which sums the stage
    table's budgets and plan bytes (:mod:`repro.tuning.costmodel`), and
    keep the top-k — the search
@@ -64,14 +63,18 @@ def _try_config(config: RunConfig, knobs: dict, **overrides) -> RunConfig | None
 
 
 def candidate_knobs(config: RunConfig) -> list[dict]:
-    """Every valid knob vector for this workload, deterministically ordered."""
-    schedulers: tuple[str, ...] = (
-        _SCHEDULER_CHOICES if config.is_task_version else (config.scheduler,)
-    )
-    if config.version in ("ompss_steps", "ompss_combined"):
+    """Every valid knob vector for this workload, deterministically ordered.
+
+    Scheduler and grainsizes vary only under the staged policy: a linear
+    chain task per band leaves the ready queues nothing to order and no
+    loop to chunk, so those knobs cannot move its phase time.
+    """
+    if config.spec.policy == "staged":
+        schedulers: tuple[str, ...] = _SCHEDULER_CHOICES
         grains_xy: tuple[int, ...] = _GRAINSIZE_XY_CHOICES
         grains_z: tuple[int, ...] = _GRAINSIZE_Z_CHOICES
     else:
+        schedulers = (config.scheduler,)
         grains_xy = (config.grainsize_xy,)
         grains_z = (config.grainsize_z,)
     out: list[dict] = []

@@ -35,14 +35,30 @@ class TestCandidateKnobs:
         assert candidate_knobs(config) == candidate_knobs(config)
 
     def test_scheduler_and_grains_only_where_they_act(self):
-        plain = candidate_knobs(RunConfig(ranks=2, taskgroups=2, **SMALL))
-        assert {k["scheduler"] for k in plain} == {"fifo"}
-        assert {k["grainsize_xy"] for k in plain} == {10}
-        tasked = candidate_knobs(
+        for version in ("original", "ompss_perfft"):
+            plain = candidate_knobs(RunConfig(ranks=2, taskgroups=2, version=version, **SMALL))
+            assert {k["scheduler"] for k in plain} == {"fifo"}
+            assert {k["grainsize_xy"] for k in plain} == {10}
+            assert {k["grainsize_z"] for k in plain} == {200}
+        staged = candidate_knobs(
             RunConfig(ranks=2, taskgroups=2, version="ompss_combined", **SMALL)
         )
-        assert {k["scheduler"] for k in tasked} == {"fifo", "lifo", "locality"}
-        assert len({k["grainsize_xy"] for k in tasked}) == 3
+        assert {k["scheduler"] for k in staged} == {"fifo", "lifo", "locality"}
+        assert len({k["grainsize_xy"] for k in staged}) == 3
+
+    @pytest.mark.parametrize("n_nodes", [1, 2])
+    @pytest.mark.parametrize("decomposition", ["slab", "pencil"])
+    def test_scheduler_cannot_move_a_per_band_chain(self, n_nodes, decomposition):
+        """Why perfft offers no scheduler knob: one independent chain task per
+        band leaves the ready queues nothing to reorder."""
+        times = {
+            run_fft_phase(RunConfig(
+                ranks=2, taskgroups=2, version="ompss_perfft", scheduler=scheduler,
+                n_nodes=n_nodes, decomposition=decomposition, **SMALL,
+            )).phase_time
+            for scheduler in ("fifo", "lifo", "locality")
+        }
+        assert len(times) == 1
 
     def test_rung_nbnd_keeps_every_candidate_valid(self):
         config = RunConfig(ranks=2, taskgroups=2, nbnd=64, ecutwfc=12.0, alat=5.0)
