@@ -9,9 +9,8 @@ CLI both dispatch here.
 | Module    | Paper artifact                                                |
 |-----------|---------------------------------------------------------------|
 | fig2      | Fig. 2 — FFT-phase runtime vs. ranks, original               |
-| table1    | Table I — POP factors, original, 1x8..16x8                   |
+| table1    | Tables I/II — POP factors, original / per-FFT, 1x8..16x8     |
 | fig3      | Fig. 3 — timeline: phase IPCs, MPI calls, communicators      |
-| table2    | Table II — POP factors, OmpSs per-FFT, 1x8..16x8             |
 | fig6      | Fig. 6 — runtime original vs. OmpSs (+ the 7-10 % claim)     |
 | fig7      | Fig. 7 — de-synchronization timelines + IPC histograms       |
 | ablations | ntg sweep, grainsize, hyper-threading, scheduler, versions   |
@@ -20,9 +19,8 @@ CLI both dispatch here.
 
 from repro.experiments.paperdata import PAPER
 from repro.experiments.fig2 import run_fig2
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import run_table1, run_table2
 from repro.experiments.fig3 import run_fig3
-from repro.experiments.table2 import run_table2
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.ablations import (

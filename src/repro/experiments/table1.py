@@ -1,9 +1,12 @@
-"""Table I: POP efficiency/scalability factors for the original version.
+"""Tables I and II: POP efficiency/scalability factors per version.
 
-Executions with 1-16 ranks x 8 FFT task groups (32x8 is excluded in the
-paper because "it does not provide any additional benefit or information
-over 16x8").  Each column needs two runs: the measured one and the
-ideal-network replay identifying the sync/transfer split.
+Table I runs the original version with 1-16 ranks x 8 FFT task groups (32x8
+is excluded in the paper because "it does not provide any additional
+benefit or information over 16x8"); Table II runs the OmpSs per-FFT version,
+"executions with 1-16 ranks with 8 OmpSs tasks each" — N MPI ranks whose 8
+threads replace the FFT task groups (ntg = 1).  Each column needs two runs:
+the measured one and the ideal-network replay identifying the
+sync/transfer split.
 
 The rank sweep runs through :mod:`repro.sweep`: each point executes the
 measured + ideal pair in a worker and reduces to its
@@ -22,7 +25,7 @@ from repro.experiments.paperdata import PAPER
 from repro.perf.report import format_factor_table
 from repro.sweep import SweepTask
 
-__all__ = ["run_table1", "factor_columns", "reduce_pop"]
+__all__ = ["run_table1", "run_table2", "factor_columns", "reduce_pop"]
 
 
 def reduce_pop(task, result, ideal, trace) -> dict:
@@ -65,22 +68,42 @@ def factor_columns(
     return columns, runtimes
 
 
-def run_table1(
-    ranks: _t.Sequence[int] = (1, 2, 4, 8, 16), jobs: int = 1, **overrides: _t.Any
+def _run_table(
+    name: str, version: str, title: str, ranks: _t.Sequence[int], jobs: int,
+    overrides: dict,
 ) -> ExperimentReport:
-    """Reproduce Table I (original version)."""
-    columns, runtimes = factor_columns("original", ranks, jobs=jobs, **overrides)
-    reference = PAPER["table1"] if tuple(f"{n}x8" for n in ranks) == PAPER["config_labels"] else None
-    text = format_factor_table(
-        columns,
-        title="Table I — efficiency and scalability factors, original version",
-        reference=reference,
-    )
+    """One POP factor table: ``version``'s columns over ``ranks``, with the
+    paper's ``PAPER[name]`` reference when the ranks are the paper's."""
+    columns, runtimes = factor_columns(version, ranks, jobs=jobs, **overrides)
+    reference = PAPER[name] if tuple(f"{n}x8" for n in ranks) == PAPER["config_labels"] else None
+    text = format_factor_table(columns, title=title, reference=reference)
     return ExperimentReport(
-        name="table1",
+        name=name,
         data={
             "columns": dict(columns),
             "runtime_s": runtimes,
         },
         text=text,
+    )
+
+
+def run_table1(
+    ranks: _t.Sequence[int] = (1, 2, 4, 8, 16), jobs: int = 1, **overrides: _t.Any
+) -> ExperimentReport:
+    """Reproduce Table I (original version)."""
+    return _run_table(
+        "table1", "original",
+        "Table I — efficiency and scalability factors, original version",
+        ranks, jobs, overrides,
+    )
+
+
+def run_table2(
+    ranks: _t.Sequence[int] = (1, 2, 4, 8, 16), jobs: int = 1, **overrides: _t.Any
+) -> ExperimentReport:
+    """Reproduce Table II (OmpSs per-FFT version)."""
+    return _run_table(
+        "table2", "ompss_perfft",
+        "Table II — efficiency and scalability factors, OmpSs per-FFT version",
+        ranks, jobs, overrides,
     )
