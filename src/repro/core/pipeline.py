@@ -440,13 +440,14 @@ class FftPhaseContext:
 
     def recv_buffer(self, kind: str, plan) -> np.ndarray | None:
         """The arena receive buffer of an exchange plan (``None`` in meta
-        mode).  Zero-filled when the plan's incoming blocks cover the buffer
-        only sparsely; otherwise left uninitialized (fully overwritten)."""
+        mode), with the plan's zero regions cleared; every other slot is
+        either written by the exchange or read by no later stage."""
         if not self.data_mode:
             return None
         buf = self.workspace.acquire(kind, plan.recv_shape)
-        if plan.zero_fill:
-            buf.fill(0)
+        # Unfanned: splitting a memset over two cores won nothing measurable.
+        for region in plan.zero:
+            region.zero(buf.reshape(-1))
         return buf
 
 
@@ -507,8 +508,9 @@ def apply_local(ctx: FftPhaseContext, stage: Stage, block: np.ndarray, in_place:
         )
     # Pencil bricks keep the transform axis contiguous and last, so a brick
     # is one (rows, n) batched 1D call.  The y stage skips the brick's
-    # stick-free x rows: zero before the G->R pass, never read back after
-    # the R->G one.
+    # stick-free x rows, which are dead both ways: transpose_zy neither
+    # writes nor zeroes them, and neither transpose out of a y-brick reads
+    # them.
     out = block if in_place else np.empty(block.shape, dtype=np.complex128)
     rows = block.reshape(-1, block.shape[-1])
     support = ctx.layout.ybrick_row_runs(ctx.r) if op == "y" else None
@@ -527,7 +529,7 @@ def _alltoallw(ctx: FftPhaseContext, plan, comm, block, recvbuf, key: object, th
     sendbuf = None if block is None else np.ascontiguousarray(block)
     return ctx.rank.alltoallw(
         comm, sendbuf, recvbuf, plan.send_blocks, plan.recv_blocks,
-        key=key, thread=thread,
+        key=key, thread=thread, parts=(plan.send_parts, plan.recv_parts),
     )
 
 
@@ -535,9 +537,9 @@ def issue_exchange(ctx: FftPhaseContext, unit: Unit, stage: Stage, block, thread
     """Join an ``exchange`` stage's Alltoallw without waiting; returns
     ``(event, recvbuf)``.
 
-    The receive buffer is acquired (and zero-filled where the plan covers it
-    sparsely) *before* joining — the strided/indexed moves land in it when
-    the last member joins.  The caller keeps ``block`` checked out until the
+    The receive buffer is acquired (with the plan's zero regions cleared)
+    *before* joining — the live parts land in it when the last member
+    joins.  The caller keeps ``block`` checked out until the
     event resolves, then calls :func:`finish_exchange`.
     """
     plan = ctx.plans[stage.name]

@@ -2,16 +2,24 @@
 
 Every exchange of the step chain is described as per-peer
 :class:`~repro.mpisim.datatypes.BlockType` descriptors into the flat source
-and destination buffers, so the simulated ``MPI_Alltoallw`` moves each
-element exactly once, straight from its source view into its destination
-slot — no per-peer slab extraction, no concatenated staging buffer, no
-assembly pass on the receive side (the derived-datatype scheme of
-Dalcin/Mortensen/Keyes, PAPERS.md).
+and destination buffers, so the simulated ``MPI_Alltoallw`` moves elements
+straight from their source view into their destination slots — no per-peer
+slab extraction, no concatenated staging buffer, no assembly pass on the
+receive side (the derived-datatype scheme of Dalcin/Mortensen/Keyes,
+PAPERS.md).
 
 The simulated collective prices per-peer bytes from the descriptor volumes
 (``n_items * 16``), which equal what a packed Alltoall of the same exchange
 would carry — so meta-mode descriptors of the same counts reproduce the
 data-mode timeline exactly.
+
+What the host moves is each priced block's *live* part, stated once per
+data-mode plan: the whole block, except across the pencil y<->x transpose,
+where only the x rows that carry sticks are live (every other y-brick row is
+dead: zero in meaning on the way forward, though never written, and read by
+no stage on the way back).  A receive
+buffer is an uninitialised arena block, so each plan also names its *zero
+regions*: exactly the slots a later stage reads that no live part writes.
 
 Four slab plans (forward/backward of each MPI layer) and two pencil
 transposes (plus inverses) cover the data plane:
@@ -29,7 +37,9 @@ transposes (plus inverses) cover the data plane:
 
 Only the pack blocks carry an explicit index array (the layout's cached
 flat index map); every other block moves as a strided view or a fancy
-index over its stick positions alone.
+index over its stick positions alone.  A live part is a range of its
+block's leading rows (``BlockType.rows``), a zero region a subarray: no
+index array either.
 
 Plans are built once per (layout, endpoint, mode) and cached on the layout
 (like the workspace arenas), so descriptor construction never rides the
@@ -38,9 +48,11 @@ steady-state path.
 
 from __future__ import annotations
 
+import math
 import threading
 
 from repro.grids.descriptor import DistributedLayout
+from repro.grids.sticks import clip_runs
 from repro.mpisim.datatypes import BlockType
 
 __all__ = [
@@ -62,25 +74,37 @@ class ExchangePlan:
 
     ``send_blocks[j]`` / ``recv_blocks[j]`` index this endpoint's flat send
     and receive buffers for communicator-local peer ``j``; peer ``local``
-    is the endpoint itself.  ``recv_shape`` is the receive buffer to
-    allocate; ``zero_fill`` says whether its untouched slots are
-    semantically zero (sparse stick coverage) or the incoming blocks cover
-    it completely.
+    is the endpoint itself.  They are what the simulated network prices.
+    ``send_parts[j]`` / ``recv_parts[j]`` are the live parts of those
+    blocks — what the host actually moves; by default each block is its own
+    one live part.  ``recv_shape`` is the receive buffer to allocate and
+    ``zero`` its zero regions: the slots to clear before the moves land.
     """
 
-    __slots__ = ("send_blocks", "recv_blocks", "recv_shape", "zero_fill", "local")
+    __slots__ = (
+        "send_blocks", "recv_blocks", "send_parts", "recv_parts", "recv_shape", "zero",
+        "local",
+    )
 
-    def __init__(self, send_blocks, recv_blocks, recv_shape, zero_fill, local):
+    def __init__(
+        self, send_blocks, recv_blocks, recv_shape, local,
+        send_parts=None, recv_parts=None, zero=(),
+    ):
         self.send_blocks = list(send_blocks)
         self.recv_blocks = list(recv_blocks)
+        self.send_parts = _parts(self.send_blocks, send_parts)
+        self.recv_parts = _parts(self.recv_blocks, recv_parts)
         self.recv_shape = tuple(int(n) for n in recv_shape)
-        self.zero_fill = bool(zero_fill)
+        self.zero = tuple(zero)
         self.local = int(local)
 
-    def swapped(self, recv_shape, zero_fill) -> "ExchangePlan":
-        """The inverse exchange: send what was received, receive what was sent."""
+    def swapped(self, recv_shape) -> "ExchangePlan":
+        """The inverse exchange: send what was received, receive what was
+        sent.  Its receive buffer needs no zero region: every slot a later
+        stage reads arrives live."""
         return ExchangePlan(
-            self.recv_blocks, self.send_blocks, recv_shape, zero_fill, self.local
+            self.recv_blocks, self.send_blocks, recv_shape, self.local,
+            self.recv_parts, self.send_parts,
         )
 
     def sent_bytes(self) -> float:
@@ -89,6 +113,19 @@ class ExchangePlan:
         return sum(
             block.nbytes for j, block in enumerate(self.send_blocks) if j != self.local
         )
+
+
+def _parts(blocks, parts) -> tuple:
+    """Per peer, the live parts of its block (the block itself by default)."""
+    if parts is None:
+        return tuple((block,) for block in blocks)
+    return tuple(tuple(peer) for peer in parts)
+
+
+def _whole(shape) -> tuple:
+    """The zero regions covering an entire ``shape`` buffer: its rows."""
+    rows, per = shape[0], math.prod(shape[1:])
+    return (BlockType.subarray(0, (rows, per), (per, 1)),)
 
 
 def _cache(layout: DistributedLayout) -> dict:
@@ -119,7 +156,7 @@ def pack_fw_plan(layout: DistributedLayout, p: int, data_mode: bool) -> Exchange
 
     Send side is the ``(T, ngw_of(p))`` contiguous band-row block from
     ``prepare``; row ``t'`` goes whole to member ``t'``.  Receive side is
-    the zero-filled ``(nst_group(r), nr3)`` group stick block; member
+    the ``(nst_group(r), nr3)`` group stick block, zeroed whole; member
     ``t''``'s coefficients land at its segment of the cached group flat
     index map — the scatter-write ``expand_group_block`` used to stage.
     """
@@ -131,7 +168,7 @@ def pack_bw_plan(layout: DistributedLayout, p: int, data_mode: bool) -> Exchange
 
     def build() -> ExchangePlan:
         fw = pack_fw_plan(layout, p, data_mode)
-        return fw.swapped((layout.T, layout.ngw_of(p)), zero_fill=False)
+        return fw.swapped((layout.T, layout.ngw_of(p)))
 
     return _cached(layout, ("pack_bw", p, data_mode), build)
 
@@ -146,7 +183,7 @@ def _build_pack(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangeP
         recv = [
             BlockType.meta(layout.ngw_of(layout.proc_of(r, t))) for t in range(T)
         ]
-        return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=t_own)
+        return ExchangePlan(send, recv, recv_shape, t_own)
     send = [BlockType.strided(t * ngw_p, 1, ngw_p, max(ngw_p, 1)) for t in range(T)]
     offsets = layout.group_coeff_offsets(r)
     flat = layout.group_flat_index(r)
@@ -154,7 +191,8 @@ def _build_pack(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangeP
         BlockType.indexed(flat[int(offsets[t]) : int(offsets[t + 1])])
         for t in range(T)
     ]
-    return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=t_own)
+    # Sphere coefficients cover the sticks sparsely; the z FFT reads them all.
+    return ExchangePlan(send, recv, recv_shape, t_own, zero=_whole(recv_shape))
 
 
 # -- slab scatter layer (R members; peers are scatter ranks) ------------------
@@ -166,7 +204,8 @@ def scatter_fw_plan(layout: DistributedLayout, r: int, data_mode: bool) -> Excha
     Sends peer ``j`` the z-range ``z_slice(j)`` of every group stick
     (strided over the ``(nst_group(r), nr3)`` block); receives peer ``j``'s
     sticks at their (ix, iy) plane positions for every owned plane
-    (indexed into the zero-filled ``(npp(r), nr1, nr2)`` planes).
+    (indexed into the ``(npp(r), nr1, nr2)`` planes, zeroed whole: the
+    in-place xy FFT's x pass reads every x row).
     """
     return _cached(
         layout, ("scatter_fw", r, data_mode), lambda: _build_scatter(layout, r, data_mode)
@@ -178,9 +217,7 @@ def scatter_bw_plan(layout: DistributedLayout, r: int, data_mode: bool) -> Excha
 
     def build() -> ExchangePlan:
         fw = scatter_fw_plan(layout, r, data_mode)
-        return fw.swapped(
-            (layout.nst_group(r), layout.desc.nr3), zero_fill=False
-        )
+        return fw.swapped((layout.nst_group(r), layout.desc.nr3))
 
     return _cached(layout, ("scatter_bw", r, data_mode), build)
 
@@ -197,7 +234,7 @@ def _build_scatter(layout: DistributedLayout, r: int, data_mode: bool) -> Exchan
         recv = [
             BlockType.meta(layout.nst_group(j) * npp_r) for j in range(R)
         ]
-        return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=r)
+        return ExchangePlan(send, recv, recv_shape, r)
     send = [
         BlockType.strided(layout.z_offset(j), layout.nst_group(r), layout.npp(j), desc.nr3)
         for j in range(R)
@@ -214,7 +251,7 @@ def _build_scatter(layout: DistributedLayout, r: int, data_mode: bool) -> Exchan
         )
         for j in range(R)
     ]
-    return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=r)
+    return ExchangePlan(send, recv, recv_shape, r, zero=_whole(recv_shape))
 
 
 # -- pencil transposes (row / column internal) --------------------------------
@@ -227,9 +264,10 @@ def pencil_zy_plan(
 
     Forward sends row peer ``(i, j')`` the ``Z_{j'}`` z-range of every
     group stick and receives each peer's sticks at their ``(ix - xlo, *,
-    iy)`` positions of the zero-filled ``(nx_i, nz_j, nr2)`` y-brick.
-    The inverse swaps roles; its strided receive covers the stick block's
-    full z extent, so no zero fill.
+    iy)`` positions of the ``(nx_i, nz_j, nr2)`` y-brick.  Its zero regions
+    are the brick's stick-carrying x rows — the rows the y FFT transforms;
+    the other rows stay dead.  The inverse swaps roles; its strided receive
+    covers the stick block's full z extent.
     """
 
     def build() -> ExchangePlan:
@@ -240,7 +278,7 @@ def pencil_zy_plan(
         )
         if not inverse:
             return fw
-        return fw.swapped((layout.nst_group(r), layout.desc.nr3), zero_fill=False)
+        return fw.swapped((layout.nst_group(r), layout.desc.nr3))
 
     return _cached(layout, ("pencil_zy", r, data_mode, inverse), build)
 
@@ -250,8 +288,11 @@ def pencil_yx_plan(
 ) -> ExchangePlan:
     """Column-internal transpose of rank ``r = (i, j)``: y-brick <-> x-brick.
 
-    Both directions are dense (every brick slot carries data), so neither
-    receive buffer needs zero fill.
+    Priced dense, both ways: every brick slot is one the network carries.
+    Live are only the stick-carrying x rows; the others are dead (zero in
+    meaning going forward, read by no stage coming back).  So the x-brick's
+    zero regions are its stick-free x columns, which the dense x FFT reads,
+    and the way back leaves the y-brick's dead rows unwritten.
     """
 
     def build() -> ExchangePlan:
@@ -265,7 +306,7 @@ def pencil_yx_plan(
         grid = layout.pencil
         assert grid is not None
         i, j = grid.coords(r)
-        return fw.swapped((grid.nx(i), grid.nz(j), layout.desc.nr2), zero_fill=False)
+        return fw.swapped((grid.nx(i), grid.nz(j), layout.desc.nr2))
 
     return _cached(layout, ("pencil_yx", r, data_mode, inverse), build)
 
@@ -290,7 +331,7 @@ def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
             BlockType.meta(layout.nst_group(grid.rank_of(i, jj)) * nzj)
             for jj in range(grid.Pc)
         ]
-        return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=j)
+        return ExchangePlan(send, recv, recv_shape, j)
     send = [
         BlockType.strided(grid.z_span(jj)[0], nst_r, grid.nz(jj), desc.nr3)
         for jj in range(grid.Pc)
@@ -301,7 +342,13 @@ def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
         coords = layout.stick_coords(layout.group_sticks(grid.rank_of(i, jj)))
         base = (coords[:, 0] - xlo) * (nzj * desc.nr2) + coords[:, 1]
         recv.append(BlockType.outer(base, (nzj,), (desc.nr2,)))
-    return ExchangePlan(send, recv, recv_shape, zero_fill=True, local=j)
+    # The y stage's rows: y-lines of the stick-carrying x rows.
+    nr2 = desc.nr2
+    zero = [
+        BlockType.subarray(lo * nr2, (hi - lo, nr2), (nr2, 1))
+        for lo, hi in layout.ybrick_row_runs(r)
+    ]
+    return ExchangePlan(send, recv, recv_shape, j, zero=zero)
 
 
 def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> ExchangePlan:
@@ -313,20 +360,29 @@ def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
     if not data_mode:
         send = [BlockType.meta(nxi * nzj * grid.ny(ii)) for ii in range(grid.Pr)]
         recv = [BlockType.meta(grid.nx(ii) * nzj * nyi) for ii in range(grid.Pr)]
-        return ExchangePlan(send, recv, recv_shape, zero_fill=False, local=i)
+        return ExchangePlan(send, recv, recv_shape, i)
     # Both sides are (x, z, y) subarrays: peer ii's y-range of this
     # (nxi, nzj, nr2) y-brick, and peer ii's x-range of this (nyi, nzj, nr1)
-    # x-brick viewed x-major — the transpose is one strided copy.
-    send = [
-        BlockType.subarray(
+    # x-brick viewed x-major — the transpose is one strided copy per run of
+    # stick-carrying x rows (``rows(lo, hi)`` of either side).
+    x_runs = desc.sticks.x_runs
+    send, send_parts, recv, recv_parts = [], [], [], []
+    for ii in range(grid.Pr):
+        block = BlockType.subarray(
             grid.y_span(ii)[0], (nxi, nzj, grid.ny(ii)), (nzj * desc.nr2, desc.nr2, 1)
         )
-        for ii in range(grid.Pr)
-    ]
-    recv = [
-        BlockType.subarray(
+        send.append(block)
+        send_parts.append([block.rows(lo, hi) for lo, hi in clip_runs(x_runs, *grid.x_span(i))])
+        block = BlockType.subarray(
             grid.x_span(ii)[0], (grid.nx(ii), nzj, nyi), (1, desc.nr1, nzj * desc.nr1)
         )
-        for ii in range(grid.Pr)
+        recv.append(block)
+        recv_parts.append([block.rows(lo, hi) for lo, hi in clip_runs(x_runs, *grid.x_span(ii))])
+    # The stick-free x columns, through every (y, z) line of the x-brick.
+    edges = (0, *(edge for run in x_runs for edge in run), desc.nr1)
+    zero = [
+        BlockType.subarray(lo, (nyi * nzj, hi - lo), (desc.nr1, 1))
+        for lo, hi in zip(edges[::2], edges[1::2])
+        if lo < hi
     ]
-    return ExchangePlan(send, recv, recv_shape, zero_fill=False, local=i)
+    return ExchangePlan(send, recv, recv_shape, i, send_parts, recv_parts, zero)

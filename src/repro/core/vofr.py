@@ -4,6 +4,8 @@ The inner loop of the kernel: once a band is in real space, the operator is
 a pointwise multiply by ``V(r)`` on this rank's plane slab.  The potential is
 real, so the Gamma-trick band pairing (two real bands in one complex field)
 commutes with it — both packed bands are multiplied correctly at once.
+The multiply fans over the host's cores in slices of the leading axis
+(:mod:`repro._fan`); each element's product is the same in any slice.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["apply_potential"]
+
+#: Fewest multiplied elements worth a fan slice of their own.
+MIN_POINTS = 1 << 16
 
 
 def apply_potential(
@@ -31,4 +36,13 @@ def apply_potential(
         raise ValueError(
             f"planes shape {planes.shape} does not match potential slab {v_slab.shape}"
         )
-    return np.multiply(planes, v_slab, out=planes if out is None else out)
+    if out is None:
+        out = planes
+    from repro import _fan  # data mode only: meta runs load no threads
+
+    _fan.over_rows(
+        lambda _i, lo, hi: np.multiply(planes[lo:hi], v_slab[lo:hi], out=out[lo:hi]),
+        [(planes.shape[0], planes[0].size)],
+        MIN_POINTS,
+    )
+    return out

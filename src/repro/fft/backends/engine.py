@@ -22,22 +22,24 @@ array of the planned shape — and the 2-D kind runs as two 1-D passes in
 Both kinds take the block's stick *support*, as half-open index runs
 (:data:`repro.grids.sticks.Runs`): for ``cft_1z`` the runs of batch rows
 that carry data, for ``cft_2xy`` the pair ``(x_runs, y_runs)`` of non-empty
-x rows / y columns of a plane (``StickMap.xy_support``).  By passing it the
-caller promises that lines outside the support are zero on input when
-``sign=+1`` and are never read from the output when ``sign=-1``; only
-supported lines are transformed (``sign=+1`` leaves zeros outside them,
-``sign=-1`` leaves those output lines unspecified), and a run-restricted
-stage is still one engine call.
+x rows / y columns of a plane (``StickMap.xy_support``).  Only supported
+lines are transformed, and a run-restricted stage is still one engine call.
+The dead-line rule: a line outside the support is *dead* — what it holds
+means nothing — and the engine neither reads it nor makes it live, with one
+exception.  ``cft_1z`` leaves dead rows as they are when transforming in
+place and zeroes them in a separate ``out`` on a ``sign=+1`` call;
+``sign=-1`` leaves dead output lines unspecified.  The exception is an
+in-place ``sign=+1`` ``cft_2xy``, whose second pass runs along x through
+every x row: there the caller promises zeros on the x rows outside the
+support.
 
 **Fan-out (the paper's Opt 1 on the host).**  Every call splits batch axis 0
-into ``k`` contiguous slices — one per CPU this process may run on
-(``os.sched_getaffinity``, so ``taskset`` and cgroup limits count), none
-holding fewer than :data:`MIN_POINTS` transformed points — and runs the same
-pass body on each: slice 0 on the calling thread, the others on a
-process-wide thread pool built on the first fanned call (and again in a
-forked child).  pocketfft releases the GIL; the transform axis is never
-axis 0, so the slices are disjoint, and a row's bits do not depend on the
-slice that carried it: every ``k`` gives the ``k = 1`` result bit for bit.
+into ``k`` contiguous slices — one per CPU (:mod:`repro._fan`, the data
+plane's one pool), none holding fewer than :data:`MIN_POINTS` transformed
+points — and runs the same pass body on each.  pocketfft releases the GIL;
+the transform axis is never axis 0, so the slices are disjoint, and a row's
+bits do not depend on the slice that carried it: every ``k`` gives the
+``k = 1`` result bit for bit.
 ``cft_1z``'s row runs are clipped to each slice, with the cuts placed so
 each slice gets an equal share of the *supported* rows.  numpy's pocketfft
 plans a length on its first use, in a cache that takes no lock, so an
@@ -52,10 +54,10 @@ Call and row counters feed the ``dataplane.*`` telemetry gauges through
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+
+from repro import _fan
 
 __all__ = ["KernelEngine"]
 
@@ -68,31 +70,6 @@ _NDIM = {"c2c_1d": 2, "c2c_2d": 3}
 #: batch runs slower in two slices (107 -> 146 us), a (640, 120) one faster
 #: (275 -> 230 us).
 MIN_POINTS = 1 << 15
-
-#: ``pid -> pool``: the fan-out threads of this process, built on its first
-#: fanned call.  Keyed by pid so a forked child, which inherits the parent's
-#: pool object but none of its threads, builds its own.
-_pools: dict[int, ThreadPoolExecutor] = {}
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-def _executor() -> ThreadPoolExecutor:
-    pid = os.getpid()
-    pool = _pools.get(pid)
-    if pool is None:
-        # ``setdefault`` is atomic: racing first callers share one pool (a
-        # losing executor was never submitted to, so it started no thread).
-        pool = _pools.setdefault(
-            pid, ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="kernel-fan")
-        )
-    return pool
 
 
 def _transform(x, sign, axis, out):
@@ -169,27 +146,16 @@ def _cuts(rows, runs, k):
     return cuts + [rows]
 
 
-def _fan(body, shape, runs, fan):
+def _fan_batch(body, shape, runs, fan):
     """``body(lo, hi)`` over contiguous slices of batch axis 0 that together
     cover it, returning once every slice is done; one slice unless ``fan``.
     ``runs`` (``None``: every row) are the rows that carry work."""
     if runs is None:
         runs = ((0, shape[0]),)
     rows = sum(hi - lo for lo, hi in runs)
-    k = min(_cpus(), rows, rows * math.prod(shape[1:]) // MIN_POINTS) if fan else 1
-    if k <= 1:
-        body(0, shape[0])
-        return
-    cuts = _cuts(shape[0], runs, k)
-    pool = _executor()
-    futures = [pool.submit(body, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-    try:
-        body(cuts[0], cuts[1])
-    finally:
-        # Never return (or raise) while a pool thread still writes ``out``.
-        wait(futures)
-    for future in futures:
-        future.result()
+    k = min(rows, _fan.width(rows * math.prod(shape[1:]), MIN_POINTS)) if fan else 1
+    cuts = _cuts(shape[0], runs, k) if k > 1 else (0, shape[0])
+    _fan.run(body, list(zip(cuts, cuts[1:])))
 
 
 def _check(kind, shape, x, sign, out):
@@ -221,10 +187,10 @@ def _executable(kind: str, shape: tuple):
                 runs = None if support is None else _clip(support, lo, hi)
                 _pass_1z(x[lo:hi], sign, out[lo:hi], runs, zero)
 
-            _fan(body, shape, support, planned)
+            _fan_batch(body, shape, support, planned)
             restricted = (support,)
         else:
-            _fan(
+            _fan_batch(
                 lambda lo, hi: _pass_2xy(x[lo:hi], sign, out[lo:hi], support, zero),
                 shape, None, planned,
             )

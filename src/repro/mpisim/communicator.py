@@ -51,6 +51,10 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Communicator", "MpiEvent", "MpiSimError", "CollectiveResult"]
 
+#: Fewest moved elements worth a fan slice of their own (the copy-pass
+#: analogue of the kernel engine's ``MIN_POINTS``).
+MOVE_MIN_POINTS = 1 << 15
+
 
 class MpiSimError(RuntimeError):
     """Semantic misuse of the simulated MPI (mismatched collectives, bad args)."""
@@ -127,6 +131,9 @@ class Communicator:
         #: tuples themselves, so it keeps every descriptor alive and
         #: identity-hashed lookups can never alias a recycled object.
         self._alltoallw_verified: dict[tuple, list[tuple[list, float]]] = {}
+        #: Live-part sets -> their verified moves (see :meth:`_alltoallw_moves`),
+        #: keyed on the parts themselves like the costs above.
+        self._alltoallw_moved: dict[tuple, list[tuple]] = {}
 
     # -- group introspection -------------------------------------------------
 
@@ -167,15 +174,21 @@ class Communicator:
         send_blocks: _t.Sequence,
         recv_blocks: _t.Sequence,
         key: object = None,
+        parts: tuple | None = None,
     ) -> Event:
         """Generalized all-to-all over per-peer block descriptors.
 
         ``send_blocks[j]`` describes the elements of this member's flat
         ``sendbuf`` destined for local rank ``j``; ``recv_blocks[j]`` the
-        slots of ``recvbuf`` where local rank ``j``'s elements land.  Data
-        moves straight between the two buffers when both are arrays;
-        ``None`` buffers (meta mode) charge the same cost without moving
-        anything.  Resolves to this member's ``recvbuf`` (or ``None``).
+        slots of ``recvbuf`` where local rank ``j``'s elements land.  They
+        are what the exchange prices.  ``parts``, if given, is
+        ``(send_parts, recv_parts)``: per peer, the live parts of each block
+        — the only elements the host moves, the rest being known dead —
+        paired item for item with the peer's own parts; by default a block
+        is its own one part.  Data moves straight between the two buffers
+        when both are arrays; ``None`` buffers (meta mode) charge the same
+        cost without moving anything.  Resolves to this member's ``recvbuf``
+        (or ``None``).
         """
         if len(send_blocks) != self.size or len(recv_blocks) != self.size:
             raise MpiSimError(
@@ -195,6 +208,7 @@ class Communicator:
                 "recvbuf": recvbuf,
                 "send_blocks": tuple(send_blocks),
                 "recv_blocks": tuple(recv_blocks),
+                "parts": parts,
             },
         )
 
@@ -415,30 +429,80 @@ class Communicator:
         self._alltoallw_verified[key] = costs
         return costs
 
+    def _alltoallw_moves(self, args: dict[int, dict]) -> list[tuple]:
+        """The live moves of one data-mode Alltoallw descriptor set.
+
+        ``(src, dst, send part, recv part, rows, points per row)`` for every
+        nonempty pair of live parts, checked once per set to pair up item
+        for item.  ``rows`` is the leading-row count both parts share, so a
+        move can be cut into row ranges (1 where the counts differ: such a
+        move is never cut).
+        """
+        size = self.size
+        sides = []
+        for local in range(size):
+            parts = args[local]["parts"]
+            if parts is None:
+                parts = [
+                    [(block,) for block in args[local][side]]
+                    for side in ("send_blocks", "recv_blocks")
+                ]
+            sides.append(tuple(tuple(map(tuple, side)) for side in parts))
+        key = tuple(sides)
+        moves = self._alltoallw_moved.get(key)
+        if moves is not None:
+            return moves
+        moves = []
+        for src in range(size):
+            for dst in range(size):
+                sps, rps = sides[src][0][dst], sides[dst][1][src]
+                if len(sps) != len(rps) or any(
+                    sp.n_items != rp.n_items for sp, rp in zip(sps, rps)
+                ):
+                    raise MpiSimError(
+                        f"alltoallw on {self.name!r}: the live parts rank "
+                        f"{self.world_rank(src)} sends rank {self.world_rank(dst)} "
+                        f"do not pair with the parts it expects"
+                    )
+                for sp, rp in zip(sps, rps):
+                    if sp.n_items:
+                        rows = sp.lead if sp.lead == rp.lead else 1
+                        moves.append((src, dst, sp, rp, rows, sp.n_items // rows))
+        self._alltoallw_moved[key] = moves
+        return moves
+
+    def _move(self, args: dict[int, dict]) -> None:
+        """Direct data movement of every live part, from its source view
+        straight into its destination slots — the pack-free path (no
+        staging buffer): a strided-view copy or a single-axis fancy index
+        wherever the part shapes allow, flat indices only for explicitly
+        indexed blocks.  Parts land in disjoint slots, so they fan over the
+        host's cores in row ranges."""
+        from repro import _fan  # data mode only: meta runs load no threads
+
+        moves = []
+        for src, dst, sp, rp, rows, per in self._alltoallw_moves(args):
+            sendbuf, recvbuf = args[src]["sendbuf"], args[dst]["recvbuf"]
+            if sendbuf is not None and recvbuf is not None:
+                moves.append((sp, rp, sendbuf.reshape(-1), recvbuf.reshape(-1), rows, per))
+
+        def body(i, lo, hi):
+            sp, rp, flat_src, flat_dst, rows, _per = moves[i]
+            if hi - lo < rows:
+                sp, rp = sp.rows(lo, hi), rp.rows(lo, hi)
+            rp.put(flat_dst, sp.take(flat_src))
+
+        _fan.over_rows(body, [move[4:] for move in moves], MOVE_MIN_POINTS)
+
     def _exec_alltoallw(self, pending: _Pending) -> None:
         net = self.world.network
         size = self.size
         args = pending.args
         costs = self._alltoallw_costs(args)
-        # Direct data movement, one move per pair from the source block to
-        # the destination block — the pack-free path (no staging buffer): a
-        # strided-view copy or a single-axis fancy index wherever the block
-        # shapes allow, flat indices only for explicitly indexed blocks.
-        for src in range(size):
-            sendbuf = args[src]["sendbuf"]
-            if sendbuf is None:
-                continue
-            flat_src = sendbuf.reshape(-1)
-            send_blocks = args[src]["send_blocks"]
-            for dst in range(size):
-                sb = send_blocks[dst]
-                if sb.n_items == 0:
-                    continue
-                recvbuf = args[dst]["recvbuf"]
-                if recvbuf is None:
-                    continue
-                rb = args[dst]["recv_blocks"][src]
-                rb.put(recvbuf.reshape(-1), sb.take(flat_src))
+        for local in range(size):
+            if args[local]["sendbuf"] is not None:
+                self._move(args)
+                break
         values: dict[int, object] = {}
         bytes_sent: dict[int, float] = {}
         transfers = []

@@ -85,10 +85,13 @@ class BlockType:
     plus **meta** — only the element count is known.  Enough for the cost
     model; using it to move data raises.
 
-    Items are ordered base-major, then C order over ``shape``.
-    :meth:`take` / :meth:`put` move the items through views and the base
-    offsets alone; :meth:`indices` derives (and caches) the flat index of
-    every item in the same order, for the tests and tools that want it.
+    Items are ordered base-major, then C order over ``shape``, so the
+    items of each *leading row* (one base offset, or one index of a
+    subarray's first axis) are consecutive and :meth:`rows` cuts a block
+    into row ranges of the same shape.  :meth:`take` / :meth:`put` /
+    :meth:`zero` address the items through views and the base offsets
+    alone; :meth:`indices` derives (and caches) the flat index of every
+    item in the same order, for the tests and tools that want it.
 
     ``itemsize`` prices the block for the network model (complex128 by
     default, matching the pipeline's payloads).
@@ -187,6 +190,26 @@ class BlockType:
         """Bytes the block injects into the transport."""
         return float(self.n_items * self.itemsize)
 
+    @property
+    def lead(self) -> int:
+        """Leading rows: the base offsets of an outer block, the first axis
+        of a subarray — consecutive item runs of equal length."""
+        if self._base is not None:
+            return int(self.base.size)
+        return self.shape[0] if self.shape else 1
+
+    def rows(self, lo: int, hi: int) -> "BlockType":
+        """The block restricted to leading rows ``[lo, hi)`` (itself when
+        that is every row)."""
+        if lo == 0 and hi == self.lead:
+            return self
+        if self._base is not None:
+            return BlockType.outer(self.base[lo:hi], self.shape, self.strides, self.itemsize)
+        return BlockType.subarray(
+            self.offset + lo * self.strides[0], (hi - lo, *self.shape[1:]), self.strides,
+            self.itemsize,
+        )
+
     def indices(self) -> np.ndarray:
         """The (cached) flat index of every item, in item order."""
         if self._indices is None:
@@ -228,6 +251,14 @@ class BlockType:
             np.copyto(window, items.reshape(self.shape))
         else:
             window[self.base] = items.reshape(-1, *self.shape)
+
+    def zero(self, flat: np.ndarray) -> None:
+        """Set the block's slots of a flat buffer to zero."""
+        window = self._window(flat)
+        if self._base is None:
+            window[...] = 0
+        else:
+            window[self.base] = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.is_meta:

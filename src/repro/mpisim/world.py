@@ -241,12 +241,15 @@ class RankContext:
         recv_blocks: _t.Sequence,
         key: object = None,
         thread: int = 0,
+        parts: tuple | None = None,
     ) -> Event:
         """MPI_Alltoallw (pack-free block redistribution); resolves to ``recvbuf``."""
         return self._traced(
             "alltoallw",
             comm,
-            comm.alltoallw(self.rank, sendbuf, recvbuf, send_blocks, recv_blocks, key=key),
+            comm.alltoallw(
+                self.rank, sendbuf, recvbuf, send_blocks, recv_blocks, key=key, parts=parts
+            ),
             thread,
         )
 

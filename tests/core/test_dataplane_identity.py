@@ -55,6 +55,7 @@ class TestHostDoesTheChargedWork:
     stage must transform exactly the lines it charges, no more."""
 
     def test_lines_transformed_per_plane_equal_lines_charged(self, monkeypatch):
+        from repro import _fan
         from repro.core.pipeline import CostConstants, CostModel
         from repro.fft.backends import KernelEngine
         from repro.fft.backends import engine as engine_mod
@@ -82,7 +83,7 @@ class TestHostDoesTheChargedWork:
         engine = KernelEngine()
         # Three slices per call from the second call of the shape on (the
         # first plans pocketfft's lengths unfanned).
-        monkeypatch.setattr(engine_mod, "_cpus", lambda: 3)
+        monkeypatch.setattr(_fan, "_cpus", lambda: 3)
         monkeypatch.setattr(engine_mod, "MIN_POINTS", 1)
         engine.cft_2xy(planes, -1, out=planes, support=support)
         monkeypatch.setattr(np.fft, "fft", spy(np.fft.fft))

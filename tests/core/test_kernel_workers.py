@@ -24,7 +24,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro
-from repro.core import RunConfig, run_fft_phase
+from repro import _fan
+from repro.core import RunConfig, run_fft_phase, vofr
+from repro.mpisim import communicator
 from repro.fft.backends import engine as engine_mod
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
@@ -75,23 +77,27 @@ def output_digest(task, result, ideal, trace):
 
 @pytest.fixture
 def fanned(monkeypatch):
-    """Two CPUs and no minimum slice: every kernel call of a tiny run fans."""
-    monkeypatch.setattr(engine_mod, "_cpus", lambda: 2)
+    """Two CPUs and no minimum slice: every kernel call, exchange move and
+    VOFR pass of a tiny run fans."""
+    monkeypatch.setattr(_fan, "_cpus", lambda: 2)
     monkeypatch.setattr(engine_mod, "MIN_POINTS", 1)
+    monkeypatch.setattr(communicator, "MOVE_MIN_POINTS", 1)
+    monkeypatch.setattr(vofr, "MIN_POINTS", 1)
 
 
 #: Builds the pool with a data-mode run, then forks a process sweep of
 #: data-mode points; prints whether its records equal the serial sweep's.
 _FORK_AFTER_POOL = f"""
 import os
+from repro import _fan
 from repro.core import RunConfig, run_fft_phase
 from repro.fft.backends import engine
 from repro.sweep import GridSpec, SweepTask, run_sweep
 
-engine._cpus = lambda: 2
+_fan._cpus = lambda: 2
 engine.MIN_POINTS = 1
 run_fft_phase(RunConfig(**{SMALL!r}, ranks=2, taskgroups=2, data_mode=True))
-assert os.getpid() in engine._pools
+assert os.getpid() in _fan._pools
 grid = GridSpec(
     axes={{"ranks": (1, 2), "version": ("original", "ompss_perfft")}},
     base=dict({SMALL!r}, taskgroups=2, data_mode=True),
@@ -145,13 +151,13 @@ class TestFanOut:
 
     def test_one_cpu_data_run_starts_no_thread(self, monkeypatch):
         """What ``taskset -c 0`` gives a data-mode run."""
-        monkeypatch.setattr(engine_mod, "_cpus", lambda: 1)
+        monkeypatch.setattr(_fan, "_cpus", lambda: 1)
         monkeypatch.setattr(engine_mod, "MIN_POINTS", 1)
 
         def no_pool():
             raise AssertionError("a one-CPU run asked for the kernel pool")
 
-        monkeypatch.setattr(engine_mod, "_executor", no_pool)
+        monkeypatch.setattr(_fan, "_executor", no_pool)
         before = threading.active_count()
         run_fft_phase(RunConfig(**SMALL, ranks=2, taskgroups=2, data_mode=True))
         assert threading.active_count() == before

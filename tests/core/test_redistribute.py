@@ -10,16 +10,132 @@ timelines and outputs in ``test_executor_timelines.py``.)
 """
 
 import copy
+import functools
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis import analyze_pair
 from repro.core import RunConfig, run_fft_phase
+from repro.grids import Cell, DistributedLayout, FftDescriptor
 from repro.telemetry.manifest import build_manifest, validate_manifest
 from repro.tuning import workload_digest
+from tests.core.exchange import exchanges
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
+
+#: Plan geometry grids: the tests' SMALL one and the paper's 120^3.
+GRIDS = {"small": dict(alat=5.0, ecutwfc=12.0), "paper": dict(alat=20.0, ecutwfc=80.0)}
+#: (grid, decomposition, T), with R = 2 slab ranks or a 2 x 2 pencil grid
+#: (the e2e data workloads' shapes at T = 2).
+LAYOUTS = [(g, d, T) for g in GRIDS for d in ("slab", "pencil") for T in (1, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _desc(grid):
+    kw = GRIDS[grid]
+    return FftDescriptor(Cell(alat=kw["alat"]), ecutwfc=kw["ecutwfc"])
+
+
+def plan_layout(grid, decomposition, T):
+    """A fresh layout (its plans are built here, not shared with any run)."""
+    R = 4 if decomposition == "pencil" else 2
+    return DistributedLayout(_desc(grid), R, T, decomposition)
+
+
+def _slots(blocks, size):
+    """How often each slot of a ``size`` buffer is named by ``blocks``."""
+    idx = [b.indices() for b in blocks]
+    return np.bincount(np.concatenate(idx) if idx else np.empty(0, np.intp), minlength=size)
+
+
+@pytest.fixture(scope="module", params=LAYOUTS, ids=["-".join(map(str, c)) for c in LAYOUTS])
+def any_layout(request):
+    return plan_layout(*request.param)
+
+
+class TestLiveMoves:
+    """Each data-mode plan's live parts and zero regions against its priced
+    blocks: the host moves a subset of what the network prices, every
+    received slot once, and zeroes exactly what a later stage reads that
+    no part writes."""
+
+    def test_live_parts_pair_up_inside_their_priced_blocks(self, any_layout):
+        for name, _members, fw, bw in exchanges(any_layout):
+            for plans, back in ((fw, bw), (bw, fw)):
+                for src, plan in enumerate(plans):
+                    send_size = int(np.prod(back[src].recv_shape))
+                    for dst, peer in enumerate(plans):
+                        sps, rps = plan.send_parts[dst], peer.recv_parts[src]
+                        assert [p.n_items for p in sps] == [p.n_items for p in rps], name
+                        recv_size = int(np.prod(peer.recv_shape))
+                        for parts, block, size in (
+                            (sps, plan.send_blocks[dst], send_size),
+                            (rps, peer.recv_blocks[src], recv_size),
+                        ):
+                            live = _slots(parts, size)
+                            assert live.max(initial=0) <= 1, name
+                            assert not (live & (_slots([block], size) == 0)).any(), name
+
+    def test_zero_regions_cover_what_no_live_part_writes(self, any_layout):
+        layout = any_layout
+        nr2 = layout.desc.nr2
+        for kind, members, fw, bw in exchanges(layout):
+            for inverse, plans in ((False, fw), (True, bw)):
+                for member, plan in zip(members, plans):
+                    size = int(np.prod(plan.recv_shape))
+                    live = _slots([p for peer in plan.recv_parts for p in peer], size)
+                    zero = _slots(plan.zero, size)
+                    assert live.max(initial=0) <= 1 and zero.max(initial=0) <= 1, kind
+                    if inverse:
+                        # Every slot the next stage reads arrives live.
+                        assert plan.zero == (), kind
+                    elif kind == "pencil_yx":
+                        # The stick-free x columns: disjoint from the live
+                        # ones, and with them every slot the dense x FFT reads.
+                        assert ((live + zero) == 1).all(), kind
+                    elif kind == "pencil_zy":
+                        # The rows the y FFT transforms; sticks land inside.
+                        rows = np.zeros(size // nr2, dtype=np.intp)
+                        for lo, hi in layout.ybrick_row_runs(member):
+                            rows[lo:hi] = 1
+                        assert (zero == np.repeat(rows, nr2)).all(), kind
+                        assert not (live > zero).any(), kind
+                    else:
+                        assert (zero == 1).all(), kind  # sparse receive: zeroed whole
+
+    def test_yx_moves_only_stick_rows_but_prices_the_brick(self, any_layout):
+        layout = any_layout
+        x_live = sum(hi - lo for lo, hi in layout.desc.sticks.x_runs)
+        for kind, _members, fw, bw in exchanges(layout):
+            for plans in (fw, bw):
+                moved = sum(p.n_items for plan in plans for peer in plan.send_parts for p in peer)
+                priced = sum(b.n_items for plan in plans for b in plan.send_blocks)
+                if kind == "pencil_yx":
+                    assert moved * layout.desc.nr1 == priced * x_live < priced * layout.desc.nr1
+                else:
+                    assert moved == priced, kind
+
+    def test_priced_volumes_equal_the_meta_plans(self, any_layout):
+        """What the network sees is what it saw before live parts: the same
+        bytes per endpoint and the same per-sender pair list."""
+        from tests.mpisim.test_properties import build_world
+
+        for (kind, _m, fw, bw), (_k, _mm, mfw, mbw) in zip(
+            exchanges(any_layout), exchanges(any_layout, data_mode=False)
+        ):
+            for plans, metas in ((fw, mfw), (bw, mbw)):
+                assert [p.sent_bytes() for p in plans] == [m.sent_bytes() for m in metas]
+                comm = build_world(len(plans)).comm_world
+                costs = [
+                    comm._alltoallw_costs({
+                        m: {"send_blocks": tuple(p.send_blocks), "recv_blocks": tuple(p.recv_blocks)}
+                        for m, p in enumerate(side)
+                    })
+                    for side in (plans, metas)
+                ]
+                assert costs[0] == costs[1], kind
 
 
 class TestMetaModeParity:

@@ -180,7 +180,9 @@ class TestScatterMarshalling:
         ]
         fw = [scatter_fw_plan(layout, r, True) for r in range(layout.R)]
         planes = alltoallw(fw, blocks)
-        assert fw[0].zero_fill
+        # One zero region, the whole plane block: the xy FFT reads it all.
+        (region,) = fw[0].zero
+        assert region.n_items == planes[0].size
         assert int(np.count_nonzero(planes[0][0])) == desc.sticks.nsticks
 
     def test_meta_mode_passthrough(self, layout):
@@ -219,6 +221,24 @@ class TestVofr:
         assert apply_potential(planes, v, out=out) is out
         np.testing.assert_array_equal(planes, 2.0 + 1j)
         np.testing.assert_array_equal(out, apply_potential(planes.copy(), v))
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_every_fan_width_gives_the_same_bits(self, monkeypatch, in_place):
+        from repro import _fan
+        from repro.core import vofr
+
+        monkeypatch.setattr(vofr, "MIN_POINTS", 1)
+        planes = RNG.standard_normal((5, 4, 6)) + 1j * RNG.standard_normal((5, 4, 6))
+        v = RNG.standard_normal((5, 4, 6))
+        products = []
+        for width in (1, 2, 3, 4):
+            monkeypatch.setattr(_fan, "_cpus", lambda width=width: width)
+            work = planes.copy()
+            out = apply_potential(work, v, out=None if in_place else np.empty_like(work))
+            products.append(out.tobytes())
+            if not in_place:
+                np.testing.assert_array_equal(work, planes)
+        assert products == [(planes * v).tobytes()] * 4
 
     def test_meta_mode(self):
         assert apply_potential(None, None) is None

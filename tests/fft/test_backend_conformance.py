@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _fan
 from repro.fft import batched as reference
 from repro.fft.backends import KernelEngine
 from repro.fft.backends import engine as engine_mod
@@ -68,7 +69,7 @@ def _supported_block(draw, ndim: int):
 def force_width(monkeypatch, width: int) -> None:
     """Fan every call over ``width`` slices (as many as it has rows): the
     engine sees ``width`` CPUs and no minimum slice size."""
-    monkeypatch.setattr(engine_mod, "_cpus", lambda: width)
+    monkeypatch.setattr(_fan, "_cpus", lambda: width)
     monkeypatch.setattr(engine_mod, "MIN_POINTS", 1)
 
 
@@ -208,7 +209,7 @@ class TestFanWidths:
         caller = threading.current_thread().name
         assert sorted(rows for _name, rows in slices) == [2, 4]
         assert (caller, 4) in slices
-        assert [name for name, _rows in slices if name != caller][0].startswith("kernel-fan")
+        assert [name for name, _rows in slices if name != caller][0].startswith("dataplane-fan")
         assert engine.stats() == {"kernel_calls": 2, "kernel_rows": 12}
 
     def test_one_cpu_never_builds_the_pool(self, monkeypatch):
@@ -217,7 +218,7 @@ class TestFanWidths:
         def no_pool():
             raise AssertionError("a one-CPU call asked for the thread pool")
 
-        monkeypatch.setattr(engine_mod, "_executor", no_pool)
+        monkeypatch.setattr(_fan, "_executor", no_pool)
         engine = KernelEngine()
         for _ in range(2):
             engine.cft_2xy(_block((4, 6, 6)), 1)

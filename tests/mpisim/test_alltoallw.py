@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpisim import BlockType, MetaPayload, MpiSimError
+from tests.core import exchange as stand_in
+from tests.core.test_redistribute import LAYOUTS, plan_layout
 
 from .test_properties import build_world
 
@@ -419,6 +421,126 @@ class TestBlockShapes:
         layout = result.layout
         for r in range(layout.R):
             for builder in (redistribute.pencil_yx_plan, redistribute.pencil_zy_plan):
-                plan = builder(layout, r, True)  # the cached plan the run used
-                blocks = plan.send_blocks + plan.recv_blocks
-                assert blocks and not any(b.materialized for b in blocks)
+                for inverse in (False, True):
+                    # The cached plan the run used: priced blocks, live
+                    # parts and zero regions alike.
+                    plan = builder(layout, r, True, inverse=inverse)
+                    blocks = [
+                        *plan.send_blocks, *plan.recv_blocks, *plan.zero,
+                        *(p for side in (plan.send_parts, plan.recv_parts)
+                          for peer in side for p in peer),
+                    ]
+                    assert blocks and not any(b.materialized for b in blocks)
+
+
+# -- live parts: what the host moves inside the priced blocks ----------------
+
+
+def exchange(plans, sendbufs):
+    """One simulated Alltoallw among the members of ``plans``, the way the
+    pipeline runs it: NaN (uninitialised) receive buffers, the zero regions
+    cleared, then the live parts moved.  Returns the receive buffers."""
+    world = build_world(len(plans))
+    recvbufs = [np.full(plan.recv_shape, np.nan, dtype=np.complex128) for plan in plans]
+    for plan, buf in zip(plans, recvbufs):
+        for region in plan.zero:
+            region.zero(buf.reshape(-1))
+
+    def program(rank):
+        plan = plans[rank.rank]
+        yield rank.alltoallw(
+            world.comm_world, sendbufs[rank.rank], recvbufs[rank.rank],
+            plan.send_blocks, plan.recv_blocks, parts=(plan.send_parts, plan.recv_parts),
+        )
+
+    world.launch(program)
+    world.run()
+    return recvbufs
+
+
+class TestLiveParts:
+    def test_only_live_parts_move(self):
+        """Priced whole, moved in part: slots outside the live parts keep
+        their contents, and the timeline is the whole blocks' one."""
+
+        def run(live: bool):
+            world = build_world(2)
+            results, finish = {}, {}
+            # Peer j's block: elements 4j..4j+3 as two rows of two; live is
+            # its first row.
+            blocks = [BlockType.subarray(4 * j, (2, 2), (2, 1)) for j in range(2)]
+            parts = [(block.rows(0, 1),) for block in blocks]
+
+            def program(rank):
+                sendbuf = np.arange(8, dtype=np.complex128) + 10.0 * rank.rank
+                recvbuf = np.full(8, -1.0, dtype=np.complex128)
+                yield rank.alltoallw(
+                    world.comm_world, sendbuf, recvbuf, blocks, blocks,
+                    parts=(parts, parts) if live else None,
+                )
+                results[rank.rank], finish[rank.rank] = recvbuf, rank.sim.now
+
+            world.launch(program)
+            world.run()
+            return results, finish
+
+        (whole, t_whole), (live, t_live) = run(False), run(True)
+        assert t_whole == t_live
+        for me in (0, 1):
+            for src in (0, 1):
+                got = live[me][4 * src : 4 * src + 4]
+                np.testing.assert_array_equal(got[:2], whole[me][4 * src : 4 * src + 2])
+                np.testing.assert_array_equal(got[:2], 4 * me + np.arange(2) + 10.0 * src)
+                np.testing.assert_array_equal(got[2:], [-1, -1])
+
+    def test_rows_are_consecutive_items(self):
+        block = BlockType.subarray(2, (3, 4), (5, 1))
+        assert block.lead == 3 and block.rows(0, 3) is block
+        np.testing.assert_array_equal(block.rows(1, 3).indices(), block.indices()[4:])
+        outer = BlockType.outer([7, 1, 4], (2,), (10,))
+        assert outer.lead == 3
+        np.testing.assert_array_equal(outer.rows(1, 2).indices(), [1, 11])
+        buf = np.ones(30, dtype=np.complex128)
+        outer.rows(1, 3).zero(buf)
+        assert np.flatnonzero(buf == 0).tolist() == [1, 4, 11, 14]
+
+    def test_unpaired_parts_raise(self):
+        world = build_world(2)
+
+        def program(rank):
+            buf = np.zeros(8, dtype=np.complex128)
+            blocks = [BlockType.strided(0, 1, 4, 4), BlockType.strided(4, 1, 4, 4)]
+            # Rank 0 sends rank 1 its block in two parts; rank 1 expects one.
+            sends = [(blocks[0],), (blocks[1],)]
+            if rank.rank == 0:
+                sends[1] = (BlockType.strided(4, 1, 2, 2), BlockType.strided(6, 1, 2, 2))
+            yield rank.alltoallw(
+                world.comm_world, buf, buf.copy(), blocks, blocks,
+                parts=(sends, [(b,) for b in blocks]),
+            )
+
+        world.launch(program)
+        with pytest.raises(MpiSimError, match="do not pair"):
+            world.run()
+
+    @pytest.mark.parametrize("case", LAYOUTS, ids=["-".join(map(str, c)) for c in LAYOUTS])
+    def test_every_fan_width_moves_the_same_bits(self, case, monkeypatch):
+        """The moves of every data-mode plan fan over 1-4 slices (no
+        points floor) into bit-equal receive buffers, equal to the test
+        stand-in's part-by-part move."""
+        from repro import _fan
+        from repro.mpisim import communicator
+
+        monkeypatch.setattr(communicator, "MOVE_MIN_POINTS", 1)
+        rng = np.random.default_rng(7)
+        for _kind, _members, fw, bw in stand_in.exchanges(plan_layout(*case)):
+            for plans, back in ((fw, bw), (bw, fw)):
+                sendbufs = [
+                    rng.standard_normal(b.recv_shape) + 1j * rng.standard_normal(b.recv_shape)
+                    for b in back
+                ]
+                want = [buf.tobytes() for buf in stand_in.alltoallw(plans, sendbufs)]
+                for width in (1, 2, 3, 4):
+                    monkeypatch.setattr(_fan, "_cpus", lambda width=width: width)
+                    got = exchange(plans, sendbufs)
+                    assert [buf.tobytes() for buf in got] == want, width

@@ -7,12 +7,13 @@ command leaves behind:
 * ``run`` never loads scipy, ``multiprocessing``, ``asyncio`` or the
   experiment / sweep / service / tuning / qe packages — in data mode
   (``--validate``) neither, nor ``mmap``: the kernels are ``numpy.fft`` fanned
-  over ``concurrent.futures.thread`` and nothing optional; in meta mode not
-  even the kernel engine or its thread pool module;
+  over ``concurrent.futures.thread`` (through ``repro._fan``, the data plane's
+  one pool) and nothing optional; in meta mode not even the kernel engine,
+  the fan helper or its thread pool module;
 * ``analyze`` and ``perf validate`` read JSON: no numpy, no simulator;
 * ``--help`` loads the parser and nothing else;
-* building a ``RunConfig`` imports no ``repro.fft.backends.*`` and no
-  ``concurrent.futures.thread``.
+* building a ``RunConfig`` imports no ``repro.fft.backends.*``, no
+  ``repro._fan`` and no ``concurrent.futures.thread``.
 
 ``python tests/test_import_budget.py`` prints the module counts as a
 markdown table (the CI ``cold-start`` job's summary).
@@ -94,7 +95,7 @@ class TestCommandBudgets:
         unwanted = loaded(
             result["modules"], "scipy", "multiprocessing", "asyncio",
             "repro.experiments", "repro.sweep", "repro.service", "repro.qe",
-            "repro.tuning", "repro.fft.backends", "concurrent.futures.thread",
+            "repro.tuning", "repro.fft.backends", "repro._fan", "concurrent.futures.thread",
         )
         assert unwanted == []
 
@@ -142,14 +143,17 @@ class TestKernelImports:
             "from repro.core import RunConfig\n"
             "RunConfig(); RunConfig(data_mode=True)\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith('repro.fft.backends') or m == 'concurrent.futures.thread'))\n"
+            "             if m.startswith('repro.fft.backends')\n"
+            "             or m in ('repro._fan', 'concurrent.futures.thread')))\n"
         )
         assert out.strip() == "[]"
 
     def test_data_mode_run_imports_numpy_fft_and_nothing_optional(self):
         result = probe(QUICK_RUN + ["--validate"])
         assert result["rc"] == 0, result["stderr"]
-        assert {"repro.fft.backends.engine", "concurrent.futures.thread"} <= set(result["modules"])
+        assert {
+            "repro.fft.backends.engine", "repro._fan", "concurrent.futures.thread",
+        } <= set(result["modules"])
         assert loaded(result["modules"], "scipy", "multiprocessing", "mmap") == []
 
 
