@@ -446,8 +446,9 @@ class FftPhaseContext:
             return None
         buf = self.workspace.acquire(kind, plan.recv_shape)
         # Unfanned: splitting a memset over two cores won nothing measurable.
+        flat = buf.reshape(-1)
         for region in plan.zero:
-            region.zero(buf.reshape(-1))
+            region.zero(flat)
         return buf
 
 

@@ -131,9 +131,6 @@ class Communicator:
         #: tuples themselves, so it keeps every descriptor alive and
         #: identity-hashed lookups can never alias a recycled object.
         self._alltoallw_verified: dict[tuple, list[tuple[list, float]]] = {}
-        #: Live-part sets -> their verified moves (see :meth:`_alltoallw_moves`),
-        #: keyed on the parts themselves like the costs above.
-        self._alltoallw_moved: dict[tuple, list[tuple]] = {}
 
     # -- group introspection -------------------------------------------------
 
@@ -429,33 +426,28 @@ class Communicator:
         self._alltoallw_verified[key] = costs
         return costs
 
-    def _alltoallw_moves(self, args: dict[int, dict]) -> list[tuple]:
-        """The live moves of one data-mode Alltoallw descriptor set.
+    def _move(self, args: dict[int, dict]) -> None:
+        """Direct data movement of every live part, from its source view
+        straight into its destination slots — the pack-free path (no
+        staging buffer): a strided-view copy or a single-axis fancy index
+        wherever the part shapes allow, flat indices only for explicitly
+        indexed blocks.  Parts land in disjoint slots, so they fan over the
+        host's cores in ranges of the leading rows both sides share (a pair
+        whose row counts differ moves whole)."""
+        from repro import _fan  # data mode only: meta runs load no threads
 
-        ``(src, dst, send part, recv part, rows, points per row)`` for every
-        nonempty pair of live parts, checked once per set to pair up item
-        for item.  ``rows`` is the leading-row count both parts share, so a
-        move can be cut into row ranges (1 where the counts differ: such a
-        move is never cut).
-        """
-        size = self.size
-        sides = []
-        for local in range(size):
-            parts = args[local]["parts"]
-            if parts is None:
-                parts = [
-                    [(block,) for block in args[local][side]]
-                    for side in ("send_blocks", "recv_blocks")
-                ]
-            sides.append(tuple(tuple(map(tuple, side)) for side in parts))
-        key = tuple(sides)
-        moves = self._alltoallw_moved.get(key)
-        if moves is not None:
-            return moves
-        moves = []
-        for src in range(size):
-            for dst in range(size):
-                sps, rps = sides[src][0][dst], sides[dst][1][src]
+        def parts(local: int, side: int, peer: int) -> tuple:
+            given = args[local]["parts"]
+            if given is None:
+                return (args[local][("send_blocks", "recv_blocks")[side]][peer],)
+            return given[side][peer]
+
+        moves, items = [], []
+        for src in range(self.size):
+            sendbuf = args[src]["sendbuf"]
+            for dst in range(self.size):
+                recvbuf = args[dst]["recvbuf"]
+                sps, rps = parts(src, 0, dst), parts(dst, 1, src)
                 if len(sps) != len(rps) or any(
                     sp.n_items != rp.n_items for sp, rp in zip(sps, rps)
                 ):
@@ -464,35 +456,21 @@ class Communicator:
                         f"{self.world_rank(src)} sends rank {self.world_rank(dst)} "
                         f"do not pair with the parts it expects"
                     )
+                if sendbuf is None or recvbuf is None:
+                    continue
                 for sp, rp in zip(sps, rps):
                     if sp.n_items:
                         rows = sp.lead if sp.lead == rp.lead else 1
-                        moves.append((src, dst, sp, rp, rows, sp.n_items // rows))
-        self._alltoallw_moved[key] = moves
-        return moves
-
-    def _move(self, args: dict[int, dict]) -> None:
-        """Direct data movement of every live part, from its source view
-        straight into its destination slots — the pack-free path (no
-        staging buffer): a strided-view copy or a single-axis fancy index
-        wherever the part shapes allow, flat indices only for explicitly
-        indexed blocks.  Parts land in disjoint slots, so they fan over the
-        host's cores in row ranges."""
-        from repro import _fan  # data mode only: meta runs load no threads
-
-        moves = []
-        for src, dst, sp, rp, rows, per in self._alltoallw_moves(args):
-            sendbuf, recvbuf = args[src]["sendbuf"], args[dst]["recvbuf"]
-            if sendbuf is not None and recvbuf is not None:
-                moves.append((sp, rp, sendbuf.reshape(-1), recvbuf.reshape(-1), rows, per))
+                        moves.append((sp, rp, sendbuf.reshape(-1), recvbuf.reshape(-1)))
+                        items.append((rows, sp.n_items // rows))
 
         def body(i, lo, hi):
-            sp, rp, flat_src, flat_dst, rows, _per = moves[i]
-            if hi - lo < rows:
+            sp, rp, flat_src, flat_dst = moves[i]
+            if hi - lo < items[i][0]:
                 sp, rp = sp.rows(lo, hi), rp.rows(lo, hi)
             rp.put(flat_dst, sp.take(flat_src))
 
-        _fan.over_rows(body, [move[4:] for move in moves], MOVE_MIN_POINTS)
+        _fan.over_rows(body, items, MOVE_MIN_POINTS)
 
     def _exec_alltoallw(self, pending: _Pending) -> None:
         net = self.world.network
