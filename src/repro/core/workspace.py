@@ -66,8 +66,9 @@ class Workspace:
 
     ``acquire(kind, shape)`` returns a recycled buffer when one of the exact
     ``(kind, shape, dtype)`` key is free, else allocates.  Contents are
-    *unspecified* — callers must fully overwrite (or zero-fill) what they
-    acquire.  ``release`` returns buffers to the pool; only the exact array
+    *unspecified* — callers must write or zero every slot a later reader
+    reads (dead slots, read by nobody, may keep whatever they hold).
+    ``release`` returns buffers to the pool; only the exact array
     object previously acquired is accepted (views are not, by design — the
     owner of the backing buffer releases it).
     """

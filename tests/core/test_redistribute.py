@@ -4,9 +4,11 @@ Every exchange moves through the block plans of
 :mod:`repro.core.redistribute`; there is no second, staged path and no knob
 selecting one.  Meta mode replaces the payloads with size-only descriptors
 of the same volumes, so the simulated timeline must not move at all — the
-sweep harness and the autotuner's search rungs depend on it.  (Plan-level
-data movement is pinned in ``test_wave_marshalling.py``; the per-executor
-timelines and outputs in ``test_executor_timelines.py``.)
+sweep harness and the autotuner's search rungs depend on it.  What the host
+moves inside those volumes — each plan's live parts and zero regions — is
+held against the priced blocks here too.  (Plan-level data movement is
+pinned in ``test_wave_marshalling.py``; the per-executor timelines and
+outputs in ``test_executor_timelines.py``.)
 """
 
 import copy
