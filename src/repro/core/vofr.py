@@ -42,7 +42,7 @@ def apply_potential(
 
     _fan.over_rows(
         lambda _i, lo, hi: np.multiply(planes[lo:hi], v_slab[lo:hi], out=out[lo:hi]),
-        [(planes.shape[0], planes[0].size)],
+        [(planes.shape[0], int(np.prod(planes.shape[1:])))],
         MIN_POINTS,
     )
     return out
