@@ -5,10 +5,10 @@ process may run on (``os.sched_getaffinity``, so ``taskset`` and cgroup
 limits count), none holding fewer than the pass's points floor — and runs
 slice 0 on the calling thread, the others on a process-wide thread pool
 built on the first call that fans (and again in a forked child).  The
-passes (the kernel engine's batched FFTs, the exchange moves, receive-buffer
-zeroing, VOFR) release the GIL in numpy, write disjoint slots per slice and
-compute each slot the same way whichever slice carries it, so every ``k``
-gives the ``k = 1`` result bit for bit.
+passes (the kernel engine's batched FFTs, the exchange moves, VOFR) release
+the GIL in numpy, write disjoint slots per slice and compute each slot the
+same way whichever slice carries it, so every ``k`` gives the ``k = 1``
+result bit for bit.
 
 Only data mode imports this module: a meta-mode run loads no thread
 machinery and starts no thread.
