@@ -28,15 +28,6 @@ committed baseline file:
     ratcheted headline is the *worst* of the four cells.  Baseline:
     ``benchmarks/BENCH_multinode.json``.
 
-``service``
-    Sustained request throughput (requests/s) of the async service front
-    end (:mod:`repro.service`) digesting a saturating burst of mixed
-    small/medium requests on two workers, plus the p50/p99 end-to-end
-    latency of the same burst.  ``requests_per_s`` is floor-checked like
-    the other ratchets; ``p99_s`` is *ceiling*-checked (lower is better)
-    so a latency regression fails even when throughput holds.  Baseline:
-    ``benchmarks/BENCH_service.json``.
-
 ``tuning``
     Autotuner quality: the tuned-vs-default win rate of the cost-model-
     guided search (:mod:`repro.tuning`) over a small grid x executor x
@@ -206,65 +197,6 @@ def measure_multinode(rounds: int = 5) -> dict:
     }
 
 
-#: Service burst: enough requests to saturate two workers without
-#: stretching CI, mixed 3:1 small:medium like the loadgen default mix.
-SERVICE_BURST = 40
-
-
-def measure_service(rounds: int = 5) -> dict:
-    """Best-of-``rounds`` sustained req/s of a saturating service burst.
-
-    Every request has a distinct seed (distinct digest), so the memo cache
-    cannot shortcut the measurement — this is genuine backend capacity.
-    The latency percentiles of the best round ride along and are
-    ceiling-checked (a queueing regression shows up in p99 first).
-    """
-    import asyncio
-
-    from repro.service import AsyncService, ServiceConfig, preset_request
-    from repro.service.server import latency_percentiles
-
-    requests = [
-        preset_request(
-            "medium" if i % 4 == 3 else "small",
-            seed=3000 + i,
-            deadline_s=60.0,
-        )
-        for i in range(SERVICE_BURST)
-    ]
-    config = ServiceConfig(workers=2, max_queue_depth=2 * SERVICE_BURST)
-
-    async def burst() -> tuple[float, dict]:
-        service = AsyncService(config)
-        await service.start()
-        t0 = time.perf_counter()
-        await asyncio.gather(*[service.submit(r) for r in requests])
-        elapsed = time.perf_counter() - t0
-        await service.drain()
-        return (
-            len(requests) / elapsed,
-            latency_percentiles(service.core.latencies),
-        )
-
-    # One throwaway round warms the process geometry/plan caches.
-    asyncio.run(burst())
-    best = 0.0
-    latency: dict = {}
-    for _ in range(rounds):
-        rps, lat = asyncio.run(burst())
-        if rps > best:
-            best = rps
-            latency = lat
-    return {
-        "kind": "repro.bench_service",
-        "config": f"burst of {SERVICE_BURST} (3:1 small:medium), 2 workers",
-        "requests_per_s": best,
-        "p50_s": latency["p50_s"],
-        "p99_s": latency["p99_s"],
-        "rounds": rounds,
-    }
-
-
 #: Matrix the tuning guard searches: small enough for CI, wide enough to
 #: exercise both decompositions, a task executor, and a multi-node cell.
 TUNING_CELLS = (
@@ -330,15 +262,6 @@ TARGETS = {
         "pencil transpose paths, and the inter-node network accounting "
         "(see docs/PERFORMANCE.md)",
     ),
-    "service": (
-        _HERE / "BENCH_service.json",
-        "repro.bench_service",
-        "requests_per_s",
-        measure_service,
-        "profile the service front end — admission/queue bookkeeping, "
-        "worker fan-out, and the per-request driver overhead "
-        "(see docs/RESILIENCE.md)",
-    ),
     "tuning": (
         _HERE / "BENCH_tuning.json",
         "repro.bench_tuning",
@@ -347,12 +270,6 @@ TARGETS = {
         "inspect the autotuner — candidate enumeration, cost-model ranking, "
         "and the incumbent's bye into the final rung (see docs/TUNING.md)",
     ),
-}
-
-#: Metrics where *lower* is better, checked against a ceiling of
-#: baseline * (1 + tolerance) alongside the target's throughput floor.
-CEILING_METRICS: dict[str, tuple[str, ...]] = {
-    "service": ("p99_s",),
 }
 
 
@@ -421,23 +338,6 @@ def check_target(name: str, path: pathlib.Path, tolerance: float, rounds: int) -
         f"floor {floor:,.1f} at -{tolerance:.0%}, "
         f"best of {rounds} on {current['config']})"
     )
-    for ceiling_metric in CEILING_METRICS.get(name, ()):
-        base_value = baseline.get(ceiling_metric)
-        if base_value is None:
-            continue
-        ceiling = base_value * (1.0 + tolerance)
-        if current[ceiling_metric] > ceiling:
-            verdict = "REGRESSION"
-            print(
-                f"[{name}] REGRESSION: {current[ceiling_metric]:.6f} "
-                f"{ceiling_metric} above ceiling {ceiling:.6f} "
-                f"(baseline {base_value:.6f} at +{tolerance:.0%})"
-            )
-        else:
-            print(
-                f"[{name}] OK: {current[ceiling_metric]:.6f} {ceiling_metric} "
-                f"(ceiling {ceiling:.6f})"
-            )
     if verdict != "OK":
         print(f"[{name}] baseline provenance: {baseline_provenance(path, baseline)}")
         print(

@@ -18,9 +18,6 @@
     fftxlib-repro analyze run.json
     fftxlib-repro analyze baseline.json candidate.json --format markdown
     fftxlib-repro analyze sweep.json --out efficiency.md --format markdown
-    fftxlib-repro serve --requests requests.jsonl --manifest service.json
-    fftxlib-repro loadgen --mode soak --rate 50 --duration 4 --chaos chaos.json
-    fftxlib-repro loadgen --mode live --rate 25 --duration 3 --report slo.json
 
 ``--quick`` shrinks the workload (30 Ry / 10 Bohr / 32 bands and a reduced
 rank sweep) so every experiment finishes in seconds; the full workload is
@@ -37,14 +34,6 @@ which counter moved); a sweep manifest prints the efficiency scaling
 series.  ``--format text|json|markdown`` picks the renderer, ``--out``
 writes to a file, and ``--check`` (two manifests) exits 1 on a regression
 verdict.
-
-``serve`` runs the resilient async front end (:mod:`repro.service`) over a
-JSON-lines request stream; ``loadgen`` replays a seeded open-loop arrival
-process against it — ``--mode live`` on the wall clock, ``--mode soak`` on
-a deterministic virtual clock whose service manifests are byte-identical
-for a given (seed, chaos plan).  Both accept ``--chaos plan.json``
-(``repro.service_chaos``) for worker failures and executor outages; see
-docs/RESILIENCE.md for the full resilience model and exit-code contract.
 
 ``sweep`` expands a ranks x version x taskgroups grid and executes the
 points concurrently through :mod:`repro.sweep` (``--jobs N``, process pool
@@ -63,11 +52,10 @@ Layout: :mod:`repro.cli.parser` declares every flag and names each
 subcommand's handler as a ``"module:function"`` string; :func:`main` parses
 and imports that one module — ``run`` (``run``, ``compare``),
 ``experiments`` (the paper's figures/tables, ``all``), ``catalogue``
-(``list``), ``sweep``, ``tune``, ``faults``, ``perf``
-(``perf ...``, ``analyze``) or ``service`` (``serve``, ``loadgen``) — so a
-fresh process pays only for the command it runs (the import rules are
-stated as invariants in DESIGN.md and pinned by
-``tests/test_import_budget.py``).
+(``list``), ``sweep``, ``tune``, ``faults`` or ``perf``
+(``perf ...``, ``analyze``) — so a fresh process pays only for the command
+it runs (the import rules are stated as invariants in DESIGN.md and pinned
+by ``tests/test_import_budget.py``).
 """
 
 from __future__ import annotations

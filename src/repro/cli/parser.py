@@ -344,80 +344,4 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--taskgroups", type=int, default=8)
     p_cmp.add_argument("--quick", action="store_true", help="reduced workload")
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="serve a JSONL stream of run requests through the async front end",
-    )
-    p_serve.set_defaults(handler="repro.cli.service:cmd_serve")
-    p_serve.add_argument(
-        "--requests", metavar="PATH", default="-",
-        help="JSON-lines request file ('-' = stdin, the default)",
-    )
-    p_serve.add_argument(
-        "--responses", metavar="PATH", default=None,
-        help="write per-request verdict JSON lines here (default stdout)",
-    )
-    p_serve.add_argument(
-        "--manifest", metavar="PATH", default=None,
-        help="write the (live) service manifest JSON after drain",
-    )
-    p_serve.add_argument(
-        "--chaos", metavar="PATH", default=None,
-        help="service-chaos plan JSON to inject (see docs/RESILIENCE.md)",
-    )
-    p_serve.add_argument("--workers", type=int, default=2, metavar="N")
-    p_serve.add_argument("--queue-depth", type=int, default=32, metavar="N")
-    p_serve.add_argument(
-        "--deadline", type=float, default=2.0, metavar="S",
-        help="default per-request latency budget in seconds (default 2.0)",
-    )
-    p_serve.add_argument("--seed", type=int, default=0)
-
-    p_loadgen = sub.add_parser(
-        "loadgen",
-        help="seeded open-loop load generator (live service or virtual soak)",
-    )
-    p_loadgen.set_defaults(handler="repro.cli.service:cmd_loadgen")
-    p_loadgen.add_argument(
-        "--mode", choices=["live", "soak"], default="soak",
-        help="'soak' = deterministic virtual-time replica (default); "
-        "'live' = real asyncio service on the wall clock",
-    )
-    p_loadgen.add_argument(
-        "--rate", type=float, default=20.0, metavar="RPS",
-        help="mean Poisson arrival rate (default 20 req/s)",
-    )
-    p_loadgen.add_argument(
-        "--duration", type=float, default=5.0, metavar="S",
-        help="arrival window in seconds; the service drains at its end",
-    )
-    p_loadgen.add_argument(
-        "--mix", default="small=0.7,medium=0.25,large=0.05",
-        help="grid-class weights, e.g. 'small=0.8,large=0.2'",
-    )
-    p_loadgen.add_argument(
-        "--versions", default="original,ompss_perfft",
-        help="comma-separated executor versions drawn uniformly",
-    )
-    p_loadgen.add_argument(
-        "--deadline", type=float, default=None, metavar="S",
-        help="per-request latency budget (default: the service default)",
-    )
-    p_loadgen.add_argument(
-        "--chaos", metavar="PATH", default=None,
-        help="service-chaos plan JSON to inject",
-    )
-    p_loadgen.add_argument("--workers", type=int, default=2, metavar="N")
-    p_loadgen.add_argument("--queue-depth", type=int, default=32, metavar="N")
-    p_loadgen.add_argument("--seed", type=int, default=42)
-    p_loadgen.add_argument(
-        "--manifest", metavar="PATH", default=None,
-        help="write the service manifest JSON (soak manifests are stable: "
-        "same seed + chaos => byte-identical)",
-    )
-    p_loadgen.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write the SLO report JSON here (also printed)",
-    )
-
     return parser

@@ -45,10 +45,6 @@ def _load_run(path: str, doc: object = None) -> dict:
 _VALIDATORS = {
     "repro.run_manifest": ("repro.telemetry.manifest:validate_manifest", "run"),
     "repro.sweep_manifest": ("repro.sweep.manifest:validate_sweep_manifest", "sweep"),
-    "repro.service_manifest": (
-        "repro.service.manifest:validate_service_manifest",
-        "service",
-    ),
 }
 
 
@@ -56,6 +52,13 @@ def cmd_perf(args) -> int:
     if args.perf_command == "validate":
         doc = _load_doc(args.manifest)
         kind = doc.get("kind") if isinstance(doc, dict) else None
+        if isinstance(kind, str) and kind not in _VALIDATORS:
+            print(
+                f"INVALID: {args.manifest}: unknown manifest kind {kind!r} "
+                "(expected run or sweep manifest)",
+                file=sys.stderr,
+            )
+            return 1
         validator, noun = _VALIDATORS.get(kind, _VALIDATORS["repro.run_manifest"])
         errors = resolve(validator)(doc)
         if errors:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import time as _time
 import typing as _t
 import warnings
 
@@ -61,19 +60,7 @@ from repro.mpisim import MpiWorld, NetworkModel
 from repro.mpisim.network import ClusterNetworkModel
 from repro.simkit import Simulator
 
-__all__ = ["RunCancelled", "RunResult", "run_fft_phase", "build_geometry"]
-
-
-class RunCancelled(RuntimeError):
-    """The run was aborted by its caller's cancellation hook.
-
-    Raised out of :func:`run_fft_phase` when the ``cancel`` callable returns
-    true or the wall-clock ``deadline`` passes — checked at attempt
-    boundaries and, via :attr:`repro.simkit.Simulator.interrupt`,
-    periodically inside the simulation loop.  This is the mechanism the
-    service front end (:mod:`repro.service`) uses to reclaim workers from
-    requests whose latency budget expired.
-    """
+__all__ = ["RunResult", "run_fft_phase", "build_geometry"]
 
 
 @functools.lru_cache(maxsize=32)
@@ -168,8 +155,6 @@ def run_fft_phase(
     potential: np.ndarray | None = None,
     telemetry: _telemetry.Telemetry | None = None,
     faults: FaultScenario | None = None,
-    cancel: _t.Callable[[], bool] | None = None,
-    deadline: float | None = None,
 ) -> RunResult:
     """Run one configuration to completion on a fresh simulated node.
 
@@ -184,13 +169,6 @@ def run_fft_phase(
 
     ``faults`` overrides ``config.faults``; with a scenario active the
     driver checkpoints and resumes as described in the module docstring.
-
-    ``cancel`` (a callable returning true to abort) and ``deadline`` (an
-    absolute ``time.monotonic()`` timestamp) install a cooperative
-    cancellation hook: it is checked before every attempt and every
-    :data:`~repro.simkit.simulator.INTERRUPT_STRIDE` simulator events, and
-    trips by raising :class:`RunCancelled`.  With both left ``None`` (the
-    default) the simulation loop pays a single ``is None`` check per event.
     """
     knl = knl or KnlParameters()
     tuning_info: dict | None = None
@@ -211,15 +189,6 @@ def run_fft_phase(
         tel = _telemetry.Telemetry(enabled=True)
     scenario = faults if faults is not None else config.faults
     injector = FaultInjector(scenario, config.seed) if scenario is not None else None
-
-    check_interrupt: _t.Callable[[], None] | None = None
-    if cancel is not None or deadline is not None:
-
-        def check_interrupt() -> None:
-            if cancel is not None and cancel():
-                raise RunCancelled("run cancelled by caller")
-            if deadline is not None and _time.monotonic() >= deadline:
-                raise RunCancelled("run deadline exceeded")
 
     # 1. Geometry and costs (geometry cached per process; see build_geometry).
     _cell, desc, layout = build_geometry(
@@ -309,12 +278,9 @@ def run_fft_phase(
 
     for attempt in range(1, max_attempts + 1):
         n_attempts = attempt
-        if check_interrupt is not None:
-            check_interrupt()
 
         # 3. Machine + world (fresh per attempt; the injector persists).
         sim = Simulator()
-        sim.interrupt = check_interrupt
         topo: _t.Any = knl_topology(knl)
         if config.n_nodes > 1:
             topo = ClusterTopology(topo, config.n_nodes)
@@ -516,8 +482,8 @@ def run_fft_phase(
             warnings.warn(
                 f"run leaked {dataplane['workspace_leaks']} workspace "
                 "checkout(s): buffers were garbage-collected without a "
-                "release (arena bleed; harmless once, a drift under "
-                "sustained service traffic)",
+                "release (arena bleed; harmless once, a drift across "
+                "the many runs a sweep worker makes on one workload)",
                 ResourceWarning,
                 stacklevel=2,
             )

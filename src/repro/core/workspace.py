@@ -87,8 +87,9 @@ class Workspace:
         self.foreign_releases = 0
         #: Checkouts whose buffer was garbage-collected without a release —
         #: pruned entries plus (in :meth:`stats`) currently-dead refs.  A
-        #: monotonic counter: under sustained service traffic a silent leak
-        #: becomes a steady drift, not an invisible prune.
+        #: monotonic counter: the arena outlives the run, so across a sweep's
+        #: many runs a silent leak becomes a steady drift, not an invisible
+        #: prune.
         self.leaked = 0
         self.live = 0
         self.live_peak = 0

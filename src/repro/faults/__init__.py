@@ -9,12 +9,6 @@ The layer has two halves:
   those hooks raise, and the :class:`FaultReport` that lands on
   ``RunResult.fault_report``.
 
-A third, service-level half lives in :mod:`repro.faults.service`: the
-:class:`ServiceChaos` plan (worker-attempt failure rates, executor outage
-windows, and a fraction of requests carrying an embedded machine-level
-scenario) that perturbs the :mod:`repro.service` front end around many
-runs rather than the machine inside one.
-
 Wiring happens in :func:`repro.core.driver.run_fft_phase`: pass a scenario
 via ``RunConfig(faults=...)`` or the ``faults=`` argument (CLI:
 ``--faults scenario.json``) and the driver injects, retries, checkpoints,
@@ -40,19 +34,9 @@ from repro.faults.plan import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from repro.faults.service import (
-    SERVICE_CHAOS_KIND,
-    Outage,
-    ServiceChaos,
-    chaos_from_dict,
-    chaos_to_dict,
-    dump_chaos,
-    load_chaos,
-)
 
 __all__ = [
     "SCENARIO_KIND",
-    "SERVICE_CHAOS_KIND",
     "FaultError",
     "FaultInjector",
     "FaultReport",
@@ -60,16 +44,10 @@ __all__ = [
     "LinkFault",
     "MpiLinkError",
     "MpiTimeoutError",
-    "Outage",
     "ScenarioError",
-    "ServiceChaos",
     "Straggler",
     "TaskFailedError",
-    "chaos_from_dict",
-    "chaos_to_dict",
-    "dump_chaos",
     "dump_scenario",
-    "load_chaos",
     "load_scenario",
     "scenario_from_dict",
     "scenario_to_dict",

@@ -37,14 +37,6 @@ class DeadlockError(SimulationError):
     """
 
 
-#: Dispatches between two calls of :attr:`Simulator.interrupt` (power of two
-#: so the hot loop's stride test is one mask).  One dispatched entry carries a
-#: whole completion — a fluid timer runs its finishers' callbacks in place —
-#: so the stride is sized in those: ~512 x 30 us keeps the polling cadence
-#: near 15 ms of host time.
-INTERRUPT_STRIDE = 512
-
-
 class Simulator:
     """A discrete-event simulator instance.
 
@@ -66,12 +58,6 @@ class Simulator:
         #: increment; the telemetry layer snapshots it into the run manifest
         #: (``sim.events_dispatched``) after :meth:`run` returns.
         self.n_dispatched = 0
-        #: Optional cooperative-interrupt hook: called every
-        #: :data:`INTERRUPT_STRIDE` dispatched events inside :meth:`run` and
-        #: may raise to abort the simulation (deadline/cancellation
-        #: propagation from a hosting service).  ``None`` (the default) costs
-        #: one local ``is None`` check per event.
-        self.interrupt: _t.Callable[[], None] | None = None
 
     # -- clock ----------------------------------------------------------------
 
@@ -189,8 +175,6 @@ class Simulator:
         # step() costs ~8% of end-to-end simulation throughput.
         heap = self._heap
         deferred = self._deferred
-        interrupt = self.interrupt
-        stride_mask = INTERRUPT_STRIDE - 1
         dispatched = 0
         try:
             while True:
@@ -207,8 +191,6 @@ class Simulator:
                 when, _seq, event = heappop(heap)
                 self._now = when
                 dispatched += 1
-                if interrupt is not None and not (dispatched & stride_mask):
-                    interrupt()
                 event._process()
                 exc = event._exception
                 if exc is not None and not event._defused:

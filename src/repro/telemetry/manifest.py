@@ -30,8 +30,7 @@ needs no jsonschema dependency; ``docs/run_manifest.schema.json`` mirrors
 the same rules as a standard JSON Schema for external tooling.  The rules
 engine (:func:`check_rules`) and the validate-then-write / read-then-validate
 pair (:func:`write_checked`, :func:`load_checked`) are shared with the sweep
-and service manifests, which add only their own ``_RULES`` and cross-field
-laws.
+manifest, which adds only its own ``_RULES`` and cross-field laws.
 """
 
 from __future__ import annotations

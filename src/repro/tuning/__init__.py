@@ -3,7 +3,7 @@
 The FFTW "wisdom" idea applied to the runtime knobs this codebase has
 accumulated (NTG, scheduler, grainsizes, decomposition): search the space
 once per workload digest, persist the winner, and let every later run —
-driver, sweep, service — consult the database for free.  The search ranks
+driver and sweep — consult the database for free.  The search ranks
 its candidates by summing the simulator's own stage table
 (:mod:`repro.tuning.costmodel`), so it prices whatever the chain states.
 

@@ -232,7 +232,7 @@ class WisdomDB:
 
 # -- memoized consult ----------------------------------------------------------
 #
-# The warm path (driver/service admission) must cost well under 1% of a run.
+# The warm path (the driver's tuning resolve) must cost well under 1% of a run.
 # The DB file is parsed at most once per (path, mtime, size) generation per
 # process; lookups after that are two dict probes.
 

@@ -8,7 +8,7 @@ builds no engine.
 The engine fans its batched passes over a process-wide thread pool.  Here
 that pool meets the program's own concurrency: a process sweep forked after
 the pool exists, data-mode runs started concurrently from threads (the
-``service`` worker shape), and one-CPU and meta-mode runs that must start no
+shape of a thread-executor sweep), and one-CPU and meta-mode runs that must start no
 thread at all.  Output bytes must not notice any of it.
 """
 

@@ -154,7 +154,6 @@ class TestWriteLoad:
         for name, module_name in (
             ("run", "repro.telemetry.manifest"),
             ("sweep", "repro.sweep.manifest"),
-            ("service", "repro.service.manifest"),
         ):
             module = importlib.import_module(module_name)
             schema = json.loads((docs / f"{name}_manifest.schema.json").read_text())

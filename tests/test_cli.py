@@ -115,6 +115,37 @@ class TestCliTelemetry:
         assert main(["perf", "validate", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, doc, code, line",
+        [
+            (
+                ["perf", "validate"],
+                {"kind": "repro.service_manifest", "schema_version": 1,
+                 "counts": {"submitted": 3, "accepted": 3}},
+                1,
+                "INVALID: {path}: unknown manifest kind 'repro.service_manifest' "
+                "(expected run or sweep manifest)",
+            ),
+            (
+                ["faults", "validate"],
+                {"kind": "repro.service_chaos", "seed": 7, "failure_rate": 0.05},
+                2,
+                "error: {path}: kind must be 'repro.fault_scenario', "
+                "got 'repro.service_chaos'",
+            ),
+        ],
+        ids=["service_manifest", "service_chaos"],
+    )
+    def test_legacy_service_documents_fail_in_one_line(
+        self, tmp_path, capsys, command, doc, code, line
+    ):
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(doc))
+        assert main(command + [str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line.format(path=path) + "\n"
+
 
 class TestCliFaults:
     RUN = ["run", "--ranks", "2", "--taskgroups", "2", "--quick"]
