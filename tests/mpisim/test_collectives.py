@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpisim import MetaPayload, MpiSimError
+from repro.mpisim import BlockType, MetaPayload, MpiSimError
 from repro.simkit import DeadlockError
 
 
@@ -109,11 +109,12 @@ class TestMatching:
         def a2a(rank):
             yield rank.alltoall(world.comm_world, [MetaPayload(1.0)] * 8)
 
-        def bar(rank):
-            yield rank.barrier(world.comm_world)
+        def a2aw(rank):
+            blocks = [BlockType.meta(1)] * 8
+            yield rank.alltoallw(world.comm_world, None, None, blocks, blocks)
 
         world.launch(a2a, ranks=[0])
-        world.launch(bar, ranks=range(1, 8))
+        world.launch(a2aw, ranks=range(1, 8))
         with pytest.raises(MpiSimError, match="mismatch"):
             world.run()
 
@@ -122,10 +123,11 @@ class TestMatching:
         results = {}
 
         def program(rank):
-            # Each rank issues two barriers in rank-dependent order.
+            # Each rank issues two alltoalls in rank-dependent order.
             keys = ["x", "y"] if rank.rank % 2 == 0 else ["y", "x"]
-            ev1 = rank.barrier(world.comm_world, key=keys[0])
-            ev2 = rank.barrier(world.comm_world, key=keys[1])
+            parts = [MetaPayload(8.0)] * 8
+            ev1 = rank.alltoall(world.comm_world, parts, key=keys[0])
+            ev2 = rank.alltoall(world.comm_world, parts, key=keys[1])
             yield rank.sim.all_of([ev1, ev2])
             results[rank.rank] = True
 
@@ -135,8 +137,9 @@ class TestMatching:
 
     def test_double_join_same_key_raises(self, world):
         def program(rank):
-            rank.barrier(world.comm_world, key="k")
-            yield rank.barrier(world.comm_world, key="k")
+            parts = [MetaPayload(8.0)] * 8
+            rank.alltoall(world.comm_world, parts, key="k")
+            yield rank.alltoall(world.comm_world, parts, key="k")
 
         world.launch(program, ranks=[0])
         with pytest.raises(MpiSimError, match="twice"):
@@ -267,28 +270,26 @@ class TestSplit:
         assert comms[7] is None
         assert comms[0].ranks == (0, 1, 2, 3)
 
+
+class TestSubcommunicators:
     def test_subcommunicator_collectives_work(self, world):
+        subs = [world._register_comm(range(4 * g, 4 * g + 4), f"g{g}") for g in (0, 1)]
         results = {}
 
         def program(rank):
-            sub = yield rank.split(world.comm_world, color=rank.rank // 4, order_key=rank.rank)
-            got = yield rank.allreduce(sub, np.array([1.0]), op="sum")
-            results[rank.rank] = got
+            sub = subs[rank.rank // 4]
+            parts = [np.array([float(rank.rank)]) for _ in range(sub.size)]
+            results[rank.rank] = yield rank.alltoall(sub, parts)
 
         world.launch(program)
         world.run()
-        np.testing.assert_allclose(results[0], [4.0])
-        np.testing.assert_allclose(results[7], [4.0])
+        np.testing.assert_allclose(np.concatenate(results[0]), [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_allclose(np.concatenate(results[7]), [4.0, 5.0, 6.0, 7.0])
 
     def test_local_rank_mapping(self, world):
-        comms = {}
-
-        def program(rank):
-            sub = yield rank.split(world.comm_world, color=rank.rank % 2, order_key=rank.rank)
-            comms[rank.rank] = sub
-
-        world.launch(program)
-        world.run()
-        assert comms[4].local_rank(4) == 2
+        even = world._register_comm([0, 2, 4, 6], "even")
+        odd = world._register_comm([1, 3, 5, 7], "odd")
+        assert even.local_rank(4) == 2
+        assert odd.world_rank(1) == 3
         with pytest.raises(MpiSimError, match="not a member"):
-            comms[0].local_rank(1)
+            even.local_rank(1)

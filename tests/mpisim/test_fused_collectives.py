@@ -58,13 +58,13 @@ class TestOneEventPerMember:
 
         def program(rank):
             yield sim.timeout(0.5 * rank.rank)
-            yield rank.barrier(world.comm_world)
+            yield rank.alltoall(world.comm_world, _parts(world, 0.0))
             ends[rank.rank] = sim.now
 
         world.launch(program)
         world.run()
-        # Last arrival at t = 3.5, then ceil(log2 8) = 3 messages of 1 us.
-        assert set(ends.values()) == {3.5 + 3 * 1.0e-6}
+        # Last arrival at t = 3.5, then P - 1 = 7 messages of 1 us.
+        assert set(ends.values()) == {3.5 + 7 * 1.0e-6}
 
     def test_zero_latency_completes_at_the_join_timestamp(self, sim, cpu):
         network = NetworkModel(sim, capacity=8.0e9, injection_bw=1.0e9, latency=0.0)
@@ -75,7 +75,7 @@ class TestOneEventPerMember:
 
         def program(rank):
             yield sim.timeout(float(rank.rank))
-            yield rank.barrier(world.comm_world)
+            yield rank.alltoall(world.comm_world, _parts(world, 0.0))
             ends[rank.rank] = sim.now
 
         world.launch(program)
@@ -156,7 +156,7 @@ class TestInterruptedWaiter:
             if rank.rank:
                 yield sim.timeout(2.0)
             try:
-                yield rank.barrier(world.comm_world)
+                yield rank.alltoall(world.comm_world, _parts(world))
                 log.append((rank.rank, "through", sim.now))
             except Interrupt as exc:
                 log.append((rank.rank, "interrupted", sim.now, exc.cause))

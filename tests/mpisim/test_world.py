@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpisim import MetaPayload, MpiWorld, nbytes_of, payload_like
+from repro.mpisim import BlockType, MetaPayload, MpiWorld, nbytes_of, payload_like
 from repro.mpisim.communicator import MpiSimError
 from tests.mpisim.conftest import make_world
 
@@ -157,13 +157,14 @@ class TestObservers:
         world.add_mpi_observer(records.append)
 
         def program(rank):
-            yield rank.barrier(world.comm_world)
+            blocks = [BlockType.meta(1)] * 8
+            yield rank.alltoallw(world.comm_world, None, None, blocks, blocks)
             yield rank.alltoall(world.comm_world, [MetaPayload(1000.0)] * 8)
 
         world.launch(program)
         world.run()
         calls = [r.call for r in records]
-        assert calls.count("barrier") == 8
+        assert calls.count("alltoallw") == 8
         assert calls.count("alltoall") == 8
         a2a = [r for r in records if r.call == "alltoall"][0]
         assert a2a.bytes_sent == pytest.approx(7000.0)
@@ -177,7 +178,7 @@ class TestObservers:
         def program(rank):
             if rank.rank == 0:
                 yield rank.sim.timeout(1.0e-3)  # rank 0 arrives late
-            yield rank.barrier(world.comm_world)
+            yield rank.alltoall(world.comm_world, [MetaPayload(0.0)] * 8)
 
         world.launch(program)
         world.run()

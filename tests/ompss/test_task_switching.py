@@ -112,7 +112,12 @@ class TestTaskSwitching:
 
             def comm_task(worker):
                 first = worker.index
-                yield rank.barrier(world.comm_world, key="b", thread=worker.thread_index)
+                yield rank.alltoall(
+                    world.comm_world,
+                    [MetaPayload(0.0)] * world.comm_world.size,
+                    key="b",
+                    thread=worker.thread_index,
+                )
                 yield rank.compute("work", 1.0e8, thread=worker.thread_index)
                 seen.append((rank.rank, first, worker.index))
 
