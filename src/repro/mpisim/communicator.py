@@ -9,13 +9,9 @@ instead, because concurrent tasks issue collectives in scheduler-dependent
 order (the paper's per-FFT OmpSs tasks do exactly this on the scatter
 communicator).
 
-Semantics of each collective (data movement is real when payloads are numpy
-arrays; cost accounting per :mod:`repro.mpisim.network`):
+The FFT's exchanges are all ``alltoallw`` (data movement is real when the
+buffers are numpy arrays; cost accounting per :mod:`repro.mpisim.network`):
 
-``alltoall(parts)``
-    ``parts[j]`` goes to local rank ``j``; the result for rank ``i`` is
-    ``recv[j] = parts_of_rank_j[i]``.  Ragged part sizes make this double as
-    MPI_Alltoallv — the FFTXlib pack/unpack and scatter both map onto it.
 ``alltoallw(sendbuf, recvbuf, send_blocks, recv_blocks)``
     Generalized redistribution with per-peer derived datatypes
     (:class:`~repro.mpisim.datatypes.BlockType`): the elements
@@ -23,27 +19,18 @@ arrays; cost accounting per :mod:`repro.mpisim.network`):
     ``recvbuf_of_j[recv_blocks_of_j[i]]`` — *pack-free*, no intermediate
     concatenated exchange buffer on either side.  ``None`` buffers with
     meta blocks run the identical cost accounting without moving data.
-``barrier()``
-    Pure synchronization.
-``bcast(root, payload)``
-    Everyone receives the root's payload.
-``allreduce(array, op)``
-    Elementwise sum/max/min over members; everyone gets the result.
-``gather(root, payload)``
-    Root receives the list of payloads in local-rank order.
-``split(color, key)``
-    Builds new communicators grouping members by ``color``, ordered by
-    ``(key, world_rank)``; returns each caller's new communicator
-    (or ``None`` for a negative color, like MPI_UNDEFINED).
+``alltoall(parts)``
+    ``parts[j]`` goes to local rank ``j``; the result for rank ``i`` is
+    ``recv[j] = parts_of_rank_j[i]``.  Ragged part sizes make this double as
+    MPI_Alltoallv.  It is the packed reference ``alltoallw`` prices
+    identically to.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-import numpy as np
-
-from repro.mpisim.datatypes import MetaPayload, nbytes_of, payload_like
+from repro.mpisim.datatypes import nbytes_of, payload_like
 from repro.simkit.events import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -110,8 +97,8 @@ class _Pending:
 class Communicator:
     """An ordered group of world ranks supporting collective operations.
 
-    Create via :meth:`MpiWorld.comm_world` / :meth:`Communicator.split`; the
-    constructor is internal.
+    Create via :meth:`MpiWorld.comm_world` / :meth:`MpiWorld.register_comm`;
+    the constructor is internal.
     """
 
     def __init__(self, world: "MpiWorld", comm_id: int, ranks: _t.Sequence[int], name: str):
@@ -209,59 +196,6 @@ class Communicator:
             },
         )
 
-    def barrier(self, caller: int, key: object = None) -> Event:
-        """Block until every member arrives."""
-        return self._join("barrier", caller, key, {})
-
-    def bcast(self, caller: int, root: int, payload: object = None, key: object = None) -> Event:
-        """Broadcast the root's payload to all members (root is a local rank)."""
-        self._check_root(root)
-        return self._join("bcast", caller, key, {"root": root, "payload": payload})
-
-    def allreduce(self, caller: int, array: object, op: str = "sum", key: object = None) -> Event:
-        """Elementwise reduction over all members; everyone gets the result."""
-        if op not in ("sum", "max", "min"):
-            raise MpiSimError(f"unsupported allreduce op {op!r}")
-        return self._join("allreduce", caller, key, {"array": array, "op": op})
-
-    def gather(self, caller: int, root: int, payload: object, key: object = None) -> Event:
-        """Gather payloads to the root (local rank order)."""
-        self._check_root(root)
-        return self._join("gather", caller, key, {"root": root, "payload": payload})
-
-    def allgather(self, caller: int, payload: object, key: object = None) -> Event:
-        """Every member receives every member's payload (local-rank order)."""
-        return self._join("allgather", caller, key, {"payload": payload})
-
-    def reduce(self, caller: int, root: int, array: object, op: str = "sum", key: object = None) -> Event:
-        """Rooted elementwise reduction; only the root receives the result."""
-        self._check_root(root)
-        if op not in ("sum", "max", "min"):
-            raise MpiSimError(f"unsupported reduce op {op!r}")
-        return self._join("reduce", caller, key, {"root": root, "array": array, "op": op})
-
-    def scatter_from_root(self, caller: int, root: int, parts: _t.Sequence | None, key: object = None) -> Event:
-        """The root distributes ``parts[i]`` to local rank ``i`` (MPI_Scatter)."""
-        self._check_root(root)
-        return self._join("rscatter", caller, key, {"root": root, "parts": parts})
-
-    def split(self, caller: int, color: int, order_key: int = 0, key: object = None) -> Event:
-        """Partition the communicator by color (negative color -> ``None``)."""
-        return self._join("split", caller, key, {"color": color, "order_key": order_key})
-
-    def dup(self, caller: int, key: object = None) -> Event:
-        """MPI_Comm_dup: a fresh communicator with the same group.
-
-        Duplication is how real codes give concurrent collective streams
-        their own matching context; the simulator's explicit keys make it
-        optional, but the API would be incomplete without it.
-        """
-        return self._join("dup", caller, key, {})
-
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.size:
-            raise MpiSimError(f"root {root} out of range for {self.name!r} (size {self.size})")
-
     # -- matching engine ----------------------------------------------------------
 
     def _join(self, op: str, caller: int, key: object, args: dict) -> Event:
@@ -349,10 +283,6 @@ class Communicator:
             _complete()
         else:
             upstream.add_callback(_complete)
-
-    def _exec_barrier(self, pending: _Pending) -> None:
-        net = self.world.network
-        self._finish(pending, {}, {}, None, net.tree_messages(self.size))
 
     def _exec_alltoall(self, pending: _Pending) -> None:
         net = self.world.network
@@ -492,201 +422,3 @@ class Communicator:
             values[local] = args[local]["recvbuf"]
         upstream = self.world.sim.all_of(transfers) if transfers else None
         self._finish(pending, values, bytes_sent, upstream, net.alltoall_messages(size))
-
-    def _exec_bcast(self, pending: _Pending) -> None:
-        net = self.world.network
-        root = pending.args[0]["root"]
-        for local, args in pending.args.items():
-            if args["root"] != root:
-                raise MpiSimError(
-                    f"bcast root mismatch on {self.name!r}: {args['root']} vs {root}"
-                )
-        payload = pending.args[root]["payload"]
-        nbytes = nbytes_of(payload) if payload is not None else 0.0
-        values = {
-            local: (payload if local == root else payload_like(payload))
-            if payload is not None
-            else None
-            for local in pending.args
-        }
-        bytes_sent = {root: nbytes}
-        upstream = None
-        if nbytes > 0:
-            # One copy toward each distinct destination node (tree between
-            # nodes); on a single node this is exactly one transfer.
-            reps: dict[int, int] = {}
-            for local in pending.args:
-                if local == root:
-                    continue
-                node = net.node_of(self.world_rank(local))
-                reps.setdefault(node, self.world_rank(local))
-            pairs = [(dst, nbytes) for dst in reps.values()]
-            if pairs:
-                upstream = net.transfer_parts(self.world_rank(root), pairs)
-        self._finish(pending, values, bytes_sent, upstream, net.tree_messages(self.size))
-
-    def _exec_allreduce(self, pending: _Pending) -> None:
-        net = self.world.network
-        op = pending.args[0]["op"]
-        arrays = [pending.args[local]["array"] for local in range(self.size)]
-        metas = [a for a in arrays if isinstance(a, MetaPayload)]
-        if metas and len(metas) != len(arrays):
-            raise MpiSimError("allreduce cannot mix array and meta payloads")
-        if metas:
-            result: object = metas[0]
-        else:
-            stack = np.stack([np.asarray(a) for a in arrays])
-            if op == "sum":
-                reduced = stack.sum(axis=0)
-            elif op == "max":
-                reduced = stack.max(axis=0)
-            else:
-                reduced = stack.min(axis=0)
-            result = reduced
-        nbytes = nbytes_of(arrays[0])
-        values = {local: payload_like(result) for local in pending.args}
-        bytes_sent = {local: 2.0 * nbytes for local in pending.args}
-        transfers = (
-            [
-                net.transfer_parts(
-                    self.world_rank(l),
-                    [(self.world_rank((l + 1) % self.size), 2.0 * nbytes)],
-                )
-                for l in range(self.size)
-            ]
-            if nbytes > 0 and self.size > 1
-            else []
-        )
-        upstream = self.world.sim.all_of(transfers) if transfers else None
-        self._finish(pending, values, bytes_sent, upstream, 2 * net.tree_messages(self.size))
-
-    def _exec_gather(self, pending: _Pending) -> None:
-        net = self.world.network
-        root = pending.args[0]["root"]
-        for local, args in pending.args.items():
-            if args["root"] != root:
-                raise MpiSimError(
-                    f"gather root mismatch on {self.name!r}: {args['root']} vs {root}"
-                )
-        payloads = [pending.args[local]["payload"] for local in range(self.size)]
-        bytes_sent = {
-            local: nbytes_of(payloads[local]) if local != root else 0.0
-            for local in range(self.size)
-        }
-        transfers = [
-            net.transfer_parts(self.world_rank(l), [(self.world_rank(root), b)])
-            for l, b in bytes_sent.items()
-            if b > 0
-        ]
-        values: dict[int, object] = {
-            local: None for local in pending.args
-        }
-        values[root] = [payload_like(p) for p in payloads]
-        upstream = self.world.sim.all_of(transfers) if transfers else None
-        self._finish(pending, values, bytes_sent, upstream, net.tree_messages(self.size))
-
-    def _exec_allgather(self, pending: _Pending) -> None:
-        net = self.world.network
-        payloads = [pending.args[local]["payload"] for local in range(self.size)]
-        gathered_of = {
-            local: [payload_like(p) for p in payloads] for local in pending.args
-        }
-        bytes_sent = {}
-        transfers = []
-        for local in range(self.size):
-            nbytes = nbytes_of(payloads[local])
-            # Ring allgather: each value traverses (P-1) hops; the injection
-            # is charged on its owner, hop by hop toward the next member.
-            sent = nbytes * max(self.size - 1, 0)
-            bytes_sent[local] = sent
-            if sent > 0:
-                next_member = self.world_rank((local + 1) % self.size)
-                transfers.append(
-                    net.transfer_parts(self.world_rank(local), [(next_member, sent)])
-                )
-        upstream = self.world.sim.all_of(transfers) if transfers else None
-        self._finish(
-            pending, gathered_of, bytes_sent, upstream, net.alltoall_messages(self.size)
-        )
-
-    def _exec_reduce(self, pending: _Pending) -> None:
-        net = self.world.network
-        root = pending.args[0]["root"]
-        op = pending.args[0]["op"]
-        for local, args in pending.args.items():
-            if args["root"] != root:
-                raise MpiSimError(
-                    f"reduce root mismatch on {self.name!r}: {args['root']} vs {root}"
-                )
-        arrays = [pending.args[local]["array"] for local in range(self.size)]
-        metas = [a for a in arrays if isinstance(a, MetaPayload)]
-        if metas and len(metas) != len(arrays):
-            raise MpiSimError("reduce cannot mix array and meta payloads")
-        if metas:
-            result: object = metas[0]
-        else:
-            stack = np.stack([np.asarray(a) for a in arrays])
-            result = {"sum": stack.sum, "max": stack.max, "min": stack.min}[op](axis=0)
-        nbytes = nbytes_of(arrays[0])
-        values: dict[int, object] = {local: None for local in pending.args}
-        values[root] = result if metas else payload_like(result)
-        # Reduction tree: every non-root sends its contribution once.
-        bytes_sent = {
-            local: (nbytes if local != root else 0.0) for local in range(self.size)
-        }
-        transfers = [
-            net.transfer_parts(self.world_rank(l), [(self.world_rank(root), b)])
-            for l, b in bytes_sent.items()
-            if b > 0
-        ]
-        upstream = self.world.sim.all_of(transfers) if transfers else None
-        self._finish(pending, values, bytes_sent, upstream, net.tree_messages(self.size))
-
-    def _exec_rscatter(self, pending: _Pending) -> None:
-        net = self.world.network
-        root = pending.args[0]["root"]
-        for local, args in pending.args.items():
-            if args["root"] != root:
-                raise MpiSimError(
-                    f"scatter root mismatch on {self.name!r}: {args['root']} vs {root}"
-                )
-        parts = pending.args[root]["parts"]
-        if parts is None or len(parts) != self.size:
-            raise MpiSimError(
-                f"scatter on {self.name!r} needs {self.size} parts at the root"
-            )
-        values = {local: payload_like(parts[local]) for local in pending.args}
-        sent = sum(nbytes_of(parts[j]) for j in range(self.size) if j != root)
-        bytes_sent = {root: sent}
-        pairs = [
-            (self.world_rank(j), nbytes_of(parts[j]))
-            for j in range(self.size)
-            if j != root and nbytes_of(parts[j]) > 0
-        ]
-        upstream = (
-            net.transfer_parts(self.world_rank(root), pairs) if pairs else None
-        )
-        self._finish(pending, values, bytes_sent, upstream, net.tree_messages(self.size))
-
-    def _exec_dup(self, pending: _Pending) -> None:
-        net = self.world.network
-        comm = self.world._register_comm(list(self.ranks), f"{self.name}+dup")
-        values = {local: comm for local in pending.args}
-        self._finish(pending, values, {}, None, net.tree_messages(self.size))
-
-    def _exec_split(self, pending: _Pending) -> None:
-        net = self.world.network
-        by_color: dict[int, list[tuple[int, int]]] = {}
-        for local in range(self.size):
-            color = pending.args[local]["color"]
-            order = pending.args[local]["order_key"]
-            if color >= 0:
-                by_color.setdefault(color, []).append((order, local))
-        new_comms: dict[int, Communicator | None] = {local: None for local in range(self.size)}
-        for color, members in sorted(by_color.items()):
-            members.sort()
-            world_ranks = [self.world_rank(local) for _order, local in members]
-            comm = self.world._register_comm(world_ranks, f"{self.name}/c{color}")
-            for _order, local in members:
-                new_comms[local] = comm
-        self._finish(pending, new_comms, {}, None, net.tree_messages(self.size))

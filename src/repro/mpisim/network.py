@@ -12,17 +12,14 @@ model has three calibrated constants (see :class:`~repro.machine.knl.KnlParamete
     Aggregate transport bandwidth (B/s) shared by *all* concurrent transfers
     through the :class:`~repro.simkit.fluid.FluidResource`.
 
-Latency terms for collectives follow the usual flat/tree counts:
-``alltoall`` pays ``latency * (P - 1)`` (pairwise exchange pattern),
-``barrier``/``bcast`` pay ``latency * ceil(log2 P)``, ``allreduce`` twice
-that.  Transfer time is not a formula — it comes out of the fluid resource,
+The latency term of an ``alltoall``/``alltoallw`` is ``latency * (P - 1)``
+(pairwise exchange pattern).  Transfer time is not a formula — it comes out of the fluid resource,
 so overlapping communication genuinely contends for bandwidth (this is what
 makes the paper's Opt 1 overlap question non-trivial in the model).
 """
 
 from __future__ import annotations
 
-import math
 import typing as _t
 from collections import Counter
 
@@ -166,9 +163,6 @@ class NetworkModel:
         self.capacity = capacity
         self.injection_bw = injection_bw
         self.latency = latency
-        #: World rank -> node index (constant 0 on a single node); cluster
-        #: subclasses override.  Collectives use it to route per-node traffic.
-        self.node_of: _t.Callable[[object], int] = lambda rank: 0
         self.resource = FluidResource(
             sim,
             RankAwareAllocator(capacity, injection_bw),
@@ -314,17 +308,12 @@ class NetworkModel:
         """Summed fluid-engine counters over this model's transport resources."""
         return dict(self.resource.stats())
 
-    # -- per-collective latency message counts --------------------------------
+    # -- collective latency message count -------------------------------------
 
     @staticmethod
     def alltoall_messages(n_ranks: int) -> int:
         """Messages each rank sends in a pairwise-exchange alltoall."""
         return max(n_ranks - 1, 0)
-
-    @staticmethod
-    def tree_messages(n_ranks: int) -> int:
-        """Tree depth for barrier/bcast-style collectives."""
-        return int(math.ceil(math.log2(n_ranks))) if n_ranks > 1 else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -380,7 +369,7 @@ class ClusterNetworkModel(NetworkModel):
             raise ValueError(f"inter_latency must be >= 0, got {inter_latency}")
         if link_capacity is not None and link_capacity <= 0:
             raise ValueError(f"link_capacity must be positive, got {link_capacity}")
-        self.node_of = node_of  # overrides the base's constant-0 mapping
+        self.node_of = node_of
         self.inter_latency = inter_latency
         self.link_capacity = link_capacity
         self._node_resources: dict[int, FluidResource] = {}

@@ -9,8 +9,7 @@ and communication verbs that all return simkit events::
 
     def program(rank: RankContext):
         yield rank.compute("fft_z", 1.0e9)
-        recv = yield rank.alltoall(comm, parts)
-        yield rank.barrier(comm)
+        recvbuf = yield rank.alltoallw(comm, sendbuf, recvbuf, send_blocks, recv_blocks)
 
 Every MPI call is reported to registered observers as an :class:`MpiRecord`
 (begin/end time, bytes, synchronization share) — the raw material of the
@@ -26,9 +25,8 @@ from repro import telemetry as _telemetry
 from repro.machine.cpu import CpuModel
 from repro.telemetry.layers import comm_layer
 from repro.machine.topology import HwThread, Placement
-from repro.mpisim.communicator import CollectiveResult, Communicator, MpiSimError
+from repro.mpisim.communicator import CollectiveResult, Communicator
 from repro.mpisim.network import NetworkModel
-from repro.mpisim.p2p import P2PEngine
 from repro.simkit.events import Event
 from repro.simkit.process import Process
 from repro.simkit.simulator import Simulator
@@ -52,12 +50,6 @@ class MpiRecord:
     t_end: float
     bytes_sent: float
     sync_time: float
-    #: Point-to-point endpoints (world ranks) and tag; ``None`` for
-    #: collectives.  These let the exporters pair sends with receives
-    #: (Paraver communication records, Chrome-trace flow arrows).
-    src: int | None = None
-    dst: int | None = None
-    tag: int | None = None
 
     @property
     def duration(self) -> float:
@@ -120,7 +112,6 @@ class MpiWorld:
         #: when a fault scenario is active); the OmpSs runtime reads it for
         #: task-failure injection.
         self.faults = None
-        self.p2p = P2PEngine(self)
         self._comms: dict[int, Communicator] = {}
         self._next_comm_id = 0
         self.comm_world = self._register_comm(list(range(n_ranks)), "world")
@@ -253,58 +244,6 @@ class RankContext:
             thread,
         )
 
-    def barrier(self, comm: Communicator, key: object = None, thread: int = 0) -> Event:
-        """MPI_Barrier."""
-        return self._traced("barrier", comm, comm.barrier(self.rank, key=key), thread)
-
-    def bcast(self, comm: Communicator, root: int, payload: object = None, key: object = None, thread: int = 0) -> Event:
-        """MPI_Bcast; resolves to the payload on every member."""
-        return self._traced("bcast", comm, comm.bcast(self.rank, root, payload, key=key), thread)
-
-    def allreduce(self, comm: Communicator, array: object, op: str = "sum", key: object = None, thread: int = 0) -> Event:
-        """MPI_Allreduce; resolves to the reduced array."""
-        return self._traced("allreduce", comm, comm.allreduce(self.rank, array, op=op, key=key), thread)
-
-    def gather(self, comm: Communicator, root: int, payload: object, key: object = None, thread: int = 0) -> Event:
-        """MPI_Gather; resolves to the payload list at root, ``None`` elsewhere."""
-        return self._traced("gather", comm, comm.gather(self.rank, root, payload, key=key), thread)
-
-    def allgather(self, comm: Communicator, payload: object, key: object = None, thread: int = 0) -> Event:
-        """MPI_Allgather; resolves to every member's payload in local order."""
-        return self._traced("allgather", comm, comm.allgather(self.rank, payload, key=key), thread)
-
-    def reduce(self, comm: Communicator, root: int, array: object, op: str = "sum", key: object = None, thread: int = 0) -> Event:
-        """MPI_Reduce; resolves to the result at root, ``None`` elsewhere."""
-        return self._traced("reduce", comm, comm.reduce(self.rank, root, array, op=op, key=key), thread)
-
-    def scatter_from_root(self, comm: Communicator, root: int, parts: _t.Sequence | None = None, key: object = None, thread: int = 0) -> Event:
-        """MPI_Scatter; resolves to this member's part."""
-        return self._traced("rscatter", comm, comm.scatter_from_root(self.rank, root, parts, key=key), thread)
-
-    def split(self, comm: Communicator, color: int, order_key: int = 0, key: object = None, thread: int = 0) -> Event:
-        """MPI_Comm_split; resolves to the new communicator (or ``None``)."""
-        return self._traced("split", comm, comm.split(self.rank, color, order_key, key=key), thread)
-
-    def dup(self, comm: Communicator, key: object = None, thread: int = 0) -> Event:
-        """MPI_Comm_dup; resolves to a same-group communicator."""
-        return self._traced("dup", comm, comm.dup(self.rank, key=key), thread)
-
-    # -- point to point -----------------------------------------------------------
-
-    def send(self, comm: Communicator, dst_local: int, payload: object, tag: int = 0, thread: int = 0) -> Event:
-        """Post a send to a local rank of ``comm``."""
-        t0 = self.sim.now
-        inner = self.world.p2p.send(comm, self.rank, dst_local, payload, tag)
-        dst = comm.world_rank(dst_local)
-        return self._wrap_p2p("send", comm, inner, t0, thread, self.rank, dst, tag)
-
-    def recv(self, comm: Communicator, src_local: int, tag: int = 0, thread: int = 0) -> Event:
-        """Post a receive; resolves to the received payload."""
-        t0 = self.sim.now
-        inner = self.world.p2p.recv(comm, self.rank, src_local, tag)
-        src = comm.world_rank(src_local)
-        return self._wrap_p2p("recv", comm, inner, t0, thread, src, self.rank, tag)
-
     # -- internal: trace wrapping -----------------------------------------------
 
     def _traced(self, call: str, comm: Communicator, inner: Event, thread: int) -> Event:
@@ -330,33 +269,6 @@ class RankContext:
                 )
             )
             ev._value = result.value
-
-        inner.add_callback(_record)
-        return inner
-
-    def _wrap_p2p(
-        self,
-        call: str,
-        comm: Communicator,
-        inner: Event,
-        t0: float,
-        thread: int,
-        src: int | None,
-        dst: int | None,
-        tag: int,
-    ) -> Event:
-        stream = self.stream(thread)
-
-        def _record(ev: Event) -> None:
-            if ev._exception is not None:
-                return
-            nbytes = ev._value if call == "send" else 0.0
-            self.world._notify(
-                MpiRecord(
-                    stream, call, comm.id, comm.name, t0, self.sim.now,
-                    float(nbytes), 0.0, src, dst, tag,  # type: ignore[arg-type]
-                )
-            )
 
         inner.add_callback(_record)
         return inner

@@ -7,10 +7,10 @@ subset the reproduction needs and reads it back:
 * state records — ``1:cpu:appl:task:thread:begin:end:state`` (compute
   phases and MPI calls, coded via the tables below);
 * event records — ``2:cpu:appl:task:thread:time:type:value`` (instruction
-  counts at phase end, MPI call ids at call begin/end);
-* communication records — ``3:cpu:appl:task:thread:lsend:psend:<recv side>:
-  size:tag`` for every matched point-to-point send/recv pair (collectives
-  are not decomposed into messages; they stay state records only).
+  counts at phase end, MPI call ids at call begin/end).
+
+Collectives are not decomposed into messages, so the writer emits no
+communication records (``3:...``); the reader still parses them.
 
 The ``.pcf`` sidecar carries the state/event legends (as Paraver expects)
 and the ``.row`` sidecar the stream labels.
@@ -24,9 +24,6 @@ import pathlib
 import typing as _t
 
 from repro.telemetry.trace import Trace
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.mpisim.world import MpiRecord
 
 __all__ = ["write_prv", "read_prv", "STATE_CODES", "MPI_CALL_CODES"]
 
@@ -45,17 +42,6 @@ STATE_CODES: dict[str, int] = {
 #: Paraver state ids for MPI calls (offset block, as Extrae does).
 MPI_CALL_CODES: dict[str, int] = {
     "alltoall": 20,
-    "barrier": 21,
-    "bcast": 22,
-    "allreduce": 23,
-    "gather": 24,
-    "split": 25,
-    "send": 26,
-    "recv": 27,
-    "allgather": 28,
-    "reduce": 29,
-    "rscatter": 30,
-    "dup": 31,
     "alltoallw": 32,
 }
 
@@ -74,22 +60,6 @@ def _stream_ids(streams: _t.Sequence) -> dict:
         rank, thread = stream
         ids[stream] = (i + 1, rank + 1, thread + 1)
     return ids
-
-
-def _match_p2p(mpi: _t.Sequence["MpiRecord"]) -> list[tuple["MpiRecord", "MpiRecord"]]:
-    """Pair send records with recv records by (comm, src, dst, tag) in order."""
-    sends: dict[tuple, list] = {}
-    for r in mpi:
-        if r.call == "send" and r.src is not None and r.dst is not None:
-            sends.setdefault((r.comm_id, r.src, r.dst, r.tag), []).append(r)
-    pairs = []
-    for r in mpi:
-        if r.call != "recv":
-            continue
-        queue = sends.get((r.comm_id, r.src, r.dst, r.tag))
-        if queue:
-            pairs.append((queue.pop(0), r))
-    return pairs
 
 
 def write_prv(path: str | pathlib.Path, trace: Trace, label: str = "fftxlib") -> pathlib.Path:
@@ -126,20 +96,6 @@ def write_prv(path: str | pathlib.Path, trace: Trace, label: str = "fftxlib") ->
         records.append((r.t_begin, f"1:{cpu}:1:{task}:{thread}:{b}:{e}:{code}"))
         records.append((r.t_begin, f"2:{cpu}:1:{task}:{thread}:{b}:{EV_MPI_CALL}:{code}"))
         records.append((r.t_end, f"2:{cpu}:1:{task}:{thread}:{e}:{EV_MPI_CALL}:0"))
-    for send, recv in _match_p2p(trace.mpi):
-        cpu_s, task_s, thread_s = ids[send.stream]
-        cpu_r, task_r, thread_r = ids[recv.stream]
-        lsend, psend = int(round(send.t_begin * _NS)), int(round(send.t_end * _NS))
-        lrecv, precv = int(round(recv.t_begin * _NS)), int(round(recv.t_end * _NS))
-        tag = send.tag if send.tag is not None else 0
-        records.append(
-            (
-                send.t_begin,
-                f"3:{cpu_s}:1:{task_s}:{thread_s}:{lsend}:{psend}"
-                f":{cpu_r}:1:{task_r}:{thread_r}:{lrecv}:{precv}"
-                f":{int(send.bytes_sent)}:{tag}",
-            )
-        )
     records.sort(key=lambda t: t[0])
     lines.extend(rec for _t0, rec in records)
     prv.write_text("\n".join(lines) + "\n")
@@ -164,7 +120,7 @@ def write_prv(path: str | pathlib.Path, trace: Trace, label: str = "fftxlib") ->
 
 
 def read_prv(path: str | pathlib.Path) -> dict:
-    """Parse a ``.prv`` written by :func:`write_prv`.
+    """Parse a Paraver ``.prv`` trace (state, event and communication records).
 
     Returns ``{"duration_ns": int, "states": [...], "events": [...],
     "comms": [...]}`` where states are ``(cpu, task, thread, begin_ns,

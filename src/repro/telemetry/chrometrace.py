@@ -9,8 +9,7 @@ One JSON object with a ``traceEvents`` array in the Trace Event Format:
   task and recorded span — tracks nest them by time containment, giving the
   run -> executor -> iteration -> task -> phase hierarchy directly in the UI;
 * flow events (``ph: "s"``/``"t"``/``"f"``) stitch the participants of each
-  MPI operation across tracks: all members of one collective share one flow,
-  and every matched point-to-point pair gets its own arrow;
+  MPI operation across tracks: all members of one collective share one flow;
 * counter events (``ph: "C"``) expose the per-rank task-queue depth when the
   OmpSs runtime recorded samples.
 
@@ -71,26 +70,8 @@ def _collective_flows(mpi: _t.Sequence["MpiRecord"]) -> list[list["MpiRecord"]]:
     """
     groups: dict[tuple, list] = {}
     for r in mpi:
-        if r.call in ("send", "recv"):
-            continue
         groups.setdefault((r.comm_id, r.call, round(r.t_end, 12)), []).append(r)
     return [g for g in groups.values() if len(g) > 1]
-
-
-def _p2p_flows(mpi: _t.Sequence["MpiRecord"]) -> list[tuple["MpiRecord", "MpiRecord"]]:
-    """Match send records to recv records by (comm, src, dst, tag) in order."""
-    sends: dict[tuple, list] = {}
-    for r in mpi:
-        if r.call == "send":
-            sends.setdefault((r.comm_id, r.src, r.dst, r.tag), []).append(r)
-    pairs = []
-    for r in mpi:
-        if r.call != "recv":
-            continue
-        queue = sends.get((r.comm_id, r.src, r.dst, r.tag))
-        if queue:
-            pairs.append((queue.pop(0), r))
-    return pairs
 
 
 def chrome_trace_events(
@@ -194,7 +175,7 @@ def chrome_trace_events(
             )
         )
 
-    # MPI flow events: one flow per collective operation, one per p2p pair.
+    # MPI flow events: one flow per collective operation.
     flow_id = 0
 
     def flow(ph: str, r: "MpiRecord", fid: int) -> dict:
@@ -219,10 +200,6 @@ def chrome_trace_events(
         for r in members[1:-1]:
             events.append(flow("t", r, flow_id))
         events.append(flow("f", members[-1], flow_id))
-        flow_id += 1
-    for send, recv in _p2p_flows(trace.mpi):
-        events.append(flow("s", send, flow_id))
-        events.append(flow("f", recv, flow_id))
         flow_id += 1
 
     for t, rank, depth in queue_depth_samples:

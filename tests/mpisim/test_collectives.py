@@ -146,131 +146,6 @@ class TestMatching:
             world.run()
 
 
-class TestBarrier:
-    def test_barrier_synchronizes(self, world):
-        times = {}
-
-        def program(rank):
-            yield rank.sim.timeout(rank.rank * 1.0e-3)
-            yield rank.barrier(world.comm_world)
-            times[rank.rank] = rank.sim.now
-
-        world.launch(program)
-        world.run()
-        latest = max(times.values())
-        assert all(t == pytest.approx(latest) for t in times.values())
-        assert latest >= 7.0e-3  # slowest arrival dominates
-
-
-class TestBcast:
-    def test_bcast_delivers_root_payload(self, world):
-        results = {}
-
-        def program(rank):
-            payload = np.arange(5, dtype=np.float64) if rank.rank == 3 else None
-            got = yield rank.bcast(world.comm_world, root=3, payload=payload)
-            results[rank.rank] = got
-
-        world.launch(program)
-        world.run()
-        for r in range(8):
-            np.testing.assert_allclose(results[r], np.arange(5))
-
-    def test_bcast_root_mismatch_raises(self, world):
-        def program(rank):
-            root = 0 if rank.rank < 4 else 1
-            yield rank.bcast(world.comm_world, root=root, payload=MetaPayload(8.0))
-
-        world.launch(program)
-        with pytest.raises(MpiSimError, match="root mismatch"):
-            world.run()
-
-    def test_bad_root_rejected(self, world):
-        def program(rank):
-            yield rank.bcast(world.comm_world, root=99, payload=None)
-
-        world.launch(program, ranks=[0])
-        with pytest.raises(MpiSimError, match="out of range"):
-            world.run()
-
-
-class TestAllreduce:
-    def test_sum_reduction(self, world):
-        results = {}
-
-        def program(rank):
-            arr = np.full(3, float(rank.rank))
-            got = yield rank.allreduce(world.comm_world, arr, op="sum")
-            results[rank.rank] = got
-
-        world.launch(program)
-        world.run()
-        np.testing.assert_allclose(results[5], np.full(3, sum(range(8))))
-
-    def test_max_reduction(self, world):
-        results = {}
-
-        def program(rank):
-            got = yield rank.allreduce(world.comm_world, np.array([float(rank.rank)]), op="max")
-            results[rank.rank] = got
-
-        world.launch(program)
-        world.run()
-        np.testing.assert_allclose(results[0], [7.0])
-
-    def test_unsupported_op_rejected(self, world):
-        def program(rank):
-            yield rank.allreduce(world.comm_world, np.zeros(1), op="prod")
-
-        world.launch(program, ranks=[0])
-        with pytest.raises(MpiSimError, match="unsupported"):
-            world.run()
-
-
-class TestGather:
-    def test_gather_collects_in_rank_order(self, world):
-        results = {}
-
-        def program(rank):
-            got = yield rank.gather(world.comm_world, root=0, payload=np.array([float(rank.rank)]))
-            results[rank.rank] = got
-
-        world.launch(program)
-        world.run()
-        assert results[1] is None
-        np.testing.assert_allclose(np.concatenate(results[0]), np.arange(8.0))
-
-
-class TestSplit:
-    def test_split_into_task_groups(self, world):
-        """The FFTXlib layout: 2 groups of 4 by color = rank % 2."""
-        comms = {}
-
-        def program(rank):
-            sub = yield rank.split(world.comm_world, color=rank.rank % 2, order_key=rank.rank)
-            comms[rank.rank] = sub
-
-        world.launch(program)
-        world.run()
-        assert comms[0].ranks == (0, 2, 4, 6)
-        assert comms[1].ranks == (1, 3, 5, 7)
-        assert comms[0] is comms[2]
-        assert comms[0].size == 4
-
-    def test_negative_color_excluded(self, world):
-        comms = {}
-
-        def program(rank):
-            color = 0 if rank.rank < 4 else -1
-            sub = yield rank.split(world.comm_world, color=color, order_key=rank.rank)
-            comms[rank.rank] = sub
-
-        world.launch(program)
-        world.run()
-        assert comms[7] is None
-        assert comms[0].ranks == (0, 1, 2, 3)
-
-
 class TestSubcommunicators:
     def test_subcommunicator_collectives_work(self, world):
         subs = [world._register_comm(range(4 * g, 4 * g + 4), f"g{g}") for g in (0, 1)]

@@ -71,48 +71,3 @@ class TestAlltoallProperties:
         total_bytes = n_ranks * (n_ranks - 1) * nbytes
         lower_bound = total_bytes / 8e9
         assert min(finish.values()) >= lower_bound * (1 - 1e-9)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_allreduce_matches_numpy_sum(self, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal((4, 6))
-        world = build_world(4)
-        results = {}
-
-        def program(rank):
-            got = yield rank.allreduce(world.comm_world, data[rank.rank].copy(), op="sum")
-            results[rank.rank] = got
-
-        world.launch(program)
-        world.run()
-        for r in range(4):
-            np.testing.assert_allclose(results[r], data.sum(axis=0), rtol=1e-12)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        colors=st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=6),
-    )
-    def test_split_partitions_world(self, colors):
-        n = len(colors)
-        world = build_world(n)
-        comms = {}
-
-        def program(rank):
-            sub = yield rank.split(
-                world.comm_world, color=colors[rank.rank], order_key=rank.rank
-            )
-            comms[rank.rank] = sub
-
-        world.launch(program)
-        world.run()
-        # Each rank landed in the communicator of its color; communicators
-        # partition the world.
-        seen = set()
-        for r, comm in comms.items():
-            assert r in comm
-            members = set(comm.ranks)
-            expected = {i for i in range(n) if colors[i] == colors[r]}
-            assert members == expected
-            seen |= members
-        assert seen == set(range(n))

@@ -1,10 +1,9 @@
-"""Tests for the MPI world, rank contexts, p2p, observers, and payload helpers."""
+"""Tests for the MPI world, rank contexts, observers, and payload helpers."""
 
 import numpy as np
 import pytest
 
 from repro.mpisim import BlockType, MetaPayload, MpiWorld, nbytes_of, payload_like
-from repro.mpisim.communicator import MpiSimError
 from tests.mpisim.conftest import make_world
 
 
@@ -87,68 +86,6 @@ class TestCompute:
         world.launch(program)
         world.run()
         assert world.cpu.counters.stream_instructions((5, 0)) == pytest.approx(1.0e9)
-
-
-class TestP2P:
-    def test_send_recv_roundtrip(self, world):
-        got = {}
-
-        def sender(rank):
-            yield rank.send(world.comm_world, dst_local=1, payload=np.arange(3.0), tag=7)
-
-        def receiver(rank):
-            data = yield rank.recv(world.comm_world, src_local=0, tag=7)
-            got["data"] = data
-            got["time"] = rank.sim.now
-
-        world.launch(sender, ranks=[0])
-        world.launch(receiver, ranks=[1])
-        world.run()
-        np.testing.assert_allclose(got["data"], [0.0, 1.0, 2.0])
-        # 24 B at 1 GB/s injection + 1 us latency: latency dominates.
-        assert got["time"] == pytest.approx(1.0e-6 + 24 / 1.0e9, rel=1e-6)
-
-    def test_recv_before_send_matches(self, world):
-        got = {}
-
-        def receiver(rank):
-            data = yield rank.recv(world.comm_world, src_local=2, tag=0)
-            got["data"] = data
-
-        def sender(rank):
-            yield rank.sim.timeout(1.0e-3)
-            yield rank.send(world.comm_world, dst_local=0, payload=MetaPayload(64.0))
-
-        world.launch(receiver, ranks=[0])
-        world.launch(sender, ranks=[2])
-        world.run()
-        assert got["data"] == MetaPayload(64.0)
-
-    def test_tag_separation(self, world):
-        got = {}
-
-        def sender(rank):
-            rank.send(world.comm_world, 1, np.array([1.0]), tag=1)
-            rank.send(world.comm_world, 1, np.array([2.0]), tag=2)
-            yield rank.sim.timeout(0)
-
-        def receiver(rank):
-            b = yield rank.recv(world.comm_world, 0, tag=2)
-            a = yield rank.recv(world.comm_world, 0, tag=1)
-            got["order"] = (float(b[0]), float(a[0]))
-
-        world.launch(sender, ranks=[0])
-        world.launch(receiver, ranks=[1])
-        world.run()
-        assert got["order"] == (2.0, 1.0)
-
-    def test_bad_destination_raises(self, world):
-        def program(rank):
-            yield rank.send(world.comm_world, dst_local=100, payload=MetaPayload(1.0))
-
-        world.launch(program, ranks=[0])
-        with pytest.raises(MpiSimError, match="out of range"):
-            world.run()
 
 
 class TestObservers:

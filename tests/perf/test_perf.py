@@ -69,7 +69,7 @@ class TestTracer:
 
     def test_mpi_records_present(self, traced):
         _res, trace = traced
-        assert any(r.call in ("alltoall", "alltoallw") for r in trace.mpi)
+        assert trace.mpi and {r.call for r in trace.mpi} == {"alltoallw"}
 
 
 class TestTimeline:
@@ -140,6 +140,25 @@ class TestParaver:
         seen = {s[-1] for s in parsed["states"]}
         assert STATE_CODES["fft_xy"] in seen
         assert MPI_CALL_CODES["alltoallw"] in seen
+
+    def test_pcf_legend_lists_the_two_exchange_calls(self, traced, tmp_path):
+        _res, trace = traced
+        prv = write_prv(tmp_path / "run3", trace)
+        legend = prv.with_suffix(".pcf").read_text()
+        assert [ln for ln in legend.splitlines() if "MPI_" in ln] == [
+            "20    MPI_alltoall",
+            "32    MPI_alltoallw",
+        ]
+
+    def test_reader_parses_communication_records(self, tmp_path):
+        prv = tmp_path / "comm.prv"
+        prv.write_text(
+            "#Paraver (01/01/2026 at 00:00):5000_ns:1(2):1:2(1:1)\n"
+            "3:1:1:1:1:100:200:2:1:2:1:150:300:64:7\n"
+        )
+        assert read_prv(prv)["comms"] == [
+            (1, 1, 1, 100, 200, 2, 2, 1, 150, 300, 64, 7)
+        ]
 
     def test_reject_non_paraver_file(self, tmp_path):
         bad = tmp_path / "x.prv"

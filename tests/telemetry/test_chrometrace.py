@@ -38,9 +38,9 @@ def small_trace() -> Trace:
     # A 2-member collective: same comm/call/end time -> one flow.
     trace.mpi.append(_mpi((0, 0), "alltoall", 1e-3, 3e-3))
     trace.mpi.append(_mpi((1, 0), "alltoall", 2e-3, 3e-3))
-    # A matched p2p pair -> its own flow.
-    trace.mpi.append(_mpi((0, 0), "send", 3e-3, 3.5e-3, src=0, dst=1, tag=7))
-    trace.mpi.append(_mpi((1, 0), "recv", 3e-3, 4e-3, src=0, dst=1, tag=7))
+    # A second collective on another communicator -> its own flow.
+    trace.mpi.append(_mpi((0, 0), "alltoallw", 3e-3, 4e-3, comm_id=1, comm_name="pack0"))
+    trace.mpi.append(_mpi((1, 0), "alltoallw", 3.5e-3, 4e-3, comm_id=1, comm_name="pack0"))
     return trace
 
 
@@ -70,17 +70,17 @@ class TestChromeTraceEvents:
         assert {e["name"] for e in compute} == {"fft_z", "fft_xy"}
         assert all("ipc" in e["args"] for e in compute)
         mpi = [e for e in xs if e["cat"] == "mpi"]
-        assert {e["name"] for e in mpi} == {"MPI_alltoall", "MPI_send", "MPI_recv"}
+        assert {e["name"] for e in mpi} == {"MPI_alltoall", "MPI_alltoallw"}
         # Timestamps are microseconds of simulated time.
         fft_z = next(e for e in compute if e["name"] == "fft_z")
         assert fft_z["ts"] == 0.0
         assert fft_z["dur"] == 1e-3 * 1e6
 
-    def test_flow_events_for_collective_and_p2p(self):
+    def test_flow_events_one_per_collective(self):
         events = chrome_trace_events(small_trace())
         starts = by_ph(events, "s")
         finishes = by_ph(events, "f")
-        assert len(starts) == 2  # one collective + one p2p pair
+        assert len(starts) == 2  # one per collective operation
         assert len(finishes) == 2
         assert {e["id"] for e in starts} == {e["id"] for e in finishes}
         assert all(e["bp"] == "e" for e in finishes)
