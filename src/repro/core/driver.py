@@ -345,12 +345,12 @@ def run_fft_phase(
 
         # 4. Communicator layers (setup time, unmeasured — like FFTXlib init).
         pack_comms = (
-            [world._register_comm(layout.pack_group(r), f"pack{r}") for r in range(layout.R)]
+            [world.register_comm(layout.pack_group(r), f"pack{r}") for r in range(layout.R)]
             if layout.T > 1
             else None
         )
         scatter_comms = [
-            world._register_comm(layout.scatter_group(t), f"scatter{t}")
+            world.register_comm(layout.scatter_group(t), f"scatter{t}")
             for t in range(layout.T)
         ]
         # Pencil transpose communicators: per task group, one row comm per
@@ -368,7 +368,7 @@ def run_fft_phase(
                         layout.proc_of(grid.rank_of(i, jj), t)
                         for jj in range(grid.Pc)
                     ]
-                    row_comms[(t, i)] = world._register_comm(
+                    row_comms[(t, i)] = world.register_comm(
                         members, f"pencil_row{t * grid.Pr + i}"
                     )
                 for jj in range(grid.Pc):
@@ -376,7 +376,7 @@ def run_fft_phase(
                         layout.proc_of(grid.rank_of(i, jj), t)
                         for i in range(grid.Pr)
                     ]
-                    col_comms[(t, jj)] = world._register_comm(
+                    col_comms[(t, jj)] = world.register_comm(
                         members, f"pencil_col{t * grid.Pc + jj}"
                     )
 

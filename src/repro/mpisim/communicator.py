@@ -102,8 +102,16 @@ class Communicator:
     """
 
     def __init__(self, world: "MpiWorld", comm_id: int, ranks: _t.Sequence[int], name: str):
+        if len(ranks) == 0:
+            raise ValueError(f"communicator {name!r} has no ranks")
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"duplicate ranks in communicator: {ranks}")
+        outside = [r for r in ranks if not 0 <= r < world.n_ranks]
+        if outside:
+            raise ValueError(
+                f"ranks {outside} of communicator {name!r} are not world ranks "
+                f"(0..{world.n_ranks - 1})"
+            )
         self.world = world
         self.id = comm_id
         self.ranks = tuple(ranks)

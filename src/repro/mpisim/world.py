@@ -114,13 +114,16 @@ class MpiWorld:
         self.faults = None
         self._comms: dict[int, Communicator] = {}
         self._next_comm_id = 0
-        self.comm_world = self._register_comm(list(range(n_ranks)), "world")
+        self.comm_world = self.register_comm(list(range(n_ranks)), "world")
         self.ranks = [RankContext(self, r) for r in range(n_ranks)]
         self._mpi_observers: list[_t.Callable[[MpiRecord], None]] = []
 
     # -- communicator registry ----------------------------------------------
 
-    def _register_comm(self, ranks: _t.Sequence[int], name: str) -> Communicator:
+    def register_comm(self, ranks: _t.Sequence[int], name: str) -> Communicator:
+        """A new communicator over the world ranks ``ranks``, in local-rank
+        order.  Communicators are built before the rank programs run, as the
+        FFT's setup builds its pack, scatter and pencil layers."""
         comm = Communicator(self, self._next_comm_id, ranks, name)
         self._comms[comm.id] = comm
         self._next_comm_id += 1

@@ -148,7 +148,7 @@ class TestMatching:
 
 class TestSubcommunicators:
     def test_subcommunicator_collectives_work(self, world):
-        subs = [world._register_comm(range(4 * g, 4 * g + 4), f"g{g}") for g in (0, 1)]
+        subs = [world.register_comm(range(4 * g, 4 * g + 4), f"g{g}") for g in (0, 1)]
         results = {}
 
         def program(rank):
@@ -162,9 +162,20 @@ class TestSubcommunicators:
         np.testing.assert_allclose(np.concatenate(results[7]), [4.0, 5.0, 6.0, 7.0])
 
     def test_local_rank_mapping(self, world):
-        even = world._register_comm([0, 2, 4, 6], "even")
-        odd = world._register_comm([1, 3, 5, 7], "odd")
+        even = world.register_comm([0, 2, 4, 6], "even")
+        odd = world.register_comm([1, 3, 5, 7], "odd")
         assert even.local_rank(4) == 2
         assert odd.world_rank(1) == 3
         with pytest.raises(MpiSimError, match="not a member"):
             even.local_rank(1)
+
+    @pytest.mark.parametrize(
+        "ranks, match",
+        [([], "no ranks"), ([0, 8], "not world ranks"), ([-1, 0], "not world ranks"),
+         ([2, 2], "duplicate")],
+    )
+    def test_register_comm_rejects_bad_groups(self, world, ranks, match):
+        """A rank outside the world used to surface only as a deadlock."""
+        with pytest.raises(ValueError, match=match):
+            world.register_comm(ranks, "bad")
+        assert len(world.communicators) == 1  # nothing registered
