@@ -15,12 +15,15 @@ between rank-local objects (so the FFT numerics are bit-honest), while the
 Collective matching follows MPI semantics — the n-th collective on a
 communicator matches the n-th on every other member — with an optional
 explicit ``key`` for multi-threaded callers (the OmpSs per-FFT tasks issue
-concurrent alltoalls on one communicator; keys replace the call-order rule
+concurrent exchanges on one communicator; keys replace the call-order rule
 that would be ill-defined there).
 
+The FFT's only call is ``alltoallw`` over :class:`BlockType` descriptors;
+``alltoall`` remains as the packed exchange it prices identically to.
 Payloads are dual-mode (:mod:`~repro.mpisim.datatypes`): numpy arrays move
-data *and* drive the cost model; :class:`MetaPayload` placeholders drive only
-the cost model, letting large benchmark sweeps skip the memory traffic.
+data *and* drive the cost model; meta blocks (``None`` buffers) and
+:class:`MetaPayload` parts drive only the cost model, letting large
+benchmark sweeps skip the memory traffic.
 """
 
 from repro.faults.injector import MpiLinkError, MpiTimeoutError

@@ -3,7 +3,7 @@
 A :class:`MetricsRegistry` is the numeric side of the telemetry layer: every
 instrumented subsystem (simulated MPI, the OmpSs runtime, the FFT plan cache,
 the machine model) folds its events into named metrics with small label sets,
-e.g. ``mpi.bytes_sent{call="alltoall", comm="scatter"}``.  The registry is
+e.g. ``mpi.bytes_sent{call="alltoallw", comm="scatter"}``.  The registry is
 deliberately tiny and dependency free; its dump formats are
 
 * :meth:`MetricsRegistry.snapshot` — a plain nested dict for the run
