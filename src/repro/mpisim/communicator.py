@@ -102,23 +102,22 @@ class Communicator:
     """
 
     def __init__(self, world: "MpiWorld", comm_id: int, ranks: _t.Sequence[int], name: str):
-        if len(ranks) == 0:
-            raise ValueError(f"communicator {name!r} has no ranks")
-        if len(set(ranks)) != len(ranks):
-            raise ValueError(f"duplicate ranks in communicator: {ranks}")
-        outside = [r for r in ranks if not 0 <= r < world.n_ranks]
-        if outside:
-            raise ValueError(
-                f"ranks {outside} of communicator {name!r} are not world ranks "
-                f"(0..{world.n_ranks - 1})"
-            )
         self.world = world
         self.id = comm_id
         self.ranks = tuple(ranks)
         #: Number of member ranks.
         self.size = len(self.ranks)
         self.name = name
-        self._local_of = {wr: lr for lr, wr in enumerate(self.ranks)}
+        if not self.size:
+            raise ValueError(f"communicator {name!r} has no ranks")
+        self._local_of = dict(zip(self.ranks, range(self.size)))
+        if len(self._local_of) != self.size:
+            raise ValueError(f"duplicate ranks in communicator: {ranks}")
+        if min(self.ranks) < 0 or max(self.ranks) >= world.n_ranks:
+            raise ValueError(
+                f"ranks {[r for r in self.ranks if not 0 <= r < world.n_ranks]} "
+                f"of communicator {name!r} are not world ranks (0..{world.n_ranks - 1})"
+            )
         self._seq: dict[int, int] = {wr: 0 for wr in self.ranks}
         self._pending: dict[object, _Pending] = {}
         #: Verified Alltoallw descriptor sets -> per-sender ``(pairs, sent)``
