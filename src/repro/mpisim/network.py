@@ -13,9 +13,10 @@ model has three calibrated constants (see :class:`~repro.machine.knl.KnlParamete
     through the :class:`~repro.simkit.fluid.FluidResource`.
 
 The latency term of an ``alltoall``/``alltoallw`` is ``latency * (P - 1)``
-(pairwise exchange pattern).  Transfer time is not a formula — it comes out of the fluid resource,
-so overlapping communication genuinely contends for bandwidth (this is what
-makes the paper's Opt 1 overlap question non-trivial in the model).
+(pairwise exchange pattern).  Transfer time is not a formula — it comes out
+of the fluid resource, so overlapping communication genuinely contends for
+bandwidth (this is what makes the paper's Opt 1 overlap question
+non-trivial in the model).
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ class NetworkModel:
         """Summed fluid-engine counters over this model's transport resources."""
         return dict(self.resource.stats())
 
-    # -- collective latency message count -------------------------------------
+    # -- per-collective latency message counts --------------------------------
 
     @staticmethod
     def alltoall_messages(n_ranks: int) -> int:

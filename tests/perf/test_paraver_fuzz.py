@@ -106,12 +106,7 @@ class TestParaverFuzz:
     def test_writer_emits_no_communication_records(self, trace, tmp_path_factory):
         """Collectives stay state records: no type-3 record is written."""
         tmp = tmp_path_factory.mktemp("prv")
-        parsed = read_prv(write_prv(tmp / "fuzz3", trace))
-        assert parsed["comms"] == []
-        from repro.perf.paraver import EV_MPI_CALL
-
-        mpi_events = [e for e in parsed["events"] if e[4] == EV_MPI_CALL]
-        assert len(mpi_events) == 2 * len(trace.mpi)
+        assert read_prv(write_prv(tmp / "fuzz3", trace))["comms"] == []
 
     @settings(max_examples=15, deadline=None)
     @given(trace=synthetic_trace())
