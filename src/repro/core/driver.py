@@ -164,8 +164,10 @@ def run_fft_phase(
     its *own* wavefunctions; both require ``config.data_mode``.
 
     ``telemetry`` installs the given session for the duration of the run;
-    with ``config.telemetry`` set a fresh enabled session is created.  The
-    session used (if any) is returned on ``RunResult.telemetry``.
+    without it, ``config.telemetry`` creates a fresh enabled session, and
+    otherwise an enabled session that is already current (installed with
+    ``repro.telemetry.session()``) becomes the run's.  The session used (if
+    any) is returned on ``RunResult.telemetry``.
 
     ``faults`` overrides ``config.faults``; with a scenario active the
     driver checkpoints and resumes as described in the module docstring.
@@ -185,8 +187,12 @@ def run_fft_phase(
     if (input_coeffs is not None or potential is not None) and not config.data_mode:
         raise ValueError("caller-provided data requires data_mode=True")
     tel = telemetry
-    if tel is None and config.telemetry:
-        tel = _telemetry.Telemetry(enabled=True)
+    if tel is None:
+        if config.telemetry:
+            tel = _telemetry.Telemetry(enabled=True)
+        elif _telemetry.current().enabled:
+            # ``with telemetry.session() as tel: run_fft_phase(config)``
+            tel = _telemetry.current()
     scenario = faults if faults is not None else config.faults
     injector = FaultInjector(scenario, config.seed) if scenario is not None else None
 
@@ -458,6 +464,7 @@ def run_fft_phase(
             break
         finally:
             if tel is not None:
+                tel.fold_records()
                 _telemetry.install(previous)
         total_time += attempt_time
         units_done = n_units

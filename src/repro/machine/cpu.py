@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro import telemetry as _telemetry
 from repro.machine.contention import BandwidthContentionAllocator
 from repro.machine.counters import CounterSet
 from repro.machine.phases import PhaseTable
@@ -159,11 +158,6 @@ class CpuModel:
             self.counters.record(stream, phase, instructions, end - start)
             for observer in self._observers:
                 observer(record)
-            tel = _telemetry.current()
-            if tel.enabled:
-                tel.metrics.count("machine.compute_seconds", end - start, phase=phase)
-                tel.metrics.count("machine.instructions", instructions, phase=phase)
-                tel.metrics.observe("machine.phase_seconds", end - start, phase=phase)
             # Waiters resume off this same event; registered first, this
             # callback swaps the task payload for the ComputeRecord they
             # expect — one event per phase instead of a done/notify pair.

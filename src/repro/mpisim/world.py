@@ -21,9 +21,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro import telemetry as _telemetry
 from repro.machine.cpu import CpuModel
-from repro.telemetry.layers import comm_layer
 from repro.machine.topology import HwThread, Placement
 from repro.mpisim.communicator import CollectiveResult, Communicator
 from repro.mpisim.network import NetworkModel
@@ -143,21 +141,6 @@ class MpiWorld:
     def _notify(self, record: MpiRecord) -> None:
         for obs in self._mpi_observers:
             obs(record)
-        tel = _telemetry.current()
-        if tel.enabled:
-            layer = comm_layer(record.comm_name)  # pack3 -> pack
-            metrics = tel.metrics
-            metrics.count("mpi.calls", 1.0, call=record.call, comm=layer)
-            metrics.count(
-                "mpi.bytes_sent", record.bytes_sent, call=record.call, comm=layer
-            )
-            metrics.count(
-                "mpi.time_seconds", record.duration, call=record.call, comm=layer
-            )
-            metrics.count(
-                "mpi.sync_seconds", record.sync_time, call=record.call, comm=layer
-            )
-            metrics.observe("mpi.call_seconds", record.duration, call=record.call)
 
     # -- program launch ------------------------------------------------------------
 

@@ -34,6 +34,7 @@ from repro.ompss.graph import TaskGraph
 from repro.ompss.scheduler import make_queue
 from repro.ompss.task import BodyFactory, Task, TaskRecord, TaskState
 from repro.simkit.events import Event
+from repro.telemetry.layers import task_kind
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.world import RankContext
@@ -41,11 +42,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 __all__ = ["TaskRuntime", "Worker"]
 
 _WAKE = "wake"
-
-
-def _task_kind(name: str) -> str:
-    """Low-cardinality metric label from a task name (``fft_z[0:10]`` -> ``fft_z``)."""
-    return name.split("[", 1)[0].rstrip("0123456789")
 
 
 class Worker:
@@ -182,7 +178,7 @@ class TaskRuntime:
         self._next_tid += 1
         tel = _telemetry.current()
         if tel.enabled:
-            tel.metrics.count("ompss.tasks_submitted", 1.0, name=_task_kind(name))
+            tel.metrics.count("ompss.tasks_submitted", 1.0, name=task_kind(name))
         self.graph.add(task)
         return task
 
@@ -245,11 +241,8 @@ class TaskRuntime:
     def _sample_queue_depth(self) -> None:
         tel = _telemetry.current()
         if tel.enabled:
-            depth = len(self.queue)
-            rank = self.rank.rank
-            tel.metrics.set_gauge("ompss.task_queue_depth", depth, rank=rank)
-            tel.metrics.max_gauge("ompss.task_queue_depth_max", depth, rank=rank)
-            tel.queue_samples.append((self.rank.sim.now, rank, depth))
+            rank = self.rank
+            tel.queue_samples.append((rank.sim.now, rank.rank, len(self.queue)))
 
     def _wake_one(self) -> None:
         if self._idle:
@@ -367,11 +360,6 @@ class TaskRuntime:
         record = task.record()
         for obs in self._observers:
             obs(record)
-        tel = _telemetry.current()
-        if tel.enabled:
-            kind = _task_kind(task.name)
-            tel.metrics.count("ompss.tasks_completed", 1.0, name=kind)
-            tel.metrics.observe("ompss.task_seconds", record.duration, name=kind)
         if faults is not None and task.retries > 0:
             faults.record(
                 "task_recovered",
@@ -415,7 +403,7 @@ class TaskRuntime:
         )
         tel = _telemetry.current()
         if tel.enabled:
-            tel.metrics.count("ompss.task_reexecutions", 1.0, name=_task_kind(task.name))
+            tel.metrics.count("ompss.task_reexecutions", 1.0, name=task_kind(task.name))
         task.state = TaskState.READY
         task.started_at = None
         task.worker_index = None

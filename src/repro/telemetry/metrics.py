@@ -1,9 +1,11 @@
 """The process-wide metrics registry (counters, gauges, histograms).
 
-A :class:`MetricsRegistry` is the numeric side of the telemetry layer: every
-instrumented subsystem (simulated MPI, the OmpSs runtime, the FFT plan cache,
-the machine model) folds its events into named metrics with small label sets,
-e.g. ``mpi.bytes_sent{call="alltoallw", comm="scatter"}``.  The registry is
+A :class:`MetricsRegistry` is the numeric side of the telemetry layer: events
+land in named metrics with small label sets, e.g.
+``mpi.bytes_sent{call="alltoallw", comm="scatter"}`` — per event from the OmpSs
+runtime and the FFT plan cache, and once per attempt for the families
+:meth:`~repro.telemetry.Telemetry.fold_records` derives from trace records
+(simulated MPI, the machine model, completed tasks).  The registry is
 deliberately tiny and dependency free; its dump formats are
 
 * :meth:`MetricsRegistry.snapshot` — a plain nested dict for the run

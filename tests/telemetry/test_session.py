@@ -3,6 +3,7 @@
 import pytest
 
 from repro import telemetry
+from repro.core import RunConfig, run_fft_phase
 
 
 class TestSession:
@@ -62,3 +63,25 @@ class TestSession:
             clock[0] = 2.0
         (s,) = tel.spans.closed()
         assert (s.name, s.t_begin, s.t_end) == ("run", 1.0, 2.0)
+
+
+class TestAmbientSession:
+    """The module docstring's example: a run inside ``session()`` reports
+    into that session exactly as a run handed it explicitly."""
+
+    CONFIG = RunConfig(ecutwfc=12.0, alat=5.0, nbnd=8, ranks=2, taskgroups=2)
+
+    def test_driver_adopts_the_current_enabled_session(self):
+        with telemetry.session() as tel:
+            result = run_fft_phase(self.CONFIG)
+        explicit = run_fft_phase(self.CONFIG, telemetry=telemetry.Telemetry())
+        assert result.telemetry is tel
+        assert tel.metrics.total("mpi.bytes_sent") > 0.0
+        assert tel.metrics.total("mpi.bytes_sent") == explicit.telemetry.metrics.total(
+            "mpi.bytes_sent"
+        )
+        assert len(tel.trace.mpi) == len(explicit.telemetry.trace.mpi)
+        assert tel.analysis is not None
+
+    def test_disabled_current_session_is_not_adopted(self):
+        assert run_fft_phase(self.CONFIG).telemetry is None
