@@ -19,8 +19,11 @@ Two complementary views of "what made the run this long":
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import operator
 import typing as _t
+
 from repro.telemetry.layers import comm_layer
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -141,11 +144,13 @@ class _Rec:
 
 
 def _records(trace: "Trace") -> list[_Rec]:
+    name_of = {s: repr(s) for s in {r.stream for r in trace.compute + trace.mpi}}
+    layer_of = {c: comm_layer(c) for c in {r.comm_name for r in trace.mpi}}
     recs = []
     for r in trace.compute:
         recs.append(
             _Rec(
-                stream=repr(r.stream),
+                stream=name_of[r.stream],
                 kind="compute",
                 label=r.phase,
                 t_begin=r.start,
@@ -154,12 +159,11 @@ def _records(trace: "Trace") -> list[_Rec]:
             )
         )
     for r in trace.mpi:
-        layer = comm_layer(r.comm_name)
         recs.append(
             _Rec(
-                stream=repr(r.stream),
+                stream=name_of[r.stream],
                 kind="mpi",
-                label=f"{r.call}@{layer}",
+                label=f"{r.call}@{layer_of[r.comm_name]}",
                 t_begin=r.t_begin,
                 t_end=r.t_end,
                 sync_time=min(max(r.sync_time, 0.0), r.t_end - r.t_begin),
@@ -203,11 +207,15 @@ def critical_path_from_trace(
     recs = _records(trace)
     if not recs:
         return CriticalPath(makespan_s=makespan_s or 0.0, segments=[])
-    horizon = max(r.t_end for r in recs)
+    # Records sorted by end time for "latest end <= cursor" queries, and
+    # record indices sorted by begin time for "who resumes at t" queries.
+    by_end = sorted(recs, key=operator.attrgetter("t_end", "t_begin"))
+    horizon = by_end[-1].t_end
     if makespan_s is None or makespan_s < horizon:
         makespan_s = horizon
-    # Records sorted by end time for "latest end <= cursor" queries.
-    by_end = sorted(recs, key=lambda r: (r.t_end, r.t_begin))
+    starts = [r.t_begin for r in recs]
+    by_begin = sorted(range(len(recs)), key=starts.__getitem__)
+    begins = [starts[i] for i in by_begin]
 
     segments: list[PathSegment] = []  # built back-to-front
     cursor = makespan_s
@@ -232,7 +240,7 @@ def critical_path_from_trace(
             # was waiting for `rec` to finish.  Blame the gap on the stream
             # that was blocked (the one that resumes), as idle/dependency
             # wait, then continue from rec's end.
-            blocked = _stream_resuming_at(recs, cursor, rec.stream)
+            blocked = _stream_resuming_at(recs, by_begin, begins, cursor, rec.stream)
             segments.append(
                 PathSegment(blocked, KIND_IDLE, "", rec.t_end, cursor)
             )
@@ -249,14 +257,26 @@ def critical_path_from_trace(
     return CriticalPath(makespan_s=makespan_s, segments=segments)
 
 
-def _stream_resuming_at(recs: list[_Rec], t: float, fallback: str) -> str:
-    """The stream whose record begins at ``t`` (the one that was waiting)."""
-    best = None
-    for r in recs:
-        if abs(r.t_begin - t) < 1e-12:
-            if best is None or r.t_end < best.t_end:
-                best = r
-    return best.stream if best is not None else fallback
+def _stream_resuming_at(
+    recs: list[_Rec], by_begin: list[int], begins: list[float], t: float, fallback: str
+) -> str:
+    """The stream whose record begins at ``t`` (the one that was waiting).
+
+    Of the records beginning within 1e-12 of ``t`` the earliest-ending one
+    wins, the first in record order on a tie.  ``by_begin`` holds record
+    indices sorted by begin time and ``begins`` their begin times; float
+    subtraction is monotonic, so the matches are one run around ``t``'s
+    insertion point.
+    """
+    lo = hi = bisect.bisect_left(begins, t)
+    while lo > 0 and abs(begins[lo - 1] - t) < 1e-12:
+        lo -= 1
+    while hi < len(begins) and abs(begins[hi] - t) < 1e-12:
+        hi += 1
+    if lo == hi:
+        return fallback
+    best = min(by_begin[lo:hi], key=lambda i: (recs[i].t_end, i))
+    return recs[best].stream
 
 
 # ---------------------------------------------------------------------------

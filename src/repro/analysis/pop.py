@@ -104,21 +104,20 @@ class StreamTimeline:
 def timelines_from_trace(trace: "Trace") -> list[StreamTimeline]:
     """Per-stream timelines from a run's record store (compute + MPI)."""
     out: dict[str, StreamTimeline] = {}
-
-    def of(stream: _t.Hashable) -> StreamTimeline:
+    of: dict[_t.Hashable, StreamTimeline] = {}
+    for stream in {r.stream for r in trace.compute + trace.mpi}:
         key = repr(stream)
-        if key not in out:
-            out[key] = StreamTimeline(stream=key)
-        return out[key]
+        of[stream] = out.setdefault(key, StreamTimeline(stream=key))
+    layer_of = {c: comm_layer(c) for c in {r.comm_name for r in trace.mpi}}
 
     for r in trace.compute:
-        tl = of(r.stream)
+        tl = of[r.stream]
         tl.compute_by_phase[r.phase] = (
             tl.compute_by_phase.get(r.phase, 0.0) + r.duration
         )
     for r in trace.mpi:
-        tl = of(r.stream)
-        layer = comm_layer(r.comm_name)  # pack3 -> pack
+        tl = of[r.stream]
+        layer = layer_of[r.comm_name]  # pack3 -> pack
         tl.mpi_sync_by_layer[layer] = (
             tl.mpi_sync_by_layer.get(layer, 0.0) + r.sync_time
         )
