@@ -20,8 +20,12 @@ Runs = tuple[tuple[int, int], ...]
 
 
 def index_runs(indices: np.ndarray) -> Runs:
-    """The maximal contiguous runs covering a set of integer indices."""
-    values = np.unique(indices)
+    """The maximal contiguous runs covering a set of integer indices.
+
+    Sorted, not ``np.unique``d: a repeat is a zero step, never a break, and
+    plain ``np.unique`` imports ``numpy.ma`` on a cold start.
+    """
+    values = np.sort(indices, axis=None)
     if not len(values):
         return ()
     breaks = np.flatnonzero(np.diff(values) > 1)

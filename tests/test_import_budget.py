@@ -5,7 +5,8 @@ process says nothing about a cold start) and asserts on the module set a
 command leaves behind:
 
 * ``run`` never loads scipy, ``multiprocessing``, ``asyncio`` or the
-  experiment / sweep / tuning / qe packages — in data mode
+  experiment / sweep / tuning / qe packages, nor ``numpy.ma`` in meta mode
+  (plain ``np.unique`` imports it) — in data mode
   (``--validate``) neither, nor ``mmap``: the kernels are ``numpy.fft`` fanned
   over ``concurrent.futures.thread`` (through ``repro._fan``, the data plane's
   one pool) and nothing optional; in meta mode not even the kernel engine,
@@ -93,7 +94,7 @@ class TestCommandBudgets:
         result, _manifest = run_probe
         assert result["rc"] == 0, result["stderr"]
         unwanted = loaded(
-            result["modules"], "scipy", "multiprocessing", "asyncio",
+            result["modules"], "scipy", "multiprocessing", "asyncio", "numpy.ma",
             "repro.experiments", "repro.sweep", "repro.qe",
             "repro.tuning", "repro.fft.backends", "repro._fan", "concurrent.futures.thread",
         )
