@@ -131,9 +131,13 @@ def _merge_segments(segments: list[PathSegment]) -> list[PathSegment]:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class _Rec:
-    """Unified timeline record used by the backward walk."""
+    """Unified timeline record used by the backward walk.
+
+    One per trace record, hence slotted and not frozen (a frozen dataclass
+    pays ``object.__setattr__`` per field); the walk never mutates one.
+    """
 
     stream: str
     kind: str  # compute | mpi

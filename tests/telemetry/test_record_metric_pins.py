@@ -24,6 +24,8 @@ import pytest
 from repro import telemetry
 from repro.core import RunConfig, run_fft_phase
 from repro.faults import FaultScenario
+from repro.machine.cpu import ComputeRecord
+from repro.mpisim.world import MpiRecord
 
 QUICK = dict(ecutwfc=30.0, alat=10.0, nbnd=32)
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
@@ -103,6 +105,20 @@ def pins(tel: telemetry.Telemetry) -> dict:
 def test_record_derived_families_bit_identical_to_pins(case):
     expected = json.loads(PINS_PATH.read_text())[case]
     assert pins(CASES[case]()) == expected
+
+
+@pytest.mark.parametrize(
+    "store, record",
+    [
+        ("compute", ComputeRecord((0, 0), None, "fft_z", -1.0, 0.0, 1.0)),
+        ("mpi", MpiRecord((0, 0), "alltoallw", 0, "scatter0", 0.0, 1.0, -8.0, 0.0)),
+    ],
+)
+def test_fold_rejects_a_negative_counter_amount(store, record):
+    tel = telemetry.Telemetry()
+    getattr(tel.trace, store).append(record)
+    with pytest.raises(ValueError, match="only go up"):
+        tel.fold_records()
 
 
 if __name__ == "__main__":
