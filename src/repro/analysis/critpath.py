@@ -149,31 +149,24 @@ class _Rec:
 
 def _records(trace: "Trace") -> list[_Rec]:
     name_of = {s: repr(s) for s in {r.stream for r in trace.compute + trace.mpi}}
-    layer_of = {c: comm_layer(c) for c in {r.comm_name for r in trace.mpi}}
-    recs = []
-    for r in trace.compute:
-        recs.append(
-            _Rec(
-                stream=name_of[r.stream],
-                kind="compute",
-                label=r.phase,
-                t_begin=r.start,
-                t_end=r.end,
-                sync_time=0.0,
-            )
+    label_of = {
+        (call, comm): f"{call}@{comm_layer(comm)}"
+        for call, comm in {(r.call, r.comm_name) for r in trace.mpi}
+    }
+    return [
+        _Rec(name_of[r.stream], "compute", r.phase, r.start, r.end, 0.0)
+        for r in trace.compute
+    ] + [
+        _Rec(
+            name_of[r.stream],
+            "mpi",
+            label_of[r.call, r.comm_name],
+            r.t_begin,
+            r.t_end,
+            min(max(r.sync_time, 0.0), r.t_end - r.t_begin),
         )
-    for r in trace.mpi:
-        recs.append(
-            _Rec(
-                stream=name_of[r.stream],
-                kind="mpi",
-                label=f"{r.call}@{layer_of[r.comm_name]}",
-                t_begin=r.t_begin,
-                t_end=r.t_end,
-                sync_time=min(max(r.sync_time, 0.0), r.t_end - r.t_begin),
-            )
-        )
-    return recs
+        for r in trace.mpi
+    ]
 
 
 def _emit(rec: _Rec, lo: float, hi: float, out: list[PathSegment]) -> None:
