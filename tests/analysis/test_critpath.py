@@ -1,5 +1,7 @@
 """Critical-path extraction on graphs and timelines with known answers."""
 
+import random
+
 import pytest
 
 from repro.analysis.critpath import (
@@ -7,6 +9,8 @@ from repro.analysis.critpath import (
     KIND_IDLE,
     KIND_MPI_TRANSFER,
     KIND_MPI_WAIT,
+    _Rec,
+    _stream_resuming_at,
     critical_path_from_trace,
     graph_critical_path,
     slack_histogram,
@@ -161,3 +165,33 @@ class TestTimelineWalk:
         assert doc["n_segments"] == 1
         assert doc["segments"][0]["duration_s"] == pytest.approx(5.0)
         assert doc["length_s"] == pytest.approx(doc["makespan_s"])
+
+
+def _resuming_by_scan(recs, t, fallback):
+    """Reference: scan every record (the walk did this once per gap)."""
+    best = None
+    for r in recs:
+        if abs(r.t_begin - t) < 1e-12:
+            if best is None or r.t_end < best.t_end:
+                best = r
+    return best.stream if best is not None else fallback
+
+
+@pytest.mark.parametrize("base", [1e-3, 0.5, 3.0, 1e5])
+def test_resuming_stream_bisect_matches_the_scan(base):
+    """Begins within, at and just past the 1e-12 tolerance, ties on end."""
+    rng = random.Random(int(base * 1000))
+    offsets = (0.0, 1e-16, 1e-13, 4e-13, 9e-13, 1e-12, 1.1e-12, 3e-12)
+    for _ in range(300):
+        recs = []
+        for i in range(rng.randint(1, 25)):
+            begin = base + rng.choice((-1, 1)) * rng.choice(offsets)
+            end = begin + rng.choice((0.5, 1.0, 2.0))
+            recs.append(_Rec(f"s{i}", "compute", "", begin, end, 0.0))
+        starts = [r.t_begin for r in recs]
+        by_begin = sorted(range(len(recs)), key=starts.__getitem__)
+        begins = [starts[i] for i in by_begin]
+        for t in [base, base + 5e-13, base - 5e-13] + starts:
+            assert _stream_resuming_at(recs, by_begin, begins, t, "none") == (
+                _resuming_by_scan(recs, t, "none")
+            )
