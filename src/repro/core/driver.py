@@ -464,8 +464,8 @@ def run_fft_phase(
             break
         finally:
             if tel is not None:
-                tel.fold_records()
                 _telemetry.install(previous)
+                tel.fold_records()
         total_time += attempt_time
         units_done = n_units
         if injector is not None:

@@ -114,11 +114,10 @@ class Telemetry:
         ``ompss.tasks_completed``/``task_seconds`` from task records and the
         ``ompss.task_queue_depth[_max]`` gauges from the queue samples.
         The driver folds once per attempt; each series is resolved once per
-        label set and takes the records' values one by one with ``+=`` in
-        completion order (never ``sum()``, which compensates on Python 3.12+),
-        so every float is bit-equal to updating per event.  A negative
-        counter amount raises :class:`ValueError`, as :meth:`Counter.inc`
-        does.
+        label set and takes the records' values one by one through
+        :meth:`Counter.inc` in completion order (never ``sum()``, which
+        compensates on Python 3.12+), so every float is bit-equal to updating
+        per event.
         """
         if not self.enabled:
             return
@@ -139,10 +138,8 @@ class Telemetry:
         for r in compute:
             seconds, instructions, histogram = by_phase[r.phase]
             duration = r.end - r.start
-            if duration < 0 or r.instructions < 0:
-                raise ValueError(f"counters only go up, got {r}")
-            seconds.value += duration
-            instructions.value += r.instructions
+            seconds.inc(duration)
+            instructions.inc(r.instructions)
             histogram.observe(duration)
 
         mpi = trace.mpi[m0:]
@@ -159,12 +156,10 @@ class Telemetry:
         for r in mpi:
             calls, sent, seconds, sync, histogram = by_comm[r.call, r.comm_name]
             duration = r.t_end - r.t_begin
-            if duration < 0 or r.bytes_sent < 0 or r.sync_time < 0:
-                raise ValueError(f"counters only go up, got {r}")
-            calls.value += 1.0
-            sent.value += r.bytes_sent
-            seconds.value += duration
-            sync.value += r.sync_time
+            calls.inc()
+            sent.inc(r.bytes_sent)
+            seconds.inc(duration)
+            sync.inc(r.sync_time)
             histogram.observe(duration)
 
         tasks = trace.tasks[t0:]
@@ -177,7 +172,7 @@ class Telemetry:
             )
         for _rank, r in tasks:
             completed, histogram = by_name[r.name]
-            completed.value += 1.0
+            completed.inc()
             histogram.observe(r.duration)
 
         last: dict = {}
