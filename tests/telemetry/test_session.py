@@ -85,3 +85,15 @@ class TestAmbientSession:
 
     def test_disabled_current_session_is_not_adopted(self):
         assert run_fft_phase(self.CONFIG).telemetry is None
+
+
+class TestAttemptEnd:
+    def test_a_fold_that_raises_still_restores_the_previous_session(self, monkeypatch):
+        def broken_fold(self):
+            raise ValueError("counters only go up")
+
+        monkeypatch.setattr(telemetry.Telemetry, "fold_records", broken_fold)
+        before = telemetry.current()
+        with pytest.raises(ValueError, match="only go up"):
+            run_fft_phase(TestAmbientSession.CONFIG, telemetry=telemetry.Telemetry())
+        assert telemetry.current() is before
