@@ -47,9 +47,9 @@ from repro.analysis.pop import (
     timelines_from_counters,
     timelines_from_trace,
 )
-from repro.analysis.triage import TriageFinding, TriageReport, triage_pair
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.triage import TriageReport
     from repro.core.driver import RunResult
     from repro.machine.counters import CounterSet
     from repro.telemetry import Telemetry
@@ -80,9 +80,6 @@ __all__ = [
     "critical_path_from_trace",
     "graph_critical_path",
     "slack_histogram",
-    "TriageFinding",
-    "TriageReport",
-    "triage_pair",
 ]
 
 ANALYSIS_SCHEMA_VERSION = 1
@@ -263,8 +260,14 @@ def analyze_manifest(manifest: dict) -> dict:
 
 def analyze_pair(
     baseline: dict, candidate: dict, threshold: float = 0.02
-) -> TriageReport:
-    """Triage a manifest pair: what regressed and which factor moved."""
+) -> "TriageReport":
+    """Triage a manifest pair: what regressed and which factor moved.
+
+    The triage module (and the manifest differ under it) loads here, on the
+    first A/B call: a single-run analysis never pays for it.
+    """
+    from repro.analysis.triage import triage_pair
+
     return triage_pair(baseline, candidate, threshold=threshold)
 
 

@@ -1,6 +1,8 @@
 """``perf diff|check|validate`` and ``analyze``: offline work on manifest
 JSON files.  Nothing here simulates — these commands load neither numpy nor
-``repro.core`` (pinned by ``tests/test_import_budget.py``)."""
+``repro.core`` (pinned by ``tests/test_import_budget.py``).  The A/B code
+(``repro.perf``, ``repro.analysis.triage``) loads inside ``perf diff``,
+``perf check`` and two-manifest ``analyze`` only."""
 
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import sys
 from repro import analysis as _analysis
 from repro._lazy import resolve
 from repro.analysis import render as _render
-from repro.perf import diff_manifests, format_manifest_diff, manifest_regressions
 from repro.telemetry.manifest import validate_manifest
 
 
@@ -66,6 +67,8 @@ def cmd_perf(args) -> int:
             return 1
         print(f"{args.manifest}: valid {noun} manifest")
         return 0
+    from repro.perf import diff_manifests, format_manifest_diff, manifest_regressions
+
     if args.perf_command == "diff":
         doc_a, doc_b = _load_run(args.manifest_a), _load_run(args.manifest_b)
         print(format_manifest_diff(diff_manifests(doc_a, doc_b)))

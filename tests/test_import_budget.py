@@ -4,20 +4,26 @@ Every check runs in a fresh interpreter (``sys.modules`` of the test
 process says nothing about a cold start) and asserts on the module set a
 command leaves behind:
 
-* ``run`` never loads scipy, ``multiprocessing``, ``asyncio`` or the
-  experiment / sweep / tuning / qe packages, nor ``numpy.ma`` in meta mode
+* ``run`` never loads scipy, ``multiprocessing``, ``asyncio``, the
+  experiment / sweep / tuning / qe packages or the A/B code
+  (``repro.analysis.triage``, ``repro.perf``), nor ``numpy.ma`` in meta mode
   (plain ``np.unique`` imports it) — in data mode
   (``--validate``) neither, nor ``mmap``: the kernels are ``numpy.fft`` fanned
   over ``concurrent.futures.thread`` (through ``repro._fan``, the data plane's
   one pool) and nothing optional; in meta mode not even the kernel engine,
   the fan helper or its thread pool module;
-* ``analyze`` and ``perf validate`` read JSON: no numpy, no simulator;
+* ``analyze`` and ``perf validate`` read JSON: no numpy, no simulator, and
+  with one manifest no A/B code;
 * ``--help`` loads the parser and nothing else;
 * building a ``RunConfig`` imports no ``repro.fft.backends.*``, no
-  ``repro._fan`` and no ``concurrent.futures.thread``.
+  ``repro._fan`` and no ``concurrent.futures.thread``;
+* the CLI caps OpenBLAS at one thread: a meta-mode run ends with one OS
+  thread, a data-mode run adds only ``repro._fan``'s, sweep workers inherit
+  the cap, a user's own BLAS setting wins and ``import repro.core`` leaves
+  the environment alone.
 
-``python tests/test_import_budget.py`` prints the module counts as a
-markdown table (the CI ``cold-start`` job's summary).
+``python tests/test_import_budget.py`` prints the module and thread counts
+as a markdown table (the CI ``cold-start`` job's summary).
 """
 
 import importlib
@@ -37,10 +43,21 @@ REPO = str(pathlib.Path(__file__).resolve().parents[1])
 
 QUICK_RUN = ["run", "--quick", "--ranks", "2", "--taskgroups", "2"]
 
-#: Budgets on ``repro.*`` modules (measured: run --help 4, analyze 19; the
-#: parent commit loaded 102 and 108).
+#: Budgets on ``repro.*`` modules (measured: run --help 4, analyze 15,
+#: ``run --manifest`` 65 for ``QUICK_RUN`` and for the paper's 8x8
+#: ``ompss_perfft``; before the CLI split run --help loaded 102 and analyze
+#: 108, before the A/B code left the single-run paths analyze 19 and run 69).
 HELP_BUDGET = 15
-OFFLINE_BUDGET = 25
+OFFLINE_BUDGET = 20
+RUN_BUDGET = 68
+
+#: Modules only an A/B command (two manifests) needs.
+AB_MODULES = ("repro.analysis.triage", "repro.perf")
+
+#: The variables through which a user sets OpenBLAS's thread count (the
+#: names ``repro.cli`` respects; not imported from it, which would apply the
+#: CLI's cap to this process).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 _PROBE = """
 import io, json, sys
@@ -59,11 +76,33 @@ print(json.dumps({{"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(),
                   "modules": sorted(sys.modules)}}))
 """
 
+#: ``python -m repro ARGV`` in this interpreter, then its OS threads (``None``
+#: off Linux), Python thread names and BLAS thread variables.
+_MODULE_PROBE = """
+import json, os, runpy, sys, threading
+sys.argv = ["repro", *{argv!r}]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+task = "/proc/self/task"
+print(json.dumps({{
+    "os_threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+    "py_threads": sorted(t.name for t in threading.enumerate()),
+    "blas_env": {{v: os.environ[v] for v in {blas_vars!r} if v in os.environ}},
+}}))
+"""
 
-def fresh(code: str, extra_path: str | None = None) -> str:
-    """Run ``code`` in a fresh interpreter (cwd = repo root); its stdout."""
+
+def fresh(code: str, extra_path: str | None = None, env: dict | None = None) -> str:
+    """Run ``code`` in a fresh interpreter (cwd = repo root); its stdout.
+
+    The child sees no BLAS thread variable unless ``env`` sets one, so the
+    CLI's default is what a test observes, whatever this process inherited.
+    """
     paths = [p for p in (extra_path, SRC, REPO) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env = dict(base, PYTHONPATH=os.pathsep.join(paths), **(env or {}))
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=REPO, env=env,
         capture_output=True, text=True, timeout=300,
@@ -78,6 +117,12 @@ def probe(argv: list[str], extra_path: str | None = None) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def module_probe(argv: list[str], env: dict | None = None) -> dict:
+    """``python -m repro argv`` in a fresh interpreter: threads and BLAS env."""
+    out = fresh(_MODULE_PROBE.format(argv=argv, blas_vars=BLAS_THREAD_VARS), env=env)
+    return json.loads(out.splitlines()[-1])
+
+
 def loaded(modules: list[str], *roots: str) -> list[str]:
     """The members of ``modules`` at or below any of ``roots``."""
     return [m for m in modules if any(m == r or m.startswith(r + ".") for r in roots)]
@@ -89,6 +134,15 @@ def run_probe(tmp_path_factory) -> tuple[dict, str]:
     return probe(QUICK_RUN + ["--manifest", manifest]), manifest
 
 
+@pytest.fixture(scope="module")
+def candidate_manifest(tmp_path_factory) -> str:
+    """A second run manifest (the task version) for the A/B commands."""
+    manifest = str(tmp_path_factory.mktemp("budget_b") / "b.json")
+    result = probe(QUICK_RUN + ["--version", "ompss_perfft", "--manifest", manifest])
+    assert result["rc"] == 0, result["stderr"]
+    return manifest
+
+
 class TestCommandBudgets:
     def test_run_loads_only_the_simulator(self, run_probe):
         result, _manifest = run_probe
@@ -97,8 +151,10 @@ class TestCommandBudgets:
             result["modules"], "scipy", "multiprocessing", "asyncio", "numpy.ma",
             "repro.experiments", "repro.sweep", "repro.qe",
             "repro.tuning", "repro.fft.backends", "repro._fan", "concurrent.futures.thread",
+            *AB_MODULES,
         )
         assert unwanted == []
+        assert len(loaded(result["modules"], "repro")) <= RUN_BUDGET
 
     @pytest.mark.parametrize("command", [["analyze"], ["perf", "validate"]])
     def test_offline_commands_load_no_numpy_and_no_simulator(self, run_probe, command):
@@ -107,10 +163,38 @@ class TestCommandBudgets:
         assert result["rc"] == 0, result["stderr"]
         unwanted = loaded(
             result["modules"], "numpy", "repro.core", "repro.mpisim",
-            "repro.machine", "repro.fft", "repro.grids",
+            "repro.machine", "repro.fft", "repro.grids", *AB_MODULES,
         )
         assert unwanted == []
         assert len(loaded(result["modules"], "repro")) <= OFFLINE_BUDGET
+
+    def test_ab_commands_load_triage_on_demand(self, run_probe, candidate_manifest):
+        """``analyze A B``, ``perf diff`` and ``perf check`` import the A/B
+        code at dispatch and print what the library computes."""
+        from repro.analysis.render import render_triage_text
+        from repro.analysis.triage import triage_pair
+        from repro.perf import diff_manifests, format_manifest_diff
+
+        _result, a_path = run_probe
+        b_path = candidate_manifest
+        a, b = (json.loads(pathlib.Path(p).read_text()) for p in (a_path, b_path))
+        report = triage_pair(a, b)
+
+        result = probe(["analyze", a_path, b_path, "--format", "json"])
+        assert result["rc"] == 0, result["stderr"]
+        assert json.loads(result["stdout"]) == report.to_dict()
+        result = probe(["analyze", a_path, b_path])
+        assert result["stdout"] == render_triage_text(report.to_dict()) + "\n"
+
+        result = probe(["perf", "diff", a_path, b_path])
+        assert result["rc"] == 0, result["stderr"]
+        assert result["stdout"].startswith(format_manifest_diff(diff_manifests(a, b)))
+        assert f"triage: {report.verdict.upper()}" in result["stdout"]
+        assert set(AB_MODULES) <= set(result["modules"])
+
+        result = probe(["perf", "check", "--baseline", a_path, a_path])
+        assert result["rc"] == 0, result["stderr"]
+        assert result["stdout"].startswith(f"{a_path}: no regression vs {a_path}")
 
     def test_help_loads_the_parser_and_nothing_else(self):
         result = probe(["run", "--help"])
@@ -158,6 +242,82 @@ class TestKernelImports:
         assert loaded(result["modules"], "scipy", "multiprocessing", "mmap") == []
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="OS thread count needs Linux /proc"
+)
+class TestBlasThreads:
+    """The CLI runs OpenBLAS on one thread; the data plane's threads are
+    ``repro._fan``'s and nobody else's."""
+
+    def test_meta_run_ends_with_one_os_thread(self):
+        result = module_probe(QUICK_RUN)
+        assert result["os_threads"] == 1
+        assert result["blas_env"] == {"OPENBLAS_NUM_THREADS": "1"}
+
+    def test_data_run_adds_only_the_fan_threads(self):
+        result = module_probe(QUICK_RUN + ["--validate"])
+        fan = [n for n in result["py_threads"] if n.startswith("dataplane-fan")]
+        assert result["os_threads"] == 1 + len(fan)
+        assert len(result["py_threads"]) == result["os_threads"]
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_user_setting_reaches_the_process_unchanged(self, var):
+        result = module_probe(["list"], env={var: "3"})
+        assert result["blas_env"] == {var: "3"}
+
+    def test_library_import_leaves_the_environment_alone(self):
+        out = fresh(
+            "import os\n"
+            "before = dict(os.environ)\n"
+            "import repro.core\n"
+            "repro.core.RunConfig()\n"
+            "print(dict(os.environ) == before, 'numpy' in __import__('sys').modules)\n"
+        )
+        assert out.split() == ["True", "True"]
+
+    def test_an_embedding_process_keeps_its_environment(self):
+        """With numpy already loaded the cap could no longer act, so the
+        CLI does not set it (it would only reach the embedder's children)."""
+        out = fresh(
+            "import os\n"
+            "import numpy\n"
+            "before = dict(os.environ)\n"
+            "import repro.cli\n"
+            "print(dict(os.environ) == before)\n"
+        )
+        assert out.split() == ["True"]
+
+    def test_sweep_workers_inherit_the_cap(self, tmp_path):
+        """Each point of ``sweep --jobs 2`` runs in a pool worker with the
+        cap in its environment and no BLAS thread; the reducer that reports
+        it is named by path, so it reaches a worker under any start method."""
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--quick", "--ranks", "1,2", "--versions", "original",
+                "--taskgroups", "1", "--jobs", "2", "--out", str(out)]
+        cli_pid = fresh(
+            "import functools, os\n"
+            "from repro.cli import main\n"
+            "import repro.cli.sweep as cli_sweep\n"
+            "cli_sweep.SweepTask = functools.partial(\n"
+            "    cli_sweep.SweepTask, reducer='tests.test_import_budget:worker_threads')\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(os.getpid())\n"
+        ).split()[-1]
+        seen = [p["summary"] for p in json.loads(out.read_text())["points"].values()]
+        assert [s["ppid"] for s in seen] == [int(cli_pid)] * 2  # pool workers
+        assert [s["blas"] for s in seen] == ["1", "1"]
+        assert [s["os_threads"] for s in seen] == [1, 1]
+
+
+def worker_threads(task, result, ideal, trace) -> dict:
+    """Sweep reducer: what the worker process that ran the point looks like."""
+    return {
+        "ppid": os.getppid(),
+        "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "os_threads": len(os.listdir("/proc/self/task")),
+    }
+
+
 def test_ledger_targets_are_plain_module_attributes():
     """``benchmarks/e2e/ledger.py`` patches ``vars(owner)[attr]`` after a
     plain import, so no target may hide behind a lazy ``__getattr__``."""
@@ -180,16 +340,18 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         manifest = os.path.join(tmp, "run.json")
-        rows = [
-            ("run --help", probe(["run", "--help"])),
-            ("run --quick 2x2 --manifest", probe(QUICK_RUN + ["--manifest", manifest])),
-            ("analyze", probe(["analyze", manifest])),
+        commands = [
+            ("run --help", ["run", "--help"]),
+            ("run --quick 2x2 --manifest", QUICK_RUN + ["--manifest", manifest]),
+            ("analyze", ["analyze", manifest]),
         ]
-    print("| command | repro.* modules | all modules | numpy | scipy |")
-    print("| --- | ---: | ---: | --- | --- |")
-    for label, result in rows:
+        rows = [(label, probe(argv), module_probe(argv)) for label, argv in commands]
+    print("| command | repro.* modules | all modules | numpy | scipy | threads |")
+    print("| --- | ---: | ---: | --- | --- | ---: |")
+    for label, result, threads in rows:
         mods = result["modules"]
         print(
             f"| `{label}` | {len(loaded(mods, 'repro'))} | {len(mods)} "
-            f"| {'yes' if 'numpy' in mods else 'no'} | {'yes' if 'scipy' in mods else 'no'} |"
+            f"| {'yes' if 'numpy' in mods else 'no'} | {'yes' if 'scipy' in mods else 'no'} "
+            f"| {threads['os_threads'] if threads['os_threads'] is not None else '-'} |"
         )
