@@ -44,9 +44,7 @@ REPO = str(pathlib.Path(__file__).resolve().parents[1])
 QUICK_RUN = ["run", "--quick", "--ranks", "2", "--taskgroups", "2"]
 
 #: Budgets on ``repro.*`` modules (measured: run --help 4, analyze 15,
-#: ``run --manifest`` 65 for ``QUICK_RUN`` and for the paper's 8x8
-#: ``ompss_perfft``; before the CLI split run --help loaded 102 and analyze
-#: 108, before the A/B code left the single-run paths analyze 19 and run 69).
+#: ``run --manifest`` 65, for ``QUICK_RUN`` and the paper's 8x8 alike).
 HELP_BUDGET = 15
 OFFLINE_BUDGET = 20
 RUN_BUDGET = 68
