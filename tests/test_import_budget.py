@@ -263,24 +263,15 @@ class TestBlasThreads:
         result = module_probe(["list"], env={var: "3"})
         assert result["blas_env"] == {var: "3"}
 
-    def test_library_import_leaves_the_environment_alone(self):
+    @pytest.mark.parametrize("imports", [
+        "import repro.core; repro.core.RunConfig()",  # library use
+        "import numpy; import repro.cli",  # too late to cap: the embedder's BLAS stands
+    ])
+    def test_the_environment_is_left_alone(self, imports):
         out = fresh(
             "import os\n"
             "before = dict(os.environ)\n"
-            "import repro.core\n"
-            "repro.core.RunConfig()\n"
-            "print(dict(os.environ) == before, 'numpy' in __import__('sys').modules)\n"
-        )
-        assert out.split() == ["True", "True"]
-
-    def test_an_embedding_process_keeps_its_environment(self):
-        """With numpy already loaded the cap could no longer act, so the
-        CLI does not set it (it would only reach the embedder's children)."""
-        out = fresh(
-            "import os\n"
-            "import numpy\n"
-            "before = dict(os.environ)\n"
-            "import repro.cli\n"
+            f"{imports}\n"
             "print(dict(os.environ) == before)\n"
         )
         assert out.split() == ["True"]
