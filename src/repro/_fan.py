@@ -11,9 +11,9 @@ same way whichever slice carries it, so every ``k`` gives the ``k = 1``
 result bit for bit.
 
 Only data mode imports this module: a meta-mode run loads no thread
-machinery.  With OpenBLAS capped at one thread (:mod:`repro.cli` does so on
-import), a CLI process starts no thread but these: a meta-mode run ends
-with one OS thread, a data-mode run with one plus this pool's.
+machinery.  Apart from the pool numpy's OpenBLAS starts at import (one
+thread per further CPU unless ``OPENBLAS_NUM_THREADS`` says otherwise),
+these are the only threads a run starts.
 """
 
 from __future__ import annotations

@@ -56,34 +56,16 @@ and imports that one module — ``run`` (``run``, ``compare``),
 (``perf ...``, ``analyze``) — so a fresh process pays only for the command
 it runs (the import rules are stated as invariants in DESIGN.md and pinned
 by ``tests/test_import_budget.py``).
-
-Importing this package caps OpenBLAS at one thread (``OPENBLAS_NUM_THREADS=1``)
-for the process and the children it starts, unless the user set a BLAS
-thread variable or numpy is already loaded (an embedding process such as
-pytest keeps its own settings).  No command needs threaded BLAS: the only
-BLAS calls a subcommand reaches are 3x3 cell inverses and determinants, the
-``(N, 3) @ (3, 3)`` of ``Cell.g_norm2`` and 3-vector norms, while the data
-plane's threads are :mod:`repro._fan`'s.  A pool nobody uses costs start-up
-time and an idle OS thread.  ``import repro.core`` (library use) leaves the
-environment alone.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from collections.abc import Sequence
 
 from repro._lazy import resolve
 from repro.cli.parser import build_parser
 
 __all__ = ["main"]
-
-#: The variables through which a user chooses OpenBLAS's thread count.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

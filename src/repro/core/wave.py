@@ -42,14 +42,7 @@ def make_band_coefficients(ngw: int, n_complex_bands: int, seed: int) -> np.ndar
     rng = substream(seed)
     re = rng.standard_normal((n_complex_bands, ngw))
     im = rng.standard_normal((n_complex_bands, ngw))
-    # Filled in place: the same values as ``(re + 1j * im) / np.sqrt(2.0)``
-    # bit for bit (``/=`` runs the same complex-by-real divide) without its
-    # two complex temporaries.
-    out = np.empty((n_complex_bands, ngw), dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    out /= np.sqrt(2.0)
-    return out
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def make_potential(grid_shape: tuple[int, int, int], seed: int) -> np.ndarray:
@@ -61,9 +54,7 @@ def make_potential(grid_shape: tuple[int, int, int], seed: int) -> np.ndarray:
     """
     nr1, nr2, nr3 = grid_shape
     rng = substream(seed + 1)
-    v = rng.random((nr3, nr1, nr2))
-    v *= 0.5
-    v += 1.0
+    v = 1.0 + 0.5 * rng.random((nr3, nr1, nr2))
     return v
 
 

@@ -17,10 +17,9 @@ command leaves behind:
 * ``--help`` loads the parser and nothing else;
 * building a ``RunConfig`` imports no ``repro.fft.backends.*``, no
   ``repro._fan`` and no ``concurrent.futures.thread``;
-* the CLI caps OpenBLAS at one thread: a meta-mode run ends with one OS
-  thread, a data-mode run adds only ``repro._fan``'s, sweep workers inherit
-  the cap, a user's own BLAS setting wins and ``import repro.core`` leaves
-  the environment alone.
+* with numpy's OpenBLAS pool kept out (``OPENBLAS_NUM_THREADS=1``), a
+  meta-mode run ends with one OS thread and a data-mode run adds only
+  ``repro._fan``'s.
 
 ``python tests/test_import_budget.py`` prints the module and thread counts
 as a markdown table (the CI ``cold-start`` job's summary).
@@ -52,13 +51,11 @@ RUN_BUDGET = 68
 #: Modules only an A/B command (two manifests) needs.
 AB_MODULES = ("repro.analysis.triage", "repro.perf")
 
-#: The variables through which a user sets OpenBLAS's thread count (the
-#: names ``repro.cli`` respects; not imported from it, which would apply the
-#: CLI's cap to this process).
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+#: Keeps OpenBLAS's own pool out of a child's thread count.
+NO_BLAS_POOL = {"OPENBLAS_NUM_THREADS": "1"}
 
 _PROBE = """
-import io, json, sys
+import io, json, os, sys, threading
 from repro.cli import main
 out, err = io.StringIO(), io.StringIO()
 real = sys.stdout, sys.stderr
@@ -70,37 +67,19 @@ try:
         rc = exc.code
 finally:
     sys.stdout, sys.stderr = real
+task = "/proc/self/task"  # OS threads, None off Linux
 print(json.dumps({{"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(),
-                  "modules": sorted(sys.modules)}}))
-"""
-
-#: ``python -m repro ARGV`` in this interpreter, then its OS threads (``None``
-#: off Linux), Python thread names and BLAS thread variables.
-_MODULE_PROBE = """
-import json, os, runpy, sys, threading
-sys.argv = ["repro", *{argv!r}]
-try:
-    runpy.run_module("repro", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    assert not exc.code, exc.code
-task = "/proc/self/task"
-print(json.dumps({{
-    "os_threads": len(os.listdir(task)) if os.path.isdir(task) else None,
-    "py_threads": sorted(t.name for t in threading.enumerate()),
-    "blas_env": {{v: os.environ[v] for v in {blas_vars!r} if v in os.environ}},
-}}))
+                  "modules": sorted(sys.modules),
+                  "os_threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+                  "py_threads": sorted(t.name for t in threading.enumerate())}}))
 """
 
 
 def fresh(code: str, extra_path: str | None = None, env: dict | None = None) -> str:
-    """Run ``code`` in a fresh interpreter (cwd = repo root); its stdout.
-
-    The child sees no BLAS thread variable unless ``env`` sets one, so the
-    CLI's default is what a test observes, whatever this process inherited.
-    """
+    """Run ``code`` in a fresh interpreter (cwd = repo root, ``env`` added to
+    this process's environment); its stdout."""
     paths = [p for p in (extra_path, SRC, REPO) if p]
-    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env = dict(base, PYTHONPATH=os.pathsep.join(paths), **(env or {}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **(env or {}))
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=REPO, env=env,
         capture_output=True, text=True, timeout=300,
@@ -109,15 +88,10 @@ def fresh(code: str, extra_path: str | None = None, env: dict | None = None) -> 
     return proc.stdout
 
 
-def probe(argv: list[str], extra_path: str | None = None) -> dict:
-    """``main(argv)`` in a fresh interpreter: rc, captured output, modules."""
-    out = fresh(_PROBE.format(argv=argv), extra_path)
-    return json.loads(out.splitlines()[-1])
-
-
-def module_probe(argv: list[str], env: dict | None = None) -> dict:
-    """``python -m repro argv`` in a fresh interpreter: threads and BLAS env."""
-    out = fresh(_MODULE_PROBE.format(argv=argv, blas_vars=BLAS_THREAD_VARS), env=env)
+def probe(argv: list[str], extra_path: str | None = None, env: dict | None = None) -> dict:
+    """``main(argv)`` in a fresh interpreter: rc, captured output, modules
+    and the threads left at exit."""
+    out = fresh(_PROBE.format(argv=argv), extra_path, env)
     return json.loads(out.splitlines()[-1])
 
 
@@ -130,15 +104,6 @@ def loaded(modules: list[str], *roots: str) -> list[str]:
 def run_probe(tmp_path_factory) -> tuple[dict, str]:
     manifest = str(tmp_path_factory.mktemp("budget") / "run.json")
     return probe(QUICK_RUN + ["--manifest", manifest]), manifest
-
-
-@pytest.fixture(scope="module")
-def candidate_manifest(tmp_path_factory) -> str:
-    """A second run manifest (the task version) for the A/B commands."""
-    manifest = str(tmp_path_factory.mktemp("budget_b") / "b.json")
-    result = probe(QUICK_RUN + ["--version", "ompss_perfft", "--manifest", manifest])
-    assert result["rc"] == 0, result["stderr"]
-    return manifest
 
 
 class TestCommandBudgets:
@@ -165,34 +130,6 @@ class TestCommandBudgets:
         )
         assert unwanted == []
         assert len(loaded(result["modules"], "repro")) <= OFFLINE_BUDGET
-
-    def test_ab_commands_load_triage_on_demand(self, run_probe, candidate_manifest):
-        """``analyze A B``, ``perf diff`` and ``perf check`` import the A/B
-        code at dispatch and print what the library computes."""
-        from repro.analysis.render import render_triage_text
-        from repro.analysis.triage import triage_pair
-        from repro.perf import diff_manifests, format_manifest_diff
-
-        _result, a_path = run_probe
-        b_path = candidate_manifest
-        a, b = (json.loads(pathlib.Path(p).read_text()) for p in (a_path, b_path))
-        report = triage_pair(a, b)
-
-        result = probe(["analyze", a_path, b_path, "--format", "json"])
-        assert result["rc"] == 0, result["stderr"]
-        assert json.loads(result["stdout"]) == report.to_dict()
-        result = probe(["analyze", a_path, b_path])
-        assert result["stdout"] == render_triage_text(report.to_dict()) + "\n"
-
-        result = probe(["perf", "diff", a_path, b_path])
-        assert result["rc"] == 0, result["stderr"]
-        assert result["stdout"].startswith(format_manifest_diff(diff_manifests(a, b)))
-        assert f"triage: {report.verdict.upper()}" in result["stdout"]
-        assert set(AB_MODULES) <= set(result["modules"])
-
-        result = probe(["perf", "check", "--baseline", a_path, a_path])
-        assert result["rc"] == 0, result["stderr"]
-        assert result["stdout"].startswith(f"{a_path}: no regression vs {a_path}")
 
     def test_help_loads_the_parser_and_nothing_else(self):
         result = probe(["run", "--help"])
@@ -243,68 +180,19 @@ class TestKernelImports:
 @pytest.mark.skipif(
     not os.path.isdir("/proc/self/task"), reason="OS thread count needs Linux /proc"
 )
-class TestBlasThreads:
-    """The CLI runs OpenBLAS on one thread; the data plane's threads are
-    ``repro._fan``'s and nobody else's."""
+class TestThreads:
+    """Besides OpenBLAS's pool, the only threads a run starts are
+    ``repro._fan``'s, and only in data mode."""
 
     def test_meta_run_ends_with_one_os_thread(self):
-        result = module_probe(QUICK_RUN)
+        result = probe(QUICK_RUN, env=NO_BLAS_POOL)
         assert result["os_threads"] == 1
-        assert result["blas_env"] == {"OPENBLAS_NUM_THREADS": "1"}
 
     def test_data_run_adds_only_the_fan_threads(self):
-        result = module_probe(QUICK_RUN + ["--validate"])
+        result = probe(QUICK_RUN + ["--validate"], env=NO_BLAS_POOL)
         fan = [n for n in result["py_threads"] if n.startswith("dataplane-fan")]
         assert result["os_threads"] == 1 + len(fan)
         assert len(result["py_threads"]) == result["os_threads"]
-
-    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
-    def test_a_user_setting_reaches_the_process_unchanged(self, var):
-        result = module_probe(["list"], env={var: "3"})
-        assert result["blas_env"] == {var: "3"}
-
-    @pytest.mark.parametrize("imports", [
-        "import repro.core; repro.core.RunConfig()",  # library use
-        "import numpy; import repro.cli",  # too late to cap: the embedder's BLAS stands
-    ])
-    def test_the_environment_is_left_alone(self, imports):
-        out = fresh(
-            "import os\n"
-            "before = dict(os.environ)\n"
-            f"{imports}\n"
-            "print(dict(os.environ) == before)\n"
-        )
-        assert out.split() == ["True"]
-
-    def test_sweep_workers_inherit_the_cap(self, tmp_path):
-        """Each point of ``sweep --jobs 2`` runs in a pool worker with the
-        cap in its environment and no BLAS thread; the reducer that reports
-        it is named by path, so it reaches a worker under any start method."""
-        out = tmp_path / "sweep.json"
-        argv = ["sweep", "--quick", "--ranks", "1,2", "--versions", "original",
-                "--taskgroups", "1", "--jobs", "2", "--out", str(out)]
-        cli_pid = fresh(
-            "import functools, os\n"
-            "from repro.cli import main\n"
-            "import repro.cli.sweep as cli_sweep\n"
-            "cli_sweep.SweepTask = functools.partial(\n"
-            "    cli_sweep.SweepTask, reducer='tests.test_import_budget:worker_threads')\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(os.getpid())\n"
-        ).split()[-1]
-        seen = [p["summary"] for p in json.loads(out.read_text())["points"].values()]
-        assert [s["ppid"] for s in seen] == [int(cli_pid)] * 2  # pool workers
-        assert [s["blas"] for s in seen] == ["1", "1"]
-        assert [s["os_threads"] for s in seen] == [1, 1]
-
-
-def worker_threads(task, result, ideal, trace) -> dict:
-    """Sweep reducer: what the worker process that ran the point looks like."""
-    return {
-        "ppid": os.getppid(),
-        "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "os_threads": len(os.listdir("/proc/self/task")),
-    }
 
 
 def test_ledger_targets_are_plain_module_attributes():
@@ -334,13 +222,14 @@ if __name__ == "__main__":
             ("run --quick 2x2 --manifest", QUICK_RUN + ["--manifest", manifest]),
             ("analyze", ["analyze", manifest]),
         ]
-        rows = [(label, probe(argv), module_probe(argv)) for label, argv in commands]
-    print("| command | repro.* modules | all modules | numpy | scipy | threads |")
+        rows = [(label, probe(argv, env=NO_BLAS_POOL)) for label, argv in commands]
+    print("| command | repro.* modules | all modules | numpy | scipy | own threads |")
     print("| --- | ---: | ---: | --- | --- | ---: |")
-    for label, result, threads in rows:
+    for label, result in rows:
         mods = result["modules"]
+        threads = result["os_threads"]
         print(
             f"| `{label}` | {len(loaded(mods, 'repro'))} | {len(mods)} "
             f"| {'yes' if 'numpy' in mods else 'no'} | {'yes' if 'scipy' in mods else 'no'} "
-            f"| {threads['os_threads'] if threads['os_threads'] is not None else '-'} |"
+            f"| {threads if threads is not None else '-'} |"
         )
