@@ -14,16 +14,21 @@
    (:func:`repro.core.schedule.make_program`).
 
 The returned :class:`RunResult` carries the phase runtime, the machine
-counters, and (in data mode) the distributed outputs plus a
-:meth:`RunResult.validate` that checks them against the dense reference.
+counters, and (in data mode) the run's one output array plus a
+:meth:`RunResult.validate` that checks it against the dense reference.
+A data-mode run holds one input and one output array, ``(n_complex_bands,
+ngw)`` each: the pack and unpack exchanges move every rank's G-vectors
+straight between them and the stick blocks, so no rank keeps coefficients
+of its own.
 
 Resilience: with a :class:`~repro.faults.FaultScenario` on the config (or
 passed as ``faults=``) the driver runs inside an *attempts loop*.  Each
 attempt simulates on a fresh machine; when injected faults escalate to a
 :class:`~repro.faults.FaultError` the driver checkpoints the work units
-whose full chain completed on every rank (wave coefficients in data mode),
-and — while ``scenario.max_resumes`` allows — resumes the executor at the
-first unfinished unit.  The accumulated
+whose full chain completed on every rank (in data mode their rows of the
+output array are final and simply stay), and — while
+``scenario.max_resumes`` allows — resumes the executor at the first
+unfinished unit.  The accumulated
 :class:`~repro.faults.FaultReport` lands on ``RunResult.fault_report``;
 an unrecoverable run ends with ``RunResult.failed`` set, never a hang or
 a bare traceback.
@@ -42,9 +47,8 @@ from repro import telemetry as _telemetry
 from repro.core.config import RunConfig
 from repro.core.pipeline import CostConstants, CostModel, FftPhaseContext
 from repro.core.schedule import make_program
-from repro.core.validate import dense_reference, gather_results, max_relative_error
+from repro.core.validate import dense_reference, max_relative_error
 from repro.core.wave import (
-    distribute_coefficients,
     make_band_coefficients,
     make_potential,
     potential_block,
@@ -101,6 +105,9 @@ class RunResult:
     contexts: list[FftPhaseContext]
     input_coeffs: np.ndarray | None
     potential: np.ndarray | None
+    #: The run's ``(n_complex_bands, ngw)`` output array (data mode); read
+    #: it through :meth:`output_coefficients`, which checks it is complete.
+    output_coeffs: np.ndarray | None = None
     #: Machine calibration the run used (exported into the run manifest).
     knl: KnlParameters | None = None
     #: The run's telemetry session, or ``None`` when telemetry was off.
@@ -122,14 +129,19 @@ class RunResult:
     tuning: dict | None = None
 
     def output_coefficients(self) -> np.ndarray:
-        """Gather the distributed outputs (data mode only)."""
-        if self.input_coeffs is None:
+        """The run's output coefficients (data mode only), once every
+        process has completed every band; raises ``ValueError`` naming the
+        first band some process never produced."""
+        if self.output_coeffs is None:
             raise RuntimeError("outputs exist only in data mode")
-        return gather_results(
-            self.layout,
-            [ctx.results for ctx in self.contexts],
-            self.config.n_complex_bands,
-        )
+        completed = {ctx.p: ctx.completed for ctx in self.contexts}
+        for band in range(self.config.n_complex_bands):
+            for p in range(self.layout.P):
+                if band not in completed.get(p, ()):
+                    raise ValueError(
+                        f"band {band} was never produced on process {p}"
+                    )
+        return self.output_coeffs
 
     def validate(self) -> float:
         """Max relative error of the distributed result vs. the dense reference."""
@@ -205,7 +217,9 @@ def run_fft_phase(
     cost = CostModel(layout, cost_constants)
 
     # 2. Data (caller-provided arrays pass through; see the docstring).
-    per_proc_packed: list[np.ndarray] | None = None
+    #    One output array per run, allocated before the attempts loop: a
+    #    resumed attempt leaves the rows of completed bands as they are.
+    output_coeffs: np.ndarray | None = None
     v_slabs: list[np.ndarray] | None = None
     if not config.data_mode:
         input_coeffs = None
@@ -216,13 +230,13 @@ def run_fft_phase(
                 desc.ngw, config.n_complex_bands, config.seed
             )
         else:
-            input_coeffs = np.asarray(input_coeffs, dtype=np.complex128)
+            input_coeffs = np.ascontiguousarray(input_coeffs, dtype=np.complex128)
             expected = (config.n_complex_bands, desc.ngw)
             if input_coeffs.shape != expected:
                 raise ValueError(
                     f"input_coeffs shape {input_coeffs.shape}; expected {expected}"
                 )
-        per_proc_packed = distribute_coefficients(layout, input_coeffs)
+        output_coeffs = np.zeros_like(input_coeffs)
         if potential is None:
             potential = make_potential(desc.grid_shape, config.seed)
         else:
@@ -274,7 +288,6 @@ def run_fft_phase(
         return range(u * T, (u + 1) * T)
 
     completed_bands: set[int] = set()
-    saved_results: dict[int, dict[int, np.ndarray]] = {}
     units_done = 0
     max_attempts = 1 + (scenario.max_resumes if scenario is not None else 0)
     total_time = 0.0
@@ -411,17 +424,16 @@ def run_fft_phase(
                     cost=cost,
                     pack_comm=_pack_comms[r] if _pack_comms is not None else None,
                     scatter_comm=_scatter_comms[t],
-                    packed=per_proc_packed[p] if per_proc_packed is not None else None,
+                    coeffs_in=input_coeffs,
+                    coeffs_out=output_coeffs,
                     v_slab=v_slabs[r] if v_slabs is not None else None,
                     workspace=workspace_for(layout, p) if config.data_mode else None,
                     kernels=kernel_engine,
                     row_comm=row_comm,
                     col_comm=col_comm,
                 )
-                if completed_bands:
-                    # Resumed attempt: restore the checkpointed state.
-                    ctx.completed.update(completed_bands)
-                    ctx.results.update(saved_results.get(p, {}))
+                # Resumed attempt: restore the checkpoint frontier.
+                ctx.completed.update(completed_bands)
                 _contexts[p] = ctx
             return _contexts[p]
 
@@ -447,12 +459,6 @@ def run_fft_phase(
             units_done = _completed_units(contexts, n_units, unit_bands)
             for u in range(units_done):
                 completed_bands.update(unit_bands(u))
-            if config.data_mode:
-                for p, ctx in contexts.items():
-                    keep = saved_results.setdefault(p, {})
-                    for band, coeffs in ctx.results.items():
-                        if band in completed_bands:
-                            keep[band] = coeffs
             last_error = f"{type(err).__name__}: {err}"
             injector.report.attempt_done(attempt_time, units_done, last_error)
             if attempt < max_attempts:
@@ -518,6 +524,7 @@ def run_fft_phase(
         contexts=[contexts[p] for p in sorted(contexts)],
         input_coeffs=input_coeffs,
         potential=potential,
+        output_coeffs=output_coeffs,
         knl=knl,
         telemetry=tel,
         fault_report=fault_report,

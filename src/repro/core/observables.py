@@ -7,9 +7,9 @@ expectation value
 
 is then expressible *entirely in G space* as ``E_b = <c_in_b, c_out_b>``
 (Parseval plus the sphere support of the coefficients), so it can be
-computed from the distributed per-rank outputs with a plain inner product
-and a sum over ranks — no extra transform.  Because V is real and positive,
-every ``E_b`` must be real and positive: a physics-level invariant the
+computed from the run's input and output arrays with a plain inner product
+per band — no extra transform.  Because V is real and positive, every
+``E_b`` must be real and positive: a physics-level invariant the
 integration tests check on every executor, complementary to the
 bitwise-against-reference comparison.
 """
@@ -24,23 +24,12 @@ __all__ = ["potential_expectation", "potential_expectation_dense"]
 
 
 def potential_expectation(result: RunResult) -> np.ndarray:
-    """Per-band ``<psi|V|psi>`` from the distributed run (data mode).
-
-    Computed as ``sum_G conj(c_in(G)) * c_out(G)`` accumulated over each
-    rank's owned G-vectors.
-    """
+    """Per-band ``<psi|V|psi>`` from the distributed run (data mode):
+    ``sum_G conj(c_in(G)) * c_out(G)`` over the run's two global arrays."""
     if result.input_coeffs is None:
         raise RuntimeError("potential_expectation requires data mode")
-    n_bands = result.config.n_complex_bands
-    acc = np.zeros(n_bands, dtype=np.complex128)
-    for ctx in result.contexts:
-        if not ctx.results:
-            continue
-        g_idx, _sl, _iz = result.layout.local_g_table(ctx.p)
-        c_in_local = result.input_coeffs[:, g_idx]
-        for band, c_out in ctx.results.items():
-            acc[band] += np.vdot(c_in_local[band], c_out)
-    return acc
+    c_in, c_out = result.input_coeffs, result.output_coefficients()
+    return np.array([np.vdot(c_in[b], c_out[b]) for b in range(len(c_in))])
 
 
 def potential_expectation_dense(result: RunResult) -> np.ndarray:

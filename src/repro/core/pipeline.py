@@ -369,11 +369,12 @@ class FftPhaseContext:
     pack_comm / scatter_comm:
         The two communicator layers (``pack_comm`` is ``None`` when T == 1,
         i.e. task groups are off).
-    packed:
-        ``(n_complex_bands, ngw_of(p))`` input coefficients, or ``None`` in
-        meta mode.
-    results:
-        Output coefficients per band (filled by the unpack stage).
+    coeffs_in / coeffs_out:
+        The run's global ``(n_complex_bands, ngw)`` input and output
+        coefficients, shared by every rank (``None`` in meta mode).  The
+        pack exchange reads this rank's G-vectors straight out of the input
+        rows and the unpack exchange writes them straight into the output
+        rows; no rank holds a copy of its own.
     v_slab:
         This scatter rank's potential planes (``None`` in meta mode).
     workspace:
@@ -404,7 +405,8 @@ class FftPhaseContext:
         cost: CostModel,
         pack_comm: "Communicator | None",
         scatter_comm: "Communicator",
-        packed: np.ndarray | None,
+        coeffs_in: np.ndarray | None,
+        coeffs_out: np.ndarray | None,
         v_slab: np.ndarray | None,
         workspace=None,
         kernels=None,
@@ -416,18 +418,19 @@ class FftPhaseContext:
         self.cost = cost
         self.pack_comm = pack_comm
         self.scatter_comm = scatter_comm
-        self.packed = packed
+        self.coeffs_in = coeffs_in
+        self.coeffs_out = coeffs_out
         self.v_slab = v_slab
         self.workspace = workspace
         self.kernels = kernels
         self.row_comm = row_comm
         self.col_comm = col_comm
-        self.results: dict[int, np.ndarray] = {}
         #: Bands whose full chain finished on this rank (both modes) — the
-        #: driver's checkpoint granularity.
+        #: driver's checkpoint granularity, and in data mode the bands whose
+        #: output rows hold this rank's G-vectors.
         self.completed: set[int] = set()
         self.r, self.t = layout.rt_of(rank.rank)
-        self.data_mode = packed is not None
+        self.data_mode = coeffs_in is not None
 
         self.chain = chain_of(layout)
         self.budgets = unit_budgets(cost, self.chain, self.p)
@@ -591,13 +594,13 @@ def run_stages(
             yield event
             finish_exchange(ctx, unit, block)
         elif kind == "prepare":
-            # Gather/reorder the group's packed coefficients (the low-IPC
-            # Psi prep).  Band groups are consecutive, so the result is one
-            # (T, ngw_of(p)) row-block view of the packed input — no copy:
-            # the collective moves payloads at delivery.
+            # Gather/reorder the group's coefficients (the low-IPC Psi
+            # prep).  Band groups are consecutive, so the result is one
+            # (T, ngw) row-block view of the global input — no copy: the
+            # pack reads this rank's G-vectors out of it at delivery.
             yield rank.compute(stage.phase, budgets[stage.name], thread=thread)
             if ctx.data_mode:
-                block = ctx.packed[unit.bands[0] : unit.bands[-1] + 1]
+                block = ctx.coeffs_in[unit.bands[0] : unit.bands[-1] + 1]
         elif kind == "pack":
             block = yield from _pack(ctx, unit, stage, block, thread)
         else:
@@ -622,7 +625,8 @@ def _pack(ctx: FftPhaseContext, unit: Unit, stage: Stage, rows, thread: int):
             out = ctx.workspace.acquire(
                 "stick_block", (len(layout.sticks_of(ctx.p)), layout.desc.nr3)
             )
-            block = wave_mod.expand_to_sticks(layout, ctx.p, rows[0], out=out)
+            g_idx = layout.local_g_table(ctx.p)[0]
+            block = wave_mod.expand_to_sticks(layout, ctx.p, rows[0][g_idx], out=out)
     else:
         plan = ctx.plans[stage.name]
         block = ctx.recv_buffer("stick_block", plan)
@@ -636,11 +640,12 @@ def _unpack(
     ctx: FftPhaseContext, unit: Unit, stage: Stage, block, thread: int,
     mark_completed: bool,
 ):
-    """Extraction + unpack Alltoallv; stores per-band results.
+    """Extraction + unpack Alltoallv into the run's output rows.
 
     With task groups on, this rank's group block holds band ``t`` (one share
-    per member) and the Alltoallv returns every member its own-sticks share
-    of every band; with task groups off the extraction is purely local.
+    per member) and the Alltoallv writes every member's own-sticks share of
+    every band straight into the unit's output rows; with task groups off
+    the extraction is purely local.
     """
     rank = ctx.rank
     bands = unit.bands
@@ -648,20 +653,17 @@ def _unpack(
     if ctx.pack_comm is None:
         yield rank.compute(stage.phase, budget, thread=thread)
         if block is not None:
-            # The gather owns fresh storage, so the block can be recycled.
-            ctx.results[bands[0]] = wave_mod.extract_from_sticks(ctx.layout, ctx.p, block)
+            g_idx = ctx.layout.local_g_table(ctx.p)[0]
+            ctx.coeffs_out[bands[0]][g_idx] = wave_mod.extract_from_sticks(
+                ctx.layout, ctx.p, block
+            )
         finish_exchange(ctx, unit, None)
     else:
         yield rank.compute(stage.phase, ctx.budgets["unpack_extract"], thread=thread)
         plan = ctx.plans[stage.name]
-        # Fresh (non-arena) receive rows: the per-band results outlive the
-        # run, so they must not return to the buffer pool.
-        rows = None if block is None else np.empty(plan.recv_shape, dtype=np.complex128)
+        rows = None if block is None else ctx.coeffs_out[bands[0] : bands[-1] + 1]
         yield _alltoallw(ctx, plan, ctx.pack_comm, block, rows, (unit.key, "unpack"), thread)
         finish_exchange(ctx, unit, None)
         yield rank.compute(stage.phase, budget, thread=thread)
-        if rows is not None:
-            for t, band in enumerate(bands):
-                ctx.results[band] = rows[t]
     if mark_completed:
         ctx.completed.update(bands)

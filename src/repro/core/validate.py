@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grids.descriptor import DistributedLayout, FftDescriptor
+from repro.grids.descriptor import FftDescriptor
 
-__all__ = ["dense_reference", "gather_results", "max_relative_error"]
+__all__ = ["dense_reference", "max_relative_error"]
 
 
 def dense_reference(
@@ -46,35 +46,6 @@ def dense_reference(
         field *= v_xyz
         field = cfft3d(field, -1)
         out[b] = field[idx[:, 0], idx[:, 1], idx[:, 2]]
-    return out
-
-
-def gather_results(
-    layout: DistributedLayout, per_rank_results: list[dict[int, np.ndarray]], n_bands: int
-) -> np.ndarray:
-    """Assemble the distributed per-band outputs into global coefficients.
-
-    ``per_rank_results[p]`` maps band -> that process's packed output slice
-    (its own G-vectors, ascending global order).
-    """
-    out = np.zeros((n_bands, layout.desc.ngw), dtype=np.complex128)
-    seen = np.zeros((n_bands, layout.desc.ngw), dtype=bool)
-    for p, results in enumerate(per_rank_results):
-        g_idx, _sl, _iz = layout.local_g_table(p)
-        for band, values in results.items():
-            if values.shape != g_idx.shape:
-                raise ValueError(
-                    f"rank {p} band {band}: {values.shape[0]} coefficients for "
-                    f"{len(g_idx)} owned G-vectors"
-                )
-            out[band, g_idx] = values
-            seen[band, g_idx] = True
-    if not seen.all():
-        missing = np.argwhere(~seen)
-        raise ValueError(
-            f"{len(missing)} coefficients were never produced "
-            f"(first: band {missing[0][0]}, G {missing[0][1]})"
-        )
     return out
 
 

@@ -78,7 +78,8 @@ class BlockType:
       Moved with one fancy index over ``base`` alone.
     * **indexed** — an explicit flat-index array (``MPI_Type_indexed``
       with unit blocks) for the genuinely irregular blocks: sphere
-      coefficients inside a stick block.  The index array may be supplied
+      coefficients inside a stick block, or inside one band row of the
+      global coefficient array.  The index array may be supplied
       lazily (a zero-argument callable) so plans built for meta-mode
       sweeps never materialize it.
 
@@ -137,18 +138,19 @@ class BlockType:
         return cls(offset, (count, blocklen), (stride, 1), itemsize)
 
     @classmethod
-    def outer(cls, base, shape, strides, itemsize: int = 16) -> "BlockType":
+    def outer(cls, base, shape, strides, itemsize: int = 16, offset: int = 0) -> "BlockType":
         """The subarray step ``shape``/``strides`` repeated at every flat
-        offset in ``base`` (an array, or a callable returning one)."""
+        offset in ``base`` (an array, or a callable returning one), counted
+        from ``offset`` — so blocks ``offset`` apart can share one ``base``."""
         if not callable(base):
             base = np.asarray(base).reshape(-1)
-        return cls(0, shape, strides, itemsize, _base=base)
+        return cls(offset, shape, strides, itemsize, _base=base)
 
     @classmethod
-    def indexed(cls, indices, itemsize: int = 16) -> "BlockType":
-        """Explicit flat indices (array, or a callable returning one) — an
-        outer block with an empty step."""
-        return cls.outer(indices, (), (), itemsize)
+    def indexed(cls, indices, itemsize: int = 16, offset: int = 0) -> "BlockType":
+        """Explicit flat indices (array, or a callable returning one),
+        counted from ``offset`` — an outer block with an empty step."""
+        return cls.outer(indices, (), (), itemsize, offset)
 
     @classmethod
     def meta(cls, n_items: int, itemsize: int = 16) -> "BlockType":
@@ -204,7 +206,9 @@ class BlockType:
         if lo == 0 and hi == self.lead:
             return self
         if self._base is not None:
-            return BlockType.outer(self.base[lo:hi], self.shape, self.strides, self.itemsize)
+            return BlockType.outer(
+                self.base[lo:hi], self.shape, self.strides, self.itemsize, self.offset
+            )
         return BlockType.subarray(
             self.offset + lo * self.strides[0], (hi - lo, *self.shape[1:]), self.strides,
             self.itemsize,
@@ -216,7 +220,10 @@ class BlockType:
             if self.is_meta:
                 raise ValueError("meta BlockType carries no element indices")
             base = self.base
-            idx = np.array([self.offset], dtype=np.intp) if base is None else base
+            if base is None:
+                idx = np.array([self.offset], dtype=np.intp)
+            else:
+                idx = base + self.offset if self.offset else base
             for n, stride in zip(self.shape, self.strides):
                 idx = idx[..., None] + np.arange(n, dtype=np.intp) * stride
             self._indices = idx.reshape(-1)
@@ -232,7 +239,7 @@ class BlockType:
         shape, strides = self.shape, self.strides
         if self._base is not None:
             reach = sum((n - 1) * s for n, s in zip(shape, strides))
-            shape, strides = (flat.size - reach, *shape), (1, *strides)
+            shape, strides = (flat.size - self.offset - reach, *shape), (1, *strides)
         return np.ndarray(
             shape, flat.dtype, flat, self.offset * item, tuple(s * item for s in strides)
         )

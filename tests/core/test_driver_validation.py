@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import RunConfig, run_fft_phase
-from repro.core.validate import gather_results
-from repro.grids import Cell, DistributedLayout, FftDescriptor
+from repro.faults import FaultScenario, LinkFault
+from repro.grids import Cell, FftDescriptor
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
 
@@ -36,27 +36,20 @@ class TestDriverValidation:
         assert res.validate() < 1e-12
 
 
-class TestGatherResultsGuards:
-    @pytest.fixture(scope="class")
-    def layout(self):
-        desc = FftDescriptor(Cell(alat=5.0), ecutwfc=12.0)
-        return DistributedLayout(desc, 2, 1)
-
-    def test_missing_coefficients_detected(self, layout):
-        partial = [
-            {0: np.zeros(layout.ngw_of(0), dtype=complex)},
-            {},  # rank 1 produced nothing
-        ]
-        with pytest.raises(ValueError, match="never produced"):
-            gather_results(layout, partial, 1)
-
-    def test_wrong_slice_length_detected(self, layout):
-        bad = [
-            {0: np.zeros(layout.ngw_of(0) + 1, dtype=complex)},
-            {0: np.zeros(layout.ngw_of(1), dtype=complex)},
-        ]
-        with pytest.raises(ValueError, match="coefficients for"):
-            gather_results(layout, bad, 1)
+class TestOutputCompleteness:
+    def test_missing_coefficients_detected(self):
+        """A run whose resume budget runs out never completes some bands;
+        reading its output names the first one.  (The per-process slice
+        length the old gather checked is now the exchange's own pairing
+        check: tests/mpisim/test_alltoallw.py, ``TestLiveParts``.)"""
+        scenario = FaultScenario(
+            links=[LinkFault(drop_probability=0.9)], mpi_max_retries=1, max_resumes=1
+        )
+        cfg = RunConfig(**SMALL, ranks=2, taskgroups=2, data_mode=True)
+        res = run_fft_phase(cfg, faults=scenario)
+        assert res.failed
+        with pytest.raises(ValueError, match=r"band \d+ was never produced"):
+            res.output_coefficients()
 
 
 class TestWorldGuards:

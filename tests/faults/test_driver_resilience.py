@@ -99,9 +99,24 @@ class TestCheckpointResume:
         assert "MpiTimeoutError" in res.fault_report["failure"]
 
     def test_resumed_data_run_still_validates(self):
-        res = run(faults=FaultScenario(kill_transfer=5, max_resumes=1), data_mode=True)
-        assert res.n_attempts == 2
-        assert res.validate() < 1e-10
+        """A killed and resumed data-mode run ends with the output bytes of
+        a fault-free run: slab and pencil, task groups on and off."""
+        for decomposition, taskgroups in (
+            ("slab", 2), ("pencil", 2), ("slab", 1), ("pencil", 1),
+        ):
+            shape = dict(
+                ranks=4, taskgroups=taskgroups, data_mode=True, decomposition=decomposition
+            )
+            clean = run_fft_phase(RunConfig(**SMALL, **shape))
+            res = run_fft_phase(
+                RunConfig(**SMALL, **shape),
+                faults=FaultScenario(kill_transfer=5, max_resumes=1),
+            )
+            assert res.n_attempts == 2, (decomposition, taskgroups)
+            assert res.validate() < 1e-10
+            assert (
+                res.output_coefficients().tobytes() == clean.output_coefficients().tobytes()
+            ), (decomposition, taskgroups)
 
 
 class TestDeterminism:

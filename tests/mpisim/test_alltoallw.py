@@ -523,6 +523,30 @@ class TestLiveParts:
         with pytest.raises(MpiSimError, match="do not pair"):
             world.run()
 
+    def test_part_lengths_must_pair(self):
+        """Equal part counts and equal block volumes, but a part one item
+        longer than the slot it lands in: the move refuses it."""
+        world = build_world(2)
+
+        def program(rank):
+            buf = np.zeros(8, dtype=np.complex128)
+            blocks = [BlockType.strided(0, 1, 4, 4), BlockType.strided(4, 1, 4, 4)]
+            halves = [
+                (BlockType.strided(0, 1, 2, 2), BlockType.strided(2, 1, 2, 2)),
+                (BlockType.strided(4, 1, 2, 2), BlockType.strided(6, 1, 2, 2)),
+            ]
+            sends = list(halves)
+            if rank.rank == 0:
+                sends[1] = (BlockType.strided(4, 1, 3, 3), BlockType.strided(7, 1, 1, 1))
+            yield rank.alltoallw(
+                world.comm_world, buf, buf.copy(), blocks, blocks,
+                parts=(sends, halves),
+            )
+
+        world.launch(program)
+        with pytest.raises(MpiSimError, match="do not pair"):
+            world.run()
+
     @pytest.mark.parametrize("case", LAYOUTS, ids=["-".join(map(str, c)) for c in LAYOUTS])
     def test_every_fan_width_moves_the_same_bits(self, case, monkeypatch):
         """The moves of every data-mode plan fan over 1-4 slices (no
