@@ -236,7 +236,9 @@ def run_fft_phase(
                 raise ValueError(
                     f"input_coeffs shape {input_coeffs.shape}; expected {expected}"
                 )
-        output_coeffs = np.zeros_like(input_coeffs)
+        # Uninitialised: output_coefficients() hands it out only once every
+        # process has written every band's rows.
+        output_coeffs = np.empty_like(input_coeffs)
         if potential is None:
             potential = make_potential(desc.grid_shape, config.seed)
         else:

@@ -37,8 +37,8 @@ transposes (plus inverses) cover the data plane:
   inverse plan is its forward plan with send/recv roles swapped.
 
 Only the pack blocks carry an explicit index array (the layout's cached
-G-vector and flat index maps); every other block moves as a strided view or a fancy
-index over its stick positions alone.  A live part is a range of its
+G-vector and flat index maps); every other block moves as a strided view
+or a fancy index over its stick positions alone.  A live part is a range of its
 block's leading rows (``BlockType.rows``), a zero region a subarray: no
 index array either.
 

@@ -2,8 +2,8 @@
 
 128 real bands pack pairwise into 64 complex fields; the pipeline operates
 on the packed fields directly (the paper's 64 FFTs).  Coefficients live on
-the wave G-sphere in the canonical global ordering; each process holds the
-contiguous-by-G subset belonging to its sticks.
+the wave G-sphere in the canonical global ordering, one ``(n_bands, ngw)``
+array per run; a process's share is the columns of its sticks' G-vectors.
 
 The helpers here are the *data-mode* halves of the pipeline steps: expanding
 packed coefficients into stick columns (``prepare_psis``), extracting them
@@ -64,11 +64,8 @@ def distribute_coefficients(
     """Split global packed coefficients by stick ownership.
 
     Returns one ``(n_bands, ngw_of(p))`` array per process, columns in the
-    process's ascending global-G order (the packed storage convention).
-    The ``take`` gathers straight into fresh C-contiguous storage — unlike
-    ``coeffs[:, g_idx]`` (whose mixed basic/advanced indexing yields an
-    F-ordered intermediate) followed by ``ascontiguousarray``, it makes no
-    second copy.
+    process's ascending global-G order.  No run makes these copies: pack
+    and unpack address the run's global arrays at ``local_g_table(p)``.
     """
     out = []
     for p in range(layout.P):
