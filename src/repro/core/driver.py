@@ -17,9 +17,9 @@ The returned :class:`RunResult` carries the phase runtime, the machine
 counters, and (in data mode) the run's one output array plus a
 :meth:`RunResult.validate` that checks it against the dense reference.
 A data-mode run holds one input and one output array, ``(n_complex_bands,
-ngw)`` each: the pack and unpack exchanges move every rank's G-vectors
-straight between them and the stick blocks, so no rank keeps coefficients
-of its own.
+ngw)`` each: every rank gathers one unit's G-vectors out of the input rows
+and the unpack exchange writes them straight into the output rows, so no
+rank keeps coefficients beyond the unit in flight.
 
 Resilience: with a :class:`~repro.faults.FaultScenario` on the config (or
 passed as ``faults=``) the driver runs inside an *attempts loop*.  Each

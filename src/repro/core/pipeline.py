@@ -371,10 +371,11 @@ class FftPhaseContext:
         i.e. task groups are off).
     coeffs_in / coeffs_out:
         The run's global ``(n_complex_bands, ngw)`` input and output
-        coefficients, shared by every rank (``None`` in meta mode).  The
-        pack exchange reads this rank's G-vectors straight out of the input
-        rows and the unpack exchange writes them straight into the output
-        rows; no rank holds a copy of its own.
+        coefficients, shared by every rank (``None`` in meta mode).
+        ``prepare`` gathers this rank's G-vectors of one unit's bands out
+        of the input rows, and the unpack exchange writes them straight
+        into the output rows; no rank holds coefficients beyond the unit
+        in flight.
     v_slab:
         This scatter rank's potential planes (``None`` in meta mode).
     workspace:
@@ -594,13 +595,16 @@ def run_stages(
             yield event
             finish_exchange(ctx, unit, block)
         elif kind == "prepare":
-            # Gather/reorder the group's coefficients (the low-IPC Psi
-            # prep).  Band groups are consecutive, so the result is one
-            # (T, ngw) row-block view of the global input — no copy: the
-            # pack reads this rank's G-vectors out of it at delivery.
+            # Gather this rank's G-vectors of the unit's consecutive bands
+            # out of the global input rows (the low-IPC Psi prep): one
+            # (T, ngw_of(p)) block, dropped once the pack has moved it.
             yield rank.compute(stage.phase, budgets[stage.name], thread=thread)
             if ctx.data_mode:
-                block = ctx.coeffs_in[unit.bands[0] : unit.bands[-1] + 1]
+                block = np.take(
+                    ctx.coeffs_in[unit.bands[0] : unit.bands[-1] + 1],
+                    ctx.layout.local_g_table(ctx.p)[0],
+                    axis=1,
+                )
         elif kind == "pack":
             block = yield from _pack(ctx, unit, stage, block, thread)
         else:
@@ -625,8 +629,7 @@ def _pack(ctx: FftPhaseContext, unit: Unit, stage: Stage, rows, thread: int):
             out = ctx.workspace.acquire(
                 "stick_block", (len(layout.sticks_of(ctx.p)), layout.desc.nr3)
             )
-            g_idx = layout.local_g_table(ctx.p)[0]
-            block = wave_mod.expand_to_sticks(layout, ctx.p, rows[0][g_idx], out=out)
+            block = wave_mod.expand_to_sticks(layout, ctx.p, rows[0], out=out)
     else:
         plan = ctx.plans[stage.name]
         block = ctx.recv_buffer("stick_block", plan)

@@ -25,9 +25,9 @@ Four slab plans (forward/backward of each MPI layer) and two pencil
 transposes (plus inverses) cover the data plane:
 
 * ``pack_fw`` / ``pack_bw`` — the task-group pack/unpack Alltoallv
-  (T members): the unit's band rows of the run's global coefficient arrays
-  <-> scattered (stick, z) slots of the group stick block, both sides via
-  the layout's cached index maps.
+  (T members): contiguous coefficient rows -> scattered (stick, z) slots of
+  the group stick block -> the unit's rows of the run's global output
+  array, via the layout's cached index maps.
 * ``scatter_fw`` / ``scatter_bw`` — the slab scatter (R members): z-ranges
   of stick columns (strided) <-> stick positions inside xy planes, once
   per plane (outer: irregular positions x regular z step).
@@ -38,9 +38,9 @@ transposes (plus inverses) cover the data plane:
 
 Only the pack blocks carry an explicit index array (the layout's cached
 G-vector and flat index maps); every other block moves as a strided view
-or a fancy index over its stick positions alone.  A live part is a range of its
-block's leading rows (``BlockType.rows``), a zero region a subarray: no
-index array either.
+or a fancy index over its stick positions alone.  A live part is a range
+of its block's leading rows (``BlockType.rows``), a zero region a
+subarray: no index array either.
 
 Plans are built once per (layout, endpoint, mode) and cached on the layout
 (like the workspace arenas), so descriptor construction never rides the
@@ -155,23 +155,29 @@ def _cached(layout: DistributedLayout, key: tuple, build):
 def pack_fw_plan(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangePlan:
     """Pack Alltoallv of process ``p``: band rows -> group stick block.
 
-    Send side is the unit's ``(T, ngw)`` row block of the run's global
-    input coefficients, as ``prepare`` hands it over (a view, no copy);
-    member ``t'`` gets row ``t'`` at ``p``'s own G-vectors, straight out of
-    the global row.  Receive side is the ``(nst_group(r), nr3)`` group
-    stick block, zeroed whole; member ``t''``'s coefficients land at its
-    segment of the cached group flat index map.
+    Send side is the ``(T, ngw_of(p))`` contiguous band-row block
+    ``prepare`` gathers; row ``t'`` goes whole to member ``t'``.  Receive
+    side is the ``(nst_group(r), nr3)`` group stick block, zeroed whole;
+    member ``t''``'s coefficients land at its segment of the cached group
+    flat index map.
     """
     return _cached(layout, ("pack_fw", p, data_mode), lambda: _build_pack(layout, p, data_mode))
 
 
 def pack_bw_plan(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangePlan:
     """Unpack Alltoallv: group stick block -> the unit's ``(T, ngw)`` row
-    block of the run's global output coefficients, at ``p``'s G-vectors."""
+    block of the run's global output coefficients.  Member ``t'``'s share
+    lands in row ``t'`` at ``p``'s own G-vectors — one index array for
+    every row, offset ``t' * ngw``."""
 
     def build() -> ExchangePlan:
         fw = pack_fw_plan(layout, p, data_mode)
-        return fw.swapped((layout.T, layout.desc.ngw))
+        ngw = layout.desc.ngw
+        recv = fw.send_blocks
+        if data_mode:
+            g_idx = layout.local_g_table(p)[0]
+            recv = [BlockType.indexed(g_idx, offset=t * ngw) for t in range(layout.T)]
+        return ExchangePlan(fw.recv_blocks, recv, (layout.T, ngw), fw.local)
 
     return _cached(layout, ("pack_bw", p, data_mode), build)
 
@@ -179,17 +185,15 @@ def pack_bw_plan(layout: DistributedLayout, p: int, data_mode: bool) -> Exchange
 def _build_pack(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangePlan:
     r, t_own = layout.rt_of(p)
     T = layout.T
+    ngw_p = layout.ngw_of(p)
     recv_shape = (layout.nst_group(r), layout.desc.nr3)
     if not data_mode:
-        send = [BlockType.meta(layout.ngw_of(p)) for _ in range(T)]
+        send = [BlockType.meta(ngw_p) for _ in range(T)]
         recv = [
             BlockType.meta(layout.ngw_of(layout.proc_of(r, t))) for t in range(T)
         ]
         return ExchangePlan(send, recv, recv_shape, t_own)
-    # One shared index array: row t of the block starts t * ngw further on.
-    g_idx = layout.local_g_table(p)[0]
-    ngw = layout.desc.ngw
-    send = [BlockType.indexed(g_idx, offset=t * ngw) for t in range(T)]
+    send = [BlockType.strided(t * ngw_p, 1, ngw_p, max(ngw_p, 1)) for t in range(T)]
     offsets = layout.group_coeff_offsets(r)
     flat = layout.group_flat_index(r)
     recv = [

@@ -14,7 +14,9 @@ def exchanges(layout, data_mode=True):
     ``(kind, members, forward plans, backward plans)``, with the members
     (processes for ``pack``, scatter ranks otherwise) and their plans in
     communicator order.  A forward member sends a buffer of its backward
-    plan's ``recv_shape`` and vice versa."""
+    plan's ``recv_shape`` and vice versa, except that the pack's forward
+    send is the ``(T, ngw_of(p))`` block ``prepare`` gathers, while its
+    backward receive is the unit's ``(T, ngw)`` rows of the global output."""
     grid = layout.pencil
     if layout.T > 1:
         for r in range(layout.R):

@@ -1,9 +1,9 @@
 """A data-mode run holds one copy of its coefficients.
 
-The pack exchange reads each rank's G-vectors straight out of the run's
-global input rows and the unpack exchange writes them straight into one
-global output array, so a run allocates, beyond its own bookkeeping, only
-that output array.  The ``tracemalloc`` peak of one warm run (geometry,
+Each rank gathers one unit's G-vectors out of the run's global input rows
+and the unpack exchange writes them straight into one global output
+array, so a run allocates, beyond its own bookkeeping, only that output
+array and the unit in flight.  The ``tracemalloc`` peak of one warm run (geometry,
 plans and arenas built by a first run) is pinned to input + output +
 potential + a fixed slack; a returning per-process copy of the
 coefficients adds a whole input array on top and fails here.

@@ -125,16 +125,15 @@ class TestPackMarshalling:
         assert plan.send_blocks[0].nbytes == layout.ngw_of(0) * 16
 
     def test_data_parts_validated(self, desc, layout):
-        """The pack exchange fills each member's group stick block straight
-        from the global band rows, exactly as the serial reference
-        marshalling does, and unpack writes each member's G-vectors back
-        into global rows."""
+        """The pack exchange fills each member's group stick block exactly
+        as the serial reference marshalling does, and unpack writes each
+        member's G-vectors back into the global rows."""
         coeffs = make_band_coefficients(desc.ngw, layout.T, seed=11)
         per_proc = distribute_coefficients(layout, coeffs)
         for r in range(layout.R):
             members = [layout.proc_of(r, t) for t in range(layout.T)]
             fw = [pack_fw_plan(layout, p, True) for p in members]
-            blocks = alltoallw(fw, [coeffs] * layout.T)
+            blocks = alltoallw(fw, [per_proc[p] for p in members])
             for t, block in enumerate(blocks):
                 # Member t assembles band t from every member's share.
                 want = expand_group_block(
