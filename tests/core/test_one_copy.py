@@ -3,9 +3,9 @@
 Each rank gathers one unit's G-vectors out of the run's global input rows
 and the unpack exchange writes them straight into one global output
 array, so a run allocates, beyond its own bookkeeping, only that output
-array and the unit in flight.  The ``tracemalloc`` peak of one warm run (geometry,
-plans and arenas built by a first run) is pinned to input + output +
-potential + a fixed slack; a returning per-process copy of the
+array and the unit in flight.  The ``tracemalloc`` peak of one warm run
+(geometry, plans and arenas built by a first run) is pinned to input +
+output + potential + a fixed slack; a returning per-process copy of the
 coefficients adds a whole input array on top and fails here.
 
 The quick grid (the CLI's ``--quick`` workload) with 64 bands, not the
@@ -25,7 +25,7 @@ from repro.core import RunConfig, run_fft_phase
 
 QUICK = dict(ecutwfc=30.0, alat=10.0, nbnd=64)
 #: Bookkeeping of one warm run: simulator, records, kernel engine, fan
-#: slices.  Measured at ~380 KiB (slab) and ~320 KiB (pencil) on CPython
+#: slices.  Measured at ~370 KiB (slab) and ~350 KiB (pencil) on CPython
 #: 3.11; smaller than one coefficient array.
 SLACK = 1024 * 1024
 
