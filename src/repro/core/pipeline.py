@@ -597,7 +597,9 @@ def run_stages(
         elif kind == "prepare":
             # Gather this rank's G-vectors of the unit's consecutive bands
             # out of the global input rows (the low-IPC Psi prep): one
-            # (T, ngw_of(p)) block, dropped once the pack has moved it.
+            # C-contiguous (T, ngw_of(p)) block — ``take``, not
+            # ``rows[:, g_idx]``, whose result is F-ordered — dropped once
+            # the pack has moved it.
             yield rank.compute(stage.phase, budgets[stage.name], thread=thread)
             if ctx.data_mode:
                 block = np.take(

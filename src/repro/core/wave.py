@@ -64,8 +64,9 @@ def distribute_coefficients(
     """Split global packed coefficients by stick ownership.
 
     Returns one ``(n_bands, ngw_of(p))`` array per process, columns in the
-    process's ascending global-G order.  No run makes these copies: pack
-    and unpack address the run's global arrays at ``local_g_table(p)``.
+    process's ascending global-G order.  No run makes these copies: a rank
+    gathers one unit's rows at a time and the unpack writes straight into
+    the run's global output array.
     """
     out = []
     for p in range(layout.P):
