@@ -344,6 +344,20 @@ class TestBlockShapes:
         assert block.n_items == 12 and not block.materialized
         np.testing.assert_array_equal(block.indices(), explicit)
 
+    def test_offset_indexed_blocks_share_one_index_array(self):
+        """The unpack's receive rows: one G-vector index array, each band
+        row ``ngw`` further on — through take, put, rows and indices."""
+        g_idx, ngw = np.array([3, 0, 2]), 5
+        rows = [BlockType.indexed(g_idx, offset=t * ngw) for t in range(2)]
+        assert all(np.shares_memory(block.base, g_idx) for block in rows)
+        np.testing.assert_array_equal(rows[1].indices(), [8, 5, 7])
+        np.testing.assert_array_equal(rows[1].rows(1, 3).indices(), [5, 7])
+        buf = np.arange(2 * ngw, dtype=np.complex128)
+        np.testing.assert_array_equal(rows[1].take(buf), [8, 5, 7])
+        rows[1].put(buf, np.array([-1, -2, -3]))
+        np.testing.assert_array_equal(buf[[8, 5, 7]], [-1, -2, -3])
+        np.testing.assert_array_equal(buf[:ngw], np.arange(ngw))
+
     def test_lazy_indexed_resolves_once(self):
         calls = []
         block = BlockType.indexed(lambda: calls.append(1) or np.array([4, 1, 2]))
