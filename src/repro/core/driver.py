@@ -102,7 +102,9 @@ class RunResult:
     cpu: CpuModel
     desc: FftDescriptor
     layout: DistributedLayout
-    contexts: list[FftPhaseContext]
+    #: Per layout process, the bands whose full chain finished there (the
+    #: ranks' contexts, with their data, are not kept past the run).
+    completed: dict[int, frozenset[int]]
     input_coeffs: np.ndarray | None
     potential: np.ndarray | None
     #: The run's ``(n_complex_bands, ngw)`` output array (data mode); read
@@ -134,10 +136,9 @@ class RunResult:
         first band some process never produced."""
         if self.output_coeffs is None:
             raise RuntimeError("outputs exist only in data mode")
-        completed = {ctx.p: ctx.completed for ctx in self.contexts}
         for band in range(self.config.n_complex_bands):
             for p in range(self.layout.P):
-                if band not in completed.get(p, ()):
+                if band not in self.completed.get(p, ()):
                     raise ValueError(
                         f"band {band} was never produced on process {p}"
                     )
@@ -523,7 +524,7 @@ def run_fft_phase(
         cpu=cpu,
         desc=desc,
         layout=layout,
-        contexts=[contexts[p] for p in sorted(contexts)],
+        completed={p: frozenset(contexts[p].completed) for p in sorted(contexts)},
         input_coeffs=input_coeffs,
         potential=potential,
         output_coeffs=output_coeffs,

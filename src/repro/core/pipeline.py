@@ -496,8 +496,9 @@ def apply_local(ctx: FftPhaseContext, stage: Stage, block: np.ndarray, in_place:
 
     In place (the linear chain: the consumed block is dead) or into a fresh
     array that leaves ``block`` intact — what a replayable task needs, since
-    a re-run of an in-place body would transform (or apply V) twice.  FFTs
-    are restricted to the stick support the cost model charges.
+    a re-run of an in-place body would transform (or apply V) twice.  The
+    slab xy FFT is restricted to the stick support the cost model charges;
+    the pencil bricks hold live rows only and are transformed whole.
     """
     op = stage.op
     if op == "vofr":
@@ -512,17 +513,10 @@ def apply_local(ctx: FftPhaseContext, stage: Stage, block: np.ndarray, in_place:
             support=ctx.layout.desc.sticks.xy_support,
         )
     # Pencil bricks keep the transform axis contiguous and last, so a brick
-    # is one (rows, n) batched 1D call.  The y stage skips the brick's
-    # stick-free x rows, which are dead both ways: transpose_zy neither
-    # writes nor zeroes them, and neither transpose out of a y-brick reads
-    # them.
+    # is one (rows, n) batched 1D call over every row it holds.
     out = block if in_place else np.empty(block.shape, dtype=np.complex128)
     rows = block.reshape(-1, block.shape[-1])
-    support = ctx.layout.ybrick_row_runs(ctx.r) if op == "y" else None
-    ctx.kernels.cft_1z(
-        rows, stage.sign,
-        out=rows if in_place else out.reshape(rows.shape), support=support,
-    )
+    ctx.kernels.cft_1z(rows, stage.sign, out=rows if in_place else out.reshape(rows.shape))
     return out
 
 

@@ -14,12 +14,13 @@ would carry — so meta-mode descriptors of the same counts reproduce the
 data-mode timeline exactly.
 
 What the host moves is each priced block's *live* part, stated once per
-data-mode plan: the whole block, except across the pencil y<->x transpose,
-where only the x rows that carry sticks are live (every other y-brick row is
-dead: zero in meaning on the way forward, though never written, and read by
-no stage on the way back).  A receive
-buffer is an uninitialised arena block, so each plan also names its *zero
-regions*: exactly the slots a later stage reads that no live part writes.
+data-mode plan: the whole block, except across the pencil y<->x transpose.
+A pencil y-brick stores only the x rows that carry sticks
+(:meth:`~repro.grids.descriptor.DistributedLayout.ybrick_x_runs`), so that
+transpose is priced at the dense brick volume (meta blocks) and moves the
+stick rows alone.  A receive buffer is an uninitialised arena block, so
+each plan also names its *zero regions*: exactly the slots a later stage
+reads that no live part writes.
 
 Four slab plans (forward/backward of each MPI layer) and two pencil
 transposes (plus inverses) cover the data plane:
@@ -33,14 +34,13 @@ transposes (plus inverses) cover the data plane:
   per plane (outer: irregular positions x regular z step).
 * ``pencil_zy`` / ``pencil_yx`` and inverses — the two pencil transposes
   (row-internal over Pc ranks, column-internal over Pr ranks): zy is
-  strided <-> outer like the scatter, yx is a subarray on both sides; an
+  strided <-> outer like the scatter, yx moves subarrays on both sides; an
   inverse plan is its forward plan with send/recv roles swapped.
 
 Only the pack blocks carry an explicit index array (the layout's cached
 G-vector and flat index maps); every other block moves as a strided view
-or a fancy index over its stick positions alone.  A live part is a range
-of its block's leading rows (``BlockType.rows``), a zero region a
-subarray: no index array either.
+or a fancy index over its stick positions alone.  A live part is a
+subarray, and so is a zero region: no index array either.
 
 Plans are built once per (layout, endpoint, mode) and cached on the layout
 (like the workspace arenas), so descriptor construction never rides the
@@ -49,11 +49,13 @@ steady-state path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 
+import numpy as np
+
 from repro.grids.descriptor import DistributedLayout
-from repro.grids.sticks import clip_runs
 from repro.mpisim.datatypes import BlockType
 
 __all__ = [
@@ -272,10 +274,10 @@ def pencil_zy_plan(
     """Row-internal transpose of rank ``r = (i, j)``: z-sticks <-> y-brick.
 
     Forward sends row peer ``(i, j')`` the ``Z_{j'}`` z-range of every
-    group stick and receives each peer's sticks at their ``(ix - xlo, *,
-    iy)`` positions of the ``(nx_i, nz_j, nr2)`` y-brick.  Its zero regions
-    are the brick's stick-carrying x rows — the rows the y FFT transforms;
-    the other rows stay dead.  The inverse swaps roles; its strided receive
+    group stick and receives each peer's sticks at their ``(row, *, iy)``
+    positions of the ``ybrick_shape(r)`` y-brick, ``row`` being the stick's
+    x row among the brick's.  The y FFT transforms the whole brick, so the
+    whole brick is zeroed.  The inverse swaps roles; its strided receive
     covers the stick block's full z extent.
     """
 
@@ -297,11 +299,11 @@ def pencil_yx_plan(
 ) -> ExchangePlan:
     """Column-internal transpose of rank ``r = (i, j)``: y-brick <-> x-brick.
 
-    Priced dense, both ways: every brick slot is one the network carries.
-    Live are only the stick-carrying x rows; the others are dead (zero in
-    meaning going forward, read by no stage coming back).  So the x-brick's
-    zero regions are its stick-free x columns, which the dense x FFT reads,
-    and the way back leaves the y-brick's dead rows unwritten.
+    Priced dense, both ways: the blocks are meta blocks of the full
+    ``(nx, nz_j, ny)`` volumes, as if every x row travelled.  Live are the
+    rows a y-brick holds, the x rows that carry sticks.  So the x-brick's
+    zero regions are its stick-free x columns, which the dense x FFT
+    reads, and the way back fills the y-brick whole.
     """
 
     def build() -> ExchangePlan:
@@ -312,10 +314,7 @@ def pencil_yx_plan(
         )
         if not inverse:
             return fw
-        grid = layout.pencil
-        assert grid is not None
-        i, j = grid.coords(r)
-        return fw.swapped((grid.nx(i), grid.nz(j), layout.desc.nr2))
+        return fw.swapped(layout.ybrick_shape(r))
 
     return _cached(layout, ("pencil_yx", r, data_mode, inverse), build)
 
@@ -333,7 +332,7 @@ def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
     i, j = grid.coords(r)
     nst_r = layout.nst_group(r)
     nzj = grid.nz(j)
-    recv_shape = (grid.nx(i), nzj, desc.nr2)
+    recv_shape = layout.ybrick_shape(r)
     if not data_mode:
         send = [BlockType.meta(nst_r * grid.nz(jj)) for jj in range(grid.Pc)]
         recv = [
@@ -345,52 +344,56 @@ def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
         BlockType.strided(grid.z_span(jj)[0], nst_r, grid.nz(jj), desc.nr3)
         for jj in range(grid.Pc)
     ]
-    xlo, _xhi = grid.x_span(i)
+    # The brick row of every grid x that carries sticks.
+    live = np.zeros(desc.nr1, dtype=np.int64)
+    for lo, hi in layout.ybrick_x_runs(r):
+        live[lo:hi] = 1
+    row_of_x = np.cumsum(live) - 1
     recv = []
     for jj in range(grid.Pc):
         coords = layout.stick_coords(layout.group_sticks(grid.rank_of(i, jj)))
-        base = (coords[:, 0] - xlo) * (nzj * desc.nr2) + coords[:, 1]
+        base = row_of_x[coords[:, 0]] * (nzj * desc.nr2) + coords[:, 1]
         recv.append(BlockType.outer(base, (nzj,), (desc.nr2,)))
-    # The y stage's rows: y-lines of the stick-carrying x rows.
-    nr2 = desc.nr2
-    zero = [
-        BlockType.subarray(lo * nr2, (hi - lo, nr2), (nr2, 1))
-        for lo, hi in layout.ybrick_row_runs(r)
-    ]
-    return ExchangePlan(send, recv, recv_shape, j, zero=zero)
+    return ExchangePlan(send, recv, recv_shape, j, zero=_whole(recv_shape))
 
 
 def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> ExchangePlan:
     grid = _pencil_grid(layout)
     desc = layout.desc
+    nr1, nr2 = desc.nr1, desc.nr2
     i, j = grid.coords(r)
     nxi, nzj, nyi = grid.nx(i), grid.nz(j), grid.ny(i)
-    recv_shape = (nyi, nzj, desc.nr1)
+    recv_shape = (nyi, nzj, nr1)
+    send = [BlockType.meta(nxi * nzj * grid.ny(ii)) for ii in range(grid.Pr)]
+    recv = [BlockType.meta(grid.nx(ii) * nzj * nyi) for ii in range(grid.Pr)]
     if not data_mode:
-        send = [BlockType.meta(nxi * nzj * grid.ny(ii)) for ii in range(grid.Pr)]
-        recv = [BlockType.meta(grid.nx(ii) * nzj * nyi) for ii in range(grid.Pr)]
         return ExchangePlan(send, recv, recv_shape, i)
-    # Both sides are (x, z, y) subarrays: peer ii's y-range of this
-    # (nxi, nzj, nr2) y-brick, and peer ii's x-range of this (nyi, nzj, nr1)
-    # x-brick viewed x-major — the transpose is one strided copy per run of
-    # stick-carrying x rows (``rows(lo, hi)`` of either side).
-    x_runs = desc.sticks.x_runs
-    send, send_parts, recv, recv_parts = [], [], [], []
-    for ii in range(grid.Pr):
-        block = BlockType.subarray(
-            grid.y_span(ii)[0], (nxi, nzj, grid.ny(ii)), (nzj * desc.nr2, desc.nr2, 1)
-        )
-        send.append(block)
-        send_parts.append([block.rows(lo, hi) for lo, hi in clip_runs(x_runs, *grid.x_span(i))])
-        block = BlockType.subarray(
-            grid.x_span(ii)[0], (grid.nx(ii), nzj, nyi), (1, desc.nr1, nzj * desc.nr1)
-        )
-        recv.append(block)
-        recv_parts.append([block.rows(lo, hi) for lo, hi in clip_runs(x_runs, *grid.x_span(ii))])
+    # One strided copy per run of stick rows: peer ii's y-range of the run's
+    # rows of this y-brick, into the same x rows of this x-brick viewed
+    # x-major (peer ii's runs on the receive side).
+    runs = layout.ybrick_x_runs(r)
+    first_rows = (0, *itertools.accumulate(hi - lo for lo, hi in runs))
+    send_parts = [
+        [
+            BlockType.subarray(
+                row * nzj * nr2 + grid.y_span(ii)[0], (hi - lo, nzj, grid.ny(ii)),
+                (nzj * nr2, nr2, 1),
+            )
+            for (lo, hi), row in zip(runs, first_rows)
+        ]
+        for ii in range(grid.Pr)
+    ]
+    recv_parts = [
+        [
+            BlockType.subarray(lo, (hi - lo, nzj, nyi), (1, nr1, nzj * nr1))
+            for lo, hi in layout.ybrick_x_runs(grid.rank_of(ii, j))
+        ]
+        for ii in range(grid.Pr)
+    ]
     # The stick-free x columns, through every (y, z) line of the x-brick.
-    edges = (0, *(edge for run in x_runs for edge in run), desc.nr1)
+    edges = (0, *(edge for run in desc.sticks.x_runs for edge in run), nr1)
     zero = [
-        BlockType.subarray(lo, (nyi * nzj, hi - lo), (desc.nr1, 1))
+        BlockType.subarray(lo, (nyi * nzj, hi - lo), (nr1, 1))
         for lo, hi in zip(edges[::2], edges[1::2])
         if lo < hi
     ]

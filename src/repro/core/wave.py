@@ -188,11 +188,13 @@ def potential_slab(layout: DistributedLayout, r: int, potential: np.ndarray) -> 
 
 
 def potential_block(layout: DistributedLayout, r: int, potential: np.ndarray) -> np.ndarray:
-    """Pencil rank ``r``'s x-brick view of the potential ``V[iz, ix, iy]``.
+    """Pencil rank ``r``'s x-brick of the potential ``V[iz, ix, iy]``.
 
     The pencil pipeline applies VOFR on the x-brick ``(ny_i, nz_j, nr1)``
     (full x-lines for ``iy in Y_i``, ``iz in Z_j``); this restricts and
-    transposes the potential to match that brick layout exactly.
+    transposes the potential to that brick layout, as a contiguous copy.
+    The run owns the copy: it lives on the rank's context and goes with it
+    when the run returns.
     """
     grid = layout.pencil
     if grid is None:

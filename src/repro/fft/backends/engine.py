@@ -19,33 +19,29 @@ transforms in place) or an array disjoint from it, and always a complex128
 array of the planned shape — and the 2-D kind runs as two 1-D passes in
 ``fftn``'s order (last axis first), so a dense call's bits equal ``fftn``'s.
 
-Both kinds take the block's stick *support*, as half-open index runs
-(:data:`repro.grids.sticks.Runs`): for ``cft_1z`` the runs of batch rows
-that carry data, for ``cft_2xy`` the pair ``(x_runs, y_runs)`` of non-empty
-x rows / y columns of a plane (``StickMap.xy_support``).  Only supported
-lines are transformed, and a run-restricted stage is still one engine call.
-The dead-line rule: a line outside the support is *dead* — what it holds
-means nothing — and the engine neither reads it nor makes it live, with one
-exception.  ``cft_1z`` leaves dead rows as they are when transforming in
-place and zeroes them in a separate ``out`` on a ``sign=+1`` call;
-``sign=-1`` leaves dead output lines unspecified.  The exception is an
-in-place ``sign=+1`` ``cft_2xy``, whose second pass runs along x through
-every x row: there the caller promises zeros on the x rows outside the
-support.
+``cft_2xy`` takes a plane's stick *support*: the pair ``(x_runs, y_runs)``
+of half-open runs (:data:`repro.grids.sticks.Runs`) of non-empty x rows /
+y columns (``StickMap.xy_support``).  Only supported lines are transformed,
+and a run-restricted stage is still one engine call.  The dead-line rule: a
+line outside the support is *dead* — what it holds means nothing — and the
+engine does not read it, with one exception: an in-place ``sign=+1`` call,
+whose second pass runs along x through every x row, so there the caller
+promises zeros on the dead x rows.  Into a separate ``out``, ``sign=+1``
+zeroes the dead x rows and ``sign=-1`` leaves the dead y columns
+unspecified.  ``cft_1z`` takes no support: it transforms every row of its
+batch (a pencil brick holds only stick-carrying rows).
 
 **Fan-out (the paper's Opt 1 on the host).**  Every call splits batch axis 0
-into ``k`` contiguous slices — one per CPU (:mod:`repro._fan`, the data
-plane's one pool), none holding fewer than :data:`MIN_POINTS` transformed
+into ``k`` contiguous, near-equal slices — one per CPU (:mod:`repro._fan`,
+the data plane's one pool), none holding fewer than :data:`MIN_POINTS`
 points — and runs the same pass body on each.  pocketfft releases the GIL;
 the transform axis is never axis 0, so the slices are disjoint, and a row's
 bits do not depend on the slice that carried it: every ``k`` gives the
-``k = 1`` result bit for bit.
-``cft_1z``'s row runs are clipped to each slice, with the cuts placed so
-each slice gets an equal share of the *supported* rows.  numpy's pocketfft
-plans a length on its first use, in a cache that takes no lock, so an
-executable runs unfanned until one call has used each of its transform
-lengths on the calling thread.  Pool threads call only the pass helpers
-below, never a :class:`KernelEngine` method.
+``k = 1`` result bit for bit.  numpy's pocketfft plans a length on its
+first use, in a cache that takes no lock, so an executable runs unfanned
+until one call has used each of its transform lengths on the calling
+thread.  Pool threads call only the pass helpers below, never a
+:class:`KernelEngine` method.
 
 Call and row counters feed the ``dataplane.*`` telemetry gauges through
 :meth:`KernelEngine.stats`; they tick once per engine call, however it fans.
@@ -98,17 +94,6 @@ def _transform_runs(x, sign, axis, out, runs, run_axis):
         _transform(x[window], sign, axis, out[window])
 
 
-def _pass_1z(x, sign, out, runs, zero):
-    """``cft_1z`` on a batch (or one slice of it); ``zero`` clears the
-    rows outside ``runs`` after a G->R pass into a separate ``out``."""
-    if runs is None:
-        _transform(x, sign, -1, out)
-        return
-    _transform_runs(x, sign, -1, out, runs, 0)
-    if zero:
-        _zero_outside(out, runs, 0)
-
-
 def _pass_2xy(x, sign, out, support, zero):
     """``cft_2xy`` on a batch of planes (or one slice of it)."""
     if support is None:
@@ -129,36 +114,17 @@ def _pass_2xy(x, sign, out, support, zero):
     _transform_runs(out, sign, -2, out, y_runs, 2)
 
 
-def _clip(runs, lo, hi):
-    """``runs`` restricted to rows ``[lo, hi)``, relative to ``lo``."""
-    return tuple((max(a, lo) - lo, min(b, hi) - lo) for a, b in runs if a < hi and b > lo)
-
-
-def _cuts(rows, runs, k):
-    """``k + 1`` ascending row cuts giving each slice an equal share (to a
-    row) of the rows in ``runs``; ``k`` is at most that many rows."""
-    total = sum(hi - lo for lo, hi in runs)
-    cuts, done = [0], 0
-    for lo, hi in runs:
-        while len(cuts) < k and total * len(cuts) // k < done + hi - lo:
-            cuts.append(lo + total * len(cuts) // k - done)
-        done += hi - lo
-    return cuts + [rows]
-
-
-def _fan_batch(body, shape, runs, fan):
-    """``body(lo, hi)`` over contiguous slices of batch axis 0 that together
-    cover it, returning once every slice is done; one slice unless ``fan``.
-    ``runs`` (``None``: every row) are the rows that carry work."""
-    if runs is None:
-        runs = ((0, shape[0]),)
-    rows = sum(hi - lo for lo, hi in runs)
-    k = min(rows, _fan.width(rows * math.prod(shape[1:]), MIN_POINTS)) if fan else 1
-    cuts = _cuts(shape[0], runs, k) if k > 1 else (0, shape[0])
+def _fan_batch(body, shape, fan):
+    """``body(lo, hi)`` over contiguous, near-equal slices of batch axis 0
+    that together cover it, returning once every slice is done; one slice
+    unless ``fan``."""
+    rows = shape[0]
+    k = min(rows, _fan.width(math.prod(shape), MIN_POINTS)) if fan else 1
+    cuts = [rows * s // k for s in range(k + 1)]
     _fan.run(body, list(zip(cuts, cuts[1:])))
 
 
-def _check(kind, shape, x, sign, out):
+def _check(kind, shape, x, sign, out, support):
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     if x.shape != shape:
@@ -167,36 +133,32 @@ def _check(kind, shape, x, sign, out):
         raise ValueError(
             f"{kind} out= must be complex128 of shape {shape}, got {out.dtype} {out.shape}"
         )
+    if support is not None and kind == "c2c_1d":
+        raise ValueError("c2c_1d transforms every row; it takes no support")
 
 
 def _executable(kind: str, shape: tuple):
-    """``exe(x, sign, out=None, support=None)`` for one batched shape."""
+    """``exe(x, sign, out=None, support=None)`` for one batched shape
+    (``support``: ``c2c_2d`` only)."""
     # pocketfft plans (and caches) a length on its first use, so calls run
     # on the calling thread alone until one has used every transform length.
     planned = False
 
     def exe(x, sign, out=None, support=None):
         nonlocal planned
-        _check(kind, shape, x, sign, out)
+        _check(kind, shape, x, sign, out, support)
         zero = sign == 1 and out is not x
         if out is None:
             out = np.empty(shape, dtype=np.complex128)
         if kind == "c2c_1d":
-
-            def body(lo, hi):
-                runs = None if support is None else _clip(support, lo, hi)
-                _pass_1z(x[lo:hi], sign, out[lo:hi], runs, zero)
-
-            _fan_batch(body, shape, support, planned)
-            restricted = (support,)
+            _fan_batch(lambda lo, hi: _transform(x[lo:hi], sign, -1, out[lo:hi]), shape, planned)
         else:
             _fan_batch(
                 lambda lo, hi: _pass_2xy(x[lo:hi], sign, out[lo:hi], support, zero),
-                shape, None, planned,
+                shape, planned,
             )
-            restricted = support
         # An empty run list transforms, and so plans, nothing on its axis.
-        planned = planned or support is None or all(restricted)
+        planned = planned or support is None or all(support)
         return out
 
     return exe
@@ -213,7 +175,7 @@ class KernelEngine:
     def plan(self, kind: str, shape):
         """Cached executable ``exe(x, sign, out=None, support=None)`` for a
         batched shape — ``(nbatch, n)`` for ``c2c_1d``, ``(nbatch, nx, ny)``
-        for ``c2c_2d`` (also the public API)."""
+        for ``c2c_2d`` (also the public API; ``support`` is ``c2c_2d``'s)."""
         key = (kind, tuple(shape))
         exe = self._plans.get(key)
         if exe is None:
@@ -231,15 +193,13 @@ class KernelEngine:
         self.kernel_rows += x.shape[0]
         return self.plan(kind, x.shape)(x, sign, out=out, support=support)
 
-    def cft_1z(self, sticks: np.ndarray, sign: int, out=None, support=None) -> np.ndarray:
-        """Batched 1D transforms along z: ``(nsticks, nz)``, QE conventions.
-
-        ``support`` is the runs of rows that carry data (``None`` = all).
-        """
+    def cft_1z(self, sticks: np.ndarray, sign: int, out=None) -> np.ndarray:
+        """Batched 1D transforms along z: ``(nsticks, nz)``, QE conventions;
+        every row is transformed."""
         sticks = np.asarray(sticks, dtype=np.complex128)
         if sticks.ndim != 2:
             raise ValueError(f"cft_1z expects (nsticks, nz), got shape {sticks.shape}")
-        return self._run_c2c("c2c_1d", sticks, sign, out, support)
+        return self._run_c2c("c2c_1d", sticks, sign, out, None)
 
     def cft_2xy(self, planes: np.ndarray, sign: int, out=None, support=None) -> np.ndarray:
         """Batched 2D transforms: ``(nplanes, nx, ny)``, QE conventions.

@@ -374,19 +374,26 @@ class DistributedLayout:
             self._scatter_plane_flat = coords[:, 0] * self.desc.nr2 + coords[:, 1]
         return self._scatter_plane_flat
 
-    def ybrick_row_runs(self, r: int) -> Runs:
-        """Stick support of pencil rank ``r``'s y-brick, as runs of rows of
-        its flattened ``(nx_i * nz_j, nr2)`` form.
+    def ybrick_x_runs(self, r: int) -> Runs:
+        """The x rows pencil rank ``r``'s y-brick holds, as runs of grid x.
 
         Row ``i`` of the pencil grid owns every stick with ``ix`` in its
-        x-range, so the brick's non-empty x rows are the stick map's
-        ``x_runs`` clipped to that range; each x row is ``nz_j`` y-lines.
+        x-range, so the rows that carry sticks are the stick map's
+        ``x_runs`` clipped to that range.  The brick stores those rows
+        alone, in ascending x (:meth:`ybrick_shape`).
         """
-        if self.pencil is None:
-            raise ValueError("y-brick support needs a pencil-decomposed layout")
-        i, j = self.pencil.coords(r)
-        lo, hi = self.pencil.x_span(i)
-        return clip_runs(self.desc.sticks.x_runs, lo, hi, scale=self.pencil.nz(j))
+        grid = self.pencil
+        if grid is None:
+            raise ValueError("y-bricks need a pencil-decomposed layout")
+        i, _j = grid.coords(r)
+        return clip_runs(self.desc.sticks.x_runs, *grid.x_span(i))
+
+    def ybrick_shape(self, r: int) -> tuple[int, int, int]:
+        """Pencil rank ``r``'s y-brick: ``(n_x, nz_j, nr2)``, one row per x
+        of :meth:`ybrick_x_runs` (y last)."""
+        n_x = sum(hi - lo for lo, hi in self.ybrick_x_runs(r))
+        _i, j = self.pencil.coords(r)
+        return (n_x, self.pencil.nz(j), self.desc.nr2)
 
     def stick_coords(self, stick_indices: np.ndarray) -> np.ndarray:
         """(ix, iy) grid coordinates of the given global sticks."""

@@ -206,7 +206,9 @@ class PencilGrid:
     # -- brick shapes -------------------------------------------------------
 
     def y_brick_shape(self, r: int) -> tuple[int, int, int]:
-        """y-pencil brick of rank ``r``: ``(nx_i, nz_j, nr2)`` (y last)."""
+        """y-pencil brick of rank ``r``: ``(nx_i, nz_j, nr2)`` (y last) —
+        the volume the y<->x transpose is priced at; the data plane stores
+        only its stick rows (``DistributedLayout.ybrick_shape``)."""
         i, j = self.coords(r)
         return (self.nx(i), self.nz(j), self.nr2)
 

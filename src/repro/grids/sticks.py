@@ -34,14 +34,10 @@ def index_runs(indices: np.ndarray) -> Runs:
     return tuple((int(lo), int(hi)) for lo, hi in zip(starts, stops))
 
 
-def clip_runs(runs: Runs, lo: int, hi: int, scale: int = 1) -> Runs:
-    """``runs`` restricted to ``[lo, hi)``, re-based at ``lo`` and scaled.
-
-    ``scale`` turns runs of rows into runs of the flattened ``(row, k)``
-    index when every row carries ``scale`` consecutive lines.
-    """
+def clip_runs(runs: Runs, lo: int, hi: int) -> Runs:
+    """``runs`` restricted to ``[lo, hi)``."""
     clipped = ((max(a, lo), min(b, hi)) for a, b in runs)
-    return tuple(((a - lo) * scale, (b - lo) * scale) for a, b in clipped if a < b)
+    return tuple((a, b) for a, b in clipped if a < b)
 
 
 class StickMap:

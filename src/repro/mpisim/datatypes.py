@@ -70,7 +70,7 @@ class BlockType:
       ``MPI_Type_create_subarray``; ``strided`` is its 2-d
       ``MPI_Type_vector`` special case).  The regular side of every
       transpose — z-ranges of stick columns, y-ranges of brick rows — and
-      both sides of the dense pencil y<->x transpose.  Moved as a strided
+      both sides of the pencil y<->x transpose's live parts.  Moved as a strided
       *view*: no index array exists unless someone asks for one.
     * **outer** — an irregular ``base`` offset per item group times a
       regular subarray step (``MPI_Type_create_hindexed`` of a subarray):

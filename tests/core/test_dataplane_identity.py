@@ -8,12 +8,14 @@ reference; the cached index maps equal a from-scratch recompute; and the
 no-copy marshal paths really do avoid copies.
 """
 
+import math
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core import RunConfig, run_fft_phase
+from repro.core import driver as driver_mod
 from repro.core.driver import build_geometry
 from repro.core.wave import distribute_coefficients, make_band_coefficients
 from repro.core.workspace import aggregate_stats, layout_workspaces
@@ -249,6 +251,22 @@ class TestDataplaneStats:
         chains = (cfg.n_complex_bands // cfg.taskgroups) * cfg.ranks * cfg.taskgroups
         assert res.dataplane["acquires"] == exchanges * chains
 
+    def test_pencil_arenas_hold_the_stick_rows_of_each_y_brick(self):
+        """A linear pencil run keeps one buffer per kind and process: its
+        stick block, its y-brick of the stick-carrying x rows alone, and
+        its x-brick — byte for byte what the layout says."""
+        cfg = small_config(ranks=4, taskgroups=2, data_mode=True, decomposition="pencil")
+        res = run_cold(cfg)
+        layout, grid = res.layout, res.layout.pencil
+        items = dense = 0
+        for p in range(layout.P):
+            r, _t = layout.rt_of(p)
+            items += layout.nst_group(r) * layout.desc.nr3
+            items += math.prod(layout.ybrick_shape(r)) + math.prod(grid.x_brick_shape(r))
+            dense += math.prod(grid.y_brick_shape(r)) - math.prod(layout.ybrick_shape(r))
+        assert res.dataplane["bytes_resident"] == 16 * items
+        assert dense > 0  # the grid has stick-free x rows to leave out
+
     def test_data_mode_run_reports_dataplane(self):
         cfg = small_config(ranks=2, taskgroups=2, data_mode=True)
         res = run_fft_phase(cfg)
@@ -262,12 +280,18 @@ class TestDataplaneStats:
         assert dp["bytes_resident"] > 0
         assert dp["live_peak"] > 0
 
-    def test_meta_mode_and_disabled_have_no_dataplane(self):
-        """Meta mode touches no buffer, so it has no arena and no dataplane
-        section; a data-mode run cannot disable the arena any more."""
+    def test_meta_mode_and_disabled_have_no_dataplane(self, monkeypatch):
+        """Meta mode touches no buffer, so it asks for no arena and has no
+        dataplane section; a data-mode run cannot disable the arena any
+        more."""
+
+        def no_arena(layout, p):
+            raise AssertionError(f"meta-mode process {p} asked for an arena")
+
+        monkeypatch.setattr(driver_mod, "workspace_for", no_arena)
         meta = run_fft_phase(small_config(ranks=2, taskgroups=2, data_mode=False))
         assert meta.dataplane is None
-        assert all(ctx.workspace is None for ctx in meta.contexts)
+        monkeypatch.undo()
         with pytest.raises(TypeError, match="use_workspace"):
             run_fft_phase(
                 small_config(ranks=2, taskgroups=2, data_mode=True),

@@ -115,9 +115,12 @@ class TestRunResult:
         assert any(r.phase == "fft_xy" for r in compute_recs)
         assert len(task_recs) == cfg.n_complex_bands * cfg.n_mpi_ranks
 
-    def test_contexts_sorted_by_rank(self):
-        res = run_fft_phase(small_config(ranks=2, taskgroups=2))
-        assert [ctx.p for ctx in res.contexts] == list(range(4))
+    def test_completed_bands_recorded_per_process(self):
+        cfg = small_config(ranks=2, taskgroups=2)
+        res = run_fft_phase(cfg)
+        assert list(res.completed) == list(range(4))
+        bands = frozenset(range(cfg.n_complex_bands))
+        assert all(done == bands for done in res.completed.values())
 
 
 class TestPerformanceShape:

@@ -32,6 +32,7 @@ GRIDS = {"small": dict(alat=5.0, ecutwfc=12.0), "paper": dict(alat=20.0, ecutwfc
 #: (grid, decomposition, T), with R = 2 slab ranks or a 2 x 2 pencil grid
 #: (the e2e data workloads' shapes at T = 2).
 LAYOUTS = [(g, d, T) for g in GRIDS for d in ("slab", "pencil") for T in (1, 2)]
+PENCIL_LAYOUTS = [case for case in LAYOUTS if case[1] == "pencil"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,12 +78,45 @@ class TestLiveMoves:
                             (rps, peer.recv_blocks[src], recv_size),
                         ):
                             live = _slots(parts, size)
-                            assert live.max(initial=0) <= 1, name
-                            assert not (live & (_slots([block], size) == 0)).any(), name
+                            assert len(live) == size and live.max(initial=0) <= 1, name
+                            if block.is_meta:
+                                # Priced by volume alone (pencil y<->x).
+                                assert live.sum() <= block.n_items, name
+                            else:
+                                assert not (live & (_slots([block], size) == 0)).any(), name
+
+    @pytest.mark.parametrize(
+        "case", PENCIL_LAYOUTS, ids=["-".join(map(str, c)) for c in PENCIL_LAYOUTS]
+    )
+    def test_yx_parts_move_each_grid_point_to_itself(self, case):
+        """Across the y<->x transpose every moved item leaves and lands at
+        the same (x, y, z) grid point: the y-brick side addresses its
+        compact rows, the x-brick side grid x, cut at the same runs."""
+        layout = plan_layout(*case)
+        grid = layout.pencil
+        nr1, nr2 = layout.desc.nr1, layout.desc.nr2
+
+        def items(parts):
+            return np.concatenate([p.indices() for p in parts] + [np.empty(0, np.intp)])
+
+        for kind, members, fw, _bw in exchanges(layout):
+            if kind != "pencil_yx":
+                continue
+            for s, (src, plan) in enumerate(zip(members, fw)):
+                runs = layout.ybrick_x_runs(src)
+                x_of_row = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+                assert plan.send_parts[0] and len(x_of_row) == layout.ybrick_shape(src)[0]
+                nzj = grid.nz(grid.coords(src)[1])
+                for d, (dst, peer) in enumerate(zip(members, fw)):
+                    sent, got = items(plan.send_parts[d]), items(peer.recv_parts[s])
+                    assert [p.lead for p in plan.send_parts[d]] == [hi - lo for lo, hi in runs]
+                    ylo = grid.y_span(grid.coords(dst)[0])[0]
+                    np.testing.assert_array_equal(x_of_row[sent // (nzj * nr2)], got % nr1)
+                    np.testing.assert_array_equal(sent // nr2 % nzj, got // nr1 % nzj)
+                    np.testing.assert_array_equal(sent % nr2, ylo + got // (nzj * nr1))
 
     def test_zero_regions_cover_what_no_live_part_writes(self, any_layout):
         layout = any_layout
-        nr2 = layout.desc.nr2
         for kind, members, fw, bw in exchanges(layout):
             for inverse, plans in ((False, fw), (True, bw)):
                 for member, plan in zip(members, plans):
@@ -98,12 +132,11 @@ class TestLiveMoves:
                         # ones, and with them every slot the dense x FFT reads.
                         assert ((live + zero) == 1).all(), kind
                     elif kind == "pencil_zy":
-                        # The rows the y FFT transforms; sticks land inside.
-                        rows = np.zeros(size // nr2, dtype=np.intp)
-                        for lo, hi in layout.ybrick_row_runs(member):
-                            rows[lo:hi] = 1
-                        assert (zero == np.repeat(rows, nr2)).all(), kind
-                        assert not (live > zero).any(), kind
+                        # The compact y-brick, zeroed whole for the y FFT;
+                        # every row of it receives sticks.
+                        assert plan.recv_shape == layout.ybrick_shape(member), kind
+                        assert (zero == 1).all(), kind
+                        assert live.reshape(plan.recv_shape[0], -1).any(axis=1).all(), kind
                     else:
                         assert (zero == 1).all(), kind  # sparse receive: zeroed whole
 

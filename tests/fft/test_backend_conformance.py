@@ -1,11 +1,11 @@
 """The engine conformance suite.
 
-A data-mode run's FFTs are numpy's pocketfft restricted to the stick
-support (:class:`repro.fft.backends.KernelEngine`).  It is held here to the
-repo's own mixed-radix kernels — :mod:`repro.fft.batched`, the independent
-reference that shares no code with pocketfft — on every supported line, for
-random shapes and supports (empty, full, single-row, adjacent runs), both
-signs, with ``out`` absent, fresh, or the input itself.
+A data-mode run's FFTs are numpy's pocketfft, the xy pass restricted to the
+stick support (:class:`repro.fft.backends.KernelEngine`).  It is held here
+to the repo's own mixed-radix kernels — :mod:`repro.fft.batched`, the
+independent reference that shares no code with pocketfft — on every
+supported line, for random shapes and supports (empty, full, single-row,
+adjacent runs), both signs, with ``out`` absent, fresh, or the input itself.
 
 Beyond values this file pins what the data plane relies on: ``sign=+1``
 leaves zeros outside the support, a dense call's bits equal
@@ -77,7 +77,8 @@ def _call(kernel, src, sign, alias, support):
     """Run one engine kernel on a copy of ``src`` under an ``out`` aliasing."""
     work = src.copy()
     out = {"none": None, "fresh": np.full_like(src, np.nan), "inplace": work}[alias]
-    got = kernel(work, sign, out=out, support=support)
+    kw = {} if support is None else {"support": support}
+    got = kernel(work, sign, out=out, **kw)
     if out is not None:
         assert got is out
     return got
@@ -86,24 +87,6 @@ def _call(kernel, src, sign, alias, support):
 class TestSupportRestricted:
     """Only lines inside the stick support are transformed, and on every
     supported line the result is the independent reference's."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(block=_supported_block(2), alias=st.sampled_from(ALIASES))
-    def test_cft_1z(self, block, alias):
-        x, (row_runs, _) = block
-        rows = _mask(x.shape[0], row_runs)
-        engine = KernelEngine()
-        # G->R promises zero rows outside the support; every output row is
-        # then defined (zeros outside).  R->G defines the supported rows.
-        x_fw = x * rows[:, None]
-        got = _call(engine.cft_1z, x_fw, 1, alias, row_runs)
-        np.testing.assert_allclose(got, reference.cft_1z(x_fw, 1), rtol=RTOL, atol=ATOL)
-        assert not got[~rows].any()
-        got = _call(engine.cft_1z, x, -1, alias, row_runs)
-        np.testing.assert_allclose(
-            got[rows], reference.cft_1z(x, -1)[rows], rtol=RTOL, atol=ATOL
-        )
-        assert engine.kernel_calls == 2
 
     @settings(max_examples=80, deadline=None)
     @given(block=_supported_block(3), alias=st.sampled_from(ALIASES))
@@ -129,8 +112,6 @@ class TestSupportRestricted:
         x = _block((5, 12, 10))
         engine.cft_2xy(x, -1, support=(((0, 3), (7, 12)), ((1, 2), (4, 9))))
         assert engine.stats() == {"kernel_calls": 1, "kernel_rows": 5}
-        engine.cft_1z(_block((6, 30)), 1, support=((1, 4),))
-        assert engine.stats() == {"kernel_calls": 2, "kernel_rows": 11}
 
 
 class TestFanWidths:
@@ -146,15 +127,13 @@ class TestFanWidths:
         dense=st.booleans(),
     )
     def test_every_width_bit_equals_width_one(self, ndim, data, alias, sign, dense):
-        # Up to 6 rows against widths up to 4: fewer rows than slices, and
-        # runs drawn per row straddle the slice edges.
+        # Up to 6 rows against widths up to 4: fewer rows than slices.
         shape = tuple(data.draw(st.integers(1, 6)) for _ in range(ndim))
         x = _block(shape, data.draw(st.integers(0, 2**16)))
-        runs = [data.draw(_runs(n)) for n in shape]
-        if dense:
-            support = None
-        else:
-            support = runs[0] if ndim == 2 else (runs[1], runs[2])
+        # Only the xy kind takes a support: runs of x rows and y columns.
+        kw = {}
+        if ndim == 3 and not dense:
+            kw["support"] = tuple(data.draw(_runs(n)) for n in shape[1:])
         outputs = []
         for width in (1, 2, 3, 4):
             with pytest.MonkeyPatch.context() as mp:
@@ -162,53 +141,32 @@ class TestFanWidths:
                 engine = KernelEngine()
                 kernel = engine.cft_1z if ndim == 2 else engine.cft_2xy
                 # The first call of a shape plans its lengths unfanned.
-                kernel(x.copy(), sign, support=support)
-                outputs.append(_call(kernel, x, sign, alias, support))
+                kernel(x.copy(), sign, **kw)
+                outputs.append(_call(kernel, x, sign, alias, kw.get("support")))
                 assert engine.stats() == {"kernel_calls": 2, "kernel_rows": 2 * shape[0]}
-        if ndim == 2 and sign == -1 and alias == "none" and support is not None:
-            # Unsupported rows of a fresh R->G output are unspecified.
-            outputs = [got[_mask(shape[0], support)] for got in outputs]
         assert all(got.tobytes() == outputs[0].tobytes() for got in outputs[1:])
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_cuts_share_the_supported_rows_evenly(self, data):
-        rows = data.draw(st.integers(1, 40))
-        runs = data.draw(_runs(rows))
-        total = sum(hi - lo for lo, hi in runs)
-        if total == 0:
-            return
-        k = data.draw(st.integers(1, total))
-        cuts = engine_mod._cuts(rows, runs, k)
-        assert len(cuts) == k + 1 and cuts[0] == 0 and cuts[-1] == rows
-        assert cuts == sorted(cuts)
-        mask = _mask(rows, runs)
-        shares = [int(mask[lo:hi].sum()) for lo, hi in zip(cuts, cuts[1:])]
-        assert sum(shares) == total and max(shares) - min(shares) <= 1
 
     def test_slices_run_on_the_pool_after_the_first_call(self, monkeypatch):
         force_width(monkeypatch, 2)
         slices = []
         lock = threading.Lock()
-        real = engine_mod._pass_1z
+        real = engine_mod._transform
 
         def spy(x, *args):
             with lock:
                 slices.append((threading.current_thread().name, x.shape[0]))
             real(x, *args)
 
-        monkeypatch.setattr(engine_mod, "_pass_1z", spy)
+        monkeypatch.setattr(engine_mod, "_transform", spy)
         engine = KernelEngine()
         x = _block((6, 8))
-        # Rows 1 and 3-5 carry data: two supported rows per slice.
-        support = ((1, 2), (3, 6))
-        engine.cft_1z(x, -1, support=support)
+        engine.cft_1z(x, -1)
         assert slices == [(threading.current_thread().name, 6)]
         slices.clear()
-        engine.cft_1z(x, -1, support=support)
+        engine.cft_1z(x, -1)
         caller = threading.current_thread().name
-        assert sorted(rows for _name, rows in slices) == [2, 4]
-        assert (caller, 4) in slices
+        assert sorted(rows for _name, rows in slices) == [3, 3]
+        assert (caller, 3) in slices
         assert [name for name, _rows in slices if name != caller][0].startswith("dataplane-fan")
         assert engine.stats() == {"kernel_calls": 2, "kernel_rows": 12}
 
@@ -222,7 +180,7 @@ class TestFanWidths:
         engine = KernelEngine()
         for _ in range(2):
             engine.cft_2xy(_block((4, 6, 6)), 1)
-            engine.cft_1z(_block((8, 6)), -1, support=((0, 3), (5, 8)))
+            engine.cft_1z(_block((8, 6)), -1)
 
 
 class TestDenseCalls:
@@ -286,6 +244,11 @@ class TestInterfaceContracts:
     def test_malformed_specs_raise(self, kind, shape):
         with pytest.raises(ValueError):
             KernelEngine().plan(kind, shape)
+
+    def test_1d_executable_takes_no_support(self):
+        exe = KernelEngine().plan("c2c_1d", (4, 8))
+        with pytest.raises(ValueError, match="no support"):
+            exe(_block((4, 8)), 1, support=((0, 2),))
 
     def test_wrong_shape_call_raises(self):
         exe = KernelEngine().plan("c2c_1d", (4, 8))

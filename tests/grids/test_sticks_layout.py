@@ -59,35 +59,30 @@ class TestStickSupport:
         members=st.sets(st.integers(0, 40)),
         lo=st.integers(0, 40),
         width=st.integers(0, 40),
-        scale=st.integers(1, 3),
     )
-    def test_clip_runs_matches_set_arithmetic(self, members, lo, width, scale):
+    def test_clip_runs_matches_set_arithmetic(self, members, lo, width):
         runs = index_runs(np.array(sorted(members), dtype=np.int64))
-        got = clip_runs(runs, lo, lo + width, scale=scale)
+        got = clip_runs(runs, lo, lo + width)
         want = index_runs(
-            np.array(
-                [
-                    (m - lo) * scale + k
-                    for m in members
-                    if lo <= m < lo + width
-                    for k in range(scale)
-                ],
-                dtype=np.int64,
-            )
+            np.array([m for m in members if lo <= m < lo + width], dtype=np.int64)
         )
         assert got == want
 
     def test_ybrick_rows_carry_every_stick_of_the_pencil_row(self, desc):
+        """A y-brick holds one row per x of its pencil row's sticks: the
+        stick-carrying x of the row's x-range, and no other."""
         layout = DistributedLayout(desc, 4, 1, decomposition="pencil")
         grid = layout.pencil
+        ix = desc.sticks.coords[:, 0]
         for r in range(layout.R):
             i, j = grid.coords(r)
             lo, hi = grid.x_span(i)
-            ix = np.unique(desc.sticks.coords[:, 0])
-            rows = (ix[(ix >= lo) & (ix < hi)] - lo)[:, None] * grid.nz(j) + np.arange(grid.nz(j))
-            assert layout.ybrick_row_runs(r) == index_runs(rows.reshape(-1))
+            mine = ix[(ix >= lo) & (ix < hi)]
+            assert mine.size
+            assert layout.ybrick_x_runs(r) == index_runs(mine)
+            assert layout.ybrick_shape(r) == (len(np.unique(mine)), grid.nz(j), desc.nr2)
         with pytest.raises(ValueError, match="pencil"):
-            DistributedLayout(desc, 4, 1).ybrick_row_runs(0)
+            DistributedLayout(desc, 4, 1).ybrick_x_runs(0)
 
 
 class TestDistribution:
