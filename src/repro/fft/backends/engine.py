@@ -29,7 +29,7 @@ whose second pass runs along x through every x row, so there the caller
 promises zeros on the dead x rows.  Into a separate ``out``, ``sign=+1``
 zeroes the dead x rows and ``sign=-1`` leaves the dead y columns
 unspecified.  ``cft_1z`` takes no support: it transforms every row of its
-batch (a pencil brick holds only stick-carrying rows).
+batch (a pencil y-brick holds only stick-carrying rows).
 
 **Fan-out (the paper's Opt 1 on the host).**  Every call splits batch axis 0
 into ``k`` contiguous, near-equal slices — one per CPU (:mod:`repro._fan`,
