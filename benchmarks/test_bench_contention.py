@@ -1,8 +1,7 @@
 """Allocator and rebalance microbenchmarks for the contention engine.
 
-Times the three layers the vectorized engine is built from, bottom up:
+Times the two layers the engine is built from, bottom up:
 
-* the water-filling kernels (reference fixpoint vs vectorized sort+cumsum),
 * one ``allocate_batch`` call on a 64-stream statics array — memo hit and
   memo miss separately (the miss path is what dominates desynchronized
   workloads, where the phase composition drifts continuously),
@@ -17,11 +16,7 @@ assert structural facts that hold at any machine speed.
 import numpy as np
 
 from repro.core.driver import RunConfig, run_fft_phase
-from repro.machine.contention import (
-    BandwidthContentionAllocator,
-    waterfill,
-    waterfill_vec,
-)
+from repro.machine.contention import BandwidthContentionAllocator
 from repro.machine.phases import PhaseProfile
 from repro.machine.topology import HwThread
 from repro.simkit.fluid import FluidTask
@@ -55,18 +50,6 @@ def _statics_array(alloc, n_streams=64, n_profiles=4):
     return np.asarray(statics, dtype=float)
 
 
-def test_bench_waterfill_reference(benchmark):
-    demands = [1e9 + 1e7 * k for k in range(64)]
-    grants = benchmark(waterfill, demands, 30e9)
-    assert sum(grants) <= 30e9 * (1 + 1e-9)
-
-
-def test_bench_waterfill_vectorized(benchmark):
-    demands = np.array([1e9 + 1e7 * k for k in range(64)])
-    grants = benchmark(waterfill_vec, demands, 30e9)
-    assert float(grants.sum()) <= 30e9 * (1 + 1e-9)
-
-
 def test_bench_allocate_batch_memo_hit(benchmark):
     alloc = BandwidthContentionAllocator(
         frequency_hz=1.4e9, bandwidth_bytes_per_s=90e9
@@ -87,8 +70,7 @@ def test_bench_allocate_batch_memo_miss(benchmark):
     arr = _statics_array(alloc)
 
     def miss():
-        alloc._dense_cache.clear()
-        alloc._cache.clear()
+        alloc._memo.clear()
         return alloc.allocate_batch(arr)
 
     rates = benchmark(miss)

@@ -27,7 +27,7 @@ from collections import Counter
 import numpy as np
 
 from repro.faults.injector import MpiLinkError, MpiTimeoutError
-from repro.machine.contention import waterfill, waterfill_scalar
+from repro.machine.contention import water_level
 from repro.simkit.events import Event
 from repro.simkit.fluid import FluidResource, FluidTask
 
@@ -70,18 +70,20 @@ class RankAwareAllocator:
     demands.  Transfers without a known sender (``rank=None``) are treated as
     separate one-transfer processes.
 
-    Implements the fluid engine's batch protocol: the static record of a
-    transfer is its sender, and the rate computation is memoized on what the
-    rates actually depend on — the multiset of per-sender transfer counts
-    plus the number of anonymous transfers, not on *which* ranks are sending
-    (the same handful of concurrent-transfer mixes — one rank alone, the
-    all-ranks alltoall burst — recurs for the whole run, under ever-changing
-    sender identities).
+    The static record of a transfer is its sender, interned to a number (0
+    for an anonymous transfer).  The rate computation is memoized on what
+    the rates actually depend on — the multiset of per-sender transfer
+    counts plus the number of anonymous transfers, not on *which* ranks are
+    sending (the same handful of concurrent-transfer mixes — one rank
+    alone, the all-ranks alltoall burst — recurs for the whole run, under
+    ever-changing sender identities).
     """
 
     def __init__(self, capacity: float, injection_bw: float):
         self.capacity = capacity
         self.injection_bw = injection_bw
+        #: Sender key (a rank, or ``("node", n)`` for a NIC) -> id >= 1.
+        self._sender_ids: dict[object, int] = {}
         #: ``(n anonymous, per-sender counts descending)`` -> rate of one
         #: transfer by its sender's count (anonymous transfers under 0).
         self._cache: dict[tuple, dict[int, float]] = {}
@@ -95,14 +97,22 @@ class RankAwareAllocator:
             "alloc_cache_size": len(self._cache),
         }
 
-    def prepare(self, task: FluidTask) -> object:
-        return task.meta.get("rank")
+    #: Static record layout: ``(sender id,)``.
+    static_width = 1
 
-    def allocate_batch(self, statics: _t.Sequence[object]) -> np.ndarray:
-        if not statics:
-            return np.empty(0)
-        per_sender = Counter(statics)
-        n_anon = per_sender.pop(None, 0)
+    def prepare(self, task: FluidTask) -> tuple[int]:
+        rank = task.meta.get("rank")
+        if rank is None:
+            return (0,)
+        sid = self._sender_ids.get(rank)
+        if sid is None:
+            sid = self._sender_ids[rank] = len(self._sender_ids) + 1
+        return (sid,)
+
+    def allocate_batch(self, statics: np.ndarray) -> np.ndarray:
+        senders = statics[:, 0].tolist()
+        per_sender = Counter(senders)
+        n_anon = per_sender.pop(0.0, 0)
         counts = sorted(per_sender.values(), reverse=True)
         key = (n_anon, *counts)
         rate_of = self._cache.get(key)
@@ -112,36 +122,29 @@ class RankAwareAllocator:
         else:
             self.cache_hits += 1
         # Anonymous senders were popped: a Counter reads them back as 0.
-        return np.array([rate_of[per_sender[rank]] for rank in statics])
+        return np.array([rate_of[per_sender[sid]] for sid in senders])
 
     def _rates_by_count(self, n_anon: int, counts: list[int]) -> dict[int, float]:
         """Rate of one transfer, by its sender's concurrent-transfer count.
 
         Transfers of the same sender have identical injection demands and so
         receive identical max-min grants; the water filling runs per sender
-        with the transfer count as weight, senders in descending-count (so
-        ascending-demand) order.  Anonymous senders are one-transfer
-        processes, each demanding the full injection bandwidth: one group
-        weighted by their number, listed under count 0 and ahead of the
-        known one-transfer senders it ties with.
+        with the transfer count as weight.  Anonymous senders are
+        one-transfer processes, each demanding the full injection bandwidth:
+        one group weighted by their number, listed under count 0.  The total
+        is summed with that group first, then the senders in descending-count
+        (so ascending-demand) order; the water level walks the groups stably
+        by demand, so the anonymous group goes ahead of the known
+        one-transfer senders it ties with.
         """
         groups, weights = ([0, *counts], [n_anon, *counts]) if n_anon else (counts, counts)
         demands = [self.injection_bw / max(c, 1) for c in groups]
-        grants = waterfill_scalar(demands, self.capacity, weights)
-        return dict(zip(groups, grants))
-
-    def allocate(self, tasks: _t.Sequence[FluidTask]) -> list[float]:
-        if not tasks:
-            return []
-        per_rank: dict[object, int] = {}
-        keys = []
-        for i, task in enumerate(tasks):
-            rank = task.meta.get("rank")
-            key = rank if rank is not None else ("anon", i)
-            keys.append(key)
-            per_rank[key] = per_rank.get(key, 0) + 1
-        demands = [self.injection_bw / per_rank[key] for key in keys]
-        return waterfill(demands, self.capacity)
+        total = 0.0
+        for w, d in zip(weights, demands):
+            total += w * d
+        order = sorted(range(len(groups)), key=demands.__getitem__)
+        level = water_level(self.capacity, total, sum(weights), order, demands, weights)
+        return {c: min(d, level) for c, d in zip(groups, demands)}
 
 
 class NetworkModel:

@@ -35,10 +35,10 @@ running k full reallocations.  This is semantically free — intermediate rate
 assignments would act over zero simulated time — and is counted in
 ``n_coalesced`` for the run manifest.
 
-Allocators may additionally implement the *batch protocol* (``prepare`` +
-``allocate_batch``): the resource then collects one static record per task at
-submit time and hands the allocator the whole list per rebalance, so the
-allocator never re-walks task metadata (see
+Allocators speak one protocol (:class:`RateAllocator`): the resource
+collects one fixed-width static record per task at submit time, keeps the
+records in its state matrix, and hands the allocator the active records as
+one array per rebalance, so the allocator never re-walks task metadata (see
 :class:`~repro.machine.contention.BandwidthContentionAllocator`).
 """
 
@@ -175,30 +175,26 @@ class FluidTask:
 class RateAllocator(_t.Protocol):
     """Strategy assigning progress rates to the active tasks of a resource.
 
-    ``allocate`` is the required interface.  Allocators may opt into the
-    vectorized batch protocol by also providing::
+    ``prepare`` is called once per task at submit time and returns the
+    task's static record: a tuple of ``static_width`` numbers holding
+    everything the allocator needs that cannot change while the task runs.
+    The resource stores the records as rows of one 2-D float array, compacted
+    in lockstep with the active set, and per rebalance passes
+    ``allocate_batch`` the ``(n, static_width)`` view of the active records,
+    in order; it returns one non-negative rate per record as a float array.
+    The allocator never re-reads task metadata on the hot path.
 
-        def prepare(self, task: FluidTask) -> object: ...
-        def allocate_batch(self, statics: list) -> numpy.ndarray: ...
-
-    ``prepare`` is called once per task at submit time and returns an opaque
-    static record (everything the allocator needs that cannot change while
-    the task runs); ``allocate_batch`` receives the records of the current
-    active set, in order, and returns one rate per record.  The resource
-    keeps the records compacted in lockstep with the active set, so the
-    allocator never re-reads task metadata on the hot path.
-
-    Allocators that additionally declare ``static_width: int`` promise that
-    ``prepare`` returns a fixed-length tuple of ``static_width`` numbers; the
-    resource then stores the records as rows of one 2-D float array and
-    passes ``allocate_batch`` an ``(n, static_width)`` array view — no
-    per-rebalance Python iteration over records at all.  Without
-    ``static_width`` the records are kept in a plain list (opaque objects).
+    Allocators that track state over the active set (e.g. per-core
+    occupancy) may also define ``notify_attach(record)`` and
+    ``notify_detach(record)``, called as each task enters and leaves it, and
+    ``cache_info()``, merged into :meth:`FluidResource.stats`.
     """
 
-    def allocate(self, tasks: _t.Sequence[FluidTask]) -> list[float]:
-        """Return one non-negative rate per task (same order as ``tasks``)."""
-        ...  # pragma: no cover
+    static_width: int
+
+    def prepare(self, task: FluidTask) -> tuple: ...  # pragma: no cover
+
+    def allocate_batch(self, statics: np.ndarray) -> np.ndarray: ...  # pragma: no cover
 
 
 class EqualShareAllocator:
@@ -221,24 +217,19 @@ class EqualShareAllocator:
         self.capacity = float(capacity)
         self.per_task_cap = per_task_cap
 
-    #: Batch-protocol static record width (no per-task statics needed).
+    #: No per-task statics needed.
     static_width = 0
 
     def prepare(self, task: FluidTask) -> tuple:
         return ()
 
-    def allocate_batch(self, statics: _t.Sequence) -> np.ndarray:
+    def allocate_batch(self, statics: np.ndarray) -> np.ndarray:
         n = len(statics)
-        if n == 0:
-            return np.empty(0)
         share = self.capacity / n
         cap = self.per_task_cap
         if cap is not None and share >= cap - _ABS_EPS:
             share = cap
         return np.full(n, share)
-
-    def allocate(self, tasks: _t.Sequence[FluidTask]) -> list[float]:
-        return self.allocate_batch([()] * len(tasks)).tolist()
 
 
 class FluidResource:
@@ -281,22 +272,13 @@ class FluidResource:
         self.observer = observer
         self._active: list[FluidTask] = []
         self._n = 0
-        prepare = getattr(allocator, "prepare", None)
-        batch = getattr(allocator, "allocate_batch", None)
-        self._prepare = prepare if (prepare is not None and batch is not None) else None
-        self._batch = batch if self._prepare is not None else None
-        self._static_width: int | None = (
-            getattr(allocator, "static_width", None) if self._batch is not None else None
-        )
+        self._prepare = allocator.prepare
+        self._batch = allocator.allocate_batch
         # Optional membership hooks: allocators that track incremental state
         # over the active set (e.g. per-core occupancy) receive every static
         # record on entry and exit.
-        self._notify_attach = (
-            getattr(allocator, "notify_attach", None) if self._batch is not None else None
-        )
-        self._notify_detach = (
-            getattr(allocator, "notify_detach", None) if self._batch is not None else None
-        )
+        self._notify_attach = getattr(allocator, "notify_attach", None)
+        self._notify_detach = getattr(allocator, "notify_detach", None)
         # One (5 + static_width, capacity) matrix holds all per-task state,
         # one column per active task: five progress rows, then the
         # allocator's fixed-width static record.  The named attributes are
@@ -306,9 +288,7 @@ class FluidResource:
         # is time spent at zero rate — active time is derived as
         # elapsed-minus-zero-time, so the common all-rates-positive case
         # never touches the row in :meth:`_advance`.
-        self._bind_state(np.zeros((5 + (self._static_width or 0), _INITIAL_CAPACITY)))
-        #: Opaque static records (allocators without ``static_width``).
-        self._statics: list = []
+        self._bind_state(np.zeros((5 + allocator.static_width, _INITIAL_CAPACITY)))
         self._rates_have_zero = True
         self._last_update = sim.now
         self._last_settled = -math.inf
@@ -357,11 +337,9 @@ class FluidResource:
             task.finish_time = now
             task.done.succeed(task)
             return task
-        prepare = self._prepare
-        if prepare is not None:
-            # Resolve the allocator's static record first so metadata errors
-            # surface at the submit call site, before any state changes.
-            static = prepare(task)
+        # Resolve the allocator's static record first so metadata errors
+        # surface at the submit call site, before any state changes.
+        static = self._prepare(task)
         if self._last_update != now:
             self._advance()
         i = self._n
@@ -372,12 +350,7 @@ class FluidResource:
         threshold = work * _REL_EPS
         if threshold < _ABS_EPS:
             threshold = _ABS_EPS
-        if prepare is None or self._static_width is None:
-            self._state[:, i] = (work, 0.0, work, 0.0, threshold)
-            if prepare is not None:
-                self._statics.append(static)
-        else:
-            self._state[:, i] = (work, 0.0, work, 0.0, threshold, *static)
+        self._state[:, i] = (work, 0.0, work, 0.0, threshold, *static)
         self._active.append(task)
         if self._notify_attach is not None:
             self._notify_attach(static)
@@ -432,15 +405,11 @@ class FluidResource:
             self._zero_time[i]
         )
         task._res = None
-        notify = self._notify_detach
-        if notify is not None:
-            if self._static_width is not None:
-                notify(self._static_rows[:, i])
-            else:
-                notify(self._statics[i])
+        if self._notify_detach is not None:
+            self._notify_detach(self._static_rows[:, i])
 
     def _remove_indices(self, gone: list[int]) -> None:
-        """Compact the state matrix and the active/static lists, dropping the
+        """Compact the state matrix and the active list, dropping the
         positions in ``gone`` (a cancel, or several same-timestamp finishers;
         the steady-state single finisher is handled inline by :meth:`_settle`)."""
         n = self._n
@@ -453,10 +422,6 @@ class FluidResource:
         # prefix is simply empty.)
         gone_set = set(gone)
         self._active = [t for i, t in enumerate(self._active) if i not in gone_set]
-        if self._statics:
-            self._statics = [
-                s for i, s in enumerate(self._statics) if i not in gone_set
-            ]
         self._n = m
 
     def _mark_dirty(self) -> None:
@@ -531,16 +496,11 @@ class FluidResource:
             task._res = None
             task.finish_time = now
             if self._notify_detach is not None:
-                if self._static_width is not None:
-                    self._notify_detach(self._static_rows[:, i])
-                else:
-                    self._notify_detach(self._statics[i])
+                self._notify_detach(self._static_rows[:, i])
             m = n - 1
             if i != m:
                 self._state[:, i:m] = self._state[:, i + 1 : n]
             del self._active[i]
-            if self._statics:
-                del self._statics[i]
             self._n = m
             return (task,)
         if gone.size == 0:
@@ -571,16 +531,7 @@ class FluidResource:
         n = self._n
         eta = math.inf
         if n:
-            if self._batch is not None:
-                if self._static_width is not None:
-                    statics = self._static_rows[:, :n].T
-                else:
-                    statics = self._statics
-                rates = self._batch(statics)
-                if not isinstance(rates, np.ndarray):
-                    rates = np.asarray(rates, dtype=float)
-            else:
-                rates = np.asarray(self.allocator.allocate(self._active), dtype=float)
+            rates = self._batch(self._static_rows[:, :n].T)
             if rates.shape != (n,):
                 raise RuntimeError(
                     f"allocator returned {rates.size} rates for {n} tasks"

@@ -18,11 +18,7 @@ from repro.simkit.simulator import Simulator
 def batch_rates(alloc, tasks) -> list[float]:
     """Rates of ``tasks`` as one active set, in order."""
     statics = [alloc.prepare(task) for task in tasks]
-    width = getattr(alloc, "static_width", None)
-    if width is None:
-        batch = statics
-    else:
-        batch = np.asarray(statics, dtype=float).reshape(len(statics), width)
+    batch = np.asarray(statics, dtype=float).reshape(len(statics), alloc.static_width)
     attach = getattr(alloc, "notify_attach", None)
     detach = getattr(alloc, "notify_detach", None)
     if attach is not None:

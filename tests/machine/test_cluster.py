@@ -7,6 +7,7 @@ from repro.machine.cluster import ClusterTopology
 from repro.machine.contention import BandwidthContentionAllocator
 from repro.simkit import Simulator
 from repro.simkit.fluid import FluidTask
+from tests.machine.batch import batch_rates
 
 FREQ = 1.0e9
 
@@ -70,7 +71,7 @@ class TestPerNodeContention:
             for i, n in enumerate(nodes_of_tasks):
                 t = cluster.place(8)[n * 4 + (i % 4)]
                 tasks.append(FluidTask(sim, 1e9, meta={"profile": heavy, "thread": t}))
-            return alloc.allocate(tasks)
+            return batch_rates(alloc, tasks)
 
         same_node = rates([0, 0, 0, 0])
         split = rates([0, 0, 1, 1])
@@ -86,5 +87,5 @@ class TestPerNodeContention:
         placement = cluster.place(8)
         t_n0 = FluidTask(sim, 1.0, meta={"profile": p, "thread": placement[0]})
         t_n1 = FluidTask(sim, 1.0, meta={"profile": p, "thread": placement[4]})
-        rates = alloc.allocate([t_n0, t_n1])
+        rates = batch_rates(alloc, [t_n0, t_n1])
         assert rates == pytest.approx([FREQ, FREQ])

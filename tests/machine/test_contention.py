@@ -1,4 +1,9 @@
-"""Unit and property tests for the contention model (water filling + HT sharing)."""
+"""Unit and property tests for the contention model (water filling + HT sharing).
+
+``TestWaterfill`` checks the engine's one water-filling body
+(:func:`~repro.machine.contention.water_level`) through
+:func:`tests.machine.maxmin.grants`, which feeds it demands in any order.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -6,39 +11,41 @@ from hypothesis import strategies as st
 
 from repro.machine import (
     BandwidthContentionAllocator,
+    HwThread,
     NodeTopology,
     PhaseProfile,
 )
-from repro.machine.contention import waterfill
 from repro.simkit.fluid import FluidTask
 from repro.simkit import Simulator
+from tests.machine.batch import batch_rates
+from tests.machine import maxmin
 
 
 class TestWaterfill:
     def test_empty(self):
-        assert waterfill([], 10.0) == []
+        assert maxmin.grants([], 10.0) == []
 
     def test_all_satisfied_when_capacity_ample(self):
-        assert waterfill([1.0, 2.0, 3.0], 100.0) == [1.0, 2.0, 3.0]
+        assert maxmin.grants([1.0, 2.0, 3.0], 100.0) == [1.0, 2.0, 3.0]
 
     def test_equal_split_when_all_demand_exceeds_fair_share(self):
-        grants = waterfill([10.0, 10.0, 10.0], 9.0)
+        grants = maxmin.grants([10.0, 10.0, 10.0], 9.0)
         assert grants == pytest.approx([3.0, 3.0, 3.0])
 
     def test_small_demand_fully_served_slack_redistributed(self):
         # fair share is 4; the 1.0 demand is served fully, the rest split 11/2.
-        grants = waterfill([1.0, 10.0, 10.0], 12.0)
+        grants = maxmin.grants([1.0, 10.0, 10.0], 12.0)
         assert grants[0] == pytest.approx(1.0)
         assert grants[1] == pytest.approx(5.5)
         assert grants[2] == pytest.approx(5.5)
 
     def test_zero_demands_get_zero(self):
-        grants = waterfill([0.0, 5.0], 4.0)
+        grants = maxmin.grants([0.0, 5.0], 4.0)
         assert grants == pytest.approx([0.0, 4.0])
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            waterfill([1.0], -1.0)
+            maxmin.grants([1.0], -1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -46,7 +53,7 @@ class TestWaterfill:
         capacity=st.floats(min_value=0.1, max_value=200.0),
     )
     def test_waterfill_invariants(self, demands, capacity):
-        grants = waterfill(demands, capacity)
+        grants = maxmin.grants(demands, capacity)
         assert len(grants) == len(demands)
         # No grant exceeds its demand; no grant negative.
         for g, d in zip(grants, demands):
@@ -66,7 +73,7 @@ class TestWaterfill:
     )
     def test_waterfill_max_min_fairness(self, demands, capacity):
         """No task that got less than its demand received less than another task."""
-        grants = waterfill(demands, capacity)
+        grants = maxmin.grants(demands, capacity)
         unsat = [g for g, d in zip(grants, demands) if g < d - 1e-9]
         if unsat:
             floor = min(unsat)
@@ -98,7 +105,7 @@ class TestBandwidthContentionAllocator:
     def test_lone_task_runs_at_nominal_ipc(self, topo, alloc):
         sim = Simulator()
         p = PhaseProfile("x", ipc0=1.5, bytes_per_instr=0.1)
-        rates = alloc.allocate([_task(sim, p, topo.hw_thread(0, 0))])
+        rates = batch_rates(alloc, [_task(sim, p, topo.hw_thread(0, 0))])
         assert rates[0] == pytest.approx(1.5 * self.FREQ)
         assert alloc.effective_ipc(rates[0]) == pytest.approx(1.5)
 
@@ -109,13 +116,13 @@ class TestBandwidthContentionAllocator:
         p = PhaseProfile("x", ipc0=1.0, bytes_per_instr=0.0)
         t0 = _task(sim, p, topo.hw_thread(0, 0))
         t1 = _task(sim, p, topo.hw_thread(0, 1))
-        rates = alloc.allocate([t0, t1])
+        rates = batch_rates(alloc, [t0, t1])
         assert rates == pytest.approx([0.5 * self.FREQ, 0.5 * self.FREQ])
 
     def test_separate_cores_do_not_share_issue(self, topo, alloc):
         sim = Simulator()
         p = PhaseProfile("x", ipc0=1.0, bytes_per_instr=0.0)
-        rates = alloc.allocate(
+        rates = batch_rates(alloc, 
             [_task(sim, p, topo.hw_thread(0, 0)), _task(sim, p, topo.hw_thread(1, 0))]
         )
         assert rates == pytest.approx([self.FREQ, self.FREQ])
@@ -125,7 +132,7 @@ class TestBandwidthContentionAllocator:
         sim = Simulator()
         p = PhaseProfile("heavy", ipc0=2.0, bytes_per_instr=2.0)  # demand 4e9 each
         tasks = [_task(sim, p, topo.hw_thread(c, 0)) for c in range(4)]
-        rates = alloc.allocate(tasks)
+        rates = batch_rates(alloc, tasks)
         for r in rates:
             assert r == pytest.approx(self.BW / 4 / 2.0)  # grant / bpi = 1e9 instr/s
             assert alloc.effective_ipc(r) == pytest.approx(1.0)
@@ -137,14 +144,14 @@ class TestBandwidthContentionAllocator:
         heavy = PhaseProfile("heavy", ipc0=2.0, bytes_per_instr=2.0)
         light = PhaseProfile("light", ipc0=0.06, bytes_per_instr=1.0)
         sync = [_task(sim, heavy, topo.hw_thread(c, 0)) for c in range(4)]
-        sync_rate = alloc.allocate(sync)[0]
+        sync_rate = batch_rates(alloc, sync)[0]
         mixed = [
             _task(sim, heavy, topo.hw_thread(0, 0)),
             _task(sim, heavy, topo.hw_thread(1, 0)),
             _task(sim, light, topo.hw_thread(2, 0)),
             _task(sim, light, topo.hw_thread(3, 0)),
         ]
-        mixed_rates = alloc.allocate(mixed)
+        mixed_rates = batch_rates(alloc, mixed)
         assert mixed_rates[0] > sync_rate
         # Light phases are latency bound and unaffected.
         assert alloc.effective_ipc(mixed_rates[2]) == pytest.approx(0.06)
@@ -156,14 +163,30 @@ class TestBandwidthContentionAllocator:
         tasks = [_task(sim, p, topo.hw_thread(0, 0))] + [
             _task(sim, heavy, topo.hw_thread(c, 0)) for c in range(1, 4)
         ]
-        rates = alloc.allocate(tasks)
+        rates = batch_rates(alloc, tasks)
         assert rates[0] == pytest.approx(self.FREQ)
 
     def test_missing_metadata_raises(self, topo, alloc):
         sim = Simulator()
         bare = FluidTask(sim, 1.0, meta={})
         with pytest.raises(RuntimeError, match="metadata"):
-            alloc.allocate([bare])
+            batch_rates(alloc, [bare])
+
+    def test_far_node_indices_are_their_own_contention_domain(self):
+        """Node 4096 is a node like node 1: its task neither shares a core
+        nor bandwidth with the two bandwidth-bound tasks of node 0."""
+        freq = 1.4e9
+        alloc = BandwidthContentionAllocator(freq, 2.0e9)
+        p = PhaseProfile("x", ipc0=1.0, bytes_per_instr=1.0)
+        sim = Simulator()
+
+        def rates(far_node):
+            threads = [HwThread(0, 0, 0, 0), HwThread(1, 0, 1, 0), HwThread(0, 0, 0, far_node)]
+            return batch_rates(alloc, [_task(sim, p, t) for t in threads])
+
+        assert rates(1) == pytest.approx([1.0e9, 1.0e9, freq])
+        assert rates(4096) == rates(1)
+        assert rates(1 << 20) == rates(1)
 
     @settings(max_examples=30, deadline=None)
     @given(n_heavy=st.integers(min_value=1, max_value=8))
@@ -177,6 +200,6 @@ class TestBandwidthContentionAllocator:
 
         def first_rate(k):
             tasks = [_task(sim, heavy, topo.hw_thread(c, 0)) for c in range(k)]
-            return alloc.allocate(tasks)[0]
+            return batch_rates(alloc, tasks)[0]
 
         assert first_rate(n_heavy) >= first_rate(n_heavy + 1) - 1e-6

@@ -11,6 +11,7 @@ from repro.machine import (
     knl_phase_table,
 )
 from repro.simkit import Simulator
+from tests.machine.batch import batch_rates
 
 FREQ = 1.0e9
 
@@ -180,7 +181,7 @@ class TestKnlPhaseTable:
             FluidTask(sim, 1e9, meta={"profile": table["fft_xy"], "thread": placement[i]})
             for i in range(64)
         ]
-        rates = alloc.allocate(tasks)
+        rates = batch_rates(alloc, tasks)
         ipc = rates[0] / params.frequency_hz
         assert ipc == pytest.approx(0.77, abs=0.02)
 
@@ -200,6 +201,6 @@ class TestKnlPhaseTable:
             FluidTask(sim, 1e9, meta={"profile": table["fft_z"], "thread": placement[i]})
             for i in range(64)
         ]
-        rates = alloc.allocate(tasks)
+        rates = batch_rates(alloc, tasks)
         ipc = rates[0] / params.frequency_hz
         assert ipc == pytest.approx(0.52, abs=0.02)

@@ -1,26 +1,29 @@
-"""Bit-identity of the static-table pricing paths with the vectorized ones.
+"""Bit-identity of the engine's pricing with the numpy closed form.
 
-The CPU allocator's no-hyper-threading miss path prices a composition in
-scalar passes over per-id lists walked in two static orders; the transport
-allocator keys its memo on the multiset of per-sender transfer counts.  Both
-replaced numpy pipelines (``bincount`` + :func:`waterfill_vec`,
-``np.unique`` + :func:`waterfill_vec`) whose results are in committed
-fixtures, so the new paths must agree with them to the last bit — and must
-hand the compositions they do not cover (more than seven groups, more than
-one node) to the vectorized path.
+The CPU allocator prices a composition in scalar passes over per-id lists
+walked in two static orders; the transport allocator keys its memo on the
+multiset of per-sender transfer counts.  Both replaced numpy pipelines
+(``bincount`` / ``np.unique`` + a sort-and-cumsum water filling) whose
+results are in committed fixtures, so they must agree with that closed form
+(:func:`tests.machine.maxmin.waterfill_vec`) to the last bit: on one node
+or several, with and without hyper-threads sharing a core.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.contention import BandwidthContentionAllocator, waterfill_vec
+from repro.machine.contention import BandwidthContentionAllocator
 from repro.machine.phases import PhaseProfile
 from repro.machine.topology import HwThread
 from repro.mpisim.network import RankAwareAllocator
 from repro.simkit.fluid import FluidTask
 from repro.simkit.simulator import Simulator
+from tests.machine.batch import batch_rates, transfer_tasks
+from tests.machine.maxmin import waterfill_vec
 
 FREQ = 1.4e9
 
@@ -51,22 +54,53 @@ def _allocator(bandwidth, rampup):
     return BandwidthContentionAllocator(FREQ, bandwidth, **kwargs)
 
 
-def _attach(alloc, table, counts, node_of=lambda pid: 0):
-    """One task per core (so no hyper-thread sharing), ``counts[p]`` tasks of
-    profile ``p``; returns the ``(n, 4)`` statics array in attach order."""
+def _attach(alloc, table, counts, node_of=lambda pid: 0, per_core=1):
+    """``counts[p]`` tasks of profile ``p``, ``per_core`` consecutive tasks
+    to a core; returns the ``(n, 3)`` statics array in attach order and the
+    ``(profile, node, core, speed)`` placement of each task."""
     sim = Simulator()
     statics = []
-    core = 0
+    placed = []
+    k = 0
     for pid, ((ipc0, bpi), count) in enumerate(zip(table, counts)):
         profile = PhaseProfile(f"p{pid}", ipc0, bpi)
         for _ in range(count):
-            thread = HwThread(core=core, slot=0, index=4 * core, node=node_of(pid))
-            meta = {"profile": profile, "thread": thread, "speed": 1.0 + 0.001 * (core % 5)}
+            core = k // per_core
+            node = node_of(pid)
+            speed = 1.0 + 0.001 * (k % 5)
+            thread = HwThread(core=core, slot=k % per_core, index=k, node=node)
+            meta = {"profile": profile, "thread": thread, "speed": speed}
             static = alloc.prepare(FluidTask(sim, 1.0, meta=meta))
             alloc.notify_attach(static)
             statics.append(static)
-            core += 1
-    return np.asarray(statics, dtype=float)
+            placed.append((pid, node, core, speed))
+            k += 1
+    return np.asarray(statics, dtype=float), placed
+
+
+def _reference_rates(alloc, table, placed):
+    """The numpy pipeline: per node, water-fill the ``(profile, occupancy)``
+    groups, in that order, weighted by their task counts."""
+    occupancy = Counter((node, core) for _, node, core, _ in placed)
+    groups = Counter((pid, occupancy[node, core], node) for pid, node, core, _ in placed)
+    rate_of = {}
+    for node in {key[2] for key in groups}:
+        keys = sorted(key for key in groups if key[2] == node)
+        ipc0 = np.array([table[pid][0] for pid, _, _ in keys])
+        bpi = np.array([table[pid][1] for pid, _, _ in keys])
+        occ = np.array([o for _, o, _ in keys])
+        weights = np.array([groups[key] for key in keys])
+        ceilings = ipc0 * FREQ / occ
+        demands = ceilings * bpi
+        capacity = alloc.effective_capacity(int(weights[demands > 0.0].sum()))
+        grants = waterfill_vec(demands, capacity, weights)
+        granted = np.divide(grants, bpi, out=np.zeros_like(grants), where=bpi > 0.0)
+        rates = np.where(bpi <= 0.0, ceilings, np.minimum(ceilings, granted))
+        rate_of.update(zip(keys, rates.tolist()))
+    return [
+        rate_of[pid, occupancy[node, core], node] * speed
+        for pid, node, core, speed in placed
+    ]
 
 
 @st.composite
@@ -86,76 +120,46 @@ class TestDenseMissPath:
     @given(comp=compositions(), bandwidth=bandwidths, rampup=rampups)
     @settings(max_examples=150, deadline=None)
     def test_equals_the_vectorized_groups_path_bitwise(self, comp, bandwidth, rampup):
-        """Any profile table, count vector and ramp-up: the dense miss path
-        returns exactly the rates ``_base_rates_groups`` (``waterfill_vec``)
+        """Any profile table, count vector and ramp-up, one task per core:
+        the allocator returns exactly the rates the numpy closed form
         computes for the same composition."""
         table, counts = comp
         alloc = _allocator(bandwidth, rampup)
-        arr = _attach(alloc, table, counts)
-        dense = alloc._base_rates_dense(tuple(alloc._dense_counts))
-        present = [d for d, w in enumerate(alloc._dense_counts) if w]
-        by_code = sorted(present, key=alloc._dense_code_l.__getitem__)
-        uniq = np.array([alloc._dense_code_l[d] for d in by_code], dtype=np.int64)
-        weights = np.array([alloc._dense_counts[d] for d in by_code], dtype=np.int64)
-        _, reference = alloc._base_rates_groups(uniq, weights)
-        assert dense[by_code].tolist() == reference.tolist()
-        assert not dense[[d for d, w in enumerate(alloc._dense_counts) if not w]].any()
-        # And end to end: the engine entry point scatters those rates.
-        rates = alloc.allocate_batch(arr)
-        expected = dense[arr[:, 3].astype(np.intp)] * arr[:, 2]
-        assert rates.tolist() == expected.tolist()
+        arr, placed = _attach(alloc, table, counts)
+        assert alloc.allocate_batch(arr).tolist() == _reference_rates(alloc, table, placed)
 
-    @given(comp=compositions(), bandwidth=bandwidths, rampup=rampups)
+    @given(
+        comp=compositions(),
+        bandwidth=bandwidths,
+        rampup=rampups,
+        per_core=st.integers(min_value=2, max_value=4),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_equals_the_sorted_code_memo_path_bitwise(self, comp, bandwidth, rampup):
-        """The hyper-threading path (sort + run-length + scalar/vector twin)
-        prices a single-occupancy composition identically — the memo does
-        not depend on which path filled it."""
+    def test_shared_cores_equal_the_vectorized_groups_path_bitwise(
+        self, comp, bandwidth, rampup, per_core
+    ):
+        """Hyper-threads sharing cores (2-4 per core, a partly filled last
+        core, profiles mixed on one core) price like the closed form over
+        ``(profile, occupancy)`` groups."""
         table, counts = comp
         alloc = _allocator(bandwidth, rampup)
-        arr = _attach(alloc, table, counts)
-        codes = arr[:, 0].astype(np.int64)
-        uniq, base = alloc._base_rates(np.sort(codes))
-        assert alloc.allocate_batch(arr).tolist() == (
-            base[np.searchsorted(uniq, codes)] * arr[:, 2]
-        ).tolist()
-
-    def test_more_than_seven_groups_take_the_vectorized_path(self, monkeypatch):
-        table = [(0.5 + 0.1 * k, 0.3 * k) for k in range(9)]
-        alloc = _allocator(90e9, None)
-        _attach(alloc, table, [3] * 9)
-        calls = []
-        original = alloc._base_rates_groups
-        monkeypatch.setattr(
-            alloc, "_base_rates_groups",
-            lambda uniq, weights: calls.append(len(uniq)) or original(uniq, weights),
-        )
-        alloc._base_rates_dense(tuple(alloc._dense_counts))
-        assert calls == [9]
-        # Seven present groups of the same nine-id table stay scalar.
-        calls.clear()
-        alloc._base_rates_dense((3,) * 7 + (0, 0))
-        assert calls == []
+        arr, placed = _attach(alloc, table, counts, per_core=per_core)
+        assert alloc.allocate_batch(arr).tolist() == _reference_rates(alloc, table, placed)
 
     @given(comp=compositions(), bandwidth=bandwidths, rampup=rampups)
     @settings(max_examples=60, deadline=None)
     def test_multi_node_compositions_price_each_node_alone(self, comp, bandwidth, rampup):
         """Nodes are independent contention domains: a two-node composition
-        (profile ``p`` on node ``p % 2``) prices bitwise like the vectorized
-        per-node water filling, through the scalar walks up to seven groups."""
+        (profile ``p`` on node ``p % 2``) prices bitwise like the closed form
+        water-filling each node alone."""
         table, counts = comp
         alloc = _allocator(bandwidth, rampup)
-        arr = _attach(alloc, table, counts, node_of=lambda pid: pid % 2)
-        codes = arr[:, 0].astype(np.int64)
-        uniq, weights = np.unique(codes, return_counts=True)
-        _, reference = alloc._base_rates_groups(uniq, weights)
-        assert alloc.allocate_batch(arr).tolist() == (
-            reference[np.searchsorted(uniq, codes)] * arr[:, 2]
-        ).tolist()
+        arr, placed = _attach(alloc, table, counts, node_of=lambda pid: pid % 2)
+        assert alloc.allocate_batch(arr).tolist() == _reference_rates(alloc, table, placed)
 
     def test_memo_counters_count_compositions_not_calls(self):
         alloc = _allocator(90e9, None)
-        arr = _attach(alloc, [(1.0, 0.5), (0.8, 2.0)], [3, 2])
+        arr, _ = _attach(alloc, [(1.0, 0.5), (0.8, 2.0)], [3, 2])
         for _ in range(4):
             alloc.allocate_batch(arr)
         info = alloc.cache_info()
@@ -169,7 +173,8 @@ class TestDenseMissPath:
 
 
 def _unique_waterfill_rates(injection_bw, capacity, senders):
-    """The replaced pipeline: ``np.unique`` over sender ids + ``waterfill_vec``."""
+    """The replaced pipeline: ``np.unique`` over sender ids, then the closed
+    form water filling."""
     ids = {s: i for i, s in enumerate(dict.fromkeys(s for s in senders if s is not None))}
     sids = np.array([-1 if s is None else ids[s] for s in senders])
     uniq, counts = np.unique(sids, return_counts=True)
@@ -195,19 +200,19 @@ class TestRankAwareMemo:
     @settings(max_examples=150, deadline=None)
     def test_sender_identity_is_irrelevant(self, senders, seed, capacity):
         """Relabelling the senders (count multiset fixed) returns bit-equal
-        rates out of one memo entry, equal to what the ``np.unique`` +
-        ``waterfill_vec`` pipeline grants."""
+        rates out of one memo entry, equal to what the ``np.unique``
+        pipeline grants."""
         alloc = RankAwareAllocator(capacity, injection_bw=2.5e9)
-        rates = alloc.allocate_batch(senders)
+        rates = batch_rates(alloc, transfer_tasks(senders))
         labels = list(range(100, 112))
         seed.shuffle(labels)
         relabelled = [None if s is None else ("node", labels[s]) for s in senders]
-        assert alloc.allocate_batch(relabelled).tolist() == rates.tolist()
+        assert batch_rates(alloc, transfer_tasks(relabelled)) == rates
         assert alloc.cache_info() == {
             "alloc_cache_hits": 1, "alloc_cache_misses": 1, "alloc_cache_size": 1,
         }
         reference = _unique_waterfill_rates(2.5e9, capacity, senders)
-        assert rates.tolist() == pytest.approx(reference.tolist(), rel=1e-12)
+        assert rates == pytest.approx(reference.tolist(), rel=1e-12)
 
     def test_few_senders_match_the_replaced_pipeline_bitwise(self):
         """Below eight groups numpy sums sequentially, so even the
@@ -219,11 +224,11 @@ class TestRankAwareMemo:
             [0, 1, 2, 3, 4, 5, 6],
         ):
             alloc = RankAwareAllocator(capacity=6.0e9, injection_bw=2.5e9)
-            assert alloc.allocate_batch(senders).tolist() == (
+            assert batch_rates(alloc, transfer_tasks(senders)) == (
                 _unique_waterfill_rates(2.5e9, 6.0e9, senders).tolist()
             )
 
     def test_anonymous_transfers_are_one_transfer_processes(self):
         alloc = RankAwareAllocator(capacity=1e12, injection_bw=2.0e9)
-        rates = alloc.allocate_batch([None, None, 7, 7])
-        assert rates.tolist() == [2.0e9, 2.0e9, 1.0e9, 1.0e9]
+        rates = batch_rates(alloc, transfer_tasks([None, None, 7, 7]))
+        assert rates == [2.0e9, 2.0e9, 1.0e9, 1.0e9]

@@ -58,8 +58,13 @@ class TestCounters:
 
     def test_unchanged_deadline_skips_timer_rearm(self, sim):
         class IndependentRates:
-            def allocate(self, tasks):
-                return [1.0] * len(tasks)
+            static_width = 0
+
+            def prepare(self, task):
+                return ()
+
+            def allocate_batch(self, statics):
+                return np.ones(len(statics))
 
         cpu = FluidResource(sim, IndependentRates(), name="cpu")
 
@@ -172,8 +177,15 @@ class TestZeroRateAccounting:
         class OneAtATime:
             """Grants the whole capacity to the first task, zero to others."""
 
-            def allocate(self, tasks):
-                return [2.0] + [0.0] * (len(tasks) - 1)
+            static_width = 0
+
+            def prepare(self, task):
+                return ()
+
+            def allocate_batch(self, statics):
+                rates = np.zeros(len(statics))
+                rates[0] = 2.0
+                return rates
 
         cpu = FluidResource(sim, OneAtATime(), name="cpu")
         order = []
