@@ -17,9 +17,8 @@ Run:  python examples/desync_timeline.py [--quick]
 
 import argparse
 
+from repro.core import trace_run
 from repro.experiments.common import paper_config
-from repro.perf.tracer import trace_run
-
 from repro.perf.report import render_timeline
 
 

@@ -16,8 +16,8 @@ Run:  python examples/taskgroup_tuning.py [--procs 64] [--quick]
 
 import argparse
 
+from repro.core import trace_run
 from repro.experiments.common import paper_config
-from repro.perf.tracer import trace_run
 
 
 def main() -> None:

@@ -13,14 +13,13 @@ import argparse
 import pathlib
 
 from repro.analysis import analyze_run, compute_totals, factor_rows
-from repro.core.driver import run_fft_phase
+from repro.core.driver import run_fft_phase, trace_run
 from repro.experiments.common import paper_config
 from repro.machine import knl_parameters, whatif_machine
 from repro.perf import (
     communicator_structure,
     format_factor_table,
     phase_summary,
-    trace_run,
     write_prv,
 )
 

@@ -8,7 +8,7 @@ Two forms of one idea — name the code now, import it when it is needed:
   package ``__init__`` that re-exports its submodules' names eagerly makes
   ``import package.light_submodule`` pay for every heavy sibling; with
   ``__getattr__ = lazy_exports(__name__, {...})`` the names stay importable
-  from the package (``from repro.perf import trace_run``) but each
+  from the package (``from repro.perf import whatif_sweep``) but each
   submodule loads on first access.
 
 ``lazy_exports`` is not for names an outside tool reads from

@@ -9,7 +9,7 @@ import time
 
 from repro.cli.faults import load_scenario_arg
 from repro.cli.parser import QUICK_WORKLOAD
-from repro.core import RunConfig, run_fft_phase
+from repro.core import RunConfig, run_fft_phase, trace_run
 from repro.machine.knl import whatif_machine
 
 
@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     from repro.machine import knl_parameters
-    from repro.perf import compare_runs, format_run_comparison, trace_run
+    from repro.perf import compare_runs, format_run_comparison
 
     workload = dict(QUICK_WORKLOAD) if args.quick else {}
     traces = {}

@@ -26,7 +26,7 @@ against the dense single-grid reference of :mod:`~repro.core.validate`.
 
 from repro.core.config import RunConfig, Version
 from repro.core.pipeline import CostConstants, CostModel
-from repro.core.driver import RunResult, run_fft_phase
+from repro.core.driver import RunResult, run_fft_phase, trace_run
 from repro.core.validate import dense_reference, max_relative_error
 from repro.core.gamma import pack_real_bands, unpack_real_bands
 from repro.core.observables import potential_expectation
@@ -38,6 +38,7 @@ __all__ = [
     "CostModel",
     "RunResult",
     "run_fft_phase",
+    "trace_run",
     "dense_reference",
     "max_relative_error",
     "pack_real_bands",

@@ -64,7 +64,7 @@ from repro.mpisim import MpiWorld, NetworkModel
 from repro.mpisim.network import ClusterNetworkModel
 from repro.simkit import Simulator
 
-__all__ = ["RunResult", "run_fft_phase", "build_geometry"]
+__all__ = ["RunResult", "run_fft_phase", "trace_run", "build_geometry"]
 
 
 @functools.lru_cache(maxsize=32)
@@ -161,13 +161,11 @@ def run_fft_phase(
     config: RunConfig,
     knl: KnlParameters | None = None,
     cost_constants: CostConstants | None = None,
-    mpi_observer: _t.Callable | None = None,
-    compute_observer: _t.Callable | None = None,
-    task_observer: _t.Callable | None = None,
     input_coeffs: np.ndarray | None = None,
     potential: np.ndarray | None = None,
     telemetry: _telemetry.Telemetry | None = None,
     faults: FaultScenario | None = None,
+    trace: _telemetry.Trace | None = None,
 ) -> RunResult:
     """Run one configuration to completion on a fresh simulated node.
 
@@ -182,9 +180,24 @@ def run_fft_phase(
     ``repro.telemetry.session()``) becomes the run's.  The session used (if
     any) is returned on ``RunResult.telemetry``.
 
+    A run records its compute, MPI and task records into one
+    :class:`~repro.telemetry.Trace`: the session's ``trace`` when that
+    session is enabled, else ``trace`` if the caller passes one, else
+    nowhere.  Passing ``trace`` to a run whose session is enabled raises
+    ``ValueError`` before anything is built; :func:`trace_run` picks the
+    right one.
+
     ``faults`` overrides ``config.faults``; with a scenario active the
     driver checkpoints and resumes as described in the module docstring.
     """
+    tel = _session(config, telemetry)
+    if tel is not None and tel.enabled:
+        if trace is not None:
+            raise ValueError(
+                "run_fft_phase: trace= and an enabled telemetry session would "
+                "both record the run; drop trace= and read telemetry.trace"
+            )
+        trace = tel.trace
     knl = knl or KnlParameters()
     tuning_info: dict | None = None
     if config.tuning != "off":
@@ -199,13 +212,6 @@ def run_fft_phase(
         config, tuning_info = resolve_tuning(config, knl)
     if (input_coeffs is not None or potential is not None) and not config.data_mode:
         raise ValueError("caller-provided data requires data_mode=True")
-    tel = telemetry
-    if tel is None:
-        if config.telemetry:
-            tel = _telemetry.Telemetry(enabled=True)
-        elif _telemetry.current().enabled:
-            # ``with telemetry.session() as tel: run_fft_phase(config)``
-            tel = _telemetry.current()
     scenario = faults if faults is not None else config.faults
     injector = FaultInjector(scenario, config.seed) if scenario is not None else None
 
@@ -254,12 +260,6 @@ def run_fft_phase(
             v_slabs = [potential_block(layout, r, potential) for r in range(layout.R)]
         else:
             v_slabs = [potential_slab(layout, r, potential) for r in range(layout.R)]
-
-    if tel is not None and tel.enabled:
-        if task_observer is None:
-            task_observer = tel.tracer.on_task
-        else:
-            task_observer = _fanout_task_observer(tel.tracer.on_task, task_observer)
 
     # The kernel engine: one per run, shared by every rank context, so its
     # executable cache stays warm across bands.  Meta-mode runs execute no
@@ -357,13 +357,8 @@ def run_fft_phase(
             network.faults = injector
             world.faults = injector
             injector.bind(sim, attempt)
-        if mpi_observer is not None:
-            world.add_mpi_observer(mpi_observer)
-        if compute_observer is not None:
-            cpu.add_observer(compute_observer)
-        if tel is not None and tel.enabled:
-            world.add_mpi_observer(tel.tracer.on_mpi)
-            cpu.add_observer(tel.tracer.on_compute)
+        # The one recorder: the world's task runtimes read it from the world.
+        cpu.trace = world.trace = trace
 
         # 4. Communicator layers (setup time, unmeasured — like FFTXlib init).
         pack_comms = (
@@ -441,7 +436,7 @@ def run_fft_phase(
             return _contexts[p]
 
         # 5. The version's program, starting past the checkpointed units.
-        program = make_program(ctx_of, config, units_done, task_observer)
+        program = make_program(ctx_of, config, units_done)
         n_spans_before = len(tel.spans) if tel is not None else 0
 
         previous = _telemetry.install(tel) if tel is not None else None
@@ -538,6 +533,38 @@ def run_fft_phase(
     )
 
 
+def trace_run(
+    config: RunConfig, **run_kwargs: _t.Any
+) -> tuple[RunResult, _telemetry.Trace]:
+    """Run ``config`` and return ``(result, trace)``.
+
+    The trace is the enabled session's (the same rule as
+    :func:`run_fft_phase`), or a fresh :class:`~repro.telemetry.Trace`
+    passed as ``trace=`` when the run has none; either way the run records
+    each record once.
+    """
+    tel = _session(config, run_kwargs.pop("telemetry", None))
+    if tel is not None and tel.enabled:
+        return run_fft_phase(config, telemetry=tel, **run_kwargs), tel.trace
+    trace = _telemetry.Trace()
+    return run_fft_phase(config, telemetry=tel, trace=trace, **run_kwargs), trace
+
+
+def _session(
+    config: RunConfig, telemetry: _telemetry.Telemetry | None
+) -> _telemetry.Telemetry | None:
+    """The run's telemetry session: ``telemetry`` if given, a fresh enabled
+    one for ``config.telemetry``, else the current session if enabled."""
+    if telemetry is not None:
+        return telemetry
+    if config.telemetry:
+        return _telemetry.Telemetry(enabled=True)
+    if _telemetry.current().enabled:
+        # ``with telemetry.session() as tel: run_fft_phase(config)``
+        return _telemetry.current()
+    return None
+
+
 #: Arena counters reported as per-run deltas; the rest are state gauges.
 _DATAPLANE_COUNTERS = (
     "acquires",
@@ -579,14 +606,6 @@ def _completed_units(
     while done < n_units and all(b in common for b in unit_bands(done)):
         done += 1
     return done
-
-
-def _fanout_task_observer(first: _t.Callable, second: _t.Callable) -> _t.Callable:
-    def observer(rank: int, record: object) -> None:
-        first(rank, record)
-        second(rank, record)
-
-    return observer
 
 
 def _record_run_summary(

@@ -85,7 +85,6 @@ def make_program(
     ctx_of: _t.Callable[[object], FftPhaseContext],
     config: RunConfig,
     start_unit: int = 0,
-    task_observer: _t.Callable | None = None,
 ):
     """Build the per-rank program of ``config.version``.
 
@@ -125,8 +124,6 @@ def make_program(
                 task_overhead=config.task_overhead,
                 mpi_task_switching=config.effective_task_switching,
             )
-            if task_observer is not None:
-                rt.add_observer(lambda rec, _r=rank.rank: task_observer(_r, rec))
             rt.start()
             with span("submit", "sub-phase", n_units=len(units)):
                 for unit in units:

@@ -9,7 +9,7 @@ from repro.core.config import RunConfig
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.driver import RunResult
-    from repro.perf.tracer import Trace
+    from repro.telemetry import Trace
     from repro.sweep.engine import SweepTask
 
 __all__ = [

@@ -24,8 +24,8 @@ from repro.experiments.paperdata import PAPER
 from repro.machine import knl_parameters
 from repro.perf.report import format_comparison
 from repro.perf.timeline import ipc_histogram, phase_intervals
-from repro.perf.tracer import Trace
 from repro.sweep import SweepTask
+from repro.telemetry import Trace
 
 __all__ = ["run_fig7", "synchrony_index", "reduce_fig7"]
 

@@ -8,8 +8,8 @@ Rank programs and OmpSs workers execute computation as::
 
 The returned event fires when the phase's instruction budget has been issued
 at whatever (time-varying) effective rate the contention model granted.  On
-completion the CPU model updates the hardware counters and notifies observers
-(the Extrae-like tracer) with a :class:`ComputeRecord`.
+completion the CPU model updates the hardware counters and, when the run is
+traced, appends a :class:`ComputeRecord` to ``CpuModel.trace``.
 """
 
 from __future__ import annotations
@@ -28,17 +28,18 @@ from repro.simkit.rng import substream
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.simkit.simulator import Simulator
+    from repro.telemetry.trace import Trace
 
 __all__ = ["ComputeRecord", "CpuModel"]
 
 
 @dataclasses.dataclass(slots=True)
 class ComputeRecord:
-    """One completed compute phase, as reported to observers.
+    """One completed compute phase, as recorded in the run's trace.
 
     Built once per phase on the simulator's hot path, hence slotted and not
     frozen (a frozen dataclass pays ``object.__setattr__`` per field);
-    observers treat records as read-only.
+    readers treat records as read-only.
     """
 
     stream: _t.Hashable
@@ -99,7 +100,9 @@ class CpuModel:
         )
         self.resource = FluidResource(sim, self.allocator, name="cpu")
         self.counters = CounterSet(frequency_hz=topology.frequency_hz)
-        self._observers: list[_t.Callable[[ComputeRecord], None]] = []
+        #: The run's one recorder: completed phases append to
+        #: ``trace.compute`` (``None``: the run is not traced).
+        self.trace: "Trace | None" = None
         #: Relative amplitude of per-execution speed variability.  Real cores
         #: never run two nominally identical phases at exactly the same speed
         #: (cache/TLB state, OS noise); this seeded, deterministic jitter is
@@ -118,10 +121,6 @@ class CpuModel:
     def frequency_hz(self) -> float:
         """Core clock frequency (Hz)."""
         return self.topology.frequency_hz
-
-    def add_observer(self, observer: _t.Callable[[ComputeRecord], None]) -> None:
-        """Register a callback invoked with every completed :class:`ComputeRecord`."""
-        self._observers.append(observer)
 
     def compute(
         self,
@@ -156,8 +155,8 @@ class CpuModel:
             end = task.finish_time
             record = ComputeRecord(stream, thread, phase, instructions, start, end)
             self.counters.record(stream, phase, instructions, end - start)
-            for observer in self._observers:
-                observer(record)
+            if self.trace is not None:
+                self.trace.compute.append(record)
             # Waiters resume off this same event; registered first, this
             # callback swaps the task payload for the ComputeRecord they
             # expect — one event per phase instead of a done/notify pair.

@@ -11,9 +11,10 @@ and communication verbs that all return simkit events::
         yield rank.compute("fft_z", 1.0e9)
         recvbuf = yield rank.alltoallw(comm, sendbuf, recvbuf, send_blocks, recv_blocks)
 
-Every MPI call is reported to registered observers as an :class:`MpiRecord`
-(begin/end time, bytes, synchronization share) — the raw material of the
-Extrae-like tracer and the POP model's communication-efficiency factors.
+With a :class:`~repro.telemetry.Trace` on ``MpiWorld.trace``, every MPI
+call is appended to it as an :class:`MpiRecord` (begin/end time, bytes,
+synchronization share) — the raw material of the timeline views and the
+POP model's communication-efficiency factors.
 """
 
 from __future__ import annotations
@@ -29,15 +30,18 @@ from repro.simkit.events import Event
 from repro.simkit.process import Process
 from repro.simkit.simulator import Simulator
 
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.trace import Trace
+
 __all__ = ["MpiWorld", "RankContext", "MpiRecord"]
 
 
 @dataclasses.dataclass(slots=True)
 class MpiRecord:
-    """One completed MPI call, as reported to observers.
+    """One completed MPI call, as recorded in the run's trace.
 
-    Built once per call on the simulator's hot path, hence slotted and not
-    frozen; observers treat records as read-only.
+    Built once per traced call on the simulator's hot path, hence slotted
+    and not frozen; readers treat records as read-only.
     """
 
     stream: tuple
@@ -114,7 +118,10 @@ class MpiWorld:
         self._next_comm_id = 0
         self.comm_world = self.register_comm(list(range(n_ranks)), "world")
         self.ranks = [RankContext(self, r) for r in range(n_ranks)]
-        self._mpi_observers: list[_t.Callable[[MpiRecord], None]] = []
+        #: The run's one recorder (set by the driver when the run is
+        #: traced): completed calls append to ``trace.mpi``, and the ranks'
+        #: task runtimes append to ``trace.tasks``.
+        self.trace: "Trace | None" = None
 
     # -- communicator registry ----------------------------------------------
 
@@ -131,16 +138,6 @@ class MpiWorld:
     def communicators(self) -> dict[int, Communicator]:
         """All communicators ever created (id -> communicator)."""
         return dict(self._comms)
-
-    # -- observation -------------------------------------------------------------
-
-    def add_mpi_observer(self, observer: _t.Callable[[MpiRecord], None]) -> None:
-        """Register a callback receiving every completed :class:`MpiRecord`."""
-        self._mpi_observers.append(observer)
-
-    def _notify(self, record: MpiRecord) -> None:
-        for obs in self._mpi_observers:
-            obs(record)
 
     # -- program launch ------------------------------------------------------------
 
@@ -233,7 +230,7 @@ class RankContext:
     # -- internal: trace wrapping -----------------------------------------------
 
     def _traced(self, call: str, comm: Communicator, inner: Event, thread: int) -> Event:
-        """Report the call to the MPI observers when ``inner`` completes.
+        """Record the call in the world's trace when ``inner`` completes.
 
         The caller waits on the member event itself: registered first, the
         callback records the :class:`MpiRecord` and swaps the
@@ -248,12 +245,14 @@ class RankContext:
             if ev._exception is not None:
                 return
             result: CollectiveResult = ev._value  # type: ignore[assignment]
-            self.world._notify(
-                MpiRecord(
-                    stream, call, comm.id, comm.name, t0, self.sim.now,
-                    result.bytes_sent, result.sync_time,
+            trace = self.world.trace
+            if trace is not None:
+                trace.mpi.append(
+                    MpiRecord(
+                        stream, call, comm.id, comm.name, t0, self.sim.now,
+                        result.bytes_sent, result.sync_time,
+                    )
                 )
-            )
             ev._value = result.value
 
         inner.add_callback(_record)

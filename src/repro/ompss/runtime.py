@@ -32,12 +32,13 @@ from repro.faults.injector import TaskFailedError
 from repro.ompss.deps import AccessMode
 from repro.ompss.graph import TaskGraph
 from repro.ompss.scheduler import make_queue
-from repro.ompss.task import BodyFactory, Task, TaskRecord, TaskState
+from repro.ompss.task import BodyFactory, Task, TaskState
 from repro.simkit.events import Event
 from repro.telemetry.layers import task_kind
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.world import RankContext
+    from repro.telemetry.trace import Trace
 
 __all__ = ["TaskRuntime", "Worker"]
 
@@ -93,10 +94,14 @@ class TaskRuntime:
             )
         self.policy = policy
         self.task_overhead = task_overhead
+        world = getattr(rank, "world", None)
         #: The world's fault injector (``None`` on a healthy run): completed
         #: tasks may be discarded and re-executed, bounded by the scenario's
         #: ``task_max_retries``.
-        self.faults = getattr(getattr(rank, "world", None), "faults", None)
+        self.faults = getattr(world, "faults", None)
+        #: The world's recorder (``None`` when the run is not traced):
+        #: finished tasks append ``(rank, record)`` to ``trace.tasks``.
+        self.trace: "Trace | None" = getattr(world, "trace", None)
         #: Suspend tasks that block in MPI and run other tasks meanwhile
         #: (the hybrid MPI/SMPSs technique of the paper's ref. [11]).  Also
         #: the deadlock cure when every worker would otherwise sit inside a
@@ -109,15 +114,8 @@ class TaskRuntime:
         self._started = False
         self._stopping = False
         self._taskwaits: list[Event] = []
-        self._observers: list[_t.Callable[[TaskRecord], None]] = []
         self._worker_procs: list = []
         self._resume_qs: dict[int, deque] = {}
-
-    # -- observation --------------------------------------------------------
-
-    def add_observer(self, observer: _t.Callable[[TaskRecord], None]) -> None:
-        """Register a callback receiving each finished task's record."""
-        self._observers.append(observer)
 
     # -- pool control ----------------------------------------------------------
 
@@ -357,9 +355,8 @@ class TaskRuntime:
             return
         task.finished_at = self.rank.sim.now
         self.graph.complete(task)
-        record = task.record()
-        for obs in self._observers:
-            obs(record)
+        if self.trace is not None:
+            self.trace.tasks.append((self.rank.rank, task.record()))
         if faults is not None and task.retries > 0:
             faults.record(
                 "task_recovered",

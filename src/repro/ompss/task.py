@@ -104,7 +104,7 @@ class Task:
         return self.state is TaskState.FINISHED
 
     def record(self) -> "TaskRecord":
-        """Immutable lifecycle snapshot for observers/tracing."""
+        """Immutable lifecycle snapshot for the run's trace."""
         return TaskRecord(
             tid=self.tid,
             name=self.name,
@@ -121,7 +121,7 @@ class Task:
 
 @dataclasses.dataclass(frozen=True)
 class TaskRecord:
-    """Completed-task data as reported to observers."""
+    """Completed-task data as recorded in the run's trace."""
 
     tid: int
     name: str

@@ -3,12 +3,11 @@
 The paper's methodology is as much a contribution as its optimization: trace
 the run (Extrae), inspect timelines and histograms (Paraver), and condense
 everything into the multiplicative POP efficiency model (Tables I/II).
-This package reproduces the tracing and inspection half of that workflow
-against the simulator (the factor model is :mod:`repro.analysis.pop`):
+This package reproduces the inspection half of that workflow against the
+simulator.  A run records into one :class:`repro.telemetry.Trace`
+(:func:`repro.core.trace_run` returns it beside the result); the modules
+here read it (the factor model is :mod:`repro.analysis.pop`):
 
-* :mod:`~repro.perf.tracer` — :class:`Tracer` collects compute-phase, MPI
-  and task records through the driver's observer hooks; ``trace_run`` is
-  the one-call "run with tracing" entry point;
 * :mod:`~repro.perf.timeline` — Fig. 3/7 artifacts: per-stream phase
   timelines, MPI call maps, communicator structure, IPC histograms;
 * :mod:`~repro.perf.paraver` — a Paraver-like trace format (.prv state /
@@ -20,13 +19,12 @@ against the simulator (the factor model is :mod:`repro.analysis.pop`):
 from repro._lazy import lazy_exports
 
 # Submodules load on first access: ``compare``/``timeline``/``paraver`` read
-# recorded data only, while ``tracer``/``whatif`` run the simulator
+# recorded data only, while ``whatif`` runs the simulator
 # (``repro.core``, numpy) — ``analyze`` and ``perf diff|check`` must not pay
-# for those.
+# for it.
 __getattr__ = lazy_exports(
     __name__,
     {
-        "repro.perf.tracer": ("Trace", "Tracer", "trace_run"),
         "repro.perf.timeline": (
             "communicator_structure",
             "ipc_histogram",
@@ -48,9 +46,6 @@ __getattr__ = lazy_exports(
 )
 
 __all__ = [
-    "Trace",
-    "Tracer",
-    "trace_run",
     "phase_intervals",
     "mpi_intervals",
     "phase_summary",

@@ -35,11 +35,11 @@ import time
 import typing as _t
 
 from repro.core.config import RunConfig
-from repro.core.driver import RunResult, run_fft_phase
+from repro.core.driver import RunResult, run_fft_phase, trace_run
 from repro.machine.knl import KnlParameters, whatif_machine
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.perf.tracer import Trace
+    from repro.telemetry import Trace
     from repro.sweep.grid import GridSpec
 
 __all__ = [
@@ -122,7 +122,8 @@ class SweepTask:
     """One unit of sweep work: a config plus how to run and reduce it.
 
     ``ideal_replay`` additionally runs the configuration on the ideal
-    network (the POP transfer-split replay); ``trace`` attaches a tracer.
+    network (the POP transfer-split replay); ``trace`` runs it through
+    :func:`~repro.core.driver.trace_run` and hands the reducer its trace.
     Both feed the reducer, which must be named by ``reducer`` (builtin alias
     or ``module:function``).
     """
@@ -223,8 +224,6 @@ def _execute_task(task: SweepTask) -> dict:
     reducer = _resolve_reducer(task.reducer)
     trace = None
     if task.trace:
-        from repro.perf.tracer import trace_run
-
         result, trace = trace_run(task.config, knl=task.knl)
     else:
         result = run_fft_phase(task.config, knl=task.knl)

@@ -11,7 +11,7 @@ substrate, shared by every subsystem:
 * :mod:`~repro.telemetry.spans` — hierarchical spans over the simulated
   clock (run -> executor -> iteration; tasks and phases come from records);
 * :mod:`~repro.telemetry.trace` — the raw compute/MPI/task record store
-  (:class:`Trace`), formerly of :mod:`repro.perf.tracer`;
+  (:class:`Trace`), the run's one recorder;
 * :mod:`~repro.telemetry.chrometrace` — Perfetto/Chrome-trace JSON export
   with one track per hardware thread and MPI flow events;
 * :mod:`~repro.telemetry.manifest` — the per-run JSON artifact (config,
@@ -48,7 +48,7 @@ import typing as _t
 from repro.telemetry.layers import comm_layer, task_kind
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.spans import Span, SpanLog
-from repro.telemetry.trace import Trace, Tracer
+from repro.telemetry.trace import Trace
 
 __all__ = [
     "Telemetry",
@@ -62,7 +62,6 @@ __all__ = [
     "Span",
     "SpanLog",
     "Trace",
-    "Tracer",
 ]
 
 
@@ -79,7 +78,6 @@ class Telemetry:
         self.metrics = MetricsRegistry(enabled=enabled)
         self.spans = SpanLog(enabled=enabled)
         self.trace = Trace()
-        self.tracer = Tracer(self.trace)
         #: ``(sim_time, rank, depth)`` task-queue samples from the OmpSs
         #: runtime — the Chrome-trace counter track's data and the source of
         #: the queue-depth gauges.

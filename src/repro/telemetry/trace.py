@@ -1,12 +1,12 @@
 """Raw event records of one run (the Extrae analogue's storage).
 
 :class:`Trace` holds every compute-phase record, MPI record and task record
-a run produced, in completion order; :class:`Tracer` is the observer bundle
-that fills one from the driver's three hooks.  These classes used to live in
-:mod:`repro.perf.tracer` (which still re-exports them); they moved here so
-the telemetry layer — which the driver imports — can own them without a
-circular import, and so the Paraver writer, the Chrome-trace exporter and
-the POP model are all plain consumers of the same record store.
+a run produced, in completion order.  It is the run's one recorder: the
+driver hands it to the CPU model, the MPI world and (through the world)
+the task runtimes, which append each record on completion — the enabled
+session's ``trace``, or the caller's ``run_fft_phase(..., trace=...)``.
+The Paraver writer, the Chrome-trace exporter and the POP model are plain
+readers of the same record store.
 
 Unlike real instrumentation the records are exact and overhead free (the
 paper quotes 0.6-2.2 % monitor overhead; a simulator pays none).
@@ -22,7 +22,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.world import MpiRecord
     from repro.ompss.task import TaskRecord
 
-__all__ = ["Trace", "Tracer"]
+__all__ = ["Trace"]
 
 
 @dataclasses.dataclass
@@ -57,23 +57,3 @@ class Trace:
             (r for r in self.mpi if r.stream == stream), key=lambda r: r.t_begin
         )
 
-
-class Tracer:
-    """Observer bundle feeding a :class:`Trace`."""
-
-    def __init__(self, trace: Trace | None = None) -> None:
-        self.trace = trace if trace is not None else Trace()
-
-    # The three hooks the driver accepts:
-
-    def on_compute(self, record: "ComputeRecord") -> None:
-        """Compute-phase completion hook."""
-        self.trace.compute.append(record)
-
-    def on_mpi(self, record: "MpiRecord") -> None:
-        """MPI call completion hook."""
-        self.trace.mpi.append(record)
-
-    def on_task(self, rank: int, record: "TaskRecord") -> None:
-        """OmpSs task completion hook."""
-        self.trace.tasks.append((rank, record))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import RunConfig, run_fft_phase
+from repro.telemetry import Trace
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
 
@@ -103,17 +104,12 @@ class TestRunResult:
         assert 0 < res.phase_time < 10.0
 
     def test_observers_wired(self):
-        mpi_calls, compute_recs, task_recs = [], [], []
         cfg = small_config(ranks=2, taskgroups=2, version="ompss_perfft")
-        run_fft_phase(
-            cfg,
-            mpi_observer=mpi_calls.append,
-            compute_observer=compute_recs.append,
-            task_observer=lambda rank, rec: task_recs.append((rank, rec)),
-        )
-        assert any(r.call in ("alltoall", "alltoallw") for r in mpi_calls)
-        assert any(r.phase == "fft_xy" for r in compute_recs)
-        assert len(task_recs) == cfg.n_complex_bands * cfg.n_mpi_ranks
+        trace = Trace()
+        run_fft_phase(cfg, trace=trace)
+        assert any(r.call in ("alltoall", "alltoallw") for r in trace.mpi)
+        assert any(r.phase == "fft_xy" for r in trace.compute)
+        assert len(trace.tasks) == cfg.n_complex_bands * cfg.n_mpi_ranks
 
     def test_completed_bands_recorded_per_process(self):
         cfg = small_config(ranks=2, taskgroups=2)

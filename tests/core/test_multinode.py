@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import RunConfig, run_fft_phase
+from repro.core import RunConfig, run_fft_phase, trace_run
 from repro.mpisim.network import ClusterNetworkModel
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
@@ -42,8 +42,6 @@ class TestMultiNodeRuns:
     def test_pack_groups_stay_on_node(self):
         """With ranks-per-node a multiple of T, pack traffic is intra-node —
         only the scatter crosses the fabric (the production launcher layout)."""
-        from repro.perf.tracer import trace_run
-
         cfg = RunConfig(**SMALL, ranks=2, taskgroups=2, n_nodes=2)
         # 4 procs over 2 nodes: packs {0,1} and {2,3}; scatters {0,2}, {1,3}.
         res, trace = trace_run(cfg)

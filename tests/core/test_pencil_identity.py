@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import RunConfig, run_fft_phase
+from repro.telemetry import Trace
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
 
@@ -52,8 +53,9 @@ class TestPencilMatchesSlab:
             decomposition="pencil",
             **SMALL,
         )
-        calls = []
-        run_fft_phase(cfg, mpi_observer=lambda record: calls.append(record.call))
+        trace = Trace()
+        run_fft_phase(cfg, trace=trace)
+        calls = [record.call for record in trace.mpi]
         assert calls and set(calls) == {"alltoallw"}, version
 
     @pytest.mark.parametrize(

@@ -8,8 +8,7 @@ FFT for Opt 2.
 
 import pytest
 
-from repro.core import RunConfig
-from repro.perf.tracer import trace_run
+from repro.core import RunConfig, trace_run
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
 

@@ -11,6 +11,7 @@ from repro.machine import (
     knl_phase_table,
 )
 from repro.simkit import Simulator
+from repro.telemetry import Trace
 from tests.machine.batch import batch_rates
 
 FREQ = 1.0e9
@@ -70,8 +71,8 @@ class TestCompute:
         assert c.phase_ipc("slow") == pytest.approx(0.5)
 
     def test_observer_receives_records(self, sim, topo, cpu):
-        records = []
-        cpu.add_observer(records.append)
+        cpu.trace = Trace()
+        records = cpu.trace.compute
 
         def body():
             yield cpu.compute("r0", topo.hw_thread(0, 0), "fast", 1.0e9)

@@ -4,7 +4,7 @@ A collective member's event is scheduled once, directly at its completion
 time, and the rank waits on that very event (the trace wrapper records the
 ``MpiRecord`` and swaps the value in a first-registered callback).  These
 tests pin what the fusion must not have changed: completion times, what
-waiters and observers see, fault propagation and interrupt behaviour.
+waiters and the trace see, fault propagation and interrupt behaviour.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.faults.injector import FaultInjector, MpiLinkError, MpiTimeoutError
 from repro.mpisim import MetaPayload, MpiWorld, NetworkModel
 from repro.mpisim.communicator import MpiEvent
 from repro.simkit import Interrupt
+from repro.telemetry import Trace
 
 
 def _parts(world, nbytes=1.0e6):
@@ -29,8 +30,8 @@ def _inject(world, sim, scenario):
 
 class TestOneEventPerMember:
     def test_member_event_is_what_the_rank_waits_on(self, sim, world):
-        records = []
-        world.add_mpi_observer(records.append)
+        world.trace = Trace()
+        records = world.trace.mpi
         seen = {}
 
         def program(rank):
@@ -43,7 +44,7 @@ class TestOneEventPerMember:
         before = sim.n_dispatched
         world.run()
         # Waiter and event agree on the swapped value: the received parts,
-        # not the CollectiveResult the observers were served from.
+        # not the CollectiveResult the trace record was built from.
         for rank, (value, event_value, _t) in seen.items():
             assert value is event_value and len(value) == 8
         assert len(records) == 8
@@ -70,8 +71,8 @@ class TestOneEventPerMember:
         network = NetworkModel(sim, capacity=8.0e9, injection_bw=1.0e9, latency=0.0)
         world = MpiWorld(sim, cpu, network, n_ranks=4)
         ends = {}
-        records = []
-        world.add_mpi_observer(records.append)
+        world.trace = Trace()
+        records = world.trace.mpi
 
         def program(rank):
             yield sim.timeout(float(rank.rank))
@@ -88,8 +89,8 @@ class TestFaultPropagation:
     def test_lost_transfer_fails_every_member_with_one_exception(self, sim, world):
         _inject(world, sim, FaultScenario(kill_transfer=3, max_resumes=0))
         caught = {}
-        records = []
-        world.add_mpi_observer(records.append)
+        world.trace = Trace()
+        records = world.trace.mpi
 
         def program(rank):
             try:
@@ -149,8 +150,8 @@ class TestFaultPropagation:
 class TestInterruptedWaiter:
     def test_interrupt_detaches_from_the_fused_member_event(self, sim, world):
         log = []
-        records = []
-        world.add_mpi_observer(records.append)
+        world.trace = Trace()
+        records = world.trace.mpi
 
         def program(rank):
             if rank.rank:

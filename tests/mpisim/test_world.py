@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpisim import BlockType, MetaPayload, MpiWorld, nbytes_of, payload_like
+from repro.telemetry import Trace
 from tests.mpisim.conftest import make_world
 
 
@@ -90,8 +91,8 @@ class TestCompute:
 
 class TestObservers:
     def test_mpi_records_emitted(self, world):
-        records = []
-        world.add_mpi_observer(records.append)
+        world.trace = Trace()
+        records = world.trace.mpi
 
         def program(rank):
             blocks = [BlockType.meta(1)] * 8
@@ -109,8 +110,8 @@ class TestObservers:
         assert a2a.comm_name == "world"
 
     def test_sync_time_reflects_late_arrival(self, world):
-        records = []
-        world.add_mpi_observer(records.append)
+        world.trace = Trace()
+        records = world.trace.mpi
 
         def program(rank):
             if rank.rank == 0:

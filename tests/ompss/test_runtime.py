@@ -4,6 +4,7 @@ import pytest
 
 from repro.ompss import TaskRuntime
 from repro.ompss.scheduler import FifoQueue, LifoQueue, PriorityQueue, make_queue
+from repro.telemetry import Trace
 
 
 def compute_body(rank, instructions, log=None, name=None):
@@ -319,11 +320,11 @@ class TestPolicies:
 
 class TestObservers:
     def test_task_records(self, sim, rank):
-        records = []
+        trace = Trace()
 
         def program(rank):
             rt = TaskRuntime(rank, n_workers=2, task_overhead=0.0)
-            rt.add_observer(records.append)
+            rt.trace = trace
             rt.start()
             rt.submit("alpha", compute_body(rank, 1.0e9))
             yield rt.taskwait()
@@ -331,8 +332,9 @@ class TestObservers:
 
         sim.process(program(rank))
         sim.run()
-        assert len(records) == 1
-        rec = records[0]
+        assert len(trace.tasks) == 1
+        rank_id, rec = trace.tasks[0]
+        assert rank_id == rank.rank
         assert rec.name == "alpha"
         assert rec.duration == pytest.approx(1.0)
         assert rec.worker_index == 0

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core import RunConfig
+from repro.core import RunConfig, trace_run
 from repro.machine import knl_parameters
 from repro.perf.compare import compare_runs, format_run_comparison
-from repro.perf.tracer import trace_run
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
 FREQ = knl_parameters().frequency_hz

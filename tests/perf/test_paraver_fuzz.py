@@ -9,7 +9,7 @@ from repro.machine.cpu import ComputeRecord
 from repro.machine.topology import NodeTopology
 from repro.mpisim.world import MpiRecord
 from repro.perf.paraver import MPI_CALL_CODES, STATE_CODES, read_prv, write_prv
-from repro.perf.tracer import Trace
+from repro.telemetry import Trace
 
 PHASES = [p for p in STATE_CODES if p != "idle"]
 CALLS = list(MPI_CALL_CODES)

@@ -4,7 +4,7 @@ factor model is tested in ``tests/analysis/test_pop.py``)."""
 import numpy as np
 import pytest
 
-from repro.core import RunConfig
+from repro.core import RunConfig, trace_run
 from repro.machine import knl_parameters
 from repro.perf import (
     communicator_structure,
@@ -15,7 +15,6 @@ from repro.perf import (
     phase_intervals,
     phase_summary,
     read_prv,
-    trace_run,
     write_prv,
 )
 from repro.analysis import analyze_run, compute_totals, factor_rows

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import RunConfig
+from repro.core import RunConfig, trace_run
 from repro.perf.report import TIMELINE_GLYPHS, format_comparison, render_timeline
-from repro.perf.tracer import Trace, trace_run
+from repro.telemetry import Trace
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
 

@@ -20,9 +20,10 @@ SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8, ranks=2, taskgroups=2)
 
 
 class TestDisabledPathIsInert:
-    def test_disabled_run_attaches_no_observers(self):
+    def test_disabled_run_attaches_no_recorder(self):
         result = run_fft_phase(RunConfig(version="original", **SMALL))
         assert result.telemetry is None
+        assert result.cpu.trace is None and result.world.trace is None
 
     def test_explicit_disabled_session_stays_empty(self):
         tel = telemetry.Telemetry(enabled=False)

@@ -15,7 +15,7 @@ import pathlib
 import pytest
 
 from repro.core.config import VERSIONS, RunConfig
-from repro.core.driver import run_fft_phase
+from repro.core.driver import trace_run
 from repro.machine.knl import KnlParameters
 from repro.tuning.costmodel import WorkloadModel, predict, score_candidates
 from repro.tuning.digest import knobs_of
@@ -45,12 +45,9 @@ def priced_run(request):
     config = RunConfig(
         ranks=4, taskgroups=tg, version=version, decomposition=decomposition, **SMALL
     )
-    records, tasks = [], []
-    result = run_fft_phase(
-        config, mpi_observer=records.append, task_observer=lambda *rec: tasks.append(rec)
-    )
+    result, trace = trace_run(config)
     priced = predict(WorkloadModel.from_config(config), knobs_of(config))
-    return priced, result, records, tasks
+    return priced, result, trace.mpi, trace.tasks
 
 
 class TestSimulatorConformance:
