@@ -45,7 +45,11 @@ class TestCompute:
             rec = yield cpu.compute("r0", topo.hw_thread(0, 0), "fast", 2.0e9)
             return (sim.now, rec.duration)
 
-        now, dur = sim.run(sim.process(body()))
+        proc = sim.process(body())
+
+        sim.run()
+
+        now, dur = proc.value
         # 2e9 instructions at 2 IPC * 1 GHz = 1 second.
         assert now == pytest.approx(1.0)
         assert dur == pytest.approx(1.0)
@@ -63,7 +67,9 @@ class TestCompute:
             yield cpu.compute("r0", topo.hw_thread(0, 0), "fast", 2.0e9)
             yield cpu.compute("r0", topo.hw_thread(0, 0), "slow", 1.0e9)
 
-        sim.run(sim.process(body()))
+        sim.process(body())
+
+        sim.run()
         c = cpu.counters
         assert c.stream_instructions("r0") == pytest.approx(3.0e9)
         assert c.stream_compute_time("r0") == pytest.approx(1.0 + 2.0)
@@ -77,7 +83,9 @@ class TestCompute:
         def body():
             yield cpu.compute("r0", topo.hw_thread(0, 0), "fast", 1.0e9)
 
-        sim.run(sim.process(body()))
+        sim.process(body())
+
+        sim.run()
         assert len(records) == 1
         rec = records[0]
         assert rec.phase == "fast"
@@ -108,7 +116,9 @@ class TestCompute:
             observed.append(cpu.current_ipc_of("r0"))
             yield ev
 
-        sim.run(sim.process(worker()))
+        sim.process(worker())
+
+        sim.run()
         assert observed == [pytest.approx(2.0)]
         assert cpu.current_ipc_of("r0") is None
 
@@ -117,7 +127,11 @@ class TestCompute:
             rec = yield cpu.compute("r0", topo.hw_thread(0, 0), "fast", 0.0)
             return (sim.now, rec.duration)
 
-        now, dur = sim.run(sim.process(body()))
+        proc = sim.process(body())
+
+        sim.run()
+
+        now, dur = proc.value
         assert now == 0.0
         assert dur == 0.0
 

@@ -31,7 +31,11 @@ class TestJitterMechanics:
             rec = yield cpu.compute("s", topo.hw_thread(0, 0), "w", 2.0e9)
             return rec.duration
 
-        assert sim.run(sim.process(body())) == pytest.approx(1.0)
+        proc = sim.process(body())
+
+        sim.run()
+
+        assert proc.value == pytest.approx(1.0)
 
     def test_jitter_spreads_durations(self):
         sim = Simulator()
@@ -45,7 +49,9 @@ class TestJitterMechanics:
                 rec = yield cpu.compute("s", topo.hw_thread(0, 0), "w", 1.0e9)
                 durations.append(rec.duration)
 
-        sim.run(sim.process(body()))
+        sim.process(body())
+
+        sim.run()
         assert len(set(durations)) > 5  # genuinely varied
         for d in durations:
             assert 1.0 / 1.1 - 1e-9 <= d <= 1.0 / 0.9 + 1e-9  # within +-10%
@@ -60,7 +66,9 @@ class TestJitterMechanics:
         def body():
             yield cpu.compute("s", topo.hw_thread(0, 0), "w", 5.0e8)
 
-        sim.run(sim.process(body()))
+        sim.process(body())
+
+        sim.run()
         assert cpu.counters.stream_instructions("s") == pytest.approx(5.0e8)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ompss import AccessMode, DependencyTracker, Task, TaskGraph, TaskState
-from repro.simkit import Simulator
+from repro.simkit import Event, Simulator
 
 
 def make_task(sim, tid, ins=(), outs=(), inouts=()):
@@ -12,7 +12,7 @@ def make_task(sim, tid, ins=(), outs=(), inouts=()):
         + [(r, AccessMode.OUT) for r in outs]
         + [(r, AccessMode.INOUT) for r in inouts]
     )
-    return Task(tid, f"t{tid}", lambda w: iter(()), accesses, sim.event())
+    return Task(tid, f"t{tid}", lambda w: iter(()), accesses, Event(sim))
 
 
 @pytest.fixture()

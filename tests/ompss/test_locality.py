@@ -1,12 +1,12 @@
 """Tests for the locality (affinity) ready queue."""
 
 from repro.ompss import AccessMode, LocalityQueue, Task
-from repro.simkit import Simulator
+from repro.simkit import Event, Simulator
 
 
 def make_task(sim, tid, regions):
     accesses = [(r, AccessMode.INOUT) for r in regions]
-    return Task(tid, f"t{tid}", lambda w: iter(()), accesses, sim.event())
+    return Task(tid, f"t{tid}", lambda w: iter(()), accesses, Event(sim))
 
 
 class TestLocalityQueue:

@@ -183,7 +183,8 @@ class TestTaskwaitShutdown:
             return sim.now
 
         proc = sim.process(program(rank))
-        assert sim.run(proc) == 0.0
+        sim.run()
+        assert proc.value == 0.0
 
     def test_submit_before_start_rejected(self, rank):
         rt = TaskRuntime(rank, n_workers=1)

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.ompss import AccessMode, Task, WorkStealingQueue
-from repro.simkit import Simulator
+from repro.simkit import Event, Simulator
 
 
 def make_task(sim, tid):
-    return Task(tid, f"t{tid}", lambda w: iter(()), [(tid, AccessMode.INOUT)], sim.event())
+    return Task(tid, f"t{tid}", lambda w: iter(()), [(tid, AccessMode.INOUT)], Event(sim))
 
 
 @pytest.fixture()

@@ -12,54 +12,52 @@ def sim():
 
 class TestEventLifecycle:
     def test_fresh_event_is_pending(self, sim):
-        ev = sim.event("e")
+        ev = Event(sim, "e")
         assert not ev.triggered
         assert not ev.processed
 
     def test_value_before_trigger_raises(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         with pytest.raises(RuntimeError):
             _ = ev.value
-        with pytest.raises(RuntimeError):
-            _ = ev.ok
 
     def test_succeed_carries_value(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed(42)
         sim.run()
         assert ev.processed
-        assert ev.ok
+        assert ev.exception is None
         assert ev.value == 42
 
     def test_double_succeed_raises(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed()
         with pytest.raises(RuntimeError):
             ev.succeed()
 
     def test_fail_then_value_raises_original(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         err = ValueError("boom")
         ev.fail(err)
         ev.defuse()
         sim.run()
-        assert not ev.ok
+        assert ev.exception is err
         with pytest.raises(ValueError, match="boom"):
             _ = ev.value
 
     def test_fail_requires_exception(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         with pytest.raises(TypeError):
             ev.fail("not an exception")
 
     def test_undefused_failure_propagates_from_run(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.fail(RuntimeError("unhandled"))
         with pytest.raises(RuntimeError, match="unhandled"):
             sim.run()
 
     def test_callback_after_processed_runs_immediately(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed("x")
         sim.run()
         seen = []
@@ -105,7 +103,8 @@ class TestTimeout:
             return sim.now
 
         proc = sim.process(body())
-        assert sim.run(proc) == 2.5
+        sim.run()
+        assert proc.value == 2.5
         assert sim.now == 2.5
 
     def test_timeout_value(self, sim):
@@ -114,7 +113,8 @@ class TestTimeout:
             return got
 
         proc = sim.process(body())
-        assert sim.run(proc) == "payload"
+        sim.run()
+        assert proc.value == "payload"
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -126,7 +126,8 @@ class TestTimeout:
             return sim.now
 
         proc = sim.process(body())
-        assert sim.run(proc) == 0.0
+        sim.run()
+        assert proc.value == 0.0
 
     def test_same_time_events_fire_in_schedule_order(self, sim):
         order = []

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkit import EqualShareAllocator, FluidResource, Simulator
+from repro.simkit import FluidResource, Simulator
+from tests.simkit.helpers import EqualShareAllocator, run_value
 
 
 @pytest.fixture()
@@ -33,7 +34,7 @@ class TestEqualShareAllocator:
             yield task.done
             return sim.now
 
-        assert sim.run(sim.process(body())) == pytest.approx(2.0)
+        assert run_value(sim, sim.process(body())) == pytest.approx(2.0)
 
     def test_two_tasks_share_equally(self, sim):
         cpu = make_cpu(sim, capacity=4.0)
@@ -58,7 +59,7 @@ class TestEqualShareAllocator:
             yield task.done
             return sim.now
 
-        assert sim.run(sim.process(body())) == pytest.approx(2.0)
+        assert run_value(sim, sim.process(body())) == pytest.approx(2.0)
 
 
 class TestDynamicRebalancing:
@@ -111,7 +112,7 @@ class TestDynamicRebalancing:
             yield task.done
             return sim.now
 
-        assert sim.run(sim.process(body())) == 0.0
+        assert run_value(sim, sim.process(body())) == 0.0
 
     def test_negative_work_rejected(self, sim):
         cpu = make_cpu(sim)
@@ -149,7 +150,8 @@ class TestDynamicRebalancing:
             tasks["t"] = t
             yield t.done
 
-        sim.run(sim.process(body()))
+        sim.process(body())
+        sim.run()
         assert tasks["t"].active_time == pytest.approx(3.0)
         assert tasks["t"].finish_time == pytest.approx(3.0)
         assert tasks["t"].progress == pytest.approx(1.0)

@@ -11,7 +11,8 @@ hot path rather than the fluid semantics themselves (those live in
 import numpy as np
 import pytest
 
-from repro.simkit import EqualShareAllocator, FluidResource, Simulator
+from repro.simkit import FluidResource, Simulator
+from tests.simkit.helpers import EqualShareAllocator, run_value
 
 
 @pytest.fixture()
@@ -50,11 +51,17 @@ class TestCounters:
         cpu = FluidResource(sim, EqualShareAllocator(4.0), name="cpu")
         for _ in range(5):
             cpu.submit(100.0)
-        sim.run(until=1.0)
-        stats = cpu.stats()
+        seen = []
+
+        def probe():
+            yield sim.timeout(1.0)
+            seen.append(cpu.stats())
+
+        sim.process(probe())
+        sim.run()
         # Five submits at t=0: one flush, four coalesced updates.
-        assert stats["n_rebalances"] == 1
-        assert stats["n_coalesced"] == 4
+        assert seen[0]["n_rebalances"] == 1
+        assert seen[0]["n_coalesced"] == 4
 
     def test_unchanged_deadline_skips_timer_rearm(self, sim):
         class IndependentRates:
@@ -98,7 +105,8 @@ class TestCounters:
                     yield sim.timeout(0.5)
                 yield task.done
 
-            sim.run(sim.process(body()))
+            sim.process(body())
+            sim.run()
             return cpu.stats()
 
         assert run_once() == run_once()
@@ -115,7 +123,8 @@ class TestNotificationHooks:
             yield a.done
             yield b.done
 
-        sim.run(sim.process(body()))
+        sim.process(body())
+        sim.run()
         assert alloc.attached == [1.0, 2.0]
         # a (equal shares of 4.0: rate 2 each) finishes before b.
         assert alloc.detached == [1.0, 2.0]
@@ -166,7 +175,7 @@ class TestStructOfArrays:
             yield task.done
             return task
 
-        task = sim.run(sim.process(body()))
+        task = run_value(sim, sim.process(body()))
         assert task.remaining == 0.0
         assert task.finish_time == pytest.approx(2.0)
         assert task.active_time == pytest.approx(2.0)
@@ -215,7 +224,26 @@ class TestCompletionTimer:
             yield task.done
             return sim.now
 
-        assert sim.run(sim.process(body())) == pytest.approx(1.5)
+        assert run_value(sim, sim.process(body())) == pytest.approx(1.5)
+
+    def test_stale_timer_after_rearm_is_harmless(self, sim):
+        cpu = FluidResource(sim, EqualShareAllocator(1.0), name="cpu")
+        first = cpu.submit(2.0)  # alone at rate 1: timer armed for t=2
+        late = []
+
+        def arrival():
+            yield sim.timeout(1.0)
+            # Rates halve and the earliest finisher moves to t=1.5: the
+            # t=2 timer goes stale and must fire as a no-op.
+            late.append(cpu.submit(0.25))
+
+        sim.process(arrival())
+        sim.run()
+        assert late[0].finish_time == pytest.approx(1.5)
+        assert first.finish_time == pytest.approx(2.25)
+        assert not cpu.active_tasks
+        # t=0, t=1, the t=1.5 finish and the t=2.25 finish: none at t=2.
+        assert cpu.stats()["n_rebalances"] == 4
 
     def test_stale_timer_after_cancel_is_harmless(self, sim):
         cpu = FluidResource(sim, EqualShareAllocator(1.0), name="cpu")

@@ -11,12 +11,13 @@ import pytest
 
 from repro.machine import CpuModel, NodeTopology, PhaseProfile, PhaseTable
 from repro.simkit import (
-    EqualShareAllocator,
+    Event,
     EventCancelled,
     FluidResource,
     Interrupt,
     Simulator,
 )
+from tests.simkit.helpers import EqualShareAllocator
 
 
 @pytest.fixture()
@@ -56,13 +57,14 @@ class TestInlineCompletion:
         table = PhaseTable([PhaseProfile("work", ipc0=1.0, bytes_per_instr=0.0)])
         cpu = CpuModel(sim, topo, table, bandwidth_bytes_per_s=1.0e12, jitter=0.1)
         draws = []
+        caller = [None]
 
         class MidpointRng:
             """Every draw yields speed exactly 1.0, so all streams stay in
             lock-step and every round is a four-way same-timestamp finish."""
 
             def random(self):
-                draws.append(sim.active_process.name)
+                draws.append(caller[0])
                 return 0.5
 
         cpu._rng = MidpointRng()
@@ -70,6 +72,7 @@ class TestInlineCompletion:
 
         def stream(k):
             for _ in range(3):
+                caller[0] = f"s{k}"
                 yield cpu.compute(k, placement[k], "work", 1.0e9)
 
         for k in range(4):
@@ -89,6 +92,24 @@ class TestInlineCompletion:
         assert sim.now == 2.0 and short.done.processed
         assert sim.run(until=long.done) is long
         assert sim.now == 4.0  # 2 s shared, then 4 units at the full rate 2
+
+    def test_completion_callback_may_resubmit(self, sim):
+        """Callbacks run after the engine state is consistent: they can
+        re-enter ``submit`` of the very resource completing."""
+        cpu = FluidResource(sim, EqualShareAllocator(2.0), name="cpu")
+        first = cpu.submit(2.0)
+        other = cpu.submit(10.0)
+        follow_up = []
+
+        first.done.add_callback(lambda _ev: follow_up.append(cpu.submit(4.0)))
+        sim.run()
+        # Rate 1 each throughout: the follow-up ends at t = 2 + 4, ``other``
+        # then has 10 - 6 = 4 units left at the full rate 2.
+        assert follow_up[0].finish_time == pytest.approx(6.0)
+        assert other.finish_time == pytest.approx(8.0)
+        stats = cpu.stats()
+        # Finish + resubmit at t = 2 are one rebalance.
+        assert stats["n_rebalances"] == 4 and stats["n_coalesced"] == 2
 
     def test_completion_callback_may_resubmit_and_cancel(self, sim):
         """Callbacks run after the engine state is consistent: they can
@@ -187,7 +208,7 @@ class TestDeferredHook:
         sim.run()
         assert sim.n_dispatched == 1
 
-    def test_run_until_time_drains_the_timestep_first(self, sim):
+    def test_timestep_drains_before_the_clock_advances(self, sim):
         order = []
 
         def at_two(_ev):
@@ -195,9 +216,8 @@ class TestDeferredHook:
 
         sim.timeout(2.0).add_callback(at_two)
         sim.timeout(3.0).add_callback(lambda _e: order.append(("three", sim.now)))
-        sim.run(until=2.0)
-        assert order == [("deferred", 2.0)]
-        assert sim.peek() == 3.0
+        sim.run()
+        assert order == [("deferred", 2.0), ("three", 3.0)]
 
     def test_step_and_peek_see_a_pending_callback(self, sim):
         order = []
@@ -220,14 +240,15 @@ class TestDeferredHook:
 
 class TestDelayedSucceed:
     def test_fires_once_at_now_plus_delay(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed("v", delay=1.5)
         assert ev.triggered and not ev.processed
         with pytest.raises(RuntimeError):
             ev.succeed("again")
-        assert sim.run(until=ev) == "v"
+        sim.run()
+        assert ev.value == "v"
         assert sim.now == 1.5 and sim.n_dispatched == 1
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ValueError):
-            sim.event().succeed(delay=-1.0)
+            Event(sim).succeed(delay=-1.0)

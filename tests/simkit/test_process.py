@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.simkit import AllOf, AnyOf, DeadlockError, Interrupt, Simulator
+from repro.simkit import AllOf, AnyOf, DeadlockError, Event, Interrupt, Simulator
+from tests.simkit.helpers import run_value
 
 
 @pytest.fixture()
@@ -16,7 +17,7 @@ class TestProcessBasics:
             yield sim.timeout(1)
             return "done"
 
-        assert sim.run(sim.process(body())) == "done"
+        assert run_value(sim, sim.process(body())) == "done"
 
     def test_requires_generator(self, sim):
         with pytest.raises(TypeError):
@@ -43,7 +44,7 @@ class TestProcessBasics:
             value = yield sim.process(child())
             return value + 1
 
-        assert sim.run(sim.process(parent())) == 8
+        assert run_value(sim, sim.process(parent())) == 8
 
     def test_exception_propagates_to_waiter(self, sim):
         def child():
@@ -56,7 +57,7 @@ class TestProcessBasics:
             except ValueError as exc:
                 return str(exc)
 
-        assert sim.run(sim.process(parent())) == "child died"
+        assert run_value(sim, sim.process(parent())) == "child died"
 
     def test_unwaited_process_failure_raises_from_run(self, sim):
         def child():
@@ -73,7 +74,7 @@ class TestProcessBasics:
 
         proc = sim.process(body())
         with pytest.raises(RuntimeError, match="non-event"):
-            sim.run(proc)
+            sim.run()
         assert proc.triggered
 
     def test_immediate_return_process(self, sim):
@@ -82,7 +83,7 @@ class TestProcessBasics:
             yield  # pragma: no cover
 
         proc = sim.process(body())
-        assert sim.run(proc) == "instant"
+        assert run_value(sim, proc) == "instant"
 
     def test_active_process_visible_during_execution(self, sim):
         seen = []
@@ -145,10 +146,10 @@ class TestConditions:
         def body():
             t1 = sim.timeout(1, value="a")
             t2 = sim.timeout(3, value="b")
-            result = yield AllOf(sim, [t1, t2])
-            return (sim.now, result.values())
+            yield AllOf(sim, [t1, t2])
+            return (sim.now, [t1.value, t2.value])
 
-        assert sim.run(sim.process(body())) == (3, ["a", "b"])
+        assert run_value(sim, sim.process(body())) == (3, ["a", "b"])
 
     def test_any_of_fires_on_first(self, sim):
         def body():
@@ -157,14 +158,14 @@ class TestConditions:
             result = yield AnyOf(sim, [t1, t2])
             return (sim.now, result.values())
 
-        assert sim.run(sim.process(body())) == (1, ["first"])
+        assert run_value(sim, sim.process(body())) == (1, ["first"])
 
     def test_all_of_empty_fires_immediately(self, sim):
         def body():
-            result = yield AllOf(sim, [])
-            return len(result)
+            yield AllOf(sim, [])
+            return sim.now
 
-        assert sim.run(sim.process(body())) == 0
+        assert run_value(sim, sim.process(body())) == 0
 
     def test_all_of_propagates_failure(self, sim):
         def failing():
@@ -174,8 +175,9 @@ class TestConditions:
         def body():
             yield AllOf(sim, [sim.process(failing()), sim.timeout(5)])
 
+        sim.process(body())
         with pytest.raises(RuntimeError, match="member failed"):
-            sim.run(sim.process(body()))
+            sim.run()
 
     def test_condition_value_mapping(self, sim):
         def body():
@@ -184,7 +186,7 @@ class TestConditions:
             assert t1 in cond
             return cond[t1]
 
-        assert sim.run(sim.process(body())) == "x"
+        assert run_value(sim, sim.process(body())) == "x"
 
     def test_mixed_simulators_rejected(self, sim):
         other = Simulator()
@@ -194,7 +196,7 @@ class TestConditions:
 
 class TestDeadlockDetection:
     def test_blocked_process_raises_deadlock(self, sim):
-        ev = sim.event("never")
+        ev = Event(sim, "never")
 
         def body():
             yield ev
@@ -204,7 +206,7 @@ class TestDeadlockDetection:
             sim.run()
 
     def test_deadlock_message_names_processes(self, sim):
-        ev = sim.event("never")
+        ev = Event(sim, "never")
 
         def body():
             yield ev

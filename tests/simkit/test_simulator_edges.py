@@ -4,6 +4,7 @@ import pytest
 
 from repro.simkit import (
     DeadlockError,
+    Event,
     EventCancelled,
     SimulationError,
     Simulator,
@@ -89,7 +90,7 @@ class TestSameTimestampOrdering:
     def test_same_timestamp_events_dispatch_in_schedule_order(self):
         sim = Simulator()
         order = []
-        events = [sim.event(name=f"e{i}") for i in range(4)]
+        events = [Event(sim, name=f"e{i}") for i in range(4)]
 
         def waiter(i):
             yield events[i]
@@ -150,8 +151,8 @@ class TestDeadlockReporting:
         def hang(ev):
             yield ev
 
-        sim.process(hang(sim.event(name="never-b")), name="proc-b")
-        sim.process(hang(sim.event(name="never-a")), name="proc-a")
+        sim.process(hang(Event(sim, name="never-b")), name="proc-b")
+        sim.process(hang(Event(sim, name="never-a")), name="proc-a")
         with pytest.raises(DeadlockError) as err:
             sim.run()
         message = str(err.value)
@@ -244,7 +245,7 @@ class TestDispatchCounter:
 
         def body():
             yield sim.timeout(1.0)
-            yield sim.event(name="never")
+            yield Event(sim, name="never")
 
         sim.process(body(), name="stuck")
         with pytest.raises(DeadlockError):
