@@ -150,7 +150,7 @@ class CpuModel:
 
         def _finish(event: Event) -> None:
             if event._exception is not None:
-                return  # cancelled/failed: no completion bookkeeping
+                return  # failed: no completion bookkeeping
             start = task.start_time
             end = task.finish_time
             record = ComputeRecord(stream, thread, phase, instructions, start, end)

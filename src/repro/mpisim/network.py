@@ -44,7 +44,7 @@ def _resolving_to(event: Event, value: object) -> Event:
     The transfer *is* its completion event (a fluid task's ``done``, or the
     condition over several): registered first, this callback swaps the
     payload before any waiter sees it — no second event per transfer.  A
-    failed or cancelled event passes through untouched.
+    failed event passes through untouched.
     """
 
     def _swap(ev: Event) -> None:

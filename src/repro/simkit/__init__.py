@@ -10,23 +10,23 @@ resource whose per-task progress rates are recomputed every time the set of
 active tasks changes.  This is what lets a compute phase's effective IPC
 depend on *what else* is running on the node at the same instant.
 
+The package holds exactly what a run drives: no counting resources, stores,
+interrupts or cancellation, and :meth:`Simulator.run` always runs to the end.
+
 Public API
 ----------
 Simulator
-    The event loop: ``now``, ``schedule``, ``process``, ``run``.
-Event, Timeout, Process, AllOf, AnyOf
+    The event loop: ``now``, ``timeout``, ``process``, ``all_of``,
+    ``defer``, ``run``.
+Event, Timeout, Process, AllOf
     Awaitable primitives for coroutine processes.
-Resource, PriorityResource, Mutex
-    Counting resources with FIFO queues.
 FluidResource, FluidTask, RateAllocator
     Processor-sharing resources with state-dependent rates.
 """
 
-from repro.simkit.events import Event, Timeout, EventCancelled, Interrupt
-from repro.simkit.process import Process, AllOf, AnyOf, ConditionValue
-from repro.simkit.resources import Mutex, Resource
-from repro.simkit.stores import Store
-from repro.simkit.fluid import FluidResource, FluidTask, RateAllocator, EqualShareAllocator
+from repro.simkit.events import Event, Timeout
+from repro.simkit.process import Process, AllOf
+from repro.simkit.fluid import FluidResource, FluidTask, RateAllocator
 from repro.simkit.simulator import Simulator, SimulationError, DeadlockError
 
 __all__ = [
@@ -35,17 +35,9 @@ __all__ = [
     "DeadlockError",
     "Event",
     "Timeout",
-    "EventCancelled",
-    "Interrupt",
     "Process",
     "AllOf",
-    "AnyOf",
-    "ConditionValue",
-    "Resource",
-    "Mutex",
-    "Store",
     "FluidResource",
     "FluidTask",
     "RateAllocator",
-    "EqualShareAllocator",
 ]

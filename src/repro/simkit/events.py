@@ -6,10 +6,9 @@ then invokes its registered callbacks.  Processes (see
 :mod:`repro.simkit.process`) suspend themselves by yielding an event and are
 resumed by one of these callbacks.
 
-Events support *cancellation* (``event.cancel()``): a cancelled event will
-never fire and waiting processes receive :class:`EventCancelled` unless they
-opted out.  The fluid-resource machinery relies on cancellation to re-arm
-completion timers when progress rates change.
+A delay is checked as ``not delay >= 0``, so NaN is refused with the
+negative values: a NaN time in the heap would compare false against every
+other entry and break the heap order.
 """
 
 from __future__ import annotations
@@ -19,15 +18,7 @@ import typing as _t
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.simkit.simulator import Simulator
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "EventCancelled",
-    "Interrupt",
-    "PENDING",
-    "TRIGGERED",
-    "PROCESSED",
-]
+__all__ = ["Event", "Timeout", "PENDING", "TRIGGERED", "PROCESSED"]
 
 
 #: Sentinel for an event that has not been triggered yet.
@@ -36,21 +27,6 @@ PENDING = "pending"
 TRIGGERED = "triggered"
 #: Sentinel for an event whose callbacks already ran.
 PROCESSED = "processed"
-
-
-class EventCancelled(Exception):
-    """Raised inside a process waiting on an event that was cancelled."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that was interrupted by another process.
-
-    The optional ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -95,13 +71,6 @@ class Event:
         return self._state == PROCESSED
 
     @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded (valid only once triggered)."""
-        if self._state == PENDING:
-            raise RuntimeError(f"{self!r} has not been triggered yet")
-        return self._exception is None
-
-    @property
     def value(self) -> object:
         """The event's value (valid only once triggered and successful)."""
         if self._state == PENDING:
@@ -130,8 +99,8 @@ class Event:
         """
         if self._state != PENDING:
             raise RuntimeError(f"{self!r} already triggered")
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self._value = value
         self._state = TRIGGERED
         self.sim._schedule_event(self, delay)
@@ -160,29 +129,6 @@ class Event:
         self._state = TRIGGERED
         self.sim._schedule_event(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        if event._exception is not None:
-            self.fail(event._exception)
-        else:
-            self.succeed(event._value)
-
-    def cancel(self) -> bool:
-        """Cancel a pending event.
-
-        Returns ``True`` if the event was pending and is now cancelled;
-        ``False`` if it had already been triggered (cancellation is then a
-        no-op — the event will still fire).
-        """
-        if self._state != PENDING:
-            return False
-        exc = EventCancelled(self.name or repr(self))
-        self._exception = exc
-        self._defused = True
-        self._state = TRIGGERED
-        self.sim._schedule_event(self)
-        return True
 
     # -- internal -----------------------------------------------------------
 
@@ -214,8 +160,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None, name: str | None = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         super().__init__(sim, name=name)
         self.delay = delay
         self._value = value

@@ -3,7 +3,7 @@
 A :class:`FluidResource` executes *fluid tasks*: each task carries an amount
 of abstract ``work`` and progresses continuously at a rate chosen by a
 :class:`RateAllocator`.  Whenever the set of active tasks changes (a task is
-submitted, cancelled or completes), the resource
+submitted or completes), the resource
 
 1. advances every active task's progress at its previous rate,
 2. asks the allocator for fresh rates given the *new* active set, and
@@ -21,7 +21,7 @@ Engine layout (the contention hot path)
 ---------------------------------------
 Per-task progress state lives in struct-of-arrays form — ``remaining``,
 ``rate``, ``work`` and ``active_time`` are numpy arrays indexed by position in
-the active set, maintained incrementally on submit/cancel/finish — so the
+the active set, maintained incrementally on submit and finish — so the
 progress integration of :meth:`FluidResource._advance`, the finished-task
 scan and the completion-ETA reduction are whole-array operations instead of
 per-task Python loops.  :class:`FluidTask` objects remain the public handles;
@@ -54,7 +54,7 @@ from repro.simkit.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.simkit.simulator import Simulator
 
-__all__ = ["FluidTask", "RateAllocator", "EqualShareAllocator", "FluidResource"]
+__all__ = ["FluidTask", "RateAllocator", "FluidResource"]
 
 #: Relative tolerance used to decide a task's work is exhausted.
 _REL_EPS = 1e-12
@@ -77,7 +77,6 @@ class _TimerEvent:
     __slots__ = ("_res", "_version")
 
     _exception: BaseException | None = None
-    exception: BaseException | None = None
     _defused = False
 
     def __init__(self, res: "FluidResource", version: int):
@@ -135,9 +134,9 @@ class FluidTask:
         self._res: "FluidResource | None" = None
 
     # While a task is active its progress state lives in the owning
-    # resource's arrays; the properties read through so diagnostics and
-    # observers keep working.  Detached (finished/cancelled/never-started)
-    # tasks fall back to the plain floats written back on detach.
+    # resource's arrays; the properties read through so diagnostics keep
+    # working.  Detached (finished or zero-work) tasks fall back to the
+    # plain floats written back on detach.
 
     @property
     def remaining(self) -> float:
@@ -160,13 +159,6 @@ class FluidTask:
             return self._active_time
         i = res._index_of(self)
         return (res._last_update - self.start_time) - float(res._zero_time[i])
-
-    @property
-    def progress(self) -> float:
-        """Fraction of work completed in [0, 1]."""
-        if self.work <= 0.0:
-            return 1.0
-        return 1.0 - self.remaining / self.work
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FluidTask work={self.work:.3g} remaining={self.remaining:.3g} rate={self.rate:.3g}>"
@@ -197,41 +189,6 @@ class RateAllocator(_t.Protocol):
     def allocate_batch(self, statics: np.ndarray) -> np.ndarray: ...  # pragma: no cover
 
 
-class EqualShareAllocator:
-    """Classic processor sharing: ``capacity`` split equally, capped per task.
-
-    Parameters
-    ----------
-    capacity:
-        Total work-units per second the resource can sustain.
-    per_task_cap:
-        Optional ceiling for a single task (e.g. a single link cannot exceed
-        its own bandwidth even when alone).
-    """
-
-    def __init__(self, capacity: float, per_task_cap: float | None = None):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if per_task_cap is not None and per_task_cap <= 0:
-            raise ValueError(f"per_task_cap must be positive, got {per_task_cap}")
-        self.capacity = float(capacity)
-        self.per_task_cap = per_task_cap
-
-    #: No per-task statics needed.
-    static_width = 0
-
-    def prepare(self, task: FluidTask) -> tuple:
-        return ()
-
-    def allocate_batch(self, statics: np.ndarray) -> np.ndarray:
-        n = len(statics)
-        share = self.capacity / n
-        cap = self.per_task_cap
-        if cap is not None and share >= cap - _ABS_EPS:
-            share = cap
-        return np.full(n, share)
-
-
 class FluidResource:
     """A shared facility executing fluid tasks under a rate allocator.
 
@@ -242,10 +199,7 @@ class FluidResource:
     allocator:
         Rate strategy; consulted on every change of the active set.
     name:
-        Label for diagnostics and tracing.
-    observer:
-        Optional callback ``observer(resource, now)`` invoked after every
-        rebalance — used by the tracer to record rate/IPC changes.
+        Label for diagnostics.
 
     Counters (exported into run manifests as the ``engine`` section)
     ----------------------------------------------------------------
@@ -264,12 +218,10 @@ class FluidResource:
         sim: "Simulator",
         allocator: RateAllocator,
         name: str = "fluid",
-        observer: _t.Callable[["FluidResource", float], None] | None = None,
     ):
         self.sim = sim
         self.allocator = allocator
         self.name = name
-        self.observer = observer
         self._active: list[FluidTask] = []
         self._n = 0
         self._prepare = allocator.prepare
@@ -359,26 +311,6 @@ class FluidResource:
         self._mark_dirty()
         return task
 
-    def cancel(self, task: FluidTask) -> None:
-        """Abort an active task; its ``done`` event is cancelled."""
-        if task._res is not self:
-            raise ValueError(f"{task!r} is not active on {self.name!r}")
-        if self._last_update != self.sim.now:
-            self._advance()
-        i = self._active.index(task)
-        self._detach(task, i)
-        self._remove_indices([i])
-        task.done.cancel()
-        self._mark_dirty()
-
-    def throughput(self) -> float:
-        """Aggregate current rate over all active tasks."""
-        if self._dirty:
-            if self._last_update != self.sim.now:
-                self._advance()
-            self._flush()
-        return float(self._rates[: self._n].sum())
-
     def stats(self) -> dict[str, int]:
         """Engine counters for manifests/telemetry (see class docstring)."""
         out = {
@@ -410,8 +342,8 @@ class FluidResource:
 
     def _remove_indices(self, gone: list[int]) -> None:
         """Compact the state matrix and the active list, dropping the
-        positions in ``gone`` (a cancel, or several same-timestamp finishers;
-        the steady-state single finisher is handled inline by :meth:`_settle`)."""
+        positions in ``gone`` (several same-timestamp finishers; the
+        steady-state single finisher is handled inline by :meth:`_settle`)."""
         n = self._n
         m = n - len(gone)
         if m:
@@ -571,9 +503,6 @@ class FluidResource:
                 self._armed_deadline = deadline
                 self.sim._schedule_event(_TimerEvent(self, self._timer_version), eta)
 
-        if self.observer is not None:
-            self.observer(self, now)
-
     def _on_timer(self, version: int) -> None:
         if version != self._timer_version:
             return  # stale timer; rates changed since it was armed
@@ -587,16 +516,16 @@ class FluidResource:
         # priced at all.
         finished = self._settle()
         if self._n == 0 and not self._dirty:
-            # Nothing left to price: disarm and notify observers now rather
-            # than via a deferred flush a caller's `run(until=...)` may never
-            # drain.
+            # Nothing left to price: disarm now.  A completion that resubmits
+            # then marks a fresh flush instead of joining a deferred one, and
+            # the engine counters of every pinned run count it that way.
             self._flush()
         else:
             self._mark_dirty()
         # The timer is a dispatched heap entry — no process is running — so
         # the completions run in place, in active-set order, instead of
         # taking one heap round trip each.  Last, because their callbacks
-        # re-enter submit()/cancel(): the engine state is consistent and the
+        # re-enter submit(): the engine state is consistent and the
         # flush-or-defer decision above is the one the heap order produced.
         for task in finished:
             task.done.succeed_now(task)

@@ -20,7 +20,7 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.simkit.events import Event, Timeout
-from repro.simkit.process import AllOf, AnyOf, Process, ProcessGenerator
+from repro.simkit.process import AllOf, Process, ProcessGenerator
 
 __all__ = ["Simulator", "SimulationError", "DeadlockError"]
 
@@ -46,13 +46,12 @@ class Simulator:
         Current simulated time (seconds, by convention of the callers).
     """
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         #: End-of-timestep callbacks (see :meth:`defer`), in call order.
         self._deferred: deque[_t.Callable[[], None]] = deque()
-        self._active_process: Process | None = None
         self._alive_processes: set[Process] = set()
         #: Events processed so far — a plain int so the hot loop pays one
         #: increment; the telemetry layer snapshots it into the run manifest
@@ -66,16 +65,7 @@ class Simulator:
         """Current simulated time."""
         return self._now
 
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed (``None`` between resumptions)."""
-        return self._active_process
-
     # -- factories --------------------------------------------------------------
-
-    def event(self, name: str | None = None) -> Event:
-        """Create a fresh pending event."""
-        return Event(self, name=name)
 
     def timeout(self, delay: float, value: object = None, name: str | None = None) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
@@ -92,10 +82,6 @@ class Simulator:
     def all_of(self, events: _t.Iterable[Event]) -> AllOf:
         """Event that fires when all ``events`` fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: _t.Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` fired."""
-        return AnyOf(self, events)
 
     # -- scheduling (engine internal) ------------------------------------------
 
@@ -119,75 +105,23 @@ class Simulator:
 
     # -- execution --------------------------------------------------------------
 
-    def peek(self) -> float:
-        """Time of the next scheduled event or deferred callback
-        (``float('inf')`` if there is none)."""
-        if self._deferred:
-            return self._now
-        return self._heap[0][0] if self._heap else float("inf")
+    def run(self) -> None:
+        """Run until no event and no deferred callback is left.
 
-    def step(self) -> None:
-        """Process exactly one event (advancing the clock to it), or one
-        end-of-timestep callback when the current timestamp has no event left."""
-        if self._deferred and (not self._heap or self._heap[0][0] > self._now):
-            self._deferred.popleft()()
-            return
-        if not self._heap:
-            raise SimulationError("step() on an empty schedule")
-        when, _seq, event = heappop(self._heap)
-        self._now = when
-        self.n_dispatched += 1
-        event._process()
-        exc = event.exception
-        if exc is not None and not event._defused:
-            raise exc
-
-    def run(self, until: float | Event | None = None) -> object:
-        """Run the simulation.
-
-        Parameters
-        ----------
-        until:
-            * ``None`` — run until no events remain.  If live processes then
-              remain blocked, raise :class:`DeadlockError`.
-            * a number — run until the clock reaches that time.
-            * an :class:`Event` — run until that event is processed and
-              return its value.
-
-        Returns
-        -------
-        The value of the ``until`` event, if one was given.
+        Raises :class:`DeadlockError` if live processes then remain blocked.
         """
-        stop_event: Event | None = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                return stop_event.value
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(f"until={stop_time} is in the past (now={self._now})")
-
-        # Hot loop: the body of step() is inlined with the heap and the
-        # dispatch counter bound to locals — run() dominates every sweep's
-        # wall-clock, and the extra attribute traffic of delegating to
-        # step() costs ~8% of end-to-end simulation throughput.
+        # Hot loop: the heap and the dispatch counter are bound to locals —
+        # run() dominates every sweep's wall-clock.
         heap = self._heap
         deferred = self._deferred
         dispatched = 0
         try:
             while True:
-                if stop_event is not None and stop_event.processed:
-                    return stop_event.value
                 if deferred and (not heap or heap[0][0] > self._now):
                     deferred.popleft()()
                     continue
                 if not heap:
                     break
-                if heap[0][0] > stop_time:
-                    self._now = stop_time
-                    return None
                 when, _seq, event = heappop(heap)
                 self._now = when
                 dispatched += 1
@@ -197,19 +131,11 @@ class Simulator:
                     raise exc
         finally:
             self.n_dispatched += dispatched
-
-        if stop_event is not None:
-            if stop_event.processed:
-                return stop_event.value
-            raise DeadlockError(self._deadlock_message(f"'until' event {stop_event!r} never fired"))
-        if until is None and self._alive_processes:
-            raise DeadlockError(self._deadlock_message("no pending events"))
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
-
-    def _deadlock_message(self, reason: str) -> str:
-        lines = [f"simulation ended with blocked processes ({reason}); waiting processes:"]
-        for proc in sorted(self._alive_processes, key=lambda p: p.name or ""):
-            lines.append(f"  - {proc.name!r} waiting on {proc.target!r}")
-        return "\n".join(lines)
+        if self._alive_processes:
+            lines = [
+                "simulation ended with blocked processes (no pending events); "
+                "waiting processes:"
+            ]
+            for proc in sorted(self._alive_processes, key=lambda p: p.name or ""):
+                lines.append(f"  - {proc.name!r} waiting on {proc.target!r}")
+            raise DeadlockError("\n".join(lines))

@@ -4,7 +4,7 @@ A collective member's event is scheduled once, directly at its completion
 time, and the rank waits on that very event (the trace wrapper records the
 ``MpiRecord`` and swaps the value in a first-registered callback).  These
 tests pin what the fusion must not have changed: completion times, what
-waiters and the trace see, fault propagation and interrupt behaviour.
+waiters and the trace see, and fault propagation.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.faults import FaultScenario, LinkFault
 from repro.faults.injector import FaultInjector, MpiLinkError, MpiTimeoutError
 from repro.mpisim import MetaPayload, MpiWorld, NetworkModel
 from repro.mpisim.communicator import MpiEvent
-from repro.simkit import Interrupt
 from repro.telemetry import Trace
 
 
@@ -145,36 +144,3 @@ class TestFaultPropagation:
         world.launch(program)
         with pytest.raises(MpiLinkError):
             world.run()
-
-
-class TestInterruptedWaiter:
-    def test_interrupt_detaches_from_the_fused_member_event(self, sim, world):
-        log = []
-        world.trace = Trace()
-        records = world.trace.mpi
-
-        def program(rank):
-            if rank.rank:
-                yield sim.timeout(2.0)
-            try:
-                yield rank.alltoall(world.comm_world, _parts(world))
-                log.append((rank.rank, "through", sim.now))
-            except Interrupt as exc:
-                log.append((rank.rank, "interrupted", sim.now, exc.cause))
-                yield sim.timeout(5.0)
-                log.append((rank.rank, "resumed", sim.now))
-
-        procs = world.launch(program)
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            procs[0].interrupt("deadline")
-
-        sim.process(interrupter())
-        world.run()
-        assert (0, "interrupted", 1.0, "deadline") in log
-        assert (0, "resumed", 6.0) in log
-        assert sum(1 for entry in log if entry[1] == "through") == 7
-        # The collective still completed for rank 0 (it had joined); the call
-        # is reported, the value is simply not delivered to anyone.
-        assert len(records) == 8

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkit import Event, EventCancelled, Simulator, Timeout
+from repro.simkit import Event, Simulator, Timeout
 
 
 @pytest.fixture()
@@ -65,37 +65,6 @@ class TestEventLifecycle:
         assert seen == ["x"]
 
 
-class TestCancellation:
-    def test_cancel_pending_event(self, sim):
-        ev = sim.event("victim")
-        assert ev.cancel()
-        sim.run()
-        assert ev.triggered
-        assert isinstance(ev.exception, EventCancelled)
-
-    def test_cancel_triggered_event_is_noop(self, sim):
-        ev = sim.event()
-        ev.succeed(1)
-        assert not ev.cancel()
-        sim.run()
-        assert ev.value == 1
-
-    def test_waiting_process_sees_cancellation(self, sim):
-        ev = sim.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield ev
-            except EventCancelled:
-                caught.append(True)
-
-        sim.process(waiter())
-        ev.cancel()
-        sim.run()
-        assert caught == [True]
-
-
 class TestTimeout:
     def test_timeout_advances_clock(self, sim):
         def body():
@@ -117,8 +86,11 @@ class TestTimeout:
         assert proc.value == "payload"
 
     def test_negative_delay_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Timeout(sim, -1.0)
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="delay must be >= 0"):
+                Timeout(sim, delay)
+            with pytest.raises(ValueError, match="delay must be >= 0"):
+                sim.timeout(delay)
 
     def test_zero_delay_fires_at_current_time(self, sim):
         def body():

@@ -129,15 +129,6 @@ class TestNotificationHooks:
         # a (equal shares of 4.0: rate 2 each) finishes before b.
         assert alloc.detached == [1.0, 2.0]
 
-    def test_cancel_also_notifies_detach(self, sim):
-        alloc = RecordingBatchAllocator()
-        cpu = FluidResource(sim, alloc, name="cpu")
-        task = cpu.submit(100.0, meta={"tag": 7})
-        cpu.submit(100.0, meta={"tag": 8})
-        sim.run(until=0.5)
-        cpu.cancel(task)
-        assert alloc.detached == [7.0]
-
     def test_barrier_finish_detaches_everyone(self, sim):
         alloc = RecordingBatchAllocator(capacity=4.0)
         cpu = FluidResource(sim, alloc, name="cpu")
@@ -244,13 +235,3 @@ class TestCompletionTimer:
         assert not cpu.active_tasks
         # t=0, t=1, the t=1.5 finish and the t=2.25 finish: none at t=2.
         assert cpu.stats()["n_rebalances"] == 4
-
-    def test_stale_timer_after_cancel_is_harmless(self, sim):
-        cpu = FluidResource(sim, EqualShareAllocator(1.0), name="cpu")
-        task = cpu.submit(2.0)
-        sim.run(until=1.0)
-        cpu.cancel(task)
-        # The armed t=2 timer fires on an empty resource: must be a no-op.
-        sim.run(until=5.0)
-        assert not cpu.active_tasks
-        assert task.done._exception is not None

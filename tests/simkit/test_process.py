@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkit import AllOf, AnyOf, DeadlockError, Event, Interrupt, Simulator
+from repro.simkit import AllOf, DeadlockError, Event, Simulator
 from tests.simkit.helpers import run_value
 
 
@@ -85,61 +85,6 @@ class TestProcessBasics:
         proc = sim.process(body())
         assert run_value(sim, proc) == "instant"
 
-    def test_active_process_visible_during_execution(self, sim):
-        seen = []
-
-        def body():
-            seen.append(sim.active_process)
-            yield sim.timeout(0)
-
-        proc = sim.process(body())
-        sim.run()
-        assert seen == [proc]
-        assert sim.active_process is None
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, sim):
-        def victim():
-            try:
-                yield sim.timeout(100)
-            except Interrupt as exc:
-                return ("interrupted", exc.cause, sim.now)
-
-        def attacker(target):
-            yield sim.timeout(5)
-            target.interrupt("reason")
-
-        v = sim.process(victim())
-        sim.process(attacker(v))
-        assert sim.run(v) == ("interrupted", "reason", 5)
-
-    def test_interrupt_dead_process_raises(self, sim):
-        def body():
-            yield sim.timeout(1)
-
-        proc = sim.process(body())
-        sim.run()
-        with pytest.raises(RuntimeError):
-            proc.interrupt()
-
-    def test_victim_can_continue_after_interrupt(self, sim):
-        def victim():
-            try:
-                yield sim.timeout(100)
-            except Interrupt:
-                pass
-            yield sim.timeout(1)
-            return sim.now
-
-        def attacker(target):
-            yield sim.timeout(2)
-            target.interrupt()
-
-        v = sim.process(victim())
-        sim.process(attacker(v))
-        assert sim.run(v) == 3
-
 
 class TestConditions:
     def test_all_of_waits_for_all(self, sim):
@@ -150,15 +95,6 @@ class TestConditions:
             return (sim.now, [t1.value, t2.value])
 
         assert run_value(sim, sim.process(body())) == (3, ["a", "b"])
-
-    def test_any_of_fires_on_first(self, sim):
-        def body():
-            t1 = sim.timeout(1, value="first")
-            t2 = sim.timeout(3, value="second")
-            result = yield AnyOf(sim, [t1, t2])
-            return (sim.now, result.values())
-
-        assert run_value(sim, sim.process(body())) == (1, ["first"])
 
     def test_all_of_empty_fires_immediately(self, sim):
         def body():
@@ -178,15 +114,6 @@ class TestConditions:
         sim.process(body())
         with pytest.raises(RuntimeError, match="member failed"):
             sim.run()
-
-    def test_condition_value_mapping(self, sim):
-        def body():
-            t1 = sim.timeout(1, value="x")
-            cond = yield AllOf(sim, [t1])
-            assert t1 in cond
-            return cond[t1]
-
-        assert run_value(sim, sim.process(body())) == "x"
 
     def test_mixed_simulators_rejected(self, sim):
         other = Simulator()
@@ -214,18 +141,3 @@ class TestDeadlockDetection:
         sim.process(body(), name="stuck-rank")
         with pytest.raises(DeadlockError, match="stuck-rank"):
             sim.run()
-
-    def test_run_until_event_never_fired_is_deadlock(self, sim):
-        ev = sim.event("never")
-        with pytest.raises(DeadlockError):
-            sim.run(ev)
-
-    def test_run_until_time_with_blocked_process_is_fine(self, sim):
-        ev = sim.event("never")
-
-        def body():
-            yield ev
-
-        sim.process(body())
-        sim.run(until=10.0)
-        assert sim.now == 10.0
