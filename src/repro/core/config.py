@@ -28,6 +28,7 @@ executed with 8 FFTs at the same time").
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as _t
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -178,10 +179,18 @@ class RunConfig:
             raise ValueError(
                 f"tuning must be 'off', 'consult' or 'search', got {self.tuning!r}"
             )
-        if self.link_capacity is not None and self.link_capacity <= 0:
-            raise ValueError(
-                f"link_capacity must be positive, got {self.link_capacity}"
-            )
+        for field, rule, holds in (
+            ("ecutwfc", "> 0", self.ecutwfc > 0),
+            ("alat", "> 0", self.alat > 0),
+            ("dual", ">= 1", self.dual >= 1),
+            ("task_overhead", ">= 0", self.task_overhead >= 0),
+            ("link_capacity", "> 0",
+             self.link_capacity is None or self.link_capacity > 0),
+        ):
+            value = getattr(self, field)
+            # NaN fails every comparison, so ``holds`` is False for it too.
+            if not holds or (value is not None and not math.isfinite(value)):
+                raise ValueError(f"{field} must be finite and {rule}, got {value!r}")
 
     # -- derived quantities ----------------------------------------------------
 

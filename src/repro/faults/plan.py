@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 import typing as _t
 
@@ -170,13 +171,17 @@ class FaultScenario:
             raise ScenarioError(
                 f"mpi_max_retries must be >= 0, got {self.mpi_max_retries}"
             )
-        if self.mpi_retry_backoff_s < 0:
+        # Both become simulated delays: NaN or infinity must not reach the heap.
+        if not (math.isfinite(self.mpi_retry_backoff_s) and self.mpi_retry_backoff_s >= 0):
             raise ScenarioError(
-                f"mpi_retry_backoff_s must be >= 0, got {self.mpi_retry_backoff_s}"
+                f"mpi_retry_backoff_s must be finite and >= 0, "
+                f"got {self.mpi_retry_backoff_s}"
             )
-        if self.mpi_timeout_s is not None and self.mpi_timeout_s <= 0:
+        if self.mpi_timeout_s is not None and not (
+            math.isfinite(self.mpi_timeout_s) and self.mpi_timeout_s > 0
+        ):
             raise ScenarioError(
-                f"mpi_timeout_s must be > 0 or null, got {self.mpi_timeout_s}"
+                f"mpi_timeout_s must be finite and > 0 or null, got {self.mpi_timeout_s}"
             )
         if self.kill_transfer is not None and self.kill_transfer < 1:
             raise ScenarioError(

@@ -84,7 +84,7 @@ class TaskRuntime:
         task_overhead: float = 3.0e-6,
         mpi_task_switching: bool = False,
     ):
-        if task_overhead < 0:
+        if not task_overhead >= 0:  # NaN too: it would reach the heap
             raise ValueError(f"task_overhead must be >= 0, got {task_overhead}")
         self.rank = rank
         self.n_workers = n_workers if n_workers is not None else rank.n_threads

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import RunConfig
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestValidation:
     def test_paper_defaults(self):
@@ -26,11 +28,32 @@ class TestValidation:
             {"steps_workers": 0},
             {"grainsize_xy": 0},
             {"grainsize_z": 0},
+            {"ecutwfc": 0.0},
+            {"ecutwfc": NAN},
+            {"ecutwfc": INF},
+            {"alat": -1.0},
+            {"alat": NAN},
+            {"dual": 0.5},
+            {"dual": NAN},
+            {"dual": INF},
+            {"task_overhead": -1.0},
+            {"task_overhead": NAN},
+            {"task_overhead": INF},
+            {"link_capacity": 0.0},
+            {"link_capacity": NAN},
+            {"link_capacity": INF},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field", ["ecutwfc", "alat", "dual", "task_overhead", "link_capacity"]
+    )
+    def test_non_finite_float_error_names_its_field(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            RunConfig(**{field: NAN})
 
 
 class TestDerived:

@@ -37,6 +37,10 @@ class TestValidation:
             dict(mpi_timeout_s=0.0),
             dict(kill_transfer=0),
             dict(max_resumes=-1),
+            dict(mpi_retry_backoff_s=float("nan")),
+            dict(mpi_retry_backoff_s=float("inf")),
+            dict(mpi_timeout_s=float("nan")),
+            dict(mpi_timeout_s=float("inf")),
         ],
     )
     def test_bad_scalars_rejected(self, kwargs):

@@ -214,8 +214,9 @@ class TestTaskwaitShutdown:
             TaskRuntime(rank, n_workers=99)
 
     def test_negative_overhead_rejected(self, rank):
-        with pytest.raises(ValueError):
-            TaskRuntime(rank, task_overhead=-1.0)
+        for overhead in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="task_overhead"):
+                TaskRuntime(rank, task_overhead=overhead)
 
     def test_shutdown_drains_queued_tasks(self, sim, rank):
         """Tasks still queued at shutdown() must run before workers exit."""

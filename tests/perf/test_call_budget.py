@@ -13,10 +13,11 @@ shows in a wall-clock ratchet.
 
 The telemetry-on twin runs the same pair with ``telemetry=True`` — records,
 spans, metrics and the finalization path (analysis, ``analysis.*`` gauges)
-on top of the core: 1 223 153 calls on Python 3.11 (1 034 859 off), since
-the record-derived metric families are folded once per attempt instead of
-updated per event (1 755 253 before).  Its budget keeps the headroom ratio
-it had then, 2 260 000 / 1 755 253 = 1.2876.
+on top of the core.  Its budget was set at 1 223 153 calls x 1.2876, the
+headroom ratio it had before the record-derived metric families were
+folded once per attempt instead of updated per event (2 260 000 /
+1 755 253).  The pair now makes 1 159 362 calls telemetry-on and 978 776
+off (Python 3.11.7).
 
 ``python tests/perf/test_call_budget.py`` prints the per-module split as a
 markdown table (the CI ``perf-guard`` job's summary).
@@ -39,7 +40,7 @@ PAIR = tuple(
 COMPUTE_PHASES = 10_752
 #: ``call`` + ``c_call`` events of one warm op: 126 per compute phase.
 CALL_BUDGET = 1_350_000
-#: The same with ``telemetry=True``: 1 223 153 recorded x 1.2876.
+#: The same with ``telemetry=True``: set at 1 223 153 recorded x 1.2876.
 CALL_BUDGET_TELEMETRY = 1_575_000
 
 
