@@ -188,7 +188,7 @@ class RunConfig:
              self.link_capacity is None or self.link_capacity > 0),
         ):
             value = getattr(self, field)
-            # NaN fails every comparison, so ``holds`` is False for it too.
+            # NaN fails every comparison above; infinity needs isfinite.
             if not holds or (value is not None and not math.isfinite(value)):
                 raise ValueError(f"{field} must be finite and {rule}, got {value!r}")
 

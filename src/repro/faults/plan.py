@@ -66,9 +66,11 @@ class Straggler:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ScenarioError(f"straggler rank must be >= 0, got {self.rank}")
-        if self.slowdown < 1.0:
+        # A NaN or infinite slowdown would price the rank's phases at a NaN
+        # or zero rate, and the run would end in a deadlock, not here.
+        if not (math.isfinite(self.slowdown) and self.slowdown >= 1.0):
             raise ScenarioError(
-                f"straggler slowdown must be >= 1, got {self.slowdown}"
+                f"straggler slowdown must be finite and >= 1, got {self.slowdown}"
             )
 
 

@@ -50,8 +50,9 @@ class TestValidation:
     def test_bad_straggler_rejected(self):
         with pytest.raises(ScenarioError, match="rank must be >= 0"):
             Straggler(rank=-1, slowdown=2.0)
-        with pytest.raises(ScenarioError, match="slowdown must be >= 1"):
-            Straggler(rank=0, slowdown=0.5)
+        for slowdown in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ScenarioError, match="slowdown must be finite and >= 1"):
+                Straggler(rank=0, slowdown=slowdown)
 
     def test_bad_link_rejected(self):
         with pytest.raises(ScenarioError, match="bandwidth_factor"):
