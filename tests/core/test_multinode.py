@@ -1,12 +1,74 @@
-"""Integration tests for multi-node runs (cluster network + per-node CPUs)."""
+"""Integration tests for multi-node runs (cluster network + per-node CPUs).
+
+``fixtures/multinode_pins.json`` pins, bit for bit, the simulated timing of
+meta-mode runs on 2 and 4 nodes: ``phase_time.hex()``, ``n_dispatched``,
+the network's summed ``engine_stats()`` and its ``internode_summary()``,
+for slab and pencil under ``original`` and ``ompss_perfft``, plus one
+2-node cell whose links are degraded and drop messages (the retry envelope
+around every transfer).  ``python -m tests.core.test_multinode`` prints the
+current pins.
+"""
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro.core import RunConfig, run_fft_phase, trace_run
+from repro.faults import FaultScenario
+from repro.faults.plan import LinkFault
 from repro.mpisim.network import ClusterNetworkModel
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
+PINS_PATH = pathlib.Path(__file__).parent / "fixtures/multinode_pins.json"
+
+#: Degraded, lossy links on every rank, one rank slower still.
+LOSSY = FaultScenario(
+    seed=11,
+    links=(
+        LinkFault(bandwidth_factor=0.7, drop_probability=0.2),
+        LinkFault(rank=1, bandwidth_factor=0.4, drop_probability=0.3),
+    ),
+    mpi_max_retries=20,
+)
+
+#: case -> (n_nodes, decomposition, version, fault scenario or None)
+PIN_CASES = {
+    f"{n}n-{decomposition}-{version}": (n, decomposition, version, None)
+    for n in (2, 4)
+    for decomposition in ("slab", "pencil")
+    for version in ("original", "ompss_perfft")
+}
+PIN_CASES["2n-slab-original-lossy"] = (2, "slab", "original", LOSSY)
+
+
+def pin_observables(case: str) -> dict:
+    n_nodes, decomposition, version, faults = PIN_CASES[case]
+    cfg = RunConfig(
+        **SMALL, ranks=4, taskgroups=2, version=version,
+        decomposition=decomposition, n_nodes=n_nodes,
+    )
+    res = run_fft_phase(cfg, faults=faults)
+    assert not res.failed
+    net = res.world.network
+    out = {
+        "phase_time": res.phase_time.hex(),
+        "n_dispatched": res.sim.n_dispatched,
+        "engine_stats": net.engine_stats(),
+        "internode": net.internode_summary(),
+    }
+    if faults is not None:
+        out["fault_counters"] = counters = res.fault_report["counters"]
+        assert counters["retry"] > 0 and counters["transfer_recovered"] > 0
+    # JSON round trip: the fixture's own container types and float reprs.
+    return json.loads(json.dumps(out))
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_multinode_timing_bit_identical_to_pins(case):
+    expected = json.loads(PINS_PATH.read_text())[case]
+    assert pin_observables(case) == expected
 
 
 class TestMultiNodeRuns:
@@ -77,3 +139,7 @@ class TestMultiNodeRuns:
     def test_invalid_node_count_rejected(self):
         with pytest.raises(ValueError, match="n_nodes"):
             RunConfig(**SMALL, taskgroups=2, n_nodes=0)
+
+
+if __name__ == "__main__":
+    print(json.dumps({case: pin_observables(case) for case in sorted(PIN_CASES)}, indent=1))

@@ -12,6 +12,8 @@ import concurrent.futures
 import dataclasses
 import multiprocessing
 
+import pytest
+
 from repro.core.config import RunConfig
 from repro.machine.knl import KnlParameters
 from repro.tuning.digest import (
@@ -50,6 +52,18 @@ class TestDigestStability:
         assert digest.startswith("sha256:")
         assert len(digest) == len("sha256:") + 64
         assert digest_doc(config)["schema"] == DIGEST_SCHEMA
+
+    @pytest.mark.parametrize(
+        "n_nodes, digest",
+        [
+            (1, "sha256:bf9d8af6ea959ebee676cb57dda1225d7ac0ef4ea76f862881e94c4c56feb188"),
+            (2, "sha256:2504d6e1051b0672a01ce4e0f26567f9742f72824ac4486ff0cfd5b278b42bb3"),
+        ],
+    )
+    def test_digest_literals_pinned(self, n_nodes, digest):
+        """Wisdom files written by earlier trees must keep hitting: the
+        digest of an unchanged workload never moves."""
+        assert workload_digest(RunConfig(**REF, n_nodes=n_nodes)) == digest
 
     def test_default_knl_matches_explicit_default(self):
         config = RunConfig(**REF)
