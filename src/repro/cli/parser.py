@@ -142,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wisdom", metavar="PATH", default=None,
         help="wisdom DB path ($REPRO_WISDOM or ./wisdom.jsonl when unset)",
     )
-    p_sweep.add_argument(
-        "--link-capacity", type=float, default=None, metavar="BPS",
-        help="per-link fabric capacity (B/s) for multi-node points "
-        "(default: aggregate-capacity model)",
-    )
 
     p_run = sub.add_parser("run", help="run a single configuration")
     p_run.set_defaults(handler="repro.cli.run:cmd_run")
@@ -204,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wisdom", metavar="PATH", default=None,
         help="wisdom DB path ($REPRO_WISDOM or ./wisdom.jsonl when unset)",
     )
-    p_run.add_argument(
-        "--link-capacity", type=float, default=None, metavar="BPS",
-        help="per-link fabric capacity (B/s) for multi-node runs "
-        "(default: aggregate-capacity model)",
-    )
 
     p_tune = sub.add_parser(
         "tune", help="autotuner wisdom DB: search / show / export / import"
@@ -242,10 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tsearch.add_argument(
         "--survivors", type=int, default=3, metavar="S",
         help="rung-0 survivors promoted to the full-workload rung (default 3)",
-    )
-    p_tsearch.add_argument(
-        "--link-capacity", type=float, default=None, metavar="BPS",
-        help="per-link fabric capacity (part of the machine-profile digest)",
     )
     p_tshow = tune_sub.add_parser(
         "show", help="print the best-per-digest entries of a wisdom DB"

@@ -39,7 +39,6 @@ def cmd_run(args) -> int:
             decomposition=args.decomposition,
             tuning=args.tuning,
             wisdom_path=args.wisdom,
-            link_capacity=args.link_capacity,
             **workload,
         )
     except ValueError as exc:

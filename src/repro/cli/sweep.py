@@ -54,8 +54,6 @@ def cmd_sweep(args) -> int:
     base["tuning"] = args.tuning
     if args.wisdom is not None:
         base["wisdom_path"] = args.wisdom
-    if args.link_capacity is not None:
-        base["link_capacity"] = args.link_capacity
     if scenario is not None:
         base["faults"] = scenario
     try:

@@ -27,7 +27,6 @@ def cmd_tune(args) -> int:
                 taskgroups=args.taskgroups,
                 version=args.version,
                 n_nodes=args.nodes,
-                link_capacity=args.link_capacity,
                 **workload,
             )
         except ValueError as exc:

@@ -53,9 +53,9 @@ class VersionSpec:
     #: a *band*.
     task_groups: bool
     #: Hardware threads per process: ``"one"`` (no task runtime),
-    #: ``"hyperthreads"`` (``steps_workers`` OmpSs workers on the process's
-    #: own core, grouped placement) or ``"taskgroups"`` (``taskgroups``
-    #: workers replacing the task groups).
+    #: ``"hyperthreads"`` (two OmpSs workers on two hyper-thread slots of
+    #: the process's own core, grouped placement) or ``"taskgroups"``
+    #: (``taskgroups`` workers replacing the task groups).
     threads: str
     #: How :mod:`repro.core.schedule` drives the step chain: ``"linear"``,
     #: ``"staged"`` or ``"pipelined"``.
@@ -97,18 +97,14 @@ class RunConfig:
     dual: float = 4.0
     #: OmpSs scheduler policy for the task versions.
     scheduler: str = "fifo"
-    #: Per-task dispatch overhead (seconds).
-    task_overhead: float = 3.0e-6
-    #: Workers per process for the per-step version (hyper-thread slots).
-    steps_workers: int = 2
     #: Taskloop grainsize for the xy-plane loops (paper: 10).
     grainsize_xy: int = 10
     #: Taskloop grainsize for the z-stick loops (paper: 200).
     grainsize_z: int = 200
     #: Seed for the deterministic wavefunction/potential data.
     seed: int = 2017
-    #: KNL nodes (1 = the paper's single-node testbed; >1 adds the
-    #: inter-node fabric and per-node contention domains).
+    #: KNL nodes, each its own contention domain, joined by the inter-node
+    #: fabric (1 = the paper's single-node testbed).
     n_nodes: int = 1
     #: Suspend tasks blocked in MPI and run others meanwhile (the hybrid
     #: MPI/SMPSs technique of the paper's ref. [11]).  ``None`` keeps each
@@ -140,11 +136,6 @@ class RunConfig:
     #: :func:`repro.tuning.default_wisdom_path` (``$REPRO_WISDOM``, else
     #: ``./wisdom.jsonl``).
     wisdom_path: str | None = None
-    #: Per-link capacity of the inter-node fabric contention model (B/s per
-    #: directed node pair), or ``None`` (default) for the aggregate-capacity
-    #: model — the pre-existing path, pinned bit-identical.  Only multi-node
-    #: runs read it; it is part of the autotuner's machine-profile digest.
-    link_capacity: float | None = None
 
     def __post_init__(self) -> None:
         if self.version not in VERSION_TABLE:
@@ -160,8 +151,6 @@ class RunConfig:
                 f"nbnd/2 = {self.n_complex_bands} complex bands must divide evenly "
                 f"into groups of {self.bands_in_flight}"
             )
-        if self.steps_workers < 1:
-            raise ValueError(f"steps_workers must be >= 1, got {self.steps_workers}")
         if self.grainsize_xy < 1 or self.grainsize_z < 1:
             raise ValueError("grainsizes must be >= 1")
         if self.n_nodes < 1:
@@ -183,13 +172,10 @@ class RunConfig:
             ("ecutwfc", "> 0", self.ecutwfc > 0),
             ("alat", "> 0", self.alat > 0),
             ("dual", ">= 1", self.dual >= 1),
-            ("task_overhead", ">= 0", self.task_overhead >= 0),
-            ("link_capacity", "> 0",
-             self.link_capacity is None or self.link_capacity > 0),
         ):
             value = getattr(self, field)
             # NaN fails every comparison above; infinity needs isfinite.
-            if not holds or (value is not None and not math.isfinite(value)):
+            if not holds or not math.isfinite(value):
                 raise ValueError(f"{field} must be finite and {rule}, got {value!r}")
 
     # -- derived quantities ----------------------------------------------------
@@ -219,7 +205,7 @@ class RunConfig:
         """Hardware threads each MPI process owns."""
         return {
             "one": 1,
-            "hyperthreads": self.steps_workers,
+            "hyperthreads": 2,
             "taskgroups": self.taskgroups,
         }[self.spec.threads]
 

@@ -4,8 +4,9 @@
 :class:`~repro.core.config.RunConfig`:
 
 1. geometry (cell, descriptor, R x T layout) and the cost model;
-2. the simulated KNL node (CPU contention model + network) and the MPI
-   world with the version's thread placement;
+2. the simulated machine — ``n_nodes`` KNL nodes, one for the paper's
+   testbed (CPU contention model + network) — and the MPI world with the
+   version's thread placement;
 3. the two communicator layers (created at setup time, before the measured
    phase — as FFTXlib builds its communicators during initialization);
 4. deterministic wavefunction/potential data (data mode) or size-only
@@ -61,7 +62,6 @@ from repro.grids import Cell, DistributedLayout, FftDescriptor
 from repro.machine import CpuModel, KnlParameters, knl_phase_table, knl_topology
 from repro.machine.cluster import ClusterTopology
 from repro.mpisim import MpiWorld, NetworkModel
-from repro.mpisim.network import ClusterNetworkModel
 from repro.simkit import Simulator
 
 __all__ = ["RunResult", "run_fft_phase", "trace_run", "build_geometry"]
@@ -302,10 +302,9 @@ def run_fft_phase(
         n_attempts = attempt
 
         # 3. Machine + world (fresh per attempt; the injector persists).
+        # One machine for every node count: a single node is n = 1.
         sim = Simulator()
-        topo: _t.Any = knl_topology(knl)
-        if config.n_nodes > 1:
-            topo = ClusterTopology(topo, config.n_nodes)
+        topo = ClusterTopology(knl_topology(knl), config.n_nodes)
         cpu = CpuModel(
             sim,
             topo,
@@ -316,40 +315,28 @@ def run_fft_phase(
             bandwidth_rampup_max=knl.mem_bw_rampup_max,
             bandwidth_rampup_half=knl.mem_bw_rampup_half,
         )
+        tpr = config.threads_per_rank
         if config.spec.threads == "hyperthreads":
-            placement = topo.place_grouped(config.total_streams, config.threads_per_rank)
+            placement = topo.place_grouped(config.total_streams, tpr)
         else:
             placement = topo.place(config.total_streams)
-        if config.n_nodes > 1:
-            tpr = config.threads_per_rank
-
-            def node_of(rank: object, _placement=placement, _tpr=tpr) -> int:
-                return _placement[int(rank) * _tpr].node  # type: ignore[call-overload]
-
-            network: NetworkModel = ClusterNetworkModel(
-                sim,
-                capacity=knl.net_capacity,
-                injection_bw=knl.net_injection_bw,
-                latency=knl.net_latency,
-                node_of=node_of,
-                inter_capacity=knl.fabric_injection_bw * max(config.n_nodes / 2.0, 1.0),
-                inter_injection_bw=knl.fabric_injection_bw,
-                inter_latency=knl.fabric_latency,
-                link_capacity=config.link_capacity,
-            )
-        else:
-            network = NetworkModel(
-                sim,
-                capacity=knl.net_capacity,
-                injection_bw=knl.net_injection_bw,
-                latency=knl.net_latency,
-            )
+        network = NetworkModel(
+            sim,
+            capacity=knl.net_capacity,
+            injection_bw=knl.net_injection_bw,
+            latency=knl.net_latency,
+            # A rank lives on the node of its first hardware thread.
+            node_of=[placement[r * tpr].node for r in range(config.n_mpi_ranks)],
+            inter_capacity=knl.fabric_injection_bw * max(config.n_nodes / 2.0, 1.0),
+            inter_injection_bw=knl.fabric_injection_bw,
+            inter_latency=knl.fabric_latency,
+        )
         world = MpiWorld(
             sim,
             cpu,
             network,
             n_ranks=config.n_mpi_ranks,
-            threads_per_rank=config.threads_per_rank,
+            threads_per_rank=tpr,
             placement=placement,
         )
         if injector is not None:

@@ -121,7 +121,6 @@ def make_program(
                 rank,
                 n_workers=config.threads_per_rank,
                 policy=config.scheduler,
-                task_overhead=config.task_overhead,
                 mpi_task_switching=config.effective_task_switching,
             )
             rt.start()

@@ -49,7 +49,7 @@ def reduce_multinode(task, result, ideal, trace) -> dict:
     from repro.experiments.common import reduce_efficiency
 
     out = reduce_efficiency(task, result, ideal, trace)
-    out["inter_bytes"] = getattr(result.world.network, "inter_bytes", 0.0)
+    out["inter_bytes"] = result.world.network.inter_bytes
     return out
 
 

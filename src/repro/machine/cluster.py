@@ -1,13 +1,14 @@
-"""Cluster topology: several KNL nodes (the paper's "large scales" regime).
+"""Cluster topology: the machine every run places its ranks on.
 
 The paper evaluates on a single node but designed Opt 1 for "large scales
 where the impact of the communication is very high and the computational
-load is relatively rather small" (§IV).  :class:`ClusterTopology` lets the
-driver place ranks over multiple nodes — each an independent contention
-domain (per-node issue sharing and per-node bandwidth water-filling in
+load is relatively rather small" (§IV).  :class:`ClusterTopology` places
+ranks over ``n_nodes`` nodes — one for the paper's testbed — each an
+independent contention domain (per-node issue sharing and per-node
+bandwidth water-filling in
 :class:`~repro.machine.contention.BandwidthContentionAllocator`) — while
-the network layer (:class:`~repro.mpisim.network.ClusterNetworkModel`)
-charges inter-node traffic at fabric, not memory, speeds.
+the network layer (:class:`~repro.mpisim.network.NetworkModel`) charges
+inter-node traffic at fabric, not memory, speeds.
 
 Placement is node-major blocks: ranks fill node 0 first, then node 1, …,
 so the original version's pack groups (T consecutive ranks) stay inside a
@@ -50,11 +51,6 @@ class ClusterTopology:
     def n_hw_threads(self) -> int:
         """Total hardware threads across the cluster."""
         return self.n_nodes * self.node.n_hw_threads
-
-    def node_of_stream(self, n_streams: int, stream: int) -> int:
-        """Node of one stream under the block placement of ``place``."""
-        per_node = -(-n_streams // self.n_nodes)  # ceil
-        return min(stream // per_node, self.n_nodes - 1)
 
     def place(self, n_streams: int) -> Placement:
         """Node-major block placement; within a node, spread across cores."""

@@ -4,13 +4,15 @@ This package replaces the MPI runtime of the paper's testbed.  Ranks are
 coroutine processes sharing one :class:`~repro.simkit.simulator.Simulator`;
 communication is *real* in the sense that numpy payloads actually move
 between rank-local objects (so the FFT numerics are bit-honest), while the
-*time* each operation takes comes from an on-node communication cost model:
+*time* each operation takes comes from one transport cost model for any
+node count (a single KNL node is the n = 1 case):
 
-* per-message software latency (the MPI stack),
-* per-rank injection bandwidth (one core copying),
-* a shared transport capacity modelled as a fluid resource, so concurrent
-  collectives (and communication overlapped with other communication)
-  genuinely contend.
+* per-message software latency (the MPI stack; the fabric's once a
+  communicator spans nodes),
+* per-rank injection bandwidth (one core copying; per node on the fabric),
+* a transport capacity per node, and one for the fabric, each modelled as a
+  fluid resource, so concurrent collectives (and communication overlapped
+  with other communication) genuinely contend.
 
 Collective matching follows MPI semantics — the n-th collective on a
 communicator matches the n-th on every other member — with an optional
@@ -28,13 +30,12 @@ benchmark sweeps skip the memory traffic.
 
 from repro.faults.injector import MpiLinkError, MpiTimeoutError
 from repro.mpisim.datatypes import BlockType, MetaPayload, nbytes_of, payload_like
-from repro.mpisim.network import ClusterNetworkModel, NetworkModel
+from repro.mpisim.network import NetworkModel
 from repro.mpisim.communicator import Communicator, MpiSimError
 from repro.mpisim.world import MpiRecord, MpiWorld, RankContext
 
 __all__ = [
     "BlockType",
-    "ClusterNetworkModel",
     "MetaPayload",
     "nbytes_of",
     "payload_like",

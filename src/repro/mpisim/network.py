@@ -1,20 +1,30 @@
-"""On-node communication cost model.
+"""MPI transport cost model: each node's memory system plus the fabric.
 
-MPI on a single KNL node moves data through the shared memory system.  The
-model has three calibrated constants (see :class:`~repro.machine.knl.KnlParameters`):
+One model serves every node count; a single KNL node is the ``n = 1`` case
+(Verma et al., *Scalable Multi-node FFT on GPUs*, treat it the same way).
+Every rank lives on a node (``node_of``, a per-rank tuple).  A sender's
+bytes to ranks on its own node move through that node's transport fluid
+resource; bytes to other nodes cross one shared fabric resource.
+
+On-node constants (see :class:`~repro.machine.knl.KnlParameters`):
 
 ``latency``
     Per-message software overhead of the MPI stack (s).
 ``injection_bw``
-    Peak copy bandwidth of a single rank (B/s) — the per-task cap of the
-    transport fluid resource.
+    Peak copy bandwidth of a single rank (B/s) — the per-task cap of a
+    node's transport fluid resource.
 ``capacity``
-    Aggregate transport bandwidth (B/s) shared by *all* concurrent transfers
-    through the :class:`~repro.simkit.fluid.FluidResource`.
+    Aggregate transport bandwidth of one node (B/s), shared by *all*
+    concurrent transfers on it through the
+    :class:`~repro.simkit.fluid.FluidResource`.
 
-The latency term of an ``alltoall``/``alltoallw`` is ``latency * (P - 1)``
-(pairwise exchange pattern).  Transfer time is not a formula — it comes out
-of the fluid resource, so overlapping communication genuinely contends for
+The fabric has the same three (``inter_*``); its injection cap applies per
+*node* (the NIC), its capacity is the bisection bandwidth, and a
+communicator spanning nodes pays ``inter_latency`` per message.
+
+The latency term of an ``alltoallw`` is ``latency * (P - 1)`` (pairwise
+exchange pattern).  Transfer time is not a formula — it comes out of the
+fluid resources, so overlapping communication genuinely contends for
 bandwidth (this is what makes the paper's Opt 1 overlap question
 non-trivial in the model).
 """
@@ -35,7 +45,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.simkit.simulator import Simulator
 
-__all__ = ["NetworkModel", "ClusterNetworkModel", "RankAwareAllocator"]
+__all__ = ["NetworkModel", "RankAwareAllocator"]
 
 
 def _resolving_to(event: Event, value: object) -> Event:
@@ -148,7 +158,23 @@ class RankAwareAllocator:
 
 
 class NetworkModel:
-    """Shared transport resource + latency bookkeeping for simulated MPI."""
+    """Per-node transport resources + the inter-node fabric + latencies.
+
+    Parameters
+    ----------
+    node_of:
+        Node index of every world rank, indexed by rank.
+    capacity / injection_bw / latency:
+        One node's transport (aggregate bandwidth, per-rank injection
+        bandwidth, per-message latency).
+    inter_capacity / inter_injection_bw / inter_latency:
+        Fabric parameters (bisection bandwidth, per-node NIC bandwidth,
+        per-message fabric latency).
+
+    Per-link byte/message counters (:attr:`link_bytes`,
+    :attr:`link_messages`, :attr:`inter_messages`) are always on — they
+    feed the run manifest's ``internode`` section.
+    """
 
     def __init__(
         self,
@@ -156,6 +182,10 @@ class NetworkModel:
         capacity: float,
         injection_bw: float,
         latency: float,
+        node_of: _t.Sequence[int],
+        inter_capacity: float,
+        inter_injection_bw: float,
+        inter_latency: float,
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -163,17 +193,40 @@ class NetworkModel:
             raise ValueError(f"injection_bw must be positive, got {injection_bw}")
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
+        if inter_capacity <= 0 or inter_injection_bw <= 0:
+            raise ValueError("inter-node bandwidths must be positive")
+        if inter_latency < 0:
+            raise ValueError(f"inter_latency must be >= 0, got {inter_latency}")
         self.sim = sim
         self.capacity = capacity
         self.injection_bw = injection_bw
         self.latency = latency
-        self.resource = FluidResource(
+        self.inter_latency = inter_latency
+        self.node_of = tuple(node_of)
+        #: One transport resource per node (nodes' memory systems are
+        #: independent).
+        self._node_resources = [
+            FluidResource(
+                sim, RankAwareAllocator(capacity, injection_bw), name=f"net-node{n}"
+            )
+            for n in range(max(self.node_of, default=0) + 1)
+        ]
+        self._fabric = FluidResource(
             sim,
-            RankAwareAllocator(capacity, injection_bw),
-            name="network",
+            RankAwareAllocator(inter_capacity, inter_injection_bw),
+            name="fabric",
         )
         #: Total bytes ever injected (diagnostics / tests).
         self.bytes_transferred = 0.0
+        #: Bytes that crossed the fabric (diagnostics / tests).
+        self.inter_bytes = 0.0
+        #: Fabric-crossing sender bursts (one per transfer_parts call that
+        #: had at least one off-node destination).
+        self.inter_messages = 0
+        #: Bytes per directed node pair ``(src_node, dst_node)``.
+        self.link_bytes: dict[tuple[int, int], float] = {}
+        #: Bursts per directed node pair.
+        self.link_messages: dict[tuple[int, int], int] = {}
         #: Fault injector consulted per transfer (set by the driver when a
         #: fault scenario is active).  Degraded links inflate the fluid
         #: work of their transfers; droppable/killable links additionally
@@ -181,29 +234,17 @@ class NetworkModel:
         #: :meth:`_guarded`.
         self.faults: "FaultInjector | None" = None
 
-    # -- building blocks ----------------------------------------------------
-
     def transfer_parts(
-        self, src_rank: object, parts: _t.Sequence[tuple[int, float]]
+        self, src_rank: int, parts: _t.Sequence[tuple[int, float]]
     ) -> Event:
         """Move per-destination payloads from one sender; fires when all moved.
 
-        The single-fabric model ignores destinations and moves the total;
-        :class:`ClusterNetworkModel` splits intra- from inter-node traffic.
-        """
-        return self.transfer(sum([nbytes for _dst, nbytes in parts]), rank=src_rank)
-
-    def message_latency(self, ranks: _t.Sequence[int]) -> float:
-        """Per-message latency for a communicator spanning ``ranks``."""
-        return self.latency
-
-    def transfer(self, nbytes: float, rank: object = None) -> Event:
-        """Move ``nbytes`` through the shared transport; event fires when done.
-
-        ``rank`` identifies the sending process for injection sharing (see
-        :class:`RankAwareAllocator`).  Zero-byte transfers complete
-        immediately (no latency — latency is accounted separately by the
-        callers, per *message*, not per byte).
+        Bytes to ranks on the sender's node go through that node's
+        transport, the rest through the fabric, whose allocator keys on the
+        *node* (NIC sharing).  ``src_rank`` identifies the sending process
+        for injection sharing (see :class:`RankAwareAllocator`).  Zero-byte
+        transfers complete immediately (no latency — latency is accounted
+        separately by the callers, per *message*, not per byte).
 
         With an active fault scenario the transfer may retransmit with
         exponential backoff (dropped messages), fail with
@@ -211,21 +252,56 @@ class NetworkModel:
         :class:`~repro.faults.injector.MpiTimeoutError`, or simply run
         slower (degraded link).
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes!r}")
         if self.faults is not None and self.faults.scenario.guards_transfers:
-            return self._guarded(rank, lambda: self._attempt(nbytes, rank))
-        return self._attempt(nbytes, rank)
+            return self._guarded(
+                src_rank, lambda: self._attempt_parts(src_rank, parts)
+            )
+        return self._attempt_parts(src_rank, parts)
 
-    def _attempt(self, nbytes: float, rank: object) -> Event:
-        """One unconditional pass of ``nbytes`` through the transport."""
-        self.bytes_transferred += nbytes
-        work = nbytes
-        if self.faults is not None:
-            work *= self.faults.transfer_work_factor(rank)
-        return _resolving_to(
-            self.resource.submit(work, meta={"rank": rank}).done, nbytes
+    def _attempt_parts(
+        self, src_rank: int, parts: _t.Sequence[tuple[int, float]]
+    ) -> Event:
+        """One unconditional pass of ``parts`` through the transport."""
+        node_of = self.node_of
+        src_node = node_of[src_rank]
+        intra = 0.0
+        inter = 0.0
+        per_dst_node: dict[int, float] = {}
+        for dst, nbytes in parts:
+            dst_node = node_of[dst]
+            if dst_node == src_node:
+                intra += nbytes
+            else:
+                inter += nbytes
+                per_dst_node[dst_node] = per_dst_node.get(dst_node, 0.0) + nbytes
+        self.bytes_transferred += intra + inter
+        work_factor = (
+            self.faults.transfer_work_factor(src_rank)
+            if self.faults is not None
+            else 1.0
         )
+        pieces = []
+        if intra > 0:
+            task = self._node_resources[src_node].submit(
+                intra * work_factor, meta={"rank": src_rank}
+            )
+            pieces.append(task.done)
+        if inter > 0:
+            self.inter_bytes += inter
+            self.inter_messages += 1
+            for dst_node, nbytes in per_dst_node.items():
+                key = (src_node, dst_node)
+                self.link_bytes[key] = self.link_bytes.get(key, 0.0) + nbytes
+                self.link_messages[key] = self.link_messages.get(key, 0) + 1
+            # NIC sharing: the fabric allocator keys on the *node*.
+            task = self._fabric.submit(
+                inter * work_factor, meta={"rank": ("node", src_node)}
+            )
+            pieces.append(task.done)
+        if not pieces:
+            return Event(self.sim, name="net-transfer").succeed(0.0)
+        moved = pieces[0] if len(pieces) == 1 else self.sim.all_of(pieces)
+        return _resolving_to(moved, intra + inter)
 
     def _guarded(self, rank: object, attempt: _t.Callable[[], Event]) -> Event:
         """Drop/retry/timeout envelope around one-shot transfer attempts.
@@ -308,199 +384,16 @@ class NetworkModel:
         start()
         return done
 
-    def engine_stats(self) -> dict[str, int]:
-        """Summed fluid-engine counters over this model's transport resources."""
-        return dict(self.resource.stats())
-
-    # -- per-collective latency message counts --------------------------------
-
-    @staticmethod
-    def alltoall_messages(n_ranks: int) -> int:
-        """Messages each rank sends in a pairwise-exchange alltoall."""
-        return max(n_ranks - 1, 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"NetworkModel(capacity={self.capacity:.3g} B/s, "
-            f"injection={self.injection_bw:.3g} B/s, latency={self.latency:.3g} s)"
-        )
-
-
-class ClusterNetworkModel(NetworkModel):
-    """Two-tier transport: on-node memory system + inter-node fabric.
-
-    Intra-node traffic uses one :class:`NetworkModel`-style fluid resource
-    *per node* (nodes' memory systems are independent); inter-node traffic
-    shares a single fabric resource whose injection cap applies per *node*
-    (the NIC — all ranks of a node share it, however many threads call MPI).
-
-    Parameters
-    ----------
-    node_of:
-        Callable mapping a world rank to its node index.
-    inter_capacity / inter_injection_bw / inter_latency:
-        Fabric parameters (bisection bandwidth, per-node NIC bandwidth,
-        per-message fabric latency).
-    link_capacity:
-        Optional per-directed-link bandwidth (B/s).  When set, every
-        ordered node pair gets its own fluid resource and inter-node
-        traffic must clear *both* the shared fabric (bisection) and its
-        link — hot node pairs contend with themselves before the fabric
-        saturates.  ``None`` (default) keeps the single-fabric model and
-        its timings bit-identical.
-
-    Per-link byte/message counters (:attr:`link_bytes`,
-    :attr:`link_messages`, :attr:`inter_messages`) are always on — they
-    feed the run manifest's ``internode`` section.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float,
-        injection_bw: float,
-        latency: float,
-        node_of: _t.Callable[[object], int],
-        inter_capacity: float,
-        inter_injection_bw: float,
-        inter_latency: float,
-        link_capacity: float | None = None,
-    ):
-        super().__init__(sim, capacity, injection_bw, latency)
-        if inter_capacity <= 0 or inter_injection_bw <= 0:
-            raise ValueError("inter-node bandwidths must be positive")
-        if inter_latency < 0:
-            raise ValueError(f"inter_latency must be >= 0, got {inter_latency}")
-        if link_capacity is not None and link_capacity <= 0:
-            raise ValueError(f"link_capacity must be positive, got {link_capacity}")
-        self.node_of = node_of
-        self.inter_latency = inter_latency
-        self.link_capacity = link_capacity
-        self._node_resources: dict[int, FluidResource] = {}
-        self._link_resources: dict[tuple[int, int], FluidResource] = {}
-        self._fabric = FluidResource(
-            sim,
-            RankAwareAllocator(inter_capacity, inter_injection_bw),
-            name="fabric",
-        )
-        #: Bytes that crossed the fabric (diagnostics / tests).
-        self.inter_bytes = 0.0
-        #: Fabric-crossing sender bursts (one per transfer_parts call that
-        #: had at least one off-node destination).
-        self.inter_messages = 0
-        #: Bytes per directed node pair ``(src_node, dst_node)``.
-        self.link_bytes: dict[tuple[int, int], float] = {}
-        #: Bursts per directed node pair.
-        self.link_messages: dict[tuple[int, int], int] = {}
-
-    def _node_resource(self, node: int) -> FluidResource:
-        res = self._node_resources.get(node)
-        if res is None:
-            res = FluidResource(
-                self.sim,
-                RankAwareAllocator(self.capacity, self.injection_bw),
-                name=f"net-node{node}",
-            )
-            self._node_resources[node] = res
-        return res
-
-    def transfer_parts(
-        self, src_rank: object, parts: _t.Sequence[tuple[int, float]]
-    ) -> Event:
-        if self.faults is not None and self.faults.scenario.guards_transfers:
-            return self._guarded(
-                src_rank, lambda: self._attempt_parts(src_rank, parts)
-            )
-        return self._attempt_parts(src_rank, parts)
-
-    def _link_resource(self, src_node: int, dst_node: int) -> FluidResource:
-        key = (src_node, dst_node)
-        res = self._link_resources.get(key)
-        if res is None:
-            res = FluidResource(
-                self.sim,
-                RankAwareAllocator(self.link_capacity, self.injection_bw),
-                name=f"link{src_node}-{dst_node}",
-            )
-            self._link_resources[key] = res
-        return res
-
-    def _attempt_parts(
-        self, src_rank: object, parts: _t.Sequence[tuple[int, float]]
-    ) -> Event:
-        src_node = self.node_of(src_rank)
-        intra = 0.0
-        inter = 0.0
-        per_dst_node: dict[int, float] = {}
-        for dst, nbytes in parts:
-            dst_node = self.node_of(dst)
-            if dst_node == src_node:
-                intra += nbytes
-            else:
-                inter += nbytes
-                per_dst_node[dst_node] = per_dst_node.get(dst_node, 0.0) + nbytes
-        self.bytes_transferred += intra + inter
-        self.inter_bytes += inter
-        if inter > 0:
-            self.inter_messages += 1
-            for dst_node, nbytes in per_dst_node.items():
-                key = (src_node, dst_node)
-                self.link_bytes[key] = self.link_bytes.get(key, 0.0) + nbytes
-                self.link_messages[key] = self.link_messages.get(key, 0) + 1
-        work_factor = (
-            self.faults.transfer_work_factor(src_rank)
-            if self.faults is not None
-            else 1.0
-        )
-        pieces = []
-        if intra > 0:
-            task = self._node_resource(src_node).submit(
-                intra * work_factor, meta={"rank": src_rank}
-            )
-            pieces.append(task.done)
-        if inter > 0:
-            # NIC sharing: the fabric allocator keys on the *node*.
-            task = self._fabric.submit(
-                inter * work_factor, meta={"rank": ("node", src_node)}
-            )
-            pieces.append(task.done)
-            if self.link_capacity is not None:
-                # Per-link contention: the burst must also clear each
-                # directed link it uses (the slower of fabric and link
-                # governs completion).
-                for dst_node, nbytes in per_dst_node.items():
-                    task = self._link_resource(src_node, dst_node).submit(
-                        nbytes * work_factor, meta={"rank": ("node", src_node)}
-                    )
-                    pieces.append(task.done)
-        if not pieces:
-            return Event(self.sim, name="cluster-transfer").succeed(0.0)
-        moved = pieces[0] if len(pieces) == 1 else self.sim.all_of(pieces)
-        return _resolving_to(moved, intra + inter)
-
-    def _attempt(self, nbytes: float, rank: object) -> Event:
-        """Destination-less transfers stay on the sender's node."""
-        if rank is None:
-            return super()._attempt(nbytes, rank)
-        self.bytes_transferred += nbytes
-        work = nbytes
-        if self.faults is not None:
-            work *= self.faults.transfer_work_factor(rank)
-        resource = self._node_resource(self.node_of(rank))
-        return _resolving_to(resource.submit(work, meta={"rank": rank}).done, nbytes)
-
     def message_latency(self, ranks: _t.Sequence[int]) -> float:
-        nodes = {self.node_of(r) for r in ranks}
+        """Per-message latency for a communicator spanning ``ranks``."""
+        node_of = self.node_of
+        nodes = {node_of[r] for r in ranks}
         return self.inter_latency if len(nodes) > 1 else self.latency
 
     def engine_stats(self) -> dict[str, int]:
-        """Counters summed over the base, per-node, fabric and link resources."""
-        total = super().engine_stats()
-        for res in [
-            *self._node_resources.values(),
-            self._fabric,
-            *self._link_resources.values(),
-        ]:
+        """Fluid-engine counters summed over the node and fabric resources."""
+        total: dict[str, int] = {}
+        for res in [*self._node_resources, self._fabric]:
             for k, v in res.stats().items():
                 total[k] = total.get(k, 0) + v
         return total
@@ -519,3 +412,15 @@ class ClusterNetworkModel(NetworkModel):
                 for (src, dst), count in sorted(self.link_messages.items())
             },
         }
+
+    @staticmethod
+    def alltoall_messages(n_ranks: int) -> int:
+        """Messages each rank sends in a pairwise-exchange alltoall."""
+        return max(n_ranks - 1, 0)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"NetworkModel({len(self._node_resources)} nodes, "
+            f"capacity={self.capacity:.3g} B/s, "
+            f"injection={self.injection_bw:.3g} B/s, latency={self.latency:.3g} s)"
+        )

@@ -40,9 +40,13 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.world import RankContext
     from repro.telemetry.trace import Trace
 
-__all__ = ["TaskRuntime", "Worker"]
+__all__ = ["TASK_OVERHEAD", "TaskRuntime", "Worker"]
 
 _WAKE = "wake"
+
+#: Default per-task dispatch overhead (seconds), charged on the executing
+#: worker.  Every run uses it; the tuner's cost model prices tasks with it.
+TASK_OVERHEAD = 3.0e-6
 
 
 class Worker:
@@ -81,11 +85,14 @@ class TaskRuntime:
         rank: "RankContext",
         n_workers: int | None = None,
         policy: str = "fifo",
-        task_overhead: float = 3.0e-6,
+        task_overhead: float = TASK_OVERHEAD,
         mpi_task_switching: bool = False,
     ):
-        if not task_overhead >= 0:  # NaN too: it would reach the heap
-            raise ValueError(f"task_overhead must be >= 0, got {task_overhead}")
+        # NaN and infinity too: either would reach the heap.
+        if not 0.0 <= task_overhead < math.inf:
+            raise ValueError(
+                f"task_overhead must be finite and >= 0, got {task_overhead}"
+            )
         self.rank = rank
         self.n_workers = n_workers if n_workers is not None else rank.n_threads
         if not 1 <= self.n_workers <= rank.n_threads:

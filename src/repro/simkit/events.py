@@ -6,14 +6,16 @@ then invokes its registered callbacks.  Processes (see
 :mod:`repro.simkit.process`) suspend themselves by yielding an event and are
 resumed by one of these callbacks.
 
-A delay is checked as ``not delay >= 0``, so NaN is refused with the
-negative values: a NaN time in the heap would compare false against every
-other entry and break the heap order.
+A delay is checked as ``not 0.0 <= delay < inf``, so NaN and infinity are
+refused with the negative values: a NaN time in the heap would compare false
+against every other entry and break the heap order, and an infinite one would
+run the clock to ``inf``.
 """
 
 from __future__ import annotations
 
 import typing as _t
+from math import inf
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.simkit.simulator import Simulator
@@ -99,8 +101,8 @@ class Event:
         """
         if self._state != PENDING:
             raise RuntimeError(f"{self!r} already triggered")
-        if not delay >= 0:
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        if not 0.0 <= delay < inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self._value = value
         self._state = TRIGGERED
         self.sim._schedule_event(self, delay)
@@ -160,8 +162,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None, name: str | None = None):
-        if not delay >= 0:
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        if not 0.0 <= delay < inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         super().__init__(sim, name=name)
         self.delay = delay
         self._value = value

@@ -157,9 +157,8 @@ def build_manifest(
         manifest["failed"] = result.failed
     if result.dataplane is not None:
         manifest["dataplane"] = result.dataplane
-    internode = getattr(result.world.network, "internode_summary", None)
-    if internode is not None:
-        manifest["internode"] = internode()
+    if result.config.n_nodes > 1:
+        manifest["internode"] = result.world.network.internode_summary()
     if result.tuning is not None:
         manifest["tuning"] = result.tuning
     if analysis is not None:

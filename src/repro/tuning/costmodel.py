@@ -12,10 +12,10 @@ totals the simulator itself would charge, read off the same sources:
   meta-mode :class:`~repro.core.redistribute.ExchangePlan`\\ s
   (:func:`repro.core.pipeline.chain_plans`), with one latency per message;
 * **task overhead** — the policy's task count
-  (:func:`repro.core.schedule.unit_tasks`) times ``task_overhead``;
-* **fabric costs** — injection/capacity sharing on node, the bisection
-  fabric across nodes, and the optional per-link contention cap
-  (``link_capacity``).
+  (:func:`repro.core.schedule.unit_tasks`) times the task runtime's
+  dispatch overhead (:data:`repro.ompss.runtime.TASK_OVERHEAD`);
+* **fabric costs** — injection/capacity sharing on node and the bisection
+  fabric across nodes.
 
 One :class:`WorkloadModel` (the workload's config and its single
 ``FftDescriptor``) is built per workload; each candidate gets its
@@ -36,6 +36,7 @@ from repro.core.schedule import unit_tasks
 from repro.grids import Cell, DistributedLayout, FftDescriptor
 from repro.machine.knl import KnlParameters
 from repro.mpisim.network import NetworkModel
+from repro.ompss.runtime import TASK_OVERHEAD
 
 __all__ = ["WorkloadModel", "predict", "score_candidates"]
 
@@ -105,18 +106,15 @@ def predict(
     # from 8x8 to 16x8" anchor).
     ipc_eff = min(1.0, knl.n_cores / max(streams / config.n_nodes, 1.0))
     compute_s = instructions / streams / (ipc_eff * knl.frequency_hz)
-    overhead_s = tasks * config.task_overhead / streams
+    overhead_s = tasks * TASK_OVERHEAD / streams
 
     on_node_bw = min(knl.net_capacity, procs * knl.net_injection_bw)
     comm_s = bytes_ / on_node_bw + messages * knl.net_latency / procs
-    if config.n_nodes > 1:
-        inter_bytes = bytes_ * (config.n_nodes - 1) / config.n_nodes
-        fabric_bw = knl.fabric_injection_bw * max(config.n_nodes / 2.0, 1.0)
-        fabric_s = inter_bytes / fabric_bw
-        if config.link_capacity is not None:
-            links = config.n_nodes * (config.n_nodes - 1)
-            fabric_s = max(fabric_s, inter_bytes / links / config.link_capacity)
-        comm_s += fabric_s
+    # The share of the bytes bound off-node (none on one node) crosses the
+    # bisection fabric.
+    inter_bytes = bytes_ * (config.n_nodes - 1) / config.n_nodes
+    fabric_bw = knl.fabric_injection_bw * max(config.n_nodes / 2.0, 1.0)
+    comm_s += inter_bytes / fabric_bw
 
     return {
         "compute_s": compute_s,

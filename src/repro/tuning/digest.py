@@ -47,14 +47,12 @@ KNOB_FIELDS: tuple[str, ...] = (
 
 
 def digest_doc(config: RunConfig, knl: KnlParameters | None = None) -> dict:
-    """The canonical document a workload digest hashes.
-
-    ``link_capacity`` rides inside the machine profile: it changes the
-    fabric physics, so a run with a per-link contention model is a
-    different tuning problem than one without.
-    """
+    """The canonical document a workload digest hashes."""
     machine = dataclasses.asdict(knl or KnlParameters())
-    machine["link_capacity"] = config.link_capacity
+    # The retired per-link fabric knob stays in the document at its only
+    # value ever written by default, so wisdom written before it went still
+    # hits (the hash covers the whole document).
+    machine["link_capacity"] = None
     return {
         "schema": DIGEST_SCHEMA,
         "ecutwfc": float(config.ecutwfc),

@@ -55,13 +55,14 @@ class TestOutputCompleteness:
 class TestWorldGuards:
     def test_placement_too_small_rejected(self):
         from repro.machine import CpuModel, NodeTopology, PhaseTable, PhaseProfile
-        from repro.mpisim import MpiWorld, NetworkModel
+        from repro.mpisim import MpiWorld
+        from tests.mpisim.helpers import one_node_network
         from repro.simkit import Simulator
 
         sim = Simulator()
         topo = NodeTopology(n_cores=4, threads_per_core=1, frequency_hz=1e9)
         cpu = CpuModel(sim, topo, PhaseTable([PhaseProfile("w", 1.0, 0.0)]), 1e9)
-        net = NetworkModel(sim, 1e9, 1e9, 0.0)
+        net = one_node_network(sim, 4, 1e9, 1e9, 0.0)
         small_placement = topo.place(2)
         with pytest.raises(ValueError, match="placement provides"):
             MpiWorld(sim, cpu, net, n_ranks=4, placement=small_placement)

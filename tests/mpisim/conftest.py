@@ -3,8 +3,9 @@
 import pytest
 
 from repro.machine import CpuModel, NodeTopology, PhaseProfile, PhaseTable
-from repro.mpisim import MpiWorld, NetworkModel
+from repro.mpisim import MpiWorld
 from repro.simkit import Simulator
+from tests.mpisim.helpers import one_node_network
 
 FREQ = 1.0e9
 
@@ -24,8 +25,8 @@ def cpu(sim):
 @pytest.fixture()
 def network(sim):
     # Round numbers make hand-computed timings easy: 1 GB/s injection,
-    # 8 GB/s aggregate, 1 us latency.
-    return NetworkModel(sim, capacity=8.0e9, injection_bw=1.0e9, latency=1.0e-6)
+    # 8 GB/s aggregate, 1 us latency; room for the largest world (8 ranks).
+    return one_node_network(sim, 8, capacity=8.0e9, injection_bw=1.0e9, latency=1.0e-6)
 
 
 @pytest.fixture()

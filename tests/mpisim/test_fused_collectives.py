@@ -11,9 +11,10 @@ import pytest
 
 from repro.faults import FaultScenario, LinkFault
 from repro.faults.injector import FaultInjector, MpiLinkError, MpiTimeoutError
-from repro.mpisim import MetaPayload, MpiWorld, NetworkModel
+from repro.mpisim import MetaPayload, MpiWorld
 from repro.mpisim.communicator import MpiEvent
 from repro.telemetry import Trace
+from tests.mpisim.helpers import one_node_network
 
 
 def _parts(world, nbytes=1.0e6):
@@ -67,7 +68,7 @@ class TestOneEventPerMember:
         assert set(ends.values()) == {3.5 + 7 * 1.0e-6}
 
     def test_zero_latency_completes_at_the_join_timestamp(self, sim, cpu):
-        network = NetworkModel(sim, capacity=8.0e9, injection_bw=1.0e9, latency=0.0)
+        network = one_node_network(sim, 4, capacity=8.0e9, injection_bw=1.0e9, latency=0.0)
         world = MpiWorld(sim, cpu, network, n_ranks=4)
         ends = {}
         world.trace = Trace()

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import CpuModel, NodeTopology, PhaseProfile, PhaseTable
-from repro.mpisim import MetaPayload, MpiWorld, NetworkModel
+from repro.mpisim import MetaPayload, MpiWorld
 from repro.simkit import Simulator
+from tests.mpisim.helpers import one_node_network
 
 FREQ = 1.0e9
 
@@ -17,7 +18,7 @@ def build_world(n_ranks):
     topo = NodeTopology(n_cores=max(n_ranks, 2), threads_per_core=2, frequency_hz=FREQ)
     table = PhaseTable([PhaseProfile("work", ipc0=1.0, bytes_per_instr=0.0)])
     cpu = CpuModel(sim, topo, table, bandwidth_bytes_per_s=1e12)
-    net = NetworkModel(sim, capacity=8e9, injection_bw=1e9, latency=1e-6)
+    net = one_node_network(sim, n_ranks, capacity=8e9, injection_bw=1e9, latency=1e-6)
     return MpiWorld(sim, cpu, net, n_ranks=n_ranks)
 
 

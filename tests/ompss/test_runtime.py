@@ -214,7 +214,7 @@ class TestTaskwaitShutdown:
             TaskRuntime(rank, n_workers=99)
 
     def test_negative_overhead_rejected(self, rank):
-        for overhead in (-1.0, float("nan")):
+        for overhead in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="task_overhead"):
                 TaskRuntime(rank, task_overhead=overhead)
 

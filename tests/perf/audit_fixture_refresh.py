@@ -34,6 +34,8 @@ ALLOWED: dict[str, tuple[str, ...]] = {
         r"^\.metrics\.engine\.alloc_cache_(hits|misses|size)\.series\{resource=network\}\.value$",
         # RunConfig fields retired with the backend plane (deleted leaves).
         r"^\.config\.(fft_backend|kernel_workers)$",
+        # RunConfig fields retired with the single-node network (deleted leaves).
+        r"^\.config\.(link_capacity|steps_workers|task_overhead)$",
     ),
     "tests/core/fixtures/executor_timelines.json": (
         r"^\.(cells|fault_replay)\.[^.]+\.n_dispatched$",
@@ -58,9 +60,16 @@ def leaves(node, path=""):
         yield path, node
 
 
+class _Absent:
+    """A leaf one side does not have (an added or a deleted leaf)."""
+
+    def __repr__(self) -> str:
+        return "(absent)"
+
+
 def changed_leaves(before: dict, after: dict) -> list[tuple[str, object, object]]:
     old, new = dict(leaves(before)), dict(leaves(after))
-    missing = object()
+    missing = _Absent()
     return [
         (path, old.get(path, missing), new.get(path, missing))
         for path in sorted(old.keys() | new.keys())

@@ -86,10 +86,10 @@ class TestTimeout:
         assert proc.value == "payload"
 
     def test_negative_delay_rejected(self, sim):
-        for delay in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="delay must be >= 0"):
+        for delay in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delay must be finite and >= 0"):
                 Timeout(sim, delay)
-            with pytest.raises(ValueError, match="delay must be >= 0"):
+            with pytest.raises(ValueError, match="delay must be finite and >= 0"):
                 sim.timeout(delay)
 
     def test_zero_delay_fires_at_current_time(self, sim):

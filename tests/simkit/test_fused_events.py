@@ -156,7 +156,7 @@ class TestDelayedSucceed:
 
     def test_negative_delay_rejected(self, sim):
         ev = Event(sim)
-        for delay in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="delay must be >= 0"):
+        for delay in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delay must be finite and >= 0"):
                 ev.succeed(delay=delay)
         assert not ev.triggered

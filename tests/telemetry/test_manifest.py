@@ -192,6 +192,12 @@ class TestManifestsWrittenBeforeTheMerge:
     def test_still_validates_diffs_and_triages(self, manifest, tmp_path, capsys):
         from repro.cli import main
 
+        # The legacy manifest also carries three RunConfig fields retired
+        # since (per-link fabric capacity, per-step worker count, task
+        # overhead): readers must take it as it is.
+        retired = {"link_capacity", "steps_workers", "task_overhead"}
+        assert retired <= load_manifest(LEGACY)["config"].keys()
+        assert not retired & manifest["config"].keys()
         new = write_manifest(tmp_path / "new.json", manifest)
         assert main(["perf", "validate", str(LEGACY)]) == 0
         assert main(["perf", "diff", str(LEGACY), str(new)]) == 0

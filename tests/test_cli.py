@@ -197,11 +197,6 @@ class TestCliFaults:
         assert main(["run", "--ranks", "0"]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
-    def test_run_nan_link_capacity_exits_2(self, capsys):
-        assert main(["run", "--quick", "--link-capacity", "nan"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid configuration: link_capacity")
-
     def test_unrecoverable_run_exits_1_with_manifest(self, tmp_path, capsys):
         path = self.scenario_file(
             tmp_path,

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core import RunConfig, run_fft_phase
+from repro.machine import knl_parameters
 from repro.telemetry.manifest import build_manifest, validate_manifest
 from repro.tuning import (
     WisdomDB,
@@ -136,8 +137,8 @@ class TestResolveTuning:
 
 class TestLinkCapacityPin:
     BASE = dict(ecutwfc=12.0, alat=5.0, nbnd=8, ranks=4, taskgroups=2, n_nodes=2)
-    #: Simulated phase time of the 2-node reference before the per-link
-    #: knob existed — the default-off path must stay bit-identical.
+    #: Simulated phase time of the 2-node reference before a per-link fabric
+    #: knob existed; it stays bit-identical now that the knob is gone.
     PINNED_DEFAULT_S = 0.00017500621336826718
 
     def test_default_off_is_bit_identical(self):
@@ -145,18 +146,19 @@ class TestLinkCapacityPin:
         assert result.phase_time == self.PINNED_DEFAULT_S
 
     def test_tiny_capacity_strictly_slows_the_run(self):
-        capped = run_fft_phase(RunConfig(link_capacity=1e5, **self.BASE))
+        tiny = dataclasses.replace(knl_parameters(), fabric_injection_bw=1e5)
+        capped = run_fft_phase(RunConfig(**self.BASE), knl=tiny)
         assert capped.phase_time > self.PINNED_DEFAULT_S
 
     def test_single_node_runs_never_see_the_fabric(self):
         """On one node there is no inter-node link to cap."""
-        base = {**self.BASE, "n_nodes": 1}
-        free = run_fft_phase(RunConfig(**base))
-        capped = run_fft_phase(RunConfig(link_capacity=1e5, **base))
+        base = RunConfig(**{**self.BASE, "n_nodes": 1})
+        free = run_fft_phase(base)
+        tiny = dataclasses.replace(knl_parameters(), fabric_injection_bw=1e5)
+        capped = run_fft_phase(base, knl=tiny)
         assert capped.phase_time == free.phase_time
+        assert capped.world.network.inter_bytes == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="link_capacity"):
-            RunConfig(link_capacity=0.0, **self.BASE)
         with pytest.raises(ValueError, match="tuning"):
             RunConfig(tuning="always", ranks=2, taskgroups=2)
