@@ -22,8 +22,8 @@ The fabric has the same three (``inter_*``); its injection cap applies per
 *node* (the NIC), its capacity is the bisection bandwidth, and a
 communicator spanning nodes pays ``inter_latency`` per message.
 
-The latency term of an ``alltoallw`` is ``latency * (P - 1)`` (pairwise
-exchange pattern).  Transfer time is not a formula — it comes out of the
+The latency term of an ``alltoall``/``alltoallw`` is ``latency * (P - 1)``
+(pairwise exchange pattern).  Transfer time is not a formula — it comes out of the
 fluid resources, so overlapping communication genuinely contends for
 bandwidth (this is what makes the paper's Opt 1 overlap question
 non-trivial in the model).
