@@ -20,7 +20,8 @@ counters, and (in data mode) the run's one output array plus a
 A data-mode run holds one input and one output array, ``(n_complex_bands,
 ngw)`` each: every rank gathers one unit's G-vectors out of the input rows
 and the unpack exchange writes them straight into the output rows, so no
-rank keeps coefficients beyond the unit in flight.
+rank keeps coefficients beyond the unit in flight.  It holds one potential
+too: every rank's VOFR reads its share through a view.
 
 Resilience: with a :class:`~repro.faults.FaultScenario` on the config (or
 passed as ``faults=``) the driver runs inside an *attempts loop*.  Each
@@ -93,7 +94,14 @@ def build_geometry(
 
 @dataclasses.dataclass
 class RunResult:
-    """Outcome of one simulated FFT phase."""
+    """Outcome of one simulated FFT phase.
+
+    In data mode a result holds the run's input and output arrays
+    (``(n_complex_bands, ngw)`` each), plus the potential only when the
+    caller passed one in: a generated potential is not kept past the run,
+    and :attr:`potential` rebuilds it on access.  The ranks' contexts, and
+    the views of V they applied, are gone when the run returns.
+    """
 
     config: RunConfig
     phase_time: float
@@ -106,7 +114,9 @@ class RunResult:
     #: ranks' contexts, with their data, are not kept past the run).
     completed: dict[int, frozenset[int]]
     input_coeffs: np.ndarray | None
-    potential: np.ndarray | None
+    #: The potential the caller passed in (held, and returned by
+    #: :attr:`potential`, by identity); ``None`` when the run generated it.
+    caller_potential: np.ndarray | None
     #: The run's ``(n_complex_bands, ngw)`` output array (data mode); read
     #: it through :meth:`output_coefficients`, which checks it is complete.
     output_coeffs: np.ndarray | None = None
@@ -144,9 +154,22 @@ class RunResult:
                     )
         return self.output_coeffs
 
+    @property
+    def potential(self) -> np.ndarray | None:
+        """The potential ``V[iz, ix, iy]`` the run applied (``None`` in meta
+        mode).  A caller's array is returned as passed in; a generated one
+        is rebuilt on each access from ``(desc.grid_shape, config.seed)``,
+        bit for bit the array the run applied (one uniform draw, ~9 ms on
+        the paper grid)."""
+        if self.caller_potential is not None:
+            return self.caller_potential
+        if self.input_coeffs is None:
+            return None
+        return make_potential(self.desc.grid_shape, self.config.seed)
+
     def validate(self) -> float:
         """Max relative error of the distributed result vs. the dense reference."""
-        if self.input_coeffs is None or self.potential is None:
+        if self.input_coeffs is None:
             raise RuntimeError("validation requires data mode")
         reference = dense_reference(self.desc, self.input_coeffs, self.potential)
         return max_relative_error(self.output_coefficients(), reference)
@@ -228,6 +251,7 @@ def run_fft_phase(
     #    resumed attempt leaves the rows of completed bands as they are.
     output_coeffs: np.ndarray | None = None
     v_slabs: list[np.ndarray] | None = None
+    caller_potential: np.ndarray | None = None
     if not config.data_mode:
         input_coeffs = None
         potential = None
@@ -249,12 +273,13 @@ def run_fft_phase(
         if potential is None:
             potential = make_potential(desc.grid_shape, config.seed)
         else:
-            potential = np.asarray(potential, dtype=float)
+            potential = caller_potential = np.asarray(potential, dtype=float)
             expected_v = (desc.nr3, desc.nr1, desc.nr2)
             if potential.shape != expected_v:
                 raise ValueError(
                     f"potential shape {potential.shape}; expected {expected_v}"
                 )
+        # Every rank applies a view of the one V, which goes with the run.
         if layout.decomposition == "pencil":
             # Pencil VOFR runs on the x-brick, not the plane slab.
             v_slabs = [potential_block(layout, r, potential) for r in range(layout.R)]
@@ -441,6 +466,12 @@ def run_fft_phase(
                 for span in tel.spans.all()[n_spans_before:]:
                     if span.t_end is None:
                         tel.spans.end(span, attempt_time)
+            # The dead attempt's blocked work and its owners refer to each
+            # other, and the error's traceback holds its frames: close the
+            # world and drop the traceback (the report keeps the error as
+            # text), so the attempt is freed by reference counting alone.
+            world.close()
+            err.__traceback__ = None
             units_done = _completed_units(contexts, n_units, unit_bands)
             for u in range(units_done):
                 completed_bands.update(unit_bands(u))
@@ -508,7 +539,7 @@ def run_fft_phase(
         layout=layout,
         completed={p: frozenset(contexts[p].completed) for p in sorted(contexts)},
         input_coeffs=input_coeffs,
-        potential=potential,
+        caller_potential=caller_potential,
         output_coeffs=output_coeffs,
         knl=knl,
         telemetry=tel,

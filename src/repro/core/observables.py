@@ -34,13 +34,13 @@ def potential_expectation(result: RunResult) -> np.ndarray:
 
 def potential_expectation_dense(result: RunResult) -> np.ndarray:
     """The same observable straight from the dense real-space definition."""
-    if result.input_coeffs is None or result.potential is None:
+    if result.input_coeffs is None:
         raise RuntimeError("potential_expectation_dense requires data mode")
     from repro.fft import invfft
 
     desc = result.desc
     idx = desc.grid_idx
-    v_xyz = result.potential.transpose(1, 2, 0)
+    v_xyz = result.potential.transpose(1, 2, 0)  # read once: it may be rebuilt
     out = np.zeros(result.config.n_complex_bands, dtype=np.complex128)
     for b in range(result.config.n_complex_bands):
         field = np.zeros(desc.grid_shape, dtype=np.complex128)

@@ -377,7 +377,8 @@ class FftPhaseContext:
         into the output rows; no rank holds coefficients beyond the unit
         in flight.
     v_slab:
-        This scatter rank's potential planes (``None`` in meta mode).
+        This scatter rank's potential planes, a view of the run's one
+        potential (``None`` in meta mode).
     workspace:
         This rank's data-plane buffer arena
         (:class:`~repro.core.workspace.Workspace`); every exchange receives
@@ -390,8 +391,8 @@ class FftPhaseContext:
     row_comm / col_comm:
         The pencil transpose communicators (row-internal z<->y over Pc
         ranks, column-internal y<->x over Pr ranks); ``None`` for the slab
-        decomposition.  In pencil mode ``v_slab`` holds the x-brick
-        potential block instead of the plane slab.
+        decomposition.  In pencil mode ``v_slab`` is the x-brick view of
+        the potential instead of the plane slab.
     chain / budgets / plans:
         The layout's stage table with, per stage name, this rank's
         instruction budget for one unit (:func:`unit_budgets`) and

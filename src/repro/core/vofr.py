@@ -6,6 +6,9 @@ real, so the Gamma-trick band pairing (two real bands in one complex field)
 commutes with it — both packed bands are multiplied correctly at once.
 The multiply fans over the host's cores in slices of the leading axis
 (:mod:`repro._fan`); each element's product is the same in any slice.
+The potential is read where it lives: the slab's planes and the pencil's
+x-brick are both views of the run's one ``V`` (:mod:`repro.core.wave`),
+so no rank holds a copy of it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ def apply_potential(
     out: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Multiply plane data by the potential slab and return the product —
-    written over ``planes`` itself unless ``out`` is given.
+    written over ``planes`` itself unless ``out`` is given.  ``v_slab`` may
+    be any view of the right shape (the pencil's is strided).
 
     Both arguments are ``None`` in meta mode (cost-only runs).
     """

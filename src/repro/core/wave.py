@@ -7,7 +7,7 @@ array per run; a process's share is the columns of its sticks' G-vectors.
 
 The helpers here are the *data-mode* halves of the pipeline steps: expanding
 packed coefficients into stick columns (``prepare_psis``), extracting them
-back (``unpack``), and building the real-space potential slabs for VOFR.
+back (``unpack``), and the real-space potential views VOFR applies.
 All are deterministic functions of the config seed, so every executor sees
 identical inputs and must produce identical outputs.
 """
@@ -191,10 +191,11 @@ def potential_block(layout: DistributedLayout, r: int, potential: np.ndarray) ->
     """Pencil rank ``r``'s x-brick of the potential ``V[iz, ix, iy]``.
 
     The pencil pipeline applies VOFR on the x-brick ``(ny_i, nz_j, nr1)``
-    (full x-lines for ``iy in Y_i``, ``iz in Z_j``); this restricts and
-    transposes the potential to that brick layout, as a contiguous copy.
-    The run owns the copy: it lives on the rank's context and goes with it
-    when the run returns.
+    (full x-lines for ``iy in Y_i``, ``iz in Z_j``); this is a view of the
+    potential restricted and transposed to that brick layout, as
+    :func:`potential_slab` is for the slab.  No rank copies V: VOFR
+    multiplies the brick through the view, element for element the product
+    a contiguous copy would give.
     """
     grid = layout.pencil
     if grid is None:
@@ -205,4 +206,4 @@ def potential_block(layout: DistributedLayout, r: int, potential: np.ndarray) ->
     i, j = grid.coords(r)
     zlo, zhi = grid.z_span(j)
     ylo, yhi = grid.y_span(i)
-    return np.ascontiguousarray(potential[zlo:zhi, :, ylo:yhi].transpose(2, 0, 1))
+    return potential[zlo:zhi, :, ylo:yhi].transpose(2, 0, 1)

@@ -147,16 +147,19 @@ class CpuModel:
             instructions,
             meta={"profile": profile, "thread": thread, "stream": stream, "speed": speed},
         )
+        # The callback closes over neither the task nor this model: a
+        # pending task's event then leads back to nothing that holds it.
+        start = task.start_time
+        counters, trace = self.counters, self.trace
 
         def _finish(event: Event) -> None:
             if event._exception is not None:
                 return  # failed: no completion bookkeeping
-            start = task.start_time
-            end = task.finish_time
+            end = event.sim._now  # the task's finish_time: it completes now
             record = ComputeRecord(stream, thread, phase, instructions, start, end)
-            self.counters.record(stream, phase, instructions, end - start)
-            if self.trace is not None:
-                self.trace.compute.append(record)
+            counters.record(stream, phase, instructions, end - start)
+            if trace is not None:
+                trace.compute.append(record)
             # Waiters resume off this same event; registered first, this
             # callback swaps the task payload for the ComputeRecord they
             # expect — one event per phase instead of a done/notify pair.

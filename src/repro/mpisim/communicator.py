@@ -34,7 +34,8 @@ from repro.mpisim.datatypes import nbytes_of, payload_like
 from repro.simkit.events import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.mpisim.world import MpiWorld
+    from repro.mpisim.network import NetworkModel
+    from repro.simkit.simulator import Simulator
 
 __all__ = ["Communicator", "MpiEvent", "MpiSimError", "CollectiveResult"]
 
@@ -98,11 +99,20 @@ class Communicator:
     """An ordered group of world ranks supporting collective operations.
 
     Create via :meth:`MpiWorld.comm_world` / :meth:`MpiWorld.register_comm`;
-    the constructor is internal.
+    the constructor is internal.  A communicator knows the simulator and the
+    network it charges, not the world that registered it.
     """
 
-    def __init__(self, world: "MpiWorld", comm_id: int, ranks: _t.Sequence[int], name: str):
-        self.world = world
+    def __init__(
+        self,
+        sim: "Simulator",
+        network: "NetworkModel",
+        comm_id: int,
+        ranks: _t.Sequence[int],
+        name: str,
+    ):
+        self.sim = sim
+        self.network = network
         self.id = comm_id
         self.ranks = tuple(ranks)
         #: Number of member ranks.
@@ -113,11 +123,6 @@ class Communicator:
         self._local_of = dict(zip(self.ranks, range(self.size)))
         if len(self._local_of) != self.size:
             raise ValueError(f"duplicate ranks in communicator: {ranks}")
-        if min(self.ranks) < 0 or max(self.ranks) >= world.n_ranks:
-            raise ValueError(
-                f"ranks {[r for r in self.ranks if not 0 <= r < world.n_ranks]} "
-                f"of communicator {name!r} are not world ranks (0..{world.n_ranks - 1})"
-            )
         self._seq: dict[int, int] = {wr: 0 for wr in self.ranks}
         self._pending: dict[object, _Pending] = {}
         #: Verified Alltoallw descriptor sets -> per-sender ``(pairs, sent)``
@@ -227,7 +232,7 @@ class Communicator:
                 f"rank {caller} joined {op!r} on {self.name!r} twice (key={match_key})"
             )
 
-        sim = self.world.sim
+        sim = self.sim
         event = MpiEvent(sim, name=f"mpi:{op}")
         pending.args[local] = args
         pending.events[local] = event
@@ -261,8 +266,8 @@ class Communicator:
         a collective observe the fault, exactly as a real MPI job would see
         the operation error out everywhere.
         """
-        t_all = self.world.sim.now
-        per_message = self.world.network.message_latency(self.ranks)
+        t_all = self.sim.now
+        per_message = self.network.message_latency(self.ranks)
         delay = (
             latency_messages * per_message
             if latency_messages > 0 and per_message > 0
@@ -292,7 +297,7 @@ class Communicator:
             upstream.add_callback(_complete)
 
     def _exec_alltoall(self, pending: _Pending) -> None:
-        net = self.world.network
+        net = self.network
         size = self.size
         values: dict[int, object] = {}
         bytes_sent: dict[int, float] = {}
@@ -314,7 +319,7 @@ class Communicator:
             values[local] = [
                 payload_like(pending.args[src]["parts"][local]) for src in range(size)
             ]
-        upstream = self.world.sim.all_of(transfers) if transfers else None
+        upstream = self.sim.all_of(transfers) if transfers else None
         self._finish(pending, values, bytes_sent, upstream, net.alltoall_messages(size))
 
     def _alltoallw_costs(self, args: dict[int, dict]) -> list[tuple[list, float]]:
@@ -410,7 +415,7 @@ class Communicator:
         _fan.over_rows(body, items, MOVE_MIN_POINTS)
 
     def _exec_alltoallw(self, pending: _Pending) -> None:
-        net = self.world.network
+        net = self.network
         size = self.size
         args = pending.args
         costs = self._alltoallw_costs(args)
@@ -427,5 +432,5 @@ class Communicator:
             if sent > 0:
                 transfers.append(net.transfer_parts(self.world_rank(local), pairs))
             values[local] = args[local]["recvbuf"]
-        upstream = self.world.sim.all_of(transfers) if transfers else None
+        upstream = self.sim.all_of(transfers) if transfers else None
         self._finish(pending, values, bytes_sent, upstream, net.alltoall_messages(size))

@@ -65,11 +65,6 @@ def _resolving_to(event: Event, value: object) -> Event:
     return event
 
 
-def _detail(rank: object) -> object:
-    """JSON-safe sender id for fault-report events."""
-    return rank if rank is None or isinstance(rank, (int, str)) else repr(rank)
-
-
 class RankAwareAllocator:
     """Transport rate allocator with per-process injection sharing.
 
@@ -77,13 +72,12 @@ class RankAwareAllocator:
     *divided among that process's concurrent transfers* (a multi-threaded MPI
     process does not inject N times faster because N tasks call MPI at once),
     then the aggregate capacity is divided max-min fairly over the resulting
-    demands.  Transfers without a known sender (``rank=None``) are treated as
-    separate one-transfer processes.
+    demands.  Every transfer names its sender in ``meta["rank"]``: a world
+    rank on a node's transport, ``("node", n)`` (the NIC) on the fabric.
 
-    The static record of a transfer is its sender, interned to a number (0
-    for an anonymous transfer).  The rate computation is memoized on what
-    the rates actually depend on — the multiset of per-sender transfer
-    counts plus the number of anonymous transfers, not on *which* ranks are
+    The static record of a transfer is its sender, interned to a number.
+    The rate computation is memoized on what the rates actually depend on —
+    the multiset of per-sender transfer counts, not on *which* ranks are
     sending (the same handful of concurrent-transfer mixes — one rank
     alone, the all-ranks alltoall burst — recurs for the whole run, under
     ever-changing sender identities).
@@ -92,10 +86,10 @@ class RankAwareAllocator:
     def __init__(self, capacity: float, injection_bw: float):
         self.capacity = capacity
         self.injection_bw = injection_bw
-        #: Sender key (a rank, or ``("node", n)`` for a NIC) -> id >= 1.
+        #: Sender key (a rank, or ``("node", n)`` for a NIC) -> id.
         self._sender_ids: dict[object, int] = {}
-        #: ``(n anonymous, per-sender counts descending)`` -> rate of one
-        #: transfer by its sender's count (anonymous transfers under 0).
+        #: Per-sender counts, descending -> rate of one transfer by its
+        #: sender's count.
         self._cache: dict[tuple, dict[int, float]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -111,50 +105,39 @@ class RankAwareAllocator:
     static_width = 1
 
     def prepare(self, task: FluidTask) -> tuple[int]:
-        rank = task.meta.get("rank")
-        if rank is None:
-            return (0,)
+        rank = task.meta["rank"]
         sid = self._sender_ids.get(rank)
         if sid is None:
-            sid = self._sender_ids[rank] = len(self._sender_ids) + 1
+            sid = self._sender_ids[rank] = len(self._sender_ids)
         return (sid,)
 
     def allocate_batch(self, statics: np.ndarray) -> np.ndarray:
         senders = statics[:, 0].tolist()
         per_sender = Counter(senders)
-        n_anon = per_sender.pop(0.0, 0)
-        counts = sorted(per_sender.values(), reverse=True)
-        key = (n_anon, *counts)
+        key = tuple(sorted(per_sender.values(), reverse=True))
         rate_of = self._cache.get(key)
         if rate_of is None:
             self.cache_misses += 1
-            rate_of = self._cache[key] = self._rates_by_count(n_anon, counts)
+            rate_of = self._cache[key] = self._rates_by_count(key)
         else:
             self.cache_hits += 1
-        # Anonymous senders were popped: a Counter reads them back as 0.
         return np.array([rate_of[per_sender[sid]] for sid in senders])
 
-    def _rates_by_count(self, n_anon: int, counts: list[int]) -> dict[int, float]:
+    def _rates_by_count(self, counts: tuple[int, ...]) -> dict[int, float]:
         """Rate of one transfer, by its sender's concurrent-transfer count.
 
         Transfers of the same sender have identical injection demands and so
         receive identical max-min grants; the water filling runs per sender
-        with the transfer count as weight.  Anonymous senders are
-        one-transfer processes, each demanding the full injection bandwidth:
-        one group weighted by their number, listed under count 0.  The total
-        is summed with that group first, then the senders in descending-count
-        (so ascending-demand) order; the water level walks the groups stably
-        by demand, so the anonymous group goes ahead of the known
-        one-transfer senders it ties with.
+        with the transfer count as weight.  The total is summed in
+        descending-count (so ascending-demand) order.
         """
-        groups, weights = ([0, *counts], [n_anon, *counts]) if n_anon else (counts, counts)
-        demands = [self.injection_bw / max(c, 1) for c in groups]
+        demands = [self.injection_bw / c for c in counts]
         total = 0.0
-        for w, d in zip(weights, demands):
-            total += w * d
-        order = sorted(range(len(groups)), key=demands.__getitem__)
-        level = water_level(self.capacity, total, sum(weights), order, demands, weights)
-        return {c: min(d, level) for c, d in zip(groups, demands)}
+        for c, d in zip(counts, demands):
+            total += c * d
+        order = sorted(range(len(counts)), key=demands.__getitem__)
+        level = water_level(self.capacity, total, sum(counts), order, demands, counts)
+        return {c: min(d, level) for c, d in zip(counts, demands)}
 
 
 class NetworkModel:
@@ -303,7 +286,7 @@ class NetworkModel:
         moved = pieces[0] if len(pieces) == 1 else self.sim.all_of(pieces)
         return _resolving_to(moved, intra + inter)
 
-    def _guarded(self, rank: object, attempt: _t.Callable[[], Event]) -> Event:
+    def _guarded(self, rank: int, attempt: _t.Callable[[], Event]) -> Event:
         """Drop/retry/timeout envelope around one-shot transfer attempts.
 
         Each attempt pays its full transport cost before the drop decision
@@ -313,82 +296,19 @@ class NetworkModel:
         complete in simulated time, so a deadline check needs no watchdog
         timer (and the error carries the actual elapsed time).
         """
-        faults = self.faults
-        assert faults is not None
-        scenario = faults.scenario
-        sim = self.sim
-        done = Event(sim, name="net-transfer")
-        t0 = sim.now
-        attempt_no = [0]
-
-        def start() -> None:
-            if done.triggered:
-                return
-            attempt_no[0] += 1
-            attempt().add_callback(finish)
-
-        def finish(ev: Event) -> None:
-            if done.triggered:
-                return
-            elapsed = sim.now - t0
-            timeout = scenario.mpi_timeout_s
-            if timeout is not None and elapsed > timeout:
-                faults.record("timeout", rank=_detail(rank), elapsed=elapsed)
-                done.fail(
-                    MpiTimeoutError(
-                        f"transfer from rank {rank} exceeded the MPI timeout "
-                        f"({elapsed:.3g} s > {timeout:g} s)"
-                    )
-                )
-                return
-            outcome = faults.transfer_outcome(rank)
-            if outcome == "ok":
-                if attempt_no[0] > 1:
-                    faults.record(
-                        "transfer_recovered", rank=_detail(rank), attempts=attempt_no[0]
-                    )
-                done.succeed(ev.value)
-                return
-            if outcome == "kill":
-                done.fail(
-                    MpiLinkError(
-                        f"injected hard link failure on transfer "
-                        f"#{faults.transfer_count} (rank {rank})"
-                    )
-                )
-                return
-            # Dropped: retransmit after exponential backoff, within budgets.
-            if attempt_no[0] > scenario.mpi_max_retries:
-                done.fail(
-                    MpiLinkError(
-                        f"transfer from rank {rank} lost after "
-                        f"{attempt_no[0]} attempts"
-                    )
-                )
-                return
-            backoff = scenario.mpi_retry_backoff_s * (2.0 ** (attempt_no[0] - 1))
-            if timeout is not None and elapsed + backoff > timeout:
-                faults.record("timeout", rank=_detail(rank), elapsed=elapsed)
-                done.fail(
-                    MpiTimeoutError(
-                        f"transfer from rank {rank} cannot retry within the "
-                        f"MPI timeout ({timeout:g} s)"
-                    )
-                )
-                return
-            faults.record(
-                "retry", rank=_detail(rank), attempts=attempt_no[0], backoff=backoff
-            )
-            sim.timeout(backoff).add_callback(lambda _ev: start())
-
-        start()
-        return done
+        assert self.faults is not None
+        return _GuardedTransfer(self.faults, self.sim, rank, attempt).done
 
     def message_latency(self, ranks: _t.Sequence[int]) -> float:
         """Per-message latency for a communicator spanning ``ranks``."""
         node_of = self.node_of
         nodes = {node_of[r] for r in ranks}
         return self.inter_latency if len(nodes) > 1 else self.latency
+
+    def close(self) -> None:
+        """Drop the transfers in flight of a run that will not go on."""
+        for res in [*self._node_resources, self._fabric]:
+            res.close()
 
     def engine_stats(self) -> dict[str, int]:
         """Fluid-engine counters summed over the node and fabric resources."""
@@ -424,3 +344,90 @@ class NetworkModel:
             f"capacity={self.capacity:.3g} B/s, "
             f"injection={self.injection_bw:.3g} B/s, latency={self.latency:.3g} s)"
         )
+
+
+class _GuardedTransfer:
+    """One transfer under :meth:`NetworkModel._guarded`: its attempts, drop
+    decisions and backoff retries.  An object whose bound methods are the
+    callbacks, not two closures that call each other, so a finished
+    transfer is freed by reference counting alone."""
+
+    __slots__ = ("faults", "sim", "rank", "attempt", "done", "t0", "n_attempts")
+
+    def __init__(
+        self,
+        faults: "FaultInjector",
+        sim: "Simulator",
+        rank: int,
+        attempt: _t.Callable[[], Event],
+    ):
+        self.faults = faults
+        self.sim = sim
+        self.rank = rank
+        self.attempt = attempt
+        self.done = Event(sim, name="net-transfer")
+        self.t0 = sim.now
+        self.n_attempts = 0
+        self.start()
+
+    def start(self, _ev: Event | None = None) -> None:
+        if self.done.triggered:
+            return
+        self.n_attempts += 1
+        self.attempt().add_callback(self.finish)
+
+    def finish(self, ev: Event) -> None:
+        done, faults, rank = self.done, self.faults, self.rank
+        if done.triggered:
+            return
+        scenario = faults.scenario
+        elapsed = self.sim.now - self.t0
+        timeout = scenario.mpi_timeout_s
+        if timeout is not None and elapsed > timeout:
+            faults.record("timeout", rank=rank, elapsed=elapsed)
+            done.fail(
+                MpiTimeoutError(
+                    f"transfer from rank {rank} exceeded the MPI timeout "
+                    f"({elapsed:.3g} s > {timeout:g} s)"
+                )
+            )
+            return
+        outcome = faults.transfer_outcome(rank)
+        if outcome == "ok":
+            if self.n_attempts > 1:
+                faults.record(
+                    "transfer_recovered", rank=rank, attempts=self.n_attempts
+                )
+            done.succeed(ev.value)
+            return
+        if outcome == "kill":
+            done.fail(
+                MpiLinkError(
+                    f"injected hard link failure on transfer "
+                    f"#{faults.transfer_count} (rank {rank})"
+                )
+            )
+            return
+        # Dropped: retransmit after exponential backoff, within budgets.
+        if self.n_attempts > scenario.mpi_max_retries:
+            done.fail(
+                MpiLinkError(
+                    f"transfer from rank {rank} lost after "
+                    f"{self.n_attempts} attempts"
+                )
+            )
+            return
+        backoff = scenario.mpi_retry_backoff_s * (2.0 ** (self.n_attempts - 1))
+        if timeout is not None and elapsed + backoff > timeout:
+            faults.record("timeout", rank=rank, elapsed=elapsed)
+            done.fail(
+                MpiTimeoutError(
+                    f"transfer from rank {rank} cannot retry within the "
+                    f"MPI timeout ({timeout:g} s)"
+                )
+            )
+            return
+        faults.record(
+            "retry", rank=rank, attempts=self.n_attempts, backoff=backoff
+        )
+        self.sim.timeout(backoff).add_callback(self.start)

@@ -110,18 +110,41 @@ class MpiWorld:
                 f"placement provides {len(self.placement)} threads; "
                 f"{n_ranks * threads_per_rank} needed"
             )
-        #: Fault injector shared by this world's layers (set by the driver
-        #: when a fault scenario is active); the OmpSs runtime reads it for
-        #: task-failure injection.
-        self.faults = None
         self._comms: dict[int, Communicator] = {}
         self._next_comm_id = 0
         self.comm_world = self.register_comm(list(range(n_ranks)), "world")
+        # The world holds its ranks and communicators; they hold the
+        # simulator and the machine, never the world, so a finished run is
+        # freed by reference counting alone.
         self.ranks = [RankContext(self, r) for r in range(n_ranks)]
-        #: The run's one recorder (set by the driver when the run is
-        #: traced): completed calls append to ``trace.mpi``, and the ranks'
-        #: task runtimes append to ``trace.tasks``.
-        self.trace: "Trace | None" = None
+        self._faults = None
+        self._trace: "Trace | None" = None
+
+    @property
+    def faults(self):
+        """Fault injector shared by this world's layers (set by the driver
+        when a fault scenario is active); the OmpSs runtime reads it, off
+        its rank, for task-failure injection."""
+        return self._faults
+
+    @faults.setter
+    def faults(self, faults) -> None:
+        self._faults = faults
+        for rank in self.ranks:
+            rank.faults = faults
+
+    @property
+    def trace(self) -> "Trace | None":
+        """The run's one recorder (set by the driver when the run is
+        traced): completed calls append to ``trace.mpi``, and the ranks'
+        task runtimes append to ``trace.tasks``.  Each rank holds it too."""
+        return self._trace
+
+    @trace.setter
+    def trace(self, trace: "Trace | None") -> None:
+        self._trace = trace
+        for rank in self.ranks:
+            rank.trace = trace
 
     # -- communicator registry ----------------------------------------------
 
@@ -129,7 +152,12 @@ class MpiWorld:
         """A new communicator over the world ranks ``ranks``, in local-rank
         order.  Communicators are built before the rank programs run, as the
         FFT's setup builds its pack, scatter and pencil layers."""
-        comm = Communicator(self, self._next_comm_id, ranks, name)
+        comm = Communicator(self.sim, self.network, self._next_comm_id, ranks, name)
+        if min(comm.ranks) < 0 or max(comm.ranks) >= self.n_ranks:
+            raise ValueError(
+                f"ranks {[r for r in comm.ranks if not 0 <= r < self.n_ranks]} "
+                f"of communicator {name!r} are not world ranks (0..{self.n_ranks - 1})"
+            )
         self._comms[comm.id] = comm
         self._next_comm_id += 1
         return comm
@@ -159,15 +187,34 @@ class MpiWorld:
         self.sim.run()
         return self.sim.now
 
+    def close(self) -> None:
+        """Give up a run that will not go on (an attempt a fault ended):
+        close the blocked processes, the work in flight on the machine and
+        the pending collectives.  Blocked work and its owners refer to each
+        other; once closed, the run is freed by reference counting alone."""
+        self.sim.close()
+        self.cpu.resource.close()
+        self.network.close()
+        for comm in self._comms.values():
+            comm._pending.clear()
+
 
 class RankContext:
-    """The rank-facing API: compute and communication verbs returning events."""
+    """The rank-facing API: compute and communication verbs returning events.
+
+    Built by its :class:`MpiWorld`, whose simulator, CPU model, recorder and
+    fault injector it shares; it keeps no reference to the world itself.
+    """
 
     def __init__(self, world: MpiWorld, rank: int):
-        self.world = world
         self.rank = rank
         #: The shared simulator (for timeouts and bookkeeping).
         self.sim: Simulator = world.sim
+        self.cpu = world.cpu
+        #: The world's recorder and fault injector (kept in step by the
+        #: world's setters).
+        self.trace: "Trace | None" = None
+        self.faults = None
         first = rank * world.threads_per_rank
         self._threads = tuple(
             world.placement[first + t] for t in range(world.threads_per_rank)
@@ -177,7 +224,7 @@ class RankContext:
     @property
     def n_threads(self) -> int:
         """Hardware threads owned by this rank."""
-        return self.world.threads_per_rank
+        return len(self._threads)
 
     def thread(self, t: int = 0) -> HwThread:
         """The ``t``-th hardware thread of this rank."""
@@ -196,7 +243,7 @@ class RankContext:
     def compute(self, phase: str, instructions: float, thread: int = 0) -> Event:
         """Execute a compute phase on one of this rank's hardware threads."""
         hw_thread = self.thread(thread)  # validates the index
-        return self.world.cpu.compute(
+        return self.cpu.compute(
             self._streams[thread], hw_thread, phase, instructions
         )
 
@@ -240,16 +287,19 @@ class RankContext:
         """
         t0 = self.sim.now
         stream = self.stream(thread)
+        # Not the communicator itself: it holds this event while the
+        # collective is pending.
+        comm_id, comm_name = comm.id, comm.name
 
         def _record(ev: Event) -> None:
             if ev._exception is not None:
                 return
             result: CollectiveResult = ev._value  # type: ignore[assignment]
-            trace = self.world.trace
+            trace = self.trace
             if trace is not None:
                 trace.mpi.append(
                     MpiRecord(
-                        stream, call, comm.id, comm.name, t0, self.sim.now,
+                        stream, call, comm_id, comm_name, t0, self.sim.now,
                         result.bytes_sent, result.sync_time,
                     )
                 )

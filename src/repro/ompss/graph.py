@@ -2,14 +2,14 @@
 
 Built incrementally as tasks are created (OmpSs evaluates clauses "at runtime
 whenever a task is created"); a task with no unfinished predecessors is
-handed to the ready callback immediately, otherwise it waits until its last
-predecessor finishes.  The graph also keeps simple aggregate statistics used
-by the tests and the analysis tooling (edges, widths).
+ready the moment it is added, otherwise it becomes ready when its last
+predecessor finishes.  The graph hands ready tasks back to its caller
+rather than calling into it, so it holds no reference to the runtime that
+owns it.  It also keeps simple aggregate statistics used by the tests and
+the analysis tooling (edges, widths).
 """
 
 from __future__ import annotations
-
-import typing as _t
 
 from repro.ompss.deps import DependencyTracker
 from repro.ompss.task import Task, TaskState
@@ -18,58 +18,42 @@ __all__ = ["TaskGraph"]
 
 
 class TaskGraph:
-    """Dependency bookkeeping: registration, completion, ready propagation.
+    """Dependency bookkeeping: registration, completion, ready propagation."""
 
-    Parameters
-    ----------
-    on_ready:
-        Callback invoked with each task the moment it becomes ready.
-    on_edge:
-        Optional callback invoked with ``(predecessor, successor)`` for
-        every dependency edge as it is discovered — the analysis layer's
-        export hook (the edges are not recoverable from task records alone
-        once the run finishes).
-    """
-
-    def __init__(
-        self,
-        on_ready: _t.Callable[[Task], None],
-        on_edge: _t.Callable[[Task, Task], None] | None = None,
-    ):
+    def __init__(self) -> None:
         self._tracker = DependencyTracker()
-        self._on_ready = on_ready
-        self._on_edge = on_edge
         self.n_created = 0
         self.n_finished = 0
         self.n_edges = 0
 
-    def add(self, task: Task) -> None:
-        """Register a new task; may immediately mark it ready."""
+    def add(self, task: Task) -> set[Task]:
+        """Register a new task and return its predecessors — the dependency
+        edges, which are not recoverable from task records once the run
+        finishes.  A task with none is READY on return."""
         predecessors = self._tracker.register(task)
         self.n_created += 1
         task.n_pending = len(predecessors)
         self.n_edges += len(predecessors)
         for pred in predecessors:
             pred.successors.append(task)
-            if self._on_edge is not None:
-                self._on_edge(pred, task)
         if task.n_pending == 0:
-            self._make_ready(task)
+            task.state = TaskState.READY
+        return predecessors
 
-    def complete(self, task: Task) -> None:
-        """Mark a task finished and release its successors."""
+    def complete(self, task: Task) -> list[Task]:
+        """Mark a task finished; return the successors it made READY, in
+        the order they became ready."""
         if task.state is not TaskState.RUNNING:
             raise RuntimeError(f"{task!r} completed while not running")
         task.state = TaskState.FINISHED
         self.n_finished += 1
+        ready = []
         for succ in task.successors:
             succ.n_pending -= 1
             if succ.n_pending == 0 and succ.state is TaskState.CREATED:
-                self._make_ready(succ)
-
-    def _make_ready(self, task: Task) -> None:
-        task.state = TaskState.READY
-        self._on_ready(task)
+                succ.state = TaskState.READY
+                ready.append(succ)
+        return ready
 
     @property
     def n_outstanding(self) -> int:

@@ -101,21 +101,21 @@ class TaskRuntime:
             )
         self.policy = policy
         self.task_overhead = task_overhead
-        world = getattr(rank, "world", None)
-        #: The world's fault injector (``None`` on a healthy run): completed
-        #: tasks may be discarded and re-executed, bounded by the scenario's
-        #: ``task_max_retries``.
-        self.faults = getattr(world, "faults", None)
-        #: The world's recorder (``None`` when the run is not traced):
-        #: finished tasks append ``(rank, record)`` to ``trace.tasks``.
-        self.trace: "Trace | None" = getattr(world, "trace", None)
+        #: The world's fault injector, read off the rank (``None`` on a
+        #: healthy run): completed tasks may be discarded and re-executed,
+        #: bounded by the scenario's ``task_max_retries``.
+        self.faults = getattr(rank, "faults", None)
+        #: The world's recorder, read off the rank (``None`` when the run is
+        #: not traced): finished tasks append ``(rank, record)`` to
+        #: ``trace.tasks``.
+        self.trace: "Trace | None" = getattr(rank, "trace", None)
         #: Suspend tasks that block in MPI and run other tasks meanwhile
         #: (the hybrid MPI/SMPSs technique of the paper's ref. [11]).  Also
         #: the deadlock cure when every worker would otherwise sit inside a
         #: collective that cannot complete until *this* rank joins another.
         self.mpi_task_switching = mpi_task_switching
         self.queue = make_queue(policy, n_workers=self.n_workers)
-        self.graph = TaskGraph(on_ready=self._on_ready, on_edge=self._on_edge)
+        self.graph = TaskGraph()
         self._next_tid = 0
         self._idle: dict[int, Event] = {}
         self._started = False
@@ -184,7 +184,13 @@ class TaskRuntime:
         tel = _telemetry.current()
         if tel.enabled:
             tel.metrics.count("ompss.tasks_submitted", 1.0, name=task_kind(name))
-        self.graph.add(task)
+        predecessors = self.graph.add(task)
+        if tel.enabled:
+            rank = self.rank.rank
+            for pred in predecessors:
+                tel.task_edges.append((rank, pred.tid, task.tid))
+        if task.state is TaskState.READY:
+            self._on_ready(task)
         return task
 
     def taskloop(
@@ -237,11 +243,6 @@ class TaskRuntime:
         self.queue.push(task)
         self._sample_queue_depth()
         self._wake_one()
-
-    def _on_edge(self, pred: Task, succ: Task) -> None:
-        tel = _telemetry.current()
-        if tel.enabled:
-            tel.task_edges.append((self.rank.rank, pred.tid, succ.tid))
 
     def _sample_queue_depth(self) -> None:
         tel = _telemetry.current()
@@ -338,6 +339,9 @@ class TaskRuntime:
                 return  # worker freed; the continuation is queued on completion
             try:
                 to_send = yield event
+            except GeneratorExit:
+                gen.close()  # the worker is closed: so is the body it drives
+                raise
             except BaseException as exc:  # forward inline-event failures
                 throw = exc
 
@@ -361,7 +365,8 @@ class TaskRuntime:
             self._discard_execution(task)
             return
         task.finished_at = self.rank.sim.now
-        self.graph.complete(task)
+        for succ in self.graph.complete(task):
+            self._on_ready(succ)
         if self.trace is not None:
             self.trace.tasks.append((self.rank.rank, task.record()))
         if faults is not None and task.retries > 0:

@@ -101,7 +101,8 @@ class FluidTask:
         Arbitrary metadata the rate allocator may inspect (e.g. the phase
         profile and hardware-thread binding).
     done:
-        Event that fires (with the task) on completion.
+        Event that fires on completion, with no value: the waiter already
+        holds the task, and an event carrying it would form a cycle.
     rate:
         Current progress rate (work units per simulated second).
     active_time:
@@ -287,7 +288,7 @@ class FluidResource:
         work = task.work
         if work <= _ABS_EPS:
             task.finish_time = now
-            task.done.succeed(task)
+            task.done.succeed()
             return task
         # Resolve the allocator's static record first so metadata errors
         # surface at the submit call site, before any state changes.
@@ -322,6 +323,14 @@ class FluidResource:
         if cache_info is not None:
             out.update(cache_info())
         return out
+
+    def close(self) -> None:
+        """Drop the active set of a simulation that will not run on: an
+        active task and its resource refer to each other."""
+        for task in self._active:
+            task._res = None
+        self._active = []
+        self._n = 0
 
     # -- engine internals -------------------------------------------------------
 
@@ -459,7 +468,7 @@ class FluidResource:
             # possibly from inside a process: the completions go through the
             # heap, never inline.
             for task in self._settle():
-                task.done.succeed(task)
+                task.done.succeed()
         n = self._n
         eta = math.inf
         if n:
@@ -528,4 +537,4 @@ class FluidResource:
         # re-enter submit(): the engine state is consistent and the
         # flush-or-defer decision above is the one the heap order produced.
         for task in finished:
-            task.done.succeed_now(task)
+            task.done.succeed_now()

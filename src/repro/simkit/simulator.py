@@ -76,7 +76,8 @@ class Simulator:
         proc = Process(self, generator, name=name)
         if proc.is_alive:
             self._alive_processes.add(proc)
-            proc.add_callback(lambda ev: self._alive_processes.discard(proc))
+            # The callback receives the process itself: no closure over it.
+            proc.add_callback(self._alive_processes.discard)
         return proc
 
     def all_of(self, events: _t.Iterable[Event]) -> AllOf:
@@ -102,6 +103,18 @@ class Simulator:
         the next callback), and do not count as dispatched events.
         """
         self._deferred.append(fn)
+
+    def close(self) -> None:
+        """Give up a simulation that will not run on (an attempt a fault
+        ended): close every blocked process's generator, in name order, and
+        drop the pending heap and deferred callbacks.  What the simulation
+        built is then freed by reference counting alone."""
+        for proc in sorted(self._alive_processes, key=lambda p: p.name or ""):
+            proc._target = None
+            proc.generator.close()
+        self._alive_processes.clear()
+        self._heap.clear()
+        self._deferred.clear()
 
     # -- execution --------------------------------------------------------------
 

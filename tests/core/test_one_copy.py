@@ -1,12 +1,14 @@
-"""A data-mode run holds one copy of its coefficients.
+"""A data-mode run holds one copy of its coefficients and of V.
 
 Each rank gathers one unit's G-vectors out of the run's global input rows
 and the unpack exchange writes them straight into one global output
 array, so a run allocates, beyond its own bookkeeping, only that output
-array and the unit in flight.  The ``tracemalloc`` peak of one warm run
-(geometry, plans and arenas built by a first run) is pinned to input +
-output + potential + a fixed slack; a returning per-process copy of the
-coefficients adds a whole input array on top and fails here.
+array and the unit in flight.  VOFR reads the potential through views of
+the one ``V`` (the slab's planes, the pencil's x-bricks), so no rank copies
+it.  The ``tracemalloc`` peak of one warm run (geometry, plans and arenas
+built by a first run) is pinned to input + output + potential + a fixed
+slack; a returning per-process copy of the coefficients adds a whole input
+array on top and fails here, and so does a rearranged copy of V.
 
 The quick grid (the CLI's ``--quick`` workload) with 64 bands, not the
 SMALL grid: on SMALL the run's bookkeeping (~160 KiB) is thirty times one
@@ -16,12 +18,14 @@ whatever the bookkeeping weighs.  Input and potential are copied inside
 the traced window, so they count once and their generators' temporaries
 do not.
 
-Once the run has returned, its result holds those three arrays and its
-bookkeeping, nothing more: the rank contexts — and with them the pencil's
-rearranged potential bricks — are gone.
+Once the run has returned, its result holds its input and output arrays,
+a caller's potential, and its bookkeeping, nothing more: the rank
+contexts and their views are gone, and a potential the run generated is
+not held (``RunResult.potential`` rebuilds it).  A run leaves no reference
+cycles (``tests/core/test_no_garbage.py``), so ``current`` counts what is
+held without a collection first.
 """
 
-import gc
 import tracemalloc
 
 import pytest
@@ -34,16 +38,20 @@ QUICK = dict(ecutwfc=30.0, alat=10.0, nbnd=64)
 #: 3.11; smaller than one coefficient array.
 SLACK = 1024 * 1024
 #: What a returned result holds beyond its arrays (simulator, records,
-#: completed-band sets): measured at ~175 KiB on both decompositions.  The
-#: pencil's potential bricks (one potential, 335 KiB here) do not fit.
+#: completed-band sets): measured at ~175 KiB on both decompositions.  One
+#: potential (335 KiB here) does not fit.
 HELD_SLACK = 256 * 1024
+
+
+def _config(decomposition):
+    return RunConfig(
+        **QUICK, ranks=4, taskgroups=2, data_mode=True, decomposition=decomposition
+    )
 
 
 @pytest.mark.parametrize("decomposition", ["slab", "pencil"])
 def test_warm_run_allocates_one_output_array(decomposition):
-    config = RunConfig(
-        **QUICK, ranks=4, taskgroups=2, data_mode=True, decomposition=decomposition
-    )
+    config = _config(decomposition)
     warm = run_fft_phase(config)
     coeffs, potential = warm.input_coeffs, warm.potential
     assert coeffs.nbytes > SLACK
@@ -53,16 +61,24 @@ def test_warm_run_allocates_one_output_array(decomposition):
         result = run_fft_phase(
             config, input_coeffs=coeffs.copy(), potential=potential.copy()
         )
-        # A run leaves ~190 KiB of reference cycles behind; whether a
-        # collection has freed them yet depends on the allocation history
-        # of the whole process.  Collect, so ``current`` counts what is
-        # held, not when the collector last ran (``peak`` is unaffected).
-        gc.collect()
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.layout.T == 2
-    # The pencil VOFR applies V on x-bricks: one rearranged copy of V.
-    bricks = potential.nbytes if decomposition == "pencil" else 0
-    assert peak <= 2 * coeffs.nbytes + potential.nbytes + bricks + SLACK
+    assert peak <= 2 * coeffs.nbytes + potential.nbytes + SLACK
     assert current <= 2 * coeffs.nbytes + potential.nbytes + HELD_SLACK
+
+
+@pytest.mark.parametrize("decomposition", ["slab", "pencil"])
+def test_generated_run_result_holds_no_potential(decomposition):
+    config = _config(decomposition)
+    coeffs = run_fft_phase(config).input_coeffs
+    assert coeffs.nbytes > HELD_SLACK
+    tracemalloc.start()
+    try:
+        result = run_fft_phase(config)
+        current, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.caller_potential is None
+    assert current <= 2 * coeffs.nbytes + HELD_SLACK

@@ -50,7 +50,7 @@ def compute_tasks(spec, profiles) -> list[FluidTask]:
 
 
 def transfer_tasks(senders) -> list[FluidTask]:
-    """Transport fluid tasks, one per sender key (``None``: anonymous)."""
+    """Transport fluid tasks, one per sender key."""
     sim = Simulator()
     return [FluidTask(sim, 1.0, meta={"rank": rank}) for rank in senders]
 

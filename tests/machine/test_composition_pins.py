@@ -4,8 +4,7 @@
 ``allocate_batch`` returns, through the engine's protocol (see
 :mod:`tests.machine.batch`), for CPU compositions with 1-4 hyper-threads
 per core, two nodes, eight or more demand groups and zero-traffic profiles,
-with and without the memory ramp-up, and for transport sender mixes with
-anonymous transfers.  Bit identity, not a tolerance: a change to the
+with and without the memory ramp-up, and for transport sender mixes.  Bit identity, not a tolerance: a change to the
 contention engine that moves any rate by an ulp fails here.
 
 Regenerate (only for a deliberate model change, audited leaf by leaf)::
@@ -85,18 +84,11 @@ NET_CONFIGS = {
     "ample": dict(capacity=1.0e12, injection_bw=2.0e9),
 }
 
-#: One sender key per transfer: a rank, a ``("node", n)`` NIC key, or
-#: ``None`` (an anonymous one-transfer process).
+#: One sender key per transfer: a rank or a ``("node", n)`` NIC key.
 NET_CASES = {
     "lone": [3],
-    "mixed": [0, 0, 1, 2, 2, 2, None],
-    "anon_pair": [None, None, 3],
     "skewed": [5] * 6 + [1] * 2 + [2],
     "seven_ranks": list(range(7)),
-    "nine_groups_anon": [*range(12), None, None, None, 0, 0, 1, 1, 1, 2],
-    "nics": [("node", 0)] * 3 + [("node", 1), None],
-    "all_anon": [None] * 5,
-    "burst": [r for r in range(8) for _ in range(7)] + [None] * 4,
 }
 
 

@@ -175,20 +175,17 @@ class TestDenseMissPath:
 def _unique_waterfill_rates(injection_bw, capacity, senders):
     """The replaced pipeline: ``np.unique`` over sender ids, then the closed
     form water filling."""
-    ids = {s: i for i, s in enumerate(dict.fromkeys(s for s in senders if s is not None))}
-    sids = np.array([-1 if s is None else ids[s] for s in senders])
+    ids = {s: i for i, s in enumerate(dict.fromkeys(senders))}
+    sids = np.array([ids[s] for s in senders])
     uniq, counts = np.unique(sids, return_counts=True)
     demands = injection_bw / counts
-    demands[uniq == -1] = injection_bw
     grants = waterfill_vec(demands, capacity, counts)
-    lut = np.zeros(len(ids) + 1)
+    lut = np.zeros(len(ids))
     lut[uniq] = grants
     return lut[sids]
 
 
-sender_lists = st.lists(
-    st.one_of(st.none(), st.integers(min_value=0, max_value=11)), min_size=1, max_size=48
-)
+sender_lists = st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=48)
 
 
 class TestRankAwareMemo:
@@ -206,7 +203,7 @@ class TestRankAwareMemo:
         rates = batch_rates(alloc, transfer_tasks(senders))
         labels = list(range(100, 112))
         seed.shuffle(labels)
-        relabelled = [None if s is None else ("node", labels[s]) for s in senders]
+        relabelled = [("node", labels[s]) for s in senders]
         assert batch_rates(alloc, transfer_tasks(relabelled)) == rates
         assert alloc.cache_info() == {
             "alloc_cache_hits": 1, "alloc_cache_misses": 1, "alloc_cache_size": 1,
@@ -218,8 +215,8 @@ class TestRankAwareMemo:
         """Below eight groups numpy sums sequentially, so even the
         over-subscription test's total is the same float."""
         for senders in (
-            [0, 0, 1, 2, 2, 2, None],
-            [None, None, 3],
+            [0, 0, 1, 2, 2, 2],
+            [3],
             [5] * 6 + [1] * 2 + [2],
             [0, 1, 2, 3, 4, 5, 6],
         ):
@@ -227,8 +224,3 @@ class TestRankAwareMemo:
             assert batch_rates(alloc, transfer_tasks(senders)) == (
                 _unique_waterfill_rates(2.5e9, 6.0e9, senders).tolist()
             )
-
-    def test_anonymous_transfers_are_one_transfer_processes(self):
-        alloc = RankAwareAllocator(capacity=1e12, injection_bw=2.0e9)
-        rates = batch_rates(alloc, transfer_tasks([None, None, 7, 7]))
-        assert rates == [2.0e9, 2.0e9, 1.0e9, 1.0e9]

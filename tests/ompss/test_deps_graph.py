@@ -90,55 +90,61 @@ class TestDependencyRules:
         assert tr.register(r) == set()
 
 
+def add_all(graph, ready, *tasks):
+    """Add ``tasks`` in order, appending each one that is ready on add."""
+    for t in tasks:
+        graph.add(t)
+        if t.state is TaskState.READY:
+            ready.append(t)
+
+
 class TestTaskGraph:
     def test_independent_tasks_ready_immediately(self, sim):
         ready = []
-        graph = TaskGraph(on_ready=ready.append)
+        graph = TaskGraph()
         t1 = make_task(sim, 0, inouts=[("b", 0)])
         t2 = make_task(sim, 1, inouts=[("b", 1)])
-        graph.add(t1)
-        graph.add(t2)
+        add_all(graph, ready, t1, t2)
         assert ready == [t1, t2]
         assert graph.n_edges == 0
 
     def test_chain_releases_in_order(self, sim):
         ready = []
-        graph = TaskGraph(on_ready=ready.append)
+        graph = TaskGraph()
         t1 = make_task(sim, 0, outs=["x"])
         t2 = make_task(sim, 1, ins=["x"], outs=["y"])
         t3 = make_task(sim, 2, ins=["y"])
-        for t in (t1, t2, t3):
-            graph.add(t)
+        add_all(graph, ready, t1, t2, t3)
         assert ready == [t1]
         t1.state = TaskState.RUNNING
-        graph.complete(t1)
+        ready += graph.complete(t1)
         assert ready == [t1, t2]
         t2.state = TaskState.RUNNING
-        graph.complete(t2)
+        ready += graph.complete(t2)
         assert ready == [t1, t2, t3]
         assert graph.n_outstanding == 1
 
     def test_diamond_joins(self, sim):
         ready = []
-        graph = TaskGraph(on_ready=ready.append)
+        graph = TaskGraph()
         src = make_task(sim, 0, outs=["x"])
         a = make_task(sim, 1, ins=["x"], outs=["a"])
         b = make_task(sim, 2, ins=["x"], outs=["b"])
         join = make_task(sim, 3, ins=["a", "b"])
-        for t in (src, a, b, join):
-            graph.add(t)
+        add_all(graph, ready, src, a, b, join)
+        assert graph.add(make_task(sim, 4, ins=["a"])) == {a}
         src.state = TaskState.RUNNING
-        graph.complete(src)
+        ready += graph.complete(src)
         assert set(ready) == {src, a, b}
         a.state = TaskState.RUNNING
-        graph.complete(a)
+        ready += graph.complete(a)
         assert join not in ready
         b.state = TaskState.RUNNING
-        graph.complete(b)
+        ready += graph.complete(b)
         assert join in ready
 
     def test_complete_non_running_rejected(self, sim):
-        graph = TaskGraph(on_ready=lambda t: None)
+        graph = TaskGraph()
         t = make_task(sim, 0)
         graph.add(t)
         with pytest.raises(RuntimeError):
