@@ -104,11 +104,11 @@ class TaskRuntime:
         #: The world's fault injector, read off the rank (``None`` on a
         #: healthy run): completed tasks may be discarded and re-executed,
         #: bounded by the scenario's ``task_max_retries``.
-        self.faults = getattr(rank, "faults", None)
+        self.faults = rank.faults
         #: The world's recorder, read off the rank (``None`` when the run is
         #: not traced): finished tasks append ``(rank, record)`` to
         #: ``trace.tasks``.
-        self.trace: "Trace | None" = getattr(rank, "trace", None)
+        self.trace: "Trace | None" = rank.trace
         #: Suspend tasks that block in MPI and run other tasks meanwhile
         #: (the hybrid MPI/SMPSs technique of the paper's ref. [11]).  Also
         #: the deadlock cure when every worker would otherwise sit inside a
