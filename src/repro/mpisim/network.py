@@ -214,7 +214,7 @@ class NetworkModel:
         #: fault scenario is active).  Degraded links inflate the fluid
         #: work of their transfers; droppable/killable links additionally
         #: wrap every transfer in the retry/timeout envelope of
-        #: :meth:`_guarded`.
+        #: :class:`_GuardedTransfer`.
         self.faults: "FaultInjector | None" = None
 
     def transfer_parts(
@@ -236,9 +236,10 @@ class NetworkModel:
         slower (degraded link).
         """
         if self.faults is not None and self.faults.scenario.guards_transfers:
-            return self._guarded(
-                src_rank, lambda: self._attempt_parts(src_rank, parts)
-            )
+            return _GuardedTransfer(
+                self.faults, self.sim, src_rank,
+                lambda: self._attempt_parts(src_rank, parts),
+            ).done
         return self._attempt_parts(src_rank, parts)
 
     def _attempt_parts(
@@ -285,19 +286,6 @@ class NetworkModel:
             return Event(self.sim, name="net-transfer").succeed(0.0)
         moved = pieces[0] if len(pieces) == 1 else self.sim.all_of(pieces)
         return _resolving_to(moved, intra + inter)
-
-    def _guarded(self, rank: int, attempt: _t.Callable[[], Event]) -> Event:
-        """Drop/retry/timeout envelope around one-shot transfer attempts.
-
-        Each attempt pays its full transport cost before the drop decision
-        (the bytes moved, then were found corrupt/lost); retries back off
-        exponentially from ``mpi_retry_backoff_s``.  Timeouts are checked at
-        attempt boundaries against ``mpi_timeout_s`` — transfers always
-        complete in simulated time, so a deadline check needs no watchdog
-        timer (and the error carries the actual elapsed time).
-        """
-        assert self.faults is not None
-        return _GuardedTransfer(self.faults, self.sim, rank, attempt).done
 
     def message_latency(self, ranks: _t.Sequence[int]) -> float:
         """Per-message latency for a communicator spanning ``ranks``."""
@@ -347,10 +335,18 @@ class NetworkModel:
 
 
 class _GuardedTransfer:
-    """One transfer under :meth:`NetworkModel._guarded`: its attempts, drop
-    decisions and backoff retries.  An object whose bound methods are the
-    callbacks, not two closures that call each other, so a finished
-    transfer is freed by reference counting alone."""
+    """Drop/retry/timeout envelope around one-shot transfer attempts;
+    ``done`` fires when the transfer is through or has failed.
+
+    Each attempt pays its full transport cost before the drop decision
+    (the bytes moved, then were found corrupt/lost); retries back off
+    exponentially from ``mpi_retry_backoff_s``.  Timeouts are checked at
+    attempt boundaries against ``mpi_timeout_s`` — transfers always
+    complete in simulated time, so a deadline check needs no watchdog
+    timer (and the error carries the actual elapsed time).  The callbacks
+    are bound methods, not two closures that call each other, so a
+    finished transfer is freed by reference counting alone.
+    """
 
     __slots__ = ("faults", "sim", "rank", "attempt", "done", "t0", "n_attempts")
 
