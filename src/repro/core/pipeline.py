@@ -29,6 +29,7 @@ pointwise stages are linear in the points touched.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as _t
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "Unit",
     "chain_of",
     "chain_plans",
+    "receive_slots",
     "stage_rows",
     "unit_budgets",
     "run_stages",
@@ -235,23 +237,23 @@ class Stage:
     grain: str = ""
     #: exchange: the :mod:`~repro.core.redistribute` plan builder (called
     #: with ``inverse=True`` for the way back), the context attribute
-    #: holding its communicator, its collective-key tag and the arena kind
-    #: of its receive buffer.
+    #: holding its communicator and its collective-key tag.  Where its
+    #: block lands follows from its place in the chain
+    #: (:func:`receive_slots`).
     plan: str = ""
     inverse: bool = False
     comm: str = ""
     tag: str = ""
-    recv: str = ""
 
 
 def _fft(name: str, phase: str, budget: str, op: str, sign: int, rows: str, grain: str) -> Stage:
     return Stage(name, "local", phase, budget, op=op, sign=sign, rows=rows, grain=grain)
 
 
-def _exchange(name: str, budget: str, plan: str, comm: str, tag: str, recv: str, inverse: bool = False) -> Stage:
+def _exchange(name: str, budget: str, plan: str, comm: str, tag: str, inverse: bool = False) -> Stage:
     return Stage(
         name, "exchange", "scatter_reorder", budget,
-        plan=plan, inverse=inverse, comm=comm, tag=tag, recv=recv,
+        plan=plan, inverse=inverse, comm=comm, tag=tag,
     )
 
 
@@ -267,11 +269,11 @@ _TAIL = (
 
 #: The paper's Fig. 1 kernel: sticks -> planes -> sticks over one scatter.
 SLAB_CHAIN: tuple[Stage, ...] = _HEAD + (
-    _exchange("scatter_fw", "scatter_marshal", "scatter_fw_plan", "scatter_comm", "sfw", "planes"),
+    _exchange("scatter_fw", "scatter_marshal", "scatter_fw_plan", "scatter_comm", "sfw"),
     _fft("fft_xy_fw", "fft_xy", "fft_xy", "xy", +1, "planes", "xy"),
     Stage("vofr", "local", "vofr", "vofr", op="vofr"),
     _fft("fft_xy_bw", "fft_xy", "fft_xy", "xy", -1, "planes", "xy"),
-    _exchange("scatter_bw", "scatter_marshal", "scatter_bw_plan", "scatter_comm", "sbw", "stick_block"),
+    _exchange("scatter_bw", "scatter_marshal", "scatter_bw_plan", "scatter_comm", "sbw"),
 ) + _TAIL
 
 #: The pencil middle: row-internal z<->y and column-internal y<->x
@@ -279,21 +281,33 @@ SLAB_CHAIN: tuple[Stage, ...] = _HEAD + (
 #: same contention profile).  z+y+x equals the slab z+xy transform to
 #: roundoff.
 PENCIL_CHAIN: tuple[Stage, ...] = _HEAD + (
-    _exchange("transpose_zy", "pencil_zy_marshal", "pencil_zy_plan", "row_comm", "tzy", "ybrick"),
+    _exchange("transpose_zy", "pencil_zy_marshal", "pencil_zy_plan", "row_comm", "tzy"),
     _fft("fft_y_fw", "fft_z", "fft_y", "y", +1, "y_lines", "z"),
-    _exchange("transpose_yx", "pencil_yx_marshal", "pencil_yx_plan", "col_comm", "tyx", "xbrick"),
+    _exchange("transpose_yx", "pencil_yx_marshal", "pencil_yx_plan", "col_comm", "tyx"),
     _fft("fft_x_fw", "fft_z", "fft_x", "x", +1, "x_lines", "z"),
     Stage("vofr", "local", "vofr", "pencil_vofr", op="vofr"),
     _fft("fft_x_bw", "fft_z", "fft_x", "x", -1, "x_lines", "z"),
-    _exchange("transpose_xy", "pencil_yx_marshal", "pencil_yx_plan", "col_comm", "txy", "ybrick", inverse=True),
+    _exchange("transpose_xy", "pencil_yx_marshal", "pencil_yx_plan", "col_comm", "txy", inverse=True),
     _fft("fft_y_bw", "fft_z", "fft_y", "y", -1, "y_lines", "z"),
-    _exchange("transpose_yz", "pencil_zy_marshal", "pencil_zy_plan", "row_comm", "tyz", "stick_block", inverse=True),
+    _exchange("transpose_yz", "pencil_zy_marshal", "pencil_zy_plan", "row_comm", "tyz", inverse=True),
 ) + _TAIL
 
 
 def chain_of(layout: DistributedLayout) -> tuple[Stage, ...]:
     """The stage table a layout's decomposition runs."""
     return PENCIL_CHAIN if layout.decomposition == "pencil" else SLAB_CHAIN
+
+
+def receive_slots(chain: _t.Sequence[Stage]) -> dict[str, int]:
+    """Per receiving stage name, the arena slot its block lands in.
+
+    A rank needs two exchange buffers at once: the one it sends from and
+    the one it receives into.  The pack receives into slot 0 and every
+    later exchange into the slot its send block is not in, so the slots
+    alternate down the chain (the unpack writes the run's output rows).
+    """
+    names = [stage.name for stage in chain if stage.kind in ("pack", "exchange")]
+    return {name: i % 2 for i, name in enumerate(names)}
 
 
 def unit_budgets(cost: CostModel, chain: _t.Sequence[Stage], p: int) -> dict[str, float]:
@@ -382,8 +396,8 @@ class FftPhaseContext:
     workspace:
         This rank's data-plane buffer arena
         (:class:`~repro.core.workspace.Workspace`); every exchange receives
-        into one of its pooled blocks.  ``None`` in meta mode, where no
-        buffer is ever touched.
+        into a buffer of one of its two receive slots (:meth:`recv_buffer`).
+        ``None`` in meta mode, where no buffer is ever touched.
     kernels:
         The run's :class:`~repro.fft.backends.engine.KernelEngine` — every
         batched FFT the stages execute goes through it.  ``None`` in meta
@@ -398,6 +412,11 @@ class FftPhaseContext:
         instruction budget for one unit (:func:`unit_budgets`) and
         (exchanges) its :class:`~repro.core.redistribute.ExchangePlan`
         (:func:`chain_plans`) — resolved once here, not per stage execution.
+    receives / slot_items:
+        Data mode only.  Per receiving stage name, its receive slot
+        (:func:`receive_slots`), block shape and item count; per slot, the
+        items of its buffers — the largest block the slot holds, sized
+        here once from the plans.
     """
 
     def __init__(
@@ -437,24 +456,43 @@ class FftPhaseContext:
         self.chain = chain_of(layout)
         self.budgets = unit_budgets(cost, self.chain, self.p)
         self.plans = chain_plans(layout, self.chain, self.p, self.data_mode)
+        if self.data_mode:
+            shapes = {name: plan.recv_shape for name, plan in self.plans.items()}
+            # T == 1: no pack exchange; the rank expands its own sticks.
+            shapes.setdefault("pack", (layout.nst_group(self.r), layout.desc.nr3))
+            self.receives = {
+                name: (slot, shapes[name], math.prod(shapes[name]))
+                for name, slot in receive_slots(self.chain).items()
+            }
+            self.slot_items = [
+                max(items for slot, _shape, items in self.receives.values() if slot == s)
+                for s in (0, 1)
+            ]
 
     @property
     def p(self) -> int:
         """This rank's layout process index."""
         return self.rank.rank
 
-    def recv_buffer(self, kind: str, plan) -> np.ndarray | None:
-        """The arena receive buffer of an exchange plan (``None`` in meta
-        mode), with the plan's zero regions cleared; every other slot is
-        either written by the exchange or read by no later stage."""
+    def recv_buffer(self, name: str) -> np.ndarray | None:
+        """The receive block of stage ``name`` (``None`` in meta mode).
+
+        A buffer of the stage's receive slot is checked out and its head
+        handed out as the stage's block shape, with the plan's zero regions
+        cleared; every other item is either written by the exchange or read
+        by no later stage.  :func:`finish_exchange` releases the block's
+        base, the buffer itself.
+        """
         if not self.data_mode:
             return None
-        buf = self.workspace.acquire(kind, plan.recv_shape)
-        # Unfanned: splitting a memset over two cores won nothing measurable.
-        flat = buf.reshape(-1)
-        for region in plan.zero:
-            region.zero(flat)
-        return buf
+        slot, shape, items = self.receives[name]
+        flat = self.workspace.acquire(slot, (self.slot_items[slot],))[:items]
+        plan = self.plans.get(name)
+        if plan is not None:
+            # Unfanned: splitting a memset over two cores won nothing measurable.
+            for region in plan.zero:
+                region.zero(flat)
+        return flat.reshape(shape)
 
 
 class Unit:
@@ -465,7 +503,7 @@ class Unit:
     this rank carries ``my_band`` through the middle section); ``key``
     prefixes every collective key and task name of the unit.
 
-    ``held`` is the arena block the last exchange delivered.  The next
+    ``held`` is the receive block the last exchange delivered.  The next
     exchange releases it once it has executed — by then every reader is
     done: the in-place linear chain transformed that very block, and under
     the staged-task policy the (out-of-place) tasks in between are
@@ -537,13 +575,13 @@ def issue_exchange(ctx: FftPhaseContext, unit: Unit, stage: Stage, block, thread
     """Join an ``exchange`` stage's Alltoallw without waiting; returns
     ``(event, recvbuf)``.
 
-    The receive buffer is acquired (with the plan's zero regions cleared)
+    The receive block is checked out (with the plan's zero regions cleared)
     *before* joining — the live parts land in it when the last member
     joins.  The caller keeps ``block`` checked out until the
     event resolves, then calls :func:`finish_exchange`.
     """
     plan = ctx.plans[stage.name]
-    recvbuf = ctx.recv_buffer(stage.recv, plan)
+    recvbuf = ctx.recv_buffer(stage.name)
     event = _alltoallw(
         ctx, plan, getattr(ctx, stage.comm), block, recvbuf,
         (unit.key, stage.tag, unit.my_band), thread,
@@ -554,10 +592,11 @@ def issue_exchange(ctx: FftPhaseContext, unit: Unit, stage: Stage, block, thread
 def finish_exchange(ctx: FftPhaseContext, unit: Unit, recvbuf) -> None:
     """After an exchange resolved: recycle the block the previous exchange
     delivered (see :class:`Unit`) and hold the new one.  Pop-then-release,
-    so a hypothetical second call releases nothing."""
+    so a hypothetical second call releases nothing.  A block is a view of
+    its slot buffer's head, so the buffer released is its base."""
     held, unit.held = unit.held, recvbuf
     if held is not None:
-        ctx.workspace.release(held)
+        ctx.workspace.release(held.base)
 
 
 def run_stages(
@@ -622,14 +661,12 @@ def _pack(ctx: FftPhaseContext, unit: Unit, stage: Stage, rows, thread: int):
         yield ctx.rank.compute("prepare_psis", budget, thread=thread)
         block = None
         if rows is not None:
-            layout = ctx.layout
-            out = ctx.workspace.acquire(
-                "stick_block", (len(layout.sticks_of(ctx.p)), layout.desc.nr3)
+            block = wave_mod.expand_to_sticks(
+                ctx.layout, ctx.p, rows[0], out=ctx.recv_buffer(stage.name)
             )
-            block = wave_mod.expand_to_sticks(layout, ctx.p, rows[0], out=out)
     else:
         plan = ctx.plans[stage.name]
-        block = ctx.recv_buffer("stick_block", plan)
+        block = ctx.recv_buffer(stage.name)
         yield _alltoallw(ctx, plan, ctx.pack_comm, rows, block, (unit.key, "pack"), thread)
         yield ctx.rank.compute(stage.phase, budget, thread=thread)
     unit.held = block

@@ -40,9 +40,17 @@ def make_band_coefficients(ngw: int, n_complex_bands: int, seed: int) -> np.ndar
     the generator simple); deterministic in ``seed``.
     """
     rng = substream(seed)
-    re = rng.standard_normal((n_complex_bands, ngw))
-    im = rng.standard_normal((n_complex_bands, ngw))
-    return (re + 1j * im) / np.sqrt(2.0)
+    coeffs = np.empty((n_complex_bands, ngw), dtype=np.complex128)
+    draw = np.empty((n_complex_bands, ngw))
+    # Each draw lands in its half through one float scratch, scaled by the
+    # factor numpy's complex / real division applies to both halves of
+    # ``(re + 1j * im) / sqrt(2)``: bit for bit that expression, without
+    # its three complex temporaries.
+    scale = 1.0 / (np.sqrt(2.0) + 0.0 * 0.0)
+    for half in (coeffs.real, coeffs.imag):
+        rng.standard_normal(out=draw)
+        np.multiply(draw, scale, out=half)
+    return coeffs
 
 
 def make_potential(grid_shape: tuple[int, int, int], seed: int) -> np.ndarray:
@@ -54,7 +62,9 @@ def make_potential(grid_shape: tuple[int, int, int], seed: int) -> np.ndarray:
     """
     nr1, nr2, nr3 = grid_shape
     rng = substream(seed + 1)
-    v = 1.0 + 0.5 * rng.random((nr3, nr1, nr2))
+    v = rng.random((nr3, nr1, nr2))
+    v *= 0.5
+    v += 1.0
     return v
 
 

@@ -1,12 +1,20 @@
 """Reusable data-plane buffer arenas (the zero-allocation workspace).
 
-Data-mode runs used to allocate every marshalling buffer fresh: each band's
-group stick block (``np.zeros`` per pack), each plane block (per scatter),
-each gather staging array.  A :class:`Workspace` replaces those with a
-pooled acquire/release protocol: buffers are keyed by ``(kind, shape,
+A :class:`Workspace` is one process's pool of exchange receive buffers,
+under an acquire/release protocol: buffers are keyed by ``(slot, shape,
 dtype)`` and recycled across bands, directions, iterations and — because
 arenas attach to the (process-cached) :class:`~repro.grids.descriptor.
 DistributedLayout` — across runs and sweep points of the same workload.
+
+A rank of the step chain needs two exchange buffers at once, the one it
+sends from and the one it receives into, so the pipeline keys its pools
+by *receive slot* (0 or 1, fixed by the chain: see
+:func:`repro.core.pipeline.receive_slots`), not by what a buffer holds.
+Every buffer of a slot has one flat size, the largest block the slot
+receives on that rank; a stage's block is the head of a buffer viewed in
+its shape, and the buffer released is the view's base.  A pencil stick
+block so lives in the bytes of its rank's x-brick, never live at the same
+time.
 
 Design constraints, in decreasing order of importance:
 
@@ -54,7 +62,7 @@ _PRUNE_THRESHOLD = 256
 
 
 def _key_bytes(key: tuple) -> int:
-    _kind, shape, dtypestr = key
+    _slot, shape, dtypestr = key
     n = 1
     for dim in shape:
         n *= int(dim)
@@ -64,13 +72,14 @@ def _key_bytes(key: tuple) -> int:
 class Workspace:
     """One process's pooled data-plane buffers.
 
-    ``acquire(kind, shape)`` returns a recycled buffer when one of the exact
-    ``(kind, shape, dtype)`` key is free, else allocates.  Contents are
-    *unspecified* — callers must write or zero every slot a later reader
-    reads (dead slots, read by nobody, may keep whatever they hold).
-    ``release`` returns buffers to the pool; only the exact array
+    ``acquire(slot, shape)`` returns a recycled buffer when one of the
+    exact ``(slot, shape, dtype)`` key is free, else allocates.  ``slot`` is
+    any hashable pool name; the pipeline's are its two receive slots.
+    Contents are *unspecified* — callers must write or zero every item a
+    later reader reads (dead items, read by nobody, may keep whatever they
+    hold).  ``release`` returns buffers to the pool; only the exact array
     object previously acquired is accepted (views are not, by design — the
-    owner of the backing buffer releases it).
+    holder of a view releases its base, the buffer itself).
     """
 
     def __init__(self) -> None:
@@ -96,12 +105,12 @@ class Workspace:
 
     def acquire(
         self,
-        kind: str,
+        slot: _t.Hashable,
         shape: tuple,
         dtype: np.dtype | type = np.complex128,
     ) -> np.ndarray:
-        """Check out a C-contiguous buffer of the given kind/shape/dtype."""
-        key = (kind, tuple(int(s) for s in shape), np.dtype(dtype).str)
+        """Check out a C-contiguous buffer of the given slot/shape/dtype."""
+        key = (slot, tuple(int(s) for s in shape), np.dtype(dtype).str)
         with self._lock:
             if len(self._out) > _PRUNE_THRESHOLD:
                 self._prune_locked()

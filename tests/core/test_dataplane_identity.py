@@ -252,17 +252,19 @@ class TestDataplaneStats:
         assert res.dataplane["acquires"] == exchanges * chains
 
     def test_pencil_arenas_hold_the_stick_rows_of_each_y_brick(self):
-        """A linear pencil run keeps one buffer per kind and process: its
-        stick block, its y-brick of the stick-carrying x rows alone, and
-        its x-brick — byte for byte what the layout says."""
+        """A linear pencil run keeps one buffer per receive slot and
+        process: slot 0 holds the stick block and the x-brick (never live
+        together), sized for the larger; slot 1 holds the y-brick of the
+        stick-carrying x rows alone — byte for byte what the layout says."""
         cfg = small_config(ranks=4, taskgroups=2, data_mode=True, decomposition="pencil")
         res = run_cold(cfg)
         layout, grid = res.layout, res.layout.pencil
         items = dense = 0
         for p in range(layout.P):
             r, _t = layout.rt_of(p)
-            items += layout.nst_group(r) * layout.desc.nr3
-            items += math.prod(layout.ybrick_shape(r)) + math.prod(grid.x_brick_shape(r))
+            stick = layout.nst_group(r) * layout.desc.nr3
+            items += max(stick, math.prod(grid.x_brick_shape(r)))
+            items += math.prod(layout.ybrick_shape(r))
             dense += math.prod(grid.y_brick_shape(r)) - math.prod(layout.ybrick_shape(r))
         assert res.dataplane["bytes_resident"] == 16 * items
         assert dense > 0  # the grid has stick-free x rows to leave out
