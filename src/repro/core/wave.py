@@ -45,7 +45,7 @@ def make_band_coefficients(ngw: int, n_complex_bands: int, seed: int) -> np.ndar
     # Each draw lands in its half through one float scratch, scaled by the
     # factor numpy's complex / real division applies to both halves of
     # ``(re + 1j * im) / sqrt(2)``: bit for bit that expression, without
-    # its three complex temporaries.
+    # its complex temporaries.
     scale = 1.0 / (np.sqrt(2.0) + 0.0 * 0.0)
     for half in (coeffs.real, coeffs.imag):
         rng.standard_normal(out=draw)
