@@ -19,7 +19,7 @@ import argparse
 
 from repro.core import trace_run
 from repro.experiments.common import paper_config
-from repro.perf.report import render_timeline
+from repro.analysis.render import render_timeline
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ import argparse
 
 from repro.core import run_fft_phase
 from repro.experiments.common import paper_config
-from repro.perf.report import format_series
+from repro.analysis.render import format_series
 
 
 def main() -> None:

@@ -13,15 +13,12 @@ import argparse
 import pathlib
 
 from repro.analysis import analyze_run, compute_totals, factor_rows
+from repro.analysis.render import format_factor_table
+from repro.analysis.timeline import communicator_structure, phase_summary
 from repro.core.driver import run_fft_phase, trace_run
 from repro.experiments.common import paper_config
 from repro.machine import knl_parameters, whatif_machine
-from repro.perf import (
-    communicator_structure,
-    format_factor_table,
-    phase_summary,
-    write_prv,
-)
+from repro.telemetry.paraver import write_prv
 
 
 def main() -> None:

@@ -263,8 +263,8 @@ def analyze_pair(
 ) -> "TriageReport":
     """Triage a manifest pair: what regressed and which factor moved.
 
-    The triage module (and the manifest differ under it) loads here, on the
-    first A/B call: a single-run analysis never pays for it.
+    The triage module loads here, on the first A/B call: a single-run
+    analysis never pays for it.
     """
     from repro.analysis.triage import triage_pair
 

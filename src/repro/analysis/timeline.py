@@ -131,8 +131,8 @@ def ipc_histogram(
     stream ``streams[i]`` spent in phases whose average IPC falls in bin
     ``j``.  ``phases`` restricts to a subset (e.g. the main compute phase).
     """
-    # The only numpy user here; manifest diffing imports this module for
-    # ``phase_summary`` and must stay numpy-free.
+    # The only numpy user here: ``render_timeline`` imports this module
+    # from the numpy-free renderer.
     import numpy as np
 
     streams = trace.streams

@@ -3,10 +3,10 @@
 :func:`triage_pair` consumes two run manifests (baseline A, candidate B)
 and produces a :class:`TriageReport` — a ranked list of
 :class:`TriageFinding` rows naming what moved: the phase, the efficiency
-factor, the MPI layer, the engine counter.  The report is the structured
-blame attachment of ``perf diff`` / ``perf check`` and the A/B mode of the
-``analyze`` CLI; it serializes to JSON and renders to text via
-:mod:`repro.analysis.render`.
+factor, the MPI layer, the engine counter.  It is the one A/B path:
+``analyze A B``, ``perf diff`` and ``compare`` print it, and ``perf check``
+gates on it (:meth:`TriageReport.regressions`).  The report serializes to
+JSON and renders to text via :mod:`repro.analysis.render`.
 
 Findings are heuristic rankings over exact data — every number in a
 finding comes straight from the manifests; only the ordering ("dominant")
@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.perf.compare import ManifestDiff, diff_manifests
+from repro.analysis import FACTOR_KEYS
 
 __all__ = ["TriageFinding", "TriageReport", "triage_pair"]
 
@@ -63,6 +63,33 @@ class TriageReport:
     runtime_relative: float
     threshold: float
     findings: list[TriageFinding]
+
+    def regressions(self) -> list[str]:
+        """The ``perf check`` gate: one line per violation, empty to pass.
+
+        Flags the phase runtime and each phase's compute time (in name
+        order; a phase new in B is no regression) that grew by more than
+        :attr:`threshold`.
+        """
+        violations = []
+        if self.runtime_relative > self.threshold:
+            violations.append(
+                f"phase runtime regressed {self.runtime_relative * 100:+.1f}% "
+                f"({self.runtime_a_s * 1e3:.3f} ms -> {self.runtime_b_s * 1e3:.3f} ms), "
+                f"threshold {self.threshold * 100:.1f}%"
+            )
+        phases = sorted(
+            (f for f in self.findings if f.kind == KIND_PHASE),
+            key=lambda f: f.subject,
+        )
+        for f in phases:
+            if f.value_a > 0 and f.relative > self.threshold:
+                violations.append(
+                    f"phase {f.subject!r} compute time regressed "
+                    f"{f.relative * 100:+.1f}% "
+                    f"({f.value_a * 1e3:.3f} ms -> {f.value_b * 1e3:.3f} ms)"
+                )
+        return violations
 
     @property
     def dominant(self) -> TriageFinding | None:
@@ -111,13 +138,43 @@ def _relative(a: float, b: float) -> float:
     return (b - a) / a
 
 
-#: The factor keys triage tracks, mapped to report names.
-_FACTORS = (
-    "load_balance",
-    "serialization_efficiency",
-    "transfer_efficiency",
-    "parallel_efficiency",
-)
+def _time_relative(a: float, b: float) -> float:
+    """Relative time change ``b / a - 1`` (negative = faster; inf when new).
+
+    The runtime and phase rows use this form and the other rows
+    :func:`_relative`: the two can differ in the last bit, which the JSON
+    report and ``perf check``'s lines show.
+    """
+    if a <= 0:
+        return float("inf") if b > 0 else 0.0
+    return b / a - 1.0
+
+
+def _pop(manifest: dict) -> dict:
+    """The factor dict of a manifest: ``analysis.pop``; the top-level ``pop``
+    only as the reader of manifests written before that section went."""
+    pop = (manifest.get("analysis") or {}).get("pop")
+    if isinstance(pop, dict):
+        return pop
+    return manifest.get("pop") or {}
+
+
+def _phases(manifest: dict) -> dict[str, tuple[float, float]]:
+    """Phase name -> (compute seconds, IPC)."""
+    return {
+        name: (float(entry.get("time_s", 0.0)), float(entry.get("ipc", 0.0)))
+        for name, entry in manifest.get("phases", {}).items()
+        if isinstance(entry, dict)
+    }
+
+
+def _mpi(manifest: dict) -> dict[str, float]:
+    """MPI layer -> seconds."""
+    return {
+        layer: float(entry.get("time_s", 0.0))
+        for layer, entry in manifest.get("mpi", {}).items()
+    }
+
 
 #: Engine/dataplane counters worth naming in a blame report (paths into the
 #: manifest; deltas are reported raw, severity is relative).
@@ -150,8 +207,9 @@ def triage_pair(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    diff: ManifestDiff = diff_manifests(baseline, candidate)
-    rel = diff.runtime_relative
+    time_a = float(baseline["timing"]["phase_time_s"])
+    time_b = float(candidate["timing"]["phase_time_s"])
+    rel = _time_relative(time_a, time_b)
     if rel > threshold:
         verdict = "regression"
     elif rel < -threshold:
@@ -160,19 +218,19 @@ def triage_pair(
         verdict = "neutral"
 
     findings: list[TriageFinding] = []
-    runtime_delta = diff.phase_time_b - diff.phase_time_a
+    runtime_delta = time_b - time_a
     findings.append(
         TriageFinding(
             kind=KIND_RUNTIME,
             subject="phase_runtime",
-            value_a=diff.phase_time_a,
-            value_b=diff.phase_time_b,
+            value_a=time_a,
+            value_b=time_b,
             delta=runtime_delta,
             relative=rel,
             severity=abs(runtime_delta),
             detail=(
-                f"simulated phase runtime {diff.phase_time_a * 1e3:.3f} ms -> "
-                f"{diff.phase_time_b * 1e3:.3f} ms"
+                f"simulated phase runtime {time_a * 1e3:.3f} ms -> "
+                f"{time_b * 1e3:.3f} ms"
             ),
         )
     )
@@ -180,29 +238,33 @@ def triage_pair(
     # Phases: ranked by absolute seconds moved (the same direction as the
     # runtime change ranks above opposite movers at equal magnitude).
     direction = 1.0 if runtime_delta >= 0 else -1.0
-    for p in diff.phases:
-        delta = p.time_b - p.time_a
+    phases_a, phases_b = _phases(baseline), _phases(candidate)
+    for name in sorted(set(phases_a) | set(phases_b)):
+        ta, ipc_a = phases_a.get(name, (0.0, 0.0))
+        tb, ipc_b = phases_b.get(name, (0.0, 0.0))
+        delta = tb - ta
         if delta == 0.0:
             continue
         findings.append(
             TriageFinding(
                 kind=KIND_PHASE,
-                subject=p.name,
-                value_a=p.time_a,
-                value_b=p.time_b,
+                subject=name,
+                value_a=ta,
+                value_b=tb,
                 delta=delta,
-                relative=p.relative,
+                relative=_time_relative(ta, tb),
                 severity=abs(delta) * (1.0 if delta * direction > 0 else 0.5),
                 detail=(
-                    f"compute time {p.time_a * 1e3:.3f} ms -> {p.time_b * 1e3:.3f} ms; "
-                    f"IPC {p.ipc_a:.3f} -> {p.ipc_b:.3f}"
+                    f"compute time {ta * 1e3:.3f} ms -> {tb * 1e3:.3f} ms; "
+                    f"IPC {ipc_a:.3f} -> {ipc_b:.3f}"
                 ),
             )
         )
 
     # Efficiency factors: severity scales the factor drop into runtime terms.
-    for name in _FACTORS:
-        a, b = diff.pop_a.get(name), diff.pop_b.get(name)
+    pop_a, pop_b = _pop(baseline), _pop(candidate)
+    for name in FACTOR_KEYS:
+        a, b = pop_a.get(name), pop_b.get(name)
         if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
             continue
         delta = float(b) - float(a)
@@ -218,15 +280,16 @@ def triage_pair(
                 relative=_relative(float(a), float(b)),
                 # A factor drop of d explains ~d x runtime; weight against
                 # the baseline runtime so factors and phases rank together.
-                severity=abs(delta) * diff.phase_time_a
+                severity=abs(delta) * time_a
                 * (1.0 if -delta * direction > 0 else 0.5),
                 detail=f"{name.replace('_', ' ')} {a:.4f} -> {b:.4f}",
             )
         )
 
-    for layer in sorted(set(diff.mpi_a) | set(diff.mpi_b)):
-        a = diff.mpi_a.get(layer, 0.0)
-        b = diff.mpi_b.get(layer, 0.0)
+    mpi_a, mpi_b = _mpi(baseline), _mpi(candidate)
+    for layer in sorted(set(mpi_a) | set(mpi_b)):
+        a = mpi_a.get(layer, 0.0)
+        b = mpi_b.get(layer, 0.0)
         delta = b - a
         if delta == 0.0:
             continue
@@ -245,7 +308,7 @@ def triage_pair(
 
     # Counters rank by relative movement, scaled well below time findings —
     # they explain, they do not headline.
-    counter_scale = max(abs(runtime_delta), diff.phase_time_a * threshold, 1e-12)
+    counter_scale = max(abs(runtime_delta), time_a * threshold, 1e-12)
     for dotted, label in _COUNTERS:
         a = _lookup(baseline, dotted)
         b = _lookup(candidate, dotted)
@@ -266,11 +329,11 @@ def triage_pair(
 
     findings.sort(key=lambda f: (-f.severity, f.kind, f.subject))
     return TriageReport(
-        label_a=diff.label_a,
-        label_b=diff.label_b,
+        label_a=baseline["config"]["label"],
+        label_b=candidate["config"]["label"],
         verdict=verdict,
-        runtime_a_s=diff.phase_time_a,
-        runtime_b_s=diff.phase_time_b,
+        runtime_a_s=time_a,
+        runtime_b_s=time_b,
         runtime_relative=rel,
         threshold=threshold,
         findings=findings,

@@ -18,14 +18,17 @@
     fftxlib-repro analyze run.json
     fftxlib-repro analyze baseline.json candidate.json --format markdown
     fftxlib-repro analyze sweep.json --out efficiency.md --format markdown
+    fftxlib-repro compare --quick original ompss_perfft
 
 ``--quick`` shrinks the workload (30 Ry / 10 Bohr / 32 bands and a reduced
 rank sweep) so every experiment finishes in seconds; the full workload is
 the paper's (80 Ry / 20 Bohr / 128 bands / ntg 8).  The ``perf`` group
 works offline on run-manifest JSON files (see
-:mod:`repro.telemetry.manifest`): ``diff`` prints the runtime/IPC report,
-``check`` exits non-zero on a regression beyond the threshold, ``validate``
-checks a manifest against the schema (run *or* sweep manifests).
+:mod:`repro.telemetry.manifest`): ``diff`` prints the A/B triage report
+(the text of ``analyze A B``), ``check`` exits non-zero on a regression
+beyond the threshold, ``validate`` checks a manifest against the schema
+(run *or* sweep manifests).  ``compare`` runs two versions with telemetry
+on and prints the same triage of their manifests.
 
 ``analyze`` is the POP analytics front end (:mod:`repro.analysis`): one run
 manifest prints its efficiency factors, critical path and task-graph view;

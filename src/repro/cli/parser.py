@@ -267,10 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.set_defaults(handler="repro.cli.perf:cmd_perf")
     perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
     p_diff = perf_sub.add_parser(
-        "diff", help="compare two manifests (runtime, per-phase time/IPC, POP)"
+        "diff", help="triage two manifests (the text report of analyze A B)"
     )
-    p_diff.add_argument("manifest_a")
-    p_diff.add_argument("manifest_b")
+    p_diff.add_argument("manifests", nargs=2, metavar="MANIFEST")
     p_check = perf_sub.add_parser(
         "check", help="fail (exit 1) when the candidate regresses vs the baseline"
     )
@@ -319,9 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="A/B: exit 1 when the verdict is a regression",
     )
+    # ``perf diff A B`` is ``analyze A B`` in text: one handler, one set of
+    # defaults.
+    p_diff.set_defaults(
+        handler="repro.cli.perf:cmd_analyze",
+        **{
+            dest: p_analyze.get_default(dest)
+            for dest in ("fmt", "out", "threshold", "top", "check")
+        },
+    )
 
     p_cmp = sub.add_parser(
-        "compare", help="trace two versions and print the phase-delta table"
+        "compare", help="run two versions and print the triage of their manifests"
     )
     p_cmp.set_defaults(handler="repro.cli.run:cmd_compare")
     p_cmp.add_argument("version_a")

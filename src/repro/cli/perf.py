@@ -1,8 +1,8 @@
 """``perf diff|check|validate`` and ``analyze``: offline work on manifest
 JSON files.  Nothing here simulates — these commands load neither numpy nor
 ``repro.core`` (pinned by ``tests/test_import_budget.py``).  The A/B code
-(``repro.perf``, ``repro.analysis.triage``) loads inside ``perf diff``,
-``perf check`` and two-manifest ``analyze`` only."""
+(``repro.analysis.triage``) loads inside ``perf diff``, ``perf check`` and
+two-manifest ``analyze`` only: all three print or gate on its report."""
 
 from __future__ import annotations
 
@@ -67,34 +67,14 @@ def cmd_perf(args) -> int:
             return 1
         print(f"{args.manifest}: valid {noun} manifest")
         return 0
-    from repro.perf import diff_manifests, format_manifest_diff, manifest_regressions
-
-    if args.perf_command == "diff":
-        doc_a, doc_b = _load_run(args.manifest_a), _load_run(args.manifest_b)
-        print(format_manifest_diff(diff_manifests(doc_a, doc_b)))
-        report = _analysis.analyze_pair(doc_a, doc_b)
-        dom = report.dominant
-        line = f"\ntriage: {report.verdict.upper()}"
-        if dom is not None:
-            line += f" — dominant mover: {dom.kind} {dom.subject} ({dom.detail})"
-        print(line)
-        if report.dominant_factor:
-            print(f"triage: dominant efficiency factor: {report.dominant_factor}")
-        return 0
-    # perf check
-    baseline_doc = _load_run(args.baseline)
-    candidate_doc = _load_run(args.candidate)
-    violations = manifest_regressions(
-        baseline_doc,
-        candidate_doc,
-        threshold=args.threshold,
+    # perf check (``perf diff`` is parsed onto ``cmd_analyze``)
+    report = _analysis.analyze_pair(
+        _load_run(args.baseline), _load_run(args.candidate), threshold=args.threshold
     )
+    violations = report.regressions()
     if violations:
         for v in violations:
             print(f"REGRESSION: {v}", file=sys.stderr)
-        report = _analysis.analyze_pair(
-            baseline_doc, candidate_doc, threshold=args.threshold
-        )
         print("\n" + _render.render_triage_text(report.to_dict()), file=sys.stderr)
         if args.triage:
             pathlib.Path(args.triage).write_text(

@@ -1,5 +1,5 @@
 """``run`` (one configuration, with every telemetry export) and ``compare``
-(two versions traced side by side)."""
+(two versions run with telemetry on, their manifests triaged)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,18 @@ import time
 
 from repro.cli.faults import load_scenario_arg
 from repro.cli.parser import QUICK_WORKLOAD
-from repro.core import RunConfig, run_fft_phase, trace_run
+from repro.core import RunConfig, run_fft_phase
 from repro.machine.knl import whatif_machine
+
+
+def _config(**fields) -> RunConfig | None:
+    """``RunConfig(**fields)``; None after a one-line ``error:`` on stderr
+    when the fields are invalid (the caller exits 2)."""
+    try:
+        return RunConfig(**fields)
+    except ValueError as exc:
+        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_run(args) -> int:
@@ -27,22 +37,20 @@ def cmd_run(args) -> int:
         or args.prv
         or args.pop
     )
-    try:
-        config = RunConfig(
-            ranks=args.ranks,
-            taskgroups=args.taskgroups,
-            version=args.version,
-            data_mode=args.validate,
-            n_nodes=args.nodes,
-            telemetry=want_telemetry,
-            faults=scenario,
-            decomposition=args.decomposition,
-            tuning=args.tuning,
-            wisdom_path=args.wisdom,
-            **workload,
-        )
-    except ValueError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+    config = _config(
+        ranks=args.ranks,
+        taskgroups=args.taskgroups,
+        version=args.version,
+        data_mode=args.validate,
+        n_nodes=args.nodes,
+        telemetry=want_telemetry,
+        faults=scenario,
+        decomposition=args.decomposition,
+        tuning=args.tuning,
+        wisdom_path=args.wisdom,
+        **workload,
+    )
+    if config is None:
         return 2
     t0 = time.perf_counter()
     result = run_fft_phase(config)
@@ -117,27 +125,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from repro.machine import knl_parameters
-    from repro.perf import compare_runs, format_run_comparison
+    from repro.analysis import analyze_pair
+    from repro.analysis.render import render_triage_text
+    from repro.telemetry.manifest import build_manifest
 
     workload = dict(QUICK_WORKLOAD) if args.quick else {}
-    traces = {}
-    times = {}
+    configs = []
     for version in (args.version_a, args.version_b):
-        cfg = RunConfig(
-            ranks=args.ranks, taskgroups=args.taskgroups, version=version, **workload
+        config = _config(
+            ranks=args.ranks,
+            taskgroups=args.taskgroups,
+            version=version,
+            telemetry=True,
+            **workload,
         )
-        result, trace = trace_run(cfg)
-        traces[version] = trace
-        times[version] = result.phase_time
-    cmp = compare_runs(
-        traces[args.version_a],
-        traces[args.version_b],
-        knl_parameters().frequency_hz,
-    )
-    print(
-        f"phase time: {args.version_a} {times[args.version_a] * 1e3:.2f} ms, "
-        f"{args.version_b} {times[args.version_b] * 1e3:.2f} ms"
-    )
-    print(format_run_comparison(cmp, labels=(args.version_a[:8], args.version_b[:8])))
+        if config is None:
+            return 2
+        configs.append(config)
+    baseline, candidate = (build_manifest(run_fft_phase(c)) for c in configs)
+    print(render_triage_text(analyze_pair(baseline, candidate).to_dict()))
     return 0

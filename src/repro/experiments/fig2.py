@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.experiments.common import ExperimentReport, paper_config, sweep_summaries
-from repro.perf.report import format_series
+from repro.analysis.render import format_series
 from repro.sweep import SweepTask
 
 __all__ = ["run_fig2"]

@@ -17,7 +17,7 @@ import typing as _t
 from repro.experiments.common import ExperimentReport, paper_config, sweep_summaries
 from repro.experiments.paperdata import PAPER
 from repro.machine import knl_parameters
-from repro.perf.report import format_comparison
+from repro.analysis.render import format_comparison
 from repro.sweep import SweepTask
 
 __all__ = ["run_fig3", "reduce_fig3"]
@@ -25,7 +25,7 @@ __all__ = ["run_fig3", "reduce_fig3"]
 
 def reduce_fig3(task, result, ideal, trace) -> dict:
     """In-worker reduction of the traced run to the Fig. 3 artifacts."""
-    from repro.perf.timeline import communicator_structure, phase_summary
+    from repro.analysis.timeline import communicator_structure, phase_summary
 
     freq = knl_parameters().frequency_hz
     summary = phase_summary(trace, freq)

@@ -13,7 +13,7 @@ import typing as _t
 
 from repro.experiments.common import ExperimentReport, paper_config, sweep_summaries
 from repro.experiments.paperdata import PAPER
-from repro.perf.report import format_series
+from repro.analysis.render import format_series
 from repro.sweep import SweepTask
 
 __all__ = ["run_fig6"]

@@ -22,8 +22,8 @@ import numpy as np
 from repro.experiments.common import ExperimentReport, paper_config, sweep_summaries
 from repro.experiments.paperdata import PAPER
 from repro.machine import knl_parameters
-from repro.perf.report import format_comparison
-from repro.perf.timeline import ipc_histogram, phase_intervals
+from repro.analysis.render import format_comparison
+from repro.analysis.timeline import ipc_histogram, phase_intervals
 from repro.sweep import SweepTask
 from repro.telemetry import Trace
 

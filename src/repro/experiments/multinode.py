@@ -22,7 +22,7 @@ import typing as _t
 
 from repro.core.config import RunConfig
 from repro.experiments.common import ExperimentReport, paper_config, sweep_summaries
-from repro.perf.report import format_series
+from repro.analysis.render import format_series
 from repro.sweep import SweepTask
 
 __all__ = ["run_multinode", "reduce_multinode"]

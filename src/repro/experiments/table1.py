@@ -22,7 +22,7 @@ import typing as _t
 from repro.analysis import PopDecomposition, analyze_run, compute_totals, factor_rows
 from repro.experiments.common import ExperimentReport, paper_config, sweep_summaries
 from repro.experiments.paperdata import PAPER
-from repro.perf.report import format_factor_table
+from repro.analysis.render import format_factor_table
 from repro.sweep import SweepTask
 
 __all__ = ["run_table1", "run_table2", "factor_columns", "reduce_pop"]

@@ -14,6 +14,8 @@ substrate, shared by every subsystem:
   (:class:`Trace`), the run's one recorder;
 * :mod:`~repro.telemetry.chrometrace` — Perfetto/Chrome-trace JSON export
   with one track per hardware thread and MPI flow events;
+* :mod:`~repro.telemetry.paraver` — Paraver-style ``.prv`` (+ ``.pcf``,
+  ``.row``) writer and reader;
 * :mod:`~repro.telemetry.manifest` — the per-run JSON artifact (config,
   calibration, metrics, POP factors, timings) and its schema validation;
 * :mod:`~repro.telemetry.exporters` — one registry over all output formats

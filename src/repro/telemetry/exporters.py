@@ -63,7 +63,7 @@ def _export_prometheus(result: "RunResult", path: pathlib.Path) -> pathlib.Path:
 
 def _export_prv(result: "RunResult", path: pathlib.Path) -> pathlib.Path:
     tel = _require_telemetry(result)
-    from repro.perf.paraver import write_prv
+    from repro.telemetry.paraver import write_prv
 
     return write_prv(path, tel.trace, label=result.config.version)
 

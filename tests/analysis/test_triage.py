@@ -116,3 +116,68 @@ class TestTriagePair:
         assert finding["relative"] is None  # inf serialized as null
         assert doc["verdict"] == "regression"
         assert doc["dominant_phase"] == "new_phase"
+
+
+@pytest.fixture(scope="module")
+def version_pair():
+    """Manifests of the original and the per-FFT task version (2x2, small)."""
+    from repro.core import RunConfig, run_fft_phase
+    from repro.telemetry.manifest import build_manifest
+
+    return tuple(
+        build_manifest(run_fft_phase(RunConfig(
+            ecutwfc=12.0, alat=5.0, nbnd=8, ranks=2, taskgroups=2,
+            version=version, telemetry=True,
+        )))
+        for version in ("original", "ompss_perfft")
+    )
+
+
+def _finding(report, kind, subject):
+    (finding,) = [
+        f for f in report.findings if f.kind == kind and f.subject == subject
+    ]
+    return finding
+
+
+class TestVersionPair:
+    """The ``compare`` pair: original (pack layer) vs ompss_perfft (none)."""
+
+    def test_self_comparison_is_neutral(self, version_pair):
+        a, _b = version_pair
+        report = triage_pair(a, a)
+        assert report.verdict == "neutral"
+        assert report.regressions() == []
+        assert [f.kind for f in report.findings] == ["runtime"]
+
+    def test_cross_version_layers(self, version_pair):
+        a, b = version_pair
+        report = triage_pair(a, b)
+        # The original has both MPI layers; the per-FFT version has no pack.
+        pack = _finding(report, "mpi_layer", "pack")
+        assert pack.value_a > 0 and pack.value_b == 0.0
+        assert _finding(report, "mpi_layer", "scatter").value_b > 0
+
+    def test_phase_union_includes_disappearing_phases(self, version_pair):
+        a, b = version_pair
+        pack = _finding(triage_pair(a, b), "phase", "pack_sticks")  # A only
+        assert pack.value_b == 0.0
+        assert pack.relative == -1.0
+
+    def test_new_phase_relative_serialises_as_none(self, version_pair):
+        a, b = version_pair
+        pack = _finding(triage_pair(b, a), "phase", "pack_sticks")
+        assert pack.relative == float("inf")
+        (doc,) = [
+            f for f in triage_pair(b, a).to_dict()["findings"]
+            if f["subject"] == "pack_sticks"
+        ]
+        assert doc["relative"] is None
+
+    def test_regressions_name_phases_over_the_threshold(self, version_pair):
+        a, b = version_pair
+        lines = triage_pair(a, b, threshold=0.05).regressions()
+        # The runtime grew by less than 5 %; of the phases only the task
+        # version's longer prepare_psis grew by more (dropped ones never count).
+        assert len(lines) == 1
+        assert lines[0].startswith("phase 'prepare_psis' compute time regressed +")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.machine.cpu import ComputeRecord
 from repro.machine.topology import NodeTopology
 from repro.mpisim.world import MpiRecord
-from repro.perf.paraver import MPI_CALL_CODES, STATE_CODES, read_prv, write_prv
+from repro.telemetry.paraver import MPI_CALL_CODES, STATE_CODES, read_prv, write_prv
 from repro.telemetry import Trace
 
 PHASES = [p for p in STATE_CODES if p != "idle"]
@@ -114,7 +114,7 @@ class TestParaverFuzz:
         tmp = tmp_path_factory.mktemp("prv")
         prv = write_prv(tmp / "fuzz2", trace)
         parsed = read_prv(prv)
-        from repro.perf.paraver import EV_INSTRUCTIONS
+        from repro.telemetry.paraver import EV_INSTRUCTIONS
 
         instr_events = sorted(
             v for _c, _t, _th, _time, etype, v in parsed["events"] if etype == EV_INSTRUCTIONS

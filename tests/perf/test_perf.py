@@ -6,18 +6,16 @@ import pytest
 
 from repro.core import RunConfig, trace_run
 from repro.machine import knl_parameters
-from repro.perf import (
+from repro.analysis import analyze_run, compute_totals, factor_rows
+from repro.analysis.render import format_factor_table, format_series
+from repro.analysis.timeline import (
     communicator_structure,
-    format_factor_table,
-    format_series,
     ipc_histogram,
     mpi_intervals,
     phase_intervals,
     phase_summary,
-    read_prv,
-    write_prv,
 )
-from repro.analysis import analyze_run, compute_totals, factor_rows
+from repro.telemetry.paraver import read_prv, write_prv
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
 FREQ = knl_parameters().frequency_hz
@@ -132,7 +130,7 @@ class TestParaver:
 
     def test_state_codes_distinguish_phases(self, traced, tmp_path):
         _res, trace = traced
-        from repro.perf.paraver import MPI_CALL_CODES, STATE_CODES
+        from repro.telemetry.paraver import MPI_CALL_CODES, STATE_CODES
 
         prv = write_prv(tmp_path / "run2", trace)
         parsed = read_prv(prv)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import RunConfig, trace_run
-from repro.perf.report import TIMELINE_GLYPHS, format_comparison, render_timeline
+from repro.analysis.render import TIMELINE_GLYPHS, format_comparison, render_timeline
 from repro.telemetry import Trace
 
 SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)

@@ -35,7 +35,7 @@ class TestExportRun:
         assert "machine_average_ipc" in text
 
     def test_prv(self, result, tmp_path):
-        from repro.perf.paraver import read_prv
+        from repro.telemetry.paraver import read_prv
 
         path = export_run(result, "prv", tmp_path / "run")
         assert path.suffix == ".prv"

@@ -3,9 +3,9 @@
 Runs exec_original and exec_perfft (quick workload) with telemetry on and
 checks the whole chain: span hierarchy, metrics consistency, Chrome-trace
 structure (per-hw-thread tracks, MPI flow events), manifests whose one POP
-section follows the ideal-network replay, and the ``perf diff`` /
-``perf check`` behaviour on those manifests — the paper's runtime and main-phase-IPC
-deltas must show up in the diff.
+section follows the ideal-network replay, and the triage that ``perf diff``
+prints and ``perf check`` gates on over those manifests — the paper's
+runtime and main-phase-IPC deltas must show up in it.
 """
 
 import copy
@@ -16,8 +16,9 @@ import pytest
 
 from repro.core import RunConfig, run_fft_phase
 from repro.analysis import decompose, timelines_from_counters
+from repro.analysis.render import render_triage_text
+from repro.analysis.triage import triage_pair
 from repro.machine.knl import whatif_machine
-from repro.perf import diff_manifests, format_manifest_diff, manifest_regressions
 from repro.telemetry.chrometrace import chrome_trace_events
 from repro.telemetry.manifest import build_manifest, validate_manifest
 
@@ -178,19 +179,20 @@ class TestDiffAcceptance:
     def test_perfft_is_faster_with_higher_main_phase_ipc(self, original, perfft):
         _res_a, _i_a, manifest_a = original
         _res_b, _i_b, manifest_b = perfft
-        diff = diff_manifests(manifest_a, manifest_b)
+        report = triage_pair(manifest_a, manifest_b)
         # The paper's headline: the per-FFT task version is faster and lifts
         # the main phase's IPC (0.75 -> 0.85 on real KNL hardware).
-        assert diff.runtime_relative < 0
+        assert report.runtime_relative < 0
         assert (
             manifest_b["phases"]["fft_xy"]["ipc"]
             > manifest_a["phases"]["fft_xy"]["ipc"]
         )
 
-    def test_format_manifest_diff_reports_the_delta(self, original, perfft):
+    def test_triage_text_reports_the_delta(self, original, perfft):
         _res_a, _i_a, manifest_a = original
         _res_b, _i_b, manifest_b = perfft
-        text = format_manifest_diff(diff_manifests(manifest_a, manifest_b))
+        report = triage_pair(manifest_a, manifest_b)
+        text = render_triage_text(report.to_dict(), top=len(report.findings))
         assert manifest_a["config"]["label"] in text
         assert manifest_b["config"]["label"] in text
         assert "fft_xy" in text
@@ -198,7 +200,7 @@ class TestDiffAcceptance:
 
     def test_check_passes_against_itself(self, original):
         _result, _ideal, manifest = original
-        assert manifest_regressions(manifest, manifest) == []
+        assert triage_pair(manifest, manifest, threshold=0.05).regressions() == []
 
     def test_check_flags_slowdown(self, original):
         _result, _ideal, manifest = original
@@ -206,7 +208,7 @@ class TestDiffAcceptance:
         slower["timing"]["phase_time_s"] *= 1.2
         for entry in slower["phases"].values():
             entry["time_s"] *= 1.2
-        violations = manifest_regressions(manifest, slower, threshold=0.05)
+        violations = triage_pair(manifest, slower, threshold=0.05).regressions()
         assert violations
         assert any("phase time" in v or "runtime" in v for v in violations)
 
@@ -214,4 +216,4 @@ class TestDiffAcceptance:
         _result, _ideal, manifest = original
         near = copy.deepcopy(manifest)
         near["timing"]["phase_time_s"] *= 1.01
-        assert manifest_regressions(manifest, near, threshold=0.05) == []
+        assert triage_pair(manifest, near, threshold=0.05).regressions() == []

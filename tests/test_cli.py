@@ -51,6 +51,41 @@ class TestCli:
         assert "fig2" in proc.stdout
 
 
+class TestCliCompare:
+    def test_compare_prints_the_triage(self, capsys):
+        argv = ["compare", "--quick", "--ranks", "2", "--taskgroups", "2",
+                "original", "ompss_perfft"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["A: 2x2 original", "B: 2x2 ompss_perfft"]
+        assert lines[2].startswith("verdict: ")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["original", "bogus"], "unknown version 'bogus'"),
+            (["--ranks", "0", "original", "ompss_perfft"], "ranks must be >= 1"),
+            (["--taskgroups", "0", "original", "ompss_perfft"],
+             "taskgroups must be >= 1"),
+        ],
+        ids=["version", "ranks", "taskgroups"],
+    )
+    def test_compare_invalid_config_exits_2(self, args, message):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "compare", "--quick", *args],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: invalid configuration: ")
+        assert message in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+
 class TestCliTelemetry:
     RUN = ["run", "--ranks", "2", "--taskgroups", "2", "--quick"]
 
@@ -93,7 +128,8 @@ class TestCliTelemetry:
 
         assert main(["perf", "diff", str(a), str(b)]) == 0
         out = capsys.readouterr().out
-        assert "fft_xy" in out
+        assert "verdict: NEUTRAL" in out
+        assert "dominant phase:  prepare_psis" in out
 
         assert main(["perf", "check", "--baseline", str(a), str(a)]) == 0
         assert "no regression" in capsys.readouterr().out
