@@ -75,6 +75,25 @@ class TestTriagePair:
         with pytest.raises(ValueError):
             triage_pair(a, a, threshold=-0.1)
 
+    def test_regressions_are_the_perf_check_lines(self):
+        a = manifest(phase_time=1.0, phases={
+            "a_small": {"time_s": 0.1}, "b_big": {"time_s": 0.5},
+            "d_gone": {"time_s": 0.2},
+        })
+        b = manifest(phase_time=1.2, phases={
+            "a_small": {"time_s": 0.12}, "b_big": {"time_s": 0.8},
+            "c_new": {"time_s": 0.1}, "d_gone": {"time_s": 0.0},
+        })
+        # Runtime first, then phases in name order (not severity order); a
+        # phase new in B is no regression.
+        assert triage_pair(a, b, threshold=0.05).regressions() == [
+            "phase runtime regressed +20.0% (1000.000 ms -> 1200.000 ms), "
+            "threshold 5.0%",
+            "phase 'a_small' compute time regressed +20.0% (100.000 ms -> 120.000 ms)",
+            "phase 'b_big' compute time regressed +60.0% (500.000 ms -> 800.000 ms)",
+        ]
+        assert triage_pair(a, b, threshold=0.7).regressions() == []
+
     def test_mpi_layer_finding(self):
         a = manifest(mpi={"scatter": {"time_s": 0.1}})
         b = manifest(phase_time=1.2, mpi={"scatter": {"time_s": 0.3}})
@@ -154,6 +173,7 @@ class TestVersionPair:
         a, b = version_pair
         report = triage_pair(a, b)
         # The original has both MPI layers; the per-FFT version has no pack.
+        assert sorted(a["mpi"]) == ["pack", "scatter"] and sorted(b["mpi"]) == ["scatter"]
         pack = _finding(report, "mpi_layer", "pack")
         assert pack.value_a > 0 and pack.value_b == 0.0
         assert _finding(report, "mpi_layer", "scatter").value_b > 0
