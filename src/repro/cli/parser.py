@@ -53,9 +53,31 @@ EXPERIMENTS: dict[str, tuple[str, str]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input like any other: one ``error:`` line on
+    stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _at_least_zero(kind):
+    """An argument ``type``: ``kind`` of the text, rejected when below 0
+    (or not a number at all)."""
+
+    def convert(text):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``fftxlib-repro`` parser; ``args.handler`` names the command's code."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fftxlib-repro",
         description="Reproduction of 'Performance Analysis and Optimization of "
         "the FFTXlib on the Intel Knights Landing Architecture' (ICPPW 2017).",
@@ -276,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--baseline", required=True, metavar="PATH")
     p_check.add_argument("candidate")
     p_check.add_argument(
-        "--threshold", type=float, default=0.05,
+        "--threshold", type=_at_least_zero(float), default=0.05,
         help="relative slowdown tolerated before failing (default 0.05)",
     )
     p_check.add_argument(
@@ -306,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report here instead of stdout",
     )
     p_analyze.add_argument(
-        "--threshold", type=float, default=0.02,
+        "--threshold", type=_at_least_zero(float), default=0.02,
         help="A/B: relative runtime change below which the verdict is "
         "neutral (default 0.02)",
     )
     p_analyze.add_argument(
-        "--top", type=int, default=8,
+        "--top", type=_at_least_zero(int), default=8,
         help="A/B: findings shown in text/markdown output (default 8)",
     )
     p_analyze.add_argument(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -181,6 +182,55 @@ class TestCliTelemetry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == line.format(path=path) + "\n"
+
+
+class TestCliNegativeNumbers:
+    """A negative ``--threshold`` or ``--top`` is bad input, rejected while
+    the arguments are parsed: one ``error:`` line, exit 2, before any
+    manifest is read."""
+
+    GOLDEN = str(pathlib.Path(__file__).parent / "perf/golden/run_8x8_quick.json")
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["perf", "check", "--baseline", GOLDEN, GOLDEN, "--threshold", "-1"],
+             "error: argument --threshold: must be >= 0, got -1"),
+            (["analyze", GOLDEN, GOLDEN, "--threshold", "-1"],
+             "error: argument --threshold: must be >= 0, got -1"),
+            (["analyze", GOLDEN, GOLDEN, "--threshold", "nan"],
+             "error: argument --threshold: must be >= 0, got nan"),
+            (["analyze", GOLDEN, GOLDEN, "--top", "-1"],
+             "error: argument --top: must be >= 0, got -1"),
+        ],
+        ids=["check-threshold", "analyze-threshold", "analyze-nan", "analyze-top"],
+    )
+    def test_rejected_in_one_line(self, capsys, args, line):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
+    def test_zero_is_accepted(self, capsys):
+        assert main(["analyze", self.GOLDEN, self.GOLDEN, "--top", "0", "--threshold", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: NEUTRAL" in out
+        assert "more finding(s)" in out
+
+    def test_module_entry_point_prints_no_traceback(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", self.GOLDEN, self.GOLDEN,
+             "--threshold", "-1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: argument --threshold: must be >= 0, got -1\n"
 
 
 class TestCliFaults:
