@@ -29,6 +29,7 @@ pointwise stages are linear in the points touched.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import typing as _t
 
@@ -60,6 +61,7 @@ __all__ = [
     "issue_exchange",
     "finish_exchange",
     "apply_local",
+    "real_space",
 ]
 
 
@@ -226,8 +228,10 @@ class Stage:
     phase: str
     #: The :class:`CostModel` method pricing one band of this stage.
     budget: str
-    #: local: what runs — an FFT along ``z`` / ``xy`` / ``y`` / ``x``
-    #: (direction ``sign``, +1 = G->R) or ``vofr``.
+    #: local: what its data half runs — a batched FFT along ``z`` / ``y``
+    #: (direction ``sign``, +1 = G->R), or ``section``: the whole real-space
+    #: section (:func:`real_space`).  Empty for the section's later stages,
+    #: whose data half the section did: they pass their block on.
     op: str = ""
     sign: int = 0
     #: local FFT: which layout quantity counts its independent rows, and the
@@ -250,6 +254,16 @@ def _fft(name: str, phase: str, budget: str, op: str, sign: int, rows: str, grai
     return Stage(name, "local", phase, budget, op=op, sign=sign, rows=rows, grain=grain)
 
 
+def _real(
+    name: str, phase: str, budget: str, rows: str = "", grain: str = "", runs: bool = False
+) -> Stage:
+    """A stage of the real-space section; ``runs`` marks the one whose data
+    half is the section (:func:`real_space`)."""
+    return Stage(
+        name, "local", phase, budget, op="section" if runs else "", rows=rows, grain=grain
+    )
+
+
 def _exchange(name: str, budget: str, plan: str, comm: str, tag: str, inverse: bool = False) -> Stage:
     return Stage(
         name, "exchange", "scatter_reorder", budget,
@@ -268,25 +282,27 @@ _TAIL = (
 )
 
 #: The paper's Fig. 1 kernel: sticks -> planes -> sticks over one scatter.
+#: Its real-space section (xy FFT, VOFR, xy FFT back) runs on the host as
+#: one operation, a chunk of planes at a time (:func:`real_space`).
 SLAB_CHAIN: tuple[Stage, ...] = _HEAD + (
     _exchange("scatter_fw", "scatter_marshal", "scatter_fw_plan", "scatter_comm", "sfw"),
-    _fft("fft_xy_fw", "fft_xy", "fft_xy", "xy", +1, "planes", "xy"),
-    Stage("vofr", "local", "vofr", "vofr", op="vofr"),
-    _fft("fft_xy_bw", "fft_xy", "fft_xy", "xy", -1, "planes", "xy"),
+    _real("fft_xy_fw", "fft_xy", "fft_xy", "planes", "xy", runs=True),
+    _real("vofr", "vofr", "vofr"),
+    _real("fft_xy_bw", "fft_xy", "fft_xy", "planes", "xy"),
     _exchange("scatter_bw", "scatter_marshal", "scatter_bw_plan", "scatter_comm", "sbw"),
 ) + _TAIL
 
 #: The pencil middle: row-internal z<->y and column-internal y<->x
 #: transposes around batched 1D stages (charged to the ``fft_z`` phase —
 #: same contention profile).  z+y+x equals the slab z+xy transform to
-#: roundoff.
+#: roundoff.  The real-space section is the x FFT, VOFR and the x FFT back.
 PENCIL_CHAIN: tuple[Stage, ...] = _HEAD + (
     _exchange("transpose_zy", "pencil_zy_marshal", "pencil_zy_plan", "row_comm", "tzy"),
     _fft("fft_y_fw", "fft_z", "fft_y", "y", +1, "y_lines", "z"),
     _exchange("transpose_yx", "pencil_yx_marshal", "pencil_yx_plan", "col_comm", "tyx"),
-    _fft("fft_x_fw", "fft_z", "fft_x", "x", +1, "x_lines", "z"),
-    Stage("vofr", "local", "vofr", "pencil_vofr", op="vofr"),
-    _fft("fft_x_bw", "fft_z", "fft_x", "x", -1, "x_lines", "z"),
+    _real("fft_x_fw", "fft_z", "fft_x", "x_lines", "z", runs=True),
+    _real("vofr", "vofr", "pencil_vofr"),
+    _real("fft_x_bw", "fft_z", "fft_x", "x_lines", "z"),
     _exchange("transpose_xy", "pencil_yx_marshal", "pencil_yx_plan", "col_comm", "txy", inverse=True),
     _fft("fft_y_bw", "fft_z", "fft_y", "y", -1, "y_lines", "z"),
     _exchange("transpose_yz", "pencil_zy_marshal", "pencil_zy_plan", "row_comm", "tyz", inverse=True),
@@ -412,11 +428,13 @@ class FftPhaseContext:
         instruction budget for one unit (:func:`unit_budgets`) and
         (exchanges) its :class:`~repro.core.redistribute.ExchangePlan`
         (:func:`chain_plans`) — resolved once here, not per stage execution.
-    receives / slot_items:
+    receives / slot_items / scratch_slot:
         Data mode only.  Per receiving stage name, its receive slot
         (:func:`receive_slots`), block shape and item count; per slot, the
         items of its buffers — the largest block the slot holds, sized
-        here once from the plans.
+        here once from the plans; and the slot the real-space section
+        borrows its scratch from (:func:`apply_local`), grown to at least
+        one row of the section's chunks.
     """
 
     def __init__(
@@ -468,6 +486,17 @@ class FftPhaseContext:
                 max(items for slot, _shape, items in self.receives.values() if slot == s)
                 for s in (0, 1)
             ]
+            # The section's scratch is the slot its block is not in: the
+            # one the exchange before it released.  It holds a chunk of
+            # at least one dense plane (slab) or x line (pencil).
+            entry = next(i for i, stage in enumerate(self.chain) if stage.op == "section")
+            into = next(
+                stage.name for stage in reversed(self.chain[:entry]) if stage.kind == "exchange"
+            )
+            self.scratch_slot = 1 - self.receives[into][0]
+            desc = layout.desc
+            row = desc.nr1 if layout.pencil is not None else desc.nr1 * desc.nr2
+            self.slot_items[self.scratch_slot] = max(self.slot_items[self.scratch_slot], row)
 
     @property
     def p(self) -> int:
@@ -536,27 +565,86 @@ def apply_local(ctx: FftPhaseContext, stage: Stage, block: np.ndarray, in_place:
     In place (the linear chain: the consumed block is dead) or into a fresh
     array that leaves ``block`` intact — what a replayable task needs, since
     a re-run of an in-place body would transform (or apply V) twice.  The
-    slab xy FFT is restricted to the stick support the cost model charges;
-    the pencil bricks hold live rows only and are transformed whole.
+    section's entry stage runs the whole real-space section
+    (:func:`real_space`) on a scratch checked out of the rank's free
+    receive slot; the section's later stages hand ``block`` on as it is.
+    Pencil bricks keep the transform axis contiguous and last, so a z or y
+    pass is one ``(rows, n)`` batched 1D call over every row a block holds.
     """
     op = stage.op
-    if op == "vofr":
-        return apply_potential(
-            block, ctx.v_slab, out=None if in_place else np.empty_like(block)
-        )
-    if op == "z":
-        return ctx.kernels.cft_1z(block, stage.sign, out=block if in_place else None)
-    if op == "xy":
-        return ctx.kernels.cft_2xy(
-            block, stage.sign, out=block if in_place else None,
-            support=ctx.layout.desc.sticks.xy_support,
-        )
-    # Pencil bricks keep the transform axis contiguous and last, so a brick
-    # is one (rows, n) batched 1D call over every row it holds.
+    if not op:
+        return block
     out = block if in_place else np.empty(block.shape, dtype=np.complex128)
+    if op == "section":
+        slot = ctx.scratch_slot
+        scratch = ctx.workspace.acquire(slot, (ctx.slot_items[slot],))
+        try:
+            real_space(ctx.kernels, ctx.layout, ctx.v_slab, block, out, scratch)
+        finally:
+            ctx.workspace.release(scratch)
+        return out
     rows = block.reshape(-1, block.shape[-1])
-    ctx.kernels.cft_1z(rows, stage.sign, out=rows if in_place else out.reshape(rows.shape))
+    ctx.kernels.cft_1z(rows, stage.sign, out=out.reshape(rows.shape))
     return out
+
+
+def real_space(kernels, layout: DistributedLayout, v: np.ndarray, block, out, scratch) -> None:
+    """The real-space section of one rank: G->R FFT, VOFR, R->G FFT, a chunk
+    of dense rows at a time, from the compact ``block`` into ``out`` (which
+    may be ``block`` itself).
+
+    The compact block holds stick-carrying data only: on the slab
+    ``(nst_all, npp)``, each stick's z-range of the rank's planes; on the
+    pencil ``(ny_i, nz_j, n_live_x)``, the x-brick's stick-carrying x
+    columns.  ``scratch`` (any flat complex128 buffer) holds a chunk of as
+    many planes — on the pencil, x lines — as fit (at least one).  Per
+    chunk the scratch is zeroed, the compact rows are expanded into it (at
+    :meth:`~repro.grids.descriptor.DistributedLayout.scatter_plane_index`
+    on the slab, along ``x_runs`` on the pencil), the kernels and VOFR run
+    on it through their public names, and the stick slots are gathered
+    back.  Every line FFT and VOFR product is the one a dense block would
+    get: the result does not depend on the chunk size.
+    """
+    desc = layout.desc
+    if layout.pencil is None:
+        plane = desc.nr1 * desc.nr2
+        pos = layout.scatter_plane_index()
+        support = desc.sticks.xy_support
+        npp = block.shape[1]
+        step = scratch.size // plane
+        for z0 in range(0, npp, step):
+            z1 = min(z0 + step, npp)
+            flat = scratch[: (z1 - z0) * plane].reshape(z1 - z0, plane)
+            flat.fill(0)
+            flat[:, pos] = block[:, z0:z1].T
+            planes = flat.reshape(z1 - z0, desc.nr1, desc.nr2)
+            kernels.cft_2xy(planes, +1, out=planes, support=support)
+            apply_potential(planes, v[z0:z1])
+            kernels.cft_2xy(planes, -1, out=planes, support=support)
+            out[:, z0:z1] = flat[:, pos].T
+        return
+    # Pencil: a chunk is a (y, z) box of x lines — every z of some y when
+    # those fit — so the potential's x-brick view slices with it.
+    nr1 = desc.nr1
+    ny, nz = block.shape[:2]
+    lines = scratch.size // nr1
+    ky, kz = (lines // nz, nz) if lines >= nz else (1, lines)
+    runs = desc.sticks.x_runs
+    cols = tuple(itertools.accumulate((hi - lo for lo, hi in runs), initial=0))
+    for y0 in range(0, ny, ky):
+        y1 = min(y0 + ky, ny)
+        for z0 in range(0, nz, kz):
+            z1 = min(z0 + kz, nz)
+            box = scratch[: (y1 - y0) * (z1 - z0) * nr1].reshape(y1 - y0, z1 - z0, nr1)
+            box.fill(0)
+            for (lo, hi), col in zip(runs, cols):
+                box[:, :, lo:hi] = block[y0:y1, z0:z1, col : col + hi - lo]
+            rows = box.reshape(-1, nr1)
+            kernels.cft_1z(rows, +1, out=rows)
+            apply_potential(box, v[y0:y1, z0:z1])
+            kernels.cft_1z(rows, -1, out=rows)
+            for (lo, hi), col in zip(runs, cols):
+                out[y0:y1, z0:z1, col : col + hi - lo] = box[:, :, lo:hi]
 
 
 def _alltoallw(ctx: FftPhaseContext, plan, comm, block, recvbuf, key: object, thread: int):

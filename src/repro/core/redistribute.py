@@ -16,11 +16,16 @@ data-mode timeline exactly.
 What the host moves is each priced block's *live* part, stated once per
 data-mode plan: the whole block, except across the pencil y<->x transpose.
 A pencil y-brick stores only the x rows that carry sticks
-(:meth:`~repro.grids.descriptor.DistributedLayout.ybrick_x_runs`), so that
-transpose is priced at the dense brick volume (meta blocks) and moves the
-stick rows alone.  A receive buffer is an uninitialised arena block, so
-each plan also names its *zero regions*: exactly the slots a later stage
-reads that no live part writes.
+(:meth:`~repro.grids.descriptor.DistributedLayout.ybrick_x_runs`), and an
+x-brick only the x columns that do, so that transpose is priced at the
+dense brick volume (meta blocks) and moves the stick rows alone.  A
+receive buffer is an uninitialised arena block, so each plan also names
+its *zero regions*: exactly the slots a later stage reads that no live
+part writes.  No exchange delivers dense real space: the slab scatter and
+the y->x transpose receive compact blocks that arrive live in every slot
+(no zero region), and the real-space section
+(:func:`repro.core.pipeline.real_space`) builds dense planes or x lines
+from them a chunk at a time.
 
 Four slab plans (forward/backward of each MPI layer) and two pencil
 transposes (plus inverses) cover the data plane:
@@ -30,12 +35,13 @@ transposes (plus inverses) cover the data plane:
   the group stick block -> the unit's rows of the run's global output
   array, via the layout's cached index maps.
 * ``scatter_fw`` / ``scatter_bw`` — the slab scatter (R members): z-ranges
-  of stick columns (strided) <-> stick positions inside xy planes, once
-  per plane (outer: irregular positions x regular z step).
+  of stick columns (strided) <-> one contiguous row run per peer of the
+  compact ``(nst_all, npp)`` stick-major block.
 * ``pencil_zy`` / ``pencil_yx`` and inverses — the two pencil transposes
   (row-internal over Pc ranks, column-internal over Pr ranks): zy is
-  strided <-> outer like the scatter, yx moves subarrays on both sides; an
-  inverse plan is its forward plan with send/recv roles swapped.
+  strided <-> outer (irregular stick positions x regular z step), yx
+  moves subarrays on both sides; an inverse plan is its forward plan with
+  send/recv roles swapped.
 
 Only the pack blocks carry an explicit index array (the layout's cached
 G-vector and flat index maps); every other block moves as a strided view
@@ -49,7 +55,6 @@ steady-state path.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 
@@ -210,13 +215,15 @@ def _build_pack(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangeP
 
 
 def scatter_fw_plan(layout: DistributedLayout, r: int, data_mode: bool) -> ExchangePlan:
-    """Forward slab scatter of rank ``r``: stick block -> xy planes.
+    """Forward slab scatter of rank ``r``: stick block -> compact block.
 
     Sends peer ``j`` the z-range ``z_slice(j)`` of every group stick
     (strided over the ``(nst_group(r), nr3)`` block); receives peer ``j``'s
-    sticks at their (ix, iy) plane positions for every owned plane
-    (indexed into the ``(npp(r), nr1, nr2)`` planes, zeroed whole: the
-    in-place xy FFT's x pass reads every x row).
+    sticks, each over this rank's planes, as rows
+    ``scatter_stick_offsets()[j:j+2]`` of the ``(nst_all, npp(r))``
+    stick-major block: one contiguous run, every slot live, nothing to
+    zero.  The real-space section expands the rows into planes at
+    :meth:`~repro.grids.descriptor.DistributedLayout.scatter_plane_index`.
     """
     return _cached(
         layout, ("scatter_fw", r, data_mode), lambda: _build_scatter(layout, r, data_mode)
@@ -224,7 +231,8 @@ def scatter_fw_plan(layout: DistributedLayout, r: int, data_mode: bool) -> Excha
 
 
 def scatter_bw_plan(layout: DistributedLayout, r: int, data_mode: bool) -> ExchangePlan:
-    """Backward slab scatter: xy planes -> stick block (full z coverage)."""
+    """Backward slab scatter: compact block -> stick block (full z
+    coverage)."""
 
     def build() -> ExchangePlan:
         fw = scatter_fw_plan(layout, r, data_mode)
@@ -237,7 +245,7 @@ def _build_scatter(layout: DistributedLayout, r: int, data_mode: bool) -> Exchan
     desc = layout.desc
     R = layout.R
     npp_r = layout.npp(r)
-    recv_shape = (npp_r, desc.nr1, desc.nr2)
+    recv_shape = (desc.sticks.nsticks, npp_r)
     if not data_mode:
         send = [
             BlockType.meta(layout.nst_group(r) * layout.npp(j)) for j in range(R)
@@ -250,19 +258,14 @@ def _build_scatter(layout: DistributedLayout, r: int, data_mode: bool) -> Exchan
         BlockType.strided(layout.z_offset(j), layout.nst_group(r), layout.npp(j), desc.nr3)
         for j in range(R)
     ]
-    # Peer j's sticks land at their (ix, iy) plane position, once per owned
-    # plane: an irregular base (the positions) times a regular z step.
+    # Peer j's sticks are rows offsets[j]:offsets[j+1] of the compact block,
+    # each the z-range of this rank's planes: one contiguous run.
     offsets = layout.scatter_stick_offsets()
-    plane_pos = layout.scatter_plane_index()
     recv = [
-        BlockType.outer(
-            plane_pos[int(offsets[j]) : int(offsets[j + 1])],
-            (npp_r,),
-            (desc.nr1 * desc.nr2,),
-        )
+        BlockType.strided(int(offsets[j]) * npp_r, layout.nst_group(j), npp_r, npp_r)
         for j in range(R)
     ]
-    return ExchangePlan(send, recv, recv_shape, r, zero=_whole(recv_shape))
+    return ExchangePlan(send, recv, recv_shape, r)
 
 
 # -- pencil transposes (row / column internal) --------------------------------
@@ -301,9 +304,12 @@ def pencil_yx_plan(
 
     Priced dense, both ways: the blocks are meta blocks of the full
     ``(nx, nz_j, ny)`` volumes, as if every x row travelled.  Live are the
-    rows a y-brick holds, the x rows that carry sticks.  So the x-brick's
-    zero regions are its stick-free x columns, which the dense x FFT
-    reads, and the way back fills the y-brick whole.
+    rows a y-brick holds, the x rows that carry sticks, and they land in
+    the compact x-brick ``(ny_i, nz_j, n_live_x)`` whose last axis holds
+    only the grid's stick-carrying x columns (``x_runs``, ascending).
+    Every slot arrives live, so nothing is zeroed; the real-space section
+    expands the columns into dense x lines.  The way back fills the
+    y-brick whole.
     """
 
     def build() -> ExchangePlan:
@@ -326,6 +332,15 @@ def _pencil_grid(layout: DistributedLayout):
     return grid
 
 
+def _row_of_x(runs, nr1: int) -> np.ndarray:
+    """Per grid x of the ``runs``, its row among their x rows (counted in
+    ascending x)."""
+    live = np.zeros(nr1, dtype=np.int64)
+    for lo, hi in runs:
+        live[lo:hi] = 1
+    return np.cumsum(live) - 1
+
+
 def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> ExchangePlan:
     grid = _pencil_grid(layout)
     desc = layout.desc
@@ -344,11 +359,7 @@ def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
         BlockType.strided(grid.z_span(jj)[0], nst_r, grid.nz(jj), desc.nr3)
         for jj in range(grid.Pc)
     ]
-    # The brick row of every grid x that carries sticks.
-    live = np.zeros(desc.nr1, dtype=np.int64)
-    for lo, hi in layout.ybrick_x_runs(r):
-        live[lo:hi] = 1
-    row_of_x = np.cumsum(live) - 1
+    row_of_x = _row_of_x(layout.ybrick_x_runs(r), desc.nr1)
     recv = []
     for jj in range(grid.Pc):
         coords = layout.stick_coords(layout.group_sticks(grid.rank_of(i, jj)))
@@ -360,41 +371,38 @@ def _build_pencil_zy(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
 def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> ExchangePlan:
     grid = _pencil_grid(layout)
     desc = layout.desc
-    nr1, nr2 = desc.nr1, desc.nr2
+    nr2 = desc.nr2
     i, j = grid.coords(r)
     nxi, nzj, nyi = grid.nx(i), grid.nz(j), grid.ny(i)
-    recv_shape = (nyi, nzj, nr1)
+    n_live = sum(hi - lo for lo, hi in desc.sticks.x_runs)
+    recv_shape = (nyi, nzj, n_live)
     send = [BlockType.meta(nxi * nzj * grid.ny(ii)) for ii in range(grid.Pr)]
     recv = [BlockType.meta(grid.nx(ii) * nzj * nyi) for ii in range(grid.Pr)]
     if not data_mode:
         return ExchangePlan(send, recv, recv_shape, i)
     # One strided copy per run of stick rows: peer ii's y-range of the run's
     # rows of this y-brick, into the same x rows of this x-brick viewed
-    # x-major (peer ii's runs on the receive side).
+    # x-major (peer ii's runs on the receive side), at their compact column.
     runs = layout.ybrick_x_runs(r)
-    first_rows = (0, *itertools.accumulate(hi - lo for lo, hi in runs))
+    row_of_x = _row_of_x(runs, desc.nr1)
     send_parts = [
         [
             BlockType.subarray(
-                row * nzj * nr2 + grid.y_span(ii)[0], (hi - lo, nzj, grid.ny(ii)),
-                (nzj * nr2, nr2, 1),
+                int(row_of_x[lo]) * nzj * nr2 + grid.y_span(ii)[0],
+                (hi - lo, nzj, grid.ny(ii)), (nzj * nr2, nr2, 1),
             )
-            for (lo, hi), row in zip(runs, first_rows)
+            for lo, hi in runs
         ]
         for ii in range(grid.Pr)
     ]
+    col_of_x = _row_of_x(desc.sticks.x_runs, desc.nr1)
     recv_parts = [
         [
-            BlockType.subarray(lo, (hi - lo, nzj, nyi), (1, nr1, nzj * nr1))
+            BlockType.subarray(
+                int(col_of_x[lo]), (hi - lo, nzj, nyi), (1, n_live, nzj * n_live)
+            )
             for lo, hi in layout.ybrick_x_runs(grid.rank_of(ii, j))
         ]
         for ii in range(grid.Pr)
     ]
-    # The stick-free x columns, through every (y, z) line of the x-brick.
-    edges = (0, *(edge for run in desc.sticks.x_runs for edge in run), nr1)
-    zero = [
-        BlockType.subarray(lo, (nyi * nzj, hi - lo), (nr1, 1))
-        for lo, hi in zip(edges[::2], edges[1::2])
-        if lo < hi
-    ]
-    return ExchangePlan(send, recv, recv_shape, i, send_parts, recv_parts, zero)
+    return ExchangePlan(send, recv, recv_shape, i, send_parts, recv_parts)

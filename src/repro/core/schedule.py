@@ -184,11 +184,13 @@ def _submit_stage_tasks(ctx: FftPhaseContext, rt: TaskRuntime, unit: Unit, grain
     mutating in place — so a task execution that fault injection discards
     can re-run and produce the identical value (idempotent bodies are what
     makes bounded re-execution safe): ``local`` stages transform
-    out-of-place, and the MPI-bearing stages, which do recycle arena blocks,
-    are never replayed.  The fresh intermediates stay alive until the
-    program ends.  Chunked FFT stages charge their compute share per chunk
-    but perform the (atomic, instantaneous) array transform in chunk 0 —
-    the numerics are schedule-independent by construction.
+    out-of-place — the real-space section's entry stage into one fresh
+    compact block, which its later stages pass on — and the MPI-bearing
+    stages, which do recycle arena blocks, are never replayed.  The fresh
+    intermediates stay alive until the program ends.  Chunked FFT stages
+    charge their compute share per chunk but perform the (atomic,
+    instantaneous) array transform in chunk 0 — the numerics are
+    schedule-independent by construction.
     """
     slots: list = [None] * (len(ctx.chain) + 1)
     regions: tuple = ()

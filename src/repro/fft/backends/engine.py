@@ -26,10 +26,14 @@ and a run-restricted stage is still one engine call.  The dead-line rule: a
 line outside the support is *dead* — what it holds means nothing — and the
 engine does not read it, with one exception: an in-place ``sign=+1`` call,
 whose second pass runs along x through every x row, so there the caller
-promises zeros on the dead x rows.  Into a separate ``out``, ``sign=+1``
-zeroes the dead x rows and ``sign=-1`` leaves the dead y columns
-unspecified.  ``cft_1z`` takes no support: it transforms every row of its
-batch (a pencil y-brick holds only stick-carrying rows).
+promises zeros on the dead x rows — the data plane's one caller, the
+real-space section (:func:`repro.core.pipeline.real_space`), zeroes each
+chunk of planes before it expands the sticks into it, and reads back only
+the stick positions, which lie on live lines.  Into a separate ``out``,
+``sign=+1`` zeroes the dead x rows and ``sign=-1`` leaves the dead y
+columns unspecified.  ``cft_1z`` takes no support: it transforms every row of its
+batch (a pencil y-brick holds only stick-carrying rows; an x line is built
+whole, zeros and all, by the real-space section).
 
 **Fan-out (the paper's Opt 1 on the host).**  Every call splits batch axis 0
 into ``k`` contiguous, near-equal slices — one per CPU (:mod:`repro._fan`,

@@ -243,27 +243,31 @@ class TestDataplaneStats:
         """The FFT stages of the linear chain transform in place: the only
         arena checkouts are the exchanges' receive buffers (pack, then the
         scatter pair or the four transposes; unpack receives into fresh
-        result rows)."""
+        result rows) and the real-space section's one scratch."""
         cfg = small_config(
             ranks=4, taskgroups=2, data_mode=True, decomposition=decomposition
         )
         res = run_fft_phase(cfg)
         chains = (cfg.n_complex_bands // cfg.taskgroups) * cfg.ranks * cfg.taskgroups
-        assert res.dataplane["acquires"] == exchanges * chains
+        assert res.dataplane["acquires"] == (exchanges + 1) * chains
 
     def test_pencil_arenas_hold_the_stick_rows_of_each_y_brick(self):
         """A linear pencil run keeps one buffer per receive slot and
-        process: slot 0 holds the stick block and the x-brick (never live
-        together), sized for the larger; slot 1 holds the y-brick of the
-        stick-carrying x rows alone — byte for byte what the layout says."""
+        process: slot 0 holds the stick block and the compact x-brick of
+        the stick-carrying x columns (never live together), sized for the
+        larger; slot 1 holds the y-brick of the stick-carrying x rows alone,
+        and lends the real-space section its scratch — byte for byte what
+        the layout says."""
         cfg = small_config(ranks=4, taskgroups=2, data_mode=True, decomposition="pencil")
         res = run_cold(cfg)
         layout, grid = res.layout, res.layout.pencil
+        n_live = sum(hi - lo for lo, hi in layout.desc.sticks.x_runs)
         items = dense = 0
         for p in range(layout.P):
             r, _t = layout.rt_of(p)
             stick = layout.nst_group(r) * layout.desc.nr3
-            items += max(stick, math.prod(grid.x_brick_shape(r)))
+            ny, nz, _nr1 = grid.x_brick_shape(r)
+            items += max(stick, ny * nz * n_live)
             items += math.prod(layout.ybrick_shape(r))
             dense += math.prod(grid.y_brick_shape(r)) - math.prod(layout.ybrick_shape(r))
         assert res.dataplane["bytes_resident"] == 16 * items

@@ -5,9 +5,9 @@ Arena checkouts are uninitialised by contract
 holds whatever the pool last kept in it, until the plan's moves and its
 zero regions overwrite what a later stage reads.  Here every checkout is
 poisoned with NaN before the run sees it, so a slot that is read without
-being written — a y-brick row that no stick lands in, a stick-free x
-column left unzeroed that the dense x FFT sums over — turns the output
-into NaN.  The poisoned run must reproduce the clean
+being written — a y-brick row that no stick lands in, a scratch chunk of
+the real-space section left unzeroed that the dense x FFT sums over —
+turns the output into NaN.  The poisoned run must reproduce the clean
 run's output bytes exactly, across every version, both decompositions,
 one and two nodes, and the staged-task versions under task replay.
 """

@@ -91,10 +91,13 @@ class TestLiveMoves:
     def test_yx_parts_move_each_grid_point_to_itself(self, case):
         """Across the y<->x transpose every moved item leaves and lands at
         the same (x, y, z) grid point: the y-brick side addresses its
-        compact rows, the x-brick side grid x, cut at the same runs."""
+        compact rows, the x-brick side its compact columns (the grid's
+        stick-carrying x in ascending order), cut at the same runs."""
         layout = plan_layout(*case)
         grid = layout.pencil
-        nr1, nr2 = layout.desc.nr1, layout.desc.nr2
+        nr2 = layout.desc.nr2
+        x_of_col = np.concatenate([np.arange(lo, hi) for lo, hi in layout.desc.sticks.x_runs])
+        n_live = len(x_of_col)
 
         def items(parts):
             return np.concatenate([p.indices() for p in parts] + [np.empty(0, np.intp)])
@@ -111,9 +114,12 @@ class TestLiveMoves:
                     sent, got = items(plan.send_parts[d]), items(peer.recv_parts[s])
                     assert [p.lead for p in plan.send_parts[d]] == [hi - lo for lo, hi in runs]
                     ylo = grid.y_span(grid.coords(dst)[0])[0]
-                    np.testing.assert_array_equal(x_of_row[sent // (nzj * nr2)], got % nr1)
-                    np.testing.assert_array_equal(sent // nr2 % nzj, got // nr1 % nzj)
-                    np.testing.assert_array_equal(sent % nr2, ylo + got // (nzj * nr1))
+                    assert peer.recv_shape == (grid.ny(grid.coords(dst)[0]), nzj, n_live)
+                    np.testing.assert_array_equal(
+                        x_of_row[sent // (nzj * nr2)], x_of_col[got % n_live]
+                    )
+                    np.testing.assert_array_equal(sent // nr2 % nzj, got // n_live % nzj)
+                    np.testing.assert_array_equal(sent % nr2, ylo + got // (nzj * n_live))
 
     def test_zero_regions_cover_what_no_live_part_writes(self, any_layout):
         layout = any_layout
@@ -127,10 +133,11 @@ class TestLiveMoves:
                     if inverse:
                         # Every slot the next stage reads arrives live.
                         assert plan.zero == (), kind
-                    elif kind == "pencil_yx":
-                        # The stick-free x columns: disjoint from the live
-                        # ones, and with them every slot the dense x FFT reads.
-                        assert ((live + zero) == 1).all(), kind
+                    elif kind in ("scatter", "pencil_yx"):
+                        # The compact blocks the real-space section reads:
+                        # every slot arrives live, nothing is zeroed.
+                        assert plan.zero == (), kind
+                        assert (live == 1).all(), kind
                     elif kind == "pencil_zy":
                         # The compact y-brick, zeroed whole for the y FFT;
                         # every row of it receives sticks.
@@ -139,6 +146,37 @@ class TestLiveMoves:
                         assert live.reshape(plan.recv_shape[0], -1).any(axis=1).all(), kind
                     else:
                         assert (zero == 1).all(), kind  # sparse receive: zeroed whole
+
+    def test_no_receive_holds_a_dense_plane_or_line(self, any_layout):
+        """The real-space section builds dense planes (x lines) a chunk at
+        a time in a scratch; no exchange delivers one.  The slab receives
+        stick blocks and the compact ``(nst_all, npp)`` block, never
+        planes; a pencil brick holds the stick-carrying x rows (y-brick)
+        or x columns (x-brick) alone."""
+        layout = any_layout
+        desc, grid = layout.desc, layout.pencil
+        n_live = sum(hi - lo for lo, hi in desc.sticks.x_runs)
+        assert n_live < desc.nr1
+        for kind, members, fw, bw in exchanges(layout):
+            for plans in (fw, bw):
+                for member, plan in zip(members, plans):
+                    if kind == "pack":
+                        assert plan.recv_shape in (
+                            (layout.nst_group(layout.rt_of(member)[0]), desc.nr3),
+                            (layout.T, desc.ngw),
+                        )
+                    elif grid is None:
+                        assert plan.recv_shape in (
+                            (desc.sticks.nsticks, layout.npp(member)),
+                            (layout.nst_group(member), desc.nr3),
+                        )
+                    else:
+                        i, j = grid.coords(member)
+                        assert plan.recv_shape in (
+                            (grid.ny(i), grid.nz(j), n_live),
+                            layout.ybrick_shape(member),
+                            (layout.nst_group(member), desc.nr3),
+                        ), kind
 
     def test_yx_moves_only_stick_rows_but_prices_the_brick(self, any_layout):
         layout = any_layout

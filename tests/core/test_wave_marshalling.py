@@ -160,32 +160,40 @@ class TestScatterMarshalling:
             layout.nst_group(0) * layout.npp(1) * 16
         )
 
-    def test_fw_roundtrip_through_planes(self, desc, layout):
-        """stick blocks -> planes -> stick blocks reproduces the input."""
+    def test_fw_roundtrip_through_the_compact_block(self, desc, layout):
+        """stick blocks -> compact blocks -> stick blocks reproduces the input."""
         blocks = [
             RNG.standard_normal((layout.nst_group(r), desc.nr3))
             + 1j * RNG.standard_normal((layout.nst_group(r), desc.nr3))
             for r in range(layout.R)
         ]
         fw = [scatter_fw_plan(layout, r, True) for r in range(layout.R)]
-        planes = alltoallw(fw, blocks)
+        compact = alltoallw(fw, blocks)
         for r in range(layout.R):
-            assert planes[r].shape == (layout.npp(r), desc.nr1, desc.nr2)
+            assert compact[r].shape == (desc.sticks.nsticks, layout.npp(r))
         bw = [scatter_bw_plan(layout, r, True) for r in range(layout.R)]
-        for back, block in zip(alltoallw(bw, planes), blocks):
+        for back, block in zip(alltoallw(bw, compact), blocks):
             np.testing.assert_array_equal(back, block)
 
-    def test_planes_zero_off_sticks(self, desc, layout):
+    def test_compact_block_holds_every_stick(self, desc, layout):
+        """Rank ``r`` receives, stick after stick in scatter order, each
+        group stick's z-range of its planes: no zero region, no plane."""
         blocks = [
-            np.ones((layout.nst_group(r), desc.nr3), dtype=np.complex128)
+            RNG.standard_normal((layout.nst_group(r), desc.nr3)) + 0j
             for r in range(layout.R)
         ]
         fw = [scatter_fw_plan(layout, r, True) for r in range(layout.R)]
-        planes = alltoallw(fw, blocks)
-        # One zero region, the whole plane block: the xy FFT reads it all.
-        (region,) = fw[0].zero
-        assert region.n_items == planes[0].size
-        assert int(np.count_nonzero(planes[0][0])) == desc.sticks.nsticks
+        compact = alltoallw(fw, blocks)
+        offsets = layout.scatter_stick_offsets()
+        for r, plan in enumerate(fw):
+            assert plan.zero == ()
+            want = np.concatenate([block[:, layout.z_slice(r)] for block in blocks])
+            np.testing.assert_array_equal(compact[r], want)
+            for j, block in enumerate(plan.recv_blocks):
+                np.testing.assert_array_equal(
+                    block.indices(),
+                    np.arange(offsets[j] * layout.npp(r), offsets[j + 1] * layout.npp(r)),
+                )
 
     def test_meta_mode_passthrough(self, layout):
         """Size-only plans carry the data plans' volumes and no indices."""

@@ -48,12 +48,17 @@ def run_distributed(desc, coeffs, potential, R, T):
             )
             for r in range(R)
         ]
-        planes = alltoallw(fw, groups)
+        # The scatter delivers each rank's sticks over its planes; the dense
+        # planes are built (and read back) at the sticks' plane positions.
+        compact = alltoallw(fw, groups)
+        pos = layout.scatter_plane_index()
         for r in range(R):
-            p = cft_2xy(planes[r], +1)
+            flat = np.zeros((layout.npp(r), desc.nr1 * desc.nr2), dtype=np.complex128)
+            flat[:, pos] = compact[r].T
+            p = cft_2xy(flat.reshape(-1, desc.nr1, desc.nr2), +1)
             p *= potential_slab(layout, r, potential)
-            planes[r] = cft_2xy(p, -1)
-        for r, block in enumerate(alltoallw(bw, planes)):
+            compact[r] = cft_2xy(p, -1).reshape(flat.shape)[:, pos].T
+        for r, block in enumerate(alltoallw(bw, compact)):
             block = cft_1z(block, -1)
             for t, coeff in enumerate(extract_group_coefficients(layout, r, block)):
                 g_idx, _sl, _iz = layout.local_g_table(layout.proc_of(r, t))

@@ -1,4 +1,4 @@
-"""Audit a refresh of the two cross-commit fixtures against a base revision.
+"""Audit a refresh of the cross-commit fixtures against a base revision.
 
 A change that fuses or drops simulator *events* legitimately moves event
 counts and nothing else.  This script diffs the committed
@@ -7,7 +7,9 @@ counts and nothing else.  This script diffs the committed
 content at ``--base`` (read with ``git show``) and fails unless every changed
 leaf matches an allowed pattern — by default the event counters and the
 transport allocator's memo counters, i.e. every simulated time, timeline,
-``engine.cpu`` counter, POP factor and critical path must be byte-identical::
+``engine.cpu`` counter, POP factor and critical path must be byte-identical.
+``tests/core/fixtures/arena_pins.json`` is a ratchet: any cell may change,
+but only downwards::
 
     python tests/perf/audit_fixture_refresh.py --base HEAD~1
 
@@ -40,7 +42,11 @@ ALLOWED: dict[str, tuple[str, ...]] = {
     "tests/core/fixtures/executor_timelines.json": (
         r"^\.(cells|fault_replay)\.[^.]+\.n_dispatched$",
     ),
+    "tests/core/fixtures/arena_pins.json": (r"^\.[a-z_]+-(slab|pencil)-\dnode$",),
 }
+
+#: Fixtures whose changed leaves must also not grow.
+SHRINK_ONLY = ("tests/core/fixtures/arena_pins.json",)
 
 
 def leaves(node, path=""):
@@ -93,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{rel}: {len(changes)} changed leaves")
         for path, old, new in changes:
             ok = any(re.search(p, path) for p in patterns)
+            if rel in SHRINK_ONLY:
+                ok = ok and isinstance(old, int) and isinstance(new, int) and new <= old
             status |= not ok
             print(f"  {'ok ' if ok else 'NOT ALLOWED'} {path}: {old!r} -> {new!r}")
     return status
