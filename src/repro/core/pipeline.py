@@ -29,7 +29,6 @@ pointwise stages are linear in the points touched.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import typing as _t
 
@@ -598,9 +597,12 @@ def real_space(kernels, layout: DistributedLayout, v: np.ndarray, block, out, sc
     pencil ``(ny_i, nz_j, n_live_x)``, the x-brick's stick-carrying x
     columns.  ``scratch`` (any flat complex128 buffer) holds a chunk of as
     many planes — on the pencil, x lines — as fit (at least one).  Per
-    chunk the scratch is zeroed, the compact rows are expanded into it (at
+    chunk the scratch is zeroed (on the pencil, its stick-free x columns
+    alone), the compact rows are expanded into it (at
     :meth:`~repro.grids.descriptor.DistributedLayout.scatter_plane_index`
-    on the slab, along ``x_runs`` on the pencil), the kernels and VOFR run
+    on the slab, at
+    :meth:`~repro.grids.descriptor.DistributedLayout.xbrick_columns` on
+    the pencil), the kernels and VOFR run
     on it through their public names, and the stick slots are gathered
     back.  Every line FFT and VOFR product is the one a dense block would
     get: the result does not depend on the chunk size.
@@ -624,26 +626,31 @@ def real_space(kernels, layout: DistributedLayout, v: np.ndarray, block, out, sc
             out[:, z0:z1] = flat[:, pos].T
         return
     # Pencil: a chunk is a (y, z) box of x lines — every z of some y when
-    # those fit — so the potential's x-brick view slices with it.
+    # those fit — so the potential's x-brick view slices with it.  The
+    # expand writes the live columns whole, so only the stick-free ones
+    # are zeroed.
     nr1 = desc.nr1
     ny, nz = block.shape[:2]
     lines = scratch.size // nr1
     ky, kz = (lines // nz, nz) if lines >= nz else (1, lines)
-    runs = desc.sticks.x_runs
-    cols = tuple(itertools.accumulate((hi - lo for lo, hi in runs), initial=0))
+    col_of_x, _n_live = layout.xbrick_columns()
+    runs = [(lo, hi, int(col_of_x[lo])) for lo, hi in desc.sticks.x_runs]
+    edges = [0, *(x for lo, hi, _col in runs for x in (lo, hi)), nr1]
+    gaps = [(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if hi > lo]
     for y0 in range(0, ny, ky):
         y1 = min(y0 + ky, ny)
         for z0 in range(0, nz, kz):
             z1 = min(z0 + kz, nz)
             box = scratch[: (y1 - y0) * (z1 - z0) * nr1].reshape(y1 - y0, z1 - z0, nr1)
-            box.fill(0)
-            for (lo, hi), col in zip(runs, cols):
+            for lo, hi in gaps:
+                box[:, :, lo:hi] = 0
+            for lo, hi, col in runs:
                 box[:, :, lo:hi] = block[y0:y1, z0:z1, col : col + hi - lo]
             rows = box.reshape(-1, nr1)
             kernels.cft_1z(rows, +1, out=rows)
             apply_potential(box, v[y0:y1, z0:z1])
             kernels.cft_1z(rows, -1, out=rows)
-            for (lo, hi), col in zip(runs, cols):
+            for lo, hi, col in runs:
                 out[y0:y1, z0:z1, col : col + hi - lo] = box[:, :, lo:hi]
 
 

@@ -374,8 +374,8 @@ def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
     nr2 = desc.nr2
     i, j = grid.coords(r)
     nxi, nzj, nyi = grid.nx(i), grid.nz(j), grid.ny(i)
-    n_live = sum(hi - lo for lo, hi in desc.sticks.x_runs)
-    recv_shape = (nyi, nzj, n_live)
+    col_of_x, n_live = layout.xbrick_columns()
+    recv_shape = layout.xbrick_shape(r)
     send = [BlockType.meta(nxi * nzj * grid.ny(ii)) for ii in range(grid.Pr)]
     recv = [BlockType.meta(grid.nx(ii) * nzj * nyi) for ii in range(grid.Pr)]
     if not data_mode:
@@ -395,7 +395,6 @@ def _build_pencil_yx(layout: DistributedLayout, r: int, data_mode: bool) -> Exch
         ]
         for ii in range(grid.Pr)
     ]
-    col_of_x = _row_of_x(desc.sticks.x_runs, desc.nr1)
     recv_parts = [
         [
             BlockType.subarray(

@@ -168,6 +168,7 @@ class DistributedLayout:
         self._group_flat: dict[int, np.ndarray] = {}
         self._scatter_stick_offsets: np.ndarray | None = None
         self._scatter_plane_flat: np.ndarray | None = None
+        self._xbrick_columns: tuple[np.ndarray, int] | None = None
 
     def _pencil_stick_owner(self, grid: PencilGrid) -> np.ndarray:
         """Stick ownership honoring the pencil rows' x-ranges.
@@ -394,6 +395,29 @@ class DistributedLayout:
         n_x = sum(hi - lo for lo, hi in self.ybrick_x_runs(r))
         _i, j = self.pencil.coords(r)
         return (n_x, self.pencil.nz(j), self.desc.nr2)
+
+    def xbrick_columns(self) -> tuple[np.ndarray, int]:
+        """The compact x-brick's last axis: ``(col_of_x, n_live_x)``.
+
+        The columns are the stick map's ``x_runs`` packed in ascending x;
+        ``col_of_x[x]`` is grid x's column (``-1`` for an x without
+        sticks), ``n_live_x`` the number of columns.  Shared by the y->x
+        plans and the real-space section.
+        """
+        if self._xbrick_columns is None:
+            col_of_x = np.full(self.desc.nr1, -1, dtype=np.int64)
+            n_live = 0
+            for lo, hi in self.desc.sticks.x_runs:
+                col_of_x[lo:hi] = np.arange(n_live, n_live + hi - lo)
+                n_live += hi - lo
+            self._xbrick_columns = (col_of_x, n_live)
+        return self._xbrick_columns
+
+    def xbrick_shape(self, r: int) -> tuple[int, int, int]:
+        """Pencil rank ``r``'s compact x-brick: ``(ny_i, nz_j, n_live_x)``,
+        one column per stick-carrying x (:meth:`xbrick_columns`, x last)."""
+        ny, nz, _nr1 = self.pencil.x_brick_shape(r)
+        return (ny, nz, self.xbrick_columns()[1])
 
     def stick_coords(self, stick_indices: np.ndarray) -> np.ndarray:
         """(ix, iy) grid coordinates of the given global sticks."""

@@ -261,13 +261,11 @@ class TestDataplaneStats:
         cfg = small_config(ranks=4, taskgroups=2, data_mode=True, decomposition="pencil")
         res = run_cold(cfg)
         layout, grid = res.layout, res.layout.pencil
-        n_live = sum(hi - lo for lo, hi in layout.desc.sticks.x_runs)
         items = dense = 0
         for p in range(layout.P):
             r, _t = layout.rt_of(p)
             stick = layout.nst_group(r) * layout.desc.nr3
-            ny, nz, _nr1 = grid.x_brick_shape(r)
-            items += max(stick, ny * nz * n_live)
+            items += max(stick, math.prod(layout.xbrick_shape(r)))
             items += math.prod(layout.ybrick_shape(r))
             dense += math.prod(grid.y_brick_shape(r)) - math.prod(layout.ybrick_shape(r))
         assert res.dataplane["bytes_resident"] == 16 * items

@@ -42,8 +42,7 @@ def _compact_and_v(layout, r):
         shape = (desc.sticks.nsticks, layout.npp(r))
         v = potential_slab(layout, r, potential)
     else:
-        ny, nz, _nr1 = layout.pencil.x_brick_shape(r)
-        shape = (ny, nz, sum(hi - lo for lo, hi in desc.sticks.x_runs))
+        shape = layout.xbrick_shape(r)
         v = potential_block(layout, r, potential)
     block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return block, v

@@ -98,6 +98,7 @@ class TestLiveMoves:
         nr2 = layout.desc.nr2
         x_of_col = np.concatenate([np.arange(lo, hi) for lo, hi in layout.desc.sticks.x_runs])
         n_live = len(x_of_col)
+        np.testing.assert_array_equal(layout.xbrick_columns()[0][x_of_col], np.arange(n_live))
 
         def items(parts):
             return np.concatenate([p.indices() for p in parts] + [np.empty(0, np.intp)])
@@ -155,8 +156,7 @@ class TestLiveMoves:
         or x columns (x-brick) alone."""
         layout = any_layout
         desc, grid = layout.desc, layout.pencil
-        n_live = sum(hi - lo for lo, hi in desc.sticks.x_runs)
-        assert n_live < desc.nr1
+        assert layout.xbrick_columns()[1] < desc.nr1
         for kind, members, fw, bw in exchanges(layout):
             for plans in (fw, bw):
                 for member, plan in zip(members, plans):
@@ -171,9 +171,8 @@ class TestLiveMoves:
                             (layout.nst_group(member), desc.nr3),
                         )
                     else:
-                        i, j = grid.coords(member)
                         assert plan.recv_shape in (
-                            (grid.ny(i), grid.nz(j), n_live),
+                            layout.xbrick_shape(member),
                             layout.ybrick_shape(member),
                             (layout.nst_group(member), desc.nr3),
                         ), kind

@@ -84,6 +84,20 @@ class TestStickSupport:
         with pytest.raises(ValueError, match="pencil"):
             DistributedLayout(desc, 4, 1).ybrick_x_runs(0)
 
+    def test_xbrick_columns_pack_the_stick_carrying_x(self, desc):
+        """The compact x-brick has one column per x that carries a stick,
+        in ascending x; every other x has none."""
+        layout = DistributedLayout(desc, 4, 1, decomposition="pencil")
+        grid = layout.pencil
+        live = np.unique(desc.sticks.coords[:, 0])
+        col_of_x, n_live = layout.xbrick_columns()
+        assert n_live == len(live) < desc.nr1
+        np.testing.assert_array_equal(col_of_x[live], np.arange(n_live))
+        assert (np.delete(col_of_x, live) == -1).all()
+        for r in range(layout.R):
+            i, j = grid.coords(r)
+            assert layout.xbrick_shape(r) == (grid.ny(i), grid.nz(j), n_live)
+
 
 class TestDistribution:
     def test_all_sticks_assigned(self, desc):
