@@ -98,7 +98,6 @@ class TestLiveMoves:
         nr2 = layout.desc.nr2
         x_of_col = np.concatenate([np.arange(lo, hi) for lo, hi in layout.desc.sticks.x_runs])
         n_live = len(x_of_col)
-        np.testing.assert_array_equal(layout.xbrick_columns()[0][x_of_col], np.arange(n_live))
 
         def items(parts):
             return np.concatenate([p.indices() for p in parts] + [np.empty(0, np.intp)])
