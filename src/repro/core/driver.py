@@ -77,14 +77,16 @@ def build_geometry(
     groups: int,
     decomposition: str = "slab",
 ) -> tuple[Cell, FftDescriptor, DistributedLayout]:
-    """Cell + G-vector sphere/stick map + R x T layout for one workload.
+    """Cell + stick map + R x T layout for one workload.
 
-    Building the descriptor (sphere enumeration, stick accounting) and the
-    layout (stick ownership, group offsets) is the expensive part of a run's
-    setup and depends only on these six scalars.  All three objects are
-    immutable after construction, so they are cached per process — a sweep
-    worker executing many points of the same workload pays the construction
-    once instead of once per point.
+    Building the descriptor (a per-column count of the sphere's points) and
+    the layout (stick ownership, group offsets) is the expensive part of a
+    run's setup and depends only on these six scalars.  All three objects
+    are immutable after construction, so they are cached per process — a
+    sweep worker executing many points of the same workload pays the
+    construction once instead of once per point.  The descriptor's G-level
+    tables (sphere, grid indices, ``stick_of_g``) are built on the first
+    data-mode read and cached with it; a meta-mode run never builds them.
     """
     cell = Cell(alat=alat)
     desc = FftDescriptor(cell, ecutwfc=ecutwfc, dual=dual)

@@ -13,9 +13,10 @@ balancing at all (paper §II.A).
 * :mod:`~repro.grids.sticks` — stick maps (the (ix, iy) columns that carry
   sphere points) and their balanced distribution over processes;
 * :mod:`~repro.grids.descriptor` — the ``dffts`` analogue: grid dims, the
-  sphere, the stick map, and :class:`DistributedLayout`, which fixes the
-  R x T (scatter x task-group) process grid, stick ownership, plane
-  ownership, and all pack/scatter index bookkeeping the pipeline needs.
+  stick map (the sphere and its index tables on first use), and
+  :class:`DistributedLayout`, which fixes the R x T (scatter x task-group)
+  process grid, stick ownership, plane ownership, and all pack/scatter
+  index bookkeeping the pipeline needs.
 """
 
 from repro.grids.lattice import Cell

@@ -1,7 +1,11 @@
 """The FFT descriptor (``dffts`` analogue) and the R x T distributed layout.
 
 :class:`FftDescriptor` holds the global geometry: cell, cutoffs, FFT grid
-dimensions, the wave G-sphere, and its stick map.
+dimensions and the stick map, built from a per-column count of the wave
+sphere without listing its points.  The G-level tables — the sphere itself,
+each G's grid coordinates and its stick — are built on first read: the data
+plane, the dense reference and :mod:`repro.qe` read them, a meta-mode run
+(sizes and stick counts only) never does.
 
 :class:`DistributedLayout` fixes how a descriptor is spread over an
 ``R x T`` process grid — R the size of each *scatter* group (the ranks that
@@ -23,10 +27,13 @@ jointly compute one parallel 3D FFT) and T the number of *FFT task groups*
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-from repro.grids.gvectors import GSphere, build_sphere, grid_dimensions
-from repro.grids.lattice import Cell
+from repro.grids.gvectors import GSphere, build_sphere, column_counts, grid_dimensions
+from repro.grids.lattice import Cell, finite_positive
 from repro.grids.pencil import PencilGrid
 from repro.grids.sticks import Runs, StickMap, clip_runs, distribute_sticks
 
@@ -48,22 +55,44 @@ class FftDescriptor:
     """
 
     def __init__(self, cell: Cell, ecutwfc: float, dual: float = 4.0):
-        if dual < 1.0:
-            raise ValueError(f"dual must be >= 1, got {dual}")
+        ecutwfc = finite_positive("ecutwfc", ecutwfc)
+        dual = float(dual)
+        if not (dual >= 1 and math.isfinite(dual)):
+            raise ValueError(f"dual must be finite and >= 1, got {dual!r}")
         self.cell = cell
-        self.ecutwfc = float(ecutwfc)
-        self.dual = float(dual)
+        self.ecutwfc = ecutwfc
+        self.dual = dual
         self.gkcut = cell.gcut_from_ecut(ecutwfc)
         self.gcut_grid = cell.gcut_from_ecut(dual * ecutwfc)
         self.nr1, self.nr2, self.nr3 = grid_dimensions(cell, self.gcut_grid)
-        self.sphere: GSphere = build_sphere(cell, self.gkcut)
-        self.grid_idx = self.sphere.grid_indices((self.nr1, self.nr2, self.nr3))
-        self.sticks: StickMap = StickMap.from_grid_indices(self.grid_idx)
+        self.sticks: StickMap = StickMap.from_column_counts(
+            column_counts(cell, self.gkcut, self.grid_shape)
+        )
+
+    # -- G-level tables: built on first use (data mode, qe, validation) -------
+
+    @functools.cached_property
+    def sphere(self) -> GSphere:
+        """The wave sphere, canonically ordered."""
+        return build_sphere(self.cell, self.gkcut)
+
+    @functools.cached_property
+    def grid_idx(self) -> np.ndarray:
+        """``(ngw, 3)`` wrapped grid coordinates of the sphere's G-vectors."""
+        return self.sphere.grid_indices(self.grid_shape)
+
+    @functools.cached_property
+    def stick_of_g(self) -> np.ndarray:
+        """``(ngw,)`` stick index of every sphere G-vector."""
+        coords = self.sticks.coords
+        stick_at = np.empty((self.nr1, self.nr2), dtype=np.int64)
+        stick_at[coords[:, 0], coords[:, 1]] = np.arange(len(coords))
+        return stick_at[self.grid_idx[:, 0], self.grid_idx[:, 1]]
 
     @property
     def ngw(self) -> int:
         """Wave-sphere G-vector count (global)."""
-        return self.sphere.ngm
+        return self.sticks.total_g
 
     @property
     def grid_shape(self) -> tuple[int, int, int]:
@@ -268,7 +297,7 @@ class DistributedLayout:
         if self._g_tables is not None:
             return
         desc = self.desc
-        stick_of_g = desc.sticks.stick_of_g
+        stick_of_g = desc.stick_of_g
         g_owner = self.stick_owner[stick_of_g]
         # Stable sort keeps ascending global-G order within each owner —
         # exactly the packed-coefficient storage convention.

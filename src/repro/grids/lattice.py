@@ -10,9 +10,23 @@ where the kinetic energy of a plane wave is ``|G|^2``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["Cell"]
+__all__ = ["Cell", "finite_positive"]
+
+
+def finite_positive(name: str, value: float) -> float:
+    """``value`` as a float, or a ``ValueError`` naming ``name``.
+
+    NaN fails every comparison, so ``value > 0`` alone lets it through;
+    infinity passes it and fails later as an untyped conversion error.
+    """
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
 class Cell:
@@ -28,12 +42,12 @@ class Cell:
     """
 
     def __init__(self, alat: float, at: np.ndarray | None = None):
-        if alat <= 0:
-            raise ValueError(f"alat must be positive, got {alat}")
-        self.alat = float(alat)
+        self.alat = finite_positive("alat", alat)
         self.at = np.eye(3) if at is None else np.asarray(at, dtype=float)
         if self.at.shape != (3, 3):
             raise ValueError(f"at must be 3x3, got shape {self.at.shape}")
+        if not np.isfinite(self.at).all():
+            raise ValueError(f"at must be finite, got {self.at.tolist()}")
         det = np.linalg.det(self.at)
         if abs(det) < 1e-12:
             raise ValueError("lattice vectors are singular")
@@ -63,9 +77,7 @@ class Cell:
 
     def gcut_from_ecut(self, ecut_ry: float) -> float:
         """Cutoff radius^2 in tpiba^2 units for an energy cutoff in Rydberg."""
-        if ecut_ry <= 0:
-            raise ValueError(f"ecut must be positive, got {ecut_ry}")
-        return ecut_ry / self.tpiba2
+        return finite_positive("ecut_ry", ecut_ry) / self.tpiba2
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Cell(alat={self.alat:g}, volume={self.volume:.6g})"

@@ -2,11 +2,15 @@
 
 A *stick* is an ``(ix, iy)`` column of the FFT grid that contains at least
 one sphere point; the 1D z-transforms operate on whole sticks, so sticks are
-the distribution unit of the G-space side of the parallel FFT.  Because the
-sphere is round, sticks near the axis carry many more G-vectors than sticks
-near the rim — QE balances *G-vector counts*, not stick counts, with a
-greedy longest-first assignment; we reproduce that (it is what gives the
-paper its near-perfect load-balance rows in Tables I/II).
+the distribution unit of the G-space side of the parallel FFT.  A
+:class:`StickMap` is built from a per-column point count
+(:func:`repro.grids.gvectors.column_counts`), never from the G list: which
+stick a given G-vector lies on is a data-plane question, answered by the
+descriptor's lazily built ``stick_of_g``.  Because the sphere is round,
+sticks near the axis carry many more G-vectors than sticks near the rim —
+QE balances *G-vector counts*, not stick counts, with a greedy
+longest-first assignment; we reproduce that (it is what gives the paper its
+near-perfect load-balance rows in Tables I/II).
 """
 
 from __future__ import annotations
@@ -47,17 +51,14 @@ class StickMap:
     ----------
     coords:
         ``(nsticks, 2)`` wrapped grid coordinates (ix, iy) of each stick,
-        in first-appearance order of the sphere's canonical G ordering.
+        in lexicographic ``(ix, iy)`` order.
     counts:
         ``(nsticks,)`` number of sphere G-vectors on each stick.
-    stick_of_g:
-        ``(ngm,)`` stick index of every sphere G-vector.
     """
 
-    def __init__(self, coords: np.ndarray, counts: np.ndarray, stick_of_g: np.ndarray):
+    def __init__(self, coords: np.ndarray, counts: np.ndarray):
         self.coords = coords
         self.counts = counts
-        self.stick_of_g = stick_of_g
         #: The stick *support*: runs of x rows / y columns of an xy plane
         #: that carry at least one stick.  Everything outside is zero in G
         #: space, which is what lets the xy stage skip those lines (QE's
@@ -87,21 +88,14 @@ class StickMap:
         return int(self.counts.sum())
 
     @classmethod
-    def from_grid_indices(cls, grid_indices: np.ndarray) -> "StickMap":
-        """Build the stick map from the sphere's wrapped grid coordinates.
+    def from_column_counts(cls, plane: np.ndarray) -> "StickMap":
+        """The stick map of an ``(nr1, nr2)`` per-column point count.
 
-        Sticks are numbered in lexicographic ``(ix, iy)`` order.  The
-        coordinates are non-negative, so that is the order of the scalar
-        key ``ix * width + iy`` — one 1-D ``np.unique`` instead of a row
-        sort of ``(ngm, 2)`` pairs (~25x cheaper on the paper grid).
+        Every column with a point is a stick; C order over the plane is
+        lexicographic ``(ix, iy)`` order.
         """
-        ix, iy = grid_indices[:, 0], grid_indices[:, 1]
-        width = int(iy.max(initial=0)) + 1
-        keys, stick_of_g, counts = np.unique(
-            ix * width + iy, return_inverse=True, return_counts=True
-        )
-        coords = np.column_stack(np.divmod(keys, width))
-        return cls(coords, counts, stick_of_g)
+        columns = np.nonzero(plane)
+        return cls(np.column_stack(columns), plane[columns])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StickMap(nsticks={self.nsticks}, total_g={self.total_g})"

@@ -1,10 +1,12 @@
 """The cheap geometry build returns the arrays the old build returned.
 
-``build_sphere`` (per-axis prefilter + one stable sort), ``grid_indices``
-(conditional add) and ``StickMap.from_grid_indices`` (scalar key) replaced
-numpy slow paths on the cold-start path.  Every simulated number and every
-data-mode output depends on these arrays, so the old implementations are
-kept here as the reference and the new ones must match them in value,
+``build_sphere`` (per-plane prefilter + one stable sort), ``grid_indices``
+(conditional add) and the stick map built from per-column counts
+(``column_counts`` + ``StickMap.from_column_counts``, no sphere) replaced
+numpy slow paths on the cold-start path; the descriptor builds its sphere,
+grid indices and ``stick_of_g`` on first use.  Every simulated number and
+every data-mode output depends on these arrays, so the old implementations
+are kept here as the reference and the new ones must match them in value,
 dtype, shape and order — for cubic and non-cubic cells, and all the way
 through the R x T layouts built on top.
 """
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grids import Cell, DistributedLayout, FftDescriptor, GSphere, StickMap, build_sphere
-from repro.grids.gvectors import grid_dimensions
+from repro.grids.gvectors import column_counts, grid_dimensions
 from tests.grids.test_noncubic import SHEARED, TETRAGONAL
 
 TRICLINIC = np.array([[1.0, 0.31, 0.17], [0.05, 1.13, 0.23], [0.11, 0.07, 0.93]])
@@ -44,12 +46,13 @@ def ref_grid_indices(sphere: GSphere, dims) -> np.ndarray:
     return np.mod(sphere.millers, np.asarray(dims))
 
 
-def ref_stick_map(grid_indices: np.ndarray) -> StickMap:
+def ref_stick_map(grid_indices: np.ndarray) -> tuple[StickMap, np.ndarray]:
+    """The stick map and ``stick_of_g`` of the sphere's grid coordinates."""
     xy = np.ascontiguousarray(grid_indices[:, :2])
     coords, stick_of_g, counts = np.unique(
         xy, axis=0, return_inverse=True, return_counts=True
     )
-    return StickMap(coords, counts, stick_of_g.ravel())
+    return StickMap(coords, counts), stick_of_g.ravel()
 
 
 def ref_descriptor(desc: FftDescriptor) -> FftDescriptor:
@@ -57,7 +60,7 @@ def ref_descriptor(desc: FftDescriptor) -> FftDescriptor:
     ref = copy.copy(desc)
     ref.sphere = ref_build_sphere(desc.cell, desc.gkcut)
     ref.grid_idx = ref_grid_indices(ref.sphere, desc.grid_shape)
-    ref.sticks = ref_stick_map(ref.grid_idx)
+    ref.sticks, ref.stick_of_g = ref_stick_map(ref.grid_idx)
     return ref
 
 
@@ -68,14 +71,29 @@ def assert_same_array(new: np.ndarray, old: np.ndarray, what: str) -> None:
     assert np.array_equal(new, old), f"{what}: values differ"
 
 
+G_TABLES = ("sphere", "grid_idx", "stick_of_g")
+
+
+def assert_same_sticks(sticks: StickMap, ref: StickMap) -> None:
+    assert_same_array(sticks.coords, ref.coords, "stick coords")
+    assert_same_array(sticks.counts, ref.counts, "stick counts")
+    assert sticks.xy_support == ref.xy_support
+
+
 def assert_same_descriptor(desc: FftDescriptor, ref: FftDescriptor) -> None:
+    # The stick map is built without the sphere: compare it first, while
+    # the G-level tables are still unbuilt.
+    assert not set(G_TABLES) & set(vars(desc))
+    assert_same_sticks(desc.sticks, ref.sticks)
+    assert desc.ngw == ref.sphere.ngm
+    assert not set(G_TABLES) & set(vars(desc))
     assert_same_array(desc.sphere.millers, ref.sphere.millers, "millers")
     assert_same_array(desc.sphere.g2, ref.sphere.g2, "g2")
     assert_same_array(desc.grid_idx, ref.grid_idx, "grid_idx")
-    assert_same_array(desc.sticks.coords, ref.sticks.coords, "stick coords")
-    assert_same_array(desc.sticks.counts, ref.sticks.counts, "stick counts")
-    assert_same_array(desc.sticks.stick_of_g, ref.sticks.stick_of_g, "stick_of_g")
-    assert desc.sticks.xy_support == ref.sticks.xy_support
+    assert_same_array(desc.stick_of_g, ref.stick_of_g, "stick_of_g")
+    # Built once: a second read returns the cached object.
+    for name in G_TABLES:
+        assert getattr(desc, name) is vars(desc)[name]
 
 
 # -- properties ----------------------------------------------------------------
@@ -104,7 +122,8 @@ def test_paper_grid_equals_the_old_build():
 )
 def test_sphere_equals_full_box_evaluation(lattice, gcut):
     """Cutoffs right on a shell included: the prefilter never drops or adds
-    a point the exact ``g_norm2 <= gcut + 1e-12`` test decides."""
+    a point the exact ``g_norm2 <= gcut + 1e-12`` test decides, and the
+    per-column count sees the same points."""
     cell = Cell(alat=6.0, at=LATTICES[lattice])
     for cut in (gcut, float(np.ceil(gcut))):
         new, old = build_sphere(cell, cut), ref_build_sphere(cell, cut)
@@ -112,6 +131,8 @@ def test_sphere_equals_full_box_evaluation(lattice, gcut):
         assert_same_array(new.g2, old.g2, "g2")
         dims = grid_dimensions(cell, 4.0 * cut)
         assert_same_array(new.grid_indices(dims), ref_grid_indices(old, dims), "grid_idx")
+        ref_sticks, _stick_of_g = ref_stick_map(ref_grid_indices(old, dims))
+        assert_same_sticks(StickMap.from_column_counts(column_counts(cell, cut, dims)), ref_sticks)
 
 
 @pytest.mark.parametrize("decomposition", ["slab", "pencil"])

@@ -22,11 +22,11 @@ class TestStickMap:
     def test_every_g_is_on_its_stick(self, desc):
         xy = desc.grid_idx[:, :2]
         for g in range(0, desc.ngw, max(desc.ngw // 50, 1)):
-            stick = desc.sticks.stick_of_g[g]
+            stick = desc.stick_of_g[g]
             np.testing.assert_array_equal(desc.sticks.coords[stick], xy[g])
 
     def test_counts_sum_per_stick(self, desc):
-        recount = np.bincount(desc.sticks.stick_of_g, minlength=desc.sticks.nsticks)
+        recount = np.bincount(desc.stick_of_g, minlength=desc.sticks.nsticks)
         np.testing.assert_array_equal(recount, desc.sticks.counts)
 
     def test_stick_count_approximates_circle(self, desc):
@@ -208,7 +208,7 @@ class TestLayout:
             sticks = lay.sticks_of(p)
             # each listed G is on a stick owned by p, at its own z coordinate
             np.testing.assert_array_equal(
-                desc.sticks.stick_of_g[g_idx], sticks[stick_local]
+                desc.stick_of_g[g_idx], sticks[stick_local]
             )
             np.testing.assert_array_equal(desc.grid_idx[g_idx, 2], iz)
         covered = np.concatenate(covered)
