@@ -192,10 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Perfetto/Chrome-trace JSON (implies telemetry)",
     )
     p_run.add_argument(
-        "--prometheus", metavar="PATH", default=None,
-        help="write the metrics registry in Prometheus text format",
-    )
-    p_run.add_argument(
         "--pop", action="store_true",
         help="replay on an ideal network and add POP factors to the manifest",
     )

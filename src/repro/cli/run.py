@@ -33,7 +33,6 @@ def cmd_run(args) -> int:
         args.telemetry
         or args.manifest
         or args.chrome
-        or args.prometheus
         or args.prv
         or args.pop
     )
@@ -96,16 +95,24 @@ def cmd_run(args) -> int:
             ),
         )
         print(f"manifest written: {path}")
-    if args.chrome or args.prometheus or args.prv:
-        from repro.telemetry.exporters import export_run
+    if args.chrome:
+        from repro.telemetry.chrometrace import write_chrome_trace
 
-        if args.chrome:
-            print(f"chrome trace written: {export_run(result, 'chrome', args.chrome)}")
-        if args.prometheus:
-            print(f"metrics written: {export_run(result, 'prometheus', args.prometheus)}")
-        if args.prv:
-            prv = export_run(result, "prv", args.prv)
-            print(f"trace written: {prv} (+ .pcf, .row)")
+        tel = result.telemetry
+        path = write_chrome_trace(
+            args.chrome,
+            tel.trace,
+            spans=tel.spans,
+            frequency_hz=result.cpu.frequency_hz,
+            queue_depth_samples=tel.queue_samples,
+            label=result.config.label(),
+        )
+        print(f"chrome trace written: {path}")
+    if args.prv:
+        from repro.telemetry.paraver import write_prv
+
+        prv = write_prv(args.prv, result.telemetry.trace, label=result.config.version)
+        print(f"trace written: {prv} (+ .pcf, .row)")
     if result.failed:
         failure = (result.fault_report or {}).get("failure")
         print(

@@ -28,7 +28,6 @@ from repro.core.config import RunConfig, Version
 from repro.core.pipeline import CostConstants, CostModel
 from repro.core.driver import RunResult, run_fft_phase, trace_run
 from repro.core.validate import dense_reference, max_relative_error
-from repro.core.gamma import pack_real_bands, unpack_real_bands
 from repro.core.observables import potential_expectation
 
 __all__ = [
@@ -41,7 +40,5 @@ __all__ = [
     "trace_run",
     "dense_reference",
     "max_relative_error",
-    "pack_real_bands",
-    "unpack_real_bands",
     "potential_expectation",
 ]

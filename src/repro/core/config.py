@@ -34,7 +34,9 @@ import typing as _t
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultScenario
 
-__all__ = ["RunConfig", "Version", "VersionSpec", "VERSIONS", "VERSION_TABLE"]
+__all__ = [
+    "RunConfig", "Version", "VersionSpec", "VERSIONS", "VERSION_TABLE", "SCHEDULERS"
+]
 
 Version = _t.Literal[
     "original", "pipelined", "ompss_perfft", "ompss_steps", "ompss_combined"
@@ -73,6 +75,10 @@ VERSION_TABLE: dict[str, VersionSpec] = {
 }
 
 VERSIONS: tuple[str, ...] = tuple(VERSION_TABLE)
+
+#: OmpSs ready-queue policies (the keys of :mod:`repro.ompss.scheduler`'s
+#: policy table, pinned equal by a test: the ompss layer imports no core).
+SCHEDULERS: tuple[str, ...] = ("fifo", "lifo", "priority", "locality", "wsteal")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,6 +174,12 @@ class RunConfig:
             raise ValueError(
                 f"tuning must be 'off', 'consult' or 'search', got {self.tuning!r}"
             )
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(
+                f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for field, rule, holds in (
             ("ecutwfc", "> 0", self.ecutwfc > 0),
             ("alat", "> 0", self.alat > 0),

@@ -196,8 +196,9 @@ def run_fft_phase(
 
     ``input_coeffs`` (``(n_complex_bands, ngw)``) and ``potential``
     (``V[iz, ix, iy]``) override the generated data — this is how a caller
-    (e.g. the :mod:`repro.qe` band solver) applies the kernel's operator to
-    its *own* wavefunctions; both require ``config.data_mode``.
+    applies the kernel's operator to its *own* wavefunctions (today only
+    tests do: driver validation, one copy, rebuilt potential); both require
+    ``config.data_mode``.
 
     ``telemetry`` installs the given session for the duration of the run;
     without it, ``config.telemetry`` creates a fresh enabled session, and

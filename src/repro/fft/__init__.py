@@ -4,8 +4,8 @@ FFTXlib delegates its 1D/2D transforms to vendor libraries (FFTW, DFTI),
 and so does a data-mode run here: :mod:`repro.fft.backends` is numpy's
 pocketfft restricted to the stick support.  The rest of this package is
 the reproduction's own from-scratch implementation — the *independent
-reference* behind ``--validate``, :mod:`repro.qe.dense` and
-:mod:`repro.core.observables`, which the engine is checked against:
+reference* behind ``--validate`` and :mod:`repro.core.observables`, which
+the engine is checked against:
 
 * :mod:`~repro.fft.goodfft` — QE-style ``good_fft_order``: grid sizes are
   rounded up to products of small radices (2, 3, 5, with at most one factor

@@ -204,7 +204,3 @@ def clear_plan_cache() -> None:
         _plan_misses = 0
         _plan_evictions = 0
 
-
-def largest_prime_factor(n: int) -> int:
-    """Largest prime factor of ``n`` (diagnostics for plan quality tests)."""
-    return max(factorize(n)) if n > 1 else 1

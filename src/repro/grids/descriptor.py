@@ -4,8 +4,8 @@
 dimensions and the stick map, built from a per-column count of the wave
 sphere without listing its points.  The G-level tables — the sphere itself,
 each G's grid coordinates and its stick — are built on first read: the data
-plane, the dense reference and :mod:`repro.qe` read them, a meta-mode run
-(sizes and stick counts only) never does.
+plane and the dense reference read them, a meta-mode run (sizes and stick
+counts only) never does.
 
 :class:`DistributedLayout` fixes how a descriptor is spread over an
 ``R x T`` process grid — R the size of each *scatter* group (the ranks that

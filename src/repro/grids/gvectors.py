@@ -74,22 +74,6 @@ class GSphere:
         """Number of G-vectors in the sphere."""
         return len(self.millers)
 
-    def minus_index(self) -> np.ndarray:
-        """Index of ``-G`` for every sphere member (the Gamma-trick table).
-
-        ``millers[minus_index()[i]] == -millers[i]``.  The sphere is
-        inversion symmetric by construction, so the mapping is a
-        permutation (an involution fixing only G = 0).
-        """
-        lookup = {tuple(m): i for i, m in enumerate(self.millers)}
-        out = np.empty(self.ngm, dtype=np.int64)
-        for i, m in enumerate(self.millers):
-            try:
-                out[i] = lookup[(-m[0], -m[1], -m[2])]
-            except KeyError:  # pragma: no cover - sphere symmetry guarantee
-                raise RuntimeError(f"sphere is not inversion symmetric at G={m}") from None
-        return out
-
     def grid_indices(self, dims: tuple[int, int, int]) -> np.ndarray:
         """Wrap Miller indices onto the periodic FFT grid ``dims``.
 

@@ -181,6 +181,8 @@ class WorkStealingQueue:
         return sum(len(d) for d in self._deques)
 
 
+#: Keyed by :data:`repro.core.config.SCHEDULERS`, in its order (a test pins
+#: the two equal).
 _POLICIES: dict[str, type] = {
     "fifo": FifoQueue,
     "lifo": LifoQueue,

@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics, spans, traces, exporters and run manifests.
+"""Unified telemetry: metrics, spans, traces, trace writers and run manifests.
 
 The paper's contribution rests on observability — Extrae traces, Paraver
 timelines and the POP model are how Wagner et al. diagnose the IPC collapse
@@ -17,9 +17,9 @@ substrate, shared by every subsystem:
 * :mod:`~repro.telemetry.paraver` — Paraver-style ``.prv`` (+ ``.pcf``,
   ``.row``) writer and reader;
 * :mod:`~repro.telemetry.manifest` — the per-run JSON artifact (config,
-  calibration, metrics, POP factors, timings) and its schema validation;
-* :mod:`~repro.telemetry.exporters` — one registry over all output formats
-  (``chrome``, ``prometheus``, ``prv``, ``manifest``).
+  calibration, metrics, POP factors, timings) and its schema validation.
+
+``repro run --manifest/--chrome/--prv`` calls these writers directly.
 
 Sessions
 --------

@@ -6,12 +6,9 @@ land in named metrics with small label sets, e.g.
 runtime and the FFT plan cache, and once per attempt for the families
 :meth:`~repro.telemetry.Telemetry.fold_records` derives from trace records
 (simulated MPI, the machine model, completed tasks).  The registry is
-deliberately tiny and dependency free; its dump formats are
-
-* :meth:`MetricsRegistry.snapshot` — a plain nested dict for the run
-  manifest (JSON-friendly);
-* :meth:`MetricsRegistry.to_prometheus` — the Prometheus text exposition
-  format (``# TYPE`` headers, ``name{labels} value`` samples).
+deliberately tiny and dependency free; its one dump,
+:meth:`MetricsRegistry.snapshot`, is a plain nested dict for the run
+manifest (JSON-friendly).
 
 Overhead discipline: instrumented call sites hold a reference to the current
 :class:`~repro.telemetry.Telemetry` and guard on its ``enabled`` flag, so a
@@ -47,13 +44,6 @@ def _label_key(labels: dict[str, _t.Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def _label_str(key: LabelKey) -> str:
-    if not key:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in key)
-    return "{" + inner + "}"
-
-
 class Counter:
     """Monotonically increasing value for one (name, labels) series."""
 
@@ -86,7 +76,7 @@ class Gauge:
 
 
 class Histogram:
-    """Cumulative bucketed distribution for one (name, labels) series."""
+    """Bucketed distribution for one (name, labels) series."""
 
     __slots__ = ("buckets", "counts", "total", "sum")
 
@@ -103,24 +93,15 @@ class Histogram:
         self.total += 1
         self.sum += value
 
-    def cumulative(self) -> list[int]:
-        """Cumulative counts per upper bound (Prometheus ``le`` semantics)."""
-        out, acc = [], 0
-        for c in self.counts:
-            acc += c
-            out.append(acc)
-        return out
-
 
 class _Family:
-    """All series of one metric name (shared kind and help text)."""
+    """All series of one metric name (shared kind)."""
 
-    __slots__ = ("name", "kind", "help", "series", "buckets", "memo")
+    __slots__ = ("name", "kind", "series", "buckets", "memo")
 
-    def __init__(self, name: str, kind: str, help: str, buckets: _t.Sequence[float]):
+    def __init__(self, name: str, kind: str, buckets: _t.Sequence[float]):
         self.name = name
         self.kind = kind
-        self.help = help
         self.series: dict[LabelKey, _t.Any] = {}
         self.buckets = tuple(buckets)
         #: ``tuple(labels.items())`` as a call site passed them -> series, so
@@ -152,8 +133,7 @@ class _Family:
 class MetricsRegistry:
     """Named metric families with labelled series.
 
-    Metric names are dotted (``mpi.bytes_sent``); the Prometheus dump
-    rewrites dots to underscores as the exposition format requires.
+    Metric names are dotted (``mpi.bytes_sent``).
     """
 
     def __init__(self, enabled: bool = True):
@@ -162,10 +142,10 @@ class MetricsRegistry:
 
     # -- series access -------------------------------------------------------
 
-    def _family(self, name: str, kind: str, help: str, buckets: _t.Sequence[float]) -> _Family:
+    def _family(self, name: str, kind: str, buckets: _t.Sequence[float]) -> _Family:
         fam = self._families.get(name)
         if fam is None:
-            fam = _Family(name, kind, help, buckets)
+            fam = _Family(name, kind, buckets)
             self._families[name] = fam
         elif fam.kind != kind:
             raise ValueError(
@@ -173,24 +153,23 @@ class MetricsRegistry:
             )
         return fam
 
-    def counter(self, name: str, help: str = "", /, **labels: _t.Any) -> Counter:
+    def counter(self, name: str, /, **labels: _t.Any) -> Counter:
         """Get or create the counter series for ``name{labels}``."""
-        return self._family(name, "counter", help, ()).resolve(labels)
+        return self._family(name, "counter", ()).resolve(labels)
 
-    def gauge(self, name: str, help: str = "", /, **labels: _t.Any) -> Gauge:
+    def gauge(self, name: str, /, **labels: _t.Any) -> Gauge:
         """Get or create the gauge series for ``name{labels}``."""
-        return self._family(name, "gauge", help, ()).resolve(labels)
+        return self._family(name, "gauge", ()).resolve(labels)
 
     def histogram(
         self,
         name: str,
-        help: str = "",
         buckets: _t.Sequence[float] = DEFAULT_BUCKETS,
         /,
         **labels: _t.Any,
     ) -> Histogram:
         """Get or create the histogram series for ``name{labels}``."""
-        return self._family(name, "histogram", help, buckets).resolve(labels)
+        return self._family(name, "histogram", buckets).resolve(labels)
 
     # -- one-shot conveniences (the instrumented call sites use these) -------
 
@@ -214,7 +193,7 @@ class MetricsRegistry:
         if self.enabled:
             self.histogram(name, **labels).observe(value)
 
-    # -- dumps ---------------------------------------------------------------
+    # -- dump ----------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-friendly dump: ``{name: {kind, series: [{labels, ...}]}}``."""
@@ -237,29 +216,6 @@ class MetricsRegistry:
                 series.append(entry)
             out[name] = {"kind": fam.kind, "series": series}
         return out
-
-    def to_prometheus(self) -> str:
-        """The Prometheus text exposition format."""
-        lines: list[str] = []
-        for name in sorted(self._families):
-            fam = self._families[name]
-            pname = name.replace(".", "_")
-            if fam.help:
-                lines.append(f"# HELP {pname} {fam.help}")
-            lines.append(f"# TYPE {pname} {fam.kind}")
-            for key in sorted(fam.series):
-                s = fam.series[key]
-                if fam.kind == "histogram":
-                    cum = s.cumulative()
-                    for ub, c in zip(list(fam.buckets) + ["+Inf"], cum):
-                        le = f"{ub:g}" if isinstance(ub, float) else ub
-                        bkey = key + (("le", le),)
-                        lines.append(f"{pname}_bucket{_label_str(bkey)} {c}")
-                    lines.append(f"{pname}_sum{_label_str(key)} {s.sum:g}")
-                    lines.append(f"{pname}_count{_label_str(key)} {s.total}")
-                else:
-                    lines.append(f"{pname}{_label_str(key)} {s.value:g}")
-        return "\n".join(lines) + "\n"
 
     # -- queries (tests and reports) ----------------------------------------
 

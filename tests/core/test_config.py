@@ -42,6 +42,8 @@ class TestValidation:
             {"ranks": 3, "taskgroups": 1, "n_nodes": 2},  # uneven over nodes
             {"decomposition": "cube"},
             {"tuning": "always"},
+            {"scheduler": "bogus"},
+            {"seed": -1, "data_mode": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -54,6 +56,24 @@ class TestValidation:
     def test_non_finite_float_error_names_its_field(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             RunConfig(**{field: NAN})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"scheduler": "bogus"}, r"^scheduler must be one of \('fifo', "),
+            ({"seed": -1}, r"^seed must be >= 0, got -1$"),
+        ],
+        ids=["scheduler", "seed"],
+    )
+    def test_knob_error_names_its_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**kwargs)
+
+    def test_scheduler_names_match_the_policy_table(self):
+        from repro.core.config import SCHEDULERS
+        from repro.ompss.scheduler import _POLICIES
+
+        assert tuple(_POLICIES) == SCHEDULERS
 
 
 class TestDerived:

@@ -2,7 +2,7 @@
 
 The descriptor's stick map comes from a per-column count, and its G-level
 tables (``sphere``, ``grid_idx``, ``stick_of_g``) are cached properties
-that only the data plane, validation and ``repro.qe`` read.  Meta mode —
+that only the data plane and validation read.  Meta mode —
 the paper's tables and figures, the sweeps, the tuner's cost model — sizes
 everything from stick counts, so it must never fill them in.
 """

@@ -1,4 +1,4 @@
-"""Non-cubic cells through the whole stack (lattice -> pipeline -> solver).
+"""Non-cubic cells through the whole stack (lattice -> pipeline -> reference).
 
 The driver's RunConfig is cubic (as the paper's workload is), but every
 layer below it supports general lattices; these tests exercise tetragonal
@@ -12,7 +12,6 @@ from repro.core.validate import dense_reference, max_relative_error
 from repro.core.wave import make_potential
 from repro.fft import allowed_fft_order
 from repro.grids import Cell, DistributedLayout, FftDescriptor
-from repro.qe import Hamiltonian, dense_hamiltonian_matrix, solve_bands
 
 TETRAGONAL = np.diag([1.0, 1.0, 1.6])
 SHEARED = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.2]])
@@ -99,11 +98,3 @@ class TestNonCubicCells:
         got = run_distributed(desc, coeffs, potential, R, T)
         want = dense_reference(desc, coeffs, potential)
         assert max_relative_error(got, want) < 1e-12
-
-    def test_band_solver_on_sheared_cell(self):
-        desc = FftDescriptor(Cell(alat=5.0, at=SHEARED), ecutwfc=10.0)
-        potential = make_potential(desc.grid_shape, seed=7)
-        ham = Hamiltonian(desc, potential)
-        exact = np.linalg.eigvalsh(dense_hamiltonian_matrix(desc, potential))[:3]
-        res = solve_bands(ham, 3, tol=1e-11, max_iterations=100)
-        np.testing.assert_allclose(res.eigenvalues, exact, atol=1e-7)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -45,15 +44,6 @@ class TestHistogram:
         assert h.counts == [2, 1, 1]
         assert h.total == 4
         assert h.sum == pytest.approx(55.6)
-
-    def test_cumulative_is_monotone(self):
-        h = Histogram()
-        for v in (1e-5, 1e-3, 0.5, 100.0):
-            h.observe(v)
-        cum = h.cumulative()
-        assert cum == sorted(cum)
-        assert cum[-1] == 4
-        assert len(cum) == len(DEFAULT_BUCKETS) + 1
 
     def test_rejects_unsorted_buckets(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -149,17 +139,3 @@ class TestRegistry:
         reg.count("x.y", 1.0, a="1")
         reg.observe("z", 0.5)
         json.dumps(reg.snapshot())  # must not raise
-
-    def test_prometheus_format(self):
-        reg = MetricsRegistry()
-        reg.count("mpi.calls", 3.0, call="alltoall")
-        reg.set_gauge("machine.average_ipc", 0.75)
-        reg.observe("mpi.call_seconds", 2e-6, call="alltoall")
-        text = reg.to_prometheus()
-        assert "# TYPE mpi_calls counter" in text
-        assert 'mpi_calls{call="alltoall"} 3' in text
-        assert "# TYPE machine_average_ipc gauge" in text
-        assert "machine_average_ipc 0.75" in text
-        assert "# TYPE mpi_call_seconds histogram" in text
-        assert 'mpi_call_seconds_bucket{call="alltoall",le="+Inf"} 1' in text
-        assert 'mpi_call_seconds_count{call="alltoall"} 1' in text

@@ -93,18 +93,32 @@ class TestCliTelemetry:
     def test_run_exports(self, tmp_path, capsys):
         manifest = tmp_path / "run.json"
         chrome = tmp_path / "trace.json"
-        prom = tmp_path / "run.prom"
         code = main(
             self.RUN
             + ["--manifest", str(manifest), "--chrome", str(chrome),
-               "--prometheus", str(prom)]
+               "--prv", str(tmp_path / "run")]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "manifest written" in out
-        assert manifest.exists() and chrome.exists() and prom.exists()
+        assert f"trace written: {tmp_path / 'run.prv'} (+ .pcf, .row)" in out
+        run = json.loads(manifest.read_text())
         doc = json.loads(chrome.read_text())
+        assert doc["otherData"]["label"] == run["config"]["label"]
         assert {"M", "X"} <= {e["ph"] for e in doc["traceEvents"]}
+
+        from repro.telemetry.paraver import read_prv
+
+        prv = tmp_path / "run.prv"
+        assert prv.with_suffix(".pcf").exists()
+        assert prv.with_suffix(".row").read_text().splitlines()[1].startswith(
+            run["config"]["version"] + ".rank0."
+        )
+        # One state per compute record and per MPI call.
+        metrics = run["metrics"]
+        records = sum(s["count"] for s in metrics["machine.phase_seconds"]["series"])
+        records += sum(s["value"] for s in metrics["mpi.calls"]["series"])
+        assert len(read_prv(prv)["states"]) == records
 
     def test_run_pop_adds_factors(self, tmp_path):
         manifest = tmp_path / "run.json"

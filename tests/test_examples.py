@@ -18,7 +18,7 @@ class TestExamples:
     def test_examples_exist(self):
         names = {p.name for p in EXAMPLES}
         assert {"quickstart.py", "scaling_study.py", "trace_analysis.py"} <= names
-        assert len(EXAMPLES) >= 9
+        assert len(EXAMPLES) >= 7
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
     def test_examples_compile(self, path):

@@ -5,7 +5,7 @@ process says nothing about a cold start) and asserts on the module set a
 command leaves behind:
 
 * ``run`` never loads scipy, ``multiprocessing``, ``asyncio``, the
-  experiment / sweep / tuning / qe packages or the A/B code
+  experiment / sweep / tuning packages or the A/B code
   (``repro.analysis.triage``, ``repro.perf``), nor ``numpy.ma`` in meta mode
   (plain ``np.unique`` imports it) — in data mode
   (``--validate``) neither, nor ``mmap``: the kernels are ``numpy.fft`` fanned
@@ -43,10 +43,10 @@ REPO = str(pathlib.Path(__file__).resolve().parents[1])
 QUICK_RUN = ["run", "--quick", "--ranks", "2", "--taskgroups", "2"]
 
 #: Budgets on ``repro.*`` modules (measured: run --help 4, analyze 15,
-#: ``run --manifest`` 65, for ``QUICK_RUN`` and the paper's 8x8 alike).
+#: ``run --manifest`` 62, for ``QUICK_RUN`` and the paper's 8x8 alike).
 HELP_BUDGET = 15
 OFFLINE_BUDGET = 20
-RUN_BUDGET = 68
+RUN_BUDGET = 65
 
 #: Modules only an A/B command (two manifests) needs.
 AB_MODULES = ("repro.analysis.triage", "repro.perf")
@@ -112,7 +112,7 @@ class TestCommandBudgets:
         assert result["rc"] == 0, result["stderr"]
         unwanted = loaded(
             result["modules"], "scipy", "multiprocessing", "asyncio", "numpy.ma",
-            "repro.experiments", "repro.sweep", "repro.qe",
+            "repro.experiments", "repro.sweep",
             "repro.tuning", "repro.fft.backends", "repro._fan", "concurrent.futures.thread",
             *AB_MODULES,
         )
