@@ -15,22 +15,23 @@
    (:func:`repro.core.schedule.make_program`).
 
 The returned :class:`RunResult` carries the phase runtime, the machine
-counters, and (in data mode) the run's one output array plus a
+counters, and (in data mode) the run's one coefficient array plus a
 :meth:`RunResult.validate` that checks it against the dense reference.
-A data-mode run holds one input and one output array, ``(n_complex_bands,
-ngw)`` each: every rank gathers one unit's G-vectors out of the input rows
-and the unpack exchange writes them straight into the output rows, so no
-rank keeps coefficients beyond the unit in flight.  It holds one potential
-too: every rank's VOFR reads its share through a view.
+A data-mode run holds one ``(n_complex_bands, ngw)`` array: it starts as
+the input, every rank gathers one unit's G-vectors out of its rows, and the
+unpack exchange writes the results back over the same rows, so no rank
+keeps coefficients beyond the unit in flight.  It holds one potential too:
+every rank's VOFR reads its share through a view.
 
 Resilience: with a :class:`~repro.faults.FaultScenario` on the config (or
 passed as ``faults=``) the driver runs inside an *attempts loop*.  Each
 attempt simulates on a fresh machine; when injected faults escalate to a
 :class:`~repro.faults.FaultError` the driver checkpoints the work units
 whose full chain completed on every rank (in data mode their rows of the
-output array are final and simply stay), and — while
-``scenario.max_resumes`` allows — resumes the executor at the first
-unfinished unit.  The accumulated
+run's array hold their output and simply stay), and — while
+``scenario.max_resumes`` allows — restores the rows of every unfinished
+unit from the input and resumes the executor at the first of them.  The
+accumulated
 :class:`~repro.faults.FaultReport` lands on ``RunResult.fault_report``;
 an unrecoverable run ends with ``RunResult.failed`` set, never a hang or
 a bare traceback.
@@ -98,11 +99,12 @@ def build_geometry(
 class RunResult:
     """Outcome of one simulated FFT phase.
 
-    In data mode a result holds the run's input and output arrays
-    (``(n_complex_bands, ngw)`` each), plus the potential only when the
-    caller passed one in: a generated potential is not kept past the run,
-    and :attr:`potential` rebuilds it on access.  The ranks' contexts, and
-    the views of V they applied, are gone when the run returns.
+    In data mode a result holds the run's one ``(n_complex_bands, ngw)``
+    array, which the run overwrote with its output, plus the input and the
+    potential only when the caller passed them in: generated data is not
+    kept past the run, and :attr:`input_coeffs` and :attr:`potential`
+    rebuild it on access.  The ranks' contexts, and the views of V they
+    applied, are gone when the run returns.
     """
 
     config: RunConfig
@@ -115,12 +117,16 @@ class RunResult:
     #: Per layout process, the bands whose full chain finished there (the
     #: ranks' contexts, with their data, are not kept past the run).
     completed: dict[int, frozenset[int]]
-    input_coeffs: np.ndarray | None
+    #: The coefficients the caller passed in (held, and returned by
+    #: :attr:`input_coeffs`, by identity; never written); ``None`` when the
+    #: run generated them.
+    caller_input: np.ndarray | None
     #: The potential the caller passed in (held, and returned by
     #: :attr:`potential`, by identity); ``None`` when the run generated it.
     caller_potential: np.ndarray | None
-    #: The run's ``(n_complex_bands, ngw)`` output array (data mode); read
-    #: it through :meth:`output_coefficients`, which checks it is complete.
+    #: The run's one ``(n_complex_bands, ngw)`` array (data mode), holding
+    #: the output after the run; read it through
+    #: :meth:`output_coefficients`, which checks it is complete.
     output_coeffs: np.ndarray | None = None
     #: Machine calibration the run used (exported into the run manifest).
     knl: KnlParameters | None = None
@@ -157,6 +163,21 @@ class RunResult:
         return self.output_coeffs
 
     @property
+    def input_coeffs(self) -> np.ndarray | None:
+        """The coefficients the run transformed (``None`` in meta mode).  A
+        caller's array is returned as passed in; a generated one is rebuilt
+        on each access from ``(desc.ngw, config.n_complex_bands,
+        config.seed)``, bit for bit the run's input (two normal draws, ~33 ms
+        on the paper grid)."""
+        if self.caller_input is not None:
+            return self.caller_input
+        if self.output_coeffs is None:
+            return None
+        return make_band_coefficients(
+            self.desc.ngw, self.config.n_complex_bands, self.config.seed
+        )
+
+    @property
     def potential(self) -> np.ndarray | None:
         """The potential ``V[iz, ix, iy]`` the run applied (``None`` in meta
         mode).  A caller's array is returned as passed in; a generated one
@@ -165,13 +186,13 @@ class RunResult:
         the paper grid)."""
         if self.caller_potential is not None:
             return self.caller_potential
-        if self.input_coeffs is None:
+        if self.output_coeffs is None:
             return None
         return make_potential(self.desc.grid_shape, self.config.seed)
 
     def validate(self) -> float:
         """Max relative error of the distributed result vs. the dense reference."""
-        if self.input_coeffs is None:
+        if self.output_coeffs is None:
             raise RuntimeError("validation requires data mode")
         reference = dense_reference(self.desc, self.input_coeffs, self.potential)
         return max_relative_error(self.output_coefficients(), reference)
@@ -198,7 +219,8 @@ def run_fft_phase(
     (``V[iz, ix, iy]``) override the generated data — this is how a caller
     applies the kernel's operator to its *own* wavefunctions (today only
     tests do: driver validation, one copy, rebuilt potential); both require
-    ``config.data_mode``.
+    ``config.data_mode``.  The run copies ``input_coeffs`` into its one
+    array and never writes the caller's.
 
     ``telemetry`` installs the given session for the duration of the run;
     without it, ``config.telemetry`` creates a fresh enabled session, and
@@ -249,30 +271,25 @@ def run_fft_phase(
     )
     cost = CostModel(layout, cost_constants)
 
-    # 2. Data (caller-provided arrays pass through; see the docstring).
-    #    One output array per run, allocated before the attempts loop: a
-    #    resumed attempt leaves the rows of completed bands as they are.
-    output_coeffs: np.ndarray | None = None
+    # 2. Data (see the docstring).  One coefficient array per run, filled
+    #    with the input before the attempts loop; the unpack overwrites each
+    #    unit's rows with its output, and a resumed attempt leaves the rows
+    #    of completed units as they are.
+    coeffs: np.ndarray | None = None
     v_slabs: list[np.ndarray] | None = None
+    caller_input: np.ndarray | None = None
     caller_potential: np.ndarray | None = None
-    if not config.data_mode:
-        input_coeffs = None
-        potential = None
     if config.data_mode:
         if input_coeffs is None:
-            input_coeffs = make_band_coefficients(
-                desc.ngw, config.n_complex_bands, config.seed
-            )
+            coeffs = make_band_coefficients(desc.ngw, config.n_complex_bands, config.seed)
         else:
-            input_coeffs = np.ascontiguousarray(input_coeffs, dtype=np.complex128)
+            caller_input = np.asarray(input_coeffs)
             expected = (config.n_complex_bands, desc.ngw)
-            if input_coeffs.shape != expected:
+            if caller_input.shape != expected:
                 raise ValueError(
-                    f"input_coeffs shape {input_coeffs.shape}; expected {expected}"
+                    f"input_coeffs shape {caller_input.shape}; expected {expected}"
                 )
-        # Uninitialised: output_coefficients() hands it out only once every
-        # process has written every band's rows.
-        output_coeffs = np.empty_like(input_coeffs)
+            coeffs = np.array(caller_input, dtype=np.complex128, order="C")
         if potential is None:
             potential = make_potential(desc.grid_shape, config.seed)
         else:
@@ -437,8 +454,7 @@ def run_fft_phase(
                     cost=cost,
                     pack_comm=_pack_comms[r] if _pack_comms is not None else None,
                     scatter_comm=_scatter_comms[t],
-                    coeffs_in=input_coeffs,
-                    coeffs_out=output_coeffs,
+                    coeffs=coeffs,
                     v_slab=v_slabs[r] if v_slabs is not None else None,
                     workspace=workspace_for(layout, p) if config.data_mode else None,
                     kernels=kernel_engine,
@@ -481,6 +497,16 @@ def run_fft_phase(
             last_error = f"{type(err).__name__}: {err}"
             injector.report.attempt_done(attempt_time, units_done, last_error)
             if attempt < max_attempts:
+                if coeffs is not None:
+                    # A process may have unpacked its columns of a unit
+                    # another never finished: put the input back into the
+                    # rows of every unfinished unit.
+                    source = caller_input
+                    if source is None:
+                        source = make_band_coefficients(
+                            desc.ngw, config.n_complex_bands, config.seed
+                        )
+                    coeffs[units_done * T :] = source[units_done * T :]
                 injector.record(
                     "resume", next_attempt=attempt + 1, resume_unit=units_done
                 )
@@ -541,9 +567,9 @@ def run_fft_phase(
         desc=desc,
         layout=layout,
         completed={p: frozenset(contexts[p].completed) for p in sorted(contexts)},
-        input_coeffs=input_coeffs,
+        caller_input=caller_input,
         caller_potential=caller_potential,
-        output_coeffs=output_coeffs,
+        output_coeffs=coeffs,
         knl=knl,
         telemetry=tel,
         fault_report=fault_report,

@@ -319,7 +319,7 @@ def receive_slots(chain: _t.Sequence[Stage]) -> dict[str, int]:
     A rank needs two exchange buffers at once: the one it sends from and
     the one it receives into.  The pack receives into slot 0 and every
     later exchange into the slot its send block is not in, so the slots
-    alternate down the chain (the unpack writes the run's output rows).
+    alternate down the chain (the unpack writes the run's coefficient rows).
     """
     names = [stage.name for stage in chain if stage.kind in ("pack", "exchange")]
     return {name: i % 2 for i, name in enumerate(names)}
@@ -398,13 +398,14 @@ class FftPhaseContext:
     pack_comm / scatter_comm:
         The two communicator layers (``pack_comm`` is ``None`` when T == 1,
         i.e. task groups are off).
-    coeffs_in / coeffs_out:
-        The run's global ``(n_complex_bands, ngw)`` input and output
-        coefficients, shared by every rank (``None`` in meta mode).
-        ``prepare`` gathers this rank's G-vectors of one unit's bands out
-        of the input rows, and the unpack exchange writes them straight
-        into the output rows; no rank holds coefficients beyond the unit
-        in flight.
+    coeffs:
+        The run's one global ``(n_complex_bands, ngw)`` coefficient array,
+        shared by every rank (``None`` in meta mode).  ``prepare`` gathers
+        this rank's G-vectors of one unit's bands out of its rows (a copy),
+        and the unpack exchange writes the results back over them; no rank
+        holds coefficients beyond the unit in flight.  A process's columns
+        of a unit are written only by an unpack it joins, after its own
+        prepare of that unit has read them.
     v_slab:
         This scatter rank's potential planes, a view of the run's one
         potential (``None`` in meta mode).
@@ -443,8 +444,7 @@ class FftPhaseContext:
         cost: CostModel,
         pack_comm: "Communicator | None",
         scatter_comm: "Communicator",
-        coeffs_in: np.ndarray | None,
-        coeffs_out: np.ndarray | None,
+        coeffs: np.ndarray | None,
         v_slab: np.ndarray | None,
         workspace=None,
         kernels=None,
@@ -456,8 +456,7 @@ class FftPhaseContext:
         self.cost = cost
         self.pack_comm = pack_comm
         self.scatter_comm = scatter_comm
-        self.coeffs_in = coeffs_in
-        self.coeffs_out = coeffs_out
+        self.coeffs = coeffs
         self.v_slab = v_slab
         self.workspace = workspace
         self.kernels = kernels
@@ -468,7 +467,7 @@ class FftPhaseContext:
         #: output rows hold this rank's G-vectors.
         self.completed: set[int] = set()
         self.r, self.t = layout.rt_of(rank.rank)
-        self.data_mode = coeffs_in is not None
+        self.data_mode = coeffs is not None
 
         self.chain = chain_of(layout)
         self.budgets = unit_budgets(cost, self.chain, self.p)
@@ -725,14 +724,14 @@ def run_stages(
             finish_exchange(ctx, unit, block)
         elif kind == "prepare":
             # Gather this rank's G-vectors of the unit's consecutive bands
-            # out of the global input rows (the low-IPC Psi prep): one
+            # out of the global rows (the low-IPC Psi prep): one
             # C-contiguous (T, ngw_of(p)) block — ``take``, not
             # ``rows[:, g_idx]``, whose result is F-ordered — dropped once
             # the pack has moved it.
             yield rank.compute(stage.phase, budgets[stage.name], thread=thread)
             if ctx.data_mode:
                 block = np.take(
-                    ctx.coeffs_in[unit.bands[0] : unit.bands[-1] + 1],
+                    ctx.coeffs[unit.bands[0] : unit.bands[-1] + 1],
                     ctx.layout.local_g_table(ctx.p)[0],
                     axis=1,
                 )
@@ -772,11 +771,11 @@ def _unpack(
     ctx: FftPhaseContext, unit: Unit, stage: Stage, block, thread: int,
     mark_completed: bool,
 ):
-    """Extraction + unpack Alltoallv into the run's output rows.
+    """Extraction + unpack Alltoallv over the unit's rows of the run's array.
 
     With task groups on, this rank's group block holds band ``t`` (one share
     per member) and the Alltoallv writes every member's own-sticks share of
-    every band straight into the unit's output rows; with task groups off
+    every band straight into the unit's rows; with task groups off
     the extraction is purely local.
     """
     rank = ctx.rank
@@ -786,14 +785,14 @@ def _unpack(
         yield rank.compute(stage.phase, budget, thread=thread)
         if block is not None:
             g_idx = ctx.layout.local_g_table(ctx.p)[0]
-            ctx.coeffs_out[bands[0]][g_idx] = wave_mod.extract_from_sticks(
+            ctx.coeffs[bands[0]][g_idx] = wave_mod.extract_from_sticks(
                 ctx.layout, ctx.p, block
             )
         finish_exchange(ctx, unit, None)
     else:
         yield rank.compute(stage.phase, ctx.budgets["unpack_extract"], thread=thread)
         plan = ctx.plans[stage.name]
-        rows = None if block is None else ctx.coeffs_out[bands[0] : bands[-1] + 1]
+        rows = None if block is None else ctx.coeffs[bands[0] : bands[-1] + 1]
         yield _alltoallw(ctx, plan, ctx.pack_comm, block, rows, (unit.key, "unpack"), thread)
         finish_exchange(ctx, unit, None)
         yield rank.compute(stage.phase, budget, thread=thread)

@@ -173,7 +173,7 @@ def pack_fw_plan(layout: DistributedLayout, p: int, data_mode: bool) -> Exchange
 
 def pack_bw_plan(layout: DistributedLayout, p: int, data_mode: bool) -> ExchangePlan:
     """Unpack Alltoallv: group stick block -> the unit's ``(T, ngw)`` row
-    block of the run's global output coefficients.  Member ``t'``'s share
+    block of the run's global coefficients.  Member ``t'``'s share
     lands in row ``t'`` at ``p``'s own G-vectors — one index array for
     every row, offset ``t' * ngw``."""
 

@@ -75,8 +75,8 @@ def distribute_coefficients(
 
     Returns one ``(n_bands, ngw_of(p))`` array per process, columns in the
     process's ascending global-G order.  No run makes these copies: a rank
-    gathers one unit's rows at a time and the unpack writes straight into
-    the run's global output array.
+    gathers one unit's rows at a time and the unpack writes back over them
+    in the run's one global array.
     """
     out = []
     for p in range(layout.P):

@@ -23,7 +23,7 @@ from repro.machine.phases import PhaseTable
 from repro.machine.topology import HwThread, NodeTopology
 from repro.simkit.events import Event
 from repro.simkit.fluid import FluidResource
-from repro.simkit.rng import substream
+from repro.simkit.rng import UniformStream
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
@@ -111,7 +111,8 @@ class CpuModel:
         #: synchronized executions re-align at every collective, so the same
         #: jitter costs them load balance instead.
         self.jitter = jitter
-        self._rng = substream(jitter_seed)
+        #: ``substream(jitter_seed).random()``'s draws, without numpy.random.
+        self._rng = UniformStream(jitter_seed)
         #: Fault injector consulted per compute phase (set by the driver
         #: when a fault scenario is active; ``None`` costs one attribute
         #: check and leaves timing bit-identical to a healthy run).

@@ -97,13 +97,11 @@ class Histogram:
 class _Family:
     """All series of one metric name (shared kind)."""
 
-    __slots__ = ("name", "kind", "series", "buckets", "memo")
+    __slots__ = ("kind", "series", "memo")
 
-    def __init__(self, name: str, kind: str, buckets: _t.Sequence[float]):
-        self.name = name
+    def __init__(self, kind: str):
         self.kind = kind
         self.series: dict[LabelKey, _t.Any] = {}
-        self.buckets = tuple(buckets)
         #: ``tuple(labels.items())`` as a call site passed them -> series, so
         #: the sort + ``str()`` of :func:`_label_key` runs once per series
         #: and call-site spelling, not once per update.
@@ -121,7 +119,7 @@ class _Family:
             series = self.series.get(key)
             if series is None:
                 series = self.series[key] = (
-                    Histogram(self.buckets)
+                    Histogram()
                     if self.kind == "histogram"
                     else (Counter() if self.kind == "counter" else Gauge())
                 )
@@ -142,10 +140,10 @@ class MetricsRegistry:
 
     # -- series access -------------------------------------------------------
 
-    def _family(self, name: str, kind: str, buckets: _t.Sequence[float]) -> _Family:
+    def _family(self, name: str, kind: str) -> _Family:
         fam = self._families.get(name)
         if fam is None:
-            fam = _Family(name, kind, buckets)
+            fam = _Family(kind)
             self._families[name] = fam
         elif fam.kind != kind:
             raise ValueError(
@@ -155,21 +153,16 @@ class MetricsRegistry:
 
     def counter(self, name: str, /, **labels: _t.Any) -> Counter:
         """Get or create the counter series for ``name{labels}``."""
-        return self._family(name, "counter", ()).resolve(labels)
+        return self._family(name, "counter").resolve(labels)
 
     def gauge(self, name: str, /, **labels: _t.Any) -> Gauge:
         """Get or create the gauge series for ``name{labels}``."""
-        return self._family(name, "gauge", ()).resolve(labels)
+        return self._family(name, "gauge").resolve(labels)
 
-    def histogram(
-        self,
-        name: str,
-        buckets: _t.Sequence[float] = DEFAULT_BUCKETS,
-        /,
-        **labels: _t.Any,
-    ) -> Histogram:
-        """Get or create the histogram series for ``name{labels}``."""
-        return self._family(name, "histogram", buckets).resolve(labels)
+    def histogram(self, name: str, /, **labels: _t.Any) -> Histogram:
+        """Get or create the histogram series for ``name{labels}``
+        (:data:`DEFAULT_BUCKETS`)."""
+        return self._family(name, "histogram").resolve(labels)
 
     # -- one-shot conveniences (the instrumented call sites use these) -------
 
@@ -208,7 +201,7 @@ class MetricsRegistry:
                     entry.update(
                         count=s.total,
                         sum=s.sum,
-                        buckets=list(fam.buckets),
+                        buckets=list(s.buckets),
                         counts=list(s.counts),
                     )
                 else:

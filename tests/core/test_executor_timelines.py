@@ -67,7 +67,7 @@ def observe(result):
         "total_instructions": repr(float(result.cpu.counters.total_instructions())),
         "output_sha256": None,
     }
-    if result.input_coeffs is not None:
+    if result.config.data_mode:
         coeffs = np.ascontiguousarray(result.output_coefficients())
         out["output_sha256"] = hashlib.sha256(coeffs.tobytes()).hexdigest()
     return out

@@ -4,7 +4,10 @@ A result does not hold a potential the run generated: the property
 rebuilds it from ``(desc.grid_shape, config.seed)`` on each access.  It
 must equal ``make_potential`` of those and the very array the ranks'
 views were taken of.  A caller's potential is held and returned by
-identity; a meta-mode result has none.
+identity; a meta-mode result has none.  ``RunResult.input_coeffs`` follows
+the same rule: the run's one coefficient array ends up holding the output,
+so a generated input is rebuilt from ``(desc.ngw, config.n_complex_bands,
+config.seed)`` and must equal the array the run drew.
 """
 
 import numpy as np
@@ -51,3 +54,26 @@ def test_caller_potential_is_returned_by_identity():
 
 def test_meta_run_has_no_potential():
     assert run_fft_phase(RunConfig(**SMALL)).potential is None
+
+
+def test_generated_input_is_the_drawn_array(monkeypatch):
+    drawn = []
+    real = driver.make_band_coefficients
+
+    def spy(*args):
+        coeffs = real(*args)
+        drawn.append(coeffs.copy())
+        return coeffs
+
+    monkeypatch.setattr(driver, "make_band_coefficients", spy)
+    result = run_fft_phase(RunConfig(**SMALL, data_mode=True, seed=11))
+    assert len(drawn) == 1
+    rebuilt = result.input_coeffs
+    assert rebuilt.tobytes() == drawn[0].tobytes()
+    assert result.caller_input is None
+    assert result.input_coeffs is not rebuilt  # rebuilt on access, not held
+    assert result.validate() < 1e-12
+
+
+def test_meta_run_has_no_input():
+    assert run_fft_phase(RunConfig(**SMALL)).input_coeffs is None

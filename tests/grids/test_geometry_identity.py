@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.grids import Cell, DistributedLayout, FftDescriptor, GSphere, StickMap, build_sphere
 from repro.grids.gvectors import column_counts, grid_dimensions
-from tests.grids.test_noncubic import SHEARED, TETRAGONAL
+from tests.grids.lattices import SHEARED, TETRAGONAL
 
 TRICLINIC = np.array([[1.0, 0.31, 0.17], [0.05, 1.13, 0.23], [0.11, 0.07, 0.93]])
 LATTICES = {"cubic": None, "tetragonal": TETRAGONAL, "sheared": SHEARED, "triclinic": TRICLINIC}

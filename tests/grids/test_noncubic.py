@@ -12,9 +12,7 @@ from repro.core.validate import dense_reference, max_relative_error
 from repro.core.wave import make_potential
 from repro.fft import allowed_fft_order
 from repro.grids import Cell, DistributedLayout, FftDescriptor
-
-TETRAGONAL = np.diag([1.0, 1.0, 1.6])
-SHEARED = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.2]])
+from tests.grids.lattices import SHEARED, TETRAGONAL
 
 
 def run_distributed(desc, coeffs, potential, R, T):

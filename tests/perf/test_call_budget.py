@@ -16,8 +16,9 @@ spans, metrics and the finalization path (analysis, ``analysis.*`` gauges)
 on top of the core.  Its budget was set at 1 223 153 calls x 1.2876, the
 headroom ratio it had before the record-derived metric families were
 folded once per attempt instead of updated per event (2 260 000 /
-1 755 253).  The pair now makes 1 157 852 calls telemetry-on and 977 228
-off (Python 3.11.7).
+1 755 253).  The pair now makes 1 161 770 calls telemetry-on and 981 146
+off (Python 3.11.7); the CPU model's jitter draw is a Python call per
+compute phase (``repro.simkit.rng.UniformStream``).
 
 ``python tests/perf/test_call_budget.py`` prints the per-module split as a
 markdown table (the CI ``perf-guard`` job's summary).

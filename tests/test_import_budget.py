@@ -11,7 +11,9 @@ command leaves behind:
   (``--validate``) neither, nor ``mmap``: the kernels are ``numpy.fft`` fanned
   over ``concurrent.futures.thread`` (through ``repro._fan``, the data plane's
   one pool) and nothing optional; in meta mode not even the kernel engine,
-  the fan helper or its thread pool module;
+  the fan helper or its thread pool module, nor ``numpy.random`` and the
+  OpenSSL binding (``_hashlib``, via ``secrets`` and ``hmac``) that it
+  imports: the CPU model's jitter is a pure-Python stream;
 * ``analyze`` and ``perf validate`` read JSON: no numpy, no simulator, and
   with one manifest no A/B code;
 * ``--help`` loads the parser and nothing else;
@@ -50,6 +52,10 @@ RUN_BUDGET = 65
 
 #: Modules only an A/B command (two manifests) needs.
 AB_MODULES = ("repro.analysis.triage", "repro.perf")
+
+#: ``numpy.random`` and what its ``secrets`` import loads: ``hmac`` and
+#: OpenSSL's hash binding (``_hashlib``, about 3 MiB resident).
+RANDOM_MODULES = ("numpy.random", "secrets", "hmac", "_hashlib")
 
 #: Keeps OpenBLAS's own pool out of a child's thread count.
 NO_BLAS_POOL = {"OPENBLAS_NUM_THREADS": "1"}
@@ -118,6 +124,15 @@ class TestCommandBudgets:
         )
         assert unwanted == []
         assert len(loaded(result["modules"], "repro")) <= RUN_BUDGET
+
+    def test_meta_run_loads_no_numpy_random_and_no_openssl(self, run_probe, tmp_path):
+        """``QUICK_RUN`` and the paper's 8x8, each with ``--manifest``."""
+        paper = probe(
+            ["run", "--ranks", "8", "--taskgroups", "8", "--manifest", str(tmp_path / "m.json")]
+        )
+        for result in (run_probe[0], paper):
+            assert result["rc"] == 0, result["stderr"]
+            assert loaded(result["modules"], *RANDOM_MODULES) == []
 
     @pytest.mark.parametrize("command", [["analyze"], ["perf", "validate"]])
     def test_offline_commands_load_no_numpy_and_no_simulator(self, run_probe, command):
